@@ -71,7 +71,9 @@ func fixture(b *testing.B) *benchFixture {
 				panic(err)
 			}
 			fix.graphs[name] = g
-			eng, err := smartpsi.NewEngine(g, smartpsi.Options{Seed: 42})
+			// Like internal/bench, these loops re-run one query per
+			// iteration and price the paper's per-query training.
+			eng, err := smartpsi.NewEngine(g, smartpsi.Options{Seed: 42, DisablePreparedCache: true})
 			if err != nil {
 				panic(err)
 			}
@@ -262,7 +264,7 @@ func BenchmarkFig9_TwoThreaded(b *testing.B) {
 func BenchmarkFig9_SmartPSI2Threads(b *testing.B) {
 	f := fixture(b)
 	q := f.queries[key("twitter", 4)]
-	eng, err := smartpsi.NewEngine(f.graphs["twitter"], smartpsi.Options{Seed: 42, Threads: 2})
+	eng, err := smartpsi.NewEngine(f.graphs["twitter"], smartpsi.Options{Seed: 42, Threads: 2, DisablePreparedCache: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -501,6 +503,7 @@ func benchmarkEngineVariant(b *testing.B, opts smartpsi.Options) {
 	f := fixture(b)
 	q := f.queries[key("twitter", 5)]
 	opts.Seed = 42
+	opts.DisablePreparedCache = true
 	eng, err := smartpsi.NewEngine(f.graphs["twitter"], opts)
 	if err != nil {
 		b.Fatal(err)

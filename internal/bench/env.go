@@ -82,25 +82,14 @@ func (e *Env) Graph(name string) (*graph.Graph, error) {
 
 // Engine returns a cached SmartPSI engine for the named dataset.
 func (e *Env) Engine(name string) (*smartpsi.Engine, error) {
-	g, err := e.Graph(name)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if eng, ok := e.engines[name]; ok {
-		return eng, nil
-	}
-	eng, err := smartpsi.NewEngine(g, smartpsi.Options{Seed: e.Seed, SignatureMethod: signature.Matrix})
-	if err != nil {
-		return nil, err
-	}
-	e.engines[name] = eng
-	return eng, nil
+	return e.EngineWithOptions(name, name, smartpsi.Options{Seed: e.Seed, SignatureMethod: signature.Matrix})
 }
 
 // EngineWithOptions returns a cached engine for the named dataset built
-// with specific options, keyed separately from the default engine.
+// with specific options, keyed separately from the default engine. The
+// engines never reuse a query's trained artifact: the experiments
+// measure the paper's per-query training cost (Table 4, Figures 7–9)
+// and run the same queries repeatedly on one engine.
 func (e *Env) EngineWithOptions(key, name string, opts smartpsi.Options) (*smartpsi.Engine, error) {
 	g, err := e.Graph(name)
 	if err != nil {
@@ -111,6 +100,7 @@ func (e *Env) EngineWithOptions(key, name string, opts smartpsi.Options) (*smart
 	if eng, ok := e.engines[key]; ok {
 		return eng, nil
 	}
+	opts.DisablePreparedCache = true
 	eng, err := smartpsi.NewEngine(g, opts)
 	if err != nil {
 		return nil, err

@@ -149,3 +149,13 @@ func (f *Forest) PredictProba(x []float64) []float64 {
 
 // NumTrees returns the ensemble size.
 func (f *Forest) NumTrees() int { return len(f.trees) }
+
+// NumNodes returns the total tree-node count across the ensemble — what
+// a trained forest's memory is proportional to.
+func (f *Forest) NumNodes() int {
+	n := 0
+	for _, t := range f.trees {
+		n += t.NumNodes()
+	}
+	return n
+}

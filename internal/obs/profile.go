@@ -309,8 +309,9 @@ func (p *Profile) ModeMix() [2]int64 {
 }
 
 // SetMethod records how the query was executed ("ml" for the full
-// model-driven pipeline, "pessimistic-heuristic" for candidate sets too
-// small to train on).
+// model-driven pipeline trained by this request, "ml-warm" for the same
+// pipeline on a cached artifact, "pessimistic-heuristic" for candidate
+// sets too small to train on).
 func (p *Profile) SetMethod(method string) {
 	if p == nil {
 		return

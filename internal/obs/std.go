@@ -63,6 +63,14 @@ var (
 	SmartPlanSeconds   = Default.Histogram("smartpsi_plan_eval_seconds", "single candidate evaluation time per (method, plan)", LatencyBuckets)
 	SmartRecursionDist = Default.Histogram("smartpsi_query_recursions", "per-query recursion totals", CountBuckets)
 
+	// --- package smartpsi: the engine's prepared-query cache (updated unconditionally, like the serving-path metrics below) ---
+
+	SmartPreparedHits       = Default.Counter("smartpsi_prepared_hits_total", "ML-path queries served warm: a verified-equal query's prepared and trained artifact was reused")
+	SmartPreparedMisses     = Default.Counter("smartpsi_prepared_misses_total", "ML-path queries that prepared and trained cold (no artifact, or a key match that failed verification)")
+	SmartPreparedMismatches = Default.Counter("smartpsi_prepared_mismatches_total", "prepared-cache key matches whose stored query was not equal to the request's (64-bit hash collisions; also counted as misses)")
+	SmartPreparedEvictions  = Default.Counter("smartpsi_prepared_evictions_total", "artifacts evicted from the prepared-query cache by its entry or byte cap")
+	SmartPreparedBytes      = Default.Gauge("smartpsi_prepared_bytes", "bytes charged to retained prepared-query artifacts (forest nodes + prediction-cache entries), summed over this process's engines")
+
 	// --- package smartpsi: per-query candidate-funnel totals (profile flush) ---
 
 	SmartFunnelGenerated = Default.Histogram("smartpsi_funnel_generated", "per-query funnel: candidates generated across all plan depths", CountBuckets)

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/plan"
 	"repro/internal/psi"
-	"repro/internal/signature"
 )
 
 // CountResult reports a threshold count query.
@@ -34,24 +32,14 @@ func (e *Engine) CountBindingsAtLeast(q graph.Query, threshold int, deadline tim
 	if threshold < 1 {
 		return CountResult{}, fmt.Errorf("smartpsi: threshold %d < 1", threshold)
 	}
-	if err := q.Validate(); err != nil {
-		return CountResult{}, fmt.Errorf("smartpsi: %w", err)
+	if err := e.checkQuery(q); err != nil {
+		return CountResult{}, err
 	}
-	if q.G.NumLabels() > e.sigs.Width() {
-		return CountResult{}, fmt.Errorf("smartpsi: query uses %d labels, data graph only %d", q.G.NumLabels(), e.sigs.Width())
-	}
-	qSigs, err := signature.Build(q.G, e.opts.SignatureDepth, e.sigs.Width(), e.opts.SignatureMethod)
+	art, err := e.prepare(q, nil)
 	if err != nil {
 		return CountResult{}, err
 	}
-	ev, err := psi.NewEvaluator(e.g, q, e.sigs, qSigs)
-	if err != nil {
-		return CountResult{}, err
-	}
-	c, err := plan.Compile(q, plan.Heuristic(q, e.g))
-	if err != nil {
-		return CountResult{}, err
-	}
+	ev, c := art.ev, art.compiled[0]
 
 	res := CountResult{}
 	candidates := e.g.NodesWithLabel(q.G.Label(q.Pivot))

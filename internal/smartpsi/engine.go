@@ -4,7 +4,9 @@
 // method per candidate node, and a multi-class plan classifier (model β)
 // to pick a search order, with a signature-keyed prediction cache and a
 // preemptive query processor that detects and recovers from wrong
-// predictions (Section 4.3).
+// predictions (Section 4.3). Where the paper trains on every evaluation,
+// an Engine keeps what it prepared and trained for queries that repeat
+// (prepared.go).
 package smartpsi
 
 import (
@@ -90,6 +92,12 @@ type Options struct {
 	DisablePlanModel  bool // always use the heuristic plan (no model β)
 	DisablePreemption bool // no Section 4.3 detection & recovery
 	DisableTypeModel  bool // always predict "invalid" (pessimistic only)
+	// DisablePreparedCache makes every call prepare and train afresh, as
+	// the paper does (§4.2). A server leaves it off; the experiment
+	// harness (internal/bench) sets it, because Table 4 and Figures 7–9
+	// price the per-query training cost while re-running queries on one
+	// engine.
+	DisablePreparedCache bool
 }
 
 // planShadowRate resolves the effective model-β shadow rate.
@@ -133,15 +141,23 @@ func (o Options) withDefaults() Options {
 
 // Engine evaluates PSI queries over one data graph. Constructing an
 // Engine loads the graph and computes all node signatures once
-// (SmartPSI's startup phase); each Evaluate call then trains its
-// per-query models and runs the candidates.
+// (SmartPSI's startup phase); an Evaluate call then prepares the query,
+// trains its models and runs the candidates — or, for a query the engine
+// has seen repeat, reuses the prepared and trained artifact it kept and
+// only runs the candidates (see prepared.go).
 //
-// An Engine is immutable after construction and safe for concurrent
-// Evaluate calls; every call builds its own models, cache and scratch.
+// An Engine is safe for concurrent Evaluate calls. Graph, signatures and
+// options never change; the prepared-query cache is the one part that
+// does, and it changes how fast a query is answered, never the answer.
+// Every call builds its own evaluator scratch and result.
 type Engine struct {
 	g    *graph.Graph
 	sigs *signature.Signatures
 	opts Options
+
+	// prepared is the bounded cache of artifacts; nil with
+	// Options.DisablePreparedCache.
+	prepared *preparedCache
 
 	// SignatureBuildTime records the one-off startup cost (Figure 8).
 	SignatureBuildTime time.Duration
@@ -156,6 +172,11 @@ type Engine struct {
 	// shadow's (mode, plan). Only the shadow-audit tests set it — paired
 	// with evalHook it pins the exact audit call sites without timing.
 	shadowHook func(mode psi.Mode, planIdx int) (bool, error)
+	// trainHook, when non-nil, runs at train's two budget checkpoints
+	// (0: after the sweep, 1: between the α and β fits) just before the
+	// deadline is read. Only the deadline tests set it, to let a budget
+	// expire exactly there.
+	trainHook func(checkpoint int)
 
 	// drift is the model-α accuracy drift detector, fed by every scored
 	// prediction across the engine's lifetime (Options.Drift). Candidate
@@ -178,13 +199,17 @@ func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 		obs.SmartEngineBuilds.Inc()
 		obs.SmartSigBuildSecs.Observe(buildTime.Seconds())
 	}
-	return &Engine{
-		g:                  g,
-		sigs:               sigs,
-		opts:               opts,
-		SignatureBuildTime: buildTime,
-		drift:              ml.NewDriftDetector(opts.Drift),
-	}, nil
+	e := newEngine(g, sigs, opts)
+	e.SignatureBuildTime = buildTime
+	return e, nil
+}
+
+func newEngine(g *graph.Graph, sigs *signature.Signatures, opts Options) *Engine {
+	e := &Engine{g: g, sigs: sigs, opts: opts, drift: ml.NewDriftDetector(opts.Drift)}
+	if !opts.DisablePreparedCache {
+		e.prepared = newPreparedCache()
+	}
+	return e
 }
 
 // NewEngineWithSignatures builds an engine that reuses externally
@@ -206,7 +231,7 @@ func NewEngineWithSignatures(g *graph.Graph, sigs *signature.Signatures, opts Op
 	if sigs.Depth() != opts.SignatureDepth {
 		return nil, fmt.Errorf("smartpsi: signature depth %d, options want %d", sigs.Depth(), opts.SignatureDepth)
 	}
-	return &Engine{g: g, sigs: sigs, opts: opts, drift: ml.NewDriftDetector(opts.Drift)}, nil
+	return newEngine(g, sigs, opts), nil
 }
 
 // DriftEvents returns the cumulative model-α drift-event count raised by

@@ -3,7 +3,6 @@ package smartpsi
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -24,9 +23,9 @@ type Result struct {
 	// Candidates is the number of label-matching nodes examined.
 	Candidates int
 
-	// TrainTime covers training-node evaluation and model fitting;
-	// ModelTime covers runtime prediction; together they are the
-	// "training and prediction overhead" of Table 4.
+	// TrainTime covers training-node evaluation and model fitting (zero
+	// on a warm run); ModelTime covers runtime prediction; together they
+	// are the "training and prediction overhead" of Table 4.
 	TrainTime time.Duration
 	ModelTime time.Duration
 	// EvalTime is the candidate-evaluation wall time (excluding training).
@@ -34,10 +33,15 @@ type Result struct {
 	// TotalTime is the whole Evaluate call.
 	TotalTime time.Duration
 
-	// TrainedNodes is the training-set size; PlanClasses the number of
-	// sampled plans (model β classes).
+	// TrainedNodes is the training-set size this call evaluated (0 on a
+	// warm run); PlanClasses the number of compiled plans (model β
+	// classes; 1 on the no-ML path).
 	TrainedNodes int
 	PlanClasses  int
+	// Warm is true when the engine's prepared-query cache held a
+	// verified-equal query's artifact: nothing was prepared or trained,
+	// and every candidate took the predict path.
+	Warm bool
 
 	// Alpha reports model α's accuracy on the non-training candidates
 	// (prediction vs ground truth established by the evaluation itself).
@@ -104,7 +108,7 @@ func (e *Engine) Evaluate(q graph.Query) (*Result, error) {
 // psi.ErrDeadline; partial results are discarded, matching how the
 // paper's 24-hour task limit censors runs.
 func (e *Engine) EvaluateBudget(q graph.Query, deadline time.Time) (*Result, error) {
-	return e.evaluateBudget(q, deadline, queryTag{})
+	return e.evaluate(q, deadline, queryTag{})
 }
 
 // EvaluateRequest is EvaluateBudget with a serving-layer request ID
@@ -112,7 +116,7 @@ func (e *Engine) EvaluateBudget(q graph.Query, deadline time.Time) (*Result, err
 // and decision-log records, so one served request is correlatable
 // across the access log, /profilez?request_id= and the decision log.
 func (e *Engine) EvaluateRequest(q graph.Query, deadline time.Time, requestID string) (*Result, error) {
-	return e.evaluateBudget(q, deadline, queryTag{reqID: requestID})
+	return e.evaluate(q, deadline, queryTag{reqID: requestID})
 }
 
 // EvaluateTagged is EvaluateRequest with the query's canonical shape
@@ -121,7 +125,7 @@ func (e *Engine) EvaluateRequest(q graph.Query, deadline time.Time, requestID st
 // and the decision log all agree); an empty fingerprint falls back to
 // computing one here when anything will record it.
 func (e *Engine) EvaluateTagged(q graph.Query, deadline time.Time, requestID, fingerprint string) (*Result, error) {
-	return e.evaluateBudget(q, deadline, queryTag{reqID: requestID, fingerprint: fingerprint})
+	return e.evaluate(q, deadline, queryTag{reqID: requestID, fingerprint: fingerprint})
 }
 
 // queryTag is the per-query identity threaded into traces, profiles and
@@ -133,7 +137,33 @@ type queryTag struct {
 	fingerprint string
 }
 
-func (e *Engine) evaluateBudget(q graph.Query, deadline time.Time, tag queryTag) (_ *Result, retErr error) {
+// queryRun is the per-request state train and execute share: the
+// request's identity, its observers, and the verdict slots they fill.
+// Everything that outlives the request lives in the artifact.
+type queryRun struct {
+	tag  queryTag
+	tr   *obs.QueryTrace
+	prof *obs.Profile
+
+	// candidates are the pivot-labelled data nodes, ascending;
+	// valid[i] is candidates[i]'s verdict. Each position is written by
+	// exactly one goroutine (training, or the worker that owns it).
+	candidates []graph.NodeID
+	valid      []bool
+	res        *Result
+}
+
+// expired reports whether a budget (zero: none) has run out.
+func expired(deadline time.Time) bool {
+	return !deadline.IsZero() && time.Now().After(deadline)
+}
+
+// evaluate is the one evaluation path behind all four Evaluate* entry
+// points. A query with enough candidates to train on runs
+// prepare → train → execute; when the engine's prepared-query cache holds
+// a verified-equal query's artifact the first two are skipped and every
+// candidate goes through execute (Result.Warm).
+func (e *Engine) evaluate(q graph.Query, deadline time.Time, tag queryTag) (_ *Result, retErr error) {
 	start := time.Now()
 	enabled := obs.Enabled()
 	var tr *obs.QueryTrace
@@ -161,39 +191,10 @@ func (e *Engine) evaluateBudget(q graph.Query, deadline time.Time, tag queryTag)
 		}
 		prof.Finish()
 	}()
-	// finishQuery flushes the per-query aggregates into the obs
-	// registry and seals the profile on the success paths. With deep
-	// checking on it also validates the profiler's candidate funnel
-	// (per-depth monotone non-increasing stages).
-	finishQuery := func(res *Result) error {
-		prof.SetOutcome(len(res.Bindings))
-		psi.RecordWork(prof, res.Work)
-		if enabled {
-			obs.SmartQuerySeconds.Observe(time.Since(start).Seconds())
-			obs.SmartRecursionDist.Observe(float64(res.Work.Recursions))
-			psi.PublishStats(res.Work)
-			if e.opts.auditing() {
-				obs.SmartQueryRegretSeconds.Observe(res.Regret.Seconds())
-			}
-			if prof != nil {
-				tot := prof.FunnelTotals()
-				obs.SmartFunnelGenerated.Observe(float64(tot.Generated))
-				obs.SmartFunnelDegOK.Observe(float64(tot.DegOK))
-				obs.SmartFunnelSigOK.Observe(float64(tot.SigOK))
-				obs.SmartFunnelRecursed.Observe(float64(tot.Recursed))
-				obs.SmartFunnelMatched.Observe(float64(tot.Matched))
-			}
-		}
-		if invariant.Enabled() && prof != nil {
-			if err := invariant.CheckFunnel(prof.FunnelSnapshot()); err != nil {
-				return err
-			}
-		}
-		prof.Finish()
-		return nil
-	}
-	if err := q.Validate(); err != nil {
-		return nil, fmt.Errorf("smartpsi: %w", err)
+	// Every request is validated, warm or not: the cache lookup hashes
+	// and compares the query's adjacency and must not walk a corrupt one.
+	if err := e.checkQuery(q); err != nil {
+		return nil, err
 	}
 	if tagged && tag.fingerprint == "" {
 		// Non-serving entry points (CLIs, tests) fingerprint here so
@@ -202,9 +203,144 @@ func (e *Engine) evaluateBudget(q graph.Query, deadline time.Time, tag queryTag)
 		tag.fingerprint = fsm.PivotFingerprint(q, 0).String()
 		prof.SetFingerprint(tag.fingerprint)
 	}
-	if q.G.NumLabels() > e.sigs.Width() {
-		return nil, fmt.Errorf("smartpsi: query uses %d labels, data graph only %d", q.G.NumLabels(), e.sigs.Width())
+
+	res := &Result{Profile: prof}
+	r := &queryRun{tag: tag, tr: tr, prof: prof, res: res}
+	r.candidates = e.g.NodesWithLabel(q.G.Label(q.Pivot))
+	r.valid = make([]bool, len(r.candidates))
+	res.Candidates = len(r.candidates)
+	prof.SetCandidates(len(r.candidates))
+
+	var err error
+	switch {
+	case len(r.candidates) == 0:
+	case len(r.candidates) < e.opts.MinTrainNodes:
+		err = e.evaluateSmall(q, r, deadline)
+	default:
+		err = e.evaluateML(q, r, deadline)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if err := e.collect(q, r); err != nil {
+		return nil, err
+	}
+	res.TotalTime = time.Since(start)
+
+	// Flush the per-query aggregates into the obs registry. With deep
+	// checking on, also validate the profiler's candidate funnel
+	// (per-depth monotone non-increasing stages).
+	prof.SetOutcome(len(res.Bindings))
+	psi.RecordWork(prof, res.Work)
+	if enabled {
+		obs.SmartQuerySeconds.Observe(time.Since(start).Seconds())
+		obs.SmartRecursionDist.Observe(float64(res.Work.Recursions))
+		psi.PublishStats(res.Work)
+		if e.opts.auditing() {
+			obs.SmartQueryRegretSeconds.Observe(res.Regret.Seconds())
+		}
+		if prof != nil {
+			tot := prof.FunnelTotals()
+			obs.SmartFunnelGenerated.Observe(float64(tot.Generated))
+			obs.SmartFunnelDegOK.Observe(float64(tot.DegOK))
+			obs.SmartFunnelSigOK.Observe(float64(tot.SigOK))
+			obs.SmartFunnelRecursed.Observe(float64(tot.Recursed))
+			obs.SmartFunnelMatched.Observe(float64(tot.Matched))
+		}
+	}
+	if invariant.Enabled() && prof != nil {
+		if err := invariant.CheckFunnel(prof.FunnelSnapshot()); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
+}
+
+// checkQuery rejects queries no evaluation path can run: disconnected
+// or inconsistent query graphs, and labels outside the data alphabet.
+func (e *Engine) checkQuery(q graph.Query) error {
+	if err := q.Validate(); err != nil {
+		return fmt.Errorf("smartpsi: %w", err)
+	}
+	if q.G.NumLabels() > e.sigs.Width() {
+		return fmt.Errorf("smartpsi: query uses %d labels, data graph only %d", q.G.NumLabels(), e.sigs.Width())
+	}
+	return nil
+}
+
+// evaluateSmall is the no-ML path: too few candidates to train on, so
+// every one is evaluated pessimistically under the heuristic plan — the
+// only plan this path compiles.
+func (e *Engine) evaluateSmall(q graph.Query, r *queryRun, deadline time.Time) error {
+	art, err := e.prepare(q, nil)
+	if err != nil {
+		return err
+	}
+	r.res.PlanClasses = len(art.compiled)
+	r.prof.SetMethod("pessimistic-heuristic")
+	evalStart := time.Now()
+	st := psi.NewState(q.Size())
+	if r.prof != nil {
+		st.SetFunnel(&obs.Funnel{})
+	}
+	for i, u := range r.candidates {
+		ok, err := art.ev.Evaluate(st, art.compiled[0], u, psi.Pessimistic, psi.Limits{Deadline: deadline})
+		if err != nil {
+			return err
+		}
+		r.valid[i] = ok
+	}
+	r.res.EvalTime = time.Since(evalStart)
+	r.res.Work = st.Stats()
+	r.prof.MergeFunnel(st.Funnel())
+	return nil
+}
+
+// evaluateML is the model-driven path. A cache hit goes straight to
+// execute with every candidate on the predict path; a miss is the
+// paper's per-query pipeline, and its artifact is kept when this exact
+// query was seen before.
+func (e *Engine) evaluateML(q graph.Query, r *queryRun, deadline time.Time) error {
+	r.res.UsedML = true
+	if obs.Enabled() {
+		obs.SmartQueriesML.Inc()
+	}
+	// order holds candidate positions: identity on a warm run, shuffled
+	// by train (which consumes its prefix) on a cold one.
+	order := make([]int32, len(r.candidates))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	art, key, admit := e.prepared.lookup(q)
+	if art != nil {
+		r.res.Warm = true
+		r.prof.SetMethod("ml-warm")
+		r.prof.SetTraining(0, len(art.compiled), 0)
+	} else {
+		r.prof.SetMethod("ml")
+		rng := rand.New(rand.NewSource(e.opts.Seed))
+		var err error
+		if art, err = e.prepare(q, rng); err != nil {
+			return err
+		}
+		trained, err := e.train(art, r, order, rng, deadline)
+		if err != nil {
+			return err
+		}
+		order = order[trained:]
+		if admit {
+			e.prepared.store(key, art, len(r.candidates))
+		}
+	}
+	r.res.PlanClasses = len(art.compiled)
+	return e.execute(art, r, order, deadline)
+}
+
+// prepare builds the query-side half of an artifact: the query's
+// signatures inside a psi.Evaluator, and the compiled plans. With an rng
+// it samples Options.PlanSamples plans (model β's classes, the heuristic
+// plan first); with none it compiles the heuristic plan alone.
+func (e *Engine) prepare(q graph.Query, rng *rand.Rand) (*artifact, error) {
 	qSigs, err := signature.Build(q.G, e.opts.SignatureDepth, e.sigs.Width(), e.opts.SignatureMethod)
 	if err != nil {
 		return nil, fmt.Errorf("smartpsi: %w", err)
@@ -213,68 +349,33 @@ func (e *Engine) evaluateBudget(q graph.Query, deadline time.Time, tag queryTag)
 	if err != nil {
 		return nil, fmt.Errorf("smartpsi: %w", err)
 	}
-
-	res := &Result{Profile: prof}
-	candidates := e.g.NodesWithLabel(q.G.Label(q.Pivot))
-	res.Candidates = len(candidates)
-	prof.SetCandidates(len(candidates))
-	if len(candidates) == 0 {
-		res.TotalTime = time.Since(start)
-		if err := finishQuery(res); err != nil {
-			return nil, err
-		}
-		return res, nil
+	var plans []plan.Plan
+	if rng != nil {
+		plans = plan.Sample(q, e.g, e.opts.PlanSamples, rng)
+	} else {
+		plans = []plan.Plan{plan.Heuristic(q, e.g)}
 	}
-
-	rng := rand.New(rand.NewSource(e.opts.Seed))
-	plans, compiled, err := e.samplePlans(q, rng)
-	if err != nil {
-		return nil, err
+	art := &artifact{q: q, ev: ev, compiled: make([]*plan.Compiled, len(plans))}
+	for i, p := range plans {
+		if art.compiled[i], err = plan.Compile(q, p); err != nil {
+			return nil, fmt.Errorf("smartpsi: plan %d: %w", i, err)
+		}
 	}
-	res.PlanClasses = len(plans)
+	return art, nil
+}
 
-	valid := make(map[graph.NodeID]bool, len(candidates))
-	var validMu sync.Mutex
-
-	if len(candidates) < e.opts.MinTrainNodes {
-		// Too few candidates to train on: evaluate everything
-		// pessimistically with the heuristic plan (compiled[0]).
-		prof.SetMethod("pessimistic-heuristic")
-		evalStart := time.Now()
-		st := psi.NewState(q.Size())
-		if prof != nil {
-			st.SetFunnel(&obs.Funnel{})
-		}
-		for _, u := range candidates {
-			ok, err := ev.Evaluate(st, compiled[0], u, psi.Pessimistic, psi.Limits{Deadline: deadline})
-			if err != nil {
-				return nil, err
-			}
-			valid[u] = ok
-		}
-		res.EvalTime = time.Since(evalStart)
-		res.Work = st.Stats()
-		prof.MergeFunnel(st.Funnel())
-		if err := e.collect(res, q, valid); err != nil {
-			return nil, err
-		}
-		res.TotalTime = time.Since(start)
-		if err := finishQuery(res); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	res.UsedML = true
-	prof.SetMethod("ml")
-	if enabled {
-		obs.SmartQueriesML.Inc()
-	}
-
-	// ----- Training phase (Sections 4.2.1, 4.2.2) -----
+// train is the training phase (Sections 4.2.1, 4.2.2): it shuffles
+// order, labels the training prefix by evaluation (filling those
+// verdict slots), fits models α and β, and leaves them with the sweep's
+// planTiming in art. It returns the training-set size. The budget is
+// checked per node, after the sweep and between the two fits; an
+// aborted train returns psi.ErrDeadline and its artifact must be
+// dropped.
+func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand, deadline time.Time) (int, error) {
+	enabled := obs.Enabled()
 	trainStart := time.Now()
-	shuffled := append([]graph.NodeID(nil), candidates...)
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	trainCount := int(e.opts.TrainFraction * float64(len(candidates)))
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	trainCount := int(e.opts.TrainFraction * float64(len(order)))
 	if trainCount > e.opts.MaxTrainNodes {
 		trainCount = e.opts.MaxTrainNodes
 	}
@@ -282,35 +383,36 @@ func (e *Engine) evaluateBudget(q graph.Query, deadline time.Time, tag queryTag)
 	if trainCount < minTrainFloor {
 		trainCount = minTrainFloor
 	}
-	if trainCount > len(candidates)/2 {
-		trainCount = len(candidates) / 2
+	if trainCount > len(order)/2 {
+		trainCount = len(order) / 2
 	}
-	trainNodes := shuffled[:trainCount]
-	res.TrainedNodes = trainCount
+	r.res.TrainedNodes = trainCount
 
-	timing := newPlanTiming(len(plans))
+	art.timing = newPlanTiming(len(art.compiled))
 	alphaDS := ml.Dataset{NumClasses: 2}
-	betaDS := ml.Dataset{NumClasses: len(plans)}
-	st := psi.NewState(q.Size())
-	if prof != nil {
+	betaDS := ml.Dataset{NumClasses: len(art.compiled)}
+	st := psi.NewState(art.q.Size())
+	if r.prof != nil {
 		st.SetFunnel(&obs.Funnel{})
 	}
 	// Retain the per-plan sweep measurements for the model-β plan-rank
 	// audit (scoreBetaRanks) when anyone will consume them.
 	collectSweeps := (enabled || (e.opts.DecisionLog != nil && e.opts.auditing())) && !e.opts.DisablePlanModel
 	var sweeps []betaSweep
-	for i, u := range trainNodes {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return nil, psi.ErrDeadline
+	for i, pos := range order[:trainCount] {
+		if expired(deadline) {
+			return 0, psi.ErrDeadline
 		}
+		u := r.candidates[pos]
 		var isValid bool
 		var bestPlan int
+		var err error
 		if i < e.opts.PlanSweepNodes {
 			// Full per-plan sweep: labels both models.
 			var outcomes []planOutcome
-			isValid, bestPlan, outcomes, err = e.trainOne(ev, st, compiled, u, timing, deadline)
+			isValid, bestPlan, outcomes, err = e.trainOne(art.ev, st, art.compiled, u, art.timing, deadline)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			if collectSweeps && bestPlan >= 0 {
 				sweeps = append(sweeps, betaSweep{node: u, outcomes: outcomes})
@@ -318,14 +420,14 @@ func (e *Engine) evaluateBudget(q graph.Query, deadline time.Time, tag queryTag)
 		} else {
 			// Single heuristic-plan evaluation: labels model α only.
 			t0 := time.Now()
-			isValid, err = ev.Evaluate(st, compiled[0], u, psi.Pessimistic, psi.Limits{Deadline: deadline})
+			isValid, err = art.ev.Evaluate(st, art.compiled[0], u, psi.Pessimistic, psi.Limits{Deadline: deadline})
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			timing.record(psi.Pessimistic, 0, time.Since(t0))
+			art.timing.record(psi.Pessimistic, 0, time.Since(t0))
 			bestPlan = -1
 		}
-		valid[u] = isValid
+		r.valid[pos] = isValid
 		row := e.sigs.Row(u)
 		cls := 0
 		if isValid {
@@ -339,63 +441,86 @@ func (e *Engine) evaluateBudget(q graph.Query, deadline time.Time, tag queryTag)
 		}
 	}
 
-	var alphaModel, betaModel *ml.Forest
+	// A forest fit runs to completion once started, so the budget is
+	// read before each of the two.
+	var err error
+	if err = e.trainCheckpoint(0, deadline); err != nil {
+		return 0, err
+	}
 	if !e.opts.DisableTypeModel {
-		alphaModel, err = ml.TrainForest(alphaDS, e.forestConfig())
-		if err != nil {
-			return nil, fmt.Errorf("smartpsi: model α: %w", err)
+		if art.alpha, err = ml.TrainForest(alphaDS, e.forestConfig()); err != nil {
+			return 0, fmt.Errorf("smartpsi: model α: %w", err)
 		}
+	}
+	if err = e.trainCheckpoint(1, deadline); err != nil {
+		return 0, err
 	}
 	if !e.opts.DisablePlanModel {
-		betaModel, err = ml.TrainForest(betaDS, e.forestConfig())
-		if err != nil {
-			return nil, fmt.Errorf("smartpsi: model β: %w", err)
+		if art.beta, err = ml.TrainForest(betaDS, e.forestConfig()); err != nil {
+			return 0, fmt.Errorf("smartpsi: model β: %w", err)
 		}
 	}
-	res.TrainTime = time.Since(trainStart)
-	res.Work.Add(st.Stats())
-	prof.MergeFunnel(st.Funnel())
-	prof.SetTraining(trainCount, len(plans), res.TrainTime)
+	r.res.TrainTime = time.Since(trainStart)
+	r.res.Work.Add(st.Stats())
+	r.prof.MergeFunnel(st.Funnel())
+	r.prof.SetTraining(trainCount, len(art.compiled), r.res.TrainTime)
 	if enabled {
 		obs.SmartTrainedNodes.Add(int64(trainCount))
-		obs.SmartTrainSeconds.Observe(res.TrainTime.Seconds())
-		tr.Event(obs.EvTrainDone, -1, int64(trainCount))
+		obs.SmartTrainSeconds.Observe(r.res.TrainTime.Seconds())
+		r.tr.Event(obs.EvTrainDone, -1, int64(trainCount))
 	}
-	if betaModel != nil && len(sweeps) > 0 {
-		e.scoreBetaRanks(tag, betaModel, sweeps)
+	if art.beta != nil && len(sweeps) > 0 {
+		e.scoreBetaRanks(r.tag, art.beta, sweeps)
 	}
+	return trainCount, nil
+}
 
-	// ----- Prediction + preemptive evaluation (Sections 4.2.3, 4.3) -----
+// trainCheckpoint is one of train's two budget reads between the sweep
+// and the fits (0: before α, 1: before β).
+func (e *Engine) trainCheckpoint(i int, deadline time.Time) error {
+	if e.trainHook != nil {
+		e.trainHook(i)
+	}
+	if expired(deadline) {
+		return psi.ErrDeadline
+	}
+	return nil
+}
+
+// execute is prediction + preemptive evaluation (Sections 4.2.3, 4.3)
+// of the candidates at the given positions, split across
+// Options.Threads workers. It only reads art's models and plans; art's
+// planTiming and prediction cache are the two concurrent parts, so any
+// number of requests may execute one artifact at once.
+func (e *Engine) execute(art *artifact, r *queryRun, order []int32, deadline time.Time) error {
 	evalStart := time.Now()
-	remaining := shuffled[trainCount:]
-	var cache sync.Map // signature key -> decision
-	var mu sync.Mutex  // guards the shared counters below
+	var mu sync.Mutex // guards r.res's counters and modelNanos
 	var modelNanos int64
 
 	workers := e.opts.Threads
-	if workers > len(remaining) {
-		workers = len(remaining)
+	if workers > len(order) {
+		workers = len(order)
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	chunk := (len(remaining) + workers - 1) / workers
+	chunk := (len(order) + workers - 1) / workers
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
 		hi := lo + chunk
-		if hi > len(remaining) {
-			hi = len(remaining)
+		if hi > len(order) {
+			hi = len(order)
 		}
 		if lo >= hi {
 			continue
 		}
 		wg.Add(1)
-		go func(w int, nodes []graph.NodeID) {
+		go func(w int, positions []int32) {
 			defer wg.Done()
-			wst := psi.NewState(q.Size())
-			if prof != nil {
+			wst := psi.NewState(art.q.Size())
+			if r.prof != nil {
 				wst.SetFunnel(&obs.Funnel{})
 			}
 			local := workerCounters{}
@@ -404,7 +529,7 @@ func (e *Engine) evaluateBudget(q graph.Query, deadline time.Time, tag queryTag)
 				// own evaluator state: counterfactual work must land in
 				// ShadowWork, never in the primary accounting.
 				local.rng = newShadowRNG(e.opts.Seed, w)
-				local.shadowState = psi.NewState(q.Size())
+				local.shadowState = psi.NewState(art.q.Size())
 			}
 			// Merge the worker's counters even on the error paths, so
 			// censored runs still account their work.
@@ -413,43 +538,35 @@ func (e *Engine) evaluateBudget(q graph.Query, deadline time.Time, tag queryTag)
 				if local.shadowState != nil {
 					local.shadowWork = local.shadowState.Stats()
 				}
-				prof.MergeFunnel(wst.Funnel())
+				r.prof.MergeFunnel(wst.Funnel())
 				mu.Lock()
-				local.mergeInto(res, &modelNanos)
+				local.mergeInto(r.res, &modelNanos)
 				mu.Unlock()
 			}()
-			for _, u := range nodes {
-				if !deadline.IsZero() && time.Now().After(deadline) {
+			for _, pos := range positions {
+				if expired(deadline) {
 					errs[w] = psi.ErrDeadline
 					return
 				}
-				ok, err := e.evaluateOne(ev, wst, compiled, tag, u, alphaModel, betaModel, timing, &cache, &local, tr, prof, deadline)
+				ok, err := e.evaluateOne(art.ev, wst, art.compiled, r.tag, r.candidates[pos], art.alpha, art.beta,
+					art.timing, &art.cache, &local, r.tr, r.prof, deadline)
 				if err != nil {
 					errs[w] = err
 					return
 				}
-				validMu.Lock()
-				valid[u] = ok
-				validMu.Unlock()
+				r.valid[pos] = ok
 			}
-		}(w, remaining[lo:hi])
+		}(w, order[lo:hi])
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	res.EvalTime = time.Since(evalStart)
-	res.ModelTime = time.Duration(modelNanos)
-	if err := e.collect(res, q, valid); err != nil {
-		return nil, err
-	}
-	res.TotalTime = time.Since(start)
-	if err := finishQuery(res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	r.res.EvalTime = time.Since(evalStart)
+	r.res.ModelTime = time.Duration(modelNanos)
+	return nil
 }
 
 func (e *Engine) forestConfig() ml.ForestConfig {
@@ -460,31 +577,18 @@ func (e *Engine) forestConfig() ml.ForestConfig {
 	return cfg
 }
 
-func (e *Engine) samplePlans(q graph.Query, rng *rand.Rand) ([]plan.Plan, []*plan.Compiled, error) {
-	samples := plan.Sample(q, e.g, e.opts.PlanSamples, rng)
-	compiled := make([]*plan.Compiled, len(samples))
-	for i, p := range samples {
-		c, err := plan.Compile(q, p)
-		if err != nil {
-			return nil, nil, fmt.Errorf("smartpsi: plan %d: %w", i, err)
-		}
-		compiled[i] = c
-	}
-	return samples, compiled, nil
-}
-
-// collect projects the valid map into the sorted binding list. With
-// deep checking enabled it validates the result path's contract
-// (strictly ascending, in range, pivot-labeled bindings).
-func (e *Engine) collect(res *Result, q graph.Query, valid map[graph.NodeID]bool) error {
-	for u, ok := range valid {
+// collect projects the verdict slots into the binding list. Candidates
+// are ascending (graph.NodesWithLabel), so the bindings come out sorted;
+// with deep checking enabled the result path's contract (strictly
+// ascending, in range, pivot-labeled bindings) is validated.
+func (e *Engine) collect(q graph.Query, r *queryRun) error {
+	for i, ok := range r.valid {
 		if ok {
-			res.Bindings = append(res.Bindings, u)
+			r.res.Bindings = append(r.res.Bindings, r.candidates[i])
 		}
 	}
-	sort.Slice(res.Bindings, func(i, j int) bool { return res.Bindings[i] < res.Bindings[j] })
 	if invariant.Enabled() {
-		return invariant.CheckBindings(e.g, q, res.Bindings)
+		return invariant.CheckBindings(e.g, q, r.res.Bindings)
 	}
 	return nil
 }
@@ -528,7 +632,7 @@ func (e *Engine) trainOne(ev *psi.Evaluator, st *psi.State, compiled []*plan.Com
 			ok, err := ev.Evaluate(st, c, u, psi.Pessimistic, psi.Limits{Deadline: lim})
 			took := time.Since(t0)
 			if err == psi.ErrDeadline {
-				if !global.IsZero() && time.Now().After(global) {
+				if expired(global) {
 					return false, 0, nil, psi.ErrDeadline
 				}
 				continue
@@ -698,9 +802,6 @@ func (e *Engine) evaluateOne(ev *psi.Evaluator, st *psi.State, compiled []*plan.
 		}
 		return d
 	}
-	globalExpired := func() bool {
-		return !global.IsZero() && time.Now().After(global)
-	}
 
 	// State 1: predicted method and plan, with the MaxTime budget.
 	deadline := time.Time{}
@@ -731,7 +832,7 @@ func (e *Engine) evaluateOne(ev *psi.Evaluator, st *psi.State, compiled []*plan.
 		}
 		return ok, nil
 	}
-	if err != psi.ErrDeadline || globalExpired() {
+	if err != psi.ErrDeadline || expired(global) {
 		return false, err
 	}
 
@@ -760,7 +861,7 @@ func (e *Engine) evaluateOne(ev *psi.Evaluator, st *psi.State, compiled []*plan.
 		e.scoreAlpha(local, tr, u, predicted, dec.mode, dec.margin, ok)
 		return ok, nil
 	}
-	if err != psi.ErrDeadline || globalExpired() {
+	if err != psi.ErrDeadline || expired(global) {
 		return false, err
 	}
 
@@ -832,7 +933,8 @@ func (e *Engine) scoreAlpha(local *workerCounters, tr *obs.QueryTrace, u graph.N
 }
 
 // planTiming tracks average evaluation times per (method, plan), feeding
-// the MaxTime budget of Section 4.3.
+// the MaxTime budget of Section 4.3. It belongs to an artifact: seeded by
+// the training sweep, then refined by every execute of that artifact.
 type planTiming struct {
 	mu  sync.Mutex
 	sum [2][]time.Duration

@@ -155,7 +155,7 @@ func (e *Engine) shadowEvaluate(ev *psi.Evaluator, compiled []*plan.Compiled, u 
 	}
 	took = time.Since(t0)
 	if err == psi.ErrDeadline {
-		if !global.IsZero() && time.Now().After(global) {
+		if expired(global) {
 			return false, took, false, psi.ErrDeadline
 		}
 		return false, took, true, nil

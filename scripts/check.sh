@@ -36,6 +36,12 @@ go run ./cmd/psilint -root . -baseline lint_baseline.json
 step "go test -race ./..."
 go test -race ./...
 
+# benchmark/ is a module of its own (it builds against this one through
+# a replace directive), so ./... above never compiles it.
+step "benchmark module (vet + tests against this tree's engine API)"
+go -C benchmark vet ./...
+go -C benchmark test ./...
+
 step "observability suite (-race; overhead + shadow guards, /modelz, decision log)"
 go test -race -count=1 -run 'TestObs|TestShadow|TestModelz|TestDecisionLog|TestMerge' \
     ./internal/obs/ ./internal/psi/ ./internal/smartpsi/ \

@@ -5,11 +5,13 @@
 // curl, jq, or python being installed. Input comes from stdin, or from
 // an HTTP GET when -url is given (which must also answer 200). Exit
 // status 0 means valid JSON; 1 means the fetch or the parse failed
-// (the error is printed to stderr).
+// (the error is printed to stderr). With -print the validated document
+// is also copied to stdout, so a smoke test can grep a value out of it.
 //
 // Usage:
 //
 //	jsoncheck -url http://host/seriesz?format=json
+//	jsoncheck -print -url http://host/metrics.json | grep ...
 //	some-producer | jsoncheck
 package main
 
@@ -25,6 +27,7 @@ import (
 
 func main() {
 	url := flag.String("url", "", "fetch this URL (expecting 200) instead of reading stdin")
+	echo := flag.Bool("print", false, "copy the validated document to stdout")
 	flag.Parse()
 
 	data, err := read(*url)
@@ -42,6 +45,12 @@ func main() {
 		uerr := json.Unmarshal(data, &v)
 		fmt.Fprintf(os.Stderr, "jsoncheck: invalid JSON: %v\n", uerr)
 		os.Exit(1)
+	}
+	if *echo {
+		if _, err := os.Stdout.Write(data); err != nil {
+			fmt.Fprintf(os.Stderr, "jsoncheck: %v\n", err)
+			os.Exit(1)
+		}
 	}
 }
 

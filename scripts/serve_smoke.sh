@@ -25,7 +25,9 @@
 #      estimate; the same fingerprint must resolve at
 #      /profilez?fingerprint= and appear in the auto-captured bundle's
 #      workload.json, and psi-bundle report must render the top-shapes
-#      section;
+#      section; the repeats must also have been served from the engine's
+#      prepared-query cache (smartpsi_prepared_hits_total > 0 on
+#      /metrics.json);
 #   6. sharded serving — a 2-shard fleet (two psi-serve shard nodes
 #      plus a coordinator) must answer exactly what the model-free
 #      reference computes (-verify), then keep answering after one
@@ -140,6 +142,13 @@ step "skewed load surfaces its hot shape at /queryz (zipf mix, one worker, no sh
 fp="$(sed -n 's/^hot shape: \([0-9a-f]\{16\}\).*/\1/p' "$work/skew.out")"
 if [[ -z "$fp" ]]; then
     echo "loadgen -require-hot-shape printed no hot-shape fingerprint" >&2
+    exit 1
+fi
+
+step "the repeated queries were served warm (prepared-query cache hits on /metrics.json)"
+if ! "$work/jsoncheck" -print -url "http://$addr/metrics.json" |
+    grep -Eq '"smartpsi_prepared_hits_total": [1-9]'; then
+    echo "zipf pass produced no smartpsi_prepared_hits_total" >&2
     exit 1
 fi
 
