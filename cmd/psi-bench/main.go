@@ -62,7 +62,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	jsonOut := flag.String("json", "", "write results JSON (config + obs metrics snapshot) to this file")
-	debugAddr := flag.String("debug-addr", "", "serve obs debug HTTP (metrics, traces, pprof) on this address")
+	debugAddr := flag.String("debug-addr", "", "serve obs debug HTTP (metrics, per-query profiles, pprof) on this address")
 	baselinePath := flag.String("baseline", "", "baseline results JSON to compare against (with -compare)")
 	compare := flag.Bool("compare", false, "diff this run's counters against -baseline; exit non-zero on regression")
 	tolerance := flag.Float64("tolerance", 0.15, "allowed relative counter growth before -compare fails")
@@ -87,7 +87,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "psi-bench: debug server:", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s (/metrics /tracez /profilez /debug/pprof)\n", addr)
+		fmt.Fprintf(os.Stderr, "debug server on http://%s (/metrics /profilez /modelz /debug/pprof; per-query view: /profilez?id=N)\n", addr)
 	}
 	if *compare && *baselinePath == "" {
 		fmt.Fprintln(os.Stderr, "psi-bench: -compare requires -baseline FILE")

@@ -30,7 +30,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "sampling seed")
 	stats := flag.Bool("stats", false, "print evaluation telemetry")
 	explain := flag.Bool("explain", false, "print the execution profile (EXPLAIN ANALYZE tree) to stderr")
-	debugAddr := flag.String("debug-addr", "", "serve obs debug HTTP (metrics, traces, pprof) on this address")
+	debugAddr := flag.String("debug-addr", "", "serve obs debug HTTP (metrics, per-query profiles, pprof) on this address")
 	flag.Parse()
 
 	if *graphPath == "" || *queryPath == "" {
@@ -48,7 +48,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "psi-query: debug server:", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s (/metrics /tracez /profilez /debug/pprof)\n", addr)
+		fmt.Fprintf(os.Stderr, "debug server on http://%s (/metrics /profilez /modelz /debug/pprof; per-query view: /profilez?id=N)\n", addr)
 	}
 	if err := run(*graphPath, *queryPath, *threads, *seed, *stats, *explain); err != nil {
 		fmt.Fprintln(os.Stderr, "psi-query:", err)

@@ -29,8 +29,7 @@
 //
 // Endpoints: POST /v1/psi, POST /v1/psi/batch, GET /healthz, GET
 // /readyz, plus the full obs debug surface (/metrics, /metrics.json,
-// /tracez, /profilez, /modelz, /seriesz, /alertz, /queryz,
-// /debugz/bundle; /debug/pprof answers 403 unless -expose-pprof is
+// /profilez, /modelz, /seriesz, /alertz, /queryz, /debugz/bundle; /debug/pprof answers 403 unless -expose-pprof is
 // set). Metric
 // collection is always on in a serving process; with -sample-interval
 // > 0 a background sampler additionally keeps windowed time series
@@ -366,7 +365,7 @@ func run(cfg config, parent context.Context, ready chan<- string) error {
 		return err
 	}
 
-	// A serving process always collects: metrics, traces, the /profilez
+	// A serving process always collects: metrics, the /profilez
 	// flight recorder and /modelz all feed from the same gate.
 	obs.Enable(true)
 

@@ -11,8 +11,9 @@
 //
 // With -evaluate, the extracted queries are also run through the
 // SmartPSI engine (useful with -debug-addr to watch live /metrics and
-// /tracez while a workload executes). -debug-addr starts the obs debug
-// HTTP server (metrics + traces + pprof) and implies metric collection.
+// /profilez while a workload executes). -debug-addr starts the obs debug
+// HTTP server (metrics + per-query profiles + pprof) and implies metric
+// collection.
 //
 // With -shadow-rate > 0 the engine additionally audits that fraction of
 // its model decisions by shadow scoring (see /modelz), and -decision-log
@@ -46,7 +47,7 @@ func main() {
 	out := flag.String("out", "", "output file (empty: stdout)")
 	evaluate := flag.Bool("evaluate", false, "also evaluate the extracted queries with SmartPSI")
 	threads := flag.Int("threads", 1, "evaluation workers (with -evaluate)")
-	debugAddr := flag.String("debug-addr", "", "serve obs debug HTTP (metrics, traces, pprof) on this address")
+	debugAddr := flag.String("debug-addr", "", "serve obs debug HTTP (metrics, per-query profiles, pprof) on this address")
 	shadowRate := flag.Float64("shadow-rate", 0, "model-decision audit sampling rate in [0,1] (with -evaluate; 0 disables shadow scoring)")
 	planShadowRate := flag.Float64("plan-shadow-rate", 0, "model-β plan-audit sampling rate (0: shadow-rate/4)")
 	decisionLog := flag.String("decision-log", "", "capture audited decisions as JSONL to this file (with -evaluate; analyze with psi-decisions)")
@@ -64,7 +65,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "psi-workload: debug server:", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s (/metrics /tracez /debug/pprof)\n", addr)
+		fmt.Fprintf(os.Stderr, "debug server on http://%s (/metrics /profilez /modelz /debug/pprof; per-query view: /profilez?id=N)\n", addr)
 	}
 
 	audit := auditOptions{
@@ -137,7 +138,7 @@ func run(graphPath, dataset, sizes string, count int, seed int64, out string, ev
 
 // evaluateQueries runs every extracted query through the SmartPSI
 // engine. With collection enabled (-debug-addr or PSI_OBS) each query
-// feeds the obs registry and tracer as it executes; with a shadow rate
+// feeds the obs registry and flight recorder as it executes; with a shadow rate
 // set, sampled model decisions are audited (regret shows up on /modelz)
 // and optionally captured to a JSONL decision log.
 func evaluateQueries(g *graph.Graph, queries []graph.Query, threads int, seed int64, audit auditOptions) error {

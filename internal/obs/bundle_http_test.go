@@ -13,10 +13,9 @@ import (
 // a valid zip with one, and method discipline.
 func TestObsBundleEndpoint(t *testing.T) {
 	reg := NewRegistry()
-	tracer := NewTracer(4)
 	rec := NewRecorder(4)
 
-	bare := Handler(reg, tracer, rec)
+	bare := Handler(reg, rec)
 	if code, body := get(t, bare, "/debugz/bundle"); code != http.StatusServiceUnavailable || !strings.Contains(body, "not configured") {
 		t.Errorf("/debugz/bundle without bundler = %d\n%s", code, body)
 	}
@@ -25,7 +24,7 @@ func TestObsBundleEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := Handler(reg, tracer, rec, WithBundler(b))
+	h := Handler(reg, rec, WithBundler(b))
 
 	req := httptest.NewRequest(http.MethodGet, "/debugz/bundle", nil)
 	w := httptest.NewRecorder()
@@ -62,15 +61,14 @@ func TestObsBundleEndpoint(t *testing.T) {
 // serving listener without -expose-pprof — answers 403 with a hint.
 func TestObsPprofGate(t *testing.T) {
 	reg := NewRegistry()
-	tracer := NewTracer(4)
 	rec := NewRecorder(4)
 
-	open := Handler(reg, tracer, rec)
+	open := Handler(reg, rec)
 	if code, _ := get(t, open, "/debug/pprof/"); code != http.StatusOK {
 		t.Errorf("/debug/pprof/ with default handler = %d, want 200", code)
 	}
 
-	closed := Handler(reg, tracer, rec, WithPprof(false))
+	closed := Handler(reg, rec, WithPprof(false))
 	code, body := get(t, closed, "/debug/pprof/")
 	if code != http.StatusForbidden || !strings.Contains(body, "expose-pprof") {
 		t.Errorf("/debug/pprof/ gated = %d, want 403 naming the flag\n%s", code, body)

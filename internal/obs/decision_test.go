@@ -210,7 +210,7 @@ func TestModelzConcurrent(t *testing.T) {
 	withEnabled(t, func() {
 		DefaultModelStats.Reset()
 		defer DefaultModelStats.Reset()
-		h := Handler(NewRegistry(), NewTracer(1), NewRecorder(1))
+		h := Handler(NewRegistry(), NewRecorder(1))
 
 		var wg sync.WaitGroup
 		const writers, iters = 4, 200

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"time"
 )
@@ -58,13 +57,11 @@ func WithPprof(on bool) HandlerOption {
 	return func(c *handlerConfig) { c.pprof = on }
 }
 
-// Handler returns the debug mux over a registry, tracer and profile
-// flight recorder:
+// Handler returns the debug mux over a registry and profile flight
+// recorder:
 //
 //	/metrics            Prometheus text exposition
 //	/metrics.json       JSON snapshot (the psi-bench "metrics" key)
-//	/tracez             recent-query table
-//	/tracez?id=N        one trace, Chrome trace-event JSON (about:tracing)
 //	/profilez           flight recorder: K slowest + K most recent profiles
 //	/profilez?id=N      one profile as an EXPLAIN ANALYZE text tree
 //	/profilez?request_id=X  the profile recorded for one served request
@@ -86,7 +83,7 @@ func WithPprof(on bool) HandlerOption {
 //	                    dumps; inspect offline with cmd/psi-bundle
 //	/debug/pprof/       the standard net/http/pprof handlers
 //	                    (gated by WithPprof; on by default)
-func Handler(reg *Registry, tracer *Tracer, recorder *Recorder, opts ...HandlerOption) http.Handler {
+func Handler(reg *Registry, recorder *Recorder, opts ...HandlerOption) http.Handler {
 	hc := handlerConfig{pprof: true}
 	for _, o := range opts {
 		o(&hc)
@@ -102,41 +99,6 @@ func Handler(reg *Registry, tracer *Tracer, recorder *Recorder, opts ...HandlerO
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if err := reg.WriteJSON(w); err != nil {
-			return
-		}
-	})
-	mux.HandleFunc("/tracez", func(w http.ResponseWriter, req *http.Request) {
-		if idStr := req.URL.Query().Get("id"); idStr != "" {
-			id, err := strconv.ParseUint(idStr, 10, 64)
-			if err != nil {
-				http.Error(w, "bad id", http.StatusBadRequest)
-				return
-			}
-			t := tracer.Lookup(id)
-			if t == nil {
-				http.Error(w, "trace not retained", http.StatusNotFound)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			if err := WriteChromeTrace(w, t); err != nil {
-				return
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		var buf bytes.Buffer
-		fmt.Fprintf(&buf, "recent query traces (newest first); fetch one with /tracez?id=N\n\n")
-		fmt.Fprintf(&buf, "%6s  %-24s  %-12s  %8s  %8s  %s\n", "ID", "NAME", "DURATION", "EVENTS", "DROPPED", "SUMMARY")
-		for _, t := range tracer.Recent() {
-			events := t.Events()
-			state := "live"
-			if t.Finished() {
-				state = t.Duration().Round(time.Microsecond).String()
-			}
-			fmt.Fprintf(&buf, "%6d  %-24s  %-12s  %8d  %8d  %s\n",
-				t.ID(), t.Name(), state, len(events), t.Dropped(), summarize(events))
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
 			return
 		}
 	})
@@ -337,30 +299,8 @@ func writeProfileTable(buf *bytes.Buffer, title string, profiles []*Profile) {
 	}
 }
 
-// summarize renders an event-kind frequency digest like
-// "cache_hit:12 flip:2 mode_actual:30".
-func summarize(events []Event) string {
-	counts := make(map[EventKind]int)
-	for _, e := range events {
-		counts[e.Kind]++
-	}
-	kinds := make([]EventKind, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	var buf bytes.Buffer
-	for i, k := range kinds {
-		if i > 0 {
-			buf.WriteByte(' ')
-		}
-		fmt.Fprintf(&buf, "%s:%d", k, counts[k])
-	}
-	return buf.String()
-}
-
 // StartDebugServer enables collection and serves the default registry
-// and tracer (plus pprof) on addr, returning the bound address (useful
+// and flight recorder (plus pprof) on addr, returning the bound address (useful
 // with ":0") and a close function that shuts the server down and waits
 // for the serve goroutine to exit. The cmd binaries call this from
 // their -debug-addr flag.
@@ -370,7 +310,7 @@ func StartDebugServer(addr string) (boundAddr string, closeFn func() error, err 
 		return "", nil, fmt.Errorf("obs: debug server: %w", err)
 	}
 	Enable(true)
-	srv := &http.Server{Handler: Handler(Default, DefaultTracer, DefaultRecorder)}
+	srv := &http.Server{Handler: Handler(Default, DefaultRecorder)}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	closeFn = func() error {

@@ -10,6 +10,16 @@ import (
 	"time"
 )
 
+// withEnabled runs f with collection forced on, restoring the previous
+// state afterwards.
+func withEnabled(t *testing.T, f func()) {
+	t.Helper()
+	prev := Enabled()
+	Enable(true)
+	defer Enable(prev)
+	f()
+}
+
 func get(t *testing.T, h http.Handler, path string) (int, string) {
 	t.Helper()
 	req := httptest.NewRequest("GET", path, nil)
@@ -22,16 +32,12 @@ func TestObsHTTPEndpoints(t *testing.T) {
 	withEnabled(t, func() {
 		reg := NewRegistry()
 		reg.Counter("psi_demo_total", "demo").Add(11)
-		tracer := NewTracer(4)
-		q := tracer.StartQuery("httpq")
-		q.Event(EvFallback, 2, 0)
-		q.Finish()
 		rec := NewRecorder(4)
 		p := rec.Start("httpp")
 		p.SetMethod("ml")
 		p.MergeFunnel(&Funnel{Depths: []FunnelDepth{{Generated: 9, DegOK: 7, SigOK: 5, Recursed: 5, Matched: 2}}})
 		p.Finish()
-		h := Handler(reg, tracer, rec)
+		h := Handler(reg, rec)
 
 		code, body := get(t, h, "/metrics")
 		if code != 200 || !strings.Contains(body, "psi_demo_total 11") {
@@ -41,22 +47,6 @@ func TestObsHTTPEndpoints(t *testing.T) {
 		code, body = get(t, h, "/metrics.json")
 		if code != 200 || !strings.Contains(body, `"psi_demo_total": 11`) {
 			t.Errorf("/metrics.json = %d\n%s", code, body)
-		}
-
-		code, body = get(t, h, "/tracez")
-		if code != 200 || !strings.Contains(body, "httpq") || !strings.Contains(body, "fallback:1") {
-			t.Errorf("/tracez = %d\n%s", code, body)
-		}
-
-		code, body = get(t, h, "/tracez?id=1")
-		if code != 200 || !strings.Contains(body, `"traceEvents"`) {
-			t.Errorf("/tracez?id=1 = %d\n%s", code, body)
-		}
-		if code, _ := get(t, h, "/tracez?id=999"); code != http.StatusNotFound {
-			t.Errorf("/tracez?id=999 = %d, want 404", code)
-		}
-		if code, _ := get(t, h, "/tracez?id=bogus"); code != http.StatusBadRequest {
-			t.Errorf("/tracez?id=bogus = %d, want 400", code)
 		}
 
 		code, body = get(t, h, "/profilez")
@@ -129,11 +119,10 @@ func TestObsStartDebugServer(t *testing.T) {
 func TestObsSeriesAndAlertEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("series_demo_total", "demo")
-	tracer := NewTracer(4)
 	rec := NewRecorder(4)
 
 	// Without a sampler both endpoints answer 503, not 404.
-	bare := Handler(reg, tracer, rec)
+	bare := Handler(reg, rec)
 	if code, body := get(t, bare, "/seriesz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "sampling disabled") {
 		t.Errorf("/seriesz without sampler = %d\n%s", code, body)
 	}
@@ -147,7 +136,7 @@ func TestObsSeriesAndAlertEndpoints(t *testing.T) {
 		TotalCounter: "series_demo_total",
 		BadCounters:  []string{"series_demo_bad_total"},
 	}})
-	h := Handler(reg, tracer, rec, WithSampler(s), WithAlerts(set))
+	h := Handler(reg, rec, WithSampler(s), WithAlerts(set))
 
 	// Empty ring: text says so, JSON is well-formed with samples=0.
 	code, body := get(t, h, "/seriesz")

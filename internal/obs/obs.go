@@ -1,9 +1,8 @@
 // Package obs is the repository's stdlib-only observability layer: a
 // lock-free metrics registry (atomic counters, gauges, and fixed-bucket
-// histograms) with Prometheus-text and JSON encoders, a per-query trace
-// recorder (ring buffer of typed events) with a Chrome-trace-format
-// exporter, and an opt-in debug HTTP surface serving /metrics,
-// /metrics.json, /tracez, /profilez (the slow-query flight recorder),
+// histograms) with Prometheus-text and JSON encoders, one per-query
+// record (Profile, retained by the /profilez flight recorder), and an
+// opt-in debug HTTP surface serving /metrics, /metrics.json, /profilez,
 // /modelz (shadow-scoring and drift state) and net/http/pprof.
 //
 // The layer follows the same gating pattern as package invariant:
@@ -38,7 +37,7 @@ func init() {
 	}
 }
 
-// Enabled reports whether metric and trace collection is on.
+// Enabled reports whether metric and profile collection is on.
 func Enabled() bool { return enabled.Load() }
 
 // Enable switches collection on or off at runtime. The debug HTTP

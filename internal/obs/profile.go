@@ -25,8 +25,8 @@ import (
 // The funnel is filled lock-free by the PSI evaluator (psi.State holds
 // a plain *Funnel and pays one nil check per event) and merged into the
 // Profile at batch boundaries; all other Profile methods take the
-// profile mutex and are nil-safe, mirroring QueryTrace, so call sites
-// hold the result of Recorder.Start unconditionally.
+// profile mutex and are nil-safe, so call sites hold the result of
+// Recorder.Start unconditionally.
 
 // FunnelStage names used by renderers, in pipeline order. Each stage
 // counts the candidates that *survived* up to that point, so within a
@@ -155,8 +155,7 @@ type LadderRung struct {
 }
 
 // Mode display names, aligned with psi.Mode's constant order
-// (0 = optimistic, 1 = pessimistic) — the same convention the
-// EvModePredicted trace event documents for its Arg.
+// (0 = optimistic, 1 = pessimistic).
 var modeNames = [...]string{"optimistic", "pessimistic"}
 
 func modeName(mode int) string {

@@ -4,16 +4,9 @@ package obs
 // site publishes into; the debug HTTP endpoint serves it at /metrics.
 var Default = NewRegistry()
 
-// DefaultTracer retains the most recent query traces for /tracez.
-var DefaultTracer = NewTracer(64)
-
 // DefaultRecorder is the process-wide query-profile flight recorder
 // (16 slowest + 16 most recent), served at /profilez.
 var DefaultRecorder = NewRecorder(16)
-
-// StartQuery begins a trace on the default tracer (nil when collection
-// is disabled).
-func StartQuery(name string) *QueryTrace { return DefaultTracer.StartQuery(name) }
 
 // StartProfile begins an execution profile on the default flight
 // recorder (nil when collection is disabled).

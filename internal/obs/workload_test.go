@@ -179,11 +179,10 @@ func TestWorkloadNil(t *testing.T) {
 func TestWorkloadHTTP(t *testing.T) {
 	withEnabled(t, func() {
 		reg := NewRegistry()
-		tracer := NewTracer(4)
 		rec := NewRecorder(4)
 
 		// Unarmed: /queryz must explain itself with a 503.
-		h := Handler(reg, tracer, rec)
+		h := Handler(reg, rec)
 		if code, body := get(t, h, "/queryz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "workload analytics disabled") {
 			t.Errorf("/queryz unarmed = %d\n%s", code, body)
 		}
@@ -194,7 +193,7 @@ func TestWorkloadHTTP(t *testing.T) {
 		p := rec.Start("srv/q1")
 		p.SetFingerprint("000000000000beef")
 		p.Finish()
-		h = Handler(reg, tracer, rec, WithWorkload(w))
+		h = Handler(reg, rec, WithWorkload(w))
 
 		code, body := get(t, h, "/queryz")
 		if code != 200 || !strings.Contains(body, "000000000000beef") || !strings.Contains(body, "srv/q1") {

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/shard"
-	"repro/internal/smartpsi"
 )
 
 // QueryJSON is the wire form of a pivoted query graph. Node IDs are the
@@ -174,7 +173,7 @@ func (s *Server) buildQuery(qj *QueryJSON, lg string) (graph.Query, error) {
 	}
 	// Reject label alphabets the data graph cannot satisfy up front:
 	// the engine would error anyway, and here it is a client error.
-	if g := s.dataGraph(); g != nil && q.G.NumLabels() > g.NumLabels() {
+	if g := s.graph; g != nil && q.G.NumLabels() > g.NumLabels() {
 		return q, badRequest("query uses %d labels, data graph only has %d",
 			q.G.NumLabels(), g.NumLabels())
 	}
@@ -252,14 +251,13 @@ func queryFromJSON(qj *QueryJSON) (graph.Query, error) {
 	return q, nil
 }
 
-// resultJSON projects an engine result into the wire form.
-func resultJSON(res *smartpsi.Result, elapsed time.Duration) *QueryResult {
-	bindings := make([]int64, len(res.Bindings))
-	for i, u := range res.Bindings {
-		bindings[i] = int64(u)
-	}
-	return &QueryResult{
-		Bindings:   bindings,
+// resultJSON projects an evaluation into the wire form: the merged
+// engine result plus the gather's degradation detail. A lone engine's
+// gather has no outcomes and leaves both wire fields empty.
+func resultJSON(gth *shard.Gather, elapsed time.Duration) *QueryResult {
+	res := gth.Res
+	qr := &QueryResult{
+		Bindings:   make([]int64, len(res.Bindings)),
 		Candidates: res.Candidates,
 		UsedML:     res.UsedML,
 		CacheHits:  res.CacheHits,
@@ -267,13 +265,11 @@ func resultJSON(res *smartpsi.Result, elapsed time.Duration) *QueryResult {
 		Fallbacks:  res.Fallbacks,
 		Recursions: res.Work.Recursions,
 		ElapsedMS:  float64(elapsed.Nanoseconds()) / 1e6,
+		Partial:    gth.Partial,
 	}
-}
-
-// attachGather folds a scatter-gather's degradation detail onto a wire
-// result.
-func attachGather(qr *QueryResult, gth *shard.Gather) *QueryResult {
-	qr.Partial = gth.Partial
+	for i, u := range res.Bindings {
+		qr.Bindings[i] = int64(u)
+	}
 	for _, o := range gth.Outcomes {
 		qr.Shards = append(qr.Shards, ShardOutcomeJSON{
 			Shard:     o.Shard,

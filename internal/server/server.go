@@ -11,14 +11,16 @@
 //	GET  /healthz       liveness: 200 as long as the process serves
 //	GET  /readyz        readiness: 200 when accepting work, 503 draining
 //	(everything else)   the internal/obs debug mux: /metrics,
-//	                    /metrics.json, /tracez, /profilez, /modelz,
-//	                    /seriesz, /alertz, /debugz/bundle, /debug/pprof
+//	                    /metrics.json, /profilez, /modelz, /seriesz,
+//	                    /alertz, /queryz, /debugz/bundle, /debug/pprof
 //	                    (403 unless Config.ExposePprof) — see
 //	                    OPERATIONS.md
 //
-// Every request passes the same guardrail pipeline:
+// Every query, single or batched, passes the same guardrail pipeline —
+// one function, serveQuery, behind both routes:
 //
-//	decode/validate -> admission -> deadline-bounded evaluation -> encode
+//	decode/validate -> fingerprint -> admission -> deadline-bounded,
+//	panic-safe evaluation -> observe -> classify -> encode
 //
 // Admission control is a counting semaphore of Workers slots fronted by
 // a bounded wait queue of QueueDepth entries; when the queue is full the
@@ -35,17 +37,16 @@
 //
 // Requests are correlated end to end: the server accepts or mints an
 // X-Request-ID, echoes it on the response, logs it in the structured
-// access log, and threads it into the evaluator's query trace,
-// execution profile and decision-log records, so one served query can
-// be followed from the log line to /profilez?request_id= to the
+// access log, and threads it into the evaluator's execution profile and
+// decision-log records, so one served query can be followed from the
+// log line to /profilez?request_id= (its per-query record) to the
 // decision log.
 //
 // The server publishes its own metric family (server_* in internal/obs:
 // queue depth, in-flight, shed/drain/panic/deadline counters, per-route
 // latency histograms) and, because collection is enabled in a serving
-// process, every query feeds the per-query trace ring, the /profilez
-// flight recorder, and the /modelz decision telemetry exactly as the
-// one-shot CLIs do.
+// process, every query feeds the /profilez flight recorder and the
+// /modelz decision telemetry exactly as the one-shot CLIs do.
 package server
 
 import (
@@ -79,26 +80,20 @@ type Evaluator interface {
 	EvaluateBudget(q graph.Query, deadline time.Time) (*smartpsi.Result, error)
 }
 
-// requestEvaluator is the optional extension implemented by evaluators
-// (smartpsi.Engine) that can thread the serving request ID into their
-// trace, profile and decision-log telemetry. Plain Evaluators still
-// work; they just produce uncorrelated records.
-type requestEvaluator interface {
-	EvaluateRequest(q graph.Query, deadline time.Time, requestID string) (*smartpsi.Result, error)
-}
-
-// taggedEvaluator is the further extension that also accepts the shape
-// fingerprint the server computed at admission, so the evaluator does
-// not re-derive it and the profile/decision-log records carry the same
-// key /queryz groups by.
+// taggedEvaluator is the optional extension implemented by evaluators
+// (smartpsi.Engine, shard.Node) that thread the serving request ID and
+// the shape fingerprint the server computed at admission into their
+// profile and decision-log telemetry, so those records carry the same
+// keys the access log and /queryz group by. Plain Evaluators still work;
+// they just produce uncorrelated records.
 type taggedEvaluator interface {
 	EvaluateTagged(q graph.Query, deadline time.Time, requestID, fingerprint string) (*smartpsi.Result, error)
 }
 
 // scatterEvaluator is the sharded-serving extension: evaluators that
 // fan a query out across shards (shard.Cluster in-process, Coordinator
-// over HTTP) return the full Gather so the handlers can surface the
-// partial-result flag and per-shard outcomes on the wire.
+// over HTTP) return the full Gather so the partial-result flag and
+// per-shard outcomes reach the wire.
 type scatterEvaluator interface {
 	EvaluateScatter(q graph.Query, deadline time.Time, requestID, fingerprint string) (*shard.Gather, error)
 }
@@ -111,12 +106,38 @@ type shardStatusProvider interface {
 
 var (
 	_ Evaluator        = (*smartpsi.Engine)(nil)
-	_ requestEvaluator = (*smartpsi.Engine)(nil)
 	_ taggedEvaluator  = (*smartpsi.Engine)(nil)
 	_ scatterEvaluator = (*shard.Cluster)(nil)
 	_ Evaluator        = (*shard.Cluster)(nil)
 	_ taggedEvaluator  = (*shard.Node)(nil)
 )
+
+// evalFunc is the one shape every evaluator is called through, resolved
+// once by NewServer: a result plus its gather. A lone engine is a gather
+// with no shard outcomes.
+type evalFunc func(q graph.Query, deadline time.Time, requestID, fingerprint string) (*shard.Gather, error)
+
+// resolveEvaluator picks the richest call eval supports.
+func resolveEvaluator(eval Evaluator) evalFunc {
+	lone := func(res *smartpsi.Result, err error) (*shard.Gather, error) {
+		if err != nil {
+			return nil, err
+		}
+		return &shard.Gather{Res: res}, nil
+	}
+	switch ev := eval.(type) {
+	case scatterEvaluator:
+		return ev.EvaluateScatter
+	case taggedEvaluator:
+		return func(q graph.Query, deadline time.Time, requestID, fingerprint string) (*shard.Gather, error) {
+			return lone(ev.EvaluateTagged(q, deadline, requestID, fingerprint))
+		}
+	default:
+		return func(q graph.Query, deadline time.Time, _, _ string) (*shard.Gather, error) {
+			return lone(eval.EvaluateBudget(q, deadline))
+		}
+	}
+}
 
 // Config tunes the server's guardrails. The zero value gives sensible
 // defaults for a small deployment.
@@ -214,10 +235,12 @@ func (c Config) withDefaults() Config {
 // state for one Evaluator. Construct with NewServer, serve via Handler,
 // stop via Drain.
 type Server struct {
-	eval Evaluator
-	cfg  Config
-	adm  *admission
-	mux  *http.ServeMux
+	eval     Evaluator
+	evaluate evalFunc     // eval's shape, resolved once
+	graph    *graph.Graph // eval's data graph when it exposes one, else nil
+	cfg      Config
+	adm      *admission
+	mux      *http.ServeMux
 
 	mu       sync.Mutex
 	draining bool
@@ -227,22 +250,26 @@ type Server struct {
 }
 
 // NewServer wires a server over eval. The obs debug handler (metrics,
-// traces, profiles, model telemetry, pprof) is mounted as the fallback
-// route so one port serves both the query API and its introspection.
+// profiles, model telemetry, pprof) is mounted as the fallback route so
+// one port serves both the query API and its introspection.
 func NewServer(eval Evaluator, cfg Config) *Server {
 	s := &Server{
-		eval:    eval,
-		cfg:     cfg.withDefaults(),
-		drained: make(chan struct{}),
-		start:   time.Now(),
+		eval:     eval,
+		evaluate: resolveEvaluator(eval),
+		cfg:      cfg.withDefaults(),
+		drained:  make(chan struct{}),
+		start:    time.Now(),
+	}
+	if gp, ok := eval.(interface{ Graph() *graph.Graph }); ok {
+		s.graph = gp.Graph()
 	}
 	s.adm = newAdmission(s.cfg.Workers, s.cfg.QueueDepth)
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/psi", s.handlePSI)
-	s.mux.HandleFunc("/v1/psi/batch", s.handleBatch)
+	s.mux.HandleFunc("/v1/psi", s.v1(obs.ServerPSISeconds, s.handlePSI))
+	s.mux.HandleFunc("/v1/psi/batch", s.v1(obs.ServerBatchSeconds, s.handleBatch))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.Handle("/", obs.Handler(obs.Default, obs.DefaultTracer, obs.DefaultRecorder,
+	s.mux.Handle("/", obs.Handler(obs.Default, obs.DefaultRecorder,
 		obs.WithSampler(s.cfg.Sampler), obs.WithAlerts(s.cfg.Alerts),
 		obs.WithBundler(s.cfg.Bundler), obs.WithWorkload(s.cfg.Workload),
 		obs.WithPprof(s.cfg.ExposePprof)))
@@ -255,8 +282,7 @@ func (s *Server) Config() Config { return s.cfg }
 // requestIDHeader is the correlation header: an incoming value is
 // accepted (trimmed, length-capped), otherwise a fresh ID is generated.
 // The resolved ID is echoed on the response and threaded through the
-// access log, the query trace, the execution profile and the
-// decision-log records.
+// access log, the execution profile and the decision-log records.
 const requestIDHeader = "X-Request-ID"
 
 // maxRequestIDLen caps accepted client-supplied request IDs.
@@ -403,15 +429,6 @@ func (s *Server) accessLog(r *http.Request, reqID string, sw *statusWriter, t0 t
 	)
 }
 
-// dataGraph returns the evaluator's data graph when it exposes one
-// (smartpsi.Engine does), else nil.
-func (s *Server) dataGraph() *graph.Graph {
-	if gp, ok := s.eval.(interface{ Graph() *graph.Graph }); ok {
-		return gp.Graph()
-	}
-	return nil
-}
-
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Log != nil {
 		s.cfg.Log.Warn(fmt.Sprintf(format, args...))
@@ -485,16 +502,17 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // deadlineFor resolves a request's timeout_ms into an absolute
-// deadline, applying the default and the clamp.
+// deadline, applying the default and the clamp. The clamp happens in
+// milliseconds, before the conversion to a Duration can overflow.
 func (s *Server) deadlineFor(timeoutMS int64) (time.Time, error) {
 	if timeoutMS < 0 {
 		return time.Time{}, badRequest("timeout_ms must be >= 0, got %d", timeoutMS)
 	}
 	d := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
-		if d > s.cfg.MaxTimeout {
-			d = s.cfg.MaxTimeout
+		d = s.cfg.MaxTimeout
+		if timeoutMS <= d.Milliseconds() {
+			d = time.Duration(timeoutMS) * time.Millisecond
 		}
 	}
 	return time.Now().Add(d), nil
@@ -504,32 +522,10 @@ func (s *Server) deadlineFor(timeoutMS int64) (time.Time, error) {
 var errPanic = errors.New("server: evaluator panic")
 
 // safeEvaluate runs one evaluation with request-scoped panic recovery:
-// a panicking evaluation poisons only its own request. Evaluators that
-// support request correlation get the request ID (and, when workload
-// analytics armed it, the admission-time fingerprint) threaded through.
-func (s *Server) safeEvaluate(q graph.Query, deadline time.Time, requestID, fingerprint string) (res *smartpsi.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			obs.ServerPanics.Inc()
-			s.logf("evaluator panic: %v", p)
-			res, err = nil, fmt.Errorf("%w: %v", errPanic, p)
-		}
-	}()
-	if te, ok := s.eval.(taggedEvaluator); ok && fingerprint != "" {
-		return te.EvaluateTagged(q, deadline, requestID, fingerprint)
-	}
-	if re, ok := s.eval.(requestEvaluator); ok && requestID != "" {
-		return re.EvaluateRequest(q, deadline, requestID)
-	}
-	return s.eval.EvaluateBudget(q, deadline)
-}
-
-// safeScatterEvaluate is safeEvaluate for scatter-capable evaluators:
-// same panic recovery, but the Gather (partial flag, per-shard
-// outcomes) survives to the response encoder. gth is nil exactly when
-// err is non-nil. A partial gather counts against the availability SLO:
-// the client was answered, but not completely.
-func (s *Server) safeScatterEvaluate(sc scatterEvaluator, q graph.Query, deadline time.Time, requestID, fingerprint string) (gth *shard.Gather, err error) {
+// a panicking evaluation poisons only its own request. gth is nil
+// exactly when err is non-nil. A partial gather counts against the
+// availability SLO: the client was answered, but not completely.
+func (s *Server) safeEvaluate(q graph.Query, deadline time.Time, requestID, fingerprint string) (gth *shard.Gather, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			obs.ServerPanics.Inc()
@@ -537,7 +533,7 @@ func (s *Server) safeScatterEvaluate(sc scatterEvaluator, q graph.Query, deadlin
 			gth, err = nil, fmt.Errorf("%w: %v", errPanic, p)
 		}
 	}()
-	gth, err = sc.EvaluateScatter(q, deadline, requestID, fingerprint)
+	gth, err = s.evaluate(q, deadline, requestID, fingerprint)
 	if err != nil {
 		return nil, err
 	}
@@ -559,23 +555,9 @@ func lostShards(gth *shard.Gather) int {
 	return n
 }
 
-// fingerprintQuery computes the canonical fingerprint of one admitted
-// query — once, before evaluation — when workload analytics is armed.
-// The zero Fingerprint (ok=false) means "unarmed": no sketch, no
-// per-query canonicalization work on the serving path.
-func (s *Server) fingerprintQuery(q graph.Query) (fsm.Fingerprint, bool) {
-	if s.cfg.Workload == nil {
-		return fsm.Fingerprint{}, false
-	}
-	return fsm.PivotFingerprint(q, 0), true
-}
-
 // observeQuery folds one terminal query outcome into the workload
 // sketch. res may be nil (shed, queued-deadline and error paths).
 func (s *Server) observeQuery(q graph.Query, fp fsm.Fingerprint, outcome string, wall time.Duration, res *smartpsi.Result) {
-	if s.cfg.Workload == nil {
-		return
-	}
 	o := obs.QueryObservation{
 		Shape:      fp.Shape,
 		Exact:      fp.Exact,
@@ -601,22 +583,86 @@ func (s *Server) observeQuery(q graph.Query, fp fsm.Fingerprint, outcome string,
 	s.cfg.Workload.Observe(o)
 }
 
-// workloadOutcome maps an admission or evaluation error onto the
-// workload-sketch outcome taxonomy. ok=false means the outcome should
-// not be observed at all (client gone — nobody was answered).
-func workloadOutcome(err error) (string, bool) {
+// verdict is how one query's terminal error is answered and accounted:
+// the HTTP status and error text it gets on either route, the
+// workload-sketch outcome it is folded in as ("" for none: the client is
+// gone, nobody was answered), and the server_* counter it raises.
+type verdict struct {
+	status  int
+	msg     string
+	outcome string
+	counter *obs.Counter
+}
+
+// classify is the one error-classification table of the serving path,
+// covering admission and evaluation failures alike (err == nil is the
+// 200).
+func classify(err error) verdict {
+	var re *shard.RadiusError
 	switch {
 	case err == nil:
-		return obs.WorkloadOutcomeOK, true
+		return verdict{status: http.StatusOK, outcome: obs.WorkloadOutcomeOK}
 	case errors.Is(err, errShed):
-		return obs.WorkloadOutcomeShed, true
-	case errors.Is(err, psi.ErrDeadline), errors.Is(err, context.DeadlineExceeded):
-		return obs.WorkloadOutcomeDeadline, true
+		// Counted by admission.acquire (server_shed_total).
+		return verdict{http.StatusTooManyRequests, "server overloaded, retry later", obs.WorkloadOutcomeShed, nil}
+	case errors.Is(err, context.DeadlineExceeded):
+		return verdict{http.StatusGatewayTimeout, "deadline exceeded while queued for admission", obs.WorkloadOutcomeDeadline, obs.ServerDeadlineHits}
 	case errors.Is(err, context.Canceled):
-		return "", false
+		// Client disconnected while queued; nobody is listening.
+		return verdict{status: http.StatusGatewayTimeout, msg: "request cancelled"}
+	case errors.As(err, &re):
+		// Sharded serving cannot answer a query deeper than its halo
+		// supports; that is a property of the query, so a client error.
+		return verdict{http.StatusBadRequest, re.Error(), obs.WorkloadOutcomeError, obs.ServerBadRequests}
+	case errors.Is(err, psi.ErrDeadline):
+		// The executor has already stopped: EvaluateBudget aborts the
+		// search itself.
+		return verdict{http.StatusGatewayTimeout, "query deadline exceeded", obs.WorkloadOutcomeDeadline, obs.ServerDeadlineHits}
+	case errors.Is(err, errPanic):
+		// Counted where it was recovered (server_panics_total).
+		return verdict{http.StatusInternalServerError, "internal error evaluating query", obs.WorkloadOutcomeError, nil}
 	default:
-		return obs.WorkloadOutcomeError, true
+		return verdict{http.StatusInternalServerError, "evaluation failed: " + err.Error(), obs.WorkloadOutcomeError, nil}
 	}
+}
+
+// serveQuery is the one path a decoded query takes on either route:
+// fingerprint -> admission -> panic-safe, deadline-bounded evaluation ->
+// workload observation -> classification. The item carries the status
+// the query gets standalone; fingerprint is "" unless workload
+// analytics is armed. The canonical shape key is computed once, here,
+// and feeds the workload sketch, the access log, and (via
+// EvaluateTagged) the profile and decision-log records.
+func (s *Server) serveQuery(ctx context.Context, q graph.Query, deadline time.Time) (item BatchItem, fingerprint string) {
+	var fp fsm.Fingerprint
+	if s.cfg.Workload != nil {
+		fp = fsm.PivotFingerprint(q, 0)
+		fingerprint = fp.String()
+	}
+	start := time.Now()
+	var gth *shard.Gather
+	err := s.adm.acquire(ctx)
+	if err == nil {
+		defer s.adm.release()
+		start = time.Now() // an admitted query's wall time is its evaluation
+		gth, err = s.safeEvaluate(q, deadline, RequestIDFrom(ctx), fingerprint)
+	}
+	v := classify(err)
+	if v.counter != nil {
+		v.counter.Inc()
+	}
+	if s.cfg.Workload != nil && v.outcome != "" {
+		var res *smartpsi.Result
+		if gth != nil {
+			res = gth.Res
+		}
+		s.observeQuery(q, fp, v.outcome, time.Since(start), res)
+	}
+	if err != nil {
+		s.logf("query failed (%d): %v", v.status, err)
+		return BatchItem{Status: v.status, Error: v.msg}, fingerprint
+	}
+	return BatchItem{Status: v.status, Result: resultJSON(gth, time.Since(start))}, fingerprint
 }
 
 // retryAfterSeconds renders the Retry-After hint, at least 1 second:
@@ -668,22 +714,29 @@ func (s *Server) rejectDraining(w http.ResponseWriter) {
 	writeError(w, http.StatusServiceUnavailable, "server is draining")
 }
 
-// handlePSI serves POST /v1/psi: decode -> validate -> admission ->
-// deadline-bounded evaluation -> encode.
-func (s *Server) handlePSI(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
+// v1 wraps a query route in the preamble both share: POST only, request
+// and latency accounting, and the drain gate.
+func (s *Server) v1(latency *obs.Histogram, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			writeError(w, http.StatusMethodNotAllowed, "POST only")
+			return
+		}
+		obs.ServerRequests.Inc()
+		t0 := time.Now()
+		defer func() { latency.Observe(time.Since(t0).Seconds()) }()
+		if !s.begin() {
+			s.rejectDraining(w)
+			return
+		}
+		defer s.end()
+		h(w, r)
 	}
-	obs.ServerRequests.Inc()
-	t0 := time.Now()
-	defer func() { obs.ServerPSISeconds.Observe(time.Since(t0).Seconds()) }()
-	if !s.begin() {
-		s.rejectDraining(w)
-		return
-	}
-	defer s.end()
+}
 
+// handlePSI serves POST /v1/psi: decode and validate, hand the query to
+// serveQuery, and write its item as the response.
+func (s *Server) handlePSI(w http.ResponseWriter, r *http.Request) {
 	var req PSIRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.writeRequestError(w, err)
@@ -699,71 +752,26 @@ func (s *Server) handlePSI(w http.ResponseWriter, r *http.Request) {
 		s.writeRequestError(w, err)
 		return
 	}
-
-	// Fingerprint once at admission: the canonical shape key feeds the
-	// workload sketch, the access log, and (via EvaluateTagged) the
-	// profile and decision-log records for this query.
-	fp, armed := s.fingerprintQuery(q)
-	fpStr := ""
-	if armed {
-		fpStr = fp.String()
-		setFingerprint(r.Context(), fpStr)
-	}
-
 	ctx, cancel := context.WithDeadline(r.Context(), deadline)
 	defer cancel()
-	if err := s.adm.acquire(ctx); err != nil {
-		if out, ok := workloadOutcome(err); ok {
-			s.observeQuery(q, fp, out, time.Since(t0), nil)
+	item, fingerprint := s.serveQuery(ctx, q, deadline)
+	setFingerprint(r.Context(), fingerprint)
+	if item.Status != http.StatusOK {
+		if item.Status == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", s.retryAfterSeconds())
 		}
-		s.writeAdmissionError(w, err)
+		writeError(w, item.Status, "%s", item.Error)
 		return
 	}
-	defer s.adm.release()
-
-	evalStart := time.Now()
-	var res *smartpsi.Result
-	var gth *shard.Gather
-	if sc, isScatter := s.eval.(scatterEvaluator); isScatter {
-		gth, err = s.safeScatterEvaluate(sc, q, deadline, RequestIDFrom(r.Context()), fpStr)
-		if gth != nil {
-			res = gth.Res
-		}
-	} else {
-		res, err = s.safeEvaluate(q, deadline, RequestIDFrom(r.Context()), fpStr)
-	}
-	if out, ok := workloadOutcome(err); ok {
-		s.observeQuery(q, fp, out, time.Since(evalStart), res)
-	}
-	if err != nil {
-		s.writeEvalError(w, err)
-		return
-	}
-	qr := resultJSON(res, time.Since(evalStart))
-	if gth != nil {
-		attachGather(qr, gth)
-	}
-	writeJSON(w, http.StatusOK, qr)
+	writeJSON(w, http.StatusOK, item.Result)
 }
 
 // handleBatch serves POST /v1/psi/batch: every query is validated up
-// front, then scheduled across the worker pool through the same
-// admission controller single queries use — a big batch on a busy
-// server gets exactly its fair share of slots and sheds the rest.
+// front, then each goes through serveQuery — the same admission
+// controller single queries use, so a big batch on a busy server gets
+// exactly its fair share of slots and sheds the rest.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	obs.ServerRequests.Inc()
 	t0 := time.Now()
-	defer func() { obs.ServerBatchSeconds.Observe(time.Since(t0).Seconds()) }()
-	if !s.begin() {
-		s.rejectDraining(w)
-		return
-	}
-	defer s.end()
-
 	var req BatchRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.writeRequestError(w, err)
@@ -788,56 +796,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithDeadline(r.Context(), deadline)
 	defer cancel()
-	reqID := RequestIDFrom(r.Context())
 	items := make([]BatchItem, len(req.Queries))
 	var wg sync.WaitGroup
 	for i := range req.Queries {
 		q, err := s.buildQuery(&req.Queries[i], "")
 		if err != nil {
-			items[i] = errorItem(err)
+			items[i] = s.requestError(err)
 			continue
 		}
 		wg.Add(1)
 		go func(i int, q graph.Query) {
 			defer wg.Done()
-			fp, armed := s.fingerprintQuery(q)
-			fpStr := ""
-			if armed {
-				fpStr = fp.String()
-			}
-			qStart := time.Now()
-			if err := s.adm.acquire(ctx); err != nil {
-				if out, ok := workloadOutcome(err); ok {
-					s.observeQuery(q, fp, out, time.Since(qStart), nil)
-				}
-				items[i] = admissionItem(err)
-				return
-			}
-			defer s.adm.release()
-			evalStart := time.Now()
-			var res *smartpsi.Result
-			var gth *shard.Gather
-			var err error
-			if sc, isScatter := s.eval.(scatterEvaluator); isScatter {
-				gth, err = s.safeScatterEvaluate(sc, q, deadline, reqID, fpStr)
-				if gth != nil {
-					res = gth.Res
-				}
-			} else {
-				res, err = s.safeEvaluate(q, deadline, reqID, fpStr)
-			}
-			if out, ok := workloadOutcome(err); ok {
-				s.observeQuery(q, fp, out, time.Since(evalStart), res)
-			}
-			if err != nil {
-				items[i] = evalItem(err)
-				return
-			}
-			qr := resultJSON(res, time.Since(evalStart))
-			if gth != nil {
-				attachGather(qr, gth)
-			}
-			items[i] = BatchItem{Status: http.StatusOK, Result: qr}
+			items[i], _ = s.serveQuery(ctx, q, deadline)
 		}(i, q)
 	}
 	wg.Wait()
@@ -895,62 +865,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// writeRequestError maps pre-admission failures (decode, validation,
-// size caps) onto their 4xx responses.
-func (s *Server) writeRequestError(w http.ResponseWriter, err error) {
+// requestError maps a pre-admission failure (decode, validation, size
+// caps) onto the 4xx item it is answered with.
+func (s *Server) requestError(err error) BatchItem {
 	obs.ServerBadRequests.Inc()
-	var he *httpError
-	if errors.As(err, &he) {
-		s.logf("bad request: %s", he.msg)
-		writeError(w, he.status, "%s", he.msg)
-		return
-	}
 	s.logf("bad request: %v", err)
-	writeError(w, http.StatusBadRequest, "%v", err)
-}
-
-// writeAdmissionError maps admission failures: queue full -> 429 +
-// Retry-After, deadline while queued -> 504, client gone -> nothing.
-func (s *Server) writeAdmissionError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, errShed):
-		s.logf("shed: queue full")
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		writeError(w, http.StatusTooManyRequests, "server overloaded, retry later")
-	case errors.Is(err, context.DeadlineExceeded):
-		obs.ServerDeadlineHits.Inc()
-		writeError(w, http.StatusGatewayTimeout, "deadline exceeded while queued for admission")
-	default:
-		// Client disconnected while queued; nobody is listening.
-	}
-}
-
-// writeEvalError maps evaluation failures: deadline -> 504 (the
-// executor has already stopped — EvaluateBudget aborts the search
-// itself), panic -> 500, anything else -> 500.
-func (s *Server) writeEvalError(w http.ResponseWriter, err error) {
-	var re *shard.RadiusError
-	switch {
-	case errors.As(err, &re):
-		// Sharded serving cannot answer a query deeper than its halo
-		// supports; that is a property of the query, so a client error.
-		obs.ServerBadRequests.Inc()
-		writeError(w, http.StatusBadRequest, "%v", re)
-	case errors.Is(err, psi.ErrDeadline):
-		obs.ServerDeadlineHits.Inc()
-		writeError(w, http.StatusGatewayTimeout, "query deadline exceeded")
-	case errors.Is(err, errPanic):
-		writeError(w, http.StatusInternalServerError, "internal error evaluating query")
-	default:
-		s.logf("evaluation error: %v", err)
-		writeError(w, http.StatusInternalServerError, "evaluation failed: %v", err)
-	}
-}
-
-// errorItem, admissionItem and evalItem are the batch-item analogues of
-// the single-query error writers.
-func errorItem(err error) BatchItem {
-	obs.ServerBadRequests.Inc()
 	var he *httpError
 	if errors.As(err, &he) {
 		return BatchItem{Status: he.status, Error: he.msg}
@@ -958,30 +877,8 @@ func errorItem(err error) BatchItem {
 	return BatchItem{Status: http.StatusBadRequest, Error: err.Error()}
 }
 
-func admissionItem(err error) BatchItem {
-	switch {
-	case errors.Is(err, errShed):
-		return BatchItem{Status: http.StatusTooManyRequests, Error: "server overloaded, retry later"}
-	case errors.Is(err, context.DeadlineExceeded):
-		obs.ServerDeadlineHits.Inc()
-		return BatchItem{Status: http.StatusGatewayTimeout, Error: "deadline exceeded while queued for admission"}
-	default:
-		return BatchItem{Status: http.StatusGatewayTimeout, Error: "request cancelled"}
-	}
-}
-
-func evalItem(err error) BatchItem {
-	var re *shard.RadiusError
-	switch {
-	case errors.As(err, &re):
-		obs.ServerBadRequests.Inc()
-		return BatchItem{Status: http.StatusBadRequest, Error: re.Error()}
-	case errors.Is(err, psi.ErrDeadline):
-		obs.ServerDeadlineHits.Inc()
-		return BatchItem{Status: http.StatusGatewayTimeout, Error: "query deadline exceeded"}
-	case errors.Is(err, errPanic):
-		return BatchItem{Status: http.StatusInternalServerError, Error: "internal error evaluating query"}
-	default:
-		return BatchItem{Status: http.StatusInternalServerError, Error: "evaluation failed: " + err.Error()}
-	}
+// writeRequestError answers a whole request with its requestError.
+func (s *Server) writeRequestError(w http.ResponseWriter, err error) {
+	item := s.requestError(err)
+	writeError(w, item.Status, "%s", item.Error)
 }

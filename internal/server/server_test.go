@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -45,6 +46,9 @@ func (f *fakeEval) EvaluateBudget(q graph.Query, deadline time.Time) (*smartpsi.
 	f.mu.Unlock()
 	if panics {
 		panic("fakeEval: scripted panic")
+	}
+	if expired := !deadline.IsZero() && !time.Now().Before(deadline); expired {
+		return nil, psi.ErrDeadline // as the engine does on a spent budget
 	}
 	if block != nil {
 		if deadline.IsZero() {
@@ -157,29 +161,39 @@ func TestServerQueryLGForm(t *testing.T) {
 func TestServerMalformedRequests(t *testing.T) {
 	fake := &fakeEval{}
 	_, ts := newTestServer(t, fake, Config{MaxQueryNodes: 4, MaxBatch: 2})
+	maxTimeout := fmt.Sprintf(`"timeout_ms":%d`, int64(math.MaxInt64))
 	cases := []struct {
 		name string
+		path string // default /v1/psi
 		body string
 		want int
 	}{
-		{"empty body", ``, http.StatusBadRequest},
-		{"not json", `{"query":`, http.StatusBadRequest},
-		{"trailing garbage", `{"query":{"nodes":[0],"edges":[],"pivot":0}}{"x":1}`, http.StatusBadRequest},
-		{"no query", `{}`, http.StatusBadRequest},
-		{"both forms", `{"query":{"nodes":[0],"edges":[],"pivot":0},"query_lg":"v 0 0\np 0\n"}`, http.StatusBadRequest},
-		{"empty nodes", `{"query":{"nodes":[],"edges":[],"pivot":0}}`, http.StatusBadRequest},
-		{"negative label", `{"query":{"nodes":[-1],"edges":[],"pivot":0}}`, http.StatusBadRequest},
-		{"bad edge arity", `{"query":{"nodes":[0,0],"edges":[[0]],"pivot":0}}`, http.StatusBadRequest},
-		{"edge out of range", `{"query":{"nodes":[0,0],"edges":[[0,5]],"pivot":0}}`, http.StatusBadRequest},
-		{"pivot out of range", `{"query":{"nodes":[0,0],"edges":[[0,1]],"pivot":7}}`, http.StatusBadRequest},
-		{"disconnected", `{"query":{"nodes":[0,0,0],"edges":[[0,1]],"pivot":0}}`, http.StatusBadRequest},
-		{"negative timeout", `{"query":{"nodes":[0,0],"edges":[[0,1]],"pivot":0},"timeout_ms":-5}`, http.StatusBadRequest},
-		{"too many nodes", `{"query":{"nodes":[0,0,0,0,0],"edges":[[0,1],[1,2],[2,3],[3,4]],"pivot":0}}`, http.StatusRequestEntityTooLarge},
-		{"bad lg", `{"query_lg":"w 0 0"}`, http.StatusBadRequest},
+		{name: "empty body", body: ``, want: http.StatusBadRequest},
+		{name: "not json", body: `{"query":`, want: http.StatusBadRequest},
+		{name: "trailing garbage", body: `{"query":{"nodes":[0],"edges":[],"pivot":0}}{"x":1}`, want: http.StatusBadRequest},
+		{name: "no query", body: `{}`, want: http.StatusBadRequest},
+		{name: "both forms", body: `{"query":{"nodes":[0],"edges":[],"pivot":0},"query_lg":"v 0 0\np 0\n"}`, want: http.StatusBadRequest},
+		{name: "empty nodes", body: `{"query":{"nodes":[],"edges":[],"pivot":0}}`, want: http.StatusBadRequest},
+		{name: "negative label", body: `{"query":{"nodes":[-1],"edges":[],"pivot":0}}`, want: http.StatusBadRequest},
+		{name: "bad edge arity", body: `{"query":{"nodes":[0,0],"edges":[[0]],"pivot":0}}`, want: http.StatusBadRequest},
+		{name: "edge out of range", body: `{"query":{"nodes":[0,0],"edges":[[0,5]],"pivot":0}}`, want: http.StatusBadRequest},
+		{name: "pivot out of range", body: `{"query":{"nodes":[0,0],"edges":[[0,1]],"pivot":7}}`, want: http.StatusBadRequest},
+		{name: "disconnected", body: `{"query":{"nodes":[0,0,0],"edges":[[0,1]],"pivot":0}}`, want: http.StatusBadRequest},
+		{name: "negative timeout", body: `{"query":{"nodes":[0,0],"edges":[[0,1]],"pivot":0},"timeout_ms":-5}`, want: http.StatusBadRequest},
+		{name: "too many nodes", body: `{"query":{"nodes":[0,0,0,0,0],"edges":[[0,1],[1,2],[2,3],[3,4]],"pivot":0}}`, want: http.StatusRequestEntityTooLarge},
+		{name: "bad lg", body: `{"query_lg":"w 0 0"}`, want: http.StatusBadRequest},
+		// The longest timeout a client can ask for is clamped to
+		// MaxTimeout, not overflowed into a deadline in the past.
+		{name: "max timeout", body: `{"query":{"nodes":[0,0],"edges":[[0,1]],"pivot":0},` + maxTimeout + `}`, want: http.StatusOK},
+		{name: "max timeout batch", path: "/v1/psi/batch", body: `{"queries":[{"nodes":[0,0],"edges":[[0,1]],"pivot":0}],` + maxTimeout + `}`, want: http.StatusOK},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := ts.Client().Post(ts.URL+"/v1/psi", "application/json", strings.NewReader(tc.body))
+			path := tc.path
+			if path == "" {
+				path = "/v1/psi"
+			}
+			resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatalf("POST: %v", err)
 			}
@@ -193,14 +207,22 @@ func TestServerMalformedRequests(t *testing.T) {
 			if resp.StatusCode != tc.want {
 				t.Errorf("status = %d, want %d (body %s)", resp.StatusCode, tc.want, data)
 			}
+			if tc.want == http.StatusOK {
+				// Well-formed after all: the answer (for the batch, its
+				// one item) is a normal 200, not an instant 504.
+				if strings.Contains(string(data), `"error"`) {
+					t.Errorf("body = %s, want a result with no error", data)
+				}
+				return
+			}
 			var eb ErrorBody
 			if err := json.Unmarshal(data, &eb); err != nil || eb.Error == "" {
 				t.Errorf("error body = %q, want JSON with non-empty error", data)
 			}
 		})
 	}
-	if got := fake.snapshotCalls(); got != 0 {
-		t.Errorf("evaluator saw %d calls from malformed requests, want 0", got)
+	if got := fake.snapshotCalls(); got != 2 {
+		t.Errorf("evaluator saw %d calls, want 2: the max-timeout requests and none of the malformed ones", got)
 	}
 }
 
@@ -550,7 +572,7 @@ func TestServerHealthEndpoints(t *testing.T) {
 
 func TestServerObsEndpointsMounted(t *testing.T) {
 	_, ts := newTestServer(t, &fakeEval{}, Config{})
-	for _, path := range []string{"/metrics", "/metrics.json", "/tracez", "/profilez", "/modelz"} {
+	for _, path := range []string{"/metrics", "/metrics.json", "/profilez", "/modelz"} {
 		resp, err := ts.Client().Get(ts.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)

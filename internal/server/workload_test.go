@@ -119,8 +119,8 @@ func TestServerWorkloadUnarmed(t *testing.T) {
 	fake.mu.Lock()
 	fp := fake.lastFingerprint
 	fake.mu.Unlock()
-	if fp != "sentinel" {
-		t.Errorf("unarmed server still called EvaluateTagged (fingerprint %q)", fp)
+	if fp != "" {
+		t.Errorf("unarmed server still fingerprinted the query (%q)", fp)
 	}
 	r, err := ts.Client().Get(ts.URL + "/queryz")
 	if err != nil {
@@ -150,8 +150,8 @@ func TestServerWorkloadErrorOutcome(t *testing.T) {
 	}
 }
 
-// TestWorkloadOutcomeMapping pins the error -> outcome taxonomy,
-// including the "client gone, observe nothing" case.
+// TestWorkloadOutcomeMapping pins the error -> outcome column of the
+// classify table, including the "client gone, observe nothing" case.
 func TestWorkloadOutcomeMapping(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -166,9 +166,9 @@ func TestWorkloadOutcomeMapping(t *testing.T) {
 		{errors.New("boom"), obs.WorkloadOutcomeError, true},
 	}
 	for _, tc := range cases {
-		got, ok := workloadOutcome(tc.err)
-		if got != tc.want || ok != tc.ok {
-			t.Errorf("workloadOutcome(%v) = %q/%v, want %q/%v", tc.err, got, ok, tc.want, tc.ok)
+		got := classify(tc.err).outcome
+		if ok := got != ""; got != tc.want || ok != tc.ok {
+			t.Errorf("classify(%v).outcome = %q/%v, want %q/%v", tc.err, got, ok, tc.want, tc.ok)
 		}
 	}
 }

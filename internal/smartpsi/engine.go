@@ -84,7 +84,7 @@ type Options struct {
 	// Drift configures the model-α accuracy drift detector fed by every
 	// scored prediction across the engine's lifetime (zero: defaults —
 	// window 64, threshold 0.2). Events raise
-	// smartpsi_model_drift_events_total and annotate the query trace.
+	// smartpsi_model_drift_events_total and show on /modelz.
 	Drift ml.DriftConfig
 
 	// Ablation switches (all false in the full system).
@@ -163,8 +163,8 @@ type Engine struct {
 	SignatureBuildTime time.Duration
 
 	// evalHook, when non-nil, replaces the candidate evaluation call in
-	// evaluateOne with a deterministic stand-in keyed by the recovery
-	// state (1, 2, 3). Only the recovery-ladder tests set it, to force
+	// attempt with a deterministic stand-in keyed by the recovery state
+	// (1, 2, 3). Only the recovery-ladder tests set it, to force
 	// exact timeout sequences without depending on wall-clock budgets.
 	evalHook func(state int, mode psi.Mode, planIdx int) (bool, error)
 	// shadowHook, when non-nil, replaces the counterfactual evaluation

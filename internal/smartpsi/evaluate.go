@@ -111,24 +111,19 @@ func (e *Engine) EvaluateBudget(q graph.Query, deadline time.Time) (*Result, err
 	return e.evaluate(q, deadline, queryTag{})
 }
 
-// EvaluateRequest is EvaluateBudget with a serving-layer request ID
-// (X-Request-ID) threaded through the query's trace, execution profile
-// and decision-log records, so one served request is correlatable
-// across the access log, /profilez?request_id= and the decision log.
-func (e *Engine) EvaluateRequest(q graph.Query, deadline time.Time, requestID string) (*Result, error) {
-	return e.evaluate(q, deadline, queryTag{reqID: requestID})
-}
-
-// EvaluateTagged is EvaluateRequest with the query's canonical shape
-// fingerprint already computed by the caller (the serving layer
-// fingerprints once at admission so the workload sketch, the profile
-// and the decision log all agree); an empty fingerprint falls back to
+// EvaluateTagged is EvaluateBudget with a serving-layer request ID
+// (X-Request-ID) and the query's canonical shape fingerprint, both
+// threaded into the execution profile and the decision-log records, so
+// one served request is correlatable across the access log,
+// /profilez?request_id= and the decision log. The serving layer
+// fingerprints once at admission so the workload sketch, the profile and
+// the decision log all agree; an empty fingerprint falls back to
 // computing one here when anything will record it.
 func (e *Engine) EvaluateTagged(q graph.Query, deadline time.Time, requestID, fingerprint string) (*Result, error) {
 	return e.evaluate(q, deadline, queryTag{reqID: requestID, fingerprint: fingerprint})
 }
 
-// queryTag is the per-query identity threaded into traces, profiles and
+// queryTag is the per-query identity threaded into profiles and
 // decision-log records: profile name, serving request ID, and canonical
 // shape fingerprint.
 type queryTag struct {
@@ -138,11 +133,10 @@ type queryTag struct {
 }
 
 // queryRun is the per-request state train and execute share: the
-// request's identity, its observers, and the verdict slots they fill.
+// request's identity, its profile, and the verdict slots they fill.
 // Everything that outlives the request lives in the artifact.
 type queryRun struct {
 	tag  queryTag
-	tr   *obs.QueryTrace
 	prof *obs.Profile
 
 	// candidates are the pivot-labelled data nodes, ascending;
@@ -158,7 +152,7 @@ func expired(deadline time.Time) bool {
 	return !deadline.IsZero() && time.Now().After(deadline)
 }
 
-// evaluate is the one evaluation path behind all four Evaluate* entry
+// evaluate is the one evaluation path behind the three Evaluate* entry
 // points. A query with enough candidates to train on runs
 // prepare → train → execute; when the engine's prepared-query cache holds
 // a verified-equal query's artifact the first two are skipped and every
@@ -166,7 +160,6 @@ func expired(deadline time.Time) bool {
 func (e *Engine) evaluate(q graph.Query, deadline time.Time, tag queryTag) (_ *Result, retErr error) {
 	start := time.Now()
 	enabled := obs.Enabled()
-	var tr *obs.QueryTrace
 	var prof *obs.Profile
 	tagged := enabled || e.opts.auditing() || e.opts.DecisionLog != nil
 	if tagged {
@@ -174,15 +167,10 @@ func (e *Engine) evaluate(q graph.Query, deadline time.Time, tag queryTag) (_ *R
 	}
 	if enabled {
 		obs.SmartQueries.Inc()
-		tr = obs.StartQuery(tag.name)
 		prof = obs.StartProfile(tag.name)
-		if tag.reqID != "" {
-			tr.SetRequestID(tag.reqID)
-			prof.SetRequestID(tag.reqID)
-		}
+		prof.SetRequestID(tag.reqID)
 		prof.SetFingerprint(tag.fingerprint)
 	}
-	defer tr.Finish()
 	// Seal the profile on every exit: error paths record the error so
 	// the flight recorder retains aborted (deadline/stop) queries too.
 	defer func() {
@@ -205,7 +193,7 @@ func (e *Engine) evaluate(q graph.Query, deadline time.Time, tag queryTag) (_ *R
 	}
 
 	res := &Result{Profile: prof}
-	r := &queryRun{tag: tag, tr: tr, prof: prof, res: res}
+	r := &queryRun{tag: tag, prof: prof, res: res}
 	r.candidates = e.g.NodesWithLabel(q.G.Label(q.Pivot))
 	r.valid = make([]bool, len(r.candidates))
 	res.Candidates = len(r.candidates)
@@ -410,7 +398,7 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 		if i < e.opts.PlanSweepNodes {
 			// Full per-plan sweep: labels both models.
 			var outcomes []planOutcome
-			isValid, bestPlan, outcomes, err = e.trainOne(art.ev, st, art.compiled, u, art.timing, deadline)
+			isValid, bestPlan, outcomes, err = e.trainOne(art, st, u, deadline)
 			if err != nil {
 				return 0, err
 			}
@@ -467,7 +455,6 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 	if enabled {
 		obs.SmartTrainedNodes.Add(int64(trainCount))
 		obs.SmartTrainSeconds.Observe(r.res.TrainTime.Seconds())
-		r.tr.Event(obs.EvTrainDone, -1, int64(trainCount))
 	}
 	if art.beta != nil && len(sweeps) > 0 {
 		e.scoreBetaRanks(r.tag, art.beta, sweeps)
@@ -517,41 +504,29 @@ func (e *Engine) execute(art *artifact, r *queryRun, order []int32, deadline tim
 			continue
 		}
 		wg.Add(1)
-		go func(w int, positions []int32) {
+		go func(i int, positions []int32) {
 			defer wg.Done()
-			wst := psi.NewState(art.q.Size())
-			if r.prof != nil {
-				wst.SetFunnel(&obs.Funnel{})
-			}
-			local := workerCounters{}
-			if e.opts.auditing() {
-				// Shadow audits get their own sampling stream and their
-				// own evaluator state: counterfactual work must land in
-				// ShadowWork, never in the primary accounting.
-				local.rng = newShadowRNG(e.opts.Seed, w)
-				local.shadowState = psi.NewState(art.q.Size())
-			}
+			w := e.newWorker(art, r, deadline, i)
 			// Merge the worker's counters even on the error paths, so
 			// censored runs still account their work.
 			defer func() {
-				local.work = wst.Stats()
-				if local.shadowState != nil {
-					local.shadowWork = local.shadowState.Stats()
+				w.work = w.st.Stats()
+				if w.shadowState != nil {
+					w.shadowWork = w.shadowState.Stats()
 				}
-				r.prof.MergeFunnel(wst.Funnel())
+				r.prof.MergeFunnel(w.st.Funnel())
 				mu.Lock()
-				local.mergeInto(r.res, &modelNanos)
+				w.mergeInto(r.res, &modelNanos)
 				mu.Unlock()
 			}()
 			for _, pos := range positions {
 				if expired(deadline) {
-					errs[w] = psi.ErrDeadline
+					errs[i] = psi.ErrDeadline
 					return
 				}
-				ok, err := e.evaluateOne(art.ev, wst, art.compiled, r.tag, r.candidates[pos], art.alpha, art.beta,
-					art.timing, &art.cache, &local, r.tr, r.prof, deadline)
+				ok, err := e.evaluateOne(w, r.candidates[pos])
 				if err != nil {
-					errs[w] = err
+					errs[i] = err
 					return
 				}
 				r.valid[pos] = ok
@@ -606,8 +581,8 @@ type planOutcome struct {
 // trainOne evaluates a training node under every sampled plan with the
 // escalating time limit of Section 4.2.2, returning its ground-truth
 // validity, the fastest plan's index, and the per-plan outcomes.
-func (e *Engine) trainOne(ev *psi.Evaluator, st *psi.State, compiled []*plan.Compiled, u graph.NodeID, timing *planTiming, global time.Time) (bool, int, []planOutcome, error) {
-	results := make([]planOutcome, len(compiled))
+func (e *Engine) trainOne(art *artifact, st *psi.State, u graph.NodeID, global time.Time) (bool, int, []planOutcome, error) {
+	results := make([]planOutcome, len(art.compiled))
 	limit := e.opts.PlanTimeLimit
 	// Cap the whole sweep for one node: expensive nodes would otherwise
 	// burn escalation rounds across every plan (each retry restarts from
@@ -617,7 +592,7 @@ func (e *Engine) trainOne(ev *psi.Evaluator, st *psi.State, compiled []*plan.Com
 	const maxEscalations = 24
 	anyDone := false
 	for esc := 0; esc < maxEscalations && !anyDone && time.Now().Before(sweepDeadline); esc++ {
-		for i, c := range compiled {
+		for i, c := range art.compiled {
 			if results[i].done {
 				anyDone = true
 				continue
@@ -629,7 +604,7 @@ func (e *Engine) trainOne(ev *psi.Evaluator, st *psi.State, compiled []*plan.Com
 			}
 			// The pessimistic method labels training nodes (Section
 			// 4.2.1: more stable on average).
-			ok, err := ev.Evaluate(st, c, u, psi.Pessimistic, psi.Limits{Deadline: lim})
+			ok, err := art.ev.Evaluate(st, c, u, psi.Pessimistic, psi.Limits{Deadline: lim})
 			took := time.Since(t0)
 			if err == psi.ErrDeadline {
 				if expired(global) {
@@ -641,7 +616,7 @@ func (e *Engine) trainOne(ev *psi.Evaluator, st *psi.State, compiled []*plan.Com
 				return false, 0, nil, err
 			}
 			results[i] = planOutcome{done: true, valid: ok, took: took}
-			timing.record(psi.Pessimistic, i, took)
+			art.timing.record(psi.Pessimistic, i, took)
 			anyDone = true
 		}
 		limit *= 2
@@ -650,12 +625,12 @@ func (e *Engine) trainOne(ev *psi.Evaluator, st *psi.State, compiled []*plan.Com
 		// Pathological node: evaluate plan 0 (heuristic) with only the
 		// global budget.
 		t0 := time.Now()
-		ok, err := ev.Evaluate(st, compiled[0], u, psi.Pessimistic, psi.Limits{Deadline: global})
+		ok, err := art.ev.Evaluate(st, art.compiled[0], u, psi.Pessimistic, psi.Limits{Deadline: global})
 		if err != nil {
 			return false, 0, nil, err
 		}
 		took := time.Since(t0)
-		timing.record(psi.Pessimistic, 0, took)
+		art.timing.record(psi.Pessimistic, 0, took)
 		results[0] = planOutcome{done: true, valid: ok, took: took}
 		return ok, 0, results, nil
 	}
@@ -668,6 +643,33 @@ func (e *Engine) trainOne(ev *psi.Evaluator, st *psi.State, compiled []*plan.Com
 		}
 	}
 	return validity, best, results, nil
+}
+
+// worker is one candidate-evaluating goroutine's view of a query: the
+// shared artifact it reads, the run whose verdict slots and profile it
+// fills, the query's global budget, and the state only it touches.
+type worker struct {
+	art    *artifact
+	run    *queryRun
+	global time.Time
+	st     *psi.State // primary evaluator state; its Stats are Result.Work
+	workerCounters
+}
+
+// newWorker builds execute's i-th worker.
+func (e *Engine) newWorker(art *artifact, r *queryRun, global time.Time, i int) *worker {
+	w := &worker{art: art, run: r, global: global, st: psi.NewState(art.q.Size())}
+	if r.prof != nil {
+		w.st.SetFunnel(&obs.Funnel{})
+	}
+	if e.opts.auditing() {
+		// Shadow audits get their own sampling stream and their own
+		// evaluator state: counterfactual work must land in ShadowWork,
+		// never in the primary accounting.
+		w.rng = newShadowRNG(e.opts.Seed, i)
+		w.shadowState = psi.NewState(art.q.Size())
+	}
+	return w
 }
 
 type workerCounters struct {
@@ -727,207 +729,175 @@ type decision struct {
 	margin float64
 }
 
-// evaluateOne runs the prediction + preemptive pipeline for one
-// candidate node, emitting the recovery-ladder trace grammar
-// documented on obs.EventKind and the profiler's per-rung timeline.
-// Rung-1 resolutions additionally run the sampled shadow audits
-// (shadow.go); rungs 2–3 never do — they are already counterfactuals.
-func (e *Engine) evaluateOne(ev *psi.Evaluator, st *psi.State, compiled []*plan.Compiled, tag queryTag,
-	u graph.NodeID, alphaModel, betaModel *ml.Forest, timing *planTiming,
-	cache *sync.Map, local *workerCounters, tr *obs.QueryTrace, prof *obs.Profile, global time.Time) (bool, error) {
-
-	enabled := obs.Enabled()
-	if enabled {
-		capBefore := st.Stats().CapHits
-		defer func() {
-			if d := st.Stats().CapHits - capBefore; d > 0 {
-				tr.Event(obs.EvCapHit, int64(u), d)
-			}
-		}()
+// predict asks the artifact's models for a fresh decision on one
+// signature row: model α picks the method (pessimistic when ablated),
+// model β the plan (the heuristic plan when ablated or out of range).
+// predicted reports whether model α actually voted.
+func (w *worker) predict(row []float64) (dec decision, predicted bool) {
+	dec.mode = psi.Pessimistic
+	if alpha := w.art.alpha; alpha != nil {
+		votes := w.votes(alpha.NumClasses())
+		if alpha.PredictInto(row, votes) == 1 {
+			dec.mode = psi.Optimistic
+		}
+		dec.margin = voteMargin(votes, alpha.NumTrees())
+		predicted = true
 	}
+	if beta := w.art.beta; beta != nil {
+		dec.planIdx = beta.PredictInto(row, w.votes(beta.NumClasses()))
+		if dec.planIdx >= len(w.art.compiled) {
+			dec.planIdx = 0
+		}
+	}
+	return dec, predicted
+}
 
+// rung is one step of the §4.3 recovery ladder: a method, a plan, and
+// whether the attempt runs under the (method, plan) MaxTime budget or
+// only under the query's global one.
+type rung struct {
+	mode     psi.Mode
+	planIdx  int
+	budgeted bool
+}
+
+// evaluateOne runs the prediction + preemptive pipeline for one
+// candidate node: a cached or fresh decision, then the recovery ladder —
+// the predicted method and plan, the opposite method on the same plan
+// (recovers from model α errors), the predicted method on the heuristic
+// plan (recovers from model β errors) — stopping at the first rung that
+// finishes. A rung-1 resolution additionally runs the sampled shadow
+// audits (shadow.go); rungs 2–3 never do — they are already
+// counterfactuals.
+func (e *Engine) evaluateOne(w *worker, u graph.NodeID) (bool, error) {
+	enabled := obs.Enabled()
 	row := e.sigs.Row(u)
 	var dec decision
-	cached := false
 	var key uint64
+	cached, predicted := false, false
 	if !e.opts.DisableCache {
 		key = signature.Key(row)
-		if v, ok := cache.Load(key); ok {
-			dec = v.(decision)
-			cached = true
-			local.cacheHits++
-			prof.RecordDecision(true, int(dec.mode), dec.planIdx)
-			if enabled {
-				obs.SmartCacheHits.Inc()
-				tr.Event(obs.EvCacheHit, int64(u), int64(dec.planIdx))
-			}
+		if v, ok := w.art.cache.Load(key); ok {
+			dec, cached = v.(decision), true
 		}
 	}
-	predicted := false
-	if !cached {
-		local.cacheMisses++
+	if cached {
+		w.cacheHits++
+		if enabled {
+			obs.SmartCacheHits.Inc()
+		}
+	} else {
+		w.cacheMisses++
 		if enabled {
 			obs.SmartCacheMisses.Inc()
-			tr.Event(obs.EvCacheMiss, int64(u), 0)
 		}
 		t0 := time.Now()
-		dec.mode = psi.Pessimistic
-		if alphaModel != nil {
-			votes := local.votes(alphaModel.NumClasses())
-			if alphaModel.PredictInto(row, votes) == 1 {
-				dec.mode = psi.Optimistic
+		dec, predicted = w.predict(row)
+		w.modelNanos += time.Since(t0).Nanoseconds()
+	}
+	w.run.prof.RecordDecision(cached, int(dec.mode), dec.planIdx)
+
+	ladder := [obs.NumLadderRungs]rung{
+		obs.LadderPredicted: {dec.mode, dec.planIdx, !e.opts.DisablePreemption},
+		obs.LadderOpposite:  {dec.mode.Opposite(), dec.planIdx, true},
+		obs.LadderHeuristic: {dec.mode, 0, false},
+	}
+	var err error
+	for i, r := range ladder {
+		var ok bool
+		var took time.Duration
+		if ok, took, err = e.attempt(w, u, i, r); err != nil {
+			if err != psi.ErrDeadline || expired(w.global) {
+				break
 			}
-			dec.margin = voteMargin(votes, alphaModel.NumTrees())
-			predicted = true
+			continue
 		}
-		dec.planIdx = 0
-		if betaModel != nil {
-			dec.planIdx = betaModel.PredictInto(row, local.votes(betaModel.NumClasses()))
-			if dec.planIdx >= len(compiled) {
-				dec.planIdx = 0
+		e.scoreAlpha(w, predicted, dec, ok)
+		if i == obs.LadderPredicted {
+			if !cached && !e.opts.DisableCache {
+				w.art.cache.Store(key, dec)
+			}
+			if e.opts.auditing() {
+				p := primaryRun{u: u, row: row, dec: dec, cached: cached, valid: ok, took: took}
+				if err := e.auditDecision(w, p); err != nil {
+					return false, err
+				}
 			}
 		}
-		local.modelNanos += time.Since(t0).Nanoseconds()
-		prof.RecordDecision(false, int(dec.mode), dec.planIdx)
-		if enabled {
-			tr.Event(obs.EvModePredicted, int64(u), int64(dec.mode))
-			tr.Event(obs.EvPlanChosen, int64(u), int64(dec.planIdx))
+		return ok, nil
+	}
+	return false, err
+}
+
+// attempt runs rung i of the ladder for candidate u. It is the one place
+// an execute-phase candidate evaluation happens: the recovery counters,
+// the rung's deadline, the evalHook seam, the profile's ladder timeline
+// and the planTiming update all live here.
+func (e *Engine) attempt(w *worker, u graph.NodeID, i int, r rung) (bool, time.Duration, error) {
+	if i != obs.LadderPredicted {
+		// Entering rung 2 or 3 means the rung before it timed out.
+		recoveries := obs.SmartFlips
+		if i == obs.LadderOpposite {
+			w.flips++
+		} else {
+			w.fallbacks++
+			recoveries = obs.SmartFallbacks
+		}
+		if obs.Enabled() {
+			obs.SmartTimeouts.Inc()
+			recoveries.Inc()
+			obs.SmartRecoveries.Inc()
 		}
 	}
-
-	// capDeadline bounds a state's deadline by the global budget.
-	capDeadline := func(d time.Time) time.Time {
-		if d.IsZero() || (!global.IsZero() && global.Before(d)) {
-			return global
+	limit := w.global
+	if r.budgeted {
+		if d := time.Now().Add(w.art.timing.maxTime(r.mode, r.planIdx)); limit.IsZero() || d.Before(limit) {
+			limit = d
 		}
-		return d
-	}
-
-	// State 1: predicted method and plan, with the MaxTime budget.
-	deadline := time.Time{}
-	if !e.opts.DisablePreemption {
-		deadline = time.Now().Add(timing.maxTime(dec.mode, dec.planIdx))
 	}
 	t0 := time.Now()
 	var ok bool
 	var err error
 	if e.evalHook != nil {
-		ok, err = e.evalHook(1, dec.mode, dec.planIdx)
+		ok, err = e.evalHook(i+1, r.mode, r.planIdx)
 	} else {
-		ok, err = ev.Evaluate(st, compiled[dec.planIdx], u, dec.mode, psi.Limits{Deadline: capDeadline(deadline)})
+		ok, err = w.art.ev.Evaluate(w.st, w.art.compiled[r.planIdx], u, r.mode, psi.Limits{Deadline: limit})
 	}
 	took := time.Since(t0)
-	prof.LadderObserve(obs.LadderPredicted, err == nil, took)
+	w.run.prof.LadderObserve(i, err == nil, took)
 	if err == nil {
-		timing.record(dec.mode, dec.planIdx, took)
-		if !cached && !e.opts.DisableCache {
-			cache.Store(key, dec)
-		}
-		e.scoreAlpha(local, tr, u, predicted, dec.mode, dec.margin, ok)
-		if e.opts.auditing() {
-			if aerr := e.auditDecision(ev, compiled, tag, u, row, dec, cached, ok, took,
-				alphaModel, betaModel, local, tr, prof, global); aerr != nil {
-				return false, aerr
-			}
-		}
-		return ok, nil
+		w.art.timing.record(r.mode, r.planIdx, took)
 	}
-	if err != psi.ErrDeadline || expired(global) {
-		return false, err
-	}
-
-	// State 2: the opposite method, same plan, fresh budget (recovers
-	// from model α errors).
-	local.flips++
-	opp := dec.mode.Opposite()
-	if enabled {
-		obs.SmartTimeouts.Inc()
-		obs.SmartFlips.Inc()
-		obs.SmartRecoveries.Inc()
-		tr.Event(obs.EvTimeout, int64(u), 1)
-		tr.Event(obs.EvFlip, int64(u), int64(opp))
-	}
-	deadline = time.Now().Add(timing.maxTime(opp, dec.planIdx))
-	t0 = time.Now()
-	if e.evalHook != nil {
-		ok, err = e.evalHook(2, opp, dec.planIdx)
-	} else {
-		ok, err = ev.Evaluate(st, compiled[dec.planIdx], u, opp, psi.Limits{Deadline: capDeadline(deadline)})
-	}
-	took = time.Since(t0)
-	prof.LadderObserve(obs.LadderOpposite, err == nil, took)
-	if err == nil {
-		timing.record(opp, dec.planIdx, took)
-		e.scoreAlpha(local, tr, u, predicted, dec.mode, dec.margin, ok)
-		return ok, nil
-	}
-	if err != psi.ErrDeadline || expired(global) {
-		return false, err
-	}
-
-	// State 3: the predicted method with the heuristic plan, bounded
-	// only by the global budget (recovers from model β errors).
-	local.fallbacks++
-	if enabled {
-		obs.SmartTimeouts.Inc()
-		obs.SmartFallbacks.Inc()
-		obs.SmartRecoveries.Inc()
-		tr.Event(obs.EvTimeout, int64(u), 2)
-		tr.Event(obs.EvFallback, int64(u), 0)
-	}
-	t0 = time.Now()
-	if e.evalHook != nil {
-		ok, err = e.evalHook(3, dec.mode, 0)
-	} else {
-		ok, err = ev.Evaluate(st, compiled[0], u, dec.mode, psi.Limits{Deadline: global})
-	}
-	took = time.Since(t0)
-	prof.LadderObserve(obs.LadderHeuristic, err == nil, took)
-	if err != nil {
-		return false, err
-	}
-	timing.record(dec.mode, 0, took)
-	e.scoreAlpha(local, tr, u, predicted, dec.mode, dec.margin, ok)
-	return ok, nil
+	return ok, took, err
 }
 
-// scoreAlpha records ground truth for one candidate: the EvModeActual
-// trace event plus model α's accuracy counters when a prediction was
-// actually made. With collection enabled every scored prediction also
-// feeds the /modelz confusion matrix, the vote-margin calibration
-// buckets, and the engine's drift detector (ground truth is free here —
-// the evaluation itself labels the node, §4.2.1).
-func (e *Engine) scoreAlpha(local *workerCounters, tr *obs.QueryTrace, u graph.NodeID, predicted bool, mode psi.Mode, margin float64, actualValid bool) {
-	enabled := obs.Enabled()
-	if enabled {
-		v := int64(0)
-		if actualValid {
-			v = 1
-		}
-		tr.Event(obs.EvModeActual, int64(u), v)
-	}
+// scoreAlpha records ground truth for one candidate: model α's accuracy
+// counters when a prediction was actually made. With collection enabled
+// every scored prediction also feeds the /modelz confusion matrix, the
+// vote-margin calibration buckets, and the engine's drift detector
+// (ground truth is free here — the evaluation itself labels the node,
+// §4.2.1).
+func (e *Engine) scoreAlpha(w *worker, predicted bool, dec decision, actualValid bool) {
 	if !predicted {
 		return
 	}
-	local.alphaTotal++
-	correct := (mode == psi.Optimistic) == actualValid
+	w.alphaTotal++
+	correct := (dec.mode == psi.Optimistic) == actualValid
 	if correct {
-		local.alphaCorrect++
+		w.alphaCorrect++
 	}
-	if enabled {
+	if obs.Enabled() {
 		obs.SmartModeChecks.Inc()
 		if !correct {
 			obs.SmartMispredicts.Inc()
 		}
-		obs.DefaultModelStats.ObserveAlpha(mode == psi.Optimistic, actualValid, margin)
+		obs.DefaultModelStats.ObserveAlpha(dec.mode == psi.Optimistic, actualValid, dec.margin)
 		e.driftMu.Lock()
 		fired := e.drift.Observe(correct)
-		events := e.drift.Events()
 		e.driftMu.Unlock()
 		if fired {
 			// ObserveDrift also raises smartpsi_model_drift_events_total.
 			obs.DefaultModelStats.ObserveDrift()
-			tr.Event(obs.EvDrift, int64(u), events)
 		}
 	}
 }

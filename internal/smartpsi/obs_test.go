@@ -2,7 +2,7 @@ package smartpsi
 
 import (
 	"errors"
-	"sync"
+	"reflect"
 	"testing"
 	"time"
 
@@ -59,26 +59,43 @@ func ladderFixture(t *testing.T) (*Engine, *psi.Evaluator, []*plan.Compiled) {
 	return e, ev, []*plan.Compiled{c}
 }
 
+// ladderWorker builds the per-worker value evaluateOne takes over a
+// fresh artifact: no models, an empty prediction cache, a fresh
+// planTiming.
+func ladderWorker(ev *psi.Evaluator, compiled []*plan.Compiled, prof *obs.Profile, global time.Time) *worker {
+	art := &artifact{ev: ev, compiled: compiled, timing: newPlanTiming(len(compiled))}
+	return &worker{art: art, run: &queryRun{tag: queryTag{name: "test"}, prof: prof}, global: global, st: psi.NewState(2)}
+}
+
 var errBoom = errors.New("boom")
 
-// TestObsRecoveryLadderTraceSequences pins the exact trace-event
-// grammar of the preemptive executor's recovery ladder (predicted →
-// opposite mode → heuristic plan) for forced-timeout scenarios, using
-// the deterministic evalHook instead of wall-clock budgets.
+// TestObsRecoveryLadderTraceSequences pins the preemptive executor's
+// recovery ladder (predicted → opposite mode → heuristic plan) for
+// forced-timeout scenarios, using the deterministic evalHook instead of
+// wall-clock budgets: the rungs run in order with the right (mode, plan)
+// each, and the counters, the recoveries metric and the profile's
+// per-rung timeline mirror exactly the states that ran.
 func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 	type step struct {
 		ok  bool
 		err error
 	}
+	// call is one evalHook invocation: the ladder state and what it ran.
+	type call struct {
+		state   int
+		mode    psi.Mode
+		planIdx int
+	}
 	deadline := psi.ErrDeadline
+	pess := decision{mode: psi.Pessimistic, planIdx: 0} // what no models predict
 	cases := []struct {
 		name           string
 		states         map[int]step
-		cached         bool      // pre-populate the prediction cache
+		cached         *decision // pre-populate the prediction cache
 		global         time.Time // global budget (zero: none)
 		wantOK         bool
 		wantErr        error
-		wantKinds      []obs.EventKind
+		wantCalls      []call
 		wantFlips      int64
 		wantFallbacks  int64
 		wantCacheHits  int64
@@ -86,76 +103,74 @@ func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 		wantRecoveries int64
 	}{
 		{
-			name:   "state1-answers-valid",
-			states: map[int]step{1: {ok: true}},
-			wantOK: true,
-			wantKinds: []obs.EventKind{
-				obs.EvCacheMiss, obs.EvModePredicted, obs.EvPlanChosen, obs.EvModeActual,
-			},
+			name:          "state1-answers-valid",
+			states:        map[int]step{1: {ok: true}},
+			wantOK:        true,
+			wantCalls:     []call{{1, psi.Pessimistic, 0}},
 			wantCacheMiss: 1,
 		},
 		{
-			name:   "state1-answers-invalid",
-			states: map[int]step{1: {ok: false}},
-			wantOK: false,
-			wantKinds: []obs.EventKind{
-				obs.EvCacheMiss, obs.EvModePredicted, obs.EvPlanChosen, obs.EvModeActual,
-			},
+			name:          "state1-answers-invalid",
+			states:        map[int]step{1: {ok: false}},
+			wantOK:        false,
+			wantCalls:     []call{{1, psi.Pessimistic, 0}},
 			wantCacheMiss: 1,
 		},
 		{
-			name:   "timeout-then-flip-recovers",
-			states: map[int]step{1: {err: deadline}, 2: {ok: true}},
-			wantOK: true,
-			wantKinds: []obs.EventKind{
-				obs.EvCacheMiss, obs.EvModePredicted, obs.EvPlanChosen,
-				obs.EvTimeout, obs.EvFlip, obs.EvModeActual,
-			},
+			name:           "timeout-then-flip-recovers",
+			states:         map[int]step{1: {err: deadline}, 2: {ok: true}},
+			wantOK:         true,
+			wantCalls:      []call{{1, psi.Pessimistic, 0}, {2, psi.Optimistic, 0}},
 			wantFlips:      1,
 			wantCacheMiss:  1,
 			wantRecoveries: 1,
 		},
 		{
-			name:   "double-timeout-then-heuristic-fallback",
-			states: map[int]step{1: {err: deadline}, 2: {err: deadline}, 3: {ok: true}},
-			wantOK: true,
-			wantKinds: []obs.EventKind{
-				obs.EvCacheMiss, obs.EvModePredicted, obs.EvPlanChosen,
-				obs.EvTimeout, obs.EvFlip, obs.EvTimeout, obs.EvFallback, obs.EvModeActual,
-			},
+			name:           "double-timeout-then-heuristic-fallback",
+			states:         map[int]step{1: {err: deadline}, 2: {err: deadline}, 3: {ok: true}},
+			wantOK:         true,
+			wantCalls:      []call{{1, psi.Pessimistic, 0}, {2, psi.Optimistic, 0}, {3, psi.Pessimistic, 0}},
 			wantFlips:      1,
 			wantFallbacks:  1,
 			wantCacheMiss:  1,
 			wantRecoveries: 2,
 		},
 		{
-			name:    "hard-error-aborts-ladder",
-			states:  map[int]step{1: {err: errBoom}},
-			wantErr: errBoom,
-			wantKinds: []obs.EventKind{
-				obs.EvCacheMiss, obs.EvModePredicted, obs.EvPlanChosen,
-			},
+			name:          "hard-error-aborts-ladder",
+			states:        map[int]step{1: {err: errBoom}},
+			wantErr:       errBoom,
+			wantCalls:     []call{{1, psi.Pessimistic, 0}},
 			wantCacheMiss: 1,
 		},
 		{
-			name:    "expired-global-budget-stops-recovery",
-			states:  map[int]step{1: {err: deadline}},
-			global:  time.Now().Add(-time.Second),
-			wantErr: psi.ErrDeadline,
-			wantKinds: []obs.EventKind{
-				obs.EvCacheMiss, obs.EvModePredicted, obs.EvPlanChosen,
-			},
+			name:          "expired-global-budget-stops-recovery",
+			states:        map[int]step{1: {err: deadline}},
+			global:        time.Now().Add(-time.Second),
+			wantErr:       psi.ErrDeadline,
+			wantCalls:     []call{{1, psi.Pessimistic, 0}},
 			wantCacheMiss: 1,
 		},
 		{
-			name:   "cached-decision-skips-prediction",
-			states: map[int]step{1: {ok: true}},
-			cached: true,
-			wantOK: true,
-			wantKinds: []obs.EventKind{
-				obs.EvCacheHit, obs.EvModeActual,
-			},
+			name:          "cached-decision-skips-prediction",
+			states:        map[int]step{1: {ok: true}},
+			cached:        &pess,
+			wantOK:        true,
+			wantCalls:     []call{{1, psi.Pessimistic, 0}},
 			wantCacheHits: 1,
+		},
+		{
+			// A cached optimistic decision on plan 1: rung 2 flips the
+			// method but keeps the plan, rung 3 restores the method and
+			// drops to the heuristic plan.
+			name:           "cached-plan1-walks-all-rungs",
+			states:         map[int]step{1: {err: deadline}, 2: {err: deadline}, 3: {ok: true}},
+			cached:         &decision{mode: psi.Optimistic, planIdx: 1},
+			wantOK:         true,
+			wantCalls:      []call{{1, psi.Optimistic, 1}, {2, psi.Pessimistic, 1}, {3, psi.Optimistic, 0}},
+			wantFlips:      1,
+			wantFallbacks:  1,
+			wantCacheHits:  1,
+			wantRecoveries: 2,
 		},
 	}
 
@@ -163,11 +178,14 @@ func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 	obs.Enable(true)
 	defer obs.Enable(prev)
 	e, ev, compiled := ladderFixture(t)
+	compiled = append(compiled, compiled[0]) // a second plan class; the hook never runs it
 	const u = graph.NodeID(0)
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			var calls []call
 			e.evalHook = func(state int, mode psi.Mode, planIdx int) (bool, error) {
+				calls = append(calls, call{state, mode, planIdx})
 				s, known := tc.states[state]
 				if !known {
 					t.Fatalf("ladder reached unexpected state %d", state)
@@ -176,19 +194,16 @@ func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 			}
 			defer func() { e.evalHook = nil }()
 
-			var cache sync.Map
-			if tc.cached {
-				cache.Store(signature.Key(e.sigs.Row(u)), decision{mode: psi.Pessimistic, planIdx: 0})
+			prof := obs.NewProfile(tc.name)
+			w := ladderWorker(ev, compiled, prof, tc.global)
+			dec := pess
+			if tc.cached != nil {
+				dec = *tc.cached
+				w.art.cache.Store(signature.Key(e.sigs.Row(u)), dec)
 			}
-			tracer := obs.NewTracer(1)
-			tr := tracer.StartQuery(tc.name)
-			local := workerCounters{}
-			st := psi.NewState(2)
-			timing := newPlanTiming(len(compiled))
 			recBefore := obs.SmartRecoveries.Value()
 
-			prof := obs.NewProfile(tc.name)
-			got, err := e.evaluateOne(ev, st, compiled, queryTag{name: "test"}, u, nil, nil, timing, &cache, &local, tr, prof, tc.global)
+			got, err := e.evaluateOne(w, u)
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
@@ -196,29 +211,23 @@ func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 				t.Errorf("valid = %v, want %v", got, tc.wantOK)
 			}
 
-			kinds := tr.Kinds()
-			if len(kinds) != len(tc.wantKinds) {
-				t.Fatalf("event kinds = %v, want %v", kinds, tc.wantKinds)
+			if !reflect.DeepEqual(calls, tc.wantCalls) {
+				t.Fatalf("hook calls (state, mode, plan) = %v, want %v", calls, tc.wantCalls)
 			}
-			for i := range kinds {
-				if kinds[i] != tc.wantKinds[i] {
-					t.Fatalf("event %d = %v, want %v (full: %v vs %v)", i, kinds[i], tc.wantKinds[i], kinds, tc.wantKinds)
-				}
+			if w.flips != tc.wantFlips || w.fallbacks != tc.wantFallbacks {
+				t.Errorf("flips/fallbacks = %d/%d, want %d/%d", w.flips, w.fallbacks, tc.wantFlips, tc.wantFallbacks)
 			}
-			if local.flips != tc.wantFlips || local.fallbacks != tc.wantFallbacks {
-				t.Errorf("flips/fallbacks = %d/%d, want %d/%d", local.flips, local.fallbacks, tc.wantFlips, tc.wantFallbacks)
-			}
-			if local.cacheHits != tc.wantCacheHits || local.cacheMisses != tc.wantCacheMiss {
-				t.Errorf("cache hits/misses = %d/%d, want %d/%d", local.cacheHits, local.cacheMisses, tc.wantCacheHits, tc.wantCacheMiss)
+			if w.cacheHits != tc.wantCacheHits || w.cacheMisses != tc.wantCacheMiss {
+				t.Errorf("cache hits/misses = %d/%d, want %d/%d", w.cacheHits, w.cacheMisses, tc.wantCacheHits, tc.wantCacheMiss)
 			}
 			if d := obs.SmartRecoveries.Value() - recBefore; d != tc.wantRecoveries {
 				t.Errorf("smartpsi_recoveries_total delta = %d, want %d", d, tc.wantRecoveries)
 			}
-			// Every trace event must carry the candidate's node id.
-			for _, evn := range tr.Events() {
-				if evn.Node != int64(u) {
-					t.Errorf("event %v carries node %d, want %d", evn.Kind, evn.Node, u)
-				}
+			// A rung-1 resolution of a fresh prediction fills the cache;
+			// nothing else may.
+			_, stored := w.art.cache.Load(signature.Key(e.sigs.Row(u)))
+			if want := tc.cached != nil || (tc.wantErr == nil && len(tc.wantCalls) == 1); stored != want {
+				t.Errorf("prediction cache holds the decision = %v, want %v", stored, want)
 			}
 			// The profiler's recovery-ladder timeline must mirror the
 			// states the hook ran: rung N entered iff state N executed,
@@ -242,6 +251,13 @@ func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 				t.Errorf("profile cache hits/misses = %d/%d, want %d/%d",
 					snap.CacheHits, snap.CacheMisses, tc.wantCacheHits, tc.wantCacheMiss)
 			}
+			// The decision itself (the former mode_predicted / plan_chosen
+			// events) is on the profile too.
+			mode := map[psi.Mode]string{psi.Optimistic: "optimistic", psi.Pessimistic: "pessimistic"}[dec.mode]
+			if snap.ModePredicted[mode] != 1 || len(snap.PlanChosen) != dec.planIdx+1 || snap.PlanChosen[dec.planIdx] != 1 {
+				t.Errorf("profile decision = modes %v plans %v, want one %s pick of plan %d",
+					snap.ModePredicted, snap.PlanChosen, mode, dec.planIdx)
+			}
 		})
 	}
 }
@@ -252,28 +268,22 @@ func TestObsScoreAlphaMispredictions(t *testing.T) {
 	prev := obs.Enabled()
 	obs.Enable(true)
 	defer obs.Enable(prev)
-	e, _, _ := ladderFixture(t)
-
-	tracer := obs.NewTracer(1)
-	tr := tracer.StartQuery("alpha")
-	local := workerCounters{}
+	e, ev, compiled := ladderFixture(t)
+	w := ladderWorker(ev, compiled, nil, time.Time{})
 	before := obs.SmartMispredicts.Value()
 
 	// Optimistic prediction means "valid"; actual invalid → mispredict.
-	e.scoreAlpha(&local, tr, 0, true, psi.Optimistic, 0, false)
+	e.scoreAlpha(w, true, decision{mode: psi.Optimistic}, false)
 	// Pessimistic prediction means "invalid"; actual invalid → correct.
-	e.scoreAlpha(&local, tr, 1, true, psi.Pessimistic, 0, false)
+	e.scoreAlpha(w, true, decision{mode: psi.Pessimistic}, false)
 	// No prediction made → not scored.
-	e.scoreAlpha(&local, tr, 2, false, psi.Pessimistic, 0, true)
+	e.scoreAlpha(w, false, decision{mode: psi.Pessimistic}, true)
 
-	if local.alphaTotal != 2 || local.alphaCorrect != 1 {
-		t.Errorf("alpha = %d/%d, want 1/2", local.alphaCorrect, local.alphaTotal)
+	if w.alphaTotal != 2 || w.alphaCorrect != 1 {
+		t.Errorf("alpha = %d/%d, want 1/2", w.alphaCorrect, w.alphaTotal)
 	}
 	if d := obs.SmartMispredicts.Value() - before; d != 1 {
 		t.Errorf("smartpsi_mode_mispredictions_total delta = %d, want 1", d)
-	}
-	if kinds := tr.Kinds(); len(kinds) != 3 {
-		t.Errorf("every scoreAlpha call must emit mode_actual; got %v", kinds)
 	}
 }
 
@@ -325,9 +335,9 @@ func TestObsEndToEndMetricsFlow(t *testing.T) {
 		t.Errorf("smartpsi_queries_total delta = %d, want 1", d)
 	}
 
-	// The trace for the query must be retained by the default tracer.
-	recent := obs.DefaultTracer.Recent()
-	if len(recent) == 0 || !recent[0].Finished() {
-		t.Error("default tracer did not retain a finished query trace")
+	// The query's one record, its profile, must be sealed and retained
+	// by the default flight recorder.
+	if res.Profile == nil || !res.Profile.Finished() || obs.DefaultRecorder.Lookup(res.Profile.ID()) != res.Profile {
+		t.Error("default recorder did not retain the query's finished profile")
 	}
 }

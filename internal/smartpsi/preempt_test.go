@@ -2,7 +2,6 @@ package smartpsi
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -103,23 +102,22 @@ func TestPreemptionRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	timing := newPlanTiming(1)
-	timing.record(psi.Optimistic, 0, time.Nanosecond) // floor (200us) applies
-	var cache sync.Map
-	local := workerCounters{}
-	got, err := e.evaluateOne(ev, st, []*plan.Compiled{c}, queryTag{name: "test"}, 0, nil, nil, timing, &cache, &local, nil, nil, time.Time{})
+	w := ladderWorker(ev, []*plan.Compiled{c}, nil, time.Time{})
+	w.st = st
+	w.art.timing.record(psi.Optimistic, 0, time.Nanosecond) // floor (200us) applies
+	got, err := e.evaluateOne(w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
 		t.Errorf("preempted evaluation = %v, ground truth %v", got, want)
 	}
-	if local.flips == 0 {
+	if w.flips == 0 {
 		t.Skip("node evaluated under 200us on this machine; preemption never fired")
 	}
 	// If state 2 also timed out we must have fallen back.
-	if local.fallbacks > local.flips {
-		t.Errorf("fallbacks %d > flips %d", local.fallbacks, local.flips)
+	if w.fallbacks > w.flips {
+		t.Errorf("fallbacks %d > flips %d", w.fallbacks, w.flips)
 	}
 }
 

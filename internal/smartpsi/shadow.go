@@ -24,7 +24,6 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/ml"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/psi"
 )
 
@@ -56,38 +55,53 @@ func (w *workerCounters) shadowSampled(rate float64) bool {
 	return w.rng.Float64() < rate
 }
 
-// auditDecision runs the sampled audits for one candidate whose primary
-// evaluation resolved at recovery-ladder rung 1. dec is the decision
-// that produced the primary run (mode, plan, vote margin), cached marks
-// decisions served by the prediction cache, actualValid is the primary
-// verdict and primary its wall time. Audit evaluation errors propagate
-// (a failing evaluator is a real error even on the audit path), as do
-// invariant violations when deep checking is on.
-func (e *Engine) auditDecision(ev *psi.Evaluator, compiled []*plan.Compiled, tag queryTag,
-	u graph.NodeID, row []float64, dec decision, cached bool, actualValid bool,
-	primary time.Duration, alphaModel, betaModel *ml.Forest,
-	local *workerCounters, tr *obs.QueryTrace, prof *obs.Profile, global time.Time) error {
+// primaryRun is one rung-1 resolution as the audits see it: the
+// candidate and its signature row, the decision that produced the run
+// (mode, plan, vote margin) and whether the prediction cache served it,
+// and the run's verdict and wall time.
+type primaryRun struct {
+	u      graph.NodeID
+	row    []float64
+	dec    decision
+	cached bool
+	valid  bool
+	took   time.Duration
+}
 
+// counterfactual is one finished (or budget-censored) shadow run.
+type counterfactual struct {
+	mode     psi.Mode
+	planIdx  int
+	valid    bool
+	took     time.Duration
+	timedOut bool
+}
+
+// auditDecision runs the sampled audits for one candidate whose primary
+// evaluation resolved at recovery-ladder rung 1. Audit evaluation errors
+// propagate (a failing evaluator is a real error even on the audit
+// path), as do invariant violations when deep checking is on.
+func (e *Engine) auditDecision(w *worker, p primaryRun) error {
 	if invariant.Enabled() {
 		// This call site is structurally rung-1 and non-training; the
 		// check documents (and pins) that contract.
-		if err := invariant.CheckShadowContext(int64(u), 1, false); err != nil {
+		if err := invariant.CheckShadowContext(int64(p.u), 1, false); err != nil {
 			return err
 		}
 	}
-	if cached {
-		if local.shadowSampled(e.opts.ShadowRate) {
-			e.shadowCacheCheck(tag, u, row, dec, len(compiled), actualValid, alphaModel, betaModel, local, prof)
+	if p.cached {
+		if w.shadowSampled(e.opts.ShadowRate) {
+			e.shadowCacheCheck(w, p)
 		}
 	}
-	if local.shadowSampled(e.opts.ShadowRate) {
-		if err := e.shadowModeRun(ev, compiled, tag, u, row, dec, cached, actualValid, primary, local, tr, prof, global); err != nil {
+	if w.shadowSampled(e.opts.ShadowRate) {
+		if err := e.shadowModeRun(w, p); err != nil {
 			return err
 		}
 	}
-	if len(compiled) > 1 {
-		if local.shadowSampled(e.opts.planShadowRate()) {
-			if err := e.shadowPlanRun(ev, compiled, tag, u, row, dec, cached, actualValid, primary, local, tr, prof, global); err != nil {
+	if len(w.art.compiled) > 1 {
+		if w.shadowSampled(e.opts.planShadowRate()) {
+			if err := e.shadowPlanRun(w, p); err != nil {
 				return err
 			}
 		}
@@ -95,39 +109,31 @@ func (e *Engine) auditDecision(ev *psi.Evaluator, compiled []*plan.Compiled, tag
 	return nil
 }
 
-// shadowModeRun audits model α: re-evaluate u with the opposite method
-// on the same plan and score the decision's regret.
-func (e *Engine) shadowModeRun(ev *psi.Evaluator, compiled []*plan.Compiled, tag queryTag,
-	u graph.NodeID, row []float64, dec decision, cached bool, actualValid bool,
-	primary time.Duration, local *workerCounters, tr *obs.QueryTrace, prof *obs.Profile, global time.Time) error {
-
-	opp := dec.mode.Opposite()
-	ok, took, timedOut, err := e.shadowEvaluate(ev, compiled, u, opp, dec.planIdx, primary, local, global)
+// shadowModeRun audits model α: re-evaluate the candidate with the
+// opposite method on the same plan and score the decision's regret.
+func (e *Engine) shadowModeRun(w *worker, p primaryRun) error {
+	cf, err := e.shadowEvaluate(w, p, p.dec.mode.Opposite(), p.dec.planIdx)
 	if err != nil {
 		return err
 	}
-	local.shadowModeRuns++
-	return e.recordShadow(obs.DecisionKindMode, tag, u, row, dec, cached, actualValid,
-		primary, opp, dec.planIdx, ok, took, timedOut, local, tr, prof)
+	w.shadowModeRuns++
+	return e.recordShadow(w, p, obs.DecisionKindMode, cf)
 }
 
-// shadowPlanRun audits model β: re-evaluate u under the same method on
-// a uniformly sampled alternative plan. Caller guarantees ≥ 2 plans.
-func (e *Engine) shadowPlanRun(ev *psi.Evaluator, compiled []*plan.Compiled, tag queryTag,
-	u graph.NodeID, row []float64, dec decision, cached bool, actualValid bool,
-	primary time.Duration, local *workerCounters, tr *obs.QueryTrace, prof *obs.Profile, global time.Time) error {
-
-	alt := local.rng.Intn(len(compiled) - 1)
-	if alt >= dec.planIdx {
+// shadowPlanRun audits model β: re-evaluate the candidate under the same
+// method on a uniformly sampled alternative plan. Caller guarantees ≥ 2
+// plans.
+func (e *Engine) shadowPlanRun(w *worker, p primaryRun) error {
+	alt := w.rng.Intn(len(w.art.compiled) - 1)
+	if alt >= p.dec.planIdx {
 		alt++
 	}
-	ok, took, timedOut, err := e.shadowEvaluate(ev, compiled, u, dec.mode, alt, primary, local, global)
+	cf, err := e.shadowEvaluate(w, p, p.dec.mode, alt)
 	if err != nil {
 		return err
 	}
-	local.shadowPlanRuns++
-	return e.recordShadow(obs.DecisionKindPlan, tag, u, row, dec, cached, actualValid,
-		primary, dec.mode, alt, ok, took, timedOut, local, tr, prof)
+	w.shadowPlanRuns++
+	return e.recordShadow(w, p, obs.DecisionKindPlan, cf)
 }
 
 // shadowEvaluate runs one counterfactual on the worker's shadow state
@@ -135,90 +141,85 @@ func (e *Engine) shadowPlanRun(ev *psi.Evaluator, compiled []*plan.Compiled, tag
 // global deadline). A budget timeout censors the run (timedOut, no
 // error); a global-deadline expiry propagates psi.ErrDeadline — the
 // query is out of budget regardless of the audit.
-func (e *Engine) shadowEvaluate(ev *psi.Evaluator, compiled []*plan.Compiled, u graph.NodeID,
-	mode psi.Mode, planIdx int, primary time.Duration, local *workerCounters,
-	global time.Time) (ok bool, took time.Duration, timedOut bool, err error) {
-
-	budget := shadowBudgetFactor * primary
+func (e *Engine) shadowEvaluate(w *worker, p primaryRun, mode psi.Mode, planIdx int) (counterfactual, error) {
+	cf := counterfactual{mode: mode, planIdx: planIdx}
+	budget := shadowBudgetFactor * p.took
 	if budget < minDeadline {
 		budget = minDeadline
 	}
 	deadline := time.Now().Add(budget)
-	if !global.IsZero() && global.Before(deadline) {
-		deadline = global
+	if !w.global.IsZero() && w.global.Before(deadline) {
+		deadline = w.global
 	}
 	t0 := time.Now()
+	var err error
 	if e.shadowHook != nil {
-		ok, err = e.shadowHook(mode, planIdx)
+		cf.valid, err = e.shadowHook(mode, planIdx)
 	} else {
-		ok, err = ev.Evaluate(local.shadowState, compiled[planIdx], u, mode, psi.Limits{Deadline: deadline})
+		cf.valid, err = w.art.ev.Evaluate(w.shadowState, w.art.compiled[planIdx], p.u, mode, psi.Limits{Deadline: deadline})
 	}
-	took = time.Since(t0)
-	if err == psi.ErrDeadline {
-		if expired(global) {
-			return false, took, false, psi.ErrDeadline
-		}
-		return false, took, true, nil
+	cf.took = time.Since(t0)
+	if err == psi.ErrDeadline && !expired(w.global) {
+		cf.timedOut, err = true, nil
 	}
-	if err != nil {
-		return false, took, false, err
-	}
-	return ok, took, false, nil
+	return cf, err
 }
 
 // recordShadow scores one finished (or censored) counterfactual:
-// verdict agreement, regret accounting, metrics, trace, profile and the
+// verdict agreement, regret accounting, metrics, profile and the
 // decision log.
-func (e *Engine) recordShadow(kind string, tag queryTag, u graph.NodeID, row []float64, dec decision,
-	cached bool, actualValid bool, primary time.Duration, shadowMode psi.Mode, shadowPlan int,
-	shadowOK bool, took time.Duration, timedOut bool,
-	local *workerCounters, tr *obs.QueryTrace, prof *obs.Profile) error {
-
+func (e *Engine) recordShadow(w *worker, p primaryRun, kind string, cf counterfactual) error {
 	enabled := obs.Enabled()
 	regret := time.Duration(0)
-	if timedOut {
-		local.shadowTimeouts++
+	if cf.timedOut {
+		w.shadowTimeouts++
 	} else {
-		if shadowOK != actualValid {
+		if cf.valid != p.valid {
 			// Both runs are exact algorithms for the same decision
 			// problem: disagreement means one evaluator is unsound.
 			if enabled {
 				obs.DefaultModelStats.ObserveShadowMismatch()
 			}
 			if invariant.Enabled() {
-				return invariant.CheckShadowAgreement(kind, int64(u), actualValid, shadowOK)
+				return invariant.CheckShadowAgreement(kind, int64(p.u), p.valid, cf.valid)
 			}
 		}
-		if primary > took {
-			regret = primary - took
+		if p.took > cf.took {
+			regret = p.took - cf.took
 		}
 	}
-	local.regretNanos += regret.Nanoseconds()
-	prof.RecordShadow(kind, regret, timedOut)
+	w.regretNanos += regret.Nanoseconds()
+	w.run.prof.RecordShadow(kind, regret, cf.timedOut)
 	if enabled {
-		obs.DefaultModelStats.ObserveRegret(kind, regret, timedOut)
-		tr.Event(obs.EvShadow, int64(u), regret.Nanoseconds())
+		obs.DefaultModelStats.ObserveRegret(kind, regret, cf.timedOut)
 	}
-	e.opts.DecisionLog.Append(obs.DecisionRecord{
-		Kind:          kind,
-		Query:         tag.name,
-		RequestID:     tag.reqID,
-		Fingerprint:   tag.fingerprint,
-		Node:          int64(u),
-		Features:      row,
-		FromCache:     cached,
-		PredMode:      int(dec.mode),
-		PredPlan:      dec.planIdx,
-		VoteMargin:    dec.margin,
-		ActualValid:   actualValid,
-		ShadowMode:    int(shadowMode),
-		ShadowPlan:    shadowPlan,
-		PrimaryNanos:  primary.Nanoseconds(),
-		ShadowNanos:   took.Nanoseconds(),
-		RegretNanos:   regret.Nanoseconds(),
-		ShadowTimeout: timedOut,
-	})
+	rec := w.decisionRecord(p, kind)
+	rec.ShadowMode = int(cf.mode)
+	rec.ShadowPlan = cf.planIdx
+	rec.PrimaryNanos = p.took.Nanoseconds()
+	rec.ShadowNanos = cf.took.Nanoseconds()
+	rec.RegretNanos = regret.Nanoseconds()
+	rec.ShadowTimeout = cf.timedOut
+	e.opts.DecisionLog.Append(rec)
 	return nil
+}
+
+// decisionRecord fills the part of a decision-log record every audit of
+// one primary run shares: the query's identity and the audited decision.
+func (w *worker) decisionRecord(p primaryRun, kind string) obs.DecisionRecord {
+	return obs.DecisionRecord{
+		Kind:        kind,
+		Query:       w.run.tag.name,
+		RequestID:   w.run.tag.reqID,
+		Fingerprint: w.run.tag.fingerprint,
+		Node:        int64(p.u),
+		Features:    p.row,
+		FromCache:   p.cached,
+		PredMode:    int(p.dec.mode),
+		PredPlan:    p.dec.planIdx,
+		VoteMargin:  p.dec.margin,
+		ActualValid: p.valid,
+	}
 }
 
 // shadowCacheCheck audits the prediction cache on one sampled hit: the
@@ -226,49 +227,21 @@ func (e *Engine) recordShadow(kind string, tag queryTag, u graph.NodeID, row []f
 // signature row. Signature keys can collide, so a hit may serve another
 // row's decision — the stale rate measures how often that matters. No
 // shadow evaluation runs; the audit costs one forest prediction.
-func (e *Engine) shadowCacheCheck(tag queryTag, u graph.NodeID, row []float64, dec decision,
-	nPlans int, actualValid bool, alphaModel, betaModel *ml.Forest,
-	local *workerCounters, prof *obs.Profile) {
-
-	freshMode := psi.Pessimistic
-	margin := 0.0
-	if alphaModel != nil {
-		votes := local.votes(alphaModel.NumClasses())
-		if alphaModel.PredictInto(row, votes) == 1 {
-			freshMode = psi.Optimistic
-		}
-		margin = voteMargin(votes, alphaModel.NumTrees())
-	}
-	freshPlan := 0
-	if betaModel != nil {
-		freshPlan = betaModel.PredictInto(row, local.votes(betaModel.NumClasses()))
-		if freshPlan >= nPlans {
-			freshPlan = 0
-		}
-	}
-	stale := freshMode != dec.mode || freshPlan != dec.planIdx
-	local.cacheChecks++
+func (e *Engine) shadowCacheCheck(w *worker, p primaryRun) {
+	fresh, _ := w.predict(p.row)
+	stale := fresh.mode != p.dec.mode || fresh.planIdx != p.dec.planIdx
+	w.cacheChecks++
 	if stale {
-		local.cacheStale++
+		w.cacheStale++
 	}
-	prof.RecordCacheCheck(stale)
+	w.run.prof.RecordCacheCheck(stale)
 	if obs.Enabled() {
 		obs.DefaultModelStats.ObserveCacheCheck(stale)
 	}
-	e.opts.DecisionLog.Append(obs.DecisionRecord{
-		Kind:        obs.DecisionKindCache,
-		Query:       tag.name,
-		RequestID:   tag.reqID,
-		Fingerprint: tag.fingerprint,
-		Node:        int64(u),
-		Features:    row,
-		FromCache:   true,
-		PredMode:    int(dec.mode),
-		PredPlan:    dec.planIdx,
-		VoteMargin:  margin,
-		ActualValid: actualValid,
-		CacheStale:  stale,
-	})
+	rec := w.decisionRecord(p, obs.DecisionKindCache)
+	rec.VoteMargin = fresh.margin
+	rec.CacheStale = stale
+	e.opts.DecisionLog.Append(rec)
 }
 
 // betaSweep retains one training node's per-plan sweep measurements for

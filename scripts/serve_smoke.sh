@@ -6,7 +6,7 @@
 #      psi-loadgen -verify cross-checks every served binding set
 #      against a model-free PSI evaluation and requires bindings;
 #   2. load shedding under overload — a workers=1/queue=0 server must
-#      answer some of a 16-way burst with 429 (-require-shed) while
+#      answer some of a 1.5s 16-way burst with 429 (-require-shed) while
 #      everything it does accept stays correct;
 #   3. SLO alerting — the healthy pass must finish with no firing
 #      alert (-forbid-alert availability) while the overload pass must
@@ -157,8 +157,12 @@ step "/queryz JSON is well-formed; /profilez pivots by the hot fingerprint"
 "$work/jsoncheck" -url "http://$addr/profilez?fingerprint=$fp&format=json"
 
 step "shed burst (16-way: 429s, a firing availability alert, and an auto-captured bundle required)"
+# Driven by time, not by a request count: on a fast box a fixed burst is
+# over before the 100ms sampler has ticked twice, and the alert, which
+# is computed from sampled rates, cannot fire. 1.5s spans the 1s fast
+# window and some fifteen ticks.
 "$work/psi-loadgen" -addr "$addr" -graph "$work/g.lg" \
-    -concurrency 16 -requests 200 -timeout-ms 5000 \
+    -concurrency 16 -duration 1500ms -timeout-ms 5000 \
     -require-shed -min-bindings 1 \
     -require-alert availability
 
@@ -243,8 +247,9 @@ step "fleet shard loss: SIGKILL shard 1 -> flagged partials, firing availability
 kill -KILL "${shard_pids[1]}"
 wait "${shard_pids[1]}" 2>/dev/null || true
 shard_pids[1]=""
+# Time-driven for the same reason as the shed burst above.
 "$work/psi-loadgen" -addr "$addr" -graph "$work/g.lg" \
-    -concurrency 4 -requests 60 -timeout-ms 5000 \
+    -concurrency 4 -duration 1500ms -timeout-ms 5000 \
     -require-partial -require-alert availability
 
 step "fleet drain (coordinator, then the surviving shard)"
