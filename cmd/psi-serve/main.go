@@ -21,9 +21,9 @@
 //	psi-serve -coordinator -shard-addrs host0:8080,host1:8080
 //
 // A shard node loads the same graph file as its peers, derives the
-// deterministic ownership partition, and serves only its slice's owned
-// bindings (on global node ids). The coordinator holds no graph at
-// all: it scatters each query to every shard node over the normal wire
+// deterministic ownership partition, and evaluates only the pivot
+// candidates it owns, on the whole graph. The coordinator holds no graph
+// at all: it scatters each query to every shard node over the normal wire
 // format and merges the answers, flagging partial results when a shard
 // is lost.
 //
@@ -94,8 +94,6 @@ func main() {
 
 		shards       = flag.Int("shards", 0, "run an in-process scatter-gather cluster of N shards (0: single engine)")
 		partitioner  = flag.String("partitioner", "label-hash", "shard ownership partitioner: label-hash or degree")
-		halo         = flag.Int("halo", 0, "shard boundary-halo replication depth in hops (0: query-radius + signature depth)")
-		queryRadius  = flag.Int("query-radius", 0, "max pivot eccentricity accepted by sharded serving (0: default 3)")
 		shardWorkers = flag.Int("shard-workers", 0, "per-shard evaluation workers in -shards mode (0: match -workers)")
 		shardOf      = flag.Int("shard-of", 0, "serve as one node of an N-shard fleet (requires -shard-index)")
 		shardIndex   = flag.Int("shard-index", -1, "this node's shard index in [0, shard-of)")
@@ -129,8 +127,7 @@ func main() {
 		maxBatch: *maxBatch, maxQueryNodes: *maxQueryNodes,
 		retryAfter: *retryAfter, drainTimeout: *drainTimeout,
 		threads: *threads, seed: *seed, shadowRate: *shadowRate,
-		shards: *shards, partitioner: *partitioner, halo: *halo,
-		queryRadius: *queryRadius, shardWorkers: *shardWorkers,
+		shards: *shards, partitioner: *partitioner, shardWorkers: *shardWorkers,
 		shardOf: *shardOf, shardIndex: *shardIndex,
 		coordinator: *coordinator, shardAddrs: *shardAddrs, shardProbe: *shardProbe,
 		sampleInterval: *sampleInterval, seriesSamples: *seriesSamples,
@@ -165,8 +162,6 @@ type config struct {
 
 	shards       int    // >0: in-process scatter-gather cluster
 	partitioner  string // label-hash | degree
-	halo         int    // 0: auto (query radius + signature depth)
-	queryRadius  int    // 0: shard.DefaultQueryRadius
 	shardWorkers int    // 0: match the server worker count
 	shardOf      int    // >0: fleet shard node of N
 	shardIndex   int    // this node's index in [0, shardOf)
@@ -268,7 +263,6 @@ func buildEvaluator(cfg config, g *graph.Graph, decisions *obs.DecisionLog, logg
 		addrs := strings.Split(cfg.shardAddrs, ",")
 		coord, err := server.NewCoordinator(server.CoordinatorConfig{
 			Addrs:         addrs,
-			QueryRadius:   cfg.queryRadius,
 			ProbeInterval: cfg.shardProbe,
 		})
 		if err != nil {
@@ -287,12 +281,10 @@ func buildEvaluator(cfg config, g *graph.Graph, decisions *obs.DecisionLog, logg
 			pool = runtime.GOMAXPROCS(0)
 		}
 		cluster, err := shard.NewCluster(g, shard.Options{
-			Shards:      cfg.shards,
-			Strategy:    strat,
-			Halo:        cfg.halo,
-			QueryRadius: cfg.queryRadius,
-			Workers:     pool,
-			Engine:      engOpts,
+			Shards:   cfg.shards,
+			Strategy: strat,
+			Workers:  pool,
+			Engine:   engOpts,
 		})
 		if err != nil {
 			return nil, err
@@ -300,31 +292,22 @@ func buildEvaluator(cfg config, g *graph.Graph, decisions *obs.DecisionLog, logg
 		logger.Info("graph loaded",
 			"nodes", g.NumNodes(), "edges", g.NumEdges(), "labels", g.NumLabels())
 		for _, st := range cluster.ShardStatuses() {
-			logger.Info("shard warm", "shard", st.Index,
-				"owned_nodes", st.OwnedNodes, "halo_nodes", st.HaloNodes)
+			logger.Info("shard warm", "shard", st.Index, "owned_nodes", st.OwnedNodes)
 		}
 		logger.Info("cluster armed", "shards", cfg.shards,
 			"partitioner", strat.String(), "workers_per_shard", pool)
 		return cluster, nil
 
 	case cfg.shardOf > 0:
-		node, err := shard.NewNode(g, shard.Options{
-			Strategy:    strat,
-			Halo:        cfg.halo,
-			QueryRadius: cfg.queryRadius,
-			Engine:      engOpts,
-		}, cfg.shardOf, cfg.shardIndex)
+		node, err := shard.NewNode(g, shard.Options{Strategy: strat, Engine: engOpts}, cfg.shardOf, cfg.shardIndex)
 		if err != nil {
 			return nil, err
 		}
-		s := node.Slice()
 		logger.Info("graph loaded",
 			"nodes", g.NumNodes(), "edges", g.NumEdges(), "labels", g.NumLabels())
 		logger.Info("shard node armed",
 			"shard", cfg.shardIndex, "of", cfg.shardOf,
-			"partitioner", strat.String(), "halo", s.Halo,
-			"owned_nodes", s.OwnedCount, "halo_nodes", s.HaloCount,
-			"slice_nodes", s.Sub.NumNodes(), "slice_edges", s.Sub.NumEdges())
+			"partitioner", strat.String(), "owned_nodes", node.ShardStatuses()[0].OwnedNodes)
 		return node, nil
 	}
 

@@ -18,7 +18,6 @@ type Builder struct {
 	nodeTable  *LabelTable
 	edgeTable  *LabelTable
 	seen       map[edgeKey]struct{}
-	minLabels  int   // minimum label-alphabet width for the built graph
 	err        error // first deferred construction error
 }
 
@@ -45,16 +44,6 @@ func NewBuilder(nodeHint, edgeHint int) *Builder {
 // SetLabelTables attaches name tables carried through to the built Graph.
 func (b *Builder) SetLabelTables(node, edge *LabelTable) {
 	b.nodeTable, b.edgeTable = node, edge
-}
-
-// ReserveLabels guarantees the built graph reports at least k labels even
-// when no node carries the highest ones. Subgraph slices use it to keep
-// the parent graph's label-alphabet width, so NS signatures computed on a
-// slice stay component-aligned with full-graph signatures.
-func (b *Builder) ReserveLabels(k int) {
-	if k > b.minLabels {
-		b.minLabels = k
-	}
 }
 
 // AddNode appends a node with the given label and returns its id.
@@ -193,7 +182,7 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 
 	// Label statistics and per-label node index.
-	maxLabel := Label(b.minLabels) - 1
+	maxLabel := Label(-1)
 	for _, l := range b.labels {
 		if l > maxLabel {
 			maxLabel = l

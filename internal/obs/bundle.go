@@ -414,6 +414,28 @@ func (b *Bundler) manifest(now time.Time, reason, objective string, payloads []b
 
 // payloads snapshots every wired data source into archive members.
 func (b *Bundler) payloads() ([]bundlePayload, error) {
+	// The three per-request rings are read back to back, ahead of the
+	// dumps that take milliseconds: on a busy server a tail read after the
+	// heap profile has moved past every request the profiles name, and the
+	// bundle correlates nothing.
+	var profs BundleProfiles
+	if b.cfg.Recorder != nil {
+		for _, p := range b.cfg.Recorder.Slowest() {
+			profs.Slowest = append(profs.Slowest, p.Snapshot())
+		}
+		for _, p := range b.cfg.Recorder.Recent() {
+			profs.Recent = append(profs.Recent, p.Snapshot())
+		}
+	}
+	var decisions []DecisionRecord
+	if b.cfg.Decisions != nil {
+		decisions = b.cfg.Decisions.Tail()
+	}
+	var access []AccessEntry
+	if b.cfg.Access != nil {
+		access = b.cfg.Access.Entries()
+	}
+
 	var out []bundlePayload
 	add := func(name string, v any) error {
 		data, err := json.MarshalIndent(v, "", "  ")
@@ -437,13 +459,6 @@ func (b *Bundler) payloads() ([]bundlePayload, error) {
 		}
 	}
 	if b.cfg.Recorder != nil {
-		var profs BundleProfiles
-		for _, p := range b.cfg.Recorder.Slowest() {
-			profs.Slowest = append(profs.Slowest, p.Snapshot())
-		}
-		for _, p := range b.cfg.Recorder.Recent() {
-			profs.Recent = append(profs.Recent, p.Snapshot())
-		}
 		if err := add(ProfilesEntry, profs); err != nil {
 			return nil, err
 		}
@@ -456,14 +471,14 @@ func (b *Bundler) payloads() ([]bundlePayload, error) {
 		out = append(out, bundlePayload{HeapEntry, heap})
 	}
 	if b.cfg.Decisions != nil {
-		data, err := marshalJSONL(b.cfg.Decisions.Tail())
+		data, err := marshalJSONL(decisions)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, bundlePayload{DecisionsEntry, data})
 	}
 	if b.cfg.Access != nil {
-		data, err := marshalJSONL(b.cfg.Access.Entries())
+		data, err := marshalJSONL(access)
 		if err != nil {
 			return nil, err
 		}

@@ -74,8 +74,6 @@ func TestServeRouteParity(t *testing.T) {
 			status: http.StatusGatewayTimeout, errText: "query deadline exceeded", counter: "server_deadline_hits_total", outcome: obs.WorkloadOutcomeDeadline},
 		{name: "panic", eval: func() (*shard.Gather, error) { panic("scripted") },
 			status: http.StatusInternalServerError, errText: "internal error", counter: "server_panics_total", outcome: obs.WorkloadOutcomeError},
-		{name: "radius", eval: fails(&shard.RadiusError{Eccentricity: 5, Radius: 3}),
-			status: http.StatusBadRequest, errText: "eccentricity 5", counter: "server_bad_requests_total", outcome: obs.WorkloadOutcomeError},
 		{name: "generic-error", eval: fails(errors.New("boom")),
 			status: http.StatusInternalServerError, errText: "evaluation failed: boom", outcome: obs.WorkloadOutcomeError},
 		{name: "partial-gather", eval: func() (*shard.Gather, error) {

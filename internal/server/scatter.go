@@ -26,15 +26,21 @@ import (
 // extension, so responses carry the partial flag and per-shard
 // outcomes, and a background prober feeds per-shard health into
 // /readyz. The address list's order is the shard-index order: addrs[i]
-// must be the node started with -shard-index i.
+// must be the node started with -shard-of len(addrs) -shard-index i, and
+// the prober checks that it says so.
 type Coordinator struct {
 	addrs   []string
 	client  *http.Client
-	radius  int
 	metrics []*obs.PerShard
 
 	mu     sync.Mutex
 	health []shard.Status
+	// misplaced[i] is why shard i's answers are not merged: its last
+	// /readyz row named another shard identity than position i of
+	// len(addrs). Ownership is all that tells nodes apart, so a node in
+	// the wrong place answers for the wrong candidates. "" when the row
+	// agreed or no row has been read.
+	misplaced []string
 
 	probeEvery time.Duration
 	stop       chan struct{}
@@ -46,10 +52,6 @@ type CoordinatorConfig struct {
 	// Addrs are the shard node base addresses in shard-index order
 	// (host:port or full http:// URLs).
 	Addrs []string
-	// QueryRadius must match the fleet's -query-radius (default
-	// shard.DefaultQueryRadius); the coordinator rejects deeper queries
-	// up front, exactly as the nodes themselves would.
-	QueryRadius int
 	// ProbeInterval is the /readyz health-probe period. Default 2s.
 	ProbeInterval time.Duration
 	// Client overrides the HTTP client (tests). Default: a plain client;
@@ -65,16 +67,12 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		client:     cfg.Client,
-		radius:     cfg.QueryRadius,
 		probeEvery: cfg.ProbeInterval,
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
 	if c.client == nil {
 		c.client = &http.Client{}
-	}
-	if c.radius <= 0 {
-		c.radius = shard.DefaultQueryRadius
 	}
 	if c.probeEvery <= 0 {
 		c.probeEvery = 2 * time.Second
@@ -91,8 +89,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		c.metrics = append(c.metrics, obs.ShardMetrics(i))
 	}
 	c.health = make([]shard.Status, len(c.addrs))
+	c.misplaced = make([]string, len(c.addrs))
 	for i := range c.health {
-		c.health[i] = shard.Status{Index: i, Addr: c.addrs[i], Err: "not probed yet"}
+		c.health[i] = shard.Status{Index: i, Of: len(c.addrs), Addr: c.addrs[i], Err: "not probed yet"}
 	}
 	obs.ShardCount.Set(int64(len(c.addrs)))
 	//lint:ignore gojoin probeLoop closes c.done on exit and Close blocks on it; the join is cross-function
@@ -142,9 +141,9 @@ func (c *Coordinator) probeAll() {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st := c.probeOne(i)
+			st, misplaced := c.probeOne(i)
 			c.mu.Lock()
-			c.health[i] = st
+			c.health[i], c.misplaced[i] = st, misplaced
 			c.mu.Unlock()
 		}(i)
 	}
@@ -152,34 +151,43 @@ func (c *Coordinator) probeAll() {
 }
 
 // probeOne fetches one shard's /readyz. A ready shard node reports its
-// own slice row (owned/halo node counts), which the coordinator adopts.
-func (c *Coordinator) probeOne(i int) shard.Status {
-	st := shard.Status{Index: i, Addr: c.addrs[i]}
+// own row: the coordinator adopts the node counts and checks the shard
+// identity against the node's place in the address list. A row that
+// disagrees makes the shard unhealthy, with the disagreement returned as
+// misplaced too.
+func (c *Coordinator) probeOne(i int) (st shard.Status, misplaced string) {
+	st = shard.Status{Index: i, Of: len(c.addrs), Addr: c.addrs[i]}
 	req, err := http.NewRequest(http.MethodGet, c.addrs[i]+"/readyz", nil)
 	if err != nil {
 		st.Err = err.Error()
-		return st
+		return st, ""
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
 		st.Err = err.Error()
-		return st
+		return st, ""
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	if resp.StatusCode != http.StatusOK {
 		st.Err = fmt.Sprintf("readyz status %d", resp.StatusCode)
-		return st
+		return st, ""
 	}
 	var ready struct {
 		Shards []shard.Status `json:"shards"`
 	}
-	if err := json.Unmarshal(body, &ready); err == nil && len(ready.Shards) == 1 {
-		st.OwnedNodes = ready.Shards[0].OwnedNodes
-		st.HaloNodes = ready.Shards[0].HaloNodes
+	if err := json.Unmarshal(body, &ready); err != nil || len(ready.Shards) != 1 {
+		st.Err = fmt.Sprintf("not a shard node: /readyz carries %d shard rows, want 1", len(ready.Shards))
+		return st, st.Err
 	}
+	row := ready.Shards[0]
+	if row.Index != i || row.Of != len(c.addrs) {
+		st.Err = fmt.Sprintf("node says it is shard %d of %d, -shard-addrs places it as shard %d of %d", row.Index, row.Of, i, len(c.addrs))
+		return st, st.Err
+	}
+	st.OwnedNodes, st.HaloNodes = row.OwnedNodes, row.HaloNodes
 	st.Healthy = true
-	return st
+	return st, ""
 }
 
 // EvaluateBudget satisfies the plain Evaluator interface.
@@ -195,9 +203,6 @@ func (c *Coordinator) EvaluateBudget(q graph.Query, deadline time.Time) (*smartp
 // merges the answers under the shared shard.Merge degradation
 // semantics.
 func (c *Coordinator) EvaluateScatter(q graph.Query, deadline time.Time, requestID, fingerprint string) (*shard.Gather, error) {
-	if err := shard.CheckRadius(q, c.radius); err != nil {
-		return nil, err
-	}
 	start := time.Now()
 	obs.ShardScatters.Inc()
 	shardDeadline := shard.SliceDeadline(deadline)
@@ -233,9 +238,15 @@ func (c *Coordinator) EvaluateScatter(q graph.Query, deadline time.Time, request
 
 // callShard runs one sub-query against shard i and classifies the
 // outcome: 200 -> answered, 504 -> timed out, anything else (transport
-// errors included) -> errored.
+// errors included) -> errored. A misplaced shard is not asked.
 func (c *Coordinator) callShard(i int, qj QueryJSON, deadline time.Time, requestID string) (*smartpsi.Result, shard.Outcome) {
 	var o shard.Outcome
+	c.mu.Lock()
+	o.Err = c.misplaced[i]
+	c.mu.Unlock()
+	if o.Err != "" {
+		return nil, o
+	}
 	body := PSIRequest{Query: &qj}
 	if !deadline.IsZero() {
 		ms := time.Until(deadline).Milliseconds()

@@ -2,10 +2,10 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -102,25 +102,26 @@ func TestServerReadyzShardHealth(t *testing.T) {
 	}
 }
 
-// A query too deep for the shard halo is a 400, not a silent subset.
-func TestServerRadiusRejected(t *testing.T) {
-	fake := &fakeScatterEval{err: &shard.RadiusError{Eccentricity: 5, Radius: 3}}
-	_, ts := newTestServer(t, fake, Config{})
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/psi", PSIRequest{Query: triangleQuery()})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-}
-
 // startFleet boots n shard-node servers over g and a coordinator server
 // scattering to them, returning the coordinator's base URL and the
 // per-node test servers.
 func startFleet(t *testing.T, g *graph.Graph, n int, cfg Config) (*httptest.Server, []*httptest.Server, *Coordinator) {
 	t.Helper()
-	nodes := make([]*httptest.Server, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		node, err := shard.NewNode(g, shard.Options{Strategy: shard.LabelHash, Engine: smartpsi.Options{Threads: 1}}, n, i)
+	ids := make([][2]int, n)
+	for i := range ids {
+		ids[i] = [2]int{n, i}
+	}
+	return startFleetOf(t, g, ids, cfg)
+}
+
+// startFleetOf is startFleet with each node's identity spelled out:
+// ids[i] = {shard count, shard index} of the node at address position i.
+func startFleetOf(t *testing.T, g *graph.Graph, ids [][2]int, cfg Config) (*httptest.Server, []*httptest.Server, *Coordinator) {
+	t.Helper()
+	nodes := make([]*httptest.Server, len(ids))
+	addrs := make([]string, len(ids))
+	for i, id := range ids {
+		node, err := shard.NewNode(g, shard.Options{Strategy: shard.LabelHash, Engine: smartpsi.Options{Threads: 1}}, id[0], id[1])
 		if err != nil {
 			t.Fatalf("NewNode(%d): %v", i, err)
 		}
@@ -210,6 +211,56 @@ func TestCoordinatorFleet(t *testing.T) {
 	})
 }
 
+// A node whose /readyz identity disagrees with its place in the address
+// list owns other candidates than the coordinator assumes: its answers
+// must not be merged, so the query is flagged partial or fails — never a
+// clean 200 with bindings silently missing.
+func TestCoordinatorMisplacedShard(t *testing.T) {
+	g := graphtest.Random(120, 360, 4, 51)
+	qs, err := workload.ExtractQueries(g, 4, 2, rand.New(rand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		ids        [][2]int
+		misplaced  []bool
+		wantStatus int
+	}{
+		{"same index twice", [][2]int{{2, 0}, {2, 0}}, []bool{false, true}, http.StatusOK},
+		{"two nodes of a three-shard fleet", [][2]int{{3, 0}, {3, 1}}, []bool{true, true}, http.StatusInternalServerError},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, _, coord := startFleetOf(t, g, tc.ids, Config{})
+			waitUntil(t, "prober to refuse the misplaced shards", func() bool {
+				for i, st := range coord.ShardStatuses() {
+					if st.Healthy == tc.misplaced[i] || (tc.misplaced[i] && !strings.Contains(st.Err, "-shard-addrs places it")) {
+						return false
+					}
+				}
+				return true
+			})
+			for i, q := range qs {
+				resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/psi",
+					PSIRequest{Query: ptrQueryJSON(QueryToJSON(q)), TimeoutMS: 10000})
+				if resp.StatusCode != tc.wantStatus {
+					t.Fatalf("query %d: status %d, want %d: %s", i, resp.StatusCode, tc.wantStatus, body)
+				}
+				if resp.StatusCode != http.StatusOK {
+					continue
+				}
+				var qr QueryResult
+				if err := json.Unmarshal(body, &qr); err != nil {
+					t.Fatal(err)
+				}
+				if !qr.Partial || qr.Shards[1].Error == "" || qr.Shards[0].Error != "" {
+					t.Fatalf("query %d: misplaced shard's answer was merged: %s", i, body)
+				}
+			}
+		})
+	}
+}
+
 // All shards lost is a hard error on the wire, not an empty 200.
 func TestCoordinatorAllShardsDown(t *testing.T) {
 	g := graphtest.Random(60, 150, 3, 57)
@@ -233,25 +284,6 @@ func TestCoordinatorConfigValidation(t *testing.T) {
 	}
 	if _, err := NewCoordinator(CoordinatorConfig{Addrs: []string{"127.0.0.1:1", " "}}); err == nil {
 		t.Fatal("blank shard address accepted")
-	}
-	var re *shard.RadiusError
-	c, err := NewCoordinator(CoordinatorConfig{Addrs: []string{"127.0.0.1:1"}, ProbeInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// A deep query is rejected before any network call.
-	b := graph.NewBuilder(6, 5)
-	for i := 0; i < 6; i++ {
-		b.AddNode(0)
-	}
-	for i := 0; i < 5; i++ {
-		if err := b.AddEdge(graph.NodeID(i), graph.NodeID(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := c.EvaluateScatter(graph.Query{G: b.MustBuild(), Pivot: 0}, time.Time{}, "", ""); !errors.As(err, &re) {
-		t.Fatalf("deep query: %v", err)
 	}
 }
 

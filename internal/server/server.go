@@ -598,7 +598,6 @@ type verdict struct {
 // covering admission and evaluation failures alike (err == nil is the
 // 200).
 func classify(err error) verdict {
-	var re *shard.RadiusError
 	switch {
 	case err == nil:
 		return verdict{status: http.StatusOK, outcome: obs.WorkloadOutcomeOK}
@@ -610,10 +609,6 @@ func classify(err error) verdict {
 	case errors.Is(err, context.Canceled):
 		// Client disconnected while queued; nobody is listening.
 		return verdict{status: http.StatusGatewayTimeout, msg: "request cancelled"}
-	case errors.As(err, &re):
-		// Sharded serving cannot answer a query deeper than its halo
-		// supports; that is a property of the query, so a client error.
-		return verdict{http.StatusBadRequest, re.Error(), obs.WorkloadOutcomeError, obs.ServerBadRequests}
 	case errors.Is(err, psi.ErrDeadline):
 		// The executor has already stopped: EvaluateBudget aborts the
 		// search itself.

@@ -10,56 +10,22 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/psi"
-	"repro/internal/signature"
 	"repro/internal/smartpsi"
 )
-
-// DefaultQueryRadius bounds the pivot eccentricity of accepted queries.
-// Every match node lies within the pivot's query-graph eccentricity of
-// the pivot binding, so a radius-r query is answered exactly by slices
-// with halo depth r + signature depth. Radius 3 covers every query the
-// serving defaults admit (MaxQueryNodes 32 caps paths well above it in
-// practice; the workload extractor emits 3-5 node queries).
-const DefaultQueryRadius = 3
 
 // Options configures an in-process Cluster or a fleet Node.
 type Options struct {
 	Shards   int      // shard count N (Cluster; a Node takes it from -shard-of)
 	Strategy Strategy // ownership partitioner
-	// Halo is the replication depth in hops. 0 means automatic:
-	// QueryRadius + the engine's signature depth, the exactness bound
-	// argued in ARCHITECTURE.md.
-	Halo int
-	// QueryRadius is the largest pivot eccentricity accepted (0 means
-	// DefaultQueryRadius). Queries beyond it are rejected with a
-	// RadiusError instead of silently returning too few bindings.
-	QueryRadius int
 	// Workers is the evaluation worker-pool size per shard (0 means 1).
 	Workers int
-	Engine  smartpsi.Options // per-shard engine configuration
+	Engine  smartpsi.Options // engine configuration
 }
 
-func (o Options) queryRadius() int {
-	if o.QueryRadius <= 0 {
-		return DefaultQueryRadius
-	}
-	return o.QueryRadius
-}
-
-func (o Options) haloDepth() int {
-	if o.Halo > 0 {
-		return o.Halo
-	}
-	depth := o.Engine.SignatureDepth
-	if depth <= 0 {
-		depth = signature.DefaultDepth
-	}
-	return o.queryRadius() + depth
-}
-
-// RadiusError reports a query whose pivot eccentricity exceeds the
-// configured shard query radius; sharded serving cannot answer it
-// exactly, so it is rejected up front as a client error.
+// RadiusError used to reject a query whose pivot was deeper than the
+// halo a graph slice carried. Shards hold the whole graph now and nothing
+// returns it; the type is still declared because the frozen benchmark/
+// module matches on it.
 type RadiusError struct {
 	Eccentricity int
 	Radius       int
@@ -96,9 +62,14 @@ type Gather struct {
 	Outcomes []Outcome
 }
 
-// Status is one shard's health row in /readyz.
+// Status is one shard's health row in /readyz. Index and Of are the
+// shard's identity (index i of Of shards). HaloNodes counts the nodes
+// resident on the shard that it does not own: 0 for in-process shards,
+// which share one copy of the graph, and every other node for a fleet
+// node, which holds the whole graph.
 type Status struct {
 	Index      int    `json:"index"`
+	Of         int    `json:"of,omitempty"`
 	Addr       string `json:"addr,omitempty"`
 	Healthy    bool   `json:"healthy"`
 	OwnedNodes int    `json:"owned_nodes,omitempty"`
@@ -106,8 +77,8 @@ type Status struct {
 	Err        string `json:"error,omitempty"`
 }
 
-// evaluator is the slice-local evaluation seam; *smartpsi.Engine
-// implements it, and tests substitute failing or slow fakes.
+// evaluator is the per-shard evaluation seam; *Node implements it, and
+// tests substitute failing or slow fakes.
 type evaluator interface {
 	EvaluateTagged(q graph.Query, deadline time.Time, requestID, fingerprint string) (*smartpsi.Result, error)
 }
@@ -122,15 +93,15 @@ type task struct {
 
 type reply struct {
 	shard   int
-	res     *smartpsi.Result // owned bindings already global
+	res     *smartpsi.Result
 	elapsed time.Duration
 	err     error
 }
 
-// shardWorker is one shard's slice, engine and evaluation pool.
+// shardWorker is one shard and its evaluation pool.
 type shardWorker struct {
-	slice   *Slice
-	eval    evaluator
+	node    *Node
+	eval    evaluator // node, unless a test swapped it
 	tasks   chan *task
 	metrics *obs.PerShard
 }
@@ -139,10 +110,7 @@ func (w *shardWorker) run() {
 	for t := range w.tasks {
 		start := time.Now()
 		res, err := w.eval.EvaluateTagged(t.q, t.deadline, t.requestID, t.fingerprint)
-		if err == nil {
-			res.Bindings = w.slice.filterOwned(res.Bindings)
-		}
-		t.out <- reply{shard: w.slice.Index, res: res, elapsed: time.Since(start), err: err}
+		t.out <- reply{shard: w.node.index, res: res, elapsed: time.Since(start), err: err}
 	}
 }
 
@@ -153,37 +121,28 @@ func (w *shardWorker) run() {
 // fails.
 type Cluster struct {
 	g       *graph.Graph
-	opts    Options
 	plan    Plan
 	workers []*shardWorker
 }
 
-// NewCluster partitions g, extracts every slice, and warms one engine
-// per shard.
+// NewCluster partitions g and warms one engine, which every shard runs
+// its owned candidates on: one signature table and one prepared-query
+// cache whatever the shard count.
 func NewCluster(g *graph.Graph, opts Options) (*Cluster, error) {
-	if opts.Shards < 1 {
-		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", opts.Shards)
-	}
 	plan, err := Partition(g, opts.Shards, opts.Strategy)
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{g: g, opts: opts, plan: plan}
-	halo := opts.haloDepth()
+	eng, err := smartpsi.NewEngine(g, opts.Engine)
+	if err != nil {
+		return nil, err
+	}
+	c := &Cluster{g: g, plan: plan}
 	for i := 0; i < opts.Shards; i++ {
-		sl, err := ExtractSlice(g, plan, i, halo)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		eng, err := smartpsi.NewEngine(sl.Sub, opts.Engine)
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
+		node := newNode(eng, plan, i)
 		w := &shardWorker{
-			slice:   sl,
-			eval:    eng,
+			node:    node,
+			eval:    node,
 			tasks:   make(chan *task, 64),
 			metrics: obs.ShardMetrics(i),
 		}
@@ -221,12 +180,7 @@ func (c *Cluster) Plan() Plan { return c.plan }
 func (c *Cluster) ShardStatuses() []Status {
 	out := make([]Status, len(c.workers))
 	for i, w := range c.workers {
-		out[i] = Status{
-			Index:      i,
-			Healthy:    true,
-			OwnedNodes: w.slice.OwnedCount,
-			HaloNodes:  w.slice.HaloCount,
-		}
+		out[i] = Status{Index: i, Of: len(c.workers), Healthy: true, OwnedNodes: w.node.owned}
 	}
 	return out
 }
@@ -243,9 +197,6 @@ func (c *Cluster) EvaluateBudget(q graph.Query, deadline time.Time) (*smartpsi.R
 // EvaluateScatter fans the query out to every shard and gathers the
 // owned bindings.
 func (c *Cluster) EvaluateScatter(q graph.Query, deadline time.Time, requestID, fingerprint string) (*Gather, error) {
-	if err := CheckRadius(q, c.opts.queryRadius()); err != nil {
-		return nil, err
-	}
 	start := time.Now()
 	obs.ShardScatters.Inc()
 	shardDeadline := SliceDeadline(deadline)
@@ -294,7 +245,7 @@ func (w *shardWorker) dispatch(q graph.Query, shardDeadline, deadline time.Time,
 	//lint:ignore sendclosed Close runs only after the server has drained, so no dispatch can race the channel close
 	case w.tasks <- t:
 	case <-submit:
-		return reply{shard: w.slice.Index, err: ErrBusy}
+		return reply{shard: w.node.index, err: ErrBusy}
 	}
 	// The engine respects the deadline itself; the grace period only
 	// guards against a wedged evaluation, and the buffered reply channel
@@ -304,7 +255,7 @@ func (w *shardWorker) dispatch(q graph.Query, shardDeadline, deadline time.Time,
 	case r := <-t.out:
 		return r
 	case <-wait:
-		return reply{shard: w.slice.Index, err: psi.ErrDeadline}
+		return reply{shard: w.node.index, err: psi.ErrDeadline}
 	}
 }
 
@@ -342,15 +293,6 @@ func SliceDeadline(deadline time.Time) time.Time {
 		return deadline
 	}
 	return deadline.Add(-margin)
-}
-
-// CheckRadius rejects queries whose pivot eccentricity exceeds radius.
-func CheckRadius(q graph.Query, radius int) error {
-	ecc := graph.Eccentricity(q.G, q.Pivot)
-	if ecc > radius {
-		return &RadiusError{Eccentricity: ecc, Radius: radius}
-	}
-	return nil
 }
 
 // isDeadline classifies an error as a deadline expiry.

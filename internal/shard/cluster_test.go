@@ -34,9 +34,30 @@ func bindingsEqual(a, b []graph.NodeID) bool {
 	return true
 }
 
+// deepQueries are the queries halo slicing used to refuse: a 6-node path
+// pivoted at one end (pivot eccentricity 5) and size-7 extractions.
+func deepQueries(t *testing.T, g *graph.Graph, seed int64) []graph.Query {
+	t.Helper()
+	b := graph.NewBuilder(6, 5)
+	for i := 0; i < 6; i++ {
+		b.AddNode(g.Label(graph.NodeID(i % 2)))
+	}
+	for i := 0; i < 5; i++ {
+		if err := b.AddEdge(graph.NodeID(i), graph.NodeID(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qs, err := workload.ExtractQueries(g, 7, 3, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatalf("ExtractQueries: %v", err)
+	}
+	return append(qs, graph.Query{G: b.MustBuild(), Pivot: 0})
+}
+
 // The acceptance gate: scattering over any partitioner and shard count
 // must return exactly the single-engine binding set, with no partial
-// flag and no cross-shard duplicate bindings.
+// flag and no cross-shard duplicate bindings, having evaluated every
+// candidate exactly once — deep pivots included.
 func TestClusterEquivalence(t *testing.T) {
 	engOpts := smartpsi.Options{Threads: 1, Seed: 42}
 	for _, seed := range []int64{3, 17} {
@@ -45,14 +66,15 @@ func TestClusterEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qs := testQueries(t, g, 6, seed+100)
+		qs := append(testQueries(t, g, 6, seed+100), deepQueries(t, g, seed+200)...)
 		want := make([][]graph.NodeID, len(qs))
+		candidates := make([]int, len(qs))
 		for i, q := range qs {
 			res, err := single.EvaluateBudget(q, time.Time{})
 			if err != nil {
 				t.Fatalf("single engine: %v", err)
 			}
-			want[i] = res.Bindings
+			want[i], candidates[i] = res.Bindings, res.Candidates
 		}
 		for _, strat := range strategies {
 			for _, n := range shardCounts {
@@ -75,10 +97,61 @@ func TestClusterEquivalence(t *testing.T) {
 						t.Fatalf("seed %d %v/%d query %d: sharded bindings %v, single engine %v",
 							seed, strat, n, i, gth.Res.Bindings, want[i])
 					}
+					if gth.Res.Candidates != candidates[i] {
+						t.Fatalf("seed %d %v/%d query %d: scatter evaluated %d candidates, single engine %d",
+							seed, strat, n, i, gth.Res.Candidates, candidates[i])
+					}
+					perShard := 0
+					for _, w := range c.workers {
+						res, err := w.eval.EvaluateTagged(q, time.Time{}, "", "")
+						if err != nil {
+							t.Fatal(err)
+						}
+						perShard += res.Candidates
+					}
+					if perShard != candidates[i] {
+						t.Fatalf("seed %d %v/%d query %d: per-shard candidates sum to %d, want %d",
+							seed, strat, n, i, perShard, candidates[i])
+					}
 				}
 				c.Close()
 			}
 		}
+	}
+}
+
+// A shard count above the node count leaves shards that own nothing;
+// they answer with no candidates and the gather is still exact.
+func TestClusterEmptyShards(t *testing.T) {
+	b := graph.NewBuilder(3, 2)
+	for i := 0; i < 3; i++ {
+		b.AddNode(graph.Label(i % 2))
+	}
+	for i := 0; i < 2; i++ {
+		if err := b.AddEdge(graph.NodeID(i), graph.NodeID(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := b.MustBuild()
+	c, err := NewCluster(g, Options{Shards: 8, Strategy: LabelHash, Engine: smartpsi.Options{Threads: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	owned := 0
+	for _, st := range c.ShardStatuses() {
+		owned += st.OwnedNodes
+	}
+	if owned != 3 {
+		t.Fatalf("8 shards own %d of 3 nodes", owned)
+	}
+	// The graph is its own query: pivot 0 (label 0) binds both end nodes.
+	gth, err := c.EvaluateScatter(graph.Query{G: g, Pivot: 0}, time.Time{}, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gth.Partial || !bindingsEqual(gth.Res.Bindings, []graph.NodeID{0, 2}) || gth.Res.Candidates != 2 {
+		t.Fatalf("partial=%v bindings=%v candidates=%d, want [0 2] of 2", gth.Partial, gth.Res.Bindings, gth.Res.Candidates)
 	}
 }
 
@@ -105,11 +178,13 @@ func TestNodeEquivalence(t *testing.T) {
 		}
 		seen := make(map[graph.NodeID]int)
 		var union []graph.NodeID
+		candidates := 0
 		for i, node := range nodes {
 			res, err := node.EvaluateTagged(q, time.Time{}, "", "")
 			if err != nil {
 				t.Fatalf("node %d: %v", i, err)
 			}
+			candidates += res.Candidates
 			for _, u := range res.Bindings {
 				if prev, dup := seen[u]; dup {
 					t.Fatalf("query %d: binding %d answered by shards %d and %d", qi, u, prev, i)
@@ -117,6 +192,9 @@ func TestNodeEquivalence(t *testing.T) {
 				seen[u] = i
 				union = append(union, u)
 			}
+		}
+		if candidates != ref.Candidates {
+			t.Fatalf("query %d: fleet evaluated %d candidates, single engine %d", qi, candidates, ref.Candidates)
 		}
 		if len(union) != len(ref.Bindings) {
 			t.Fatalf("query %d: fleet union has %d bindings, single engine %d", qi, len(union), len(ref.Bindings))
@@ -204,38 +282,6 @@ func TestClusterAllShardsLost(t *testing.T) {
 	}
 	if _, err := c.EvaluateScatter(q, time.Time{}, "", ""); !errors.Is(err, psi.ErrDeadline) {
 		t.Fatalf("all-timeout scatter returned %v, want psi.ErrDeadline", err)
-	}
-}
-
-// Queries whose pivot eccentricity exceeds the configured radius are
-// rejected up front with a typed error (the halo cannot guarantee an
-// exact answer for them).
-func TestClusterRadiusRejected(t *testing.T) {
-	g := graphtest.Random(80, 200, 3, 41)
-	c, err := NewCluster(g, Options{Shards: 2, Strategy: LabelHash, Engine: smartpsi.Options{Threads: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// A 6-node path with the pivot at one end has eccentricity 5 > 3.
-	b := graph.NewBuilder(6, 5)
-	for i := 0; i < 6; i++ {
-		b.AddNode(0)
-	}
-	for i := 0; i < 5; i++ {
-		if err := b.AddEdge(graph.NodeID(i), graph.NodeID(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := graph.Query{G: b.MustBuild(), Pivot: 0}
-	_, err = c.EvaluateScatter(q, time.Time{}, "", "")
-	var re *RadiusError
-	if !errors.As(err, &re) {
-		t.Fatalf("deep query returned %v, want RadiusError", err)
-	}
-	if re.Eccentricity != 5 || re.Radius != DefaultQueryRadius {
-		t.Fatalf("RadiusError = %+v", re)
 	}
 }
 

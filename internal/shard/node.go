@@ -8,58 +8,54 @@ import (
 	"repro/internal/smartpsi"
 )
 
-// Node is one fleet member: the evaluator a `psi-serve -shard-of N
-// -shard-index i` process serves. It is an ordinary server evaluator —
-// same wire format, same admission, same metrics — whose answers are
-// the shard's owned bindings mapped back to global node ids, so a
-// coordinator can union shard responses without translation.
+// Node is one shard: an engine over the whole data graph plus the
+// ownership predicate of its share of the partition. It answers a query
+// by evaluating only the pivot candidates it owns, so its bindings are
+// global node ids as they stand and a coordinator unions shard responses
+// without translation. A `psi-serve -shard-of N -shard-index i` process
+// serves one (same wire format, admission and metrics as any server);
+// an in-process Cluster holds N of them over one shared engine.
 type Node struct {
-	slice *Slice
-	eng   *smartpsi.Engine
-	opts  Options
+	eng       *smartpsi.Engine
+	index, of int
+	owned     int // nodes of the graph this shard owns
+	owns      func(graph.NodeID) bool
 }
 
-// NewNode partitions g deterministically, extracts slice index of n,
-// and warms its engine. Every fleet member loads the same graph file,
+// NewNode partitions g deterministically and builds the engine shard
+// index of n answers from. Every fleet member loads the same graph file,
 // so the plans agree without coordination.
 func NewNode(g *graph.Graph, opts Options, n, index int) (*Node, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", n)
-	}
-	if index < 0 || index >= n {
-		return nil, fmt.Errorf("shard: index %d out of range [0,%d)", index, n)
-	}
-	opts.Shards = n
 	plan, err := Partition(g, n, opts.Strategy)
 	if err != nil {
 		return nil, err
 	}
-	sl, err := ExtractSlice(g, plan, index, opts.haloDepth())
+	if index < 0 || index >= n {
+		return nil, fmt.Errorf("shard: index %d out of range [0,%d)", index, n)
+	}
+	eng, err := smartpsi.NewEngine(g, opts.Engine)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := smartpsi.NewEngine(sl.Sub, opts.Engine)
-	if err != nil {
-		return nil, err
-	}
-	return &Node{slice: sl, eng: eng, opts: opts}, nil
+	return newNode(eng, plan, index), nil
 }
 
-// Graph returns the shard's slice; its label-alphabet width matches the
-// full graph, so the server's query-label validation behaves as if it
-// held the whole graph.
-func (n *Node) Graph() *graph.Graph { return n.slice.Sub }
+func newNode(eng *smartpsi.Engine, p Plan, index int) *Node {
+	return &Node{eng: eng, index: index, of: p.N, owned: len(p.OwnedNodes(index)), owns: p.Owns(index)}
+}
 
-// Slice returns the node's slice.
-func (n *Node) Slice() *Slice { return n.slice }
+// Graph returns the full data graph.
+func (n *Node) Graph() *graph.Graph { return n.eng.Graph() }
 
-// ShardStatuses reports this node's own health row.
+// ShardStatuses reports this node's own health row; a coordinator checks
+// its index and shard count against the node's place in -shard-addrs.
 func (n *Node) ShardStatuses() []Status {
 	return []Status{{
-		Index:      n.slice.Index,
+		Index:      n.index,
+		Of:         n.of,
 		Healthy:    true,
-		OwnedNodes: n.slice.OwnedCount,
-		HaloNodes:  n.slice.HaloCount,
+		OwnedNodes: n.owned,
+		HaloNodes:  n.eng.Graph().NumNodes() - n.owned,
 	}}
 }
 
@@ -68,18 +64,8 @@ func (n *Node) EvaluateBudget(q graph.Query, deadline time.Time) (*smartpsi.Resu
 	return n.EvaluateTagged(q, deadline, "", "")
 }
 
-// EvaluateTagged evaluates the query on the slice and returns only the
-// owned bindings, as global ids. It re-checks the query radius: a query
-// deeper than the halo supports must fail loudly here, not silently
-// return too few bindings.
+// EvaluateTagged evaluates the candidates this shard owns on the full
+// graph; the verdict for each is the single engine's by construction.
 func (n *Node) EvaluateTagged(q graph.Query, deadline time.Time, requestID, fingerprint string) (*smartpsi.Result, error) {
-	if err := CheckRadius(q, n.opts.queryRadius()); err != nil {
-		return nil, err
-	}
-	res, err := n.eng.EvaluateTagged(q, deadline, requestID, fingerprint)
-	if err != nil {
-		return nil, err
-	}
-	res.Bindings = n.slice.filterOwned(res.Bindings)
-	return res, nil
+	return n.eng.Run(smartpsi.Request{Query: q, Deadline: deadline, ID: requestID, Fingerprint: fingerprint, Owns: n.owns})
 }

@@ -1,12 +1,11 @@
-// Package shard partitions a data graph into N slices and evaluates
-// pivoted-subgraph-isomorphism queries by scatter-gather: every shard
-// holds the subgraph induced by its owned nodes plus a k-hop halo of
-// replicated boundary nodes, wraps a warm smartpsi.Engine over that
-// slice, and answers for the pivot bindings it owns. Halo nodes keep
-// degrees and NS signatures near the ownership cut identical to the
-// full graph (see ARCHITECTURE.md, "Sharded serving"), so a gather of
-// the owned bindings from all shards equals the single-engine answer
-// exactly — the equivalence is property-tested in cluster_test.go.
+// Package shard evaluates pivoted-subgraph-isomorphism queries by
+// scatter-gather over pivot candidates, the paper's distributed setting
+// (§5.5): every shard holds the whole data graph and owns a share of its
+// nodes, evaluates a query only on the candidates it owns, and a gather
+// unions the answers. A verdict computed on the full graph is the single
+// engine's by construction, so the union equals the single-engine answer
+// exactly (see ARCHITECTURE.md, "Sharded serving") — the equivalence is
+// property-tested in cluster_test.go.
 package shard
 
 import (
@@ -96,6 +95,11 @@ func Partition(g *graph.Graph, n int, strat Strategy) (Plan, error) {
 		return Plan{}, fmt.Errorf("shard: unknown strategy %v", strat)
 	}
 	return Plan{N: n, Owner: owner}, nil
+}
+
+// Owns returns shard index's ownership predicate.
+func (p Plan) Owns(index int) func(graph.NodeID) bool {
+	return func(u graph.NodeID) bool { return int(p.Owner[u]) == index }
 }
 
 // OwnedNodes returns the nodes owned by shard index, ascending.

@@ -41,6 +41,20 @@ func TestPartitionOwnership(t *testing.T) {
 			if total != g.NumNodes() {
 				t.Fatalf("%v/%d: owners cover %d of %d nodes", strat, n, total, g.NumNodes())
 			}
+			// The N predicates partition every label's candidate list.
+			for l := 0; l < g.NumLabels(); l++ {
+				for _, u := range g.NodesWithLabel(graph.Label(l)) {
+					owners := 0
+					for i := 0; i < n; i++ {
+						if p.Owns(i)(u) {
+							owners++
+						}
+					}
+					if owners != 1 {
+						t.Fatalf("%v/%d: label %d candidate %d is owned by %d shards", strat, n, l, u, owners)
+					}
+				}
+			}
 		}
 	}
 }

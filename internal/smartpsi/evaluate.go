@@ -98,50 +98,60 @@ func (a AccuracyReport) Accuracy() float64 {
 // starve legitimate evaluations.
 const minDeadline = 200 * time.Microsecond
 
+// Request is one PSI evaluation: the query and what the serving layer
+// knows about it.
+type Request struct {
+	Query graph.Query
+	// Deadline bounds the evaluation (zero: none). When it passes
+	// mid-query the evaluation aborts with psi.ErrDeadline; partial
+	// results are discarded, matching how the paper's 24-hour task limit
+	// censors runs.
+	Deadline time.Time
+	// ID is the serving-layer request ID (X-Request-ID) and Fingerprint
+	// the query's canonical shape key; both are threaded into the
+	// execution profile and the decision-log records, so one served
+	// request is correlatable across the access log,
+	// /profilez?request_id= and the decision log. The serving layer
+	// fingerprints once at admission so the workload sketch, the profile
+	// and the decision log all agree; an empty Fingerprint falls back to
+	// computing one here when anything will record it.
+	ID, Fingerprint string
+	// Owns selects the pivot candidates this evaluation answers for (nil:
+	// all of them). A shard passes its ownership predicate: verdicts are
+	// independent per candidate (§5.5), so the engines of a fleet each
+	// run a disjoint share of the candidates on the whole graph, and
+	// Result.Candidates, the training sample and Work describe that
+	// share only.
+	Owns func(graph.NodeID) bool
+}
+
 // Evaluate runs the full SmartPSI pipeline on q with no time budget.
 func (e *Engine) Evaluate(q graph.Query) (*Result, error) {
-	return e.EvaluateBudget(q, time.Time{})
+	return e.Run(Request{Query: q})
 }
 
 // EvaluateBudget is Evaluate bounded by a global deadline (zero: none).
-// When the deadline passes mid-query the evaluation aborts with
-// psi.ErrDeadline; partial results are discarded, matching how the
-// paper's 24-hour task limit censors runs.
 func (e *Engine) EvaluateBudget(q graph.Query, deadline time.Time) (*Result, error) {
-	return e.evaluate(q, deadline, queryTag{})
+	return e.Run(Request{Query: q, Deadline: deadline})
 }
 
-// EvaluateTagged is EvaluateBudget with a serving-layer request ID
-// (X-Request-ID) and the query's canonical shape fingerprint, both
-// threaded into the execution profile and the decision-log records, so
-// one served request is correlatable across the access log,
-// /profilez?request_id= and the decision log. The serving layer
-// fingerprints once at admission so the workload sketch, the profile and
-// the decision log all agree; an empty fingerprint falls back to
-// computing one here when anything will record it.
+// EvaluateTagged is EvaluateBudget with a request ID and fingerprint.
 func (e *Engine) EvaluateTagged(q graph.Query, deadline time.Time, requestID, fingerprint string) (*Result, error) {
-	return e.evaluate(q, deadline, queryTag{reqID: requestID, fingerprint: fingerprint})
-}
-
-// queryTag is the per-query identity threaded into profiles and
-// decision-log records: profile name, serving request ID, and canonical
-// shape fingerprint.
-type queryTag struct {
-	name        string
-	reqID       string
-	fingerprint string
+	return e.Run(Request{Query: q, Deadline: deadline, ID: requestID, Fingerprint: fingerprint})
 }
 
 // queryRun is the per-request state train and execute share: the
-// request's identity, its profile, and the verdict slots they fill.
-// Everything that outlives the request lives in the artifact.
+// request, its profile, and the verdict slots they fill. Everything that
+// outlives the request lives in the artifact.
 type queryRun struct {
-	tag  queryTag
+	req  Request
+	name string // "" when nothing records it
 	prof *obs.Profile
 
-	// candidates are the pivot-labelled data nodes, ascending;
-	// valid[i] is candidates[i]'s verdict. Each position is written by
-	// exactly one goroutine (training, or the worker that owns it).
+	// candidates are the pivot-labelled data nodes the request owns,
+	// ascending; valid[i] is candidates[i]'s verdict. Each position is
+	// written by exactly one goroutine (training, or the worker that owns
+	// it).
 	candidates []graph.NodeID
 	valid      []bool
 	res        *Result
@@ -152,24 +162,26 @@ func expired(deadline time.Time) bool {
 	return !deadline.IsZero() && time.Now().After(deadline)
 }
 
-// evaluate is the one evaluation path behind the three Evaluate* entry
-// points. A query with enough candidates to train on runs
-// prepare → train → execute; when the engine's prepared-query cache holds
-// a verified-equal query's artifact the first two are skipped and every
-// candidate goes through execute (Result.Warm).
-func (e *Engine) evaluate(q graph.Query, deadline time.Time, tag queryTag) (_ *Result, retErr error) {
+// Run is the one evaluation path; Evaluate, EvaluateBudget and
+// EvaluateTagged adapt to it. A query with enough candidates to train on
+// runs prepare → train → execute; when the engine's prepared-query cache
+// holds a verified-equal query's artifact the first two are skipped and
+// every candidate goes through execute (Result.Warm).
+func (e *Engine) Run(req Request) (_ *Result, retErr error) {
 	start := time.Now()
+	q, deadline := req.Query, req.Deadline
 	enabled := obs.Enabled()
 	var prof *obs.Profile
 	tagged := enabled || e.opts.auditing() || e.opts.DecisionLog != nil
+	var name string // profile and decision-record name
 	if tagged {
-		tag.name = fmt.Sprintf("smartpsi/q%d.p%d", q.Size(), int(q.Pivot))
+		name = fmt.Sprintf("smartpsi/q%d.p%d", q.Size(), int(q.Pivot))
 	}
 	if enabled {
 		obs.SmartQueries.Inc()
-		prof = obs.StartProfile(tag.name)
-		prof.SetRequestID(tag.reqID)
-		prof.SetFingerprint(tag.fingerprint)
+		prof = obs.StartProfile(name)
+		prof.SetRequestID(req.ID)
+		prof.SetFingerprint(req.Fingerprint)
 	}
 	// Seal the profile on every exit: error paths record the error so
 	// the flight recorder retains aborted (deadline/stop) queries too.
@@ -184,17 +196,28 @@ func (e *Engine) evaluate(q graph.Query, deadline time.Time, tag queryTag) (_ *R
 	if err := e.checkQuery(q); err != nil {
 		return nil, err
 	}
-	if tagged && tag.fingerprint == "" {
+	if tagged && req.Fingerprint == "" {
 		// Non-serving entry points (CLIs, tests) fingerprint here so
 		// their profiles and decision records still pivot by shape; the
-		// serving layer passes one in via EvaluateTagged instead.
-		tag.fingerprint = fsm.PivotFingerprint(q, 0).String()
-		prof.SetFingerprint(tag.fingerprint)
+		// serving layer passes one in instead.
+		req.Fingerprint = fsm.PivotFingerprint(q, 0).String()
+		prof.SetFingerprint(req.Fingerprint)
 	}
 
 	res := &Result{Profile: prof}
-	r := &queryRun{tag: tag, prof: prof, res: res}
+	r := &queryRun{req: req, name: name, prof: prof, res: res}
 	r.candidates = e.g.NodesWithLabel(q.G.Label(q.Pivot))
+	if req.Owns != nil {
+		// Filtered once, ahead of the train/execute split: everything
+		// downstream sees only the owned candidates.
+		owned := make([]graph.NodeID, 0, len(r.candidates))
+		for _, u := range r.candidates {
+			if req.Owns(u) {
+				owned = append(owned, u)
+			}
+		}
+		r.candidates = owned
+	}
 	r.valid = make([]bool, len(r.candidates))
 	res.Candidates = len(r.candidates)
 	prof.SetCandidates(len(r.candidates))
@@ -457,7 +480,7 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 		obs.SmartTrainSeconds.Observe(r.res.TrainTime.Seconds())
 	}
 	if art.beta != nil && len(sweeps) > 0 {
-		e.scoreBetaRanks(r.tag, art.beta, sweeps)
+		e.scoreBetaRanks(r, art.beta, sweeps)
 	}
 	return trainCount, nil
 }

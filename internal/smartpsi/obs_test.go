@@ -64,7 +64,7 @@ func ladderFixture(t *testing.T) (*Engine, *psi.Evaluator, []*plan.Compiled) {
 // planTiming.
 func ladderWorker(ev *psi.Evaluator, compiled []*plan.Compiled, prof *obs.Profile, global time.Time) *worker {
 	art := &artifact{ev: ev, compiled: compiled, timing: newPlanTiming(len(compiled))}
-	return &worker{art: art, run: &queryRun{tag: queryTag{name: "test"}, prof: prof}, global: global, st: psi.NewState(2)}
+	return &worker{art: art, run: &queryRun{name: "test", prof: prof}, global: global, st: psi.NewState(2)}
 }
 
 var errBoom = errors.New("boom")

@@ -59,7 +59,6 @@ func renumbered(t *testing.T, q graph.Query) graph.Query {
 	n := q.G.NumNodes()
 	to := func(u graph.NodeID) graph.NodeID { return (u + 1) % graph.NodeID(n) }
 	b := graph.NewBuilder(n, int(q.G.NumEdges()))
-	b.ReserveLabels(q.G.NumLabels())
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		b.AddNode(q.G.Label((v + graph.NodeID(n) - 1) % graph.NodeID(n)))
 	}
@@ -108,6 +107,53 @@ func TestPreparedAdmitOnSecondSighting(t *testing.T) {
 		}
 		if !sameNodes(res.Bindings, want) {
 			t.Fatalf("sighting %d: %d bindings, want %d", i, len(res.Bindings), len(want))
+		}
+	}
+}
+
+// TestRunOwnedCandidates: Request.Owns restricts an evaluation to the
+// candidates the predicate owns, on the ML path too. Three disjoint
+// predicates over one engine answer exactly their share of the reference
+// bindings, count each candidate once between them, and stay exact when
+// a later share runs warm on the artifact an earlier share trained.
+func TestRunOwnedCandidates(t *testing.T) {
+	e, qs := preparedFixture(t, Options{Seed: 9}, 3)
+	for qi, q := range qs {
+		want := referenceBindings(t, e, q)
+		var union []graph.NodeID
+		candidates, warm := 0, 0
+		for k := graph.NodeID(0); k < 3; k++ {
+			owns := func(u graph.NodeID) bool { return u%3 == k }
+			res, err := e.Run(Request{Query: q, Owns: owns})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.UsedML {
+				t.Fatalf("query %d share %d: %d candidates took the no-ML path", qi, k, res.Candidates)
+			}
+			if res.Warm {
+				warm++
+			}
+			var share []graph.NodeID
+			for _, u := range want {
+				if owns(u) {
+					share = append(share, u)
+				}
+			}
+			if !sameNodes(res.Bindings, share) {
+				t.Fatalf("query %d share %d: bindings %v, want %v", qi, k, res.Bindings, share)
+			}
+			candidates += res.Candidates
+			union = append(union, res.Bindings...)
+		}
+		if all := len(e.g.NodesWithLabel(q.G.Label(q.Pivot))); candidates != all {
+			t.Errorf("query %d: shares evaluated %d candidates, the label has %d", qi, candidates, all)
+		}
+		if len(union) != len(want) {
+			t.Errorf("query %d: shares found %d bindings, want %d", qi, len(union), len(want))
+		}
+		if warm != 1 {
+			t.Errorf("query %d: %d warm shares, want the third only", qi, warm)
 		}
 	}
 }

@@ -209,9 +209,9 @@ func (e *Engine) recordShadow(w *worker, p primaryRun, kind string, cf counterfa
 func (w *worker) decisionRecord(p primaryRun, kind string) obs.DecisionRecord {
 	return obs.DecisionRecord{
 		Kind:        kind,
-		Query:       w.run.tag.name,
-		RequestID:   w.run.tag.reqID,
-		Fingerprint: w.run.tag.fingerprint,
+		Query:       w.run.name,
+		RequestID:   w.run.req.ID,
+		Fingerprint: w.run.req.Fingerprint,
 		Node:        int64(p.u),
 		Features:    p.row,
 		FromCache:   p.cached,
@@ -256,7 +256,7 @@ type betaSweep struct {
 // prediction's 1-based rank among the sweep's finished plan times
 // (1 = the model picked the measured-fastest plan; unfinished
 // predictions rank behind every finished plan).
-func (e *Engine) scoreBetaRanks(tag queryTag, betaModel *ml.Forest, sweeps []betaSweep) {
+func (e *Engine) scoreBetaRanks(r *queryRun, betaModel *ml.Forest, sweeps []betaSweep) {
 	enabled := obs.Enabled()
 	votes := make([]int, betaModel.NumClasses())
 	for _, s := range sweeps {
@@ -292,9 +292,9 @@ func (e *Engine) scoreBetaRanks(tag queryTag, betaModel *ml.Forest, sweeps []bet
 		}
 		e.opts.DecisionLog.Append(obs.DecisionRecord{
 			Kind:        obs.DecisionKindBeta,
-			Query:       tag.name,
-			RequestID:   tag.reqID,
-			Fingerprint: tag.fingerprint,
+			Query:       r.name,
+			RequestID:   r.req.ID,
+			Fingerprint: r.req.Fingerprint,
 			Node:        int64(s.node),
 			PredPlan:    pred,
 			Rank:        rank,

@@ -30,10 +30,10 @@
 #      /metrics.json);
 #   6. sharded serving — a 2-shard fleet (two psi-serve shard nodes
 #      plus a coordinator) must answer exactly what the model-free
-#      reference computes (-verify), then keep answering after one
-#      shard is SIGKILLed: 200s flagged partial (-require-partial),
-#      which burn the availability SLO until the alert fires
-#      (-require-alert availability);
+#      reference computes (-verify) on size-4 and on size-7 (deep-pivot)
+#      queries, then keep answering after one shard is SIGKILLed: 200s
+#      flagged partial (-require-partial), which burn the availability
+#      SLO until the alert fires (-require-alert availability);
 #
 # then sends SIGTERM and requires a clean drain (exit 0). psi-loadgen
 # exits non-zero on any unexpected 5xx, so "the script passed" also
@@ -240,6 +240,11 @@ addr="$(wait_for_addr "$work/addr")"
 step "fleet correctness (scattered answers match the model-free reference)"
 "$work/psi-loadgen" -addr "$addr" -graph "$work/g.lg" \
     -concurrency 4 -requests 40 -timeout-ms 5000 \
+    -verify -min-bindings 1 -forbid-alert availability
+# Size-7 queries put the pivot up to six hops from a match node; every
+# shard holds the whole graph, so none is too deep to answer.
+"$work/psi-loadgen" -addr "$addr" -graph "$work/g.lg" \
+    -concurrency 4 -requests 40 -timeout-ms 5000 -query-size 7 \
     -verify -min-bindings 1 -forbid-alert availability
 "$work/jsoncheck" -url "http://$addr/readyz"
 
