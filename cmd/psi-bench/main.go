@@ -19,12 +19,6 @@
 // counters and latency histograms). It implies metric collection.
 // -debug-addr serves the same data live over HTTP while the benchmark
 // runs.
-//
-// -baseline FILE -compare [-tolerance F] turns the run into a
-// regression gate: after the suite finishes, the work counters are
-// diffed against the committed baseline document (see BENCH_seed.json
-// and the bench-regression CI job) and the process exits non-zero when
-// any gated counter grew past the tolerance.
 package main
 
 import (
@@ -38,9 +32,7 @@ import (
 	"repro/internal/obs"
 )
 
-// reportSchema versions the -json results document. -compare refuses
-// baselines with a different schema so stale documents cannot silently
-// gate against reinterpreted metrics.
+// reportSchema versions the -json results document.
 const reportSchema = 1
 
 // report is the schema of the -json results document.
@@ -63,9 +55,6 @@ func main() {
 	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	jsonOut := flag.String("json", "", "write results JSON (config + obs metrics snapshot) to this file")
 	debugAddr := flag.String("debug-addr", "", "serve obs debug HTTP (metrics, per-query profiles, pprof) on this address")
-	baselinePath := flag.String("baseline", "", "baseline results JSON to compare against (with -compare)")
-	compare := flag.Bool("compare", false, "diff this run's counters against -baseline; exit non-zero on regression")
-	tolerance := flag.Float64("tolerance", 0.15, "allowed relative counter growth before -compare fails")
 	flag.Parse()
 	bench.SetCSVMode(*csvOut)
 
@@ -89,11 +78,7 @@ func main() {
 		}()
 		fmt.Fprintf(os.Stderr, "debug server on http://%s (/metrics /profilez /modelz /debug/pprof; per-query view: /profilez?id=N)\n", addr)
 	}
-	if *compare && *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "psi-bench: -compare requires -baseline FILE")
-		os.Exit(2)
-	}
-	if *jsonOut != "" || *compare {
+	if *jsonOut != "" {
 		obs.Enable(true) // the snapshot is useless without collection
 	}
 
@@ -117,30 +102,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "psi-bench:", err)
 		os.Exit(1)
 	}
-	rep := buildReport(*exp, *quick, *scale, *seed, time.Since(start))
 	if *jsonOut != "" {
+		rep := buildReport(*exp, *quick, *scale, *seed, time.Since(start))
 		if err := writeReport(*jsonOut, rep); err != nil {
 			fmt.Fprintln(os.Stderr, "psi-bench:", err)
 			os.Exit(1)
 		}
-	}
-	if *compare {
-		base, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "psi-bench:", err)
-			os.Exit(2)
-		}
-		regressed, err := compareReports(os.Stdout, base, &rep, *tolerance)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "psi-bench:", err)
-			os.Exit(2)
-		}
-		if len(regressed) > 0 {
-			fmt.Fprintf(os.Stderr, "psi-bench: %d counter(s) regressed past %.0f%% of baseline %s: %v\n",
-				len(regressed), *tolerance*100, *baselinePath, regressed)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "psi-bench: no regressions against %s (tolerance %.0f%%)\n", *baselinePath, *tolerance*100)
 	}
 }
 

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -55,127 +53,5 @@ func TestObsBenchReportJSON(t *testing.T) {
 		if _, ok := raw[key]; !ok {
 			t.Errorf("document missing %q key; have %v", key, raw)
 		}
-	}
-}
-
-// benchReport builds a synthetic report for the comparison tests.
-func benchReport(counters map[string]int64) report {
-	return report{
-		Schema:         reportSchema,
-		Experiment:     "all",
-		Quick:          true,
-		Scale:          1,
-		Seed:           42,
-		ElapsedSeconds: 10,
-		Metrics:        obs.Snapshot{Counters: counters},
-	}
-}
-
-// TestObsBenchComparePasses: identical runs produce no regressions, and
-// improvements (fewer events) pass the one-sided check.
-func TestObsBenchComparePasses(t *testing.T) {
-	base := benchReport(map[string]int64{
-		"psi_recursions_total": 100000,
-		"psi_candidates_total": 500000,
-	})
-	cur := benchReport(map[string]int64{
-		"psi_recursions_total": 100000, // identical
-		"psi_candidates_total": 300000, // improvement
-	})
-	var buf bytes.Buffer
-	regressed, err := compareReports(&buf, &base, &cur, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regressed) != 0 {
-		t.Errorf("regressed = %v, want none\n%s", regressed, buf.String())
-	}
-	if !strings.Contains(buf.String(), "psi_recursions_total") {
-		t.Errorf("comparison table missing counters:\n%s", buf.String())
-	}
-}
-
-// TestObsBenchCompareFailsOnRegression: a baseline doctored to be 2x
-// faster (half the work) must fail the gate.
-func TestObsBenchCompareFailsOnRegression(t *testing.T) {
-	cur := benchReport(map[string]int64{
-		"psi_recursions_total": 100000,
-		"psi_candidates_total": 500000,
-	})
-	doctored := benchReport(map[string]int64{
-		"psi_recursions_total": 50000, // current looks 2x worse
-		"psi_candidates_total": 250000,
-	})
-	var buf bytes.Buffer
-	regressed, err := compareReports(&buf, &doctored, &cur, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regressed) != 2 {
-		t.Errorf("regressed = %v, want both counters\n%s", regressed, buf.String())
-	}
-	if !strings.Contains(buf.String(), "REGRESSED") {
-		t.Errorf("table does not flag the regression:\n%s", buf.String())
-	}
-}
-
-// TestObsBenchCompareSkips pins the exemptions: volatile counters,
-// small baselines, and counters unknown to the baseline never gate.
-func TestObsBenchCompareSkips(t *testing.T) {
-	base := benchReport(map[string]int64{
-		"smartpsi_flips_total":    10,  // volatile: skipped at any size
-		"smartpsi_timeouts_total": 500, // volatile
-		"fsm_support_calls_total": 50,  // below minBaseCount
-	})
-	cur := benchReport(map[string]int64{
-		"smartpsi_flips_total":    10000,
-		"smartpsi_timeouts_total": 10000,
-		"fsm_support_calls_total": 99,
-		"psi_new_counter_total":   12345, // not in baseline
-	})
-	var buf bytes.Buffer
-	regressed, err := compareReports(&buf, &base, &cur, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regressed) != 0 {
-		t.Errorf("regressed = %v, want none (all exempt)\n%s", regressed, buf.String())
-	}
-	out := buf.String()
-	for _, want := range []string{"skip (volatile)", "skip (baseline too small)", "new (not in baseline)", "elapsed_seconds"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestObsBenchCompareRejects pins the hard errors: schema drift and
-// config mismatch.
-func TestObsBenchCompareRejects(t *testing.T) {
-	dir := t.TempDir()
-
-	stale := benchReport(nil)
-	stale.Schema = reportSchema + 1
-	data, err := json.Marshal(stale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "stale.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadBaseline(path); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Errorf("loadBaseline(stale schema) = %v, want schema error", err)
-	}
-	if _, err := loadBaseline(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("loadBaseline(missing file) succeeded")
-	}
-
-	base := benchReport(map[string]int64{"psi_recursions_total": 1000})
-	cur := benchReport(map[string]int64{"psi_recursions_total": 1000})
-	cur.Seed = 7
-	var buf bytes.Buffer
-	if _, err := compareReports(&buf, &base, &cur, 0.15); err == nil || !strings.Contains(err.Error(), "config mismatch") {
-		t.Errorf("compareReports(different seed) = %v, want config mismatch error", err)
 	}
 }

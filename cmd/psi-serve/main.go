@@ -335,8 +335,8 @@ func run(cfg config, parent context.Context, ready chan<- string) error {
 	var err error
 	switch {
 	case cfg.coordinator:
-		// The coordinator never evaluates locally; shard nodes hold the
-		// graph slices.
+		// The coordinator never evaluates locally; every shard node holds
+		// the whole graph.
 	case cfg.graphPath != "":
 		g, err = repro.LoadGraph(cfg.graphPath)
 	case cfg.dataset != "":
@@ -472,7 +472,8 @@ func run(cfg config, parent context.Context, ready chan<- string) error {
 	stop() // restore default signal handling: a second signal kills us
 
 	logger.Info("signal received; draining", "timeout", cfg.drainTimeout.String())
-	//lint:ignore ctxflow the signal context is already cancelled at this point; the drain deadline must be fresh or Drain would return immediately
+	// ctx is already cancelled here: the drain and shutdown bounds must
+	// be fresh contexts or both calls would return immediately.
 	drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
 	defer cancel()
 	if err := srv.Drain(drainCtx); err != nil {
@@ -480,7 +481,6 @@ func run(cfg config, parent context.Context, ready chan<- string) error {
 	} else {
 		logger.Info("drain complete")
 	}
-	//lint:ignore ctxflow same as the drain context: parent is cancelled, the shutdown bound must be fresh
 	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {

@@ -1,11 +1,10 @@
 // Command psilint enforces this repository's correctness conventions
-// with a stdlib-only whole-program static analyzer (go/parser +
-// go/types + a type-informed call graph).
+// with a stdlib-only static analyzer (go/parser + go/types) that
+// checks one package at a time.
 //
 // Usage:
 //
-//	psilint [-root dir] [-rules r1,r2] [-format text|json|sarif]
-//	        [-baseline file] [-update-baseline] [-list]
+//	psilint [-root dir] [-rules r1,r2] [-list]
 //
 // With no flags it locates the module root (the nearest ancestor of
 // the working directory containing go.mod), loads every non-test
@@ -14,19 +13,12 @@
 //
 //	path/file.go:12:3: [rulename] message
 //
-// With -baseline, findings already recorded in the baseline file are
-// grandfathered: they are printed (marked "baselined") but do not
-// affect the exit status, stale baseline entries are reported for
-// deletion, and only fresh error-severity findings gate.
-// -update-baseline rewrites the baseline to the current findings.
-//
-// Exit status: 0 clean (no fresh error findings), 1 findings, 2 on
+// Exit status: 0 clean (no error-severity findings), 1 findings, 2 on
 // usage or load errors — so scripts can tell "the repo is dirty" from
 // "the analyzer could not run".
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -53,12 +45,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("psilint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		root           = fs.String("root", "", "module root to lint (default: nearest ancestor with go.mod)")
-		list           = fs.Bool("list", false, "print the rule registry (name, tier, severity, doc) and exit")
-		rulesFlag      = fs.String("rules", "", "comma-separated rule names to run (default: all)")
-		format         = fs.String("format", "text", "output format: text, json, or sarif")
-		baselinePath   = fs.String("baseline", "", "baseline file to diff findings against")
-		updateBaseline = fs.Bool("update-baseline", false, "rewrite -baseline with the current findings and exit 0")
+		root      = fs.String("root", "", "module root to lint (default: nearest ancestor with go.mod)")
+		list      = fs.Bool("list", false, "print the rule registry (name, severity, doc) and exit")
+		rulesFlag = fs.String("rules", "", "comma-separated rule names to run (default: all)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
@@ -68,19 +57,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		printRegistry(stdout)
 		return exitClean
 	}
-	switch *format {
-	case "text", "json", "sarif":
-	default:
-		fprintf(stderr, "psilint: unknown -format %q (want text, json, or sarif)\n", *format)
-		return exitUsage
-	}
 	rules, err := selectRules(*rulesFlag)
 	if err != nil {
 		fprintln(stderr, "psilint:", err)
-		return exitUsage
-	}
-	if *updateBaseline && *baselinePath == "" {
-		fprintln(stderr, "psilint: -update-baseline requires -baseline")
 		return exitUsage
 	}
 
@@ -112,73 +91,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	findings := lint.Run(loader.Fset, pkgs, rules)
 
-	if *updateBaseline {
-		b := lint.NewBaseline(dir, findings)
-		if err := b.Write(*baselinePath); err != nil {
-			fprintln(stderr, "psilint:", err)
-			return exitUsage
-		}
-		fprintf(stderr, "psilint: wrote %d finding(s) to %s\n", len(findings), *baselinePath)
-		return exitClean
+	for _, f := range findings {
+		fprintf(stdout, "%s: [%s] %s%s\n", f.Pos, f.Rule, warnTag(f), f.Msg)
 	}
-
-	// Baseline diff: only fresh findings gate; grandfathered ones stay
-	// visible and stale entries are called out for deletion.
-	fresh := findings
-	var grandfathered []lint.Finding
-	var stale []lint.BaselineEntry
-	if *baselinePath != "" {
-		b, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fprintln(stderr, "psilint:", err)
-			return exitUsage
-		}
-		fresh, grandfathered, stale = b.Diff(dir, findings)
-		// Under -rules filtering, baseline entries for unselected rules
-		// were not checked this run — not finding them does not mean
-		// they were fixed, so they must not be reported stale.
-		selected := map[string]bool{}
-		for _, r := range rules {
-			selected[r.Name] = true
-		}
-		kept := stale[:0]
-		for _, e := range stale {
-			if selected[e.Rule] {
-				kept = append(kept, e)
-			}
-		}
-		stale = kept
-	}
-
-	switch *format {
-	case "json":
-		if err := writeJSON(stdout, dir, fresh, grandfathered); err != nil {
-			fprintln(stderr, "psilint:", err)
-			return exitUsage
-		}
-	case "sarif":
-		// SARIF carries only the gating (fresh) findings: the artifact
-		// uploaded from CI should annotate what the gate failed on.
-		data, err := lint.SARIF(dir, rules, fresh)
-		if err != nil {
-			fprintln(stderr, "psilint:", err)
-			return exitUsage
-		}
-		fprintln(stdout, string(data))
-	default:
-		for _, f := range fresh {
-			fprintf(stdout, "%s: [%s] %s%s\n", f.Pos, f.Rule, warnTag(f), f.Msg)
-		}
-		for _, f := range grandfathered {
-			fprintf(stdout, "%s: [%s] (baselined) %s\n", f.Pos, f.Rule, f.Msg)
-		}
-		for _, e := range stale {
-			fprintf(stderr, "psilint: stale baseline entry (fixed? delete it): %s %s: %s\n", e.File, e.Rule, e.Message)
-		}
-	}
-
-	if lint.HasErrors(fresh) {
-		fprintf(stderr, "psilint: %d finding(s), %d gating\n", len(fresh), countErrors(fresh))
+	if n := countErrors(findings); n > 0 {
+		fprintf(stderr, "psilint: %d finding(s), %d gating\n", len(findings), n)
 		return exitFindings
 	}
 	return exitClean
@@ -241,49 +158,8 @@ func selectRules(filter string) ([]lint.Rule, error) {
 
 func printRegistry(w io.Writer) {
 	for _, r := range lint.Registry {
-		fprintf(w, "%-12s %-10s %-6s %s\n", r.Name, r.Tier, r.Severity, r.Doc)
+		fprintf(w, "%-12s %-6s %s\n", r.Name, r.Severity, r.Doc)
 	}
-}
-
-// jsonFinding is the -format json shape: one object per finding,
-// stable field names, paths relative to the lint root.
-type jsonFinding struct {
-	Rule      string `json:"rule"`
-	Severity  string `json:"severity"`
-	File      string `json:"file"`
-	Line      int    `json:"line"`
-	Column    int    `json:"column"`
-	Message   string `json:"message"`
-	Baselined bool   `json:"baselined,omitempty"`
-}
-
-func writeJSON(w io.Writer, root string, fresh, grandfathered []lint.Finding) error {
-	doc := struct {
-		Schema   int           `json:"schema"`
-		Findings []jsonFinding `json:"findings"`
-	}{Schema: 1, Findings: []jsonFinding{}}
-	add := func(fs []lint.Finding, baselined bool) {
-		for _, f := range fs {
-			rel, err := filepath.Rel(root, f.Pos.Filename)
-			if err != nil {
-				rel = f.Pos.Filename
-			}
-			doc.Findings = append(doc.Findings, jsonFinding{
-				Rule:      f.Rule,
-				Severity:  f.Severity.String(),
-				File:      filepath.ToSlash(rel),
-				Line:      f.Pos.Line,
-				Column:    f.Pos.Column,
-				Message:   f.Msg,
-				Baselined: baselined,
-			})
-		}
-	}
-	add(fresh, false)
-	add(grandfathered, true)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }
 
 // findModuleRoot walks up from the working directory to the nearest

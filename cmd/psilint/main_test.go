@@ -2,11 +2,11 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -110,25 +110,20 @@ func collectWants(dir string) (map[string]string, error) {
 	return wants, nil
 }
 
-// TestRegistryWellFormed checks every registered rule is complete and
-// uniquely named, so -rules output and findings stay unambiguous.
+// TestRegistryWellFormed pins the registry to the exact rule list: a
+// rule is added or dropped on purpose, with this list edited in the
+// same change, and every entry is complete.
 func TestRegistryWellFormed(t *testing.T) {
-	seen := make(map[string]bool)
+	want := []string{"gojoin", "ignorederr", "nopanic", "sleepsync", "obscounter", "shadowgate", "pkgdoc", "metrichelp", "suppress"}
+	var got []string
 	for _, r := range lint.Registry {
-		if r.Name == "" || r.Doc == "" {
-			t.Errorf("rule missing name or doc: %+v", r)
+		if r.Doc == "" || r.Run == nil {
+			t.Errorf("rule %q missing doc or Run", r.Name)
 		}
-		// Exactly one evaluation hook: per-package or whole-program.
-		if (r.Run == nil) == (r.RunProgram == nil) {
-			t.Errorf("rule %q must set exactly one of Run/RunProgram", r.Name)
-		}
-		if seen[r.Name] {
-			t.Errorf("duplicate rule name %q", r.Name)
-		}
-		seen[r.Name] = true
+		got = append(got, r.Name)
 	}
-	if len(lint.Registry) < 12 {
-		t.Errorf("registry has %d rules, want at least 12", len(lint.Registry))
+	if !slices.Equal(got, want) {
+		t.Errorf("registry = %v, want exactly %v", got, want)
 	}
 }
 
@@ -208,9 +203,13 @@ func TestExitCodeUsageErrors(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"unknown format", []string{"-format", "yaml"}},
-		{"unknown rule", []string{"-rules", "nosuchrule"}},
+		// -format, -baseline and -update-baseline went with the SARIF/JSON
+		// writers and the baseline: each is now an unknown flag, even
+		// with a value that used to be valid.
+		{"unknown format", []string{"-format", "text"}},
+		{"baseline flag", []string{"-baseline", "x"}},
 		{"update without baseline", []string{"-update-baseline"}},
+		{"unknown rule", []string{"-rules", "nosuchrule"}},
 		{"missing root", []string{"-root", filepath.Join(t.TempDir(), "nope")}},
 	}
 	for _, tc := range cases {
@@ -247,9 +246,9 @@ func TestListPrintsRegistry(t *testing.T) {
 			t.Errorf("-list output missing rule %q with its doc", r.Name)
 		}
 	}
-	for _, word := range []string{"syntactic", "dataflow", "error", "warn"} {
-		if !strings.Contains(stdout, word) {
-			t.Errorf("-list output missing %q column value", word)
+	for _, line := range strings.Split(strings.TrimSpace(stdout), "\n") {
+		if f := strings.Fields(line); len(f) < 3 || f[1] != "error" {
+			t.Errorf("-list line is not `name severity doc`: %q", line)
 		}
 	}
 }
@@ -291,153 +290,5 @@ func TestCleanModuleExitsZero(t *testing.T) {
 	}
 	if stdout != "" {
 		t.Errorf("clean module produced output: %q", stdout)
-	}
-}
-
-// sarifDoc is the slice of SARIF 2.1.0 the tests assert on.
-type sarifDoc struct {
-	Schema  string `json:"$schema"`
-	Version string `json:"version"`
-	Runs    []struct {
-		Tool struct {
-			Driver struct {
-				Name  string `json:"name"`
-				Rules []struct {
-					ID string `json:"id"`
-				} `json:"rules"`
-			} `json:"driver"`
-		} `json:"tool"`
-		Results []struct {
-			RuleID    string `json:"ruleId"`
-			RuleIndex int    `json:"ruleIndex"`
-			Level     string `json:"level"`
-			Message   struct {
-				Text string `json:"text"`
-			} `json:"message"`
-			Locations []struct {
-				PhysicalLocation struct {
-					ArtifactLocation struct {
-						URI       string `json:"uri"`
-						URIBaseID string `json:"uriBaseId"`
-					} `json:"artifactLocation"`
-					Region struct {
-						StartLine   int `json:"startLine"`
-						StartColumn int `json:"startColumn"`
-					} `json:"region"`
-				} `json:"physicalLocation"`
-			} `json:"locations"`
-		} `json:"results"`
-	} `json:"runs"`
-}
-
-func TestSARIFOutput(t *testing.T) {
-	dir := writeModule(t, map[string]string{"a.go": sleepSrc})
-	code, stdout, _ := runCLI(t, "-root", dir, "-format", "sarif")
-	if code != exitFindings {
-		t.Fatalf("exit = %d, want %d", code, exitFindings)
-	}
-	var doc sarifDoc
-	if err := json.Unmarshal([]byte(stdout), &doc); err != nil {
-		t.Fatalf("sarif output is not valid JSON: %v\n%s", err, stdout)
-	}
-	if doc.Version != "2.1.0" {
-		t.Errorf("sarif version = %q, want 2.1.0", doc.Version)
-	}
-	if !strings.Contains(doc.Schema, "sarif-2.1.0") {
-		t.Errorf("sarif $schema = %q, want a sarif-2.1.0 schema URI", doc.Schema)
-	}
-	if len(doc.Runs) != 1 {
-		t.Fatalf("sarif runs = %d, want 1", len(doc.Runs))
-	}
-	run := doc.Runs[0]
-	if run.Tool.Driver.Name != "psilint" {
-		t.Errorf("driver name = %q, want psilint", run.Tool.Driver.Name)
-	}
-	if len(run.Tool.Driver.Rules) != len(lint.Registry) {
-		t.Errorf("driver carries %d rules, registry has %d", len(run.Tool.Driver.Rules), len(lint.Registry))
-	}
-	if len(run.Results) == 0 {
-		t.Fatal("sarif carries no results for a module with a violation")
-	}
-	res := run.Results[0]
-	if res.RuleID != "sleepsync" {
-		t.Errorf("result ruleId = %q, want sleepsync", res.RuleID)
-	}
-	if res.Level != "error" {
-		t.Errorf("result level = %q, want error", res.Level)
-	}
-	if got := run.Tool.Driver.Rules[res.RuleIndex].ID; got != res.RuleID {
-		t.Errorf("ruleIndex %d points at %q, want %q", res.RuleIndex, got, res.RuleID)
-	}
-	loc := res.Locations[0].PhysicalLocation
-	if loc.ArtifactLocation.URI != "a.go" {
-		t.Errorf("artifact uri = %q, want module-relative a.go", loc.ArtifactLocation.URI)
-	}
-	if loc.ArtifactLocation.URIBaseID != "ROOT" {
-		t.Errorf("uriBaseId = %q, want ROOT", loc.ArtifactLocation.URIBaseID)
-	}
-	if loc.Region.StartLine == 0 {
-		t.Error("result region has no startLine")
-	}
-}
-
-// TestBaselineDiffGate walks the whole baseline lifecycle: record a
-// violation, verify it stops gating, verify a new violation still
-// gates, and verify fixing the recorded one reports a stale entry.
-func TestBaselineDiffGate(t *testing.T) {
-	dir := writeModule(t, map[string]string{"a.go": sleepSrc})
-	baseline := filepath.Join(dir, "lint_baseline.json")
-
-	// Record the pre-existing violation.
-	if code, _, stderr := runCLI(t, "-root", dir, "-baseline", baseline, "-update-baseline"); code != exitClean {
-		t.Fatalf("-update-baseline exit = %d, want 0 (stderr: %s)", code, stderr)
-	}
-
-	// Grandfathered finding: visible, but not gating.
-	code, stdout, _ := runCLI(t, "-root", dir, "-baseline", baseline)
-	if code != exitClean {
-		t.Fatalf("baselined run exit = %d, want 0\n%s", code, stdout)
-	}
-	if !strings.Contains(stdout, "(baselined)") {
-		t.Errorf("grandfathered finding not marked in output:\n%s", stdout)
-	}
-
-	// Seed a second violation: the gate must trip on it alone.
-	second := strings.ReplaceAll(sleepSrc, "wait", "waitMore")
-	if err := os.WriteFile(filepath.Join(dir, "b.go"), []byte(second), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, stderr := runCLI(t, "-root", dir, "-baseline", baseline)
-	if code != exitFindings {
-		t.Fatalf("fresh violation exit = %d, want %d\n%s%s", code, exitFindings, stdout, stderr)
-	}
-	if !strings.Contains(stdout, "b.go") {
-		t.Errorf("fresh finding in b.go not reported:\n%s", stdout)
-	}
-
-	// SARIF with a baseline carries only the fresh finding.
-	_, sarifOut, _ := runCLI(t, "-root", dir, "-baseline", baseline, "-format", "sarif")
-	var doc sarifDoc
-	if err := json.Unmarshal([]byte(sarifOut), &doc); err != nil {
-		t.Fatalf("sarif: %v", err)
-	}
-	if n := len(doc.Runs[0].Results); n != 1 {
-		t.Errorf("sarif with baseline carries %d results, want only the 1 fresh", n)
-	}
-
-	// Fix both violations: the baseline entry is now stale, reported on
-	// stderr, and the exit stays clean.
-	for _, name := range []string{"a.go", "b.go"} {
-		fixed := strings.ReplaceAll(cleanSrc, "add", "add"+strings.TrimSuffix(name, ".go"))
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(fixed), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	code, _, stderr = runCLI(t, "-root", dir, "-baseline", baseline)
-	if code != exitClean {
-		t.Fatalf("after fix exit = %d, want 0 (stderr: %s)", code, stderr)
-	}
-	if !strings.Contains(stderr, "stale baseline entry") {
-		t.Errorf("stale baseline entry not reported: %q", stderr)
 	}
 }

@@ -2,19 +2,15 @@
 // static-analysis framework (go/parser + go/types) with a table-driven
 // rule registry enforcing this repository's correctness conventions.
 //
-// v2 grows the per-package syntactic pass into a whole-program
-// analysis: packages are loaded together, a type-informed call graph
-// and per-function dataflow facts (deadline-carrying parameters,
-// blocking operations) are built over all of them, and rules come in
-// two tiers — TierSyntactic rules that inspect one package at a time,
-// and TierDataflow rules that see the whole Program. Findings can be
-// suppressed with `//lint:ignore <rules> <reason>` directives
-// (suppress.go), diffed against a committed baseline (baseline.go),
-// and emitted as text, JSON, or SARIF 2.1.0 (sarif.go).
+// There is one tier: every rule inspects one type-checked package at a
+// time, and the registry holds only conventions no other tool checks
+// (what go vet, the race detector or a test already guards is left to
+// them). Findings can be suppressed with `//lint:ignore <rules>
+// <reason>` directives (suppress.go); the one output is a text line
+// per finding and the one gate is zero error-severity findings.
 //
-// Adding a rule is still ~20 lines: append a Rule to Registry in
-// rules.go with a Name, a one-line Doc, a Tier and Severity, and
-// either a Run (per-package) or a RunProgram (whole-program) function.
+// Adding a rule is ~20 lines: append a Rule to Registry in rules.go
+// with a Name, a one-line Doc, a Severity and a Run function.
 package lint
 
 import (
@@ -44,24 +40,6 @@ func (s Severity) String() string {
 	return "error"
 }
 
-// Tier classifies how much context a rule needs.
-type Tier int
-
-const (
-	// TierSyntactic rules inspect one type-checked package at a time.
-	TierSyntactic Tier = iota
-	// TierDataflow rules see the whole Program: call graph, function
-	// facts, and every package at once.
-	TierDataflow
-)
-
-func (t Tier) String() string {
-	if t == TierDataflow {
-		return "dataflow"
-	}
-	return "syntactic"
-}
-
 // Finding is one rule violation at one source position.
 type Finding struct {
 	Pos      token.Position
@@ -74,48 +52,31 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: [%s] %s", f.Pos, f.Rule, f.Msg)
 }
 
-// Rule is one enforced convention. Exactly one of Run and RunProgram
-// is set, matching the Tier.
+// Rule is one enforced convention.
 type Rule struct {
 	// Name identifies the rule in findings, directives, and -list.
 	Name string
 	// Doc is the one-line description shown by psilint -list.
 	Doc string
-	// Tier says whether the rule is per-package or whole-program.
-	Tier Tier
 	// Severity is the weight of this rule's findings.
 	Severity Severity
-	// Run inspects one package and reports violations (TierSyntactic).
+	// Run inspects one package and reports violations.
 	Run func(pkg *Package, report ReportFunc)
-	// RunProgram inspects the whole program (TierDataflow).
-	RunProgram func(prog *Program, report ReportFunc)
 }
 
 // ReportFunc records a finding at node's position.
 type ReportFunc func(node ast.Node, format string, args ...any)
 
-// Run evaluates every rule against the program formed by pkgs and
-// returns the findings sorted by position. Per-package rules are
-// evaluated in parallel across packages (the analysis is read-only
-// over the type-checked ASTs); whole-program rules run once over the
-// shared Program. Suppression directives are applied before returning:
-// suppressed findings are dropped, and directive-hygiene findings
-// (missing reason, unknown rule, unused directive) are appended.
+// Run evaluates every rule against every package and returns the
+// findings sorted by position. Packages are evaluated in parallel (the
+// analysis is read-only over the type-checked ASTs). Suppression
+// directives are applied before returning: suppressed findings are
+// dropped, and directive-hygiene findings (missing reason, unknown
+// rule, unused directive) are appended.
 func Run(fset *token.FileSet, pkgs []*Package, rules []Rule) []Finding {
-	prog := BuildProgram(pkgs)
-
-	var pkgRules, progRules []Rule
-	for _, r := range rules {
-		if r.RunProgram != nil {
-			progRules = append(progRules, r)
-		} else if r.Run != nil {
-			pkgRules = append(pkgRules, r)
-		}
-	}
-
-	// Per-package tier, fanned out over a bounded worker pool. Each
-	// package gets its own findings slot so the merge is deterministic
-	// regardless of scheduling.
+	// Fanned out over a bounded worker pool. Each package gets its own
+	// findings slot so the merge is deterministic regardless of
+	// scheduling.
 	perPkg := make([][]Finding, len(pkgs))
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
@@ -125,10 +86,8 @@ func Run(fset *token.FileSet, pkgs []*Package, rules []Rule) []Finding {
 		go func(i int, pkg *Package) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			for _, rule := range pkgRules {
-				perPkg[i] = append(perPkg[i], runRule(fset, rule, func(report ReportFunc) {
-					rule.Run(pkg, report)
-				})...)
+			for _, rule := range rules {
+				perPkg[i] = append(perPkg[i], runRule(fset, rule, pkg)...)
 			}
 		}(i, pkg)
 	}
@@ -138,21 +97,16 @@ func Run(fset *token.FileSet, pkgs []*Package, rules []Rule) []Finding {
 	for _, fs := range perPkg {
 		findings = append(findings, fs...)
 	}
-	for _, rule := range progRules {
-		findings = append(findings, runRule(fset, rule, func(report ReportFunc) {
-			rule.RunProgram(prog, report)
-		})...)
-	}
 
 	findings = applySuppressions(fset, pkgs, rules, findings)
 	sortFindings(findings)
 	return findings
 }
 
-// runRule invokes one rule body with a ReportFunc bound to it.
-func runRule(fset *token.FileSet, rule Rule, invoke func(ReportFunc)) []Finding {
+// runRule runs one rule over one package with a ReportFunc bound to it.
+func runRule(fset *token.FileSet, rule Rule, pkg *Package) []Finding {
 	var out []Finding
-	invoke(func(node ast.Node, format string, args ...any) {
+	rule.Run(pkg, func(node ast.Node, format string, args ...any) {
 		out = append(out, Finding{
 			Pos:      fset.Position(node.Pos()),
 			Rule:     rule.Name,
@@ -180,16 +134,6 @@ func sortFindings(findings []Finding) {
 		}
 		return a.Msg < b.Msg
 	})
-}
-
-// HasErrors reports whether any finding carries error severity.
-func HasErrors(findings []Finding) bool {
-	for _, f := range findings {
-		if f.Severity == SevError {
-			return true
-		}
-	}
-	return false
 }
 
 // ---- shared helpers used by the rules ----
@@ -250,47 +194,6 @@ func isErrorType(t types.Type) bool {
 	return obj.Pkg() == nil && obj.Name() == "error"
 }
 
-// containsLock reports whether t (passed or assigned by value) contains
-// a type that must not be copied: the sync and sync/atomic state types,
-// directly or embedded in structs/arrays.
-func containsLock(t types.Type) bool {
-	return containsLockDepth(t, 0)
-}
-
-func containsLockDepth(t types.Type, depth int) bool {
-	if depth > 10 {
-		return false
-	}
-	switch tt := t.(type) {
-	case *types.Named:
-		obj := tt.Obj()
-		if obj.Pkg() != nil {
-			switch obj.Pkg().Path() {
-			case "sync":
-				switch obj.Name() {
-				case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map", "Pool":
-					return true
-				}
-			case "sync/atomic":
-				switch obj.Name() {
-				case "Bool", "Int32", "Int64", "Uint32", "Uint64", "Uintptr", "Pointer", "Value":
-					return true
-				}
-			}
-		}
-		return containsLockDepth(tt.Underlying(), depth+1)
-	case *types.Struct:
-		for i := 0; i < tt.NumFields(); i++ {
-			if containsLockDepth(tt.Field(i).Type(), depth+1) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockDepth(tt.Elem(), depth+1)
-	}
-	return false
-}
-
 // enclosingFuncs pairs every function body in the package (declarations
 // and literals) with the name of the outermost declaration containing
 // it, for rules with per-function scope.
@@ -312,44 +215,4 @@ func packageFuncs(pkg *Package) []funcScope {
 		}
 	}
 	return out
-}
-
-// bodyScope is one function body analyzed in isolation: a declared
-// function or a function literal. Rules that reason about control flow
-// (lockhold) must not mix statements from a literal into its enclosing
-// function — the literal runs at some other time.
-type bodyScope struct {
-	name string // enclosing declaration name, "(func literal in X)" for lits
-	body *ast.BlockStmt
-}
-
-// packageBodies enumerates every function body in the package:
-// declared functions and, as separate scopes, each function literal.
-func packageBodies(pkg *Package) []bodyScope {
-	var out []bodyScope
-	for _, fn := range packageFuncs(pkg) {
-		out = append(out, bodyScope{name: fn.name, body: fn.body})
-		ast.Inspect(fn.body, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok && lit.Body != nil {
-				out = append(out, bodyScope{
-					name: fmt.Sprintf("func literal in %s", fn.name),
-					body: lit.Body,
-				})
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// inspectShallow walks body without descending into nested function
-// literals, so a scope sees only the statements that execute as part
-// of it.
-func inspectShallow(body *ast.BlockStmt, f func(ast.Node) bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		return f(n)
-	})
 }

@@ -9,112 +9,66 @@ import (
 )
 
 // Registry is the table of enforced rules, evaluated in order. To add
-// a rule, append an entry here — Name, Doc, Tier, Severity, and a Run
-// (per-package) or RunProgram (whole-program) function — and add
-// positive/negative fixtures under cmd/psilint/testdata.
+// a rule, append an entry here — Name, Doc, Severity and a Run function
+// — add positive/negative fixtures under cmd/psilint/testdata, and add
+// its name to the list TestRegistryWellFormed pins. A rule belongs here
+// only if nothing else (go vet, the race detector, a test) checks it.
 var Registry = []Rule{
-	// ---- TierSyntactic: one package at a time ----
 	{
 		Name:     "gojoin",
 		Doc:      "every `go` statement needs a join (WaitGroup.Wait, channel receive/range/select) or context cancellation in its enclosing function",
-		Tier:     TierSyntactic,
 		Severity: SevError,
 		Run:      ruleGoJoin,
 	},
 	{
-		Name:     "copylocks",
-		Doc:      "sync primitives (Mutex, WaitGroup, atomic.*, ...) must not be copied by value in params, results, assignments, or range clauses",
-		Tier:     TierSyntactic,
-		Severity: SevError,
-		Run:      ruleCopyLocks,
-	},
-	{
 		Name:     "ignorederr",
 		Doc:      "calls returning an error must not be used as bare statements in internal/ and cmd/ (assign the error or handle it)",
-		Tier:     TierSyntactic,
 		Severity: SevError,
 		Run:      ruleIgnoredErr,
 	},
 	{
 		Name:     "nopanic",
 		Doc:      "library code (non-main, non-test-support packages) must not panic outside Must* helpers",
-		Tier:     TierSyntactic,
 		Severity: SevError,
 		Run:      ruleNoPanic,
 	},
 	{
 		Name:     "sleepsync",
 		Doc:      "no time.Sleep in production code; synchronize with channels, WaitGroups, or deadlines",
-		Tier:     TierSyntactic,
 		Severity: SevError,
 		Run:      ruleSleepSync,
 	},
 	{
 		Name:     "obscounter",
 		Doc:      "no ad-hoc atomic counters on package-level state outside internal/obs; register a Counter/Gauge in the obs registry",
-		Tier:     TierSyntactic,
 		Severity: SevError,
 		Run:      ruleObsCounter,
 	},
 	{
 		Name:     "shadowgate",
 		Doc:      "calls into the shadow-scoring subsystem (shadow*-named funcs) must be guarded by a *Sampled sampling condition; shadow-subsystem internals are exempt",
-		Tier:     TierSyntactic,
 		Severity: SevError,
 		Run:      ruleShadowGate,
 	},
 	{
 		Name:     "pkgdoc",
 		Doc:      "every package needs a package doc comment (`// Package <name> ...`) on at least one of its files",
-		Tier:     TierSyntactic,
 		Severity: SevError,
 		Run:      rulePkgDoc,
 	},
 	{
 		Name:     "metrichelp",
 		Doc:      "obs Registry constructors (Counter, Gauge, Histogram) need a non-empty help string; it becomes the # HELP line on /metrics",
-		Tier:     TierSyntactic,
 		Severity: SevError,
 		Run:      ruleMetricHelp,
 	},
 
-	// ---- TierDataflow: whole-program, on the call graph + facts ----
-	{
-		Name:       "ctxflow",
-		Doc:        "deadlines must flow: no context.Background/TODO passed where a ctx is in scope, and every blocking call reachable from a deadline-carrying exported entry point must accept a context/budget/deadline",
-		Tier:       TierDataflow,
-		Severity:   SevError,
-		RunProgram: ruleCtxFlow,
-	},
-	{
-		Name:     "lockhold",
-		Doc:      "no channel send/receive/select, WaitGroup.Wait, or os/net/http I/O while a sync.Mutex/RWMutex is held (Lock..Unlock or Lock + deferred Unlock)",
-		Tier:     TierDataflow,
-		Severity: SevError,
-		Run:      ruleLockHold,
-	},
-	{
-		Name:       "atomicmix",
-		Doc:        "a struct field accessed through sync/atomic anywhere must be accessed atomically everywhere (composite-literal initialization exempt)",
-		Tier:       TierDataflow,
-		Severity:   SevError,
-		RunProgram: ruleAtomicMix,
-	},
-	{
-		Name:       "sendclosed",
-		Doc:        "no send on a channel that another function closes without a happens-before join (WaitGroup.Wait or a receive before close)",
-		Tier:       TierDataflow,
-		Severity:   SevWarn,
-		RunProgram: ruleSendClosed,
-	},
-
 	// ---- pseudo-rule: emitted by the suppression engine ----
 	{
-		Name:       SuppressRule,
-		Doc:        "hygiene of //lint:ignore directives: a reason is mandatory (error), rule names must exist (error), stale directives are flagged (warn); emitted by the suppression engine, not a package walker",
-		Tier:       TierSyntactic,
-		Severity:   SevError,
-		RunProgram: func(*Program, ReportFunc) {},
+		Name:     SuppressRule,
+		Doc:      "hygiene of //lint:ignore directives: a reason is mandatory (error), rule names must exist (error), stale directives are flagged (warn); emitted by the suppression engine, not a package walker",
+		Severity: SevError,
+		Run:      func(*Package, ReportFunc) {},
 	},
 }
 
@@ -218,88 +172,6 @@ func recvIsSync(info *types.Info, sel *ast.SelectorExpr, name string) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == name
-}
-
-// ---- copylocks ----
-
-func ruleCopyLocks(pkg *Package, report ReportFunc) {
-	checkFieldList := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			tv, ok := pkg.Info.Types[field.Type]
-			if !ok {
-				continue
-			}
-			if _, isPtr := tv.Type.(*types.Pointer); isPtr {
-				continue
-			}
-			if containsLock(tv.Type) {
-				report(field, "%s passes %s by value; use a pointer", what, tv.Type)
-			}
-		}
-	}
-	copiesLock := func(expr ast.Expr) bool {
-		switch ast.Unparen(expr).(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		default:
-			return false // composite literals, calls, &x: not value copies of existing state
-		}
-		tv, ok := pkg.Info.Types[expr]
-		if !ok {
-			return false
-		}
-		if _, isPtr := tv.Type.(*types.Pointer); isPtr {
-			return false
-		}
-		return containsLock(tv.Type)
-	}
-	for _, file := range pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch nn := n.(type) {
-			case *ast.FuncDecl:
-				checkFieldList(nn.Recv, "receiver")
-				checkFieldList(nn.Type.Params, "parameter")
-				checkFieldList(nn.Type.Results, "result")
-			case *ast.FuncLit:
-				checkFieldList(nn.Type.Params, "parameter")
-				checkFieldList(nn.Type.Results, "result")
-			case *ast.AssignStmt:
-				for _, rhs := range nn.Rhs {
-					if copiesLock(rhs) {
-						report(rhs, "assignment copies a lock-bearing value by value")
-					}
-				}
-			case *ast.ReturnStmt:
-				for _, res := range nn.Results {
-					if copiesLock(res) {
-						report(res, "return copies a lock-bearing value by value")
-					}
-				}
-			case *ast.RangeStmt:
-				if nn.Value != nil {
-					// In `for _, x := range ...` the value ident is a
-					// definition, recorded in Defs rather than Types.
-					var t types.Type
-					if id, ok := nn.Value.(*ast.Ident); ok {
-						if obj := pkg.Info.Defs[id]; obj != nil {
-							t = obj.Type()
-						}
-					}
-					if t == nil {
-						if tv, ok := pkg.Info.Types[nn.Value]; ok {
-							t = tv.Type
-						}
-					}
-					if t != nil && containsLock(t) {
-						report(nn.Value, "range clause copies lock-bearing elements by value")
-					}
-				}
-			}
-			return true
-		})
-	}
 }
 
 // ---- ignorederr ----

@@ -70,11 +70,9 @@ func TrainForest(d Dataset, cfg ForestConfig) (*Forest, error) {
 	sem := make(chan struct{}, workers)
 	for i := 0; i < cfg.Trees; i++ {
 		wg.Add(1)
-		//lint:ignore ctxflow bounded worker-pool admission: the semaphore only waits on this function's own goroutines over a fixed tree count
 		sem <- struct{}{}
 		go func(i int) {
 			defer wg.Done()
-			//lint:ignore ctxflow releases the bounded semaphore above; cannot block
 			defer func() { <-sem }()
 			rng := rand.New(rand.NewSource(seeds[i]))
 			boot := Dataset{NumClasses: d.NumClasses}
@@ -95,7 +93,6 @@ func TrainForest(d Dataset, cfg ForestConfig) (*Forest, error) {
 			errs[i] = err
 		}(i)
 	}
-	//lint:ignore ctxflow joins this function's own CPU-bound workers; work is fixed by the training-set size, not unbounded
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

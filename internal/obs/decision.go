@@ -392,8 +392,6 @@ type ModelStats struct {
 	// verdict contradicted the primary run (a soundness bug; also an
 	// invariant violation when deep checking is on).
 	shadowMismatches int64
-	// driftEvents counts model-α drift-detector firings.
-	driftEvents int64
 }
 
 // DefaultModelStats is the process-wide aggregate served at /modelz.
@@ -488,17 +486,6 @@ func (m *ModelStats) ObserveShadowMismatch() {
 	SmartShadowMismatches.Inc()
 }
 
-// ObserveDrift records one drift-detector event.
-func (m *ModelStats) ObserveDrift() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.driftEvents++
-	m.mu.Unlock()
-	SmartDriftEvents.Inc()
-}
-
 // Reset zeroes the aggregate (tests only; the registry metrics are
 // reset separately via Registry.Reset).
 func (m *ModelStats) Reset() {
@@ -512,7 +499,6 @@ func (m *ModelStats) Reset() {
 	m.cacheChecks, m.cacheStale = 0, 0
 	m.mode, m.plan = RegretAggregate{}, RegretAggregate{}
 	m.shadowMismatches = 0
-	m.driftEvents = 0
 	m.mu.Unlock()
 }
 
@@ -537,7 +523,6 @@ type ModelStatsData struct {
 	ModeRegret       RegretAggregate `json:"mode_regret"`
 	PlanRegret       RegretAggregate `json:"plan_regret"`
 	ShadowMismatches int64           `json:"shadow_mismatches"`
-	DriftEvents      int64           `json:"drift_events"`
 }
 
 // Snapshot captures the aggregate's current state.
@@ -554,7 +539,6 @@ func (m *ModelStats) Snapshot() ModelStatsData {
 	d.CacheChecks, d.CacheStale = m.cacheChecks, m.cacheStale
 	d.ModeRegret, d.PlanRegret = m.mode, m.plan
 	d.ShadowMismatches = m.shadowMismatches
-	d.DriftEvents = m.driftEvents
 	return d
 }
 
@@ -657,7 +641,6 @@ func (d ModelStatsData) WriteText(w io.Writer) error {
 	writeRegret("mode (model α counterfactual)", d.ModeRegret)
 	writeRegret("plan (model β counterfactual)", d.PlanRegret)
 	fmt.Fprintf(&buf, "shadow verdict mismatches: %d (must be 0; invariant-gated)\n", d.ShadowMismatches)
-	fmt.Fprintf(&buf, "model-α drift events (§4.3 mispredict stream): %d\n", d.DriftEvents)
 	_, err := w.Write(buf.Bytes())
 	return err
 }

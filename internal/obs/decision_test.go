@@ -152,7 +152,6 @@ func TestModelStatsSnapshot(t *testing.T) {
 	m.ObserveRegret(DecisionKindMode, 100, false)
 	m.ObserveRegret(DecisionKindPlan, 300, true)
 	m.ObserveShadowMismatch()
-	m.ObserveDrift()
 
 	d := m.Snapshot()
 	if d.Alpha != [2][2]int64{{1, 1}, {0, 1}} {
@@ -179,8 +178,8 @@ func TestModelStatsSnapshot(t *testing.T) {
 	if d.PlanRegret.Runs != 1 || d.PlanRegret.TotalNanos != 300 || d.PlanRegret.Timeouts != 1 {
 		t.Errorf("plan regret = %+v", d.PlanRegret)
 	}
-	if d.ShadowMismatches != 1 || d.DriftEvents != 1 {
-		t.Errorf("mismatches/drift = %d/%d, want 1/1", d.ShadowMismatches, d.DriftEvents)
+	if d.ShadowMismatches != 1 {
+		t.Errorf("mismatches = %d, want 1", d.ShadowMismatches)
 	}
 
 	m.Reset()
@@ -195,7 +194,6 @@ func TestModelStatsSnapshot(t *testing.T) {
 	nm.ObserveCacheCheck(true)
 	nm.ObserveRegret(DecisionKindMode, 1, false)
 	nm.ObserveShadowMismatch()
-	nm.ObserveDrift()
 	nm.Reset()
 	if d := nm.Snapshot(); d.AlphaTotal() != 0 {
 		t.Error("nil ModelStats snapshot non-empty")

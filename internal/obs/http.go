@@ -72,7 +72,7 @@ func WithPprof(on bool) HandlerOption {
 //	                    ?format=json for the schema-1 document
 //	/modelz             model-decision telemetry: model-α confusion matrix,
 //	                    vote-margin calibration, model-β plan rank, cache
-//	                    quality, shadow-scoring regret, drift events
+//	                    quality, shadow-scoring regret
 //	/modelz?format=json the same data as JSON
 //	/seriesz            windowed time series (WithSampler): text sparklines,
 //	                    ?format=json for the ring data

@@ -3,7 +3,7 @@
 // histograms) with Prometheus-text and JSON encoders, one per-query
 // record (Profile, retained by the /profilez flight recorder), and an
 // opt-in debug HTTP surface serving /metrics, /metrics.json, /profilez,
-// /modelz (shadow-scoring and drift state) and net/http/pprof.
+// /modelz (model-decision and shadow-scoring state) and net/http/pprof.
 //
 // The layer follows the same gating pattern as package invariant:
 // collection is off by default and every instrumentation site costs one

@@ -72,7 +72,7 @@ var (
 	SmartFunnelRecursed  = Default.Histogram("smartpsi_funnel_recursed", "per-query funnel: candidates recursed into", CountBuckets)
 	SmartFunnelMatched   = Default.Histogram("smartpsi_funnel_matched", "per-query funnel: candidates whose subtree produced a full mapping", CountBuckets)
 
-	// --- package smartpsi: model-decision audit (shadow scoring, drift) ---
+	// --- package smartpsi: model-decision audit (shadow scoring) ---
 
 	SmartShadowModeRuns     = Default.Counter("smartpsi_shadow_mode_runs_total", "shadow runs of the opposite method on sampled candidates (model-α audit)")
 	SmartShadowPlanRuns     = Default.Counter("smartpsi_shadow_plan_runs_total", "shadow runs of a sampled alternative plan (model-β audit)")
@@ -85,7 +85,6 @@ var (
 	SmartCacheStaleHits     = Default.Counter("smartpsi_cache_stale_hits_total", "sampled cache hits whose cached decision disagreed with a fresh prediction")
 	SmartBetaRankChecks     = Default.Counter("smartpsi_beta_rank_checks_total", "model-β predictions ranked against the per-plan training sweeps")
 	SmartBetaRankTop1       = Default.Counter("smartpsi_beta_rank_top1_total", "model-β predictions that picked the sweep's fastest plan")
-	SmartDriftEvents        = Default.Counter("smartpsi_model_drift_events_total", "model-α accuracy drift events (windowed-delta detector, internal/ml)")
 
 	// --- package server: the psi-serve query service ---
 	//

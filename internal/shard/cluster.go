@@ -242,7 +242,8 @@ func (w *shardWorker) dispatch(q graph.Query, shardDeadline, deadline time.Time,
 	t := &task{q: q, deadline: shardDeadline, requestID: requestID, fingerprint: fingerprint, out: make(chan reply, 1)}
 	submit := expiry(deadline, 0)
 	select {
-	//lint:ignore sendclosed Close runs only after the server has drained, so no dispatch can race the channel close
+	// Close runs only after the server has drained, so no dispatch can
+	// race the channel close.
 	case w.tasks <- t:
 	case <-submit:
 		return reply{shard: w.node.index, err: ErrBusy}

@@ -219,7 +219,6 @@ func parallelNodes(n int, f func(lo, hi int)) {
 			f(lo, hi)
 		}(lo, hi)
 	}
-	//lint:ignore ctxflow joins this function's own CPU-bound workers over a fixed node range; terminates when they do
 	wg.Wait()
 }
 

@@ -11,7 +11,6 @@ package smartpsi
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -81,11 +80,6 @@ type Options struct {
 	// with cmd/psi-decisions. Only audited decisions are logged, so
 	// ShadowRate=0 writes nothing.
 	DecisionLog *obs.DecisionLog
-	// Drift configures the model-α accuracy drift detector fed by every
-	// scored prediction across the engine's lifetime (zero: defaults —
-	// window 64, threshold 0.2). Events raise
-	// smartpsi_model_drift_events_total and show on /modelz.
-	Drift ml.DriftConfig
 
 	// Ablation switches (all false in the full system).
 	DisableCache      bool // skip the Section 4.2.3 prediction cache
@@ -177,12 +171,6 @@ type Engine struct {
 	// deadline is read. Only the deadline tests set it, to let a budget
 	// expire exactly there.
 	trainHook func(checkpoint int)
-
-	// drift is the model-α accuracy drift detector, fed by every scored
-	// prediction across the engine's lifetime (Options.Drift). Candidate
-	// workers run concurrently, so driftMu serializes Observe.
-	driftMu sync.Mutex
-	drift   *ml.DriftDetector
 }
 
 // NewEngine builds an engine over g, computing node signatures with the
@@ -205,7 +193,7 @@ func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 }
 
 func newEngine(g *graph.Graph, sigs *signature.Signatures, opts Options) *Engine {
-	e := &Engine{g: g, sigs: sigs, opts: opts, drift: ml.NewDriftDetector(opts.Drift)}
+	e := &Engine{g: g, sigs: sigs, opts: opts}
 	if !opts.DisablePreparedCache {
 		e.prepared = newPreparedCache()
 	}
@@ -232,14 +220,6 @@ func NewEngineWithSignatures(g *graph.Graph, sigs *signature.Signatures, opts Op
 		return nil, fmt.Errorf("smartpsi: signature depth %d, options want %d", sigs.Depth(), opts.SignatureDepth)
 	}
 	return newEngine(g, sigs, opts), nil
-}
-
-// DriftEvents returns the cumulative model-α drift-event count raised by
-// this engine's detector (see Options.Drift).
-func (e *Engine) DriftEvents() int64 {
-	e.driftMu.Lock()
-	defer e.driftMu.Unlock()
-	return e.drift.Events()
 }
 
 // Graph returns the engine's data graph.

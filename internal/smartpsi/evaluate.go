@@ -896,10 +896,9 @@ func (e *Engine) attempt(w *worker, u graph.NodeID, i int, r rung) (bool, time.D
 
 // scoreAlpha records ground truth for one candidate: model α's accuracy
 // counters when a prediction was actually made. With collection enabled
-// every scored prediction also feeds the /modelz confusion matrix, the
-// vote-margin calibration buckets, and the engine's drift detector
-// (ground truth is free here — the evaluation itself labels the node,
-// §4.2.1).
+// every scored prediction also feeds the /modelz confusion matrix and
+// the vote-margin calibration buckets (ground truth is free here — the
+// evaluation itself labels the node, §4.2.1).
 func (e *Engine) scoreAlpha(w *worker, predicted bool, dec decision, actualValid bool) {
 	if !predicted {
 		return
@@ -915,13 +914,6 @@ func (e *Engine) scoreAlpha(w *worker, predicted bool, dec decision, actualValid
 			obs.SmartMispredicts.Inc()
 		}
 		obs.DefaultModelStats.ObserveAlpha(dec.mode == psi.Optimistic, actualValid, dec.margin)
-		e.driftMu.Lock()
-		fired := e.drift.Observe(correct)
-		e.driftMu.Unlock()
-		if fired {
-			// ObserveDrift also raises smartpsi_model_drift_events_total.
-			obs.DefaultModelStats.ObserveDrift()
-		}
 	}
 }
 

@@ -7,7 +7,6 @@
 #   ./scripts/check.sh                    # everything, ~2-5 minutes
 #   FUZZTIME=30s ./scripts/check.sh       # longer fuzz smoke
 #   FUZZTIME=0 ./scripts/check.sh         # skip the fuzz smoke
-#   BENCH_REGRESSION=1 ./scripts/check.sh # also run the bench-regression gate
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -30,8 +29,8 @@ go vet ./...
 step "go build ./..."
 go build ./...
 
-step "psilint (baseline diff)"
-go run ./cmd/psilint -root . -baseline lint_baseline.json
+step "psilint"
+go run ./cmd/psilint -root .
 
 step "go test -race ./..."
 go test -race ./...
@@ -58,13 +57,6 @@ go run ./cmd/psi-decisions -json "$declog_dir/decisions.jsonl" > /dev/null
 
 step "serving smoke (psi-serve + psi-loadgen: verify, overload shed, drain)"
 ./scripts/serve_smoke.sh
-
-# Opt-in: diff this machine's quick-run work counters against the
-# committed baseline (the bench-regression CI job always runs this).
-if [[ "${BENCH_REGRESSION:-0}" != "0" ]]; then
-    step "bench regression gate (-quick vs BENCH_seed.json)"
-    go run ./cmd/psi-bench -quick -baseline BENCH_seed.json -compare -tolerance 0.15
-fi
 
 if [[ "$FUZZTIME" != "0" ]]; then
     step "fuzz smoke ($FUZZTIME per target)"
