@@ -89,8 +89,8 @@ func run(graphPath, queryPath string, threads int, seed int64, stats, explain bo
 	if stats {
 		fmt.Fprintf(os.Stderr, "candidates=%d bindings=%d trained=%d planClasses=%d\n",
 			res.Candidates, len(res.Bindings), res.TrainedNodes, res.PlanClasses)
-		fmt.Fprintf(os.Stderr, "train=%v model=%v eval=%v total=%v\n",
-			res.TrainTime, res.ModelTime, res.EvalTime, res.TotalTime)
+		fmt.Fprintf(os.Stderr, "train=%v fit=%v model=%v eval=%v total=%v\n",
+			res.TrainTime, res.FitTime, res.ModelTime, res.EvalTime, res.TotalTime)
 		fmt.Fprintf(os.Stderr, "cacheHits=%d cacheMisses=%d flips=%d fallbacks=%d alphaAcc=%.1f%%\n",
 			res.CacheHits, res.CacheMisses, res.Flips, res.Fallbacks, 100*res.Alpha.Accuracy())
 		fmt.Fprintf(os.Stderr, "recursions=%d sigPrunes=%d capHits=%d deadlineAborts=%d\n",

@@ -94,22 +94,3 @@ func Accuracy(clf Classifier, d Dataset) float64 {
 	}
 	return float64(correct) / float64(d.Len())
 }
-
-// majority returns the most frequent class among ys (ties to the lowest
-// class id) and whether ys is pure (single class).
-func majority(ys []int, numClasses int) (cls int, pure bool) {
-	counts := make([]int, numClasses)
-	for _, y := range ys {
-		counts[y]++
-	}
-	best, bestCount, nonzero := 0, -1, 0
-	for c, n := range counts {
-		if n > 0 {
-			nonzero++
-		}
-		if n > bestCount {
-			best, bestCount = c, n
-		}
-	}
-	return best, nonzero <= 1
-}

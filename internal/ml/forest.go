@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // ForestConfig controls Random Forest training (Breiman 2001).
@@ -51,56 +52,67 @@ func TrainForest(d Dataset, cfg ForestConfig) (*Forest, error) {
 	}
 	cfg = cfg.withDefaults()
 	f := &Forest{trees: make([]*Tree, cfg.Trees), numClasses: d.NumClasses}
-	featureFrac := math.Sqrt(float64(d.NumFeatures())) / float64(d.NumFeatures())
+	c := newColumns(d)
+	tc := TreeConfig{
+		MaxDepth:    cfg.MaxDepth,
+		MinLeaf:     cfg.MinLeaf,
+		FeatureFrac: math.Sqrt(float64(c.nf)) / float64(c.nf),
+	}
 
 	// Derive one independent seed per tree up front so training is
 	// deterministic regardless of goroutine scheduling.
-	seeds := make([]int64, cfg.Trees)
-	seedRng := rand.New(rand.NewSource(cfg.Seed))
+	seeds := make([]splitMix64, cfg.Trees)
+	next := splitMix64(cfg.Seed)
 	for i := range seeds {
-		seeds[i] = seedRng.Int63()
+		seeds[i] = splitMix64(next.Uint64())
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > cfg.Trees {
-		workers = cfg.Trees
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Trees)
-	sem := make(chan struct{}, workers)
-	for i := 0; i < cfg.Trees; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rng := rand.New(rand.NewSource(seeds[i]))
-			boot := Dataset{NumClasses: d.NumClasses}
-			boot.X = make([][]float64, d.Len())
-			boot.Y = make([]int, d.Len())
-			for j := range boot.X {
-				r := rng.Intn(d.Len())
-				boot.X[j] = d.X[r]
-				boot.Y[j] = d.Y[r]
-			}
-			tree, err := TrainTree(boot, TreeConfig{
-				MaxDepth:    cfg.MaxDepth,
-				MinLeaf:     cfg.MinLeaf,
-				FeatureFrac: featureFrac,
-				rng:         rng,
-			})
-			f.trees[i] = tree
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	// Each worker claims trees in turn and grows them with its own
+	// scratch; tree i is a function of seeds[i] alone.
+	var claimed atomic.Int64
+	work := func() {
+		var src splitMix64
+		tc := tc
+		tc.rng = rand.New(&src)
+		g := newGrower(c, tc)
+		for i := int(claimed.Add(1) - 1); i < cfg.Trees; i = int(claimed.Add(1) - 1) {
+			src = seeds[i]
+			g.bag(tc.rng)
+			f.trees[i] = g.grow()
 		}
 	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), cfg.Trees) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 	return f, nil
 }
+
+// splitMix64 is SplitMix64 (Steele, Lea and Flood 2014) as a
+// rand.Source64. Its state is one word, so seeding a tree's generator is
+// an assignment where math/rand's default source fills 607 words.
+type splitMix64 uint64
+
+// Seed implements rand.Source.
+func (s *splitMix64) Seed(seed int64) { *s = splitMix64(seed) }
+
+// Uint64 implements rand.Source64.
+func (s *splitMix64) Uint64() uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// Int63 implements rand.Source.
+func (s *splitMix64) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // Name implements Classifier.
 func (f *Forest) Name() string { return "random-forest" }

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -155,20 +156,31 @@ func TestForestLearnsSeparableData(t *testing.T) {
 	}
 }
 
+// TestForestDeterministic: a forest is a function of (dataset, Seed) —
+// the same node arrays on every run and at any GOMAXPROCS.
 func TestForestDeterministic(t *testing.T) {
 	d := blobs(100, 4, 2, 0.8, 8)
-	f1, err := TrainForest(d, ForestConfig{Trees: 8, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := TrainForest(d, ForestConfig{Trees: 8, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range d.X {
-		if f1.Predict(x) != f2.Predict(x) {
-			t.Fatalf("row %d: same seed, different predictions", i)
+	train := func(procs int) *Forest {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		f, err := TrainForest(d, ForestConfig{Trees: 8, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return f
+	}
+	f1 := train(1)
+	if err := sameForest(train(1), f1); err != nil {
+		t.Fatalf("same seed, second run: %v", err)
+	}
+	if err := sameForest(train(4), f1); err != nil {
+		t.Fatalf("same seed, GOMAXPROCS 4 vs 1: %v", err)
+	}
+	other, err := TrainForest(d, ForestConfig{Trees: 8, Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sameForest(other, f1) == nil {
+		t.Error("seeds 42 and 43 grew identical forests")
 	}
 }
 

@@ -185,6 +185,7 @@ type Profile struct {
 	trainedNodes int
 	planClasses  int
 	trainTime    time.Duration
+	fitTime      time.Duration
 	cacheHits    int64
 	cacheMisses  int64
 	// Shadow-audit aggregates (regret is the per-query total of
@@ -331,8 +332,9 @@ func (p *Profile) SetCandidates(n int) {
 }
 
 // SetTraining records the training-phase summary: training-set size,
-// model-β class count, and training wall time.
-func (p *Profile) SetTraining(trainedNodes, planClasses int, trainTime time.Duration) {
+// model-β class count, training wall time and the part of it spent
+// fitting the forests.
+func (p *Profile) SetTraining(trainedNodes, planClasses int, trainTime, fitTime time.Duration) {
 	if p == nil {
 		return
 	}
@@ -340,6 +342,7 @@ func (p *Profile) SetTraining(trainedNodes, planClasses int, trainTime time.Dura
 	p.trainedNodes = trainedNodes
 	p.planClasses = planClasses
 	p.trainTime = trainTime
+	p.fitTime = fitTime
 	p.mu.Unlock()
 }
 
@@ -539,6 +542,7 @@ type ProfileData struct {
 	TrainedNodes  int       `json:"trained_nodes"`
 	PlanClasses   int       `json:"plan_classes"`
 	TrainNanos    int64     `json:"train_nanos"`
+	FitNanos      int64     `json:"fit_nanos"`
 	CacheHits     int64     `json:"cache_hits"`
 	CacheMisses   int64     `json:"cache_misses"`
 	// Shadow-audit aggregates: runs per audited model, budget-censored
@@ -583,6 +587,7 @@ func (p *Profile) Snapshot() ProfileData {
 		TrainedNodes:   p.trainedNodes,
 		PlanClasses:    p.planClasses,
 		TrainNanos:     p.trainTime.Nanoseconds(),
+		FitNanos:       p.fitTime.Nanoseconds(),
 		CacheHits:      p.cacheHits,
 		CacheMisses:    p.cacheMisses,
 		ShadowModeRuns: p.shadowModeRuns,
@@ -637,8 +642,9 @@ func (d ProfileData) WriteText(w io.Writer) error {
 		fmt.Fprintf(&buf, "├─ error: %s\n", d.Error)
 	}
 
-	fmt.Fprintf(&buf, "├─ decision  trained=%d planClasses=%d train=%s  cache: %d hits / %d misses\n",
-		d.TrainedNodes, d.PlanClasses, time.Duration(d.TrainNanos).Round(time.Microsecond), d.CacheHits, d.CacheMisses)
+	fmt.Fprintf(&buf, "├─ decision  trained=%d planClasses=%d train=%s fit=%s  cache: %d hits / %d misses\n",
+		d.TrainedNodes, d.PlanClasses, time.Duration(d.TrainNanos).Round(time.Microsecond),
+		time.Duration(d.FitNanos).Round(time.Microsecond), d.CacheHits, d.CacheMisses)
 	if len(d.ModePredicted) > 0 {
 		modes := make([]string, 0, len(d.ModePredicted))
 		for m := range d.ModePredicted {

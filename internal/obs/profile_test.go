@@ -17,7 +17,7 @@ func TestObsProfileNilSafe(t *testing.T) {
 	var p *Profile
 	p.SetMethod("ml")
 	p.SetCandidates(3)
-	p.SetTraining(1, 2, time.Second)
+	p.SetTraining(1, 2, time.Second, time.Millisecond)
 	p.RecordDecision(true, 0, 1)
 	p.LadderObserve(LadderPredicted, true, time.Millisecond)
 	p.MergeFunnel(&Funnel{})
@@ -233,7 +233,7 @@ func TestObsProfileSnapshot(t *testing.T) {
 	p := NewProfile("snapq")
 	p.SetMethod("ml")
 	p.SetCandidates(42)
-	p.SetTraining(64, 3, 2*time.Millisecond)
+	p.SetTraining(64, 3, 2*time.Millisecond, 500*time.Microsecond)
 	p.RecordDecision(false, 0, 2)
 	p.RecordDecision(false, 1, 0)
 	p.RecordDecision(true, 1, 0)
@@ -257,6 +257,9 @@ func TestObsProfileSnapshot(t *testing.T) {
 	}
 	if d.Method != "ml" || d.Candidates != 42 || d.Bindings != 5 {
 		t.Errorf("header fields = %+v", d)
+	}
+	if d.TrainNanos != (2*time.Millisecond).Nanoseconds() || d.FitNanos != (500*time.Microsecond).Nanoseconds() {
+		t.Errorf("train/fit nanos = %d/%d, want 2ms/500µs", d.TrainNanos, d.FitNanos)
 	}
 	if d.CacheHits != 1 || d.CacheMisses != 2 {
 		t.Errorf("cache = %d/%d, want 1/2", d.CacheHits, d.CacheMisses)
@@ -284,6 +287,7 @@ func TestObsProfileSnapshot(t *testing.T) {
 	text := buf.String()
 	for _, want := range []string{
 		"query snapq", "method=ml", "candidates=42", "bindings=5",
+		"train=2ms fit=500µs",
 		"mode (model α): optimistic=1 pessimistic=2",
 		"plan (model β): [0]=2 [2]=1",
 		"recovery ladder", "rung 1 predicted", "rung 3 heuristic",
@@ -303,7 +307,7 @@ func TestObsProfileSnapshot(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.DurationNanos != d.DurationNanos || back.Funnel[0].Generated != 100 {
+	if back.DurationNanos != d.DurationNanos || back.FitNanos != d.FitNanos || back.Funnel[0].Generated != 100 {
 		t.Errorf("JSON round-trip = %+v", back)
 	}
 }

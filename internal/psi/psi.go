@@ -11,8 +11,10 @@
 package psi
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -455,11 +457,11 @@ func (e *Evaluator) extend(st *State, c *plan.Compiled, depth int, mode Mode, su
 	}
 	if mode == Optimistic && len(cands) > 1 {
 		st.stats.Sorts++
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].score != cands[j].score {
-				return cands[i].score > cands[j].score
+		slices.SortFunc(cands, func(a, b scored) int {
+			if c := cmp.Compare(b.score, a.score); c != 0 {
+				return c
 			}
-			return cands[i].node < cands[j].node
+			return cmp.Compare(a.node, b.node)
 		})
 	}
 	st.cands[depth] = cands // keep grown capacity

@@ -27,6 +27,9 @@ type Result struct {
 	// on a warm run); ModelTime covers runtime prediction; together they
 	// are the "training and prediction overhead" of Table 4.
 	TrainTime time.Duration
+	// FitTime is the part of TrainTime spent fitting the model-α and
+	// model-β forests; the rest is the training-node evaluation sweep.
+	FitTime   time.Duration
 	ModelTime time.Duration
 	// EvalTime is the candidate-evaluation wall time (excluding training).
 	EvalTime time.Duration
@@ -326,7 +329,7 @@ func (e *Engine) evaluateML(q graph.Query, r *queryRun, deadline time.Time) erro
 	if art != nil {
 		r.res.Warm = true
 		r.prof.SetMethod("ml-warm")
-		r.prof.SetTraining(0, len(art.compiled), 0)
+		r.prof.SetTraining(0, len(art.compiled), 0, 0)
 	} else {
 		r.prof.SetMethod("ml")
 		rng := rand.New(rand.NewSource(e.opts.Seed))
@@ -458,6 +461,7 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 	if err = e.trainCheckpoint(0, deadline); err != nil {
 		return 0, err
 	}
+	fitStart := time.Now()
 	if !e.opts.DisableTypeModel {
 		if art.alpha, err = ml.TrainForest(alphaDS, e.forestConfig()); err != nil {
 			return 0, fmt.Errorf("smartpsi: model α: %w", err)
@@ -471,10 +475,11 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 			return 0, fmt.Errorf("smartpsi: model β: %w", err)
 		}
 	}
+	r.res.FitTime = time.Since(fitStart)
 	r.res.TrainTime = time.Since(trainStart)
 	r.res.Work.Add(st.Stats())
 	r.prof.MergeFunnel(st.Funnel())
-	r.prof.SetTraining(trainCount, len(art.compiled), r.res.TrainTime)
+	r.prof.SetTraining(trainCount, len(art.compiled), r.res.TrainTime, r.res.FitTime)
 	if enabled {
 		obs.SmartTrainedNodes.Add(int64(trainCount))
 		obs.SmartTrainSeconds.Observe(r.res.TrainTime.Seconds())

@@ -97,8 +97,8 @@ func TestPreparedAdmitOnSecondSighting(t *testing.T) {
 	}
 	for i := 3; i <= 5; i++ {
 		res := mustEvaluate(t, e, q)
-		if !res.Warm || res.TrainedNodes != 0 || res.TrainTime != 0 || !res.UsedML {
-			t.Fatalf("sighting %d: warm=%v trained=%d train=%v", i, res.Warm, res.TrainedNodes, res.TrainTime)
+		if !res.Warm || res.TrainedNodes != 0 || res.TrainTime != 0 || res.FitTime != 0 || !res.UsedML {
+			t.Fatalf("sighting %d: warm=%v trained=%d train=%v fit=%v", i, res.Warm, res.TrainedNodes, res.TrainTime, res.FitTime)
 		}
 		// Every candidate, former training nodes included, is on the
 		// predict path.

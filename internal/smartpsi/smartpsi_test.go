@@ -138,6 +138,12 @@ func TestUsedMLAndCounters(t *testing.T) {
 	if res.TrainTime <= 0 || res.TotalTime <= 0 {
 		t.Error("timers not populated")
 	}
+	if res.FitTime <= 0 || res.FitTime > res.TrainTime {
+		t.Errorf("FitTime %v, want within (0, TrainTime %v]", res.FitTime, res.TrainTime)
+	}
+	if p := res.Profile.Snapshot(); res.Profile != nil && p.FitNanos != res.FitTime.Nanoseconds() {
+		t.Errorf("profile fit_nanos %d, want %d", p.FitNanos, res.FitTime.Nanoseconds())
+	}
 	evaluated := res.CacheHits + res.CacheMisses
 	wantEvaluated := int64(res.Candidates - res.TrainedNodes)
 	if evaluated != wantEvaluated {

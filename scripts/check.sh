@@ -35,6 +35,11 @@ go run ./cmd/psilint -root .
 step "go test -race ./..."
 go test -race ./...
 
+# One iteration each: keeps the forest benchmark and its seed-fitter
+# oracle compiling and running.
+step "forest-fit benchmark smoke"
+go test -run '^$' -bench TrainForest -benchtime 1x ./internal/ml/
+
 # benchmark/ is a module of its own (it builds against this one through
 # a replace directive), so ./... above never compiles it.
 step "benchmark module (vet + tests against this tree's engine API)"
