@@ -1,12 +1,12 @@
 // Command psi-bundle inspects diagnostic bundles captured by psi-serve
 // (auto-captured to -bundle-dir when an SLO alert fires, pulled
 // manually from /debugz/bundle, or saved by psi-loadgen
-// -bundle-on-fail). It turns the zip of JSON snapshots into a readable
-// incident report: what was firing, how fast the error budget was
-// burning, what the serving and process-health series looked like
-// leading up to capture, which requests were slow, and which request
-// IDs can be followed across the profile, decision-log, and access-log
-// views of the same incident.
+// -bundle-on-fail). It turns the zip of endpoint documents into a
+// readable incident report: what was firing, how fast the error budget
+// was burning, what the serving and process-health series looked like
+// leading up to capture, which requests were slow, which shapes cost
+// the most, and which request IDs can be followed from a profile into
+// the model-decision audit (/modelz's recent records).
 //
 // Usage:
 //
@@ -14,8 +14,8 @@
 //	psi-bundle report -json bundle.zip           # machine-readable report
 //	psi-bundle report -require-correlation b.zip # fail unless >= 1 request
 //	                                             # ID appears in both a
-//	                                             # profile and the decision
-//	                                             # tail (CI gate)
+//	                                             # profile and modelz.json's
+//	                                             # recent decisions (CI gate)
 //	psi-bundle list bundle.zip                   # entries with sizes
 //	psi-bundle cat bundle.zip manifest.json      # raw entry to stdout
 //
@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -104,15 +105,10 @@ func cmdList(args []string, stdout, stderr io.Writer) int {
 	if code != exitOK {
 		return code
 	}
-	names := make([]string, 0, len(a.Entries))
-	for name := range a.Entries {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	_, _ = fmt.Fprintf(stdout, "%s  schema %d  reason %s  captured %s\n",
 		args[0], a.Manifest.Schema, a.Manifest.Reason, a.Manifest.CapturedAt.Format(time.RFC3339))
-	for _, name := range names {
-		_, _ = fmt.Fprintf(stdout, "  %9d  %s\n", len(a.Entries[name]), name)
+	for _, e := range a.Manifest.Entries {
+		_, _ = fmt.Fprintf(stdout, "  %9d  %s\n", len(a.Entries[e.Name]), e.Name)
 	}
 	return exitOK
 }
@@ -133,7 +129,7 @@ func cmdCat(args []string, stdout, stderr io.Writer) int {
 		_, _ = fmt.Fprintf(stderr, "psi-bundle: %v\n", err)
 		return exitFail
 	}
-	_, _ = stdout.(io.Writer).Write(data)
+	_, _ = stdout.Write(data)
 	return exitOK
 }
 
@@ -143,7 +139,7 @@ func cmdReport(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	asJSON := fs.Bool("json", false, "emit the report as a JSON document")
 	requireCorr := fs.Bool("require-correlation", false,
-		"exit 1 unless at least one request ID appears in both a captured profile and the decision-log tail")
+		"exit 1 unless at least one request ID appears in both a captured profile and modelz.json's recent decisions")
 	if err := fs.Parse(args); err != nil {
 		return exitFail
 	}
@@ -170,44 +166,27 @@ func cmdReport(args []string, stdout, stderr io.Writer) int {
 	} else {
 		writeText(stdout, rep)
 	}
-	if *requireCorr && !hasProfileDecisionCorrelation(rep) {
-		_, _ = fmt.Fprintln(stderr, "psi-bundle: -require-correlation: no request ID appears in both a captured profile and the decision-log tail")
+	if *requireCorr && len(rep.Correlated) == 0 {
+		_, _ = fmt.Fprintln(stderr, "psi-bundle: -require-correlation: no request ID appears in both a captured profile and modelz.json's recent decisions")
 		return exitFail
 	}
 	return exitOK
 }
 
-// hasProfileDecisionCorrelation reports whether any request ID spans
-// the serving view (a captured profile) and the model-audit view (the
-// decision-log tail) — the pairing -require-correlation gates on.
-// Access-log pairings alone do not satisfy it.
-func hasProfileDecisionCorrelation(rep *reportDoc) bool {
-	for _, c := range rep.Correlated {
-		var prof, dec bool
-		for _, s := range c.Sources {
-			prof = prof || s == "profile"
-			dec = dec || s == "decision"
-		}
-		if prof && dec {
-			return true
-		}
-	}
-	return false
-}
-
 // reportDoc is the -json report document and the input of the text
-// renderer.
+// renderer. Alerts, Slowest and Workload are the obs documents the
+// bundle's entries decode into (Workload cut to its top shapes).
 type reportDoc struct {
-	Schema     int                `json:"schema"`
-	Bundle     obs.BundleManifest `json:"manifest"`
-	Firing     []obs.AlertStatus  `json:"firing"`
-	Alerts     []obs.AlertStatus  `json:"alerts"`
-	Series     []seriesLine       `json:"series,omitempty"`
-	Slowest    []profileLine      `json:"slowest,omitempty"`
-	Workload   *workloadSummary   `json:"workload,omitempty"`
-	Decisions  decisionSummary    `json:"decisions"`
-	AccessIDs  int                `json:"access_request_ids"`
-	Correlated []correlation      `json:"correlated_request_ids"`
+	Schema    int                `json:"schema"`
+	Bundle    obs.BundleManifest `json:"manifest"`
+	Alerts    obs.AlertsData     `json:"alerts"`
+	Series    []seriesLine       `json:"series,omitempty"`
+	Slowest   []obs.ProfileData  `json:"slowest,omitempty"`
+	Workload  *obs.WorkloadData  `json:"workload,omitempty"`
+	Decisions decisionSummary    `json:"decisions"`
+	// Correlated are the request IDs present in both a captured profile
+	// and a recent decision record, sorted.
+	Correlated []string `json:"correlated_request_ids"`
 }
 
 // seriesLine is one rendered sparkline: a metric's recent trajectory.
@@ -218,139 +197,52 @@ type seriesLine struct {
 	Spark string  `json:"spark"`
 }
 
-// profileLine summarizes one slow profile with its candidate funnel
-// totals.
-type profileLine struct {
-	Name       string  `json:"name"`
-	RequestID  string  `json:"request_id,omitempty"`
-	Method     string  `json:"method"`
-	DurationMS float64 `json:"duration_ms"`
-	Bindings   int     `json:"bindings"`
-	Generated  int64   `json:"generated"`
-	DegOK      int64   `json:"deg_ok"`
-	SigOK      int64   `json:"sig_ok"`
-	Recursed   int64   `json:"recursed"`
-	Matched    int64   `json:"matched"`
-}
-
-// workloadSummary condenses the bundle's workload.json (the /queryz
-// snapshot at capture time) into the shapes that were costing the most
-// when the incident fired.
-type workloadSummary struct {
-	Observed     int64          `json:"observed"`
-	Tracked      int            `json:"tracked_shapes"`
-	DistinctEst  int64          `json:"distinct_shapes_estimate"`
-	CacheWinPct  float64        `json:"cache_win_upper_bound_pct"`
-	SavableNanos int64          `json:"savable_nanos"`
-	TopShapes    []workloadLine `json:"top_shapes,omitempty"`
-}
-
-// workloadLine is one top-cost shape row of the report.
-type workloadLine struct {
-	Fingerprint string  `json:"shape"`
-	Example     string  `json:"example,omitempty"`
-	Count       int64   `json:"count"`
-	CountPct    float64 `json:"count_pct"`
-	CostPct     float64 `json:"cost_pct"`
-	P95MS       float64 `json:"p95_ms"`
-	RepeatHits  int64   `json:"repeat_hits"`
-	Shed        int64   `json:"shed"`
-	Deadline    int64   `json:"deadline"`
-}
-
-// decisionSummary aggregates the decision-log tail.
+// decisionSummary aggregates modelz.json's recent audited decisions.
 type decisionSummary struct {
 	Records    int              `json:"records"`
 	Kinds      map[string]int64 `json:"kinds,omitempty"`
 	RequestIDs int              `json:"request_ids"`
 }
 
-// correlation is one request ID visible from more than one telemetry
-// surface, with the surfaces that saw it.
-type correlation struct {
-	RequestID string   `json:"request_id"`
-	Sources   []string `json:"sources"` // subset of profile, decision, access
-}
+// topShapes bounds the workload rows the report keeps.
+const topShapes = 5
 
-// buildReport decodes the bundle's JSON entries into the report
-// document. A bundle whose mandatory JSON entries do not parse is
-// treated as corrupt by the caller.
+// buildReport decodes every JSON entry into the obs type its endpoint
+// encodes and assembles the report document. A missing entry (its
+// endpoint was unarmed) is skipped; one that does not parse makes the
+// bundle corrupt for the caller.
 func buildReport(a *obs.BundleArchive) (*reportDoc, error) {
-	rep := &reportDoc{Schema: 1, Bundle: a.Manifest}
-
-	var alerts obs.AlertsData
-	if data, err := a.Entry(obs.AlertsEntry); err == nil {
-		if err := json.Unmarshal(data, &alerts); err != nil {
-			return nil, fmt.Errorf("%s: %w", obs.AlertsEntry, err)
-		}
-		rep.Alerts = alerts.Alerts
-		for _, al := range alerts.Alerts {
-			if al.State == obs.StateFiring {
-				rep.Firing = append(rep.Firing, al)
-			}
-		}
-	}
-
-	if data, err := a.Entry(obs.SeriesEntry); err == nil {
-		var series obs.SeriesData
-		if err := json.Unmarshal(data, &series); err != nil {
-			return nil, fmt.Errorf("%s: %w", obs.SeriesEntry, err)
-		}
-		rep.Series = renderSeries(series)
-	}
-
-	var profiles obs.BundleProfiles
-	if data, err := a.Entry(obs.ProfilesEntry); err == nil {
-		if err := json.Unmarshal(data, &profiles); err != nil {
-			return nil, fmt.Errorf("%s: %w", obs.ProfilesEntry, err)
-		}
-		for _, p := range profiles.Slowest {
-			rep.Slowest = append(rep.Slowest, profileToLine(p))
-		}
-	}
-
-	if data, err := a.Entry(obs.WorkloadEntry); err == nil {
-		var wl obs.WorkloadData
-		if err := json.Unmarshal(data, &wl); err != nil {
-			return nil, fmt.Errorf("%s: %w", obs.WorkloadEntry, err)
-		}
-		rep.Workload = summarizeWorkload(wl)
-	}
-
-	decisions, err := decodeJSONL[obs.DecisionRecord](a, obs.DecisionsEntry)
-	if err != nil {
-		return nil, err
-	}
-	rep.Decisions = summarizeDecisions(decisions)
-
-	access, err := decodeJSONL[obs.AccessEntry](a, obs.AccessLogEntryName)
-	if err != nil {
-		return nil, err
-	}
-
-	rep.Correlated, rep.AccessIDs = correlate(profiles, decisions, access)
-	return rep, nil
-}
-
-// decodeJSONL parses an optional JSONL entry; a missing entry is an
-// empty slice, a malformed line is an error.
-func decodeJSONL[T any](a *obs.BundleArchive, name string) ([]T, error) {
-	data, err := a.Entry(name)
-	if err != nil {
-		return nil, nil
-	}
-	var out []T
-	for i, line := range strings.Split(string(data), "\n") {
-		if strings.TrimSpace(line) == "" {
+	var (
+		metrics  obs.Snapshot
+		series   obs.SeriesData
+		profiles obs.ProfilesData
+		model    obs.ModelStatsData
+		rep      = &reportDoc{Schema: 2, Bundle: a.Manifest}
+	)
+	for name, doc := range map[string]any{
+		obs.MetricsEntry:  &metrics,
+		obs.SeriesEntry:   &series,
+		obs.AlertsEntry:   &rep.Alerts,
+		obs.ProfilesEntry: &profiles,
+		obs.ModelEntry:    &model,
+		obs.WorkloadEntry: &rep.Workload,
+	} {
+		data, err := a.Entry(name)
+		if err != nil {
 			continue
 		}
-		var v T
-		if err := json.Unmarshal([]byte(line), &v); err != nil {
-			return nil, fmt.Errorf("%s line %d: %w", name, i+1, err)
+		if err := json.Unmarshal(data, doc); err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		out = append(out, v)
 	}
-	return out, nil
+	rep.Series = renderSeries(series)
+	rep.Slowest = profiles.Slowest
+	if wl := rep.Workload; wl != nil && len(wl.Shapes) > topShapes {
+		wl.Shapes = wl.Shapes[:topShapes]
+	}
+	rep.Decisions = summarizeDecisions(model.Recent)
+	rep.Correlated = correlate(profiles, model.Recent)
+	return rep, nil
 }
 
 // seriesOfInterest picks which metrics get sparklines, in render
@@ -383,7 +275,7 @@ func renderSeries(s obs.SeriesData) []seriesLine {
 			out = append(out, seriesLine{
 				Name: name, Kind: "rate",
 				Last:  c.Rates[len(c.Rates)-1],
-				Spark: obs.Spark(c.Rates),
+				Spark: spark(c.Rates),
 			})
 			continue
 		}
@@ -395,7 +287,7 @@ func renderSeries(s obs.SeriesData) []seriesLine {
 			out = append(out, seriesLine{
 				Name: name, Kind: "value",
 				Last:  vals[len(vals)-1],
-				Spark: obs.Spark(vals),
+				Spark: spark(vals),
 			})
 		}
 	}
@@ -404,64 +296,48 @@ func renderSeries(s obs.SeriesData) []seriesLine {
 			out = append(out, seriesLine{
 				Name: h.Name + "_p99", Kind: "p99",
 				Last:  h.P99[len(h.P99)-1],
-				Spark: obs.Spark(h.P99),
+				Spark: spark(h.P99),
 			})
 		}
 	}
 	return out
 }
 
-// profileToLine flattens one profile and its funnel totals.
-func profileToLine(p obs.ProfileData) profileLine {
-	l := profileLine{
-		Name:       p.Name,
-		RequestID:  p.RequestID,
-		Method:     p.Method,
-		DurationMS: float64(p.DurationNanos) / 1e6,
-		Bindings:   p.Bindings,
+// sparkRunes maps a normalised [0,1] value to a bar glyph.
+var sparkRunes = []rune("▁▂▃▄▅▆▇█")
+
+// spark renders values as a unicode sparkline, normalised to the
+// series' own min..max; missing values (NaN or negative quantiles from
+// empty steps) render as spaces.
+func spark(vals []float64) string {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range vals {
+		if math.IsNaN(v) || v < 0 {
+			continue
+		}
+		lo = math.Min(lo, v)
+		hi = math.Max(hi, v)
 	}
-	for _, d := range p.Funnel {
-		l.Generated += d.Generated
-		l.DegOK += d.DegOK
-		l.SigOK += d.SigOK
-		l.Recursed += d.Recursed
-		l.Matched += d.Matched
+	if lo > hi {
+		return ""
 	}
-	return l
+	out := make([]rune, 0, len(vals))
+	for _, v := range vals {
+		if math.IsNaN(v) || v < 0 {
+			out = append(out, ' ')
+			continue
+		}
+		i := 0
+		if hi > lo {
+			i = int((v - lo) / (hi - lo) * float64(len(sparkRunes)-1))
+		}
+		out = append(out, sparkRunes[i])
+	}
+	return string(out)
 }
 
-// summarizeWorkload keeps the top-cost shapes (the snapshot is already
-// ranked by aggregate cost) plus the sketch-wide cache-win estimate.
-func summarizeWorkload(wl obs.WorkloadData) *workloadSummary {
-	sum := &workloadSummary{
-		Observed:     wl.Observed,
-		Tracked:      wl.TrackedShapes,
-		DistinctEst:  wl.DistinctEstimate,
-		CacheWinPct:  wl.CacheWin.HitRate * 100,
-		SavableNanos: wl.CacheWin.SavableNanos,
-	}
-	top := wl.Shapes
-	if len(top) > 5 {
-		top = top[:5]
-	}
-	for _, s := range top {
-		sum.TopShapes = append(sum.TopShapes, workloadLine{
-			Fingerprint: s.Fingerprint,
-			Example:     s.Example,
-			Count:       s.Count,
-			CountPct:    s.CountShare * 100,
-			CostPct:     s.CostShare * 100,
-			P95MS:       s.P95Millis,
-			RepeatHits:  s.Totals.RepeatHits,
-			Shed:        s.Totals.Shed,
-			Deadline:    s.Totals.Deadline,
-		})
-	}
-	return sum
-}
-
-// summarizeDecisions aggregates the tail by kind and distinct request
-// ID.
+// summarizeDecisions aggregates the recent decisions by kind and
+// distinct request ID.
 func summarizeDecisions(recs []obs.DecisionRecord) decisionSummary {
 	sum := decisionSummary{Records: len(recs)}
 	ids := map[string]bool{}
@@ -478,68 +354,25 @@ func summarizeDecisions(recs []obs.DecisionRecord) decisionSummary {
 	return sum
 }
 
-// correlate intersects request IDs across the three telemetry
-// surfaces. Only IDs seen by at least two surfaces are reported —
-// those are the requests an operator can follow end to end. Also
-// returns the count of distinct IDs in the access log.
-func correlate(profiles obs.BundleProfiles, decisions []obs.DecisionRecord, access []obs.AccessEntry) ([]correlation, int) {
-	const (
-		srcProfile = 1 << iota
-		srcDecision
-		srcAccess
-	)
-	seen := map[string]int{}
-	for _, p := range profiles.Slowest {
-		if p.RequestID != "" {
-			seen[p.RequestID] |= srcProfile
+// correlate returns the request IDs seen both by a captured profile (the
+// serving view) and by a recent decision record (the model-audit view),
+// sorted: the requests an operator can follow end to end.
+func correlate(profiles obs.ProfilesData, decisions []obs.DecisionRecord) []string {
+	profiled := map[string]bool{}
+	for _, set := range [][]obs.ProfileData{profiles.Slowest, profiles.Recent} {
+		for _, p := range set {
+			profiled[p.RequestID] = p.RequestID != ""
 		}
 	}
-	for _, p := range profiles.Recent {
-		if p.RequestID != "" {
-			seen[p.RequestID] |= srcProfile
-		}
-	}
+	var out []string
 	for _, d := range decisions {
-		if d.RequestID != "" {
-			seen[d.RequestID] |= srcDecision
+		if profiled[d.RequestID] {
+			out = append(out, d.RequestID)
+			profiled[d.RequestID] = false
 		}
 	}
-	accessIDs := map[string]bool{}
-	for _, e := range access {
-		if e.RequestID != "" {
-			seen[e.RequestID] |= srcAccess
-			accessIDs[e.RequestID] = true
-		}
-	}
-	var out []correlation
-	for id, mask := range seen {
-		var sources []string
-		if mask&srcProfile != 0 {
-			sources = append(sources, "profile")
-		}
-		if mask&srcDecision != 0 {
-			sources = append(sources, "decision")
-		}
-		if mask&srcAccess != 0 {
-			sources = append(sources, "access")
-		}
-		// The correlation that matters is profile+decision: the serving
-		// view and the model-audit view of the same request. Access-only
-		// pairings are still reported, ranked after.
-		if mask&srcProfile != 0 && mask&srcDecision != 0 {
-			out = append(out, correlation{RequestID: id, Sources: sources})
-		} else if len(sources) >= 2 {
-			out = append(out, correlation{RequestID: id, Sources: sources})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		li, lj := len(out[i].Sources), len(out[j].Sources)
-		if li != lj {
-			return li > lj
-		}
-		return out[i].RequestID < out[j].RequestID
-	})
-	return out, len(accessIDs)
+	sort.Strings(out)
+	return out
 }
 
 // writeText renders the human-readable incident report. Write errors
@@ -566,18 +399,9 @@ func writeText(w io.Writer, rep *reportDoc) {
 	}
 	_, _ = fmt.Fprintln(w)
 
-	if len(rep.Firing) > 0 {
-		_, _ = fmt.Fprintln(w, "\nFIRING")
-		for _, al := range rep.Firing {
-			_, _ = fmt.Fprintf(w, "  %-16s burn fast %.2fx slow %.2fx (threshold %.1fx, target %.4g)\n",
-				al.Name, al.FastBurn, al.SlowBurn, al.BurnFactor, al.Target)
-		}
-	}
-	if len(rep.Alerts) > 0 {
-		_, _ = fmt.Fprintln(w, "\nalerts")
-		for _, al := range rep.Alerts {
-			_, _ = fmt.Fprintf(w, "  %-16s %-8s fast %.2fx slow %.2fx\n", al.Name, al.State, al.FastBurn, al.SlowBurn)
-		}
+	if len(rep.Alerts.Alerts) > 0 {
+		_, _ = fmt.Fprintln(w)
+		_ = rep.Alerts.WriteText(w)
 	}
 
 	if len(rep.Series) > 0 {
@@ -590,31 +414,22 @@ func writeText(w io.Writer, rep *reportDoc) {
 	if len(rep.Slowest) > 0 {
 		_, _ = fmt.Fprintln(w, "\nslowest profiles")
 		for _, p := range rep.Slowest {
-			_, _ = fmt.Fprintf(w, "  %8.2fms  %-10s %s", p.DurationMS, p.Method, p.Name)
+			_, _ = fmt.Fprintf(w, "  %8.2fms  %-10s %s", float64(p.DurationNanos)/1e6, p.Method, p.Name)
 			if p.RequestID != "" {
 				_, _ = fmt.Fprintf(w, "  req %s", p.RequestID)
 			}
-			_, _ = fmt.Fprintln(w)
-			_, _ = fmt.Fprintf(w, "             funnel generated %d > deg-ok %d > sig-ok %d > recursed %d > matched %d; bindings %d\n",
-				p.Generated, p.DegOK, p.SigOK, p.Recursed, p.Matched, p.Bindings)
+			f := (&obs.Funnel{Depths: p.Funnel}).Totals()
+			_, _ = fmt.Fprintf(w, "\n             funnel generated %d > deg-ok %d > sig-ok %d > recursed %d > matched %d; bindings %d\n",
+				f.Generated, f.DegOK, f.SigOK, f.Recursed, f.Matched, p.Bindings)
 		}
 	}
 
 	if rep.Workload != nil {
-		_, _ = fmt.Fprintf(w, "\ntop shapes by cost (workload: %d observed, %d tracked, ~%d distinct; answer-cache win <= %.1f%%, savable %s)\n",
-			rep.Workload.Observed, rep.Workload.Tracked, rep.Workload.DistinctEst,
-			rep.Workload.CacheWinPct, time.Duration(rep.Workload.SavableNanos).Round(time.Millisecond))
-		for _, s := range rep.Workload.TopShapes {
-			_, _ = fmt.Fprintf(w, "  %s  count %d (%.0f%%)  cost %.0f%%  p95 %.2fms  repeat %d  shed %d  deadline %d",
-				s.Fingerprint, s.Count, s.CountPct, s.CostPct, s.P95MS, s.RepeatHits, s.Shed, s.Deadline)
-			if s.Example != "" {
-				_, _ = fmt.Fprintf(w, "  e.g. %s", s.Example)
-			}
-			_, _ = fmt.Fprintln(w)
-		}
+		_, _ = fmt.Fprintf(w, "\ntop shapes by cost (/queryz at capture, first %d)\n", topShapes)
+		_ = rep.Workload.WriteText(w)
 	}
 
-	_, _ = fmt.Fprintf(w, "\ndecision tail: %d records, %d distinct request IDs", rep.Decisions.Records, rep.Decisions.RequestIDs)
+	_, _ = fmt.Fprintf(w, "\nrecent decisions: %d records, %d distinct request IDs", rep.Decisions.Records, rep.Decisions.RequestIDs)
 	if len(rep.Decisions.Kinds) > 0 {
 		kinds := make([]string, 0, len(rep.Decisions.Kinds))
 		for k := range rep.Decisions.Kinds {
@@ -628,19 +443,15 @@ func writeText(w io.Writer, rep *reportDoc) {
 		_, _ = fmt.Fprintf(w, " (%s)", strings.Join(parts, ", "))
 	}
 	_, _ = fmt.Fprintln(w)
-	_, _ = fmt.Fprintf(w, "access log: %d distinct request IDs\n", rep.AccessIDs)
 
 	if len(rep.Correlated) > 0 {
-		_, _ = fmt.Fprintln(w, "\ncorrelated request IDs (followable across surfaces)")
-		max := len(rep.Correlated)
-		if max > 10 {
-			max = 10
+		_, _ = fmt.Fprintln(w, "\ncorrelated request IDs (in a profile and in the recent decisions)")
+		shown := min(len(rep.Correlated), 10)
+		for _, id := range rep.Correlated[:shown] {
+			_, _ = fmt.Fprintf(w, "  %s\n", id)
 		}
-		for _, c := range rep.Correlated[:max] {
-			_, _ = fmt.Fprintf(w, "  %s  [%s]\n", c.RequestID, strings.Join(c.Sources, "+"))
-		}
-		if len(rep.Correlated) > max {
-			_, _ = fmt.Fprintf(w, "  ... and %d more\n", len(rep.Correlated)-max)
+		if len(rep.Correlated) > shown {
+			_, _ = fmt.Fprintf(w, "  ... and %d more\n", len(rep.Correlated)-shown)
 		}
 	} else {
 		_, _ = fmt.Fprintln(w, "\nno correlated request IDs (run the server with -shadow-rate > 0 to audit decisions per request)")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"archive/zip"
 	"bytes"
 	"encoding/json"
 	"os"
@@ -12,10 +13,10 @@ import (
 	"repro/internal/obs"
 )
 
-// makeBundle assembles a realistic incident bundle on disk: an
-// availability alert driven to firing, one slow profile, decision-tail
-// and access-log records sharing a request ID (correlated unless
-// withCorrelation is false).
+// makeBundle assembles a realistic incident bundle on disk through the
+// debug mux: an availability alert driven to firing, one slow profile
+// and a recent /modelz decision record sharing its request ID
+// (correlated unless withCorrelation is false).
 func makeBundle(t *testing.T, withCorrelation bool) string {
 	t.Helper()
 	prev := obs.Enabled()
@@ -45,23 +46,19 @@ func makeBundle(t *testing.T, withCorrelation bool) string {
 	p.SetOutcome(2)
 	p.FinishIn(25 * time.Millisecond)
 
-	tail := obs.NewDecisionTail(8)
+	obs.DefaultModelStats.Reset()
+	t.Cleanup(obs.DefaultModelStats.Reset)
 	reqID := "req-42"
 	if !withCorrelation {
 		reqID = ""
 	}
-	tail.Append(obs.DecisionRecord{Kind: obs.DecisionKindMode, Query: "q-slow", RequestID: reqID, Node: 7})
+	obs.DefaultModelStats.Observe(obs.DecisionRecord{Kind: obs.DecisionKindMode, Query: "q-slow", RequestID: reqID, Node: 7}, true)
 
-	access := obs.NewAccessRing(8)
-	access.Append(obs.AccessEntry{Method: "POST", Path: "/v1/psi", Status: 200, RequestID: "req-42"})
-
-	b, err := obs.NewBundler(obs.BundlerConfig{
-		Registry: reg, Sampler: s, Alerts: set,
-		Recorder: rec, Decisions: tail, Access: access,
-	})
+	b, err := obs.NewBundler(obs.BundlerConfig{Alerts: set})
 	if err != nil {
 		t.Fatal(err)
 	}
+	obs.Handler(reg, rec, obs.WithSampler(s), obs.WithAlerts(set), obs.WithBundler(b))
 	var buf bytes.Buffer
 	if _, err := b.WriteBundle(&buf, obs.BundleReasonAlert, "availability"); err != nil {
 		t.Fatal(err)
@@ -82,7 +79,7 @@ func TestReportText(t *testing.T) {
 	text := out.String()
 	for _, want := range []string{
 		"reason alert", "objective availability", // manifest header
-		"FIRING", "availability", // firing section
+		"1 firing", "availability", // the /alertz table
 		"server_requests_total", // sparkline
 		"q-slow", "req-42",      // slow profile with its request ID
 		"funnel generated 20 > deg-ok 15 > sig-ok 10 > recursed 8 > matched 2",
@@ -104,18 +101,17 @@ func TestReportJSON(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("report -json is not JSON: %v\n%s", err, out.String())
 	}
-	if len(rep.Firing) != 1 || rep.Firing[0].Name != "availability" {
-		t.Errorf("firing = %+v, want availability", rep.Firing)
+	if rep.Alerts.Firing != 1 || rep.Alerts.Alerts[0].Name != "availability" {
+		t.Errorf("alerts = %+v, want availability firing", rep.Alerts)
 	}
 	if rep.Bundle.Reason != obs.BundleReasonAlert {
 		t.Errorf("manifest reason = %q, want alert", rep.Bundle.Reason)
 	}
-	if len(rep.Correlated) == 0 {
-		t.Fatal("no correlated request IDs")
+	if len(rep.Correlated) != 1 || rep.Correlated[0] != "req-42" {
+		t.Errorf("correlated = %v, want req-42 (profile + recent decision)", rep.Correlated)
 	}
-	c := rep.Correlated[0]
-	if c.RequestID != "req-42" || len(c.Sources) != 3 {
-		t.Errorf("correlation = %+v, want req-42 across profile+decision+access", c)
+	if rep.Decisions.Records != 1 || rep.Decisions.Kinds[obs.DecisionKindMode] != 1 {
+		t.Errorf("decisions = %+v, want the one mode record from modelz.json", rep.Decisions)
 	}
 }
 
@@ -123,7 +119,7 @@ func TestRequireCorrelationFails(t *testing.T) {
 	path := makeBundle(t, false)
 	var out, errOut bytes.Buffer
 	if code := run([]string{"report", "-require-correlation", path}, &out, &errOut); code != 1 {
-		t.Fatalf("exit = %d, want 1 when no ID spans profile and decision tail", code)
+		t.Fatalf("exit = %d, want 1 when no ID spans a profile and the recent decisions", code)
 	}
 	if !strings.Contains(errOut.String(), "require-correlation") {
 		t.Errorf("stderr does not name the failed assertion:\n%s", errOut.String())
@@ -145,9 +141,26 @@ func TestCorruptBundleExit2(t *testing.T) {
 	if err := os.WriteFile(truncated, data[:len(data)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A schema-1 bundle (it carried decisions.jsonl and access.jsonl).
+	var old bytes.Buffer
+	zw := zip.NewWriter(&old)
+	f, err := zw.Create(obs.ManifestEntry)
+	if err == nil {
+		_, err = f.Write([]byte(`{"schema": 1, "reason": "manual"}`))
+	}
+	if err == nil {
+		err = zw.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldSchema := filepath.Join(dir, "schema1.zip")
+	if err := os.WriteFile(oldSchema, old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, sub := range []string{"report", "list"} {
-		for _, path := range []string{garbage, truncated, filepath.Join(dir, "missing.zip")} {
+		for _, path := range []string{garbage, truncated, oldSchema, filepath.Join(dir, "missing.zip")} {
 			var out, errOut bytes.Buffer
 			if code := run([]string{sub, path}, &out, &errOut); code != 2 {
 				t.Errorf("%s %s exit = %d, want 2\n%s", sub, filepath.Base(path), code, errOut.String())
@@ -197,5 +210,23 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if code := run([]string{"help"}, &out, &errOut); code != 0 {
 		t.Errorf("help exit = %d, want 0", code)
+	}
+}
+
+func TestSpark(t *testing.T) {
+	if got := spark(nil); got != "" {
+		t.Errorf("empty spark = %q", got)
+	}
+	if got := spark([]float64{-1, -1}); got != "" {
+		t.Errorf("all-missing spark = %q", got)
+	}
+	got := spark([]float64{0, 1, -1, 2})
+	want := "▁▄ █"
+	if got != want {
+		t.Errorf("spark = %q, want %q", got, want)
+	}
+	// A flat series renders at the low bar rather than dividing by zero.
+	if got := spark([]float64{5, 5, 5}); got != "▁▁▁" {
+		t.Errorf("flat spark = %q", got)
 	}
 }

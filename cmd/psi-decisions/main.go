@@ -2,8 +2,9 @@
 // SmartPSI engine (psi-workload -decision-log, or any
 // obs.DecisionLog) into model-quality reports: the model-α confusion
 // matrix and vote-margin calibration, model-β plan ranks, prediction-
-// cache staleness, and shadow-scoring regret — the same quantities
-// /modelz serves live, recomputed offline from the raw records.
+// cache staleness, and shadow-scoring regret — the records are folded
+// through obs.ModelStats, the aggregate /modelz serves live, and
+// printed with its renderer.
 //
 // Usage:
 //
@@ -18,14 +19,12 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
-	"time"
 
 	"repro/internal/ml"
 	"repro/internal/obs"
@@ -52,43 +51,38 @@ func run(path string, jsonOut, refit bool, seed int64, trees int, w io.Writer) e
 	if err != nil {
 		return err
 	}
-	rep := analyze(recs)
+	var stats obs.ModelStats
+	stats.Replay(recs)
+	rep := report{ModelStatsData: stats.Snapshot(), Records: len(recs)}
 	if refit {
-		r, err := refitAlpha(recs, seed, trees)
-		if err != nil {
+		if rep.Refit, err = refitAlpha(recs, seed, trees, rep.AlphaAccuracy()); err != nil {
 			return err
 		}
-		rep.Refit = r
 	}
 	if jsonOut {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	}
-	return rep.writeText(w)
+	if _, err := fmt.Fprintf(w, "decision log %s: %d records\n\n", path, rep.Records); err != nil {
+		return err
+	}
+	if err := rep.WriteText(w); err != nil {
+		return err
+	}
+	if r := rep.Refit; r != nil {
+		_, err = fmt.Fprintf(w, "\nrefit: %d train / %d test rows, holdout accuracy %.4f (online %.4f)\n",
+			r.TrainRows, r.TestRows, r.HoldoutAccuracy, r.OnlineAccuracy)
+	}
+	return err
 }
 
-// report is the analyzer's output: the offline mirror of /modelz,
-// recomputed from the raw decision records.
+// report is the analyzer's output: the /modelz document folded from the
+// raw records, plus the offline refit.
 type report struct {
-	Records int            `json:"records"`
-	Kinds   map[string]int `json:"kinds"`
-
-	// Alpha is the model-α confusion matrix over mode-audit records:
-	// [actual][predicted] with 1 = valid.
-	Alpha       [2][2]int64                                      `json:"alpha_confusion"`
-	Calibration [obs.NumCalibrationBuckets]obs.CalibrationBucket `json:"calibration"`
-
-	// BetaRanks[r-1] counts beta records whose predicted plan ranked r.
-	BetaRanks []int64 `json:"beta_ranks,omitempty"`
-
-	CacheChecks int64 `json:"cache_checks"`
-	CacheStale  int64 `json:"cache_stale"`
-
-	ModeRegret obs.RegretAggregate `json:"mode_regret"`
-	PlanRegret obs.RegretAggregate `json:"plan_regret"`
-
-	Refit *refitReport `json:"refit,omitempty"`
+	obs.ModelStatsData
+	Records int          `json:"records"`
+	Refit   *refitReport `json:"refit,omitempty"`
 }
 
 // refitReport scores a forest re-fit offline from the logged features.
@@ -99,150 +93,11 @@ type refitReport struct {
 	OnlineAccuracy  float64 `json:"online_accuracy"`
 }
 
-// analyze folds the records into the report. Deterministic: the same
-// log always produces the same report, which is what the round-trip
-// tests pin.
-func analyze(recs []obs.DecisionRecord) *report {
-	rep := &report{Records: len(recs), Kinds: make(map[string]int)}
-	observeRegret := func(a *obs.RegretAggregate, r *obs.DecisionRecord) {
-		a.Runs++
-		if r.ShadowTimeout {
-			a.Timeouts++
-		}
-		a.TotalNanos += r.RegretNanos
-		if r.RegretNanos > a.MaxNanos {
-			a.MaxNanos = r.RegretNanos
-		}
-	}
-	for i := range recs {
-		r := &recs[i]
-		rep.Kinds[r.Kind]++
-		switch r.Kind {
-		case obs.DecisionKindMode:
-			rep.Alpha[boolIdx(r.ActualValid)][boolIdx(r.PredValid())]++
-			b := obs.CalibrationBucketIndex(r.VoteMargin)
-			rep.Calibration[b].N++
-			if r.PredValid() == r.ActualValid {
-				rep.Calibration[b].Correct++
-			}
-			observeRegret(&rep.ModeRegret, r)
-		case obs.DecisionKindPlan:
-			observeRegret(&rep.PlanRegret, r)
-		case obs.DecisionKindCache:
-			rep.CacheChecks++
-			if r.CacheStale {
-				rep.CacheStale++
-			}
-		case obs.DecisionKindBeta:
-			if r.Rank >= 1 {
-				for len(rep.BetaRanks) < r.Rank {
-					rep.BetaRanks = append(rep.BetaRanks, 0)
-				}
-				rep.BetaRanks[r.Rank-1]++
-			}
-		}
-	}
-	return rep
-}
-
-// alphaTotal/alphaAccuracy mirror obs.ModelStatsData's helpers.
-func (rep *report) alphaTotal() int64 {
-	return rep.Alpha[0][0] + rep.Alpha[0][1] + rep.Alpha[1][0] + rep.Alpha[1][1]
-}
-
-func (rep *report) alphaAccuracy() float64 {
-	t := rep.alphaTotal()
-	if t == 0 {
-		return 1
-	}
-	return float64(rep.Alpha[0][0]+rep.Alpha[1][1]) / float64(t)
-}
-
-func (rep *report) betaObserved() int64 {
-	var n int64
-	for _, c := range rep.BetaRanks {
-		n += c
-	}
-	return n
-}
-
-func (rep *report) betaTopK(k int) float64 {
-	total := rep.betaObserved()
-	if total == 0 {
-		return 1
-	}
-	var in int64
-	for i, c := range rep.BetaRanks {
-		if i < k {
-			in += c
-		}
-	}
-	return float64(in) / float64(total)
-}
-
-func (rep *report) writeText(w io.Writer) error {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "decision log: %d records (", rep.Records)
-	for i, k := range []string{obs.DecisionKindMode, obs.DecisionKindPlan, obs.DecisionKindCache, obs.DecisionKindBeta} {
-		if i > 0 {
-			fmt.Fprint(&buf, " ")
-		}
-		fmt.Fprintf(&buf, "%s:%d", k, rep.Kinds[k])
-	}
-	fmt.Fprintf(&buf, ")\n\n")
-
-	fmt.Fprintf(&buf, "model α confusion matrix (%d mode audits)\n", rep.alphaTotal())
-	fmt.Fprintf(&buf, "  %-16s  %12s  %12s\n", "", "pred-invalid", "pred-valid")
-	fmt.Fprintf(&buf, "  %-16s  %12d  %12d\n", "actual-invalid", rep.Alpha[0][0], rep.Alpha[0][1])
-	fmt.Fprintf(&buf, "  %-16s  %12d  %12d\n", "actual-valid", rep.Alpha[1][0], rep.Alpha[1][1])
-	fmt.Fprintf(&buf, "  accuracy %.4f\n\n", rep.alphaAccuracy())
-
-	fmt.Fprintf(&buf, "vote-margin calibration\n")
-	for i, b := range rep.Calibration {
-		lo := float64(i) / obs.NumCalibrationBuckets
-		hi := float64(i+1) / obs.NumCalibrationBuckets
-		acc := "-"
-		if b.N > 0 {
-			acc = fmt.Sprintf("%.4f", float64(b.Correct)/float64(b.N))
-		}
-		fmt.Fprintf(&buf, "  [%.1f,%.1f)  %8d  %10s\n", lo, hi, b.N, acc)
-	}
-	fmt.Fprintf(&buf, "\n")
-
-	fmt.Fprintf(&buf, "model β plan rank: %d observed", rep.betaObserved())
-	if rep.betaObserved() > 0 {
-		fmt.Fprintf(&buf, ", top-1 %.3f, top-2 %.3f", rep.betaTopK(1), rep.betaTopK(2))
-	}
-	fmt.Fprintf(&buf, "\n")
-
-	rate := "-"
-	if rep.CacheChecks > 0 {
-		rate = fmt.Sprintf("%.4f", float64(rep.CacheStale)/float64(rep.CacheChecks))
-	}
-	fmt.Fprintf(&buf, "cache quality: %d checks, %d stale (rate %s)\n", rep.CacheChecks, rep.CacheStale, rate)
-
-	writeRegret := func(name string, a obs.RegretAggregate) {
-		fmt.Fprintf(&buf, "%s regret: %d runs (%d censored), total %s, mean %s, max %s\n",
-			name, a.Runs, a.Timeouts,
-			time.Duration(a.TotalNanos).Round(time.Microsecond),
-			a.Mean().Round(time.Microsecond),
-			time.Duration(a.MaxNanos).Round(time.Microsecond))
-	}
-	writeRegret("mode", rep.ModeRegret)
-	writeRegret("plan", rep.PlanRegret)
-
-	if rep.Refit != nil {
-		fmt.Fprintf(&buf, "\nrefit: %d train / %d test rows, holdout accuracy %.4f (online %.4f)\n",
-			rep.Refit.TrainRows, rep.Refit.TestRows, rep.Refit.HoldoutAccuracy, rep.Refit.OnlineAccuracy)
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
 // refitAlpha re-fits a node-type forest from the logged signature rows
 // (mode and cache records carry Features + ground truth) and scores it
-// on a 30% holdout.
-func refitAlpha(recs []obs.DecisionRecord, seed int64, trees int) (*refitReport, error) {
+// on a 30% holdout; online is the logged model-α accuracy it is
+// compared against.
+func refitAlpha(recs []obs.DecisionRecord, seed int64, trees int, online float64) (*refitReport, error) {
 	ds := ml.Dataset{NumClasses: 2}
 	width := 0
 	for i := range recs {
@@ -271,7 +126,6 @@ func refitAlpha(recs []obs.DecisionRecord, seed int64, trees int) (*refitReport,
 		return nil, fmt.Errorf("refit: %w", err)
 	}
 	cm := ml.Evaluate(forest, test)
-	online := analyze(recs).alphaAccuracy()
 	return &refitReport{
 		TrainRows:       train.Len(),
 		TestRows:        test.Len(),

@@ -81,10 +81,10 @@ func captureLog(t *testing.T) (string, *repro.Result) {
 }
 
 // TestDecisionLogRoundTrip is the schema round-trip guard: a log the
-// engine wrote must parse back and fold into the exact quantities the
-// engine reported — record counts matching the engine's shadow
-// counters, and a confusion matrix identical to an independent fold of
-// the raw records.
+// engine wrote must parse back and fold, through obs.ModelStats, into
+// the exact quantities the engine reported — audit counts matching the
+// engine's shadow counters, and a confusion matrix identical to an
+// independent fold of the raw records.
 func TestDecisionLogRoundTrip(t *testing.T) {
 	path, total := captureLog(t)
 
@@ -101,18 +101,15 @@ func TestDecisionLogRoundTrip(t *testing.T) {
 		t.Fatalf("-json output: %v", err)
 	}
 
-	if got := int64(rep.Kinds[obs.DecisionKindMode]); got != total.ShadowModeRuns {
-		t.Errorf("mode records = %d, engine reported %d shadow mode runs", got, total.ShadowModeRuns)
+	if rep.ModeRegret.Runs != total.ShadowModeRuns {
+		t.Errorf("mode regret runs = %d, engine reported %d shadow mode runs", rep.ModeRegret.Runs, total.ShadowModeRuns)
 	}
-	if got := int64(rep.Kinds[obs.DecisionKindPlan]); got != total.ShadowPlanRuns {
-		t.Errorf("plan records = %d, engine reported %d shadow plan runs", got, total.ShadowPlanRuns)
+	if rep.PlanRegret.Runs != total.ShadowPlanRuns {
+		t.Errorf("plan regret runs = %d, engine reported %d shadow plan runs", rep.PlanRegret.Runs, total.ShadowPlanRuns)
 	}
 	if rep.CacheChecks != total.CacheChecks || rep.CacheStale != total.CacheStale {
 		t.Errorf("cache checks/stale = %d/%d, engine reported %d/%d",
 			rep.CacheChecks, rep.CacheStale, total.CacheChecks, total.CacheStale)
-	}
-	if rep.ModeRegret.Runs != total.ShadowModeRuns {
-		t.Errorf("mode regret runs = %d, want %d", rep.ModeRegret.Runs, total.ShadowModeRuns)
 	}
 
 	// Independent fold of the raw records: the analyzer's confusion
@@ -142,15 +139,20 @@ func TestDecisionLogRoundTrip(t *testing.T) {
 		t.Errorf("calibration buckets hold %d observations, want %d (every mode record lands in one bucket)", gotCalN, calN)
 	}
 
-	// Determinism: analyzing the same log twice is bit-identical.
-	again := analyze(f)
-	rep2 := analyze(f)
-	if !reflect.DeepEqual(again, rep2) {
-		t.Error("analyze is not deterministic over the same records")
+	if rep.Records != len(f) || len(rep.Recent) != 0 {
+		t.Errorf("records = %d (recent %d), want %d and none retained", rep.Records, len(rep.Recent), len(f))
+	}
+
+	// Determinism: replaying the same log twice is bit-identical.
+	var a, b obs.ModelStats
+	a.Replay(f)
+	b.Replay(f)
+	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
+		t.Error("Replay is not deterministic over the same records")
 	}
 
 	// The text rendering carries the headline quantities.
-	for _, wantSub := range []string{"confusion matrix", "vote-margin calibration", "mode regret", "plan regret", "cache quality"} {
+	for _, wantSub := range []string{"confusion matrix", "vote-margin calibration", "shadow mode", "shadow plan", "prediction-cache quality"} {
 		if !strings.Contains(text.String(), wantSub) {
 			t.Errorf("text report missing %q:\n%s", wantSub, text.String())
 		}

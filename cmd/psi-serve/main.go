@@ -34,9 +34,9 @@
 // collection is always on in a serving process; with -sample-interval
 // > 0 a background sampler additionally keeps windowed time series
 // (/seriesz) and evaluates SLO burn-rate alerts (/alertz). With
-// -bundle-dir set, a diagnostic bundle (zip of metrics, series,
-// alerts, profiles, goroutine + heap dumps, decision and access tails)
-// is auto-captured whenever an SLO objective starts firing. With
+// -bundle-dir set, a diagnostic bundle (zip of the JSON the debug
+// endpoints serve, plus goroutine and heap dumps) is auto-captured
+// whenever an SLO objective starts firing. With
 // -workload-topk > 0 (the default) every served query is canonically
 // fingerprinted and folded into a bounded top-K sketch served at
 // /queryz — per-shape counts, cost attribution and an answer-cache
@@ -244,12 +244,11 @@ func (c config) objectives() []obs.Objective {
 // engine by default, an in-process scatter-gather cluster with -shards,
 // one fleet shard node with -shard-of/-shard-index, or a graph-less
 // coordinator with -coordinator. g is nil exactly in coordinator mode.
-func buildEvaluator(cfg config, g *graph.Graph, decisions *obs.DecisionLog, logger *slog.Logger) (server.Evaluator, error) {
+func buildEvaluator(cfg config, g *graph.Graph, logger *slog.Logger) (server.Evaluator, error) {
 	engOpts := smartpsi.Options{
-		Threads:     cfg.threads,
-		Seed:        cfg.seed,
-		ShadowRate:  cfg.shadowRate,
-		DecisionLog: decisions,
+		Threads:    cfg.threads,
+		Seed:       cfg.seed,
+		ShadowRate: cfg.shadowRate,
 	}
 	strat := shard.LabelHash
 	if cfg.partitioner != "" {
@@ -349,15 +348,11 @@ func run(cfg config, parent context.Context, ready chan<- string) error {
 	}
 
 	// A serving process always collects: metrics, the /profilez
-	// flight recorder and /modelz all feed from the same gate.
+	// flight recorder and /modelz (with its recent audited decisions,
+	// produced only with -shadow-rate > 0) all feed from the same gate.
 	obs.Enable(true)
 
-	// The decision tail keeps the last few hundred model decisions in
-	// memory for diagnostic bundles; records are only produced when
-	// auditing is on (-shadow-rate > 0), so this is free otherwise.
-	decisions := obs.NewDecisionTail(obs.DefaultDecisionTailCap)
-
-	eval, err := buildEvaluator(cfg, g, decisions, logger)
+	eval, err := buildEvaluator(cfg, g, logger)
 	if err != nil {
 		return err
 	}
@@ -395,18 +390,14 @@ func run(cfg config, parent context.Context, ready chan<- string) error {
 	}
 
 	// The bundler is always built so /debugz/bundle works; auto-capture
-	// on firing alerts only arms when -bundle-dir is set.
+	// on firing alerts only arms when -bundle-dir is set. It reads its
+	// entries through the debug mux the server mounts it on.
 	bundler, err := obs.NewBundler(obs.BundlerConfig{
-		Dir:       cfg.bundleDir,
-		Keep:      cfg.bundleKeep,
-		Cooldown:  cfg.bundleCooldown,
-		Sampler:   sampler,
-		Alerts:    alerts,
-		Recorder:  obs.DefaultRecorder,
-		Decisions: decisions,
-		Access:    obs.DefaultAccess,
-		Workload:  workload,
-		Log:       logger,
+		Dir:      cfg.bundleDir,
+		Keep:     cfg.bundleKeep,
+		Cooldown: cfg.bundleCooldown,
+		Alerts:   alerts,
+		Log:      logger,
 	})
 	if err != nil {
 		return err

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -19,20 +20,21 @@ import (
 	"time"
 )
 
-// Incident forensics: a diagnostic bundle is a schema-versioned zip
-// snapshot of everything the debug surface knows — metrics, the
-// /seriesz rings, the /alertz state machines, the flight recorder's
-// profiles, /modelz, a goroutine dump, a heap profile, the decision-log
-// tail and recent access-log entries — so a 3am alert leaves postmortem
-// evidence even after the process restarts. The Bundler streams one on
-// demand (/debugz/bundle) and captures one to -bundle-dir automatically
-// when any SLO objective transitions to firing, with a per-objective
-// cooldown and a bounded on-disk retention ring. cmd/psi-bundle opens
-// the zip offline and renders the incident report.
+// Incident forensics: a diagnostic bundle is a schema-versioned zip of
+// the JSON documents the debug endpoints serve — /metrics.json,
+// /seriesz, /alertz, /profilez, /modelz (with its recent audited
+// decisions), /queryz — read in-process through the mux that mounts the
+// Bundler, plus a goroutine dump and a heap profile, so a 3am alert
+// leaves postmortem evidence even after the process restarts. Each
+// entry decodes into the type its endpoint encodes. The Bundler streams
+// one on demand (/debugz/bundle) and captures one to -bundle-dir
+// automatically when any SLO objective transitions to firing, with a
+// per-objective cooldown and a bounded on-disk retention ring.
+// cmd/psi-bundle opens the zip offline and renders the incident report.
 
 // BundleSchemaVersion is stamped into every manifest; readers
 // (ReadBundle, cmd/psi-bundle) refuse other versions.
-const BundleSchemaVersion = 1
+const BundleSchemaVersion = 2
 
 // Capture reasons recorded in the manifest.
 const (
@@ -46,20 +48,19 @@ const (
 	BundleReasonLoadgen = "loadgen-fail"
 )
 
-// Archive member names. ManifestEntry is always present; the others
-// appear when the corresponding source was wired into the Bundler.
+// Archive member names. The manifest and the two dumps are always
+// present; an endpoint entry is absent when its endpoint is unarmed
+// (answers 503) on the mux the Bundler is mounted on.
 const (
-	ManifestEntry      = "manifest.json"
-	MetricsEntry       = "metrics.json"
-	SeriesEntry        = "seriesz.json"
-	AlertsEntry        = "alertz.json"
-	ProfilesEntry      = "profiles.json"
-	ModelEntry         = "modelz.json"
-	GoroutinesEntry    = "goroutines.txt"
-	HeapEntry          = "heap.pprof"
-	DecisionsEntry     = "decisions.jsonl"
-	AccessLogEntryName = "access.jsonl"
-	WorkloadEntry      = "workload.json"
+	ManifestEntry   = "manifest.json"
+	MetricsEntry    = "metrics.json"
+	SeriesEntry     = "seriesz.json"
+	AlertsEntry     = "alertz.json"
+	ProfilesEntry   = "profiles.json"
+	ModelEntry      = "modelz.json"
+	GoroutinesEntry = "goroutines.txt"
+	HeapEntry       = "heap.pprof"
+	WorkloadEntry   = "workload.json"
 )
 
 // BundleEntryInfo is one archive member as listed in the manifest.
@@ -95,16 +96,8 @@ type BundleManifest struct {
 	Entries []BundleEntryInfo `json:"entries"`
 }
 
-// BundleProfiles is the profiles.json document: the flight recorder's
-// two retention sets at capture time.
-type BundleProfiles struct {
-	Slowest []ProfileData `json:"slowest"`
-	Recent  []ProfileData `json:"recent"`
-}
-
-// BundlerConfig wires a Bundler's data sources and capture policy. Only
-// Registry is required (nil means the Default registry); every other
-// source is optional and simply absent from bundles when nil.
+// BundlerConfig is a Bundler's capture policy. Its data comes from the
+// mux it is mounted on (WithBundler); every field is optional.
 type BundlerConfig struct {
 	// Dir is the auto-capture directory; empty leaves the Bundler
 	// unarmed: /debugz/bundle still streams on demand, but alert
@@ -117,19 +110,9 @@ type BundlerConfig struct {
 	// the same objective. Default 5m.
 	Cooldown time.Duration
 
-	Registry *Registry
-	Sampler  *Sampler
-	Alerts   *SLOSet
-	Recorder *Recorder
-	// Decisions is the engine's decision log; its in-memory Tail()
-	// becomes decisions.jsonl.
-	Decisions *DecisionLog
-	// Access is the serving-path access ring (usually DefaultAccess).
-	Access *AccessRing
-	// Workload is the workload-analytics sketch; its snapshot becomes
-	// workload.json so incident bundles carry the shape mix that was
-	// being served when the alert fired.
-	Workload *Workload
+	// Alerts, with Dir set, triggers a capture whenever one of its
+	// objectives starts firing.
+	Alerts *SLOSet
 	// Log, when non-nil, gets one line per automatic capture or capture
 	// failure.
 	Log *slog.Logger
@@ -150,6 +133,7 @@ type Bundler struct {
 	sizes    *Histogram
 
 	mu       sync.Mutex
+	src      http.Handler         // the mux entries are read through
 	lastAuto map[string]time.Time // per-objective cooldown claims
 	kept     []string             // on-disk bundles, oldest first
 	seq      int                  // capture sequence, disambiguates filenames
@@ -169,11 +153,8 @@ const (
 // NewBundler builds a bundler over cfg, scans Dir for bundles left by a
 // previous process (they count against Keep), and — when armed with a
 // Dir and an SLOSet — hooks automatic capture onto the alert state
-// machine's firing transitions.
+// machine's firing transitions. Its own metrics go to Default.
 func NewBundler(cfg BundlerConfig) (*Bundler, error) {
-	if cfg.Registry == nil {
-		cfg.Registry = Default
-	}
 	if cfg.Keep <= 0 {
 		cfg.Keep = 8
 	}
@@ -188,9 +169,9 @@ func NewBundler(cfg BundlerConfig) (*Bundler, error) {
 	}
 	b := &Bundler{
 		cfg:      cfg,
-		captured: cfg.Registry.Counter(BundlesCaptured, "diagnostic bundles assembled (streamed at /debugz/bundle or captured to -bundle-dir)"),
-		failed:   cfg.Registry.Counter(BundleErrors, "diagnostic bundle captures that failed"),
-		sizes:    cfg.Registry.Histogram(BundleBytes, "compressed size of each assembled diagnostic bundle in bytes", CountBuckets),
+		captured: Default.Counter(BundlesCaptured, "diagnostic bundles assembled (streamed at /debugz/bundle or captured to -bundle-dir)"),
+		failed:   Default.Counter(BundleErrors, "diagnostic bundle captures that failed"),
+		sizes:    Default.Histogram(BundleBytes, "compressed size of each assembled diagnostic bundle in bytes", CountBuckets),
 		lastAuto: make(map[string]time.Time),
 	}
 	if cfg.Dir != "" {
@@ -222,10 +203,11 @@ func (b *Bundler) handleTransition(tr Transition) {
 	}
 	path, captured, err := b.AutoCapture(tr.Objective)
 	switch {
+	case b.cfg.Log == nil:
 	case err != nil:
-		b.logError("bundle capture failed", tr.Objective, err)
+		b.cfg.Log.Error("bundle capture failed", "objective", tr.Objective, "err", err.Error())
 	case captured:
-		b.logInfo("bundle captured", tr.Objective, path)
+		b.cfg.Log.Info("bundle captured", "objective", tr.Objective, "path", path)
 	}
 }
 
@@ -318,9 +300,8 @@ func (b *Bundler) Kept() []string {
 	return append([]string(nil), b.kept...)
 }
 
-// WriteBundle assembles one bundle and streams it to w, returning the
-// compressed byte count. Every data source is snapshotted into memory
-// before any zip byte is written, so no obs lock is ever held across
+// WriteBundle assembles one bundle in memory and writes it to w,
+// returning the compressed byte count. No obs lock is ever held across
 // I/O. Updates the obs_bundles_* metrics.
 func (b *Bundler) WriteBundle(w io.Writer, reason, objective string) (int64, error) {
 	n, err := b.writeBundle(w, reason, objective)
@@ -339,9 +320,30 @@ type bundlePayload struct {
 	data []byte
 }
 
+// bundleEndpoints maps each JSON archive member to the endpoint that
+// serves it. Profiles and model decisions come first and back to back:
+// a bundle correlates the request IDs the two share, and on a busy
+// server the later reads would have moved past them.
+var bundleEndpoints = []struct{ entry, path string }{
+	{ProfilesEntry, "/profilez?format=json"},
+	{ModelEntry, "/modelz?format=json"},
+	{MetricsEntry, "/metrics.json"},
+	{SeriesEntry, "/seriesz?format=json"},
+	{AlertsEntry, "/alertz?format=json"},
+	{WorkloadEntry, "/queryz?format=json"},
+}
+
+// setSource points the bundler at the mux it reads its entries
+// through; Handler calls it when it mounts the bundler.
+func (b *Bundler) setSource(h http.Handler) {
+	b.mu.Lock()
+	b.src = h
+	b.mu.Unlock()
+}
+
 func (b *Bundler) writeBundle(w io.Writer, reason, objective string) (int64, error) {
 	now := b.cfg.Now()
-	payloads, err := b.payloads()
+	payloads, err := b.fetchEntries()
 	if err != nil {
 		return 0, err
 	}
@@ -351,26 +353,22 @@ func (b *Bundler) writeBundle(w io.Writer, reason, objective string) (int64, err
 		return 0, err
 	}
 
-	cw := &countingWriter{w: w}
-	zw := zip.NewWriter(cw)
-	all := append([]bundlePayload{{ManifestEntry, manData}}, payloads...)
-	for _, p := range all {
-		f, err := zw.CreateHeader(&zip.FileHeader{
-			Name:     p.name,
-			Method:   zip.Deflate,
-			Modified: now,
-		})
-		if err != nil {
-			return cw.n, err
+	var zipped bytes.Buffer
+	zw := zip.NewWriter(&zipped)
+	for _, p := range append([]bundlePayload{{ManifestEntry, manData}}, payloads...) {
+		f, err := zw.CreateHeader(&zip.FileHeader{Name: p.name, Method: zip.Deflate, Modified: now})
+		if err == nil {
+			_, err = f.Write(p.data)
 		}
-		if _, err := f.Write(p.data); err != nil {
-			return cw.n, err
+		if err != nil {
+			return 0, err
 		}
 	}
 	if err := zw.Close(); err != nil {
-		return cw.n, err
+		return 0, err
 	}
-	return cw.n, nil
+	n, err := w.Write(zipped.Bytes())
+	return int64(n), err
 }
 
 // manifest assembles the bundle's self-description.
@@ -412,128 +410,65 @@ func (b *Bundler) manifest(now time.Time, reason, objective string, payloads []b
 	return man
 }
 
-// payloads snapshots every wired data source into archive members.
-func (b *Bundler) payloads() ([]bundlePayload, error) {
-	// The three per-request rings are read back to back, ahead of the
-	// dumps that take milliseconds: on a busy server a tail read after the
-	// heap profile has moved past every request the profiles name, and the
-	// bundle correlates nothing.
-	var profs BundleProfiles
-	if b.cfg.Recorder != nil {
-		for _, p := range b.cfg.Recorder.Slowest() {
-			profs.Slowest = append(profs.Slowest, p.Snapshot())
-		}
-		for _, p := range b.cfg.Recorder.Recent() {
-			profs.Recent = append(profs.Recent, p.Snapshot())
-		}
-	}
-	var decisions []DecisionRecord
-	if b.cfg.Decisions != nil {
-		decisions = b.cfg.Decisions.Tail()
-	}
-	var access []AccessEntry
-	if b.cfg.Access != nil {
-		access = b.cfg.Access.Entries()
-	}
-
+// fetchEntries reads every endpoint document through the mounted mux,
+// leaving out the endpoints that answer 503 (unarmed), then appends the
+// goroutine and heap dumps straight from runtime/pprof — a serving
+// listener answers /debug/pprof with 403.
+func (b *Bundler) fetchEntries() ([]bundlePayload, error) {
+	b.mu.Lock()
+	src := b.src
+	b.mu.Unlock()
 	var out []bundlePayload
-	add := func(name string, v any) error {
-		data, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			return fmt.Errorf("obs: bundle %s: %w", name, err)
+	for _, e := range bundleEndpoints {
+		if src == nil {
+			break
 		}
-		out = append(out, bundlePayload{name, data})
-		return nil
-	}
-	if err := add(MetricsEntry, b.cfg.Registry.Snapshot()); err != nil {
-		return nil, err
-	}
-	if b.cfg.Sampler != nil {
-		if err := add(SeriesEntry, b.cfg.Sampler.SeriesSnapshot()); err != nil {
-			return nil, err
-		}
-	}
-	if b.cfg.Alerts != nil {
-		if err := add(AlertsEntry, b.cfg.Alerts.AlertsSnapshot()); err != nil {
-			return nil, err
-		}
-	}
-	if b.cfg.Recorder != nil {
-		if err := add(ProfilesEntry, profs); err != nil {
-			return nil, err
-		}
-	}
-	if err := add(ModelEntry, DefaultModelStats.Snapshot()); err != nil {
-		return nil, err
-	}
-	out = append(out, bundlePayload{GoroutinesEntry, goroutineDump()})
-	if heap := heapProfile(); heap != nil {
-		out = append(out, bundlePayload{HeapEntry, heap})
-	}
-	if b.cfg.Decisions != nil {
-		data, err := marshalJSONL(decisions)
+		req, err := http.NewRequest(http.MethodGet, e.path, nil)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, bundlePayload{DecisionsEntry, data})
-	}
-	if b.cfg.Access != nil {
-		data, err := marshalJSONL(access)
-		if err != nil {
-			return nil, err
+		rw := &entryWriter{header: http.Header{}}
+		src.ServeHTTP(rw, req)
+		switch rw.code {
+		case http.StatusOK:
+			out = append(out, bundlePayload{e.entry, rw.body.Bytes()})
+		case http.StatusServiceUnavailable:
+		default:
+			return nil, fmt.Errorf("obs: bundle %s: GET %s answered %d", e.entry, e.path, rw.code)
 		}
-		out = append(out, bundlePayload{AccessLogEntryName, data})
 	}
-	if b.cfg.Workload != nil {
-		if err := add(WorkloadEntry, b.cfg.Workload.Snapshot()); err != nil {
-			return nil, err
+	for _, d := range []struct {
+		entry, profile string
+		debug          int
+	}{{GoroutinesEntry, "goroutine", 2}, {HeapEntry, "heap", 0}} {
+		var buf bytes.Buffer
+		if err := pprof.Lookup(d.profile).WriteTo(&buf, d.debug); err != nil {
+			return nil, fmt.Errorf("obs: bundle %s: %w", d.entry, err)
 		}
+		out = append(out, bundlePayload{d.entry, buf.Bytes()})
 	}
 	return out, nil
 }
 
-// marshalJSONL renders a slice as one JSON document per line.
-func marshalJSONL[T any](items []T) ([]byte, error) {
-	var buf bytes.Buffer
-	for _, it := range items {
-		data, err := json.Marshal(it)
-		if err != nil {
-			return nil, err
-		}
-		buf.Write(data)
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes(), nil
+// entryWriter is the in-process http.ResponseWriter fetchEntries reads an
+// endpoint through.
+type entryWriter struct {
+	header http.Header
+	code   int
+	body   bytes.Buffer
 }
 
-// goroutineDump captures every goroutine's stack via runtime.Stack,
-// growing the buffer until the dump fits (capped at 64 MiB).
-func goroutineDump() []byte {
-	buf := make([]byte, 1<<20)
-	for {
-		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			return buf[:n]
-		}
-		if len(buf) >= 64<<20 {
-			return buf
-		}
-		buf = make([]byte, 2*len(buf))
+func (w *entryWriter) Header() http.Header { return w.header }
+
+func (w *entryWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
 	}
 }
 
-// heapProfile renders the heap profile in pprof format, or nil when the
-// runtime cannot produce one.
-func heapProfile() []byte {
-	p := pprof.Lookup("heap")
-	if p == nil {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := p.WriteTo(&buf, 0); err != nil {
-		return nil
-	}
-	return buf.Bytes()
+func (w *entryWriter) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	return w.body.Write(p)
 }
 
 // sanitizeLabel maps an objective or reason into a filename-safe slug.
@@ -554,30 +489,6 @@ func sanitizeLabel(s string) string {
 		return "bundle"
 	}
 	return sb.String()
-}
-
-// countingWriter counts bytes passed through to w.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (b *Bundler) logInfo(msg, objective, path string) {
-	if b.cfg.Log != nil {
-		b.cfg.Log.Info(msg, "objective", objective, "path", path)
-	}
-}
-
-func (b *Bundler) logError(msg, objective string, err error) {
-	if b.cfg.Log != nil {
-		b.cfg.Log.Error(msg, "objective", objective, "err", err.Error())
-	}
 }
 
 // maxBundleEntryBytes caps one archive member on read, so a corrupted

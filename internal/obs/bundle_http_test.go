@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -20,7 +22,7 @@ func TestObsBundleEndpoint(t *testing.T) {
 		t.Errorf("/debugz/bundle without bundler = %d\n%s", code, body)
 	}
 
-	b, err := NewBundler(BundlerConfig{Registry: reg})
+	b, err := NewBundler(BundlerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,38 +116,42 @@ func TestSLOOnTransition(t *testing.T) {
 	}
 }
 
-// TestDecisionTail pins the in-memory tail: ring semantics, schema
-// stamping, and tail-only logs that never touch a writer.
+// TestDecisionTail pins the recent audited decisions /modelz?format=json
+// serves: retained records carry their request IDs and the stamped
+// schema, oldest first, bounded by RecentDecisions; unretained records
+// fold into the aggregates only.
 func TestDecisionTail(t *testing.T) {
-	l := NewDecisionTail(3)
-	for i := 0; i < 5; i++ {
-		l.Append(DecisionRecord{Kind: DecisionKindMode, Node: int64(i)})
+	DefaultModelStats.Reset()
+	defer DefaultModelStats.Reset()
+	h := Handler(NewRegistry(), NewRecorder(1))
+	const n = RecentDecisions + 3
+	for i := 0; i < n; i++ {
+		DefaultModelStats.Observe(DecisionRecord{
+			Kind: DecisionKindMode, Node: int64(i), RequestID: fmt.Sprintf("req-%d", i),
+		}, true)
 	}
-	tail := l.Tail()
-	if len(tail) != 3 {
-		t.Fatalf("tail has %d records, want 3", len(tail))
+	DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindCache, RequestID: "unkept"}, false)
+
+	code, body := get(t, h, "/modelz?format=json")
+	var d ModelStatsData
+	if err := json.Unmarshal([]byte(body), &d); code != http.StatusOK || err != nil {
+		t.Fatalf("/modelz?format=json = %d (%v)", code, err)
 	}
-	for i, rec := range tail {
-		if want := int64(i + 2); rec.Node != want {
-			t.Errorf("tail[%d].Node = %d, want %d (oldest-first after wrap)", i, rec.Node, want)
+	if len(d.Recent) != RecentDecisions {
+		t.Fatalf("recent has %d records, want %d", len(d.Recent), RecentDecisions)
+	}
+	for i, rec := range d.Recent {
+		want := int64(i + n - RecentDecisions)
+		if rec.Node != want || rec.RequestID != fmt.Sprintf("req-%d", want) {
+			t.Fatalf("recent[%d] = node %d %q, want node %d with its request ID (oldest first after wrap)",
+				i, rec.Node, rec.RequestID, want)
 		}
 		if rec.Schema != DecisionSchemaVersion {
-			t.Errorf("tail[%d].Schema = %d, want %d", i, rec.Schema, DecisionSchemaVersion)
+			t.Errorf("recent[%d].Schema = %d, want %d", i, rec.Schema, DecisionSchemaVersion)
 		}
 	}
-	if n := l.Written(); n != 5 {
-		t.Errorf("Written = %d, want 5", n)
-	}
-	if err := l.Close(); err != nil {
-		t.Errorf("Close on tail-only log: %v", err)
-	}
-	if len(l.Tail()) != 3 {
-		t.Error("tail unreadable after Close")
-	}
-
-	var nilLog *DecisionLog
-	if nilLog.Tail() != nil {
-		t.Error("nil log Tail() != nil")
+	if d.ModeRegret.Runs != n || d.CacheChecks != 1 {
+		t.Errorf("aggregates = %d mode runs, %d cache checks; want %d and 1", d.ModeRegret.Runs, d.CacheChecks, n)
 	}
 }
 

@@ -4,64 +4,85 @@ import (
 	"archive/zip"
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// bundleFixture wires a fully private capture pipeline: registry with
-// serving counters, manually driven sampler, one availability
-// objective, a recorder with one finished profile, a decision tail and
-// an access ring — every data source a production Bundler sees.
-func bundleFixture(t *testing.T) (BundlerConfig, *Counter, *Counter, *Sampler) {
+// bundleRig is a fully private debug surface: a registry with serving
+// counters, a manually driven sampler, one availability objective, a
+// recorder with one finished profile, a workload sketch with one shape
+// and one recent /modelz decision — every endpoint a production bundle
+// reads.
+type bundleRig struct {
+	reg       *Registry
+	req, shed *Counter
+	s         *Sampler
+	set       *SLOSet
+	rec       *Recorder
+	wl        *Workload
+	mux       http.Handler // set by bundler
+}
+
+func bundleFixture(t *testing.T) *bundleRig {
 	t.Helper()
 	prev := Enabled()
 	Enable(true) // Recorder.Start and Profile writes are collection-gated
 	t.Cleanup(func() { Enable(prev) })
-	reg := NewRegistry()
-	req := reg.Counter("server_requests_total", "requests")
-	shed := reg.Counter("server_shed_total", "sheds")
-	s := NewSampler(reg, time.Second, 64)
-	set := NewSLOSet(s, []Objective{
+	r := &bundleRig{reg: NewRegistry(), rec: NewRecorder(4), wl: NewWorkload(4)}
+	r.req = r.reg.Counter("server_requests_total", "requests")
+	r.shed = r.reg.Counter("server_shed_total", "sheds")
+	r.s = NewSampler(r.reg, time.Second, 64)
+	r.set = NewSLOSet(r.s, []Objective{
 		AvailabilityObjective(0.9, 2*time.Second, 5*time.Second, 2, 0),
 	})
 
-	rec := NewRecorder(4)
-	p := rec.Start("q-0")
+	p := r.rec.Start("q-0")
 	p.SetRequestID("req-abc")
 	p.SetMethod("pessimistic")
 	p.SetOutcome(3)
 	p.FinishIn(5 * time.Millisecond)
 
-	tail := NewDecisionTail(8)
-	tail.Append(DecisionRecord{Kind: DecisionKindMode, Query: "q-0", RequestID: "req-abc", Node: 1})
+	r.wl.Observe(QueryObservation{Shape: 7, Exact: 7, Example: "q-0", Nodes: 3, Edges: 2,
+		Outcome: WorkloadOutcomeOK, Wall: time.Millisecond})
 
-	access := NewAccessRing(8)
-	access.Append(AccessEntry{Method: "POST", Path: "/v1/psi", Status: 200, RequestID: "req-abc"})
-
-	return BundlerConfig{
-		Registry:  reg,
-		Sampler:   s,
-		Alerts:    set,
-		Recorder:  rec,
-		Decisions: tail,
-		Access:    access,
-	}, req, shed, s
+	DefaultModelStats.Reset()
+	t.Cleanup(DefaultModelStats.Reset)
+	DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindMode, Query: "q-0", RequestID: "req-abc", Node: 1}, true)
+	return r
 }
 
-func TestBundleRoundTrip(t *testing.T) {
-	cfg, req, _, s := bundleFixture(t)
-	req.Add(10)
-	s.SampleAt(sloBase)
-	s.SampleAt(sloBase.Add(time.Second))
-
+// bundler builds a Bundler over cfg (its Alerts defaulting to the rig's
+// objective set) and mounts it on the rig's debug mux.
+func (r *bundleRig) bundler(t *testing.T, cfg BundlerConfig) *Bundler {
+	t.Helper()
+	if cfg.Alerts == nil {
+		cfg.Alerts = r.set
+	}
 	b, err := NewBundler(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.mux = Handler(r.reg, r.rec, WithSampler(r.s), WithAlerts(r.set), WithWorkload(r.wl), WithBundler(b))
+	return b
+}
+
+// captured reads the Default registry's bundle counter, where every
+// Bundler counts.
+func captured() int64 { return Default.Snapshot().Counters[BundlesCaptured] }
+
+func TestBundleRoundTrip(t *testing.T) {
+	r := bundleFixture(t)
+	r.req.Add(10)
+	r.s.SampleAt(sloBase)
+	r.s.SampleAt(sloBase.Add(time.Second))
+
+	b := r.bundler(t, BundlerConfig{})
 	var buf bytes.Buffer
 	n, err := b.WriteBundle(&buf, BundleReasonManual, "")
 	if err != nil {
@@ -83,7 +104,7 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 	for _, name := range []string{
 		ManifestEntry, MetricsEntry, SeriesEntry, AlertsEntry,
-		ProfilesEntry, ModelEntry, GoroutinesEntry, DecisionsEntry, AccessLogEntryName,
+		ProfilesEntry, ModelEntry, WorkloadEntry, GoroutinesEntry, HeapEntry,
 	} {
 		if _, err := a.Entry(name); err != nil {
 			t.Errorf("bundle missing %s: %v", name, err)
@@ -102,34 +123,105 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 
 	var snap Snapshot
-	data, _ := a.Entry(MetricsEntry)
-	if err := json.Unmarshal(data, &snap); err != nil {
+	if err := json.Unmarshal(mustEntry(t, a, MetricsEntry), &snap); err != nil {
 		t.Fatalf("metrics.json: %v", err)
 	}
 	if snap.Counters["server_requests_total"] != 10 {
 		t.Errorf("metrics.json requests = %d, want 10", snap.Counters["server_requests_total"])
 	}
 
-	var profs BundleProfiles
-	data, _ = a.Entry(ProfilesEntry)
-	if err := json.Unmarshal(data, &profs); err != nil {
+	var profs ProfilesData
+	if err := json.Unmarshal(mustEntry(t, a, ProfilesEntry), &profs); err != nil {
 		t.Fatalf("profiles.json: %v", err)
 	}
 	if len(profs.Recent) != 1 || profs.Recent[0].RequestID != "req-abc" {
 		t.Errorf("profiles.json recent = %+v, want one profile with req-abc", profs.Recent)
 	}
 
-	data, _ = a.Entry(DecisionsEntry)
-	var rec DecisionRecord
-	if err := json.Unmarshal(bytes.TrimSpace(data), &rec); err != nil {
-		t.Fatalf("decisions.jsonl: %v", err)
+	var model ModelStatsData
+	if err := json.Unmarshal(mustEntry(t, a, ModelEntry), &model); err != nil {
+		t.Fatalf("modelz.json: %v", err)
 	}
-	if rec.RequestID != "req-abc" || rec.Schema != DecisionSchemaVersion {
-		t.Errorf("decision record = %+v, want req-abc at schema %d", rec, DecisionSchemaVersion)
+	if len(model.Recent) != 1 || model.Recent[0].RequestID != "req-abc" || model.Recent[0].Schema != DecisionSchemaVersion {
+		t.Errorf("modelz.json recent = %+v, want one req-abc record at schema %d", model.Recent, DecisionSchemaVersion)
 	}
 
 	if !strings.Contains(string(mustEntry(t, a, GoroutinesEntry)), "goroutine") {
 		t.Error("goroutines.txt does not look like a stack dump")
+	}
+}
+
+// TestBundleEndpointParity pins the bundle's one rule: every JSON entry
+// decodes into the type its endpoint serves and equals a GET of that
+// endpoint taken at the same instant; an unarmed endpoint (503) is left
+// out of the bundle rather than failing it.
+func TestBundleEndpointParity(t *testing.T) {
+	r := bundleFixture(t)
+	r.req.Add(10)
+	r.s.SampleAt(sloBase)
+	r.shed.Add(5)
+	r.s.SampleAt(sloBase.Add(time.Second))
+
+	docs := map[string]func() any{
+		MetricsEntry:  func() any { return new(Snapshot) },
+		SeriesEntry:   func() any { return new(SeriesData) },
+		AlertsEntry:   func() any { return new(AlertsData) },
+		ProfilesEntry: func() any { return new(ProfilesData) },
+		ModelEntry:    func() any { return new(ModelStatsData) },
+		WorkloadEntry: func() any { return new(WorkloadData) },
+	}
+	b := r.bundler(t, BundlerConfig{})
+	var buf bytes.Buffer
+	if _, err := b.WriteBundle(&buf, BundleReasonManual, ""); err != nil {
+		t.Fatal(err)
+	}
+	a, err := ReadBundle(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bundleEndpoints) != len(docs) {
+		t.Fatalf("%d bundle endpoints, %d decoders in this test", len(bundleEndpoints), len(docs))
+	}
+	for _, e := range bundleEndpoints {
+		fromBundle, fromGET := docs[e.entry](), docs[e.entry]()
+		if err := json.Unmarshal(mustEntry(t, a, e.entry), fromBundle); err != nil {
+			t.Errorf("%s does not decode as its endpoint's type: %v", e.entry, err)
+			continue
+		}
+		code, body := get(t, r.mux, e.path)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s = %d", e.path, code)
+		}
+		if err := json.Unmarshal([]byte(body), fromGET); err != nil {
+			t.Fatalf("GET %s: %v", e.path, err)
+		}
+		if !reflect.DeepEqual(fromBundle, fromGET) {
+			t.Errorf("%s differs from GET %s:\nbundle %+v\nGET    %+v", e.entry, e.path, fromBundle, fromGET)
+		}
+	}
+
+	// Unarmed: no sampler, alerts or workload on the mux.
+	bare, err := NewBundler(BundlerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	Handler(r.reg, r.rec, WithBundler(bare))
+	buf.Reset()
+	if _, err := bare.WriteBundle(&buf, BundleReasonManual, ""); err != nil {
+		t.Fatalf("bundle with unarmed endpoints: %v", err)
+	}
+	if a, err = ReadBundle(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{SeriesEntry, AlertsEntry, WorkloadEntry} {
+		if _, ok := a.Entries[name]; ok {
+			t.Errorf("unarmed endpoint's %s is in the bundle", name)
+		}
+	}
+	for _, name := range []string{MetricsEntry, ProfilesEntry, ModelEntry, GoroutinesEntry, HeapEntry} {
+		if _, ok := a.Entries[name]; !ok {
+			t.Errorf("bundle lacks %s", name)
+		}
 	}
 }
 
@@ -146,16 +238,12 @@ func mustEntry(t *testing.T, a *BundleArchive, name string) []byte {
 // firing inside the cooldown window must be suppressed, one after it
 // must capture again.
 func TestBundleCooldown(t *testing.T) {
-	cfg, _, _, _ := bundleFixture(t)
-	cfg.Dir = t.TempDir()
-	cfg.Cooldown = time.Minute
 	now := sloBase
-	cfg.Now = func() time.Time { return now }
-
-	b, err := NewBundler(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := bundleFixture(t).bundler(t, BundlerConfig{
+		Dir: t.TempDir(), Cooldown: time.Minute,
+		Now: func() time.Time { return now },
+	})
+	before := captured()
 	if _, captured, err := b.AutoCapture("availability"); err != nil || !captured {
 		t.Fatalf("first capture: captured=%v err=%v", captured, err)
 	}
@@ -171,8 +259,8 @@ func TestBundleCooldown(t *testing.T) {
 	if _, captured, err := b.AutoCapture("availability"); err != nil || !captured {
 		t.Fatalf("after cooldown: captured=%v err=%v", captured, err)
 	}
-	if got := cfg.Registry.Snapshot().Counters[BundlesCaptured]; got != 3 {
-		t.Errorf("%s = %d, want 3", BundlesCaptured, got)
+	if got := captured() - before; got != 3 {
+		t.Errorf("%s grew by %d, want 3", BundlesCaptured, got)
 	}
 	if got := len(b.Kept()); got != 3 {
 		t.Errorf("kept %d bundles, want 3", got)
@@ -182,16 +270,12 @@ func TestBundleCooldown(t *testing.T) {
 // TestBundleRetention captures past the Keep bound and checks the
 // oldest files are evicted from disk, newest retained.
 func TestBundleRetention(t *testing.T) {
-	cfg, _, _, _ := bundleFixture(t)
-	cfg.Dir = t.TempDir()
-	cfg.Keep = 2
+	dir := t.TempDir()
 	now := sloBase
-	cfg.Now = func() time.Time { now = now.Add(time.Second); return now }
-
-	b, err := NewBundler(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := bundleFixture(t).bundler(t, BundlerConfig{
+		Dir: dir, Keep: 2,
+		Now: func() time.Time { now = now.Add(time.Second); return now },
+	})
 	var paths []string
 	for i := 0; i < 4; i++ {
 		p, err := b.CaptureToDir(BundleReasonAlert, "availability")
@@ -204,7 +288,7 @@ func TestBundleRetention(t *testing.T) {
 	if len(kept) != 2 || kept[0] != paths[2] || kept[1] != paths[3] {
 		t.Errorf("kept = %v, want the two newest of %v", kept, paths)
 	}
-	onDisk, err := filepath.Glob(filepath.Join(cfg.Dir, "bundle-*.zip"))
+	onDisk, err := filepath.Glob(filepath.Join(dir, "bundle-*.zip"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,20 +307,16 @@ func TestBundleRetention(t *testing.T) {
 }
 
 // TestBundleAutoCaptureOnFiring drives the real alert state machine to
-// firing and checks the transition hook captured an alert bundle naming
-// the objective.
+// firing and checks the transition hook — which runs on the sampler
+// tick, outside the sampler's and the SLO set's locks — captured an alert
+// bundle naming the objective, with the /alertz and /seriesz documents.
 func TestBundleAutoCaptureOnFiring(t *testing.T) {
-	cfg, req, shed, s := bundleFixture(t)
-	cfg.Dir = t.TempDir()
-
-	b, err := NewBundler(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SampleAt(sloBase)
-	req.Add(100)
-	shed.Add(50)
-	s.SampleAt(sloBase.Add(time.Second)) // burn 5 > factor 2: firing
+	r := bundleFixture(t)
+	b := r.bundler(t, BundlerConfig{Dir: t.TempDir()})
+	r.s.SampleAt(sloBase)
+	r.req.Add(100)
+	r.shed.Add(50)
+	r.s.SampleAt(sloBase.Add(time.Second)) // burn 5 > factor 2: firing
 
 	kept := b.Kept()
 	if len(kept) != 1 {
@@ -258,12 +338,19 @@ func TestBundleAutoCaptureOnFiring(t *testing.T) {
 		t.Errorf("alertz.json in bundle: firing=%d state=%s, want the captured state to show the alert",
 			alerts.Firing, alerts.Alerts[0].State)
 	}
+	var series SeriesData
+	if err := json.Unmarshal(mustEntry(t, a, SeriesEntry), &series); err != nil {
+		t.Fatal(err)
+	}
+	if series.Samples != 2 {
+		t.Errorf("seriesz.json in bundle holds %d samples, want the 2 taken", series.Samples)
+	}
 
 	// Re-firing after a resolve inside the cooldown stays suppressed.
-	req.Add(1000)
-	s.SampleAt(sloBase.Add(2 * time.Second)) // resolves
-	shed.Add(2000)
-	s.SampleAt(sloBase.Add(3 * time.Second)) // fires again, within default 5m cooldown
+	r.req.Add(1000)
+	r.s.SampleAt(sloBase.Add(2 * time.Second)) // resolves
+	r.shed.Add(2000)
+	r.s.SampleAt(sloBase.Add(3 * time.Second)) // fires again, within default 5m cooldown
 	if got := b.Kept(); len(got) != 1 {
 		t.Errorf("kept = %v after re-fire inside cooldown, want still 1", got)
 	}
@@ -272,11 +359,9 @@ func TestBundleAutoCaptureOnFiring(t *testing.T) {
 // TestBundleUnarmed pins the zero-cost contract: without a Dir the
 // Bundler never auto-captures and CaptureToDir refuses.
 func TestBundleUnarmed(t *testing.T) {
-	cfg, req, shed, s := bundleFixture(t)
-	b, err := NewBundler(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := bundleFixture(t)
+	b := r.bundler(t, BundlerConfig{})
+	before := captured()
 	if b.Armed() {
 		t.Fatal("bundler without Dir reports Armed")
 	}
@@ -288,12 +373,12 @@ func TestBundleUnarmed(t *testing.T) {
 	}
 	// Driving the alert to firing must not capture anything either
 	// (NewBundler only hooks OnTransition when armed).
-	s.SampleAt(sloBase)
-	req.Add(100)
-	shed.Add(50)
-	s.SampleAt(sloBase.Add(time.Second))
-	if got := cfg.Registry.Snapshot().Counters[BundlesCaptured]; got != 0 {
-		t.Errorf("%s = %d after unarmed firing, want 0", BundlesCaptured, got)
+	r.s.SampleAt(sloBase)
+	r.req.Add(100)
+	r.shed.Add(50)
+	r.s.SampleAt(sloBase.Add(time.Second))
+	if got := captured() - before; got != 0 {
+		t.Errorf("%s grew by %d after unarmed firing, want 0", BundlesCaptured, got)
 	}
 }
 
@@ -301,13 +386,9 @@ func TestBundleUnarmed(t *testing.T) {
 // concurrent on-demand writes, auto-captures, sampler ticks and source
 // mutation.
 func TestBundleConcurrent(t *testing.T) {
-	cfg, req, _, s := bundleFixture(t)
-	cfg.Dir = t.TempDir()
-	cfg.Cooldown = time.Nanosecond // effectively off: every capture lands
-	b, err := NewBundler(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := bundleFixture(t)
+	// A nanosecond cooldown is effectively off: every capture lands.
+	b := r.bundler(t, BundlerConfig{Dir: t.TempDir(), Cooldown: time.Nanosecond})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -326,10 +407,9 @@ func TestBundleConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			req.Inc()
-			s.SampleAt(sloBase.Add(time.Duration(i) * time.Second))
-			cfg.Decisions.Append(DecisionRecord{Kind: DecisionKindMode, Node: int64(i)})
-			cfg.Access.Append(AccessEntry{Path: "/v1/psi", Status: 200})
+			r.req.Inc()
+			r.s.SampleAt(sloBase.Add(time.Duration(i) * time.Second))
+			DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindMode, Node: int64(i)}, true)
 		}
 	}()
 	wg.Add(1)
@@ -347,11 +427,7 @@ func TestBundleConcurrent(t *testing.T) {
 // TestReadBundleRejects pins the corrupt-input contract psi-bundle's
 // exit code 2 depends on.
 func TestReadBundleRejects(t *testing.T) {
-	cfg, _, _, _ := bundleFixture(t)
-	b, err := NewBundler(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := bundleFixture(t).bundler(t, BundlerConfig{})
 	var buf bytes.Buffer
 	if _, err := b.WriteBundle(&buf, BundleReasonManual, ""); err != nil {
 		t.Fatal(err)

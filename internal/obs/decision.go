@@ -12,8 +12,10 @@ import (
 )
 
 // This file is the model-decision observability layer: the aggregate
-// telemetry behind /modelz (ModelStats) and the opt-in decision-log
-// capture pipeline (DecisionLog) consumed by cmd/psi-decisions.
+// telemetry behind /modelz (ModelStats, which also keeps the most
+// recent audited records) and the opt-in JSONL decision-log writer
+// (DecisionLog) whose files cmd/psi-decisions replays through the same
+// ModelStats fold.
 //
 // SmartPSI's bet (paper §4) is that the per-node choices of model α
 // (optimistic vs pessimistic method) and model β (search order) beat
@@ -114,29 +116,18 @@ func (r *DecisionRecord) PredValid() bool { return r.PredMode == 0 }
 // counted as dropped rather than growing the file without bound.
 type DecisionLog struct {
 	mu      sync.Mutex
-	bw      *bufio.Writer // nil for tail-only logs (NewDecisionTail)
-	closer  io.Closer     // non-nil when the log owns the underlying file
+	bw      *bufio.Writer
+	closer  io.Closer // non-nil when the log owns the underlying file
 	max     int64
 	written int64
 	dropped int64
 	closed  bool
 	err     error // first write error; subsequent appends are dropped
-
-	// tail is an in-memory ring of the most recent accepted records,
-	// kept alongside the JSONL stream so diagnostic bundles can capture
-	// "the last N audited decisions" from a live process.
-	tail    []DecisionRecord
-	tailPos int
-	tailN   int
 }
 
 // DefaultDecisionLogCap bounds a log when NewDecisionLog is given a
 // non-positive cap.
 const DefaultDecisionLogCap = 1 << 20
-
-// DefaultDecisionTailCap is the in-memory tail retention of every
-// decision log (and of NewDecisionTail with a non-positive size).
-const DefaultDecisionTailCap = 512
 
 // NewDecisionLog returns a bounded JSONL decision log writing to w
 // (maxRecords <= 0 means DefaultDecisionLogCap). The caller retains
@@ -145,23 +136,7 @@ func NewDecisionLog(w io.Writer, maxRecords int64) *DecisionLog {
 	if maxRecords <= 0 {
 		maxRecords = DefaultDecisionLogCap
 	}
-	return &DecisionLog{
-		bw:   bufio.NewWriter(w),
-		max:  maxRecords,
-		tail: make([]DecisionRecord, DefaultDecisionTailCap),
-	}
-}
-
-// NewDecisionTail returns a tail-only decision log: no JSONL stream,
-// just the bounded in-memory ring of the most recent records
-// (non-positive size means DefaultDecisionTailCap). psi-serve attaches
-// one to the engine so diagnostic bundles can dump the recent audit
-// trail without any file I/O on the serving path.
-func NewDecisionTail(size int) *DecisionLog {
-	if size <= 0 {
-		size = DefaultDecisionTailCap
-	}
-	return &DecisionLog{max: DefaultDecisionLogCap, tail: make([]DecisionRecord, size)}
+	return &DecisionLog{bw: bufio.NewWriter(w), max: maxRecords}
 }
 
 // CreateDecisionLog creates (truncates) path and returns a log that
@@ -190,41 +165,17 @@ func (l *DecisionLog) Append(rec DecisionRecord) {
 		l.dropped++
 		return
 	}
-	if l.bw != nil {
-		data, err := json.Marshal(rec)
-		if err == nil {
-			data = append(data, '\n')
-			_, err = l.bw.Write(data)
-		}
-		if err != nil {
-			l.err = err
-			l.dropped++
-			return
-		}
+	data, err := json.Marshal(rec)
+	if err == nil {
+		data = append(data, '\n')
+		_, err = l.bw.Write(data)
 	}
-	if len(l.tail) > 0 {
-		l.tail[l.tailPos] = rec
-		l.tailPos = (l.tailPos + 1) % len(l.tail)
-		if l.tailN < len(l.tail) {
-			l.tailN++
-		}
+	if err != nil {
+		l.err = err
+		l.dropped++
+		return
 	}
 	l.written++
-}
-
-// Tail returns the most recent accepted records, oldest first.
-// Nil-safe; records remain readable after Close.
-func (l *DecisionLog) Tail() []DecisionRecord {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]DecisionRecord, 0, l.tailN)
-	for i := 0; i < l.tailN; i++ {
-		out = append(out, l.tail[(l.tailPos-l.tailN+i+len(l.tail))%len(l.tail)])
-	}
-	return out
 }
 
 // Written returns the number of records written.
@@ -261,10 +212,8 @@ func (l *DecisionLog) Close() error {
 		return l.err
 	}
 	l.closed = true
-	if l.bw != nil {
-		if err := l.bw.Flush(); err != nil && l.err == nil {
-			l.err = err
-		}
+	if err := l.bw.Flush(); err != nil && l.err == nil {
+		l.err = err
 	}
 	if l.closer != nil {
 		if err := l.closer.Close(); err != nil && l.err == nil {
@@ -348,16 +297,13 @@ type RegretAggregate struct {
 	MaxNanos   int64 `json:"max_nanos"`
 }
 
-func (a *RegretAggregate) observe(regret time.Duration, timedOut bool) {
+func (a *RegretAggregate) observe(rec *DecisionRecord) {
 	a.Runs++
-	if timedOut {
+	if rec.ShadowTimeout {
 		a.Timeouts++
 	}
-	n := regret.Nanoseconds()
-	a.TotalNanos += n
-	if n > a.MaxNanos {
-		a.MaxNanos = n
-	}
+	a.TotalNanos += rec.RegretNanos
+	a.MaxNanos = max(a.MaxNanos, rec.RegretNanos)
 }
 
 // Mean returns the mean regret per shadow run.
@@ -392,7 +338,14 @@ type ModelStats struct {
 	// verdict contradicted the primary run (a soundness bug; also an
 	// invariant violation when deep checking is on).
 	shadowMismatches int64
+	// recent holds the last RecentDecisions retained records, oldest
+	// first.
+	recent []DecisionRecord
 }
+
+// RecentDecisions bounds the audited records a ModelStats retains for
+// /modelz?format=json's "recent" list.
+const RecentDecisions = 512
 
 // DefaultModelStats is the process-wide aggregate served at /modelz.
 var DefaultModelStats = &ModelStats{}
@@ -413,65 +366,71 @@ func (m *ModelStats) ObserveAlpha(predValid, actualValid bool, margin float64) {
 	m.mu.Unlock()
 }
 
-// ObserveBetaRank records the 1-based rank of model β's predicted plan
-// in one training sweep's measured plan times.
-func (m *ModelStats) ObserveBetaRank(rank int) {
-	if m == nil || rank < 1 {
-		return
-	}
-	m.mu.Lock()
-	for len(m.betaRanks) < rank {
-		m.betaRanks = append(m.betaRanks, 0)
-	}
-	m.betaRanks[rank-1]++
-	m.mu.Unlock()
-	SmartBetaRankChecks.Inc()
-	if rank == 1 {
-		SmartBetaRankTop1.Inc()
-	}
-}
-
-// ObserveCacheCheck records one sampled cache-quality audit.
-func (m *ModelStats) ObserveCacheCheck(stale bool) {
+// Observe folds one decision record into the aggregates: a shadow run's
+// regret (mode and plan kinds), a cache-quality audit (cache) or a
+// model-β plan rank (beta). With keep it also retains the record, with
+// its schema stamped, among the recent ones /modelz serves. This is the
+// one fold from a record into the aggregates: the engine calls it as it
+// audits, psi-decisions through Replay.
+func (m *ModelStats) Observe(rec DecisionRecord, keep bool) {
 	if m == nil {
 		return
 	}
+	regret := time.Duration(rec.RegretNanos).Seconds()
 	m.mu.Lock()
-	m.cacheChecks++
-	if stale {
-		m.cacheStale++
-	}
-	m.mu.Unlock()
-	SmartCacheQualityChecks.Inc()
-	if stale {
-		SmartCacheStaleHits.Inc()
-	}
-}
-
-// ObserveRegret records one shadow run: kind is DecisionKindMode or
-// DecisionKindPlan, regret is max(0, primary − shadow), timedOut marks
-// budget-censored counterfactuals. Also feeds the regret histograms.
-func (m *ModelStats) ObserveRegret(kind string, regret time.Duration, timedOut bool) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	switch kind {
-	case DecisionKindPlan:
-		m.plan.observe(regret, timedOut)
-	default:
-		m.mode.observe(regret, timedOut)
-	}
-	m.mu.Unlock()
-	if kind == DecisionKindPlan {
-		SmartShadowPlanRuns.Inc()
-		SmartPlanRegretSeconds.Observe(regret.Seconds())
-	} else {
+	defer m.mu.Unlock()
+	switch rec.Kind {
+	case DecisionKindMode:
+		m.mode.observe(&rec)
 		SmartShadowModeRuns.Inc()
-		SmartModeRegretSeconds.Observe(regret.Seconds())
+		SmartModeRegretSeconds.Observe(regret)
+	case DecisionKindPlan:
+		m.plan.observe(&rec)
+		SmartShadowPlanRuns.Inc()
+		SmartPlanRegretSeconds.Observe(regret)
+	case DecisionKindCache:
+		m.cacheChecks++
+		SmartCacheQualityChecks.Inc()
+		if rec.CacheStale {
+			m.cacheStale++
+			SmartCacheStaleHits.Inc()
+		}
+	case DecisionKindBeta:
+		if rec.Rank < 1 {
+			break
+		}
+		for len(m.betaRanks) < rec.Rank {
+			m.betaRanks = append(m.betaRanks, 0)
+		}
+		m.betaRanks[rec.Rank-1]++
+		SmartBetaRankChecks.Inc()
+		if rec.Rank == 1 {
+			SmartBetaRankTop1.Inc()
+		}
 	}
-	if timedOut {
+	if rec.ShadowTimeout {
 		SmartShadowTimeouts.Inc()
+	}
+	if keep {
+		rec.Schema = DecisionSchemaVersion
+		if len(m.recent) == RecentDecisions {
+			m.recent = m.recent[1:]
+		}
+		m.recent = append(m.recent, rec)
+	}
+}
+
+// Replay folds a decision log offline: every record through Observe
+// (unretained), and each mode audit's prediction into the model-α
+// confusion matrix and calibration — in a log, the audited predictions
+// are the only scored ones.
+func (m *ModelStats) Replay(recs []DecisionRecord) {
+	for i := range recs {
+		r := &recs[i]
+		m.Observe(*r, false)
+		if r.Kind == DecisionKindMode {
+			m.ObserveAlpha(r.PredValid(), r.ActualValid, r.VoteMargin)
+		}
 	}
 }
 
@@ -499,6 +458,7 @@ func (m *ModelStats) Reset() {
 	m.cacheChecks, m.cacheStale = 0, 0
 	m.mode, m.plan = RegretAggregate{}, RegretAggregate{}
 	m.shadowMismatches = 0
+	m.recent = nil
 	m.mu.Unlock()
 }
 
@@ -523,6 +483,8 @@ type ModelStatsData struct {
 	ModeRegret       RegretAggregate `json:"mode_regret"`
 	PlanRegret       RegretAggregate `json:"plan_regret"`
 	ShadowMismatches int64           `json:"shadow_mismatches"`
+	// Recent are the last retained audited records, oldest first.
+	Recent []DecisionRecord `json:"recent,omitempty"`
 }
 
 // Snapshot captures the aggregate's current state.
@@ -539,6 +501,7 @@ func (m *ModelStats) Snapshot() ModelStatsData {
 	d.CacheChecks, d.CacheStale = m.cacheChecks, m.cacheStale
 	d.ModeRegret, d.PlanRegret = m.mode, m.plan
 	d.ShadowMismatches = m.shadowMismatches
+	d.Recent = append([]DecisionRecord(nil), m.recent...)
 	return d
 }
 
@@ -641,6 +604,9 @@ func (d ModelStatsData) WriteText(w io.Writer) error {
 	writeRegret("mode (model α counterfactual)", d.ModeRegret)
 	writeRegret("plan (model β counterfactual)", d.PlanRegret)
 	fmt.Fprintf(&buf, "shadow verdict mismatches: %d (must be 0; invariant-gated)\n", d.ShadowMismatches)
+	if len(d.Recent) > 0 {
+		fmt.Fprintf(&buf, "recent audited decisions retained: %d (listed as \"recent\" in the JSON)\n", len(d.Recent))
+	}
 	_, err := w.Write(buf.Bytes())
 	return err
 }

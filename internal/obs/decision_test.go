@@ -145,12 +145,12 @@ func TestModelStatsSnapshot(t *testing.T) {
 	m.ObserveAlpha(true, true, 0.9)   // TP, bucket 4
 	m.ObserveAlpha(true, false, 0.1)  // FP, bucket 0
 	m.ObserveAlpha(false, false, 0.9) // TN, bucket 4
-	m.ObserveBetaRank(1)
-	m.ObserveBetaRank(3)
-	m.ObserveCacheCheck(false)
-	m.ObserveCacheCheck(true)
-	m.ObserveRegret(DecisionKindMode, 100, false)
-	m.ObserveRegret(DecisionKindPlan, 300, true)
+	m.Observe(DecisionRecord{Kind: DecisionKindBeta, Rank: 1}, false)
+	m.Observe(DecisionRecord{Kind: DecisionKindBeta, Rank: 3}, false)
+	m.Observe(DecisionRecord{Kind: DecisionKindCache}, false)
+	m.Observe(DecisionRecord{Kind: DecisionKindCache, CacheStale: true}, false)
+	m.Observe(DecisionRecord{Kind: DecisionKindMode, RegretNanos: 100}, false)
+	m.Observe(DecisionRecord{Kind: DecisionKindPlan, RegretNanos: 300, ShadowTimeout: true}, true)
 	m.ObserveShadowMismatch()
 
 	d := m.Snapshot()
@@ -181,18 +181,19 @@ func TestModelStatsSnapshot(t *testing.T) {
 	if d.ShadowMismatches != 1 {
 		t.Errorf("mismatches = %d, want 1", d.ShadowMismatches)
 	}
+	if len(d.Recent) != 1 || d.Recent[0].Kind != DecisionKindPlan {
+		t.Errorf("recent = %+v, want the one kept plan record", d.Recent)
+	}
 
 	m.Reset()
-	if d := m.Snapshot(); d.AlphaTotal() != 0 || d.BetaObserved() != 0 {
+	if d := m.Snapshot(); d.AlphaTotal() != 0 || d.BetaObserved() != 0 || len(d.Recent) != 0 {
 		t.Errorf("Reset left data behind: %+v", d)
 	}
 
 	// Nil-safety: every method on a nil receiver is a no-op.
 	var nm *ModelStats
 	nm.ObserveAlpha(true, true, 0)
-	nm.ObserveBetaRank(1)
-	nm.ObserveCacheCheck(true)
-	nm.ObserveRegret(DecisionKindMode, 1, false)
+	nm.Observe(DecisionRecord{Kind: DecisionKindMode}, true)
 	nm.ObserveShadowMismatch()
 	nm.Reset()
 	if d := nm.Snapshot(); d.AlphaTotal() != 0 {
@@ -218,10 +219,10 @@ func TestModelzConcurrent(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < iters; i++ {
 					DefaultModelStats.ObserveAlpha(i%2 == 0, i%3 == 0, float64(i%10)/10)
-					DefaultModelStats.ObserveBetaRank(1 + i%4)
-					DefaultModelStats.ObserveCacheCheck(i%7 == 0)
-					DefaultModelStats.ObserveRegret(DecisionKindMode, 50, false)
-					DefaultModelStats.ObserveRegret(DecisionKindPlan, 80, i%5 == 0)
+					DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindBeta, Rank: 1 + i%4}, false)
+					DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindCache, CacheStale: i%7 == 0}, true)
+					DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindMode, RegretNanos: 50}, true)
+					DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindPlan, RegretNanos: 80, ShadowTimeout: i%5 == 0}, false)
 				}
 			}(w)
 		}

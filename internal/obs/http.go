@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -35,7 +36,9 @@ func WithAlerts(a *SLOSet) HandlerOption {
 }
 
 // WithBundler mounts /debugz/bundle: a GET streams a freshly assembled
-// diagnostic bundle. Without it (or with nil) the route answers 503.
+// diagnostic bundle. The bundler reads its entries through the mux
+// Handler builds, so a bundle holds what this mux serves. Without it (or
+// with nil) the route answers 503.
 func WithBundler(b *Bundler) HandlerOption {
 	return func(c *handlerConfig) { c.bundler = b }
 }
@@ -73,14 +76,15 @@ func WithPprof(on bool) HandlerOption {
 //	/modelz             model-decision telemetry: model-α confusion matrix,
 //	                    vote-margin calibration, model-β plan rank, cache
 //	                    quality, shadow-scoring regret
-//	/modelz?format=json the same data as JSON
-//	/seriesz            windowed time series (WithSampler): text sparklines,
-//	                    ?format=json for the ring data
+//	/modelz?format=json the same data as JSON, plus the last
+//	                    RecentDecisions audited records ("recent")
+//	/seriesz            windowed time series (WithSampler): the ring data
+//	                    as JSON
 //	/alertz             SLO burn-rate alerts (WithAlerts): text table,
 //	                    ?format=json for machine consumption
 //	/debugz/bundle      download a diagnostic bundle (WithBundler):
-//	                    a zip of everything above plus goroutine/heap
-//	                    dumps; inspect offline with cmd/psi-bundle
+//	                    a zip of the JSON documents above plus goroutine/
+//	                    heap dumps; inspect offline with cmd/psi-bundle
 //	/debug/pprof/       the standard net/http/pprof handlers
 //	                    (gated by WithPprof; on by default)
 func Handler(reg *Registry, recorder *Recorder, opts ...HandlerOption) http.Handler {
@@ -91,100 +95,50 @@ func Handler(reg *Registry, recorder *Recorder, opts ...HandlerOption) http.Hand
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := reg.WritePrometheus(w); err != nil {
-			// Client went away mid-write; nothing to do.
-			return
-		}
+		_ = reg.WritePrometheus(w) // an error means the client went away
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := reg.WriteJSON(w); err != nil {
-			return
-		}
+		serveDoc(w, true, reg.Snapshot(), nil)
 	})
 	mux.HandleFunc("/profilez", func(w http.ResponseWriter, req *http.Request) {
 		asJSON := req.URL.Query().Get("format") == "json"
 		idStr, reqID := req.URL.Query().Get("id"), req.URL.Query().Get("request_id")
 		fp := req.URL.Query().Get("fingerprint")
-		if idStr != "" || reqID != "" || fp != "" {
-			var p *Profile
-			switch {
-			case idStr != "":
-				id, err := strconv.ParseUint(idStr, 10, 64)
-				if err != nil {
-					http.Error(w, "bad id", http.StatusBadRequest)
-					return
-				}
-				p = recorder.Lookup(id)
-			case reqID != "":
-				p = recorder.LookupRequest(reqID)
-			default:
-				p = recorder.LookupFingerprint(fp)
+		if idStr == "" && reqID == "" && fp == "" {
+			var d ProfilesData
+			for _, p := range recorder.Slowest() {
+				d.Slowest = append(d.Slowest, p.Snapshot())
 			}
-			if p == nil {
-				http.Error(w, "profile not retained", http.StatusNotFound)
-				return
+			for _, p := range recorder.Recent() {
+				d.Recent = append(d.Recent, p.Snapshot())
 			}
-			d := p.Snapshot()
-			if asJSON {
-				w.Header().Set("Content-Type", "application/json")
-				enc := json.NewEncoder(w)
-				enc.SetIndent("", "  ")
-				if err := enc.Encode(d); err != nil {
-					return
-				}
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			if err := d.WriteText(w); err != nil {
-				return
-			}
+			serveDoc(w, asJSON, d, d.WriteText)
 			return
 		}
-		slowest, recent := recorder.Slowest(), recorder.Recent()
-		if asJSON {
-			out := struct {
-				Slowest []ProfileData `json:"slowest"`
-				Recent  []ProfileData `json:"recent"`
-			}{}
-			for _, p := range slowest {
-				out.Slowest = append(out.Slowest, p.Snapshot())
-			}
-			for _, p := range recent {
-				out.Recent = append(out.Recent, p.Snapshot())
-			}
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(out); err != nil {
+		var p *Profile
+		switch {
+		case idStr != "":
+			id, err := strconv.ParseUint(idStr, 10, 64)
+			if err != nil {
+				http.Error(w, "bad id", http.StatusBadRequest)
 				return
 			}
+			p = recorder.Lookup(id)
+		case reqID != "":
+			p = recorder.LookupRequest(reqID)
+		default:
+			p = recorder.LookupFingerprint(fp)
+		}
+		if p == nil {
+			http.Error(w, "profile not retained", http.StatusNotFound)
 			return
 		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		var buf bytes.Buffer
-		fmt.Fprintf(&buf, "query-profile flight recorder; fetch one with /profilez?id=N (add &format=json for JSON)\n")
-		writeProfileTable(&buf, "slowest finished profiles", slowest)
-		writeProfileTable(&buf, "most recent profiles (newest first)", recent)
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return
-		}
+		d := p.Snapshot()
+		serveDoc(w, asJSON, d, d.WriteText)
 	})
 	mux.HandleFunc("/modelz", func(w http.ResponseWriter, req *http.Request) {
 		d := DefaultModelStats.Snapshot()
-		if req.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(d); err != nil {
-				return
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := d.WriteText(w); err != nil {
-			return
-		}
+		serveDoc(w, req.URL.Query().Get("format") == "json", d, d.WriteText)
 	})
 	mux.HandleFunc("/seriesz", func(w http.ResponseWriter, req *http.Request) {
 		if hc.sampler == nil {
@@ -192,17 +146,7 @@ func Handler(reg *Registry, recorder *Recorder, opts ...HandlerOption) http.Hand
 				http.StatusServiceUnavailable)
 			return
 		}
-		if req.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			if err := hc.sampler.WriteJSON(w); err != nil {
-				return
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := hc.sampler.WriteText(w); err != nil {
-			return
-		}
+		serveDoc(w, true, hc.sampler.SeriesSnapshot(), nil)
 	})
 	mux.HandleFunc("/alertz", func(w http.ResponseWriter, req *http.Request) {
 		if hc.alerts == nil {
@@ -210,17 +154,8 @@ func Handler(reg *Registry, recorder *Recorder, opts ...HandlerOption) http.Hand
 				http.StatusServiceUnavailable)
 			return
 		}
-		if req.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			if err := hc.alerts.WriteJSON(w); err != nil {
-				return
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := hc.alerts.WriteText(w); err != nil {
-			return
-		}
+		d := hc.alerts.AlertsSnapshot()
+		serveDoc(w, req.URL.Query().Get("format") == "json", d, d.WriteText)
 	})
 	mux.HandleFunc("/queryz", func(w http.ResponseWriter, req *http.Request) {
 		if hc.workload == nil {
@@ -229,17 +164,7 @@ func Handler(reg *Registry, recorder *Recorder, opts ...HandlerOption) http.Hand
 			return
 		}
 		d := hc.workload.Snapshot()
-		if req.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			if err := d.WriteJSON(w); err != nil {
-				return
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := d.WriteText(w); err != nil {
-			return
-		}
+		serveDoc(w, req.URL.Query().Get("format") == "json", d, d.WriteText)
 	})
 	mux.HandleFunc("/debugz/bundle", func(w http.ResponseWriter, req *http.Request) {
 		if hc.bundler == nil {
@@ -254,11 +179,9 @@ func Handler(reg *Registry, recorder *Recorder, opts ...HandlerOption) http.Hand
 		name := fmt.Sprintf("bundle-%s-manual.zip", time.Now().UTC().Format("20060102T150405Z"))
 		w.Header().Set("Content-Type", "application/zip")
 		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", name))
-		if _, err := hc.bundler.WriteBundle(w, BundleReasonManual, ""); err != nil {
-			// Headers are out; the client sees a truncated zip and
-			// ReadBundle rejects it.
-			return
-		}
+		// On an error the 200 is already promised; the client gets an
+		// empty or truncated zip, which ReadBundle rejects.
+		_, _ = hc.bundler.WriteBundle(w, BundleReasonManual, "")
 	})
 	if hc.pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -272,17 +195,51 @@ func Handler(reg *Registry, recorder *Recorder, opts ...HandlerOption) http.Hand
 				http.StatusForbidden)
 		})
 	}
+	if hc.bundler != nil {
+		hc.bundler.setSource(mux)
+	}
 	return mux
+}
+
+// ProfilesData is the /profilez?format=json document (and a bundle's
+// profiles.json): the flight recorder's two retention sets.
+type ProfilesData struct {
+	Slowest []ProfileData `json:"slowest"`
+	Recent  []ProfileData `json:"recent"`
+}
+
+// serveDoc writes an endpoint's document: its indented JSON encoding,
+// or with asJSON false its text rendering. A write error means the
+// client went away mid-response; there is nothing to act on.
+func serveDoc(w http.ResponseWriter, asJSON bool, doc any, text func(io.Writer) error) {
+	if asJSON {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(doc)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	_ = text(w)
+}
+
+// WriteText renders the /profilez flight-recorder tables.
+func (d ProfilesData) WriteText(w io.Writer) error {
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "query-profile flight recorder; fetch one with /profilez?id=N (add &format=json for JSON)\n")
+	writeProfileTable(&buf, "slowest finished profiles", d.Slowest)
+	writeProfileTable(&buf, "most recent profiles (newest first)", d.Recent)
+	_, err := w.Write(buf.Bytes())
+	return err
 }
 
 // writeProfileTable renders one flight-recorder section as an aligned
 // text table.
-func writeProfileTable(buf *bytes.Buffer, title string, profiles []*Profile) {
+func writeProfileTable(buf *bytes.Buffer, title string, profiles []ProfileData) {
 	fmt.Fprintf(buf, "\n%s\n", title)
 	fmt.Fprintf(buf, "%6s  %-24s  %-12s  %-22s  %10s  %8s  %s\n",
 		"ID", "NAME", "DURATION", "METHOD", "CANDIDATES", "BINDINGS", "LADDER (entered r1/r2/r3)")
-	for _, p := range profiles {
-		d := p.Snapshot()
+	for _, d := range profiles {
 		state := "live"
 		if d.Finished {
 			state = d.Duration().Round(time.Microsecond).String()

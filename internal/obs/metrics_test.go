@@ -115,7 +115,7 @@ func TestObsJSONEncoding(t *testing.T) {
 	r.Counter("a_total", "").Add(9)
 	r.Histogram("h_seconds", "", []float64{1}).Observe(0.5)
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var s Snapshot

@@ -19,9 +19,11 @@
 // they keep counting into the plain per-State psi.Stats fields they
 // always had, and the aggregated Stats are published into the registry
 // at flush points (end of a worker batch, end of a support-counting
-// pass) via psi.PublishStats. Only coarse per-candidate events in
-// package smartpsi (cache lookups, preemption transitions, model
-// predictions) touch the gate directly.
+// pass) via psi.PublishStats. Package smartpsi reads the gate once per
+// query and carries the answer as a plain bool to its per-candidate
+// events (cache lookups, preemption transitions, model predictions,
+// audits), so a query that starts with collection off stays
+// uncollected, even if Enable flips mid-query.
 package obs
 
 import (

@@ -1,10 +1,11 @@
-// Overhead guard for the disabled path. The instrumentation contract
-// (ISSUE: observability) is that with collection off, every obs call
-// site costs exactly one predictable branch on an atomic load. This
-// test turns that contract into a regression guard: it measures the
-// real per-check cost, counts how many gate-protected events a
-// representative SmartPSI workload would emit, and asserts that the
-// implied total stays under 2% of the workload's wall time.
+// Overhead guard for the disabled path. The instrumentation contract is
+// that with collection off, every obs call site costs one predictable
+// branch: on the atomic gate for per-query sites, on a plain bool read
+// once per query for per-candidate ones. This test turns that contract
+// into a regression guard: it measures the real per-check cost of both
+// branches, counts how many events behind each a representative
+// SmartPSI workload would emit, and asserts that the implied total stays
+// under 2% of the workload's wall time.
 //
 // The test lives in package obs_test so it can drive the public engine
 // (repro -> smartpsi -> obs) without an import cycle.
@@ -117,23 +118,49 @@ func addEdgeIgnoringDuplicates(b *repro.Builder, u, v repro.NodeID) error {
 	return b.AddEdge(u, v)
 }
 
-// gatedEvents sums the snapshot deltas that correspond to individually
-// gated call sites. The psi_* work counters are excluded on purpose:
-// the evaluator accumulates them in plain struct fields and flushes
-// them in a single PublishStats call per batch, so they cost zero
-// checks in the recursion itself.
-func gatedEvents(s obs.Snapshot) int64 {
-	var n int64
-	for name, v := range s.Counters {
-		if strings.HasPrefix(name, "psi_") {
-			continue
+// perCandidateSites names the metrics smartpsi bumps per candidate (or
+// per training sweep row) behind the query's copy of the gate: in the
+// disabled build each is a plain branch on a bool, not an atomic load.
+var perCandidateSites = map[string]bool{
+	obs.SmartPlanSeconds.Name():    true,
+	obs.SmartCacheHits.Name():      true,
+	obs.SmartCacheMisses.Name():    true,
+	obs.SmartModeChecks.Name():     true,
+	obs.SmartMispredicts.Name():    true,
+	obs.SmartTimeouts.Name():       true,
+	obs.SmartFlips.Name():          true,
+	obs.SmartFallbacks.Name():      true,
+	obs.SmartRecoveries.Name():     true,
+	obs.SmartBetaRankChecks.Name(): true,
+	obs.SmartBetaRankTop1.Name():   true,
+}
+
+// gatedEvents splits the registry deltas between two snapshots into
+// events behind the atomic gate and events behind the per-query bool.
+// A counter bumped by one Add(n) per query (smartpsi_trained_nodes_total)
+// is one event per query, not n. The psi_* work counters are excluded on
+// purpose: the evaluator accumulates them in plain struct fields and
+// flushes them in a single PublishStats call per batch, so they cost
+// zero checks in the recursion itself.
+func gatedEvents(before, after obs.Snapshot, queries int) (atomic, plain int64) {
+	add := func(name string, n int64) {
+		switch {
+		case strings.HasPrefix(name, "psi_"):
+		case name == obs.SmartTrainedNodes.Name():
+			atomic += min(n, int64(queries))
+		case perCandidateSites[name]:
+			plain += n
+		default:
+			atomic += n
 		}
-		n += v
 	}
-	for _, h := range s.Histograms {
-		n += h.Count
+	for name, v := range after.Counters {
+		add(name, v-before.Counters[name])
 	}
-	return n
+	for name, h := range after.Histograms {
+		add(name, h.Count-before.Histograms[name].Count)
+	}
+	return atomic, plain
 }
 
 // profileEvents sums the per-query profiling events (funnel stage
@@ -166,13 +193,14 @@ func TestObsOverheadGuard(t *testing.T) {
 	defer obs.Enable(prev)
 
 	// Bundle capture is compiled in but unarmed (no -bundle-dir): the
-	// whole measured workload runs with a live Bundler wired to the
+	// whole measured workload runs with a live Bundler mounted on the
 	// default registry and recorder, and the budget below must still
 	// hold. Zero captures may occur without a directory.
-	bundler, err := obs.NewBundler(obs.BundlerConfig{Recorder: obs.DefaultRecorder})
+	bundler, err := obs.NewBundler(obs.BundlerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	obs.Handler(obs.Default, obs.DefaultRecorder, obs.WithBundler(bundler))
 	capturedBefore := obs.Default.Snapshot().Counters[obs.BundlesCaptured]
 	defer func() {
 		if bundler.Armed() {
@@ -200,12 +228,13 @@ func TestObsOverheadGuard(t *testing.T) {
 		return h
 	}), baseline)
 
-	// 1b. Per-event cost of the profiling sites' disabled gate. The
+	// 1b. Per-event cost of the per-candidate sites' disabled gate. The
 	// query profiler follows the psi.Stats pattern, not the atomic-gate
 	// pattern: with collection off the profile/funnel pointers are nil,
 	// the evaluator loads them once per candidate, and every stage
-	// increment is one branch on that local pointer — no atomic load.
-	// Measure that branch, not the Enabled() gate.
+	// increment is one branch on that local pointer — no atomic load. The
+	// per-candidate metric sites branch the same way, on the bool smartpsi
+	// read once per query. Measure that branch, not the Enabled() gate.
 	fd := nilRow
 	perNilCheck := netOf(perIterMin(5, checks, func(n int) int {
 		h := 0
@@ -237,10 +266,10 @@ func TestObsOverheadGuard(t *testing.T) {
 	wall := time.Since(t0).Seconds()
 
 	// 3. Enabled re-run to count gate-protected events. Each event
-	// behind a gate corresponds to a bounded handful of Enabled()
-	// branches in the disabled build; sitesPerEvent = 4 is a generous
-	// upper bound on that fan-in.
-	before := gatedEvents(obs.Default.Snapshot())
+	// behind a gate corresponds to a bounded handful of branches in the
+	// disabled build; sitesPerEvent = 4 is a generous upper bound on that
+	// fan-in.
+	before := obs.Default.Snapshot()
 	lastID := obs.DefaultRecorder.LastID()
 	obs.Enable(true)
 	// A background sampler at the default interval runs across the
@@ -255,9 +284,9 @@ func TestObsOverheadGuard(t *testing.T) {
 		}
 	}
 	obs.Enable(false)
-	events := gatedEvents(obs.Default.Snapshot()) - before
-	if events <= 0 {
-		t.Fatalf("enabled run produced %d gated events; instrumentation not wired", events)
+	events, candEvents := gatedEvents(before, obs.Default.Snapshot(), len(queries))
+	if events <= 0 || candEvents <= 0 {
+		t.Fatalf("enabled run produced %d per-query and %d per-candidate gated events; instrumentation not wired", events, candEvents)
 	}
 	profEvents := profileEvents(lastID)
 	if profEvents <= 0 {
@@ -266,9 +295,9 @@ func TestObsOverheadGuard(t *testing.T) {
 
 	const sitesPerEvent = 4
 	overhead := perCheck*float64(events)*sitesPerEvent +
-		perNilCheck*float64(profEvents)*sitesPerEvent
-	t.Logf("perCheck=%.2fns perNilCheck=%.2fns events=%d profEvents=%d overhead=%.3fµs wall=%.3fms (2%% limit %.3fµs)",
-		perCheck*1e9, perNilCheck*1e9, events, profEvents, overhead*1e6, wall*1e3, 0.02*wall*1e6)
+		perNilCheck*float64(candEvents+profEvents)*sitesPerEvent
+	t.Logf("perCheck=%.2fns perNilCheck=%.2fns events=%d candEvents=%d profEvents=%d overhead=%.3fµs wall=%.3fms (2%% limit %.3fµs)",
+		perCheck*1e9, perNilCheck*1e9, events, candEvents, profEvents, overhead*1e6, wall*1e3, 0.02*wall*1e6)
 	checkOverheadBudget(t, "disabled-path", overhead, wall)
 }
 

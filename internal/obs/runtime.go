@@ -7,7 +7,7 @@ import (
 
 // Process health gauges: goroutine count, heap occupancy and GC pause
 // telemetry from runtime.MemStats, published into the Default registry
-// so /seriesz and diagnostic bundles show process health sparklines
+// so /seriesz and psi-bundle report show process health sparklines
 // next to the server_* serving series. Unlike the counter sites these
 // must be polled, so ArmRuntimeGauges hooks the refresh onto the
 // sampler's pre-sample tick — each retained sample carries values no

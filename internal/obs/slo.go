@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -362,16 +361,8 @@ func (s *SLOSet) AlertsSnapshot() AlertsData {
 	return AlertsData{Schema: 1, Firing: firing, Alerts: status}
 }
 
-// WriteJSON encodes the /alertz document.
-func (s *SLOSet) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s.AlertsSnapshot())
-}
-
-// WriteText renders the alert table for a terminal.
-func (s *SLOSet) WriteText(w io.Writer) error {
-	d := s.AlertsSnapshot()
+// WriteText renders the /alertz table for a terminal.
+func (d AlertsData) WriteText(w io.Writer) error {
 	_, _ = fmt.Fprintf(w, "alerts: %d firing / %d objectives\n\n", d.Firing, len(d.Alerts))
 	_, _ = fmt.Fprintf(w, "%-28s %-9s %8s %10s %10s  %s\n",
 		"OBJECTIVE", "STATE", "TARGET", "FAST-BURN", "SLOW-BURN", "SINCE")

@@ -199,7 +199,7 @@ func TestSLOWriteFormats(t *testing.T) {
 	s.SampleAt(sloBase.Add(time.Second))
 
 	var buf bytes.Buffer
-	if err := set.WriteJSON(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(set.AlertsSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var d AlertsData
@@ -211,7 +211,7 @@ func TestSLOWriteFormats(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := set.WriteText(&buf); err != nil {
+	if err := set.AlertsSnapshot().WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

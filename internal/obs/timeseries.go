@@ -1,10 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -15,9 +11,9 @@ import (
 // a fixed interval into per-metric ring buffers, from which windowed
 // counter rates and windowed histogram quantiles (bucket-count deltas
 // between two samples, interpolated inside a bucket) are derived. The
-// /seriesz endpoint renders the rings as JSON or as sparkline text,
-// and the SLO evaluator (slo.go) runs off the same samples via
-// OnSample hooks.
+// /seriesz endpoint serves the rings as JSON (psi-bundle report draws
+// the sparklines), and the SLO evaluator (slo.go) runs off the same
+// samples via OnSample hooks.
 
 // DefaultSampleInterval is the sampling period used when NewSampler is
 // given a non-positive interval; psi-serve's -sample-interval flag
@@ -442,87 +438,4 @@ func sortedKeys[T any](m map[string]*ring[T]) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// WriteJSON encodes the SeriesData document.
-func (s *Sampler) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s.SeriesSnapshot())
-}
-
-// sparkRunes maps a normalised [0,1] value to a bar glyph.
-var sparkRunes = []rune("▁▂▃▄▅▆▇█")
-
-// Spark renders values as a unicode sparkline, normalised to the
-// series' own min..max; missing values (NaN or negative quantiles
-// from empty steps) render as spaces.
-func Spark(vals []float64) string {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range vals {
-		if math.IsNaN(v) || v < 0 {
-			continue
-		}
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	if lo > hi {
-		return ""
-	}
-	out := make([]rune, 0, len(vals))
-	for _, v := range vals {
-		if math.IsNaN(v) || v < 0 {
-			out = append(out, ' ')
-			continue
-		}
-		i := 0
-		if hi > lo {
-			i = int((v - lo) / (hi - lo) * float64(len(sparkRunes)-1))
-		}
-		out = append(out, sparkRunes[i])
-	}
-	return string(out)
-}
-
-// WriteText renders the rings as one sparkline row per metric:
-// counters show per-step rates, gauges raw values, histograms the
-// per-step p99. Intended for a terminal (`curl /seriesz`).
-func (s *Sampler) WriteText(w io.Writer) error {
-	d := s.SeriesSnapshot()
-	_, _ = fmt.Fprintf(w, "series: interval=%s capacity=%d samples=%d\n", s.interval, d.Capacity, d.Samples)
-	if d.Samples == 0 {
-		_, err := fmt.Fprintln(w, "no samples yet")
-		return err
-	}
-	if d.Samples == 1 {
-		_, _ = fmt.Fprintln(w, "one sample held; rates and quantiles need at least two")
-	}
-	_, _ = fmt.Fprintln(w, "\ncounters (rate/s):")
-	for _, c := range d.Counters {
-		last := 0.0
-		if len(c.Rates) > 0 {
-			last = c.Rates[len(c.Rates)-1]
-		}
-		_, _ = fmt.Fprintf(w, "  %-44s %s last=%d rate=%.2f/s\n", c.Name, Spark(c.Rates), c.Last, last)
-	}
-	_, _ = fmt.Fprintln(w, "\ngauges (value):")
-	for _, g := range d.Gauges {
-		vals := make([]float64, len(g.Values))
-		for i, v := range g.Values {
-			vals[i] = float64(v)
-		}
-		_, _ = fmt.Fprintf(w, "  %-44s %s last=%d\n", g.Name, Spark(vals), g.Last)
-	}
-	_, _ = fmt.Fprintln(w, "\nhistograms (p99 per step):")
-	for _, h := range d.Histograms {
-		p99 := 0.0
-		if len(h.P99) > 0 {
-			p99 = h.P99[len(h.P99)-1]
-		}
-		_, err := fmt.Fprintf(w, "  %-44s %s count=%d p99=%.4gs\n", h.Name, Spark(h.P99), h.Count, p99)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 )
@@ -115,7 +114,7 @@ func TestSeriesSnapshotJSON(t *testing.T) {
 	s.SampleAt(seriesBase.Add(2 * time.Second)) // empty step
 
 	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(s.SeriesSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var d SeriesData
@@ -137,54 +136,6 @@ func TestSeriesSnapshotJSON(t *testing.T) {
 	}
 	if hs.P50[0] < 0 || hs.P50[1] != -1 {
 		t.Errorf("p50 steps = %v, want [interpolated, -1]", hs.P50)
-	}
-}
-
-// TestSamplerWriteText covers the text renderer's three shapes: no
-// samples, one sample, and a full sparkline listing.
-func TestSamplerWriteText(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("txt_total", "txt")
-	s := NewSampler(reg, time.Second, 8)
-
-	var buf bytes.Buffer
-	if err := s.WriteText(&buf); err != nil || !strings.Contains(buf.String(), "no samples yet") {
-		t.Errorf("empty text = %q (err=%v)", buf.String(), err)
-	}
-
-	s.SampleAt(seriesBase)
-	buf.Reset()
-	if err := s.WriteText(&buf); err != nil || !strings.Contains(buf.String(), "one sample held") {
-		t.Errorf("single-sample text = %q (err=%v)", buf.String(), err)
-	}
-
-	c.Add(3)
-	s.SampleAt(seriesBase.Add(time.Second))
-	buf.Reset()
-	if err := s.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "txt_total") || !strings.Contains(out, "last=3 rate=3.00/s") {
-		t.Errorf("text output:\n%s", out)
-	}
-}
-
-func TestSpark(t *testing.T) {
-	if got := Spark(nil); got != "" {
-		t.Errorf("empty spark = %q", got)
-	}
-	if got := Spark([]float64{-1, -1}); got != "" {
-		t.Errorf("all-missing spark = %q", got)
-	}
-	got := Spark([]float64{0, 1, -1, 2})
-	want := "▁▄ █"
-	if got != want {
-		t.Errorf("spark = %q, want %q", got, want)
-	}
-	// A flat series renders at the low bar rather than dividing by zero.
-	if got := Spark([]float64{5, 5, 5}); got != "▁▁▁" {
-		t.Errorf("flat spark = %q", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -398,13 +397,6 @@ func latSnapshot(counts []int64, sum float64, n int64) HistogramSnapshot {
 		h.Buckets[i] = BucketCount{UpperBound: b, Count: cum}
 	}
 	return h
-}
-
-// WriteJSON writes the schema-1 /queryz document.
-func (d WorkloadData) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
 }
 
 // WriteText renders the /queryz table: a sketch header, the cache-win

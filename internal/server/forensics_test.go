@@ -51,7 +51,7 @@ func TestServerBundleMounted(t *testing.T) {
 		t.Errorf("/debugz/bundle without bundler = %d, want 503", resp.StatusCode)
 	}
 
-	b, err := obs.NewBundler(obs.BundlerConfig{Registry: obs.NewRegistry()})
+	b, err := obs.NewBundler(obs.BundlerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,55 +71,5 @@ func TestServerBundleMounted(t *testing.T) {
 	}
 	if a.Manifest.Reason != obs.BundleReasonManual {
 		t.Errorf("reason = %q, want manual", a.Manifest.Reason)
-	}
-}
-
-// TestServerAccessRing checks /v1 requests land in the shared access
-// ring with their request ID, status and path — the access.jsonl view
-// diagnostic bundles correlate against.
-func TestServerAccessRing(t *testing.T) {
-	_, ts := newTestServer(t, &fakeEval{}, Config{})
-	const reqID = "access-ring-test-7"
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/psi",
-		strings.NewReader(`{"query":{"nodes":[0,1,0],"edges":[[0,1],[1,2],[0,2]],"pivot":0}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Request-ID", reqID)
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/psi = %d", resp.StatusCode)
-	}
-
-	var found bool
-	for _, e := range obs.DefaultAccess.Entries() {
-		if e.RequestID == reqID {
-			found = true
-			if e.Path != "/v1/psi" || e.Status != http.StatusOK || e.Method != http.MethodPost {
-				t.Errorf("access entry = %+v, want POST /v1/psi 200", e)
-			}
-			if e.DurationMS < 0 {
-				t.Errorf("access entry duration = %v, want >= 0", e.DurationMS)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("request %s not in the access ring (%d entries)", reqID, obs.DefaultAccess.Len())
-	}
-
-	// Non-/v1 traffic stays out of the ring.
-	before := obs.DefaultAccess.Len()
-	hresp, err := ts.Client().Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = hresp.Body.Close()
-	if after := obs.DefaultAccess.Len(); after != before {
-		t.Errorf("access ring grew %d -> %d on /healthz; only /v1 belongs there", before, after)
 	}
 }

@@ -297,29 +297,6 @@ func RequestIDFrom(ctx context.Context) string {
 	return id
 }
 
-// fingerprintKey carries a per-request slot the query handlers fill
-// with the canonical shape fingerprint once it is known (after decode,
-// inside the handler), so the access log — which runs in the outer
-// Handler wrapper — can pick it up without re-deriving it.
-type fingerprintKey struct{}
-
-// fingerprintFrom reads the fingerprint slot, or "" when the request
-// never reached fingerprinting (non-query route, decode failure,
-// workload analytics unarmed).
-func fingerprintFrom(ctx context.Context) string {
-	if slot, ok := ctx.Value(fingerprintKey{}).(*string); ok {
-		return *slot
-	}
-	return ""
-}
-
-// setFingerprint fills the request's fingerprint slot, if present.
-func setFingerprint(ctx context.Context, fp string) {
-	if slot, ok := ctx.Value(fingerprintKey{}).(*string); ok {
-		*slot = fp
-	}
-}
-
 // newRequestID generates a 16-hex-char random request ID.
 func newRequestID() string {
 	var b [8]byte
@@ -373,9 +350,7 @@ func (s *Server) Handler() http.Handler {
 		reqID := resolveRequestID(r)
 		sw := &statusWriter{ResponseWriter: w}
 		sw.Header().Set(requestIDHeader, reqID)
-		ctx := context.WithValue(r.Context(), requestIDKey{}, reqID)
-		ctx = context.WithValue(ctx, fingerprintKey{}, new(string))
-		r = r.WithContext(ctx)
+		r = r.WithContext(context.WithValue(r.Context(), requestIDKey{}, reqID))
 		t0 := time.Now()
 		defer s.accessLog(r, reqID, sw, t0)
 		defer func() {
@@ -394,30 +369,17 @@ func (s *Server) Handler() http.Handler {
 
 // accessLog emits one structured line per request — /v1 traffic at
 // info, the debug surface at debug (a scraped /metrics should not
-// drown the log) — and files /v1 entries into the process-wide access
-// ring so diagnostic bundles can reconstruct recent traffic.
+// drown the log). It is the server's one access record.
 func (s *Server) accessLog(r *http.Request, reqID string, sw *statusWriter, t0 time.Time) {
+	if s.cfg.Log == nil {
+		return
+	}
 	status := sw.status
 	if status == 0 {
 		status = http.StatusOK
 	}
-	isV1 := strings.HasPrefix(r.URL.Path, "/v1/")
-	if isV1 {
-		obs.DefaultAccess.Append(obs.AccessEntry{
-			Time:        t0,
-			Method:      r.Method,
-			Path:        r.URL.Path,
-			Status:      status,
-			DurationMS:  float64(time.Since(t0).Nanoseconds()) / 1e6,
-			RequestID:   reqID,
-			Fingerprint: fingerprintFrom(r.Context()),
-		})
-	}
-	if s.cfg.Log == nil {
-		return
-	}
 	level := slog.LevelDebug
-	if isV1 {
+	if strings.HasPrefix(r.URL.Path, "/v1/") {
 		level = slog.LevelInfo
 	}
 	s.cfg.Log.Log(r.Context(), level, "request",
@@ -624,12 +586,12 @@ func classify(err error) verdict {
 // serveQuery is the one path a decoded query takes on either route:
 // fingerprint -> admission -> panic-safe, deadline-bounded evaluation ->
 // workload observation -> classification. The item carries the status
-// the query gets standalone; fingerprint is "" unless workload
-// analytics is armed. The canonical shape key is computed once, here,
-// and feeds the workload sketch, the access log, and (via
-// EvaluateTagged) the profile and decision-log records.
-func (s *Server) serveQuery(ctx context.Context, q graph.Query, deadline time.Time) (item BatchItem, fingerprint string) {
+// the query gets standalone. The canonical shape key is computed once,
+// here, when workload analytics is armed, and feeds the workload sketch
+// and (via EvaluateTagged) the profile and decision-log records.
+func (s *Server) serveQuery(ctx context.Context, q graph.Query, deadline time.Time) BatchItem {
 	var fp fsm.Fingerprint
+	var fingerprint string
 	if s.cfg.Workload != nil {
 		fp = fsm.PivotFingerprint(q, 0)
 		fingerprint = fp.String()
@@ -655,9 +617,9 @@ func (s *Server) serveQuery(ctx context.Context, q graph.Query, deadline time.Ti
 	}
 	if err != nil {
 		s.logf("query failed (%d): %v", v.status, err)
-		return BatchItem{Status: v.status, Error: v.msg}, fingerprint
+		return BatchItem{Status: v.status, Error: v.msg}
 	}
-	return BatchItem{Status: v.status, Result: resultJSON(gth, time.Since(start))}, fingerprint
+	return BatchItem{Status: v.status, Result: resultJSON(gth, time.Since(start))}
 }
 
 // retryAfterSeconds renders the Retry-After hint, at least 1 second:
@@ -749,8 +711,7 @@ func (s *Server) handlePSI(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithDeadline(r.Context(), deadline)
 	defer cancel()
-	item, fingerprint := s.serveQuery(ctx, q, deadline)
-	setFingerprint(r.Context(), fingerprint)
+	item := s.serveQuery(ctx, q, deadline)
 	if item.Status != http.StatusOK {
 		if item.Status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", s.retryAfterSeconds())
@@ -802,7 +763,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, q graph.Query) {
 			defer wg.Done()
-			items[i], _ = s.serveQuery(ctx, q, deadline)
+			items[i] = s.serveQuery(ctx, q, deadline)
 		}(i, q)
 	}
 	wg.Wait()

@@ -776,6 +776,23 @@ func TestServerRequestCorrelation(t *testing.T) {
 	if !strings.Contains(dlogBuf.String(), `"request_id":"`+reqID+`"`) {
 		t.Errorf("decision log has no request_id field; first line:\n%.300s", dlogBuf.String())
 	}
+	// ... and so do the recent ones /modelz serves (a diagnostic bundle's
+	// modelz.json).
+	mresp, err := ts.Client().Get(ts.URL + "/modelz?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var model obs.ModelStatsData
+	decErr := json.NewDecoder(mresp.Body).Decode(&model)
+	if cerr := mresp.Body.Close(); decErr == nil {
+		decErr = cerr
+	}
+	if decErr != nil {
+		t.Fatal(decErr)
+	}
+	if n := len(model.Recent); n == 0 || model.Recent[n-1].RequestID != reqID {
+		t.Errorf("/modelz recent holds %d records, want the newest from %s", n, reqID)
+	}
 
 	// 4. A request without the header gets a server-minted ID.
 	resp2, _ := postJSON(t, ts.Client(), ts.URL+"/v1/psi", PSIRequest{Query: wireQuery(t, q), TimeoutMS: 30_000})

@@ -34,9 +34,9 @@ func (f *taggedFake) EvaluateTagged(q graph.Query, deadline time.Time, requestID
 var fingerprintRE = regexp.MustCompile(`^[0-9a-f]{16}$`)
 
 // TestServerWorkloadObservation: an armed server fingerprints each
-// query at admission, threads the key through the tagged evaluator and
-// the access ring, folds outcomes into the sketch (repeat exact hits
-// included), and serves the result at /queryz.
+// query at admission, threads the key through the tagged evaluator,
+// folds outcomes into the sketch (repeat exact hits included), and
+// serves the result at /queryz.
 func TestServerWorkloadObservation(t *testing.T) {
 	w := obs.NewWorkload(8)
 	fake := &taggedFake{}
@@ -75,17 +75,6 @@ func TestServerWorkloadObservation(t *testing.T) {
 	}
 	if reqID == "" {
 		t.Error("tagged evaluator lost the request ID")
-	}
-
-	// The access ring's most recent /v1/psi entry carries the same key.
-	var found bool
-	for _, e := range obs.DefaultAccess.Entries() {
-		if e.Path == "/v1/psi" && e.Fingerprint == fp {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no access-ring entry carries fingerprint %s", fp)
 	}
 
 	// /queryz is mounted on the serving mux and agrees with the sketch.

@@ -150,6 +150,9 @@ type queryRun struct {
 	req  Request
 	name string // "" when nothing records it
 	prof *obs.Profile
+	// enabled is obs.Enabled() as read once when the query started; every
+	// metric and audit site of the query tests it instead of the gate.
+	enabled bool
 
 	// candidates are the pivot-labelled data nodes the request owns,
 	// ascending; valid[i] is candidates[i]'s verdict. Each position is
@@ -208,7 +211,7 @@ func (e *Engine) Run(req Request) (_ *Result, retErr error) {
 	}
 
 	res := &Result{Profile: prof}
-	r := &queryRun{req: req, name: name, prof: prof, res: res}
+	r := &queryRun{req: req, name: name, prof: prof, enabled: enabled, res: res}
 	r.candidates = e.g.NodesWithLabel(q.G.Label(q.Pivot))
 	if req.Owns != nil {
 		// Filtered once, ahead of the train/execute split: everything
@@ -316,7 +319,7 @@ func (e *Engine) evaluateSmall(q graph.Query, r *queryRun, deadline time.Time) e
 // query was seen before.
 func (e *Engine) evaluateML(q graph.Query, r *queryRun, deadline time.Time) error {
 	r.res.UsedML = true
-	if obs.Enabled() {
+	if r.enabled {
 		obs.SmartQueriesML.Inc()
 	}
 	// order holds candidate positions: identity on a warm run, shuffled
@@ -386,7 +389,6 @@ func (e *Engine) prepare(q graph.Query, rng *rand.Rand) (*artifact, error) {
 // aborted train returns psi.ErrDeadline and its artifact must be
 // dropped.
 func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand, deadline time.Time) (int, error) {
-	enabled := obs.Enabled()
 	trainStart := time.Now()
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	trainCount := int(e.opts.TrainFraction * float64(len(order)))
@@ -411,7 +413,7 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 	}
 	// Retain the per-plan sweep measurements for the model-β plan-rank
 	// audit (scoreBetaRanks) when anyone will consume them.
-	collectSweeps := (enabled || (e.opts.DecisionLog != nil && e.opts.auditing())) && !e.opts.DisablePlanModel
+	collectSweeps := (r.enabled || (e.opts.DecisionLog != nil && e.opts.auditing())) && !e.opts.DisablePlanModel
 	var sweeps []betaSweep
 	for i, pos := range order[:trainCount] {
 		if expired(deadline) {
@@ -424,7 +426,7 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 		if i < e.opts.PlanSweepNodes {
 			// Full per-plan sweep: labels both models.
 			var outcomes []planOutcome
-			isValid, bestPlan, outcomes, err = e.trainOne(art, st, u, deadline)
+			isValid, bestPlan, outcomes, err = e.trainOne(art, st, u, deadline, r.enabled)
 			if err != nil {
 				return 0, err
 			}
@@ -438,7 +440,7 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 			if err != nil {
 				return 0, err
 			}
-			art.timing.record(psi.Pessimistic, 0, time.Since(t0))
+			art.timing.record(psi.Pessimistic, 0, time.Since(t0), r.enabled)
 			bestPlan = -1
 		}
 		r.valid[pos] = isValid
@@ -480,7 +482,7 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 	r.res.Work.Add(st.Stats())
 	r.prof.MergeFunnel(st.Funnel())
 	r.prof.SetTraining(trainCount, len(art.compiled), r.res.TrainTime, r.res.FitTime)
-	if enabled {
+	if r.enabled {
 		obs.SmartTrainedNodes.Add(int64(trainCount))
 		obs.SmartTrainSeconds.Observe(r.res.TrainTime.Seconds())
 	}
@@ -609,7 +611,8 @@ type planOutcome struct {
 // trainOne evaluates a training node under every sampled plan with the
 // escalating time limit of Section 4.2.2, returning its ground-truth
 // validity, the fastest plan's index, and the per-plan outcomes.
-func (e *Engine) trainOne(art *artifact, st *psi.State, u graph.NodeID, global time.Time) (bool, int, []planOutcome, error) {
+// observe is the query's obs gate.
+func (e *Engine) trainOne(art *artifact, st *psi.State, u graph.NodeID, global time.Time, observe bool) (bool, int, []planOutcome, error) {
 	results := make([]planOutcome, len(art.compiled))
 	limit := e.opts.PlanTimeLimit
 	// Cap the whole sweep for one node: expensive nodes would otherwise
@@ -644,7 +647,7 @@ func (e *Engine) trainOne(art *artifact, st *psi.State, u graph.NodeID, global t
 				return false, 0, nil, err
 			}
 			results[i] = planOutcome{done: true, valid: ok, took: took}
-			art.timing.record(psi.Pessimistic, i, took)
+			art.timing.record(psi.Pessimistic, i, took, observe)
 			anyDone = true
 		}
 		limit *= 2
@@ -658,7 +661,7 @@ func (e *Engine) trainOne(art *artifact, st *psi.State, u graph.NodeID, global t
 			return false, 0, nil, err
 		}
 		took := time.Since(t0)
-		art.timing.record(psi.Pessimistic, 0, took)
+		art.timing.record(psi.Pessimistic, 0, took, observe)
 		results[0] = planOutcome{done: true, valid: ok, took: took}
 		return ok, 0, results, nil
 	}
@@ -798,7 +801,6 @@ type rung struct {
 // audits (shadow.go); rungs 2–3 never do — they are already
 // counterfactuals.
 func (e *Engine) evaluateOne(w *worker, u graph.NodeID) (bool, error) {
-	enabled := obs.Enabled()
 	row := e.sigs.Row(u)
 	var dec decision
 	var key uint64
@@ -811,12 +813,12 @@ func (e *Engine) evaluateOne(w *worker, u graph.NodeID) (bool, error) {
 	}
 	if cached {
 		w.cacheHits++
-		if enabled {
+		if w.run.enabled {
 			obs.SmartCacheHits.Inc()
 		}
 	} else {
 		w.cacheMisses++
-		if enabled {
+		if w.run.enabled {
 			obs.SmartCacheMisses.Inc()
 		}
 		t0 := time.Now()
@@ -871,7 +873,7 @@ func (e *Engine) attempt(w *worker, u graph.NodeID, i int, r rung) (bool, time.D
 			w.fallbacks++
 			recoveries = obs.SmartFallbacks
 		}
-		if obs.Enabled() {
+		if w.run.enabled {
 			obs.SmartTimeouts.Inc()
 			recoveries.Inc()
 			obs.SmartRecoveries.Inc()
@@ -894,13 +896,13 @@ func (e *Engine) attempt(w *worker, u graph.NodeID, i int, r rung) (bool, time.D
 	took := time.Since(t0)
 	w.run.prof.LadderObserve(i, err == nil, took)
 	if err == nil {
-		w.art.timing.record(r.mode, r.planIdx, took)
+		w.art.timing.record(r.mode, r.planIdx, took, w.run.enabled)
 	}
 	return ok, took, err
 }
 
 // scoreAlpha records ground truth for one candidate: model α's accuracy
-// counters when a prediction was actually made. With collection enabled
+// counters when a prediction was actually made. With the query collected
 // every scored prediction also feeds the /modelz confusion matrix and
 // the vote-margin calibration buckets (ground truth is free here — the
 // evaluation itself labels the node, §4.2.1).
@@ -913,7 +915,7 @@ func (e *Engine) scoreAlpha(w *worker, predicted bool, dec decision, actualValid
 	if correct {
 		w.alphaCorrect++
 	}
-	if obs.Enabled() {
+	if w.run.enabled {
 		obs.SmartModeChecks.Inc()
 		if !correct {
 			obs.SmartMispredicts.Inc()
@@ -940,8 +942,10 @@ func newPlanTiming(plans int) *planTiming {
 	return t
 }
 
-func (t *planTiming) record(mode psi.Mode, planIdx int, took time.Duration) {
-	if obs.Enabled() {
+// record adds one finished evaluation; observe (the query's obs gate)
+// also feeds the per-evaluation histogram.
+func (t *planTiming) record(mode psi.Mode, planIdx int, took time.Duration, observe bool) {
+	if observe {
 		obs.SmartPlanSeconds.Observe(took.Seconds())
 	}
 	t.mu.Lock()

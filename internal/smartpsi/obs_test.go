@@ -64,7 +64,8 @@ func ladderFixture(t *testing.T) (*Engine, *psi.Evaluator, []*plan.Compiled) {
 // planTiming.
 func ladderWorker(ev *psi.Evaluator, compiled []*plan.Compiled, prof *obs.Profile, global time.Time) *worker {
 	art := &artifact{ev: ev, compiled: compiled, timing: newPlanTiming(len(compiled))}
-	return &worker{art: art, run: &queryRun{name: "test", prof: prof}, global: global, st: psi.NewState(2)}
+	r := &queryRun{name: "test", prof: prof, enabled: obs.Enabled()} // read once, as Run does
+	return &worker{art: art, run: r, global: global, st: psi.NewState(2)}
 }
 
 var errBoom = errors.New("boom")

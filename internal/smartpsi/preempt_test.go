@@ -18,8 +18,8 @@ func TestPlanTimingMaxTime(t *testing.T) {
 		t.Errorf("empty maxTime = %v, want floor %v", got, minDeadline)
 	}
 	// Direct observation: 2x the average.
-	pt.record(psi.Optimistic, 0, 10*time.Millisecond)
-	pt.record(psi.Optimistic, 0, 20*time.Millisecond)
+	pt.record(psi.Optimistic, 0, 10*time.Millisecond, false)
+	pt.record(psi.Optimistic, 0, 20*time.Millisecond, false)
 	if got := pt.maxTime(psi.Optimistic, 0); got != 30*time.Millisecond {
 		t.Errorf("maxTime = %v, want 30ms (2x avg of 15ms)", got)
 	}
@@ -33,7 +33,7 @@ func TestPlanTimingMaxTime(t *testing.T) {
 	}
 	// Tiny averages are floored.
 	pt2 := newPlanTiming(1)
-	pt2.record(psi.Pessimistic, 0, time.Nanosecond)
+	pt2.record(psi.Pessimistic, 0, time.Nanosecond, false)
 	if got := pt2.maxTime(psi.Pessimistic, 0); got != minDeadline {
 		t.Errorf("floored maxTime = %v, want %v", got, minDeadline)
 	}
@@ -104,7 +104,7 @@ func TestPreemptionRecovers(t *testing.T) {
 
 	w := ladderWorker(ev, []*plan.Compiled{c}, nil, time.Time{})
 	w.st = st
-	w.art.timing.record(psi.Optimistic, 0, time.Nanosecond) // floor (200us) applies
+	w.art.timing.record(psi.Optimistic, 0, time.Nanosecond, false) // floor (200us) applies
 	got, err := e.evaluateOne(w, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -169,7 +169,6 @@ func (e *Engine) shadowEvaluate(w *worker, p primaryRun, mode psi.Mode, planIdx 
 // verdict agreement, regret accounting, metrics, profile and the
 // decision log.
 func (e *Engine) recordShadow(w *worker, p primaryRun, kind string, cf counterfactual) error {
-	enabled := obs.Enabled()
 	regret := time.Duration(0)
 	if cf.timedOut {
 		w.shadowTimeouts++
@@ -177,7 +176,7 @@ func (e *Engine) recordShadow(w *worker, p primaryRun, kind string, cf counterfa
 		if cf.valid != p.valid {
 			// Both runs are exact algorithms for the same decision
 			// problem: disagreement means one evaluator is unsound.
-			if enabled {
+			if w.run.enabled {
 				obs.DefaultModelStats.ObserveShadowMismatch()
 			}
 			if invariant.Enabled() {
@@ -190,9 +189,6 @@ func (e *Engine) recordShadow(w *worker, p primaryRun, kind string, cf counterfa
 	}
 	w.regretNanos += regret.Nanoseconds()
 	w.run.prof.RecordShadow(kind, regret, cf.timedOut)
-	if enabled {
-		obs.DefaultModelStats.ObserveRegret(kind, regret, cf.timedOut)
-	}
 	rec := w.decisionRecord(p, kind)
 	rec.ShadowMode = int(cf.mode)
 	rec.ShadowPlan = cf.planIdx
@@ -200,8 +196,17 @@ func (e *Engine) recordShadow(w *worker, p primaryRun, kind string, cf counterfa
 	rec.ShadowNanos = cf.took.Nanoseconds()
 	rec.RegretNanos = regret.Nanoseconds()
 	rec.ShadowTimeout = cf.timedOut
-	e.opts.DecisionLog.Append(rec)
+	e.record(w.run.enabled, rec)
 	return nil
+}
+
+// record files one audited decision: into /modelz (aggregates and the
+// recent tail) when the query is collected, and into the decision log.
+func (e *Engine) record(enabled bool, rec obs.DecisionRecord) {
+	if enabled {
+		obs.DefaultModelStats.Observe(rec, true)
+	}
+	e.opts.DecisionLog.Append(rec)
 }
 
 // decisionRecord fills the part of a decision-log record every audit of
@@ -235,13 +240,10 @@ func (e *Engine) shadowCacheCheck(w *worker, p primaryRun) {
 		w.cacheStale++
 	}
 	w.run.prof.RecordCacheCheck(stale)
-	if obs.Enabled() {
-		obs.DefaultModelStats.ObserveCacheCheck(stale)
-	}
 	rec := w.decisionRecord(p, obs.DecisionKindCache)
 	rec.VoteMargin = fresh.margin
 	rec.CacheStale = stale
-	e.opts.DecisionLog.Append(rec)
+	e.record(w.run.enabled, rec)
 }
 
 // betaSweep retains one training node's per-plan sweep measurements for
@@ -257,7 +259,6 @@ type betaSweep struct {
 // (1 = the model picked the measured-fastest plan; unfinished
 // predictions rank behind every finished plan).
 func (e *Engine) scoreBetaRanks(r *queryRun, betaModel *ml.Forest, sweeps []betaSweep) {
-	enabled := obs.Enabled()
 	votes := make([]int, betaModel.NumClasses())
 	for _, s := range sweeps {
 		pred := betaModel.PredictInto(e.sigs.Row(s.node), votes)
@@ -281,16 +282,7 @@ func (e *Engine) scoreBetaRanks(r *queryRun, betaModel *ml.Forest, sweeps []beta
 		if !predOutcome.done {
 			rank = finished + 1
 		}
-		if enabled {
-			obs.DefaultModelStats.ObserveBetaRank(rank)
-		}
-		if !e.opts.auditing() {
-			// The contract pinned by the overhead guard: ShadowRate=0
-			// emits no decision records, beta ranks included, even with
-			// a log attached.
-			continue
-		}
-		e.opts.DecisionLog.Append(obs.DecisionRecord{
+		rec := obs.DecisionRecord{
 			Kind:        obs.DecisionKindBeta,
 			Query:       r.name,
 			RequestID:   r.req.ID,
@@ -298,7 +290,15 @@ func (e *Engine) scoreBetaRanks(r *queryRun, betaModel *ml.Forest, sweeps []beta
 			Node:        int64(s.node),
 			PredPlan:    pred,
 			Rank:        rank,
-		})
+		}
+		// The contract pinned by the overhead guard: ShadowRate=0 emits
+		// no decision records, beta ranks included, even with a log
+		// attached; the rank still reaches the /modelz aggregate.
+		if e.opts.auditing() {
+			e.record(r.enabled, rec)
+		} else if r.enabled {
+			obs.DefaultModelStats.Observe(rec, false)
+		}
 	}
 }
 

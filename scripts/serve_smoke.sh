@@ -17,8 +17,8 @@
 #      the firing alert must auto-capture a diagnostic bundle; the
 #      bundle's JSON entries must validate, and psi-bundle report
 #      -require-correlation must find the firing objective plus at
-#      least one request ID present in both a captured profile and the
-#      decision-log tail;
+#      least one request ID present in both a captured profile and
+#      modelz.json's recent audited decisions;
 #   5. workload analytics — a Zipfian loadgen pass (-skew zipf:2
 #      -require-hot-shape) must surface its hot query's canonical
 #      fingerprint at rank 1 on /queryz with a nonzero repeat-hit
@@ -184,7 +184,7 @@ echo "captured: $bundle"
 
 step "bundle entries are well-formed JSON"
 "$work/psi-bundle" list "$bundle"
-for entry in manifest.json metrics.json alertz.json seriesz.json profiles.json workload.json; do
+for entry in manifest.json metrics.json alertz.json seriesz.json profiles.json modelz.json workload.json; do
     "$work/psi-bundle" cat "$bundle" "$entry" | "$work/jsoncheck"
 done
 "$work/psi-bundle" cat "$bundle" manifest.json | grep -q '"reason": "alert"'
