@@ -37,14 +37,12 @@ func makeBundle(t *testing.T, withCorrelation bool) string {
 	s.SampleAt(base.Add(time.Second)) // availability fires
 
 	rec := obs.NewRecorder(4)
-	p := rec.Start("q-slow")
-	p.SetRequestID("req-42")
-	p.SetMethod("pessimistic")
-	p.MergeFunnel(&obs.Funnel{Depths: []obs.FunnelDepth{
-		{Generated: 20, DegOK: 15, SigOK: 10, Recursed: 8, Matched: 2},
-	}})
-	p.SetOutcome(2)
-	p.FinishIn(25 * time.Millisecond)
+	rec.Start("q-slow", "req-42", "").Seal(obs.ProfileData{
+		Method:        "pessimistic",
+		Funnel:        []obs.FunnelDepth{{Generated: 20, DegOK: 15, SigOK: 10, Recursed: 8, Matched: 2}},
+		Bindings:      2,
+		DurationNanos: (25 * time.Millisecond).Nanoseconds(),
+	})
 
 	obs.DefaultModelStats.Reset()
 	t.Cleanup(obs.DefaultModelStats.Reset)

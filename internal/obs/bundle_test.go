@@ -42,11 +42,8 @@ func bundleFixture(t *testing.T) *bundleRig {
 		AvailabilityObjective(0.9, 2*time.Second, 5*time.Second, 2, 0),
 	})
 
-	p := r.rec.Start("q-0")
-	p.SetRequestID("req-abc")
-	p.SetMethod("pessimistic")
-	p.SetOutcome(3)
-	p.FinishIn(5 * time.Millisecond)
+	r.rec.Start("q-0", "req-abc", "").Seal(ProfileData{Method: "pessimistic", Bindings: 3,
+		DurationNanos: (5 * time.Millisecond).Nanoseconds()})
 
 	r.wl.Observe(QueryObservation{Shape: 7, Exact: 7, Example: "q-0", Nodes: 3, Edges: 2,
 		Outcome: WorkloadOutcomeOK, Wall: time.Millisecond})

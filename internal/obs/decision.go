@@ -285,6 +285,50 @@ type CalibrationBucket struct {
 	Correct int64 `json:"correct"`
 }
 
+// AlphaCells are model α's scored predictions: the confusion matrix and
+// the vote-margin calibration. Every scored prediction lands here, not
+// just shadow-sampled ones — ground truth is free (§4.2.1: the
+// evaluation itself labels the node). The engine's workers tally cells
+// in plain fields and add them to /modelz once (ModelStats.AddAlpha);
+// Replay folds a decision log the same way.
+type AlphaCells struct {
+	// Alpha is the confusion matrix [actual][predicted], with 1 = valid
+	// (optimistic).
+	Alpha [2][2]int64 `json:"alpha_confusion"`
+	// Calibration buckets cover margin [i/N, (i+1)/N).
+	Calibration [NumCalibrationBuckets]CalibrationBucket `json:"calibration"`
+}
+
+// Score folds one model-α prediction (predValid: optimistic) with its
+// vote margin against the ground truth.
+func (c *AlphaCells) Score(predValid, actualValid bool, margin float64) {
+	c.Alpha[boolIdx(actualValid)][boolIdx(predValid)]++
+	b := &c.Calibration[CalibrationBucketIndex(margin)]
+	b.N++
+	if predValid == actualValid {
+		b.Correct++
+	}
+}
+
+// AlphaTotal returns the number of scored model-α predictions.
+func (c AlphaCells) AlphaTotal() int64 {
+	return c.Alpha[0][0] + c.Alpha[0][1] + c.Alpha[1][0] + c.Alpha[1][1]
+}
+
+// AlphaCorrect returns the confusion-matrix diagonal: the predictions
+// ground truth confirmed.
+func (c AlphaCells) AlphaCorrect() int64 { return c.Alpha[0][0] + c.Alpha[1][1] }
+
+// AlphaAccuracy returns the confusion-matrix diagonal fraction (1.0
+// when empty).
+func (c AlphaCells) AlphaAccuracy() float64 {
+	t := c.AlphaTotal()
+	if t == 0 {
+		return 1
+	}
+	return float64(c.AlphaCorrect()) / float64(t)
+}
+
 // RegretAggregate summarizes one shadow-scoring family.
 type RegretAggregate struct {
 	// Runs counts shadow evaluations; Timeouts the ones censored by the
@@ -319,14 +363,8 @@ func (a RegretAggregate) Mean() time.Duration {
 // registry's shadow/quality metrics, so /metrics and /modelz stay
 // consistent from a single call site. Methods are nil-safe.
 type ModelStats struct {
-	mu sync.Mutex
-	// alpha is the model-α confusion matrix: [actual][predicted], with
-	// 1 = valid (optimistic). Every scored prediction lands here, not
-	// just shadow-sampled ones — ground truth is free (§4.2.1: the
-	// evaluation itself labels the node).
-	alpha [2][2]int64
-	// calib buckets scored predictions by forest vote margin.
-	calib [NumCalibrationBuckets]CalibrationBucket
+	mu    sync.Mutex
+	alpha AlphaCells
 	// betaRanks[r-1] counts sweep nodes whose predicted plan ranked r
 	// among the sweep's finished plans (1 = fastest).
 	betaRanks []int64
@@ -350,20 +388,22 @@ const RecentDecisions = 512
 // DefaultModelStats is the process-wide aggregate served at /modelz.
 var DefaultModelStats = &ModelStats{}
 
-// ObserveAlpha scores one fresh model-α prediction against ground
-// truth: confusion matrix + vote-margin calibration.
-func (m *ModelStats) ObserveAlpha(predValid, actualValid bool, margin float64) {
+// AddAlpha adds a batch of scored model-α predictions, under one lock.
+func (m *ModelStats) AddAlpha(c AlphaCells) {
 	if m == nil {
 		return
 	}
-	b := CalibrationBucketIndex(margin)
 	m.mu.Lock()
-	m.alpha[boolIdx(actualValid)][boolIdx(predValid)]++
-	m.calib[b].N++
-	if predValid == actualValid {
-		m.calib[b].Correct++
+	defer m.mu.Unlock()
+	for a := range c.Alpha {
+		for p, n := range c.Alpha[a] {
+			m.alpha.Alpha[a][p] += n
+		}
 	}
-	m.mu.Unlock()
+	for i, b := range c.Calibration {
+		m.alpha.Calibration[i].N += b.N
+		m.alpha.Calibration[i].Correct += b.Correct
+	}
 }
 
 // Observe folds one decision record into the aggregates: a shadow run's
@@ -422,16 +462,18 @@ func (m *ModelStats) Observe(rec DecisionRecord, keep bool) {
 
 // Replay folds a decision log offline: every record through Observe
 // (unretained), and each mode audit's prediction into the model-α
-// confusion matrix and calibration — in a log, the audited predictions
-// are the only scored ones.
+// cells, added once through AddAlpha — in a log, the audited
+// predictions are the only scored ones.
 func (m *ModelStats) Replay(recs []DecisionRecord) {
+	var alpha AlphaCells
 	for i := range recs {
 		r := &recs[i]
 		m.Observe(*r, false)
 		if r.Kind == DecisionKindMode {
-			m.ObserveAlpha(r.PredValid(), r.ActualValid, r.VoteMargin)
+			alpha.Score(r.PredValid(), r.ActualValid, r.VoteMargin)
 		}
 	}
+	m.AddAlpha(alpha)
 }
 
 // ObserveShadowMismatch records a shadow/primary verdict disagreement.
@@ -452,8 +494,7 @@ func (m *ModelStats) Reset() {
 		return
 	}
 	m.mu.Lock()
-	m.alpha = [2][2]int64{}
-	m.calib = [NumCalibrationBuckets]CalibrationBucket{}
+	m.alpha = AlphaCells{}
 	m.betaRanks = nil
 	m.cacheChecks, m.cacheStale = 0, 0
 	m.mode, m.plan = RegretAggregate{}, RegretAggregate{}
@@ -472,10 +513,7 @@ func boolIdx(b bool) int {
 // ModelStatsData is a point-in-time ModelStats snapshot: plain data,
 // JSON-ready, and the input of the /modelz text renderer.
 type ModelStatsData struct {
-	// Alpha is [actual][predicted] with 1 = valid.
-	Alpha [2][2]int64 `json:"alpha_confusion"`
-	// Calibration buckets cover margin [i/N, (i+1)/N).
-	Calibration [NumCalibrationBuckets]CalibrationBucket `json:"calibration"`
+	AlphaCells
 	// BetaRanks[r-1] counts predictions of sweep-rank r.
 	BetaRanks        []int64         `json:"beta_ranks,omitempty"`
 	CacheChecks      int64           `json:"cache_checks"`
@@ -495,29 +533,13 @@ func (m *ModelStats) Snapshot() ModelStatsData {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	d.Alpha = m.alpha
-	d.Calibration = m.calib
+	d.AlphaCells = m.alpha
 	d.BetaRanks = append([]int64(nil), m.betaRanks...)
 	d.CacheChecks, d.CacheStale = m.cacheChecks, m.cacheStale
 	d.ModeRegret, d.PlanRegret = m.mode, m.plan
 	d.ShadowMismatches = m.shadowMismatches
 	d.Recent = append([]DecisionRecord(nil), m.recent...)
 	return d
-}
-
-// AlphaTotal returns the number of scored model-α predictions.
-func (d ModelStatsData) AlphaTotal() int64 {
-	return d.Alpha[0][0] + d.Alpha[0][1] + d.Alpha[1][0] + d.Alpha[1][1]
-}
-
-// AlphaAccuracy returns the confusion-matrix diagonal fraction (1.0
-// when empty).
-func (d ModelStatsData) AlphaAccuracy() float64 {
-	t := d.AlphaTotal()
-	if t == 0 {
-		return 1
-	}
-	return float64(d.Alpha[0][0]+d.Alpha[1][1]) / float64(t)
 }
 
 // BetaObserved returns the number of plan-rank observations.

@@ -142,9 +142,11 @@ func TestCalibrationBucketIndexBoundaries(t *testing.T) {
 // split by kind, and the derived accuracy/top-k helpers.
 func TestModelStatsSnapshot(t *testing.T) {
 	var m ModelStats
-	m.ObserveAlpha(true, true, 0.9)   // TP, bucket 4
-	m.ObserveAlpha(true, false, 0.1)  // FP, bucket 0
-	m.ObserveAlpha(false, false, 0.9) // TN, bucket 4
+	var cells AlphaCells
+	cells.Score(true, true, 0.9)   // TP, bucket 4
+	cells.Score(true, false, 0.1)  // FP, bucket 0
+	cells.Score(false, false, 0.9) // TN, bucket 4
+	m.AddAlpha(cells)
 	m.Observe(DecisionRecord{Kind: DecisionKindBeta, Rank: 1}, false)
 	m.Observe(DecisionRecord{Kind: DecisionKindBeta, Rank: 3}, false)
 	m.Observe(DecisionRecord{Kind: DecisionKindCache}, false)
@@ -192,7 +194,7 @@ func TestModelStatsSnapshot(t *testing.T) {
 
 	// Nil-safety: every method on a nil receiver is a no-op.
 	var nm *ModelStats
-	nm.ObserveAlpha(true, true, 0)
+	nm.AddAlpha(cells)
 	nm.Observe(DecisionRecord{Kind: DecisionKindMode}, true)
 	nm.ObserveShadowMismatch()
 	nm.Reset()
@@ -218,7 +220,9 @@ func TestModelzConcurrent(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := 0; i < iters; i++ {
-					DefaultModelStats.ObserveAlpha(i%2 == 0, i%3 == 0, float64(i%10)/10)
+					var cells AlphaCells
+					cells.Score(i%2 == 0, i%3 == 0, float64(i%10)/10)
+					DefaultModelStats.AddAlpha(cells)
 					DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindBeta, Rank: 1 + i%4}, false)
 					DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindCache, CacheStale: i%7 == 0}, true)
 					DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindMode, RegretNanos: 50}, true)

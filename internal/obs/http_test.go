@@ -33,10 +33,8 @@ func TestObsHTTPEndpoints(t *testing.T) {
 		reg := NewRegistry()
 		reg.Counter("psi_demo_total", "demo").Add(11)
 		rec := NewRecorder(4)
-		p := rec.Start("httpp")
-		p.SetMethod("ml")
-		p.MergeFunnel(&Funnel{Depths: []FunnelDepth{{Generated: 9, DegOK: 7, SigOK: 5, Recursed: 5, Matched: 2}}})
-		p.Finish()
+		rec.Start("httpp", "", "").Seal(ProfileData{Method: "ml",
+			Funnel: []FunnelDepth{{Generated: 9, DegOK: 7, SigOK: 5, Recursed: 5, Matched: 2}}})
 		h := Handler(reg, rec)
 
 		code, body := get(t, h, "/metrics")

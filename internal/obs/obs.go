@@ -1,9 +1,11 @@
 // Package obs is the repository's stdlib-only observability layer: a
 // lock-free metrics registry (atomic counters, gauges, and fixed-bucket
-// histograms) with Prometheus-text and JSON encoders, one per-query
-// record (Profile, retained by the /profilez flight recorder), and an
-// opt-in debug HTTP surface serving /metrics, /metrics.json, /profilez,
-// /modelz (model-decision and shadow-scoring state) and net/http/pprof.
+// histograms) with Prometheus-text and JSON encoders, per-query
+// execution profiles (Profile: a query's identity while it runs, sealed
+// once from the engine's per-query result when it ends, and retained by
+// the /profilez flight recorder), and an opt-in debug HTTP surface
+// serving /metrics, /metrics.json, /profilez, /modelz (model-decision
+// and shadow-scoring state) and net/http/pprof.
 //
 // The layer follows the same gating pattern as package invariant:
 // collection is off by default and every instrumentation site costs one
@@ -18,10 +20,13 @@
 // The hot evaluation loops of package psi do not pay even the branch:
 // they keep counting into the plain per-State psi.Stats fields they
 // always had, and the aggregated Stats are published into the registry
-// at flush points (end of a worker batch, end of a support-counting
-// pass) via psi.PublishStats. Package smartpsi reads the gate once per
-// query and carries the answer as a plain bool to its per-candidate
-// events (cache lookups, preemption transitions, model predictions,
+// at flush points (end of a query, end of a support-counting pass) via
+// psi.PublishStats. Package smartpsi does the same with its decision
+// facts (cache lookups, preemption transitions, model predictions): its
+// workers count them in plain fields, and the query adds them to the
+// registry and seals its profile once, from its result. It reads the
+// gate once per query and carries the answer as a plain bool to the few
+// sites still per evaluation (the plan-timing histogram, the funnel,
 // audits), so a query that starts with collection off stays
 // uncollected, even if Enable flips mid-query.
 package obs

@@ -118,35 +118,40 @@ func addEdgeIgnoringDuplicates(b *repro.Builder, u, v repro.NodeID) error {
 	return b.AddEdge(u, v)
 }
 
-// perCandidateSites names the metrics smartpsi bumps per candidate (or
-// per training sweep row) behind the query's copy of the gate: in the
-// disabled build each is a plain branch on a bool, not an atomic load.
+// perCandidateSites names the metrics smartpsi still publishes per
+// candidate evaluation (or per training sweep row) behind the query's
+// copy of the gate: in the disabled build each is a plain branch on a
+// bool, not an atomic load.
 var perCandidateSites = map[string]bool{
 	obs.SmartPlanSeconds.Name():    true,
-	obs.SmartCacheHits.Name():      true,
-	obs.SmartCacheMisses.Name():    true,
-	obs.SmartModeChecks.Name():     true,
-	obs.SmartMispredicts.Name():    true,
-	obs.SmartTimeouts.Name():       true,
-	obs.SmartFlips.Name():          true,
-	obs.SmartFallbacks.Name():      true,
-	obs.SmartRecoveries.Name():     true,
 	obs.SmartBetaRankChecks.Name(): true,
 	obs.SmartBetaRankTop1.Name():   true,
 }
 
+// perQueryAdds names the counters smartpsi publishes once per query with
+// a single Add(n) from its Result: each is one event per query, not n.
+var perQueryAdds = map[string]bool{
+	obs.SmartTrainedNodes.Name(): true,
+	obs.SmartCacheHits.Name():    true,
+	obs.SmartCacheMisses.Name():  true,
+	obs.SmartFlips.Name():        true,
+	obs.SmartFallbacks.Name():    true,
+	obs.SmartRecoveries.Name():   true,
+	obs.SmartModeChecks.Name():   true,
+	obs.SmartMispredicts.Name():  true,
+}
+
 // gatedEvents splits the registry deltas between two snapshots into
 // events behind the atomic gate and events behind the per-query bool.
-// A counter bumped by one Add(n) per query (smartpsi_trained_nodes_total)
-// is one event per query, not n. The psi_* work counters are excluded on
-// purpose: the evaluator accumulates them in plain struct fields and
-// flushes them in a single PublishStats call per batch, so they cost
-// zero checks in the recursion itself.
+// A counter in perQueryAdds counts at most one event per query. The psi_*
+// work counters are excluded on purpose: the evaluator accumulates them
+// in plain struct fields and flushes them in a single PublishStats call
+// per query, so they cost zero checks in the recursion itself.
 func gatedEvents(before, after obs.Snapshot, queries int) (atomic, plain int64) {
 	add := func(name string, n int64) {
 		switch {
 		case strings.HasPrefix(name, "psi_"):
-		case name == obs.SmartTrainedNodes.Name():
+		case perQueryAdds[name]:
 			atomic += min(n, int64(queries))
 		case perCandidateSites[name]:
 			plain += n
@@ -163,11 +168,12 @@ func gatedEvents(before, after obs.Snapshot, queries int) (atomic, plain int64) 
 	return atomic, plain
 }
 
-// profileEvents sums the per-query profiling events (funnel stage
-// increments, ladder entries, cache decisions) recorded by the enabled
-// run, i.e. the profiles the flight recorder retained with an ID past
-// lastID. Each of those corresponds to one gated call site in the
-// disabled build, so they join the overhead budget.
+// profileEvents sums the funnel stage increments recorded by the
+// enabled run, i.e. by the profiles the flight recorder retained with an
+// ID past lastID. Each corresponds to one nil-pointer branch in the
+// disabled build, so they join the overhead budget. The ladder and
+// decision tallies are not gated at all: like psi.Stats they are plain
+// field adds on every path.
 func profileEvents(lastID uint64) int64 {
 	var n int64
 	for _, p := range obs.DefaultRecorder.Recent() {
@@ -180,10 +186,6 @@ func profileEvents(lastID uint64) int64 {
 				n += v
 			}
 		}
-		for _, r := range d.Ladder {
-			n += r.Entered
-		}
-		n += d.CacheHits + d.CacheMisses
 	}
 	return n
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"sort"
@@ -10,7 +11,7 @@ import (
 )
 
 // This file implements the per-query execution profile — an EXPLAIN
-// ANALYZE for PSI queries. A Profile records, for one SmartPSI
+// ANALYZE for PSI queries. A sealed Profile records, for one SmartPSI
 // evaluation:
 //
 //   - the chosen method (per-candidate model-α mode predictions, model-β
@@ -22,11 +23,10 @@ import (
 //     the degree bound → surviving Proposition 3.2 signature
 //     satisfaction → recursed into → matched.
 //
-// The funnel is filled lock-free by the PSI evaluator (psi.State holds
-// a plain *Funnel and pays one nil check per event) and merged into the
-// Profile at batch boundaries; all other Profile methods take the
-// profile mutex and are nil-safe, so call sites hold the result of
-// Recorder.Start unconditionally.
+// The engine counts all of it in plain fields of its own result (the
+// funnel in a *Funnel the PSI evaluator fills behind one nil check per
+// event) and seals the profile once, when the query ends. Until then a
+// profile holds only its identity and start time.
 
 // FunnelStage names used by renderers, in pipeline order. Each stage
 // counts the candidates that *survived* up to that point, so within a
@@ -84,8 +84,8 @@ func StageNames() [5]string {
 
 // Funnel is a per-depth candidate funnel. It is plain data with no
 // internal locking: the PSI evaluator increments it lock-free from a
-// single goroutine (one Funnel per psi.State) and workers merge their
-// funnels into the owning Profile, which locks.
+// single goroutine (one Funnel per psi.State) and the engine merges the
+// states' funnels into the query's result at its joins.
 type Funnel struct {
 	Depths []FunnelDepth `json:"depths"`
 }
@@ -118,14 +118,6 @@ func (f *Funnel) Totals() FunnelDepth {
 	return t
 }
 
-// Clone returns a deep copy.
-func (f *Funnel) Clone() *Funnel {
-	if f == nil {
-		return nil
-	}
-	return &Funnel{Depths: append([]FunnelDepth(nil), f.Depths...)}
-}
-
 // Ladder rungs of the Section 4.3 recovery ladder, in escalation order.
 const (
 	// LadderPredicted is rung 1: the model-predicted method and plan
@@ -154,375 +146,52 @@ type LadderRung struct {
 	Nanos int64 `json:"nanos"`
 }
 
-// Mode display names, aligned with psi.Mode's constant order
-// (0 = optimistic, 1 = pessimistic).
-var modeNames = [...]string{"optimistic", "pessimistic"}
-
-func modeName(mode int) string {
-	if mode >= 0 && mode < len(modeNames) {
-		return modeNames[mode]
-	}
-	return fmt.Sprintf("mode(%d)", mode)
-}
-
-// Profile is one query's execution profile. All methods are safe for
-// concurrent use and nil-safe, so call sites can hold the result of
-// Recorder.Start (nil when collection is off) unconditionally.
+// Profile is one query's execution profile. It carries the query's
+// identity from Recorder.Start and, once Seal is called, the finished
+// query's record. Methods are safe for concurrent use and nil-safe, so
+// call sites can hold the result of Recorder.Start (nil when collection
+// is off) unconditionally.
 type Profile struct {
-	id    uint64
-	name  string
-	start time.Time
-	rec   *Recorder
-
-	mu           sync.Mutex
-	finished     bool
-	duration     time.Duration
-	requestID    string
-	fingerprint  string
-	method       string
-	candidates   int
-	bindings     int
-	trainedNodes int
-	planClasses  int
-	trainTime    time.Duration
-	fitTime      time.Duration
-	cacheHits    int64
-	cacheMisses  int64
-	// Shadow-audit aggregates (regret is the per-query total of
-	// max(0, primary − counterfactual) across audited decisions).
-	shadowModeRuns int64
-	shadowPlanRuns int64
-	shadowTimeouts int64
-	regretNanos    int64
-	cacheChecks    int64
-	cacheStale     int64
-	modeCounts     [len(modeNames)]int64
-	planCounts     []int64
-	ladder         [NumLadderRungs]LadderRung
-	funnel         Funnel
-	work           map[string]int64
-	errMsg         string
+	rec *Recorder
+	mu  sync.Mutex
+	d   ProfileData // identity only until d.Finished
 }
 
-// NewProfile returns a standalone profile (no recorder); tests and
-// ad-hoc measurements use it. Production profiles come from
-// Recorder.Start.
-func NewProfile(name string) *Profile {
-	return &Profile{name: name, start: time.Now()}
-}
+// ID returns the recorder-assigned sequence number (0 for nil).
+func (p *Profile) ID() uint64 { return p.Snapshot().ID }
 
-// ID returns the recorder-assigned sequence number (0 for standalone
-// profiles).
-func (p *Profile) ID() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.id
-}
+// Name returns the label given at Start.
+func (p *Profile) Name() string { return p.Snapshot().Name }
 
-// Name returns the label given at creation.
-func (p *Profile) Name() string {
-	if p == nil {
-		return ""
-	}
-	return p.name
-}
+// Duration returns the sealed duration, or the time since start while
+// the query runs.
+func (p *Profile) Duration() time.Duration { return p.Snapshot().Duration() }
 
-// Duration returns the recorded duration for finished profiles,
-// time-since-start for live ones.
-func (p *Profile) Duration() time.Duration {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.finished {
-		return time.Since(p.start)
-	}
-	return p.duration
-}
-
-// Finished reports whether Finish has been called.
-func (p *Profile) Finished() bool {
-	if p == nil {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.finished
-}
-
-// SetRequestID tags the profile with the serving-layer request ID
-// (X-Request-ID), making it retrievable via /profilez?request_id=.
-func (p *Profile) SetRequestID(id string) {
+// Seal records the finished query and admits the profile to its
+// recorder's slowest set. d carries the query's facts; Seal fills in the
+// identity (ID, name, start) and the ladder rung names, marks d finished
+// and, unless d.DurationNanos is set, times it from the start. A request
+// ID or fingerprint left empty in d keeps the one given at Start. Only
+// the first Seal counts.
+func (p *Profile) Seal(d ProfileData) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	p.requestID = id
-	p.mu.Unlock()
-}
-
-// RequestID returns the serving-layer request ID, if one was set.
-func (p *Profile) RequestID() string {
-	if p == nil {
-		return ""
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.requestID
-}
-
-// SetFingerprint tags the profile with the query's canonical shape
-// fingerprint (fsm.PivotFingerprint rendered as hex), making it
-// retrievable via /profilez?fingerprint= and letting bundle readers
-// pivot profiles by workload shape.
-func (p *Profile) SetFingerprint(fp string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.fingerprint = fp
-	p.mu.Unlock()
-}
-
-// Fingerprint returns the canonical shape fingerprint, if one was set.
-func (p *Profile) Fingerprint() string {
-	if p == nil {
-		return ""
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.fingerprint
-}
-
-// ModeMix returns the model-α pick counts in psi.Mode order
-// (optimistic, pessimistic); the workload sketch attributes the pick
-// mix per shape from it.
-func (p *Profile) ModeMix() [2]int64 {
-	if p == nil {
-		return [2]int64{}
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.modeCounts
-}
-
-// SetMethod records how the query was executed ("ml" for the full
-// model-driven pipeline trained by this request, "ml-warm" for the same
-// pipeline on a cached artifact, "pessimistic-heuristic" for candidate
-// sets too small to train on).
-func (p *Profile) SetMethod(method string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.method = method
-	p.mu.Unlock()
-}
-
-// SetCandidates records the candidate-set size (label-matching nodes).
-func (p *Profile) SetCandidates(n int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.candidates = n
-	p.mu.Unlock()
-}
-
-// SetTraining records the training-phase summary: training-set size,
-// model-β class count, training wall time and the part of it spent
-// fitting the forests.
-func (p *Profile) SetTraining(trainedNodes, planClasses int, trainTime, fitTime time.Duration) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.trainedNodes = trainedNodes
-	p.planClasses = planClasses
-	p.trainTime = trainTime
-	p.fitTime = fitTime
-	p.mu.Unlock()
-}
-
-// RecordDecision records one per-candidate method/plan decision:
-// whether it came from the signature-keyed cache, which mode model α
-// chose (psi.Mode numbering), and which plan model β chose.
-func (p *Profile) RecordDecision(fromCache bool, mode, planIdx int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	if fromCache {
-		p.cacheHits++
-	} else {
-		p.cacheMisses++
-	}
-	if mode >= 0 && mode < len(p.modeCounts) {
-		p.modeCounts[mode]++
-	}
-	if planIdx >= 0 {
-		for len(p.planCounts) <= planIdx {
-			p.planCounts = append(p.planCounts, 0)
-		}
-		p.planCounts[planIdx]++
-	}
-	p.mu.Unlock()
-}
-
-// RecordShadow records one shadow audit: kind (DecisionKindMode or
-// DecisionKindPlan), the decision's regret, and whether the
-// counterfactual was censored by the shadow budget.
-func (p *Profile) RecordShadow(kind string, regret time.Duration, timedOut bool) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	if kind == DecisionKindPlan {
-		p.shadowPlanRuns++
-	} else {
-		p.shadowModeRuns++
-	}
-	if timedOut {
-		p.shadowTimeouts++
-	}
-	p.regretNanos += regret.Nanoseconds()
-	p.mu.Unlock()
-}
-
-// RecordCacheCheck records one sampled cache-quality audit.
-func (p *Profile) RecordCacheCheck(stale bool) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.cacheChecks++
-	if stale {
-		p.cacheStale++
-	}
-	p.mu.Unlock()
-}
-
-// RegretNanos returns the per-query total shadow-scoring regret.
-func (p *Profile) RegretNanos() int64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.regretNanos
-}
-
-// LadderObserve records one recovery-ladder rung execution: the rung
-// (LadderPredicted..LadderHeuristic), whether the evaluation resolved
-// there, and its wall time.
-func (p *Profile) LadderObserve(rung int, resolved bool, took time.Duration) {
-	if p == nil || rung < 0 || rung >= NumLadderRungs {
-		return
-	}
-	p.mu.Lock()
-	r := &p.ladder[rung]
-	r.Entered++
-	if resolved {
-		r.Resolved++
-	}
-	r.Nanos += took.Nanoseconds()
-	p.mu.Unlock()
-}
-
-// MergeFunnel folds one evaluator state's funnel into the profile.
-// Workers call it once at exit, so the hot recursion never touches the
-// profile lock.
-func (p *Profile) MergeFunnel(f *Funnel) {
-	if p == nil || f == nil {
-		return
-	}
-	p.mu.Lock()
-	p.funnel.Merge(f)
-	p.mu.Unlock()
-}
-
-// FunnelTotals returns the funnel summed over depths.
-func (p *Profile) FunnelTotals() FunnelDepth {
-	if p == nil {
-		return FunnelDepth{}
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.funnel.Totals()
-}
-
-// FunnelSnapshot returns a copy of the per-depth funnel.
-func (p *Profile) FunnelSnapshot() *Funnel {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.funnel.Clone()
-}
-
-// SetWork records one evaluator work counter (name → value), keyed by
-// the metric names of the obs registry; psi.RecordWork fills it from a
-// psi.Stats through the same table that backs PublishStats.
-func (p *Profile) SetWork(name string, v int64) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	if p.work == nil {
-		p.work = make(map[string]int64)
-	}
-	p.work[name] = v
-	p.mu.Unlock()
-}
-
-// SetOutcome records the result size.
-func (p *Profile) SetOutcome(bindings int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.bindings = bindings
-	p.mu.Unlock()
-}
-
-// SetError records a terminal error (deadline, stop, validation).
-func (p *Profile) SetError(msg string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.errMsg = msg
-	p.mu.Unlock()
-}
-
-// Finish seals the profile with the elapsed wall time and admits it to
-// the owning recorder's slowest set. Idempotent and nil-safe.
-func (p *Profile) Finish() {
-	if p == nil {
-		return
-	}
-	p.FinishIn(time.Since(p.start))
-}
-
-// FinishIn is Finish with an explicit duration; the flight-recorder
-// tests use it to pin eviction order without wall-clock dependence.
-func (p *Profile) FinishIn(d time.Duration) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	if p.finished {
+	if p.d.Finished {
 		p.mu.Unlock()
 		return
 	}
-	p.finished = true
-	p.duration = d
-	rec := p.rec
+	d.ID, d.Name, d.Start, d.Finished = p.d.ID, p.d.Name, p.d.Start, true
+	d.RequestID = cmp.Or(d.RequestID, p.d.RequestID)
+	d.Fingerprint = cmp.Or(d.Fingerprint, p.d.Fingerprint)
+	if d.DurationNanos == 0 {
+		d.DurationNanos = time.Since(d.Start).Nanoseconds()
+	}
+	d.LadderNames = append([]string(nil), ladderRungNames[:]...)
+	p.d = d
 	p.mu.Unlock()
-	rec.admit(p)
+	p.rec.admit(p)
 }
 
 // ProfileData is a point-in-time copy of a Profile: plain data, JSON-
@@ -562,59 +231,18 @@ type ProfileData struct {
 	Error          string           `json:"error,omitempty"`
 }
 
-// Snapshot captures the profile's current state.
+// Snapshot returns the profile's record: the sealed query, or while it
+// runs its identity and elapsed time. A sealed record's maps and slices
+// are shared; readers must not modify them.
 func (p *Profile) Snapshot() ProfileData {
 	if p == nil {
 		return ProfileData{}
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	dur := p.duration
-	if !p.finished {
-		dur = time.Since(p.start)
-	}
-	d := ProfileData{
-		ID:             p.id,
-		Name:           p.name,
-		RequestID:      p.requestID,
-		Fingerprint:    p.fingerprint,
-		Start:          p.start,
-		DurationNanos:  dur.Nanoseconds(),
-		Finished:       p.finished,
-		Method:         p.method,
-		Candidates:     p.candidates,
-		Bindings:       p.bindings,
-		TrainedNodes:   p.trainedNodes,
-		PlanClasses:    p.planClasses,
-		TrainNanos:     p.trainTime.Nanoseconds(),
-		FitNanos:       p.fitTime.Nanoseconds(),
-		CacheHits:      p.cacheHits,
-		CacheMisses:    p.cacheMisses,
-		ShadowModeRuns: p.shadowModeRuns,
-		ShadowPlanRuns: p.shadowPlanRuns,
-		ShadowTimeouts: p.shadowTimeouts,
-		RegretNanos:    p.regretNanos,
-		CacheChecks:    p.cacheChecks,
-		CacheStale:     p.cacheStale,
-		PlanChosen:     append([]int64(nil), p.planCounts...),
-		Ladder:         append([]LadderRung(nil), p.ladder[:]...),
-		LadderNames:    append([]string(nil), ladderRungNames[:]...),
-		Funnel:         append([]FunnelDepth(nil), p.funnel.Depths...),
-		Error:          p.errMsg,
-	}
-	for m, n := range p.modeCounts {
-		if n != 0 {
-			if d.ModePredicted == nil {
-				d.ModePredicted = make(map[string]int64, len(p.modeCounts))
-			}
-			d.ModePredicted[modeName(m)] = n
-		}
-	}
-	if len(p.work) > 0 {
-		d.Work = make(map[string]int64, len(p.work))
-		for k, v := range p.work {
-			d.Work[k] = v
-		}
+	d := p.d
+	p.mu.Unlock()
+	if !d.Finished {
+		d.DurationNanos = time.Since(d.Start).Nanoseconds()
 	}
 	return d
 }

@@ -10,36 +10,25 @@ import (
 	"time"
 )
 
+// sealIn seals p with no facts and a fixed duration, so the recorder
+// tests pin eviction order without wall-clock dependence.
+func sealIn(p *Profile, d time.Duration) { p.Seal(ProfileData{DurationNanos: d.Nanoseconds()}) }
+
 // TestObsProfileNilSafe pins the gating contract: every Profile method
 // must accept a nil receiver (Recorder.Start returns nil when
 // collection is off), and a nil Recorder must be inert.
 func TestObsProfileNilSafe(t *testing.T) {
 	var p *Profile
-	p.SetMethod("ml")
-	p.SetCandidates(3)
-	p.SetTraining(1, 2, time.Second, time.Millisecond)
-	p.RecordDecision(true, 0, 1)
-	p.LadderObserve(LadderPredicted, true, time.Millisecond)
-	p.MergeFunnel(&Funnel{})
-	p.SetWork("x", 1)
-	p.SetOutcome(5)
-	p.SetError("boom")
-	p.Finish()
-	if p.ID() != 0 || p.Name() != "" || p.Duration() != 0 || p.Finished() {
+	p.Seal(ProfileData{Method: "ml", Error: "boom"})
+	if p.ID() != 0 || p.Name() != "" || p.Duration() != 0 {
 		t.Error("nil profile accessors must return zero values")
 	}
-	if got := p.Snapshot(); got.ID != 0 {
+	if got := p.Snapshot(); got.ID != 0 || got.Finished || got.Method != "" {
 		t.Errorf("nil snapshot = %+v", got)
-	}
-	if got := p.FunnelTotals(); got != (FunnelDepth{}) {
-		t.Errorf("nil funnel totals = %+v", got)
-	}
-	if p.FunnelSnapshot() != nil {
-		t.Error("nil profile FunnelSnapshot must be nil")
 	}
 
 	var r *Recorder
-	if r.Start("x") != nil {
+	if r.Start("x", "", "") != nil {
 		t.Error("nil recorder Start must return nil")
 	}
 	if r.Recent() != nil || r.Slowest() != nil || r.Lookup(1) != nil || r.LastID() != 0 {
@@ -53,7 +42,7 @@ func TestObsRecorderDisabled(t *testing.T) {
 	defer Enable(prev)
 	Enable(false)
 	r := NewRecorder(2)
-	if p := r.Start("q"); p != nil {
+	if p := r.Start("q", "", ""); p != nil {
 		t.Fatalf("Start with collection disabled = %v, want nil", p)
 	}
 	if got := r.LastID(); got != 0 {
@@ -77,8 +66,8 @@ func TestObsRecorderEviction(t *testing.T) {
 		}
 		var ps []*Profile
 		for i, d := range durs {
-			p := r.Start(fmt.Sprintf("q%d", i))
-			p.FinishIn(d)
+			p := r.Start(fmt.Sprintf("q%d", i), "", "")
+			sealIn(p, d)
 			ps = append(ps, p)
 		}
 		// Slowest 3 of {5,50,10,40,20} are 50,40,20.
@@ -126,7 +115,7 @@ func TestObsRecorderTies(t *testing.T) {
 	withEnabled(t, func() {
 		r := NewRecorder(2)
 		for i := 0; i < 3; i++ {
-			r.Start(fmt.Sprintf("t%d", i)).FinishIn(7 * time.Millisecond)
+			sealIn(r.Start(fmt.Sprintf("t%d", i), "", ""), 7*time.Millisecond)
 		}
 		slow := r.Slowest()
 		if len(slow) != 2 || slow[0].Name() != "t0" || slow[1].Name() != "t1" {
@@ -152,11 +141,13 @@ func TestObsRecorderConcurrent(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := 0; i < 200; i++ {
-					p := r.Start(fmt.Sprintf("w%d-%d", w, i))
-					p.RecordDecision(i%2 == 0, i%2, i%3)
-					p.LadderObserve(i%NumLadderRungs, true, time.Microsecond)
-					p.MergeFunnel(&Funnel{Depths: []FunnelDepth{{Generated: 2, DegOK: 1}}})
-					p.FinishIn(time.Duration(1+(w*211+i*97)%500) * time.Millisecond)
+					p := r.Start(fmt.Sprintf("w%d-%d", w, i), fmt.Sprintf("req-%d", i), "")
+					p.Seal(ProfileData{
+						CacheHits:     int64(i % 2),
+						Ladder:        []LadderRung{{Entered: 1, Resolved: 1}},
+						Funnel:        []FunnelDepth{{Generated: 2, DegOK: 1}},
+						DurationNanos: (time.Duration(1+(w*211+i*97)%500) * time.Millisecond).Nanoseconds(),
+					})
 				}
 			}(w)
 		}
@@ -169,6 +160,7 @@ func TestObsRecorderConcurrent(t *testing.T) {
 					_ = p.Snapshot()
 				}
 				_ = r.Slowest()
+				_ = r.LookupRequest("req-7")
 			}
 		}()
 		wg.Wait()
@@ -209,14 +201,6 @@ func TestObsFunnel(t *testing.T) {
 	if tot.Generated != 10 || tot.DegOK != 6 {
 		t.Errorf("Totals = %+v, want generated=10 deg-ok=6", tot)
 	}
-	c := g.Clone()
-	c.At(0).Generated = 99
-	if g.Depths[0].Generated == 99 {
-		t.Error("Clone must deep-copy")
-	}
-	if (*Funnel)(nil).Clone() != nil {
-		t.Error("nil Clone must be nil")
-	}
 	names := StageNames()
 	stages := f.Depths[1].Stages()
 	if len(names) != len(stages) {
@@ -227,119 +211,122 @@ func TestObsFunnel(t *testing.T) {
 	}
 }
 
-// TestObsProfileSnapshot pins the snapshot and both renderings (text
-// tree and JSON) of a fully populated profile.
+// TestObsProfileSnapshot pins sealing and both renderings (text tree
+// and JSON) of a fully populated profile, error line included: Seal
+// keeps the facts it is given, fills in the identity, and only the
+// first Seal counts.
 func TestObsProfileSnapshot(t *testing.T) {
-	p := NewProfile("snapq")
-	p.SetMethod("ml")
-	p.SetCandidates(42)
-	p.SetTraining(64, 3, 2*time.Millisecond, 500*time.Microsecond)
-	p.RecordDecision(false, 0, 2)
-	p.RecordDecision(false, 1, 0)
-	p.RecordDecision(true, 1, 0)
-	p.LadderObserve(LadderPredicted, true, 3*time.Millisecond)
-	p.LadderObserve(LadderPredicted, false, time.Millisecond)
-	p.LadderObserve(LadderOpposite, true, 4*time.Millisecond)
-	p.LadderObserve(-1, true, time.Hour)             // ignored
-	p.LadderObserve(NumLadderRungs, true, time.Hour) // ignored
-	p.MergeFunnel(&Funnel{Depths: []FunnelDepth{
-		{Generated: 100, DegOK: 60, SigOK: 40, Recursed: 30, Matched: 5},
-		{Generated: 30, DegOK: 20, SigOK: 12, Recursed: 12, Matched: 4},
-	}})
-	p.SetWork("psi_recursions_total", 123)
-	p.SetOutcome(5)
-	p.FinishIn(9 * time.Millisecond)
-	p.FinishIn(time.Hour) // idempotent
+	withEnabled(t, func() {
+		r := NewRecorder(1)
+		p := r.Start("snapq", "req-9", "")
+		p.Seal(ProfileData{
+			Fingerprint:   "00000000000000ff",
+			Method:        "ml",
+			Candidates:    42,
+			Bindings:      5,
+			TrainedNodes:  64,
+			PlanClasses:   3,
+			TrainNanos:    (2 * time.Millisecond).Nanoseconds(),
+			FitNanos:      (500 * time.Microsecond).Nanoseconds(),
+			CacheHits:     1,
+			CacheMisses:   2,
+			ModePredicted: map[string]int64{"optimistic": 1, "pessimistic": 2},
+			PlanChosen:    []int64{2, 0, 1},
+			Ladder:        []LadderRung{{Entered: 2, Resolved: 1, Nanos: 4e6}, {Entered: 1, Resolved: 1, Nanos: 4e6}, {}},
+			Funnel: []FunnelDepth{
+				{Generated: 100, DegOK: 60, SigOK: 40, Recursed: 30, Matched: 5},
+				{Generated: 30, DegOK: 20, SigOK: 12, Recursed: 12, Matched: 4},
+			},
+			Work:          map[string]int64{"psi_recursions_total": 123},
+			Error:         "deadline exceeded",
+			DurationNanos: (9 * time.Millisecond).Nanoseconds(),
+		})
+		p.Seal(ProfileData{Method: "second", DurationNanos: time.Hour.Nanoseconds()}) // ignored
 
-	d := p.Snapshot()
-	if !d.Finished || d.Duration() != 9*time.Millisecond {
-		t.Errorf("finished=%v duration=%s, want true/9ms", d.Finished, d.Duration())
-	}
-	if d.Method != "ml" || d.Candidates != 42 || d.Bindings != 5 {
-		t.Errorf("header fields = %+v", d)
-	}
-	if d.TrainNanos != (2*time.Millisecond).Nanoseconds() || d.FitNanos != (500*time.Microsecond).Nanoseconds() {
-		t.Errorf("train/fit nanos = %d/%d, want 2ms/500µs", d.TrainNanos, d.FitNanos)
-	}
-	if d.CacheHits != 1 || d.CacheMisses != 2 {
-		t.Errorf("cache = %d/%d, want 1/2", d.CacheHits, d.CacheMisses)
-	}
-	if d.ModePredicted["optimistic"] != 1 || d.ModePredicted["pessimistic"] != 2 {
-		t.Errorf("ModePredicted = %v", d.ModePredicted)
-	}
-	if len(d.PlanChosen) != 3 || d.PlanChosen[0] != 2 || d.PlanChosen[2] != 1 {
-		t.Errorf("PlanChosen = %v", d.PlanChosen)
-	}
-	if d.Ladder[LadderPredicted].Entered != 2 || d.Ladder[LadderPredicted].Resolved != 1 {
-		t.Errorf("ladder rung 1 = %+v", d.Ladder[LadderPredicted])
-	}
-	if d.Ladder[LadderOpposite].Nanos != (4 * time.Millisecond).Nanoseconds() {
-		t.Errorf("ladder rung 2 nanos = %d", d.Ladder[LadderOpposite].Nanos)
-	}
-	if tot := p.FunnelTotals(); tot.Generated != 130 || tot.Matched != 9 {
-		t.Errorf("FunnelTotals = %+v", tot)
-	}
-
-	var buf bytes.Buffer
-	if err := d.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		"query snapq", "method=ml", "candidates=42", "bindings=5",
-		"train=2ms fit=500µs",
-		"mode (model α): optimistic=1 pessimistic=2",
-		"plan (model β): [0]=2 [2]=1",
-		"recovery ladder", "rung 1 predicted", "rung 3 heuristic",
-		"candidate funnel", "generated", "matched",
-		"psi_recursions_total=123",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("WriteText missing %q:\n%s", want, text)
+		d := p.Snapshot()
+		if !d.Finished || d.Duration() != 9*time.Millisecond || p.Duration() != 9*time.Millisecond {
+			t.Errorf("finished=%v duration=%s, want true/9ms", d.Finished, d.Duration())
 		}
-	}
+		if d.ID != 1 || d.Name != "snapq" || d.RequestID != "req-9" || d.Fingerprint != "00000000000000ff" {
+			t.Errorf("identity = id %d name %q request %q fingerprint %q", d.ID, d.Name, d.RequestID, d.Fingerprint)
+		}
+		if r.LookupFingerprint("00000000000000ff") != p || r.LookupRequest("req-9") != p {
+			t.Error("sealed profile not found by its request ID and fingerprint")
+		}
+		if d.Method != "ml" || d.Candidates != 42 || d.Bindings != 5 || d.CacheHits != 1 || d.CacheMisses != 2 {
+			t.Errorf("header fields = %+v", d)
+		}
+		if len(d.LadderNames) != NumLadderRungs || d.LadderNames[LadderHeuristic] != "heuristic" {
+			t.Errorf("ladder names = %v", d.LadderNames)
+		}
 
-	raw, err := json.Marshal(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back ProfileData
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.DurationNanos != d.DurationNanos || back.FitNanos != d.FitNanos || back.Funnel[0].Generated != 100 {
-		t.Errorf("JSON round-trip = %+v", back)
-	}
+		var buf bytes.Buffer
+		if err := d.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		text := buf.String()
+		for _, want := range []string{
+			"query snapq", "method=ml", "candidates=42", "bindings=5",
+			"request: req-9", "shape: 00000000000000ff", "error: deadline exceeded",
+			"train=2ms fit=500µs",
+			"mode (model α): optimistic=1 pessimistic=2",
+			"plan (model β): [0]=2 [2]=1",
+			"recovery ladder", "rung 1 predicted", "rung 3 heuristic",
+			"candidate funnel", "generated", "matched",
+			"psi_recursions_total=123",
+		} {
+			if !strings.Contains(text, want) {
+				t.Errorf("WriteText missing %q:\n%s", want, text)
+			}
+		}
+
+		raw, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back ProfileData
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatal(err)
+		}
+		if back.DurationNanos != d.DurationNanos || back.FitNanos != d.FitNanos || back.Funnel[0].Generated != 100 || back.Error != d.Error {
+			t.Errorf("JSON round-trip = %+v", back)
+		}
+	})
 }
 
-// TestObsProfileLiveSnapshot pins the live (unfinished) rendering path.
+// TestObsProfileLiveSnapshot pins the live (unsealed) rendering path: a
+// running query shows its identity and elapsed time, nothing else.
 func TestObsProfileLiveSnapshot(t *testing.T) {
-	p := NewProfile("liveq")
-	p.SetError("deadline exceeded")
-	d := p.Snapshot()
-	if d.Finished {
-		t.Error("live profile must not be finished")
-	}
-	if d.Duration() <= 0 {
-		t.Errorf("live duration = %s, want > 0", d.Duration())
-	}
-	var buf bytes.Buffer
-	if err := d.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "live") || !strings.Contains(buf.String(), "error: deadline exceeded") {
-		t.Errorf("live WriteText:\n%s", buf.String())
-	}
+	withEnabled(t, func() {
+		p := NewRecorder(1).Start("liveq", "req-live", "")
+		d := p.Snapshot()
+		if d.Finished {
+			t.Error("live profile must not be finished")
+		}
+		if d.Duration() <= 0 {
+			t.Errorf("live duration = %s, want > 0", d.Duration())
+		}
+		if d.Name != "liveq" || d.RequestID != "req-live" || d.Method != "" || d.Ladder != nil || d.Work != nil {
+			t.Errorf("live snapshot holds more than its identity: %+v", d)
+		}
+		var buf bytes.Buffer
+		if err := d.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), "live") || !strings.Contains(buf.String(), "request: req-live") {
+			t.Errorf("live WriteText:\n%s", buf.String())
+		}
+	})
 }
 
 // TestObsStartProfileDefault pins the std.go convenience wiring.
 func TestObsStartProfileDefault(t *testing.T) {
 	withEnabled(t, func() {
-		p := StartProfile("defq")
+		p := StartProfile("defq", "", "")
 		if p == nil {
 			t.Fatal("StartProfile returned nil with collection enabled")
 		}
-		p.Finish()
+		p.Seal(ProfileData{})
 		if DefaultRecorder.Lookup(p.ID()) == nil {
 			t.Error("default recorder did not retain the profile")
 		}

@@ -34,15 +34,18 @@ func NewRecorder(k int) *Recorder {
 	return &Recorder{recent: make([]*Profile, k), k: k}
 }
 
-// Start begins a new profile, or returns nil when collection is
-// disabled or the recorder is nil.
-func (r *Recorder) Start(name string) *Profile {
+// Start begins a new profile for the named query, tagged with its
+// serving request ID (X-Request-ID) and canonical shape fingerprint
+// (either may be empty), or returns nil when collection is disabled or
+// the recorder is nil.
+func (r *Recorder) Start(name, requestID, fingerprint string) *Profile {
 	if r == nil || !Enabled() {
 		return nil
 	}
 	r.mu.Lock()
 	r.next++
-	p := &Profile{id: r.next, name: name, start: time.Now(), rec: r}
+	p := &Profile{rec: r, d: ProfileData{ID: r.next, Name: name, RequestID: requestID,
+		Fingerprint: fingerprint, Start: time.Now()}}
 	r.recent[r.pos] = p
 	r.pos = (r.pos + 1) % len(r.recent)
 	r.mu.Unlock()
@@ -50,7 +53,7 @@ func (r *Recorder) Start(name string) *Profile {
 }
 
 // admit inserts a finished profile into the slowest set, evicting the
-// fastest entry once the set is full. Called by Profile.FinishIn after
+// fastest entry once the set is full. Called by Profile.Seal after
 // the profile's own lock is released.
 func (r *Recorder) admit(p *Profile) {
 	if r == nil {
@@ -109,12 +112,7 @@ func (r *Recorder) Slowest() []*Profile {
 // Lookup returns the retained profile with the given ID (searching both
 // the recent ring and the slowest set), or nil.
 func (r *Recorder) Lookup(id uint64) *Profile {
-	for _, p := range r.Recent() {
-		if p.ID() == id {
-			return p
-		}
-	}
-	for _, p := range r.Slowest() {
+	for _, p := range append(r.Recent(), r.Slowest()...) {
 		if p.ID() == id {
 			return p
 		}
@@ -123,40 +121,29 @@ func (r *Recorder) Lookup(id uint64) *Profile {
 }
 
 // LookupRequest returns the most recent retained profile tagged with
-// the given serving request ID (see Profile.SetRequestID), or nil.
-// Backs /profilez?request_id=.
+// the given serving request ID (see Start), or nil. Backs
+// /profilez?request_id=.
 func (r *Recorder) LookupRequest(requestID string) *Profile {
-	if requestID == "" {
-		return nil
-	}
-	for _, p := range r.Recent() { // newest first
-		if p.RequestID() == requestID {
-			return p
-		}
-	}
-	for _, p := range r.Slowest() {
-		if p.RequestID() == requestID {
-			return p
-		}
-	}
-	return nil
+	return r.find(requestID, func(d *ProfileData) string { return d.RequestID })
 }
 
 // LookupFingerprint returns the most recent retained profile tagged
-// with the given canonical shape fingerprint (see
-// Profile.SetFingerprint), or nil. Backs /profilez?fingerprint=, which
-// is how a /queryz row is pivoted into a concrete example profile.
+// with the given canonical shape fingerprint (see Start), or nil. Backs
+// /profilez?fingerprint=, which is how a /queryz row is pivoted into a
+// concrete example profile.
 func (r *Recorder) LookupFingerprint(fp string) *Profile {
-	if fp == "" {
+	return r.find(fp, func(d *ProfileData) string { return d.Fingerprint })
+}
+
+// find returns the newest retained profile whose key is want (never
+// matching an empty want), searching the recent ring before the slowest
+// set.
+func (r *Recorder) find(want string, key func(*ProfileData) string) *Profile {
+	if want == "" {
 		return nil
 	}
-	for _, p := range r.Recent() { // newest first
-		if p.Fingerprint() == fp {
-			return p
-		}
-	}
-	for _, p := range r.Slowest() {
-		if p.Fingerprint() == fp {
+	for _, p := range append(r.Recent(), r.Slowest()...) { // newest first
+		if d := p.Snapshot(); key(&d) == want {
 			return p
 		}
 	}

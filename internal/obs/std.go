@@ -10,7 +10,9 @@ var DefaultRecorder = NewRecorder(16)
 
 // StartProfile begins an execution profile on the default flight
 // recorder (nil when collection is disabled).
-func StartProfile(name string) *Profile { return DefaultRecorder.Start(name) }
+func StartProfile(name, requestID, fingerprint string) *Profile {
+	return DefaultRecorder.Start(name, requestID, fingerprint)
+}
 
 // Standard metrics. Each maps to a paper concept (see DESIGN.md §8):
 // prunes are Proposition 3.2 signature satisfaction failures, cap hits
@@ -45,7 +47,6 @@ var (
 	SmartTrainedNodes  = Default.Counter("smartpsi_trained_nodes_total", "training-set nodes evaluated for model fitting")
 	SmartCacheHits     = Default.Counter("smartpsi_cache_hits_total", "signature-keyed prediction cache hits (Section 4.2.3)")
 	SmartCacheMisses   = Default.Counter("smartpsi_cache_misses_total", "prediction cache misses")
-	SmartTimeouts      = Default.Counter("smartpsi_timeouts_total", "MaxTime budget expirations during preemptive evaluation (Section 4.3)")
 	SmartFlips         = Default.Counter("smartpsi_flips_total", "state-2 recoveries: re-evaluation with the opposite method")
 	SmartFallbacks     = Default.Counter("smartpsi_fallbacks_total", "state-3 recoveries: heuristic-plan restarts")
 	SmartRecoveries    = Default.Counter("smartpsi_recoveries_total", "total recovery transitions (flips + fallbacks)")
@@ -64,7 +65,7 @@ var (
 	SmartPreparedEvictions  = Default.Counter("smartpsi_prepared_evictions_total", "artifacts evicted from the prepared-query cache by its entry or byte cap")
 	SmartPreparedBytes      = Default.Gauge("smartpsi_prepared_bytes", "bytes charged to retained prepared-query artifacts (forest nodes + prediction-cache entries), summed over this process's engines")
 
-	// --- package smartpsi: per-query candidate-funnel totals (profile flush) ---
+	// --- package smartpsi: per-query candidate-funnel totals (published from the Result) ---
 
 	SmartFunnelGenerated = Default.Histogram("smartpsi_funnel_generated", "per-query funnel: candidates generated across all plan depths", CountBuckets)
 	SmartFunnelDegOK     = Default.Histogram("smartpsi_funnel_deg_ok", "per-query funnel: candidates surviving the degree lower bound", CountBuckets)

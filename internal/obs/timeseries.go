@@ -280,28 +280,6 @@ func (s *Sampler) HistogramDelta(name string, window time.Duration) (h Histogram
 	return SubtractHistogram(h1, h0), dt, true
 }
 
-// HistogramRate reports windowed observations per second for the named
-// histogram.
-func (s *Sampler) HistogramRate(name string, window time.Duration) (perSec float64, ok bool) {
-	h, dt, ok := s.HistogramDelta(name, window)
-	if !ok {
-		return 0, false
-	}
-	return float64(h.Count) / dt.Seconds(), true
-}
-
-// WindowQuantile reports the q-quantile of the named histogram over
-// the trailing window (delta of cumulative bucket counts, linear
-// interpolation inside the target bucket). ok is false with fewer than
-// two samples in the window or when no observations landed in it.
-func (s *Sampler) WindowQuantile(name string, q float64, window time.Duration) (float64, bool) {
-	h, _, ok := s.HistogramDelta(name, window)
-	if !ok {
-		return 0, false
-	}
-	return HistogramQuantile(h, q)
-}
-
 // CounterSeries is one counter's ring rendered for /seriesz: the last
 // cumulative value plus per-step rates between adjacent samples.
 type CounterSeries struct {

@@ -43,12 +43,17 @@ func TestSamplerWindowedRates(t *testing.T) {
 		t.Error("unknown metric reported ok")
 	}
 
-	// All 4 observations landed in (1,2]: p50 interpolates inside it.
-	if q, ok := s.WindowQuantile("ts_lat_seconds", 0.5, time.Minute); !ok || !approx(q, 1.5, 1e-12) {
+	// All 4 observations landed in (1,2] within the 2s window: p50
+	// interpolates inside it, as the SLO path reads it.
+	hd, hdt, ok := s.HistogramDelta("ts_lat_seconds", time.Minute)
+	if !ok || hd.Count != 4 || hdt != 2*time.Second {
+		t.Errorf("histogram delta = %d over %v (ok=%v), want 4 over 2s", hd.Count, hdt, ok)
+	}
+	if q, ok := HistogramQuantile(hd, 0.5); !ok || !approx(q, 1.5, 1e-12) {
 		t.Errorf("window p50 = %v (ok=%v), want 1.5", q, ok)
 	}
-	if n, ok := s.HistogramRate("ts_lat_seconds", time.Minute); !ok || n != 2 {
-		t.Errorf("histogram rate = %v (ok=%v), want 2/s", n, ok)
+	if _, _, ok := s.HistogramDelta("no_such_metric", time.Minute); ok {
+		t.Error("unknown histogram reported ok")
 	}
 
 	// A window too narrow to hold two samples is not sampled.

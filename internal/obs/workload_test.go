@@ -190,9 +190,7 @@ func TestWorkloadHTTP(t *testing.T) {
 		w := NewWorkload(8)
 		w.Observe(QueryObservation{Shape: 0xbeef, Exact: 1, Wall: time.Millisecond, Example: "srv/q1"})
 		w.Observe(QueryObservation{Shape: 0xbeef, Exact: 1, Wall: time.Millisecond})
-		p := rec.Start("srv/q1")
-		p.SetFingerprint("000000000000beef")
-		p.Finish()
+		rec.Start("srv/q1", "", "000000000000beef").Seal(ProfileData{})
 		h = Handler(reg, rec, WithWorkload(w))
 
 		code, body := get(t, h, "/queryz")

@@ -40,18 +40,20 @@ func PublishStats(s Stats) {
 	}
 }
 
-// RecordWork copies an aggregated Stats into a query profile's work
-// map, keyed by the same registry metric names PublishStats uses. It
-// goes through statsPublishers, so the reflection guard that keeps
-// PublishStats complete keeps the profiler complete too. Nil-safe
-// (profiles are nil when collection is off).
-func RecordWork(p *obs.Profile, s Stats) {
-	if p == nil {
-		return
-	}
+// RecordWork builds a query profile's work map from an aggregated Stats:
+// its non-zero counters keyed by the same registry metric names
+// PublishStats uses (nil when all are zero). It goes through
+// statsPublishers, so the reflection guard that keeps PublishStats
+// complete keeps the profiler complete too.
+func RecordWork(s Stats) map[string]int64 {
+	var work map[string]int64
 	for _, pub := range statsPublishers {
 		if v := pub.get(s); v != 0 {
-			p.SetWork(pub.counter.Name(), v)
+			if work == nil {
+				work = make(map[string]int64, len(statsPublishers))
+			}
+			work[pub.counter.Name()] = v
 		}
 	}
+	return work
 }

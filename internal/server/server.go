@@ -538,9 +538,9 @@ func (s *Server) observeQuery(q graph.Query, fp fsm.Fingerprint, outcome string,
 		o.CacheHits = res.CacheHits
 		o.Flips = res.Flips
 		o.Fallbacks = res.Fallbacks
-		o.ModeMix = res.Profile.ModeMix()
+		o.ModeMix = res.ModePicks
 		o.UsedML = res.UsedML
-		o.Funnel = res.Profile.FunnelTotals()
+		o.Funnel = res.Funnel.Totals()
 	}
 	s.cfg.Workload.Observe(o)
 }

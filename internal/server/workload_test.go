@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/graph/graphtest"
 	"repro/internal/obs"
 	"repro/internal/psi"
+	"repro/internal/shard"
 	"repro/internal/smartpsi"
 )
 
@@ -93,6 +95,55 @@ func TestServerWorkloadObservation(t *testing.T) {
 	if len(doc.Shapes) != 1 || doc.Shapes[0].Fingerprint != fp {
 		t.Errorf("/queryz shapes = %+v, want fingerprint %s", doc.Shapes, fp)
 	}
+}
+
+// TestServerShardedWorkloadDecisions: behind a 2-shard in-process
+// cluster, /queryz's mode mix counts every shard's decisions, not one
+// shard's. On a run warm on both shards every candidate makes exactly
+// one model-α decision, so the shape's mode_optimistic +
+// mode_pessimistic grows by exactly that run's candidates.
+func TestServerShardedWorkloadDecisions(t *testing.T) {
+	prev := obs.Enabled()
+	obs.Enable(true)
+	t.Cleanup(func() { obs.Enable(prev) })
+	c, err := shard.NewCluster(graphtest.Random(300, 900, 3, 5),
+		shard.Options{Shards: 2, Engine: smartpsi.Options{Seed: 3, MinTrainNodes: 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	w := obs.NewWorkload(8)
+	_, ts := newTestServer(t, c, Config{Workload: w})
+	q := &QueryJSON{Nodes: []int64{0, 1, 2}, Edges: [][]int64{{0, 1}, {1, 2}}, Pivot: 0}
+
+	decisions := func() int64 {
+		if d := w.Snapshot(); len(d.Shapes) == 1 {
+			return d.Shapes[0].Totals.ModeOptimistic + d.Shapes[0].Totals.ModePessimistic
+		}
+		return 0
+	}
+	for i := 0; i < 5; i++ {
+		warmBefore, before := obs.SmartPreparedHits.Value(), decisions()
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/psi", PSIRequest{Query: q, TimeoutMS: 60000})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+		}
+		if obs.SmartPreparedHits.Value()-warmBefore != 2 {
+			continue // not yet warm on both shards
+		}
+		var qr QueryResult
+		if err := json.Unmarshal(body, &qr); err != nil {
+			t.Fatal(err)
+		}
+		if !qr.UsedML || len(qr.Shards) != 2 {
+			t.Fatalf("used_ml = %v over %d shards, want an ML run on 2", qr.UsedML, len(qr.Shards))
+		}
+		if got := decisions() - before; got != int64(qr.Candidates) {
+			t.Errorf("warm sharded run grew the shape's mode mix by %d, want its %d candidates", got, qr.Candidates)
+		}
+		return
+	}
+	t.Fatal("the query never ran warm on both shards")
 }
 
 // TestServerWorkloadUnarmed: with no sketch the serving path stays

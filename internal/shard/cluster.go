@@ -346,7 +346,10 @@ func Merge(outcomes []Outcome, results []*smartpsi.Result, start time.Time) (*Ga
 		merged.Fallbacks += res.Fallbacks
 		merged.UsedML = merged.UsedML || res.UsedML
 		merged.Work.Add(res.Work)
+		merged.Tallies.Add(&res.Tallies)
 		if outcomes[i].Elapsed >= slowest {
+			// The profile stays one shard's record (the slowest); the
+			// tallies above are the fleet's sum.
 			slowest = outcomes[i].Elapsed
 			merged.Profile = res.Profile
 		}

@@ -3,6 +3,7 @@ package smartpsi
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -53,7 +54,8 @@ type Result struct {
 	// CacheHits/CacheMisses count prediction-cache lookups.
 	CacheHits, CacheMisses int64
 	// Flips counts preemptions into the opposite method (state 2);
-	// Fallbacks counts state-3 heuristic-plan restarts.
+	// Fallbacks counts state-3 heuristic-plan restarts. Run copies them
+	// from the Ladder tallies of rungs 2 and 3 when it returns.
 	Flips, Fallbacks int64
 	// UsedML is false when the candidate set was too small to train on
 	// and the engine fell back to pessimistic evaluation throughout.
@@ -77,11 +79,55 @@ type Result struct {
 	// never contribute to Work: primary accounting must be identical
 	// with auditing on or off.
 	ShadowWork psi.Stats
+	// Tallies are the query's decision picks, recovery-ladder rungs and
+	// candidate funnel.
+	Tallies
 	// Profile is the query's execution profile — the EXPLAIN ANALYZE
 	// document rendered by `psi-query -explain` and retained by the
-	// /profilez flight recorder. Nil when obs collection is disabled;
-	// obs.ProfileData methods are nil-safe so callers need not check.
+	// /profilez flight recorder, sealed from this Result when Run
+	// returns. Nil when obs collection is disabled; Profile methods are
+	// nil-safe so callers need not check.
 	Profile *obs.Profile
+}
+
+// Tallies are the per-decision facts of a query: what the models picked
+// and how the §4.3 recovery ladder ran, per candidate evaluated outside
+// training, plus the evaluator's per-depth candidate funnel. Workers
+// count them in plain fields and Run reports them once, into the
+// profile; shard.Merge sums them across shards.
+type Tallies struct {
+	// ModePicks counts decisions (cached or fresh) per method, in
+	// psi.Mode order: optimistic, pessimistic.
+	ModePicks [2]int64
+	// PlanPicks[i] counts decisions that picked plan i; it is as long as
+	// the highest plan index picked, plus one.
+	PlanPicks []int64
+	// Ladder counts per rung (obs.LadderPredicted..LadderHeuristic) the
+	// evaluations that entered it, those that resolved there, and the
+	// wall time spent in it.
+	Ladder [obs.NumLadderRungs]obs.LadderRung
+	// Funnel is the per-depth candidate funnel across training and all
+	// workers; it is collected only while obs collection is on.
+	Funnel obs.Funnel
+}
+
+// Add folds o into t.
+func (t *Tallies) Add(o *Tallies) {
+	for m, n := range o.ModePicks {
+		t.ModePicks[m] += n
+	}
+	for len(t.PlanPicks) < len(o.PlanPicks) {
+		t.PlanPicks = append(t.PlanPicks, 0)
+	}
+	for i, n := range o.PlanPicks {
+		t.PlanPicks[i] += n
+	}
+	for i, r := range o.Ladder {
+		t.Ladder[i].Entered += r.Entered
+		t.Ladder[i].Resolved += r.Resolved
+		t.Ladder[i].Nanos += r.Nanos
+	}
+	t.Funnel.Merge(&o.Funnel)
 }
 
 // AccuracyReport is a correct/total counter pair.
@@ -144,12 +190,11 @@ func (e *Engine) EvaluateTagged(q graph.Query, deadline time.Time, requestID, fi
 }
 
 // queryRun is the per-request state train and execute share: the
-// request, its profile, and the verdict slots they fill. Everything that
+// request and the verdict slots and Result they fill. Everything that
 // outlives the request lives in the artifact.
 type queryRun struct {
 	req  Request
 	name string // "" when nothing records it
-	prof *obs.Profile
 	// enabled is obs.Enabled() as read once when the query started; every
 	// metric and audit site of the query tests it instead of the gate.
 	enabled bool
@@ -161,6 +206,16 @@ type queryRun struct {
 	candidates []graph.NodeID
 	valid      []bool
 	res        *Result
+}
+
+// newState returns an evaluator state for a query of n nodes, counting
+// the candidate funnel when the query is collected.
+func (r *queryRun) newState(n int) *psi.State {
+	st := psi.NewState(n)
+	if r.enabled {
+		st.SetFunnel(&obs.Funnel{})
+	}
+	return st
 }
 
 // expired reports whether a budget (zero: none) has run out.
@@ -177,26 +232,20 @@ func (e *Engine) Run(req Request) (_ *Result, retErr error) {
 	start := time.Now()
 	q, deadline := req.Query, req.Deadline
 	enabled := obs.Enabled()
-	var prof *obs.Profile
 	tagged := enabled || e.opts.auditing() || e.opts.DecisionLog != nil
 	var name string // profile and decision-record name
 	if tagged {
 		name = fmt.Sprintf("smartpsi/q%d.p%d", q.Size(), int(q.Pivot))
 	}
+	res := &Result{}
+	r := &queryRun{req: req, name: name, enabled: enabled, res: res}
 	if enabled {
 		obs.SmartQueries.Inc()
-		prof = obs.StartProfile(name)
-		prof.SetRequestID(req.ID)
-		prof.SetFingerprint(req.Fingerprint)
+		res.Profile = obs.StartProfile(name, req.ID, req.Fingerprint)
 	}
-	// Seal the profile on every exit: error paths record the error so
-	// the flight recorder retains aborted (deadline/stop) queries too.
-	defer func() {
-		if retErr != nil {
-			prof.SetError(retErr.Error())
-		}
-		prof.Finish()
-	}()
+	// Record the query on every exit, errors included, so aborted
+	// (deadline/stop) queries are accounted and retained too.
+	defer func() { r.finish(retErr) }()
 	// Every request is validated, warm or not: the cache lookup hashes
 	// and compares the query's adjacency and must not walk a corrupt one.
 	if err := e.checkQuery(q); err != nil {
@@ -206,12 +255,9 @@ func (e *Engine) Run(req Request) (_ *Result, retErr error) {
 		// Non-serving entry points (CLIs, tests) fingerprint here so
 		// their profiles and decision records still pivot by shape; the
 		// serving layer passes one in instead.
-		req.Fingerprint = fsm.PivotFingerprint(q, 0).String()
-		prof.SetFingerprint(req.Fingerprint)
+		r.req.Fingerprint = fsm.PivotFingerprint(q, 0).String()
 	}
 
-	res := &Result{Profile: prof}
-	r := &queryRun{req: req, name: name, prof: prof, enabled: enabled, res: res}
 	r.candidates = e.g.NodesWithLabel(q.G.Label(q.Pivot))
 	if req.Owns != nil {
 		// Filtered once, ahead of the train/execute split: everything
@@ -226,7 +272,6 @@ func (e *Engine) Run(req Request) (_ *Result, retErr error) {
 	}
 	r.valid = make([]bool, len(r.candidates))
 	res.Candidates = len(r.candidates)
-	prof.SetCandidates(len(r.candidates))
 
 	var err error
 	switch {
@@ -244,33 +289,99 @@ func (e *Engine) Run(req Request) (_ *Result, retErr error) {
 	}
 	res.TotalTime = time.Since(start)
 
-	// Flush the per-query aggregates into the obs registry. With deep
-	// checking on, also validate the profiler's candidate funnel
-	// (per-depth monotone non-increasing stages).
-	prof.SetOutcome(len(res.Bindings))
-	psi.RecordWork(prof, res.Work)
+	// The per-query distributions of a successful query. With deep
+	// checking on, also validate the candidate funnel (per-depth
+	// monotone non-increasing stages).
 	if enabled {
-		obs.SmartQuerySeconds.Observe(time.Since(start).Seconds())
+		obs.SmartQuerySeconds.Observe(res.TotalTime.Seconds())
 		obs.SmartRecursionDist.Observe(float64(res.Work.Recursions))
-		psi.PublishStats(res.Work)
 		if e.opts.auditing() {
 			obs.SmartQueryRegretSeconds.Observe(res.Regret.Seconds())
 		}
-		if prof != nil {
-			tot := prof.FunnelTotals()
-			obs.SmartFunnelGenerated.Observe(float64(tot.Generated))
-			obs.SmartFunnelDegOK.Observe(float64(tot.DegOK))
-			obs.SmartFunnelSigOK.Observe(float64(tot.SigOK))
-			obs.SmartFunnelRecursed.Observe(float64(tot.Recursed))
-			obs.SmartFunnelMatched.Observe(float64(tot.Matched))
-		}
+		tot := res.Funnel.Totals()
+		obs.SmartFunnelGenerated.Observe(float64(tot.Generated))
+		obs.SmartFunnelDegOK.Observe(float64(tot.DegOK))
+		obs.SmartFunnelSigOK.Observe(float64(tot.SigOK))
+		obs.SmartFunnelRecursed.Observe(float64(tot.Recursed))
+		obs.SmartFunnelMatched.Observe(float64(tot.Matched))
 	}
-	if invariant.Enabled() && prof != nil {
-		if err := invariant.CheckFunnel(prof.FunnelSnapshot()); err != nil {
+	if invariant.Enabled() {
+		if err := invariant.CheckFunnel(&res.Funnel); err != nil {
 			return nil, err
 		}
 	}
 	return res, nil
+}
+
+// finish reports the query once, on every exit of Run: its counters and
+// evaluator work are added to the registry from the Result, and its
+// profile is sealed from the Result.
+func (r *queryRun) finish(err error) {
+	res := r.res
+	// Entering rung 2 or 3 means the rung before it timed out.
+	res.Flips = res.Ladder[obs.LadderOpposite].Entered
+	res.Fallbacks = res.Ladder[obs.LadderHeuristic].Entered
+	if !r.enabled {
+		return
+	}
+	obs.SmartCacheHits.Add(res.CacheHits)
+	obs.SmartCacheMisses.Add(res.CacheMisses)
+	obs.SmartFlips.Add(res.Flips)
+	obs.SmartFallbacks.Add(res.Fallbacks)
+	obs.SmartRecoveries.Add(res.Flips + res.Fallbacks)
+	obs.SmartModeChecks.Add(res.Alpha.Total)
+	obs.SmartMispredicts.Add(res.Alpha.Total - res.Alpha.Correct)
+	if res.TrainedNodes > 0 { // a finished train; an aborted one records nothing
+		obs.SmartTrainedNodes.Add(int64(res.TrainedNodes))
+		obs.SmartTrainSeconds.Observe(res.TrainTime.Seconds())
+	}
+	psi.PublishStats(res.Work)
+	if res.Profile == nil {
+		return
+	}
+	d := obs.ProfileData{
+		Fingerprint:    r.req.Fingerprint,
+		Candidates:     res.Candidates,
+		Bindings:       len(res.Bindings),
+		TrainedNodes:   res.TrainedNodes,
+		TrainNanos:     res.TrainTime.Nanoseconds(),
+		FitNanos:       res.FitTime.Nanoseconds(),
+		CacheHits:      res.CacheHits,
+		CacheMisses:    res.CacheMisses,
+		ShadowModeRuns: res.ShadowModeRuns,
+		ShadowPlanRuns: res.ShadowPlanRuns,
+		ShadowTimeouts: res.ShadowTimeouts,
+		RegretNanos:    res.Regret.Nanoseconds(),
+		CacheChecks:    res.CacheChecks,
+		CacheStale:     res.CacheStale,
+		PlanChosen:     slices.Clone(res.PlanPicks),
+		Ladder:         slices.Clone(res.Ladder[:]),
+		Funnel:         slices.Clone(res.Funnel.Depths),
+		Work:           psi.RecordWork(res.Work),
+	}
+	// The method and the model-β class count describe how candidates
+	// were decided, so a query that never reached a decision path (no
+	// candidates, or a failed prepare) has neither.
+	switch {
+	case res.Warm:
+		d.Method, d.PlanClasses = "ml-warm", res.PlanClasses
+	case res.UsedML:
+		d.Method, d.PlanClasses = "ml", res.PlanClasses
+	case res.PlanClasses > 0:
+		d.Method = "pessimistic-heuristic"
+	}
+	for m, n := range res.ModePicks {
+		if n != 0 {
+			if d.ModePredicted == nil {
+				d.ModePredicted = make(map[string]int64, len(res.ModePicks))
+			}
+			d.ModePredicted[psi.Mode(m).String()] = n
+		}
+	}
+	if err != nil {
+		d.Error = err.Error()
+	}
+	res.Profile.Seal(d)
 }
 
 // checkQuery rejects queries no evaluation path can run: disconnected
@@ -294,12 +405,9 @@ func (e *Engine) evaluateSmall(q graph.Query, r *queryRun, deadline time.Time) e
 		return err
 	}
 	r.res.PlanClasses = len(art.compiled)
-	r.prof.SetMethod("pessimistic-heuristic")
 	evalStart := time.Now()
-	st := psi.NewState(q.Size())
-	if r.prof != nil {
-		st.SetFunnel(&obs.Funnel{})
-	}
+	st := r.newState(q.Size())
+	defer r.merge(st) // on every exit: an aborted run's work still counts
 	for i, u := range r.candidates {
 		ok, err := art.ev.Evaluate(st, art.compiled[0], u, psi.Pessimistic, psi.Limits{Deadline: deadline})
 		if err != nil {
@@ -308,9 +416,15 @@ func (e *Engine) evaluateSmall(q graph.Query, r *queryRun, deadline time.Time) e
 		r.valid[i] = ok
 	}
 	r.res.EvalTime = time.Since(evalStart)
-	r.res.Work = st.Stats()
-	r.prof.MergeFunnel(st.Funnel())
 	return nil
+}
+
+// merge folds one finished evaluator state's work and funnel into the
+// Result. evaluateSmall and train merge their single state; execute's
+// workers merge through mergeInto.
+func (r *queryRun) merge(st *psi.State) {
+	r.res.Work.Add(st.Stats())
+	r.res.Funnel.Merge(st.Funnel())
 }
 
 // evaluateML is the model-driven path. A cache hit goes straight to
@@ -331,10 +445,7 @@ func (e *Engine) evaluateML(q graph.Query, r *queryRun, deadline time.Time) erro
 	art, key, admit := e.prepared.lookup(q)
 	if art != nil {
 		r.res.Warm = true
-		r.prof.SetMethod("ml-warm")
-		r.prof.SetTraining(0, len(art.compiled), 0, 0)
 	} else {
-		r.prof.SetMethod("ml")
 		rng := rand.New(rand.NewSource(e.opts.Seed))
 		var err error
 		if art, err = e.prepare(q, rng); err != nil {
@@ -402,15 +513,12 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 	if trainCount > len(order)/2 {
 		trainCount = len(order) / 2
 	}
-	r.res.TrainedNodes = trainCount
 
 	art.timing = newPlanTiming(len(art.compiled))
 	alphaDS := ml.Dataset{NumClasses: 2}
 	betaDS := ml.Dataset{NumClasses: len(art.compiled)}
-	st := psi.NewState(art.q.Size())
-	if r.prof != nil {
-		st.SetFunnel(&obs.Funnel{})
-	}
+	st := r.newState(art.q.Size())
+	defer r.merge(st) // on every exit: an aborted sweep's work still counts
 	// Retain the per-plan sweep measurements for the model-β plan-rank
 	// audit (scoreBetaRanks) when anyone will consume them.
 	collectSweeps := (r.enabled || (e.opts.DecisionLog != nil && e.opts.auditing())) && !e.opts.DisablePlanModel
@@ -479,13 +587,7 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 	}
 	r.res.FitTime = time.Since(fitStart)
 	r.res.TrainTime = time.Since(trainStart)
-	r.res.Work.Add(st.Stats())
-	r.prof.MergeFunnel(st.Funnel())
-	r.prof.SetTraining(trainCount, len(art.compiled), r.res.TrainTime, r.res.FitTime)
-	if r.enabled {
-		obs.SmartTrainedNodes.Add(int64(trainCount))
-		obs.SmartTrainSeconds.Observe(r.res.TrainTime.Seconds())
-	}
+	r.res.TrainedNodes = trainCount
 	if art.beta != nil && len(sweeps) > 0 {
 		e.scoreBetaRanks(r, art.beta, sweeps)
 	}
@@ -541,10 +643,13 @@ func (e *Engine) execute(art *artifact, r *queryRun, order []int32, deadline tim
 			// censored runs still account their work.
 			defer func() {
 				w.work = w.st.Stats()
+				if f := w.st.Funnel(); f != nil {
+					w.Funnel = *f
+				}
 				if w.shadowState != nil {
 					w.shadowWork = w.shadowState.Stats()
 				}
-				r.prof.MergeFunnel(w.st.Funnel())
+				e.flushDecisions(w)
 				mu.Lock()
 				w.mergeInto(r.res, &modelNanos)
 				mu.Unlock()
@@ -677,22 +782,23 @@ func (e *Engine) trainOne(art *artifact, st *psi.State, u graph.NodeID, global t
 }
 
 // worker is one candidate-evaluating goroutine's view of a query: the
-// shared artifact it reads, the run whose verdict slots and profile it
-// fills, the query's global budget, and the state only it touches.
+// shared artifact it reads, the run whose verdict slots it fills, the
+// query's global budget, and the state only it touches.
 type worker struct {
 	art    *artifact
 	run    *queryRun
 	global time.Time
 	st     *psi.State // primary evaluator state; its Stats are Result.Work
 	workerCounters
+	// audits and mismatches are the worker's shadow-audit findings, filed
+	// by flushDecisions when it exits.
+	audits     []obs.DecisionRecord
+	mismatches int
 }
 
 // newWorker builds execute's i-th worker.
 func (e *Engine) newWorker(art *artifact, r *queryRun, global time.Time, i int) *worker {
-	w := &worker{art: art, run: r, global: global, st: psi.NewState(art.q.Size())}
-	if r.prof != nil {
-		w.st.SetFunnel(&obs.Funnel{})
-	}
+	w := &worker{art: art, run: r, global: global, st: r.newState(art.q.Size())}
 	if e.opts.auditing() {
 		// Shadow audits get their own sampling stream and their own
 		// evaluator state: counterfactual work must land in ShadowWork,
@@ -704,10 +810,14 @@ func (e *Engine) newWorker(art *artifact, r *queryRun, global time.Time, i int) 
 }
 
 type workerCounters struct {
-	cacheHits, cacheMisses   int64
-	flips, fallbacks         int64
-	alphaCorrect, alphaTotal int64
-	modelNanos               int64
+	cacheHits, cacheMisses int64
+	modelNanos             int64
+	// alpha scores model α's fresh predictions against ground truth: it
+	// becomes Result.Alpha, and flushDecisions adds it to /modelz.
+	alpha obs.AlphaCells
+	// Tallies holds the decision picks and ladder rungs, and the primary
+	// state's funnel captured at exit.
+	Tallies
 	// Shadow-audit counters (Options.ShadowRate; see shadow.go).
 	shadowModeRuns, shadowPlanRuns, shadowTimeouts int64
 	regretNanos                                    int64
@@ -724,15 +834,15 @@ type workerCounters struct {
 // mergeInto folds one worker's counters into the shared result. The
 // caller holds the result mutex. Evaluator work merges through the
 // canonical psi.Stats.Add so new Stats fields propagate automatically;
-// TestMergeIntoCoversAllCounters enumerates the int64 fields and fails
-// with the names of any this function forgets.
+// TestMergeIntoCoversAllCounters probes every int64 leaf (array and
+// slice elements included) and fails with the paths of any this
+// function forgets.
 func (w *workerCounters) mergeInto(res *Result, modelNanos *int64) {
 	res.CacheHits += w.cacheHits
 	res.CacheMisses += w.cacheMisses
-	res.Flips += w.flips
-	res.Fallbacks += w.fallbacks
-	res.Alpha.Correct += w.alphaCorrect
-	res.Alpha.Total += w.alphaTotal
+	res.Alpha.Correct += w.alpha.AlphaCorrect()
+	res.Alpha.Total += w.alpha.AlphaTotal()
+	res.Tallies.Add(&w.Tallies)
 	res.ShadowModeRuns += w.shadowModeRuns
 	res.ShadowPlanRuns += w.shadowPlanRuns
 	res.ShadowTimeouts += w.shadowTimeouts
@@ -813,19 +923,17 @@ func (e *Engine) evaluateOne(w *worker, u graph.NodeID) (bool, error) {
 	}
 	if cached {
 		w.cacheHits++
-		if w.run.enabled {
-			obs.SmartCacheHits.Inc()
-		}
 	} else {
 		w.cacheMisses++
-		if w.run.enabled {
-			obs.SmartCacheMisses.Inc()
-		}
 		t0 := time.Now()
 		dec, predicted = w.predict(row)
 		w.modelNanos += time.Since(t0).Nanoseconds()
 	}
-	w.run.prof.RecordDecision(cached, int(dec.mode), dec.planIdx)
+	w.ModePicks[dec.mode]++
+	for len(w.PlanPicks) <= dec.planIdx {
+		w.PlanPicks = append(w.PlanPicks, 0)
+	}
+	w.PlanPicks[dec.planIdx]++
 
 	ladder := [obs.NumLadderRungs]rung{
 		obs.LadderPredicted: {dec.mode, dec.planIdx, !e.opts.DisablePreemption},
@@ -860,25 +968,10 @@ func (e *Engine) evaluateOne(w *worker, u graph.NodeID) (bool, error) {
 }
 
 // attempt runs rung i of the ladder for candidate u. It is the one place
-// an execute-phase candidate evaluation happens: the recovery counters,
-// the rung's deadline, the evalHook seam, the profile's ladder timeline
-// and the planTiming update all live here.
+// an execute-phase candidate evaluation happens: the rung's deadline,
+// the evalHook seam, the rung's tally and the planTiming update all live
+// here.
 func (e *Engine) attempt(w *worker, u graph.NodeID, i int, r rung) (bool, time.Duration, error) {
-	if i != obs.LadderPredicted {
-		// Entering rung 2 or 3 means the rung before it timed out.
-		recoveries := obs.SmartFlips
-		if i == obs.LadderOpposite {
-			w.flips++
-		} else {
-			w.fallbacks++
-			recoveries = obs.SmartFallbacks
-		}
-		if w.run.enabled {
-			obs.SmartTimeouts.Inc()
-			recoveries.Inc()
-			obs.SmartRecoveries.Inc()
-		}
-	}
 	limit := w.global
 	if r.budgeted {
 		if d := time.Now().Add(w.art.timing.maxTime(r.mode, r.planIdx)); limit.IsZero() || d.Before(limit) {
@@ -894,33 +987,23 @@ func (e *Engine) attempt(w *worker, u graph.NodeID, i int, r rung) (bool, time.D
 		ok, err = w.art.ev.Evaluate(w.st, w.art.compiled[r.planIdx], u, r.mode, psi.Limits{Deadline: limit})
 	}
 	took := time.Since(t0)
-	w.run.prof.LadderObserve(i, err == nil, took)
+	rt := &w.Ladder[i]
+	rt.Entered++
+	rt.Nanos += took.Nanoseconds()
 	if err == nil {
+		rt.Resolved++
 		w.art.timing.record(r.mode, r.planIdx, took, w.run.enabled)
 	}
 	return ok, took, err
 }
 
-// scoreAlpha records ground truth for one candidate: model α's accuracy
-// counters when a prediction was actually made. With the query collected
-// every scored prediction also feeds the /modelz confusion matrix and
-// the vote-margin calibration buckets (ground truth is free here — the
-// evaluation itself labels the node, §4.2.1).
+// scoreAlpha records ground truth for one candidate when model α
+// actually predicted it: the worker's confusion and vote-margin
+// calibration cells (ground truth is free here — the evaluation itself
+// labels the node, §4.2.1).
 func (e *Engine) scoreAlpha(w *worker, predicted bool, dec decision, actualValid bool) {
-	if !predicted {
-		return
-	}
-	w.alphaTotal++
-	correct := (dec.mode == psi.Optimistic) == actualValid
-	if correct {
-		w.alphaCorrect++
-	}
-	if w.run.enabled {
-		obs.SmartModeChecks.Inc()
-		if !correct {
-			obs.SmartMispredicts.Inc()
-		}
-		obs.DefaultModelStats.ObserveAlpha(dec.mode == psi.Optimistic, actualValid, dec.margin)
+	if predicted {
+		w.alpha.Score(dec.mode == psi.Optimistic, actualValid, dec.margin)
 	}
 }
 

@@ -2,7 +2,10 @@ package smartpsi
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -62,9 +65,9 @@ func ladderFixture(t *testing.T) (*Engine, *psi.Evaluator, []*plan.Compiled) {
 // ladderWorker builds the per-worker value evaluateOne takes over a
 // fresh artifact: no models, an empty prediction cache, a fresh
 // planTiming.
-func ladderWorker(ev *psi.Evaluator, compiled []*plan.Compiled, prof *obs.Profile, global time.Time) *worker {
+func ladderWorker(ev *psi.Evaluator, compiled []*plan.Compiled, global time.Time) *worker {
 	art := &artifact{ev: ev, compiled: compiled, timing: newPlanTiming(len(compiled))}
-	r := &queryRun{name: "test", prof: prof, enabled: obs.Enabled()} // read once, as Run does
+	r := &queryRun{name: "test", enabled: obs.Enabled(), res: &Result{}} // read once, as Run does
 	return &worker{art: art, run: r, global: global, st: psi.NewState(2)}
 }
 
@@ -74,8 +77,10 @@ var errBoom = errors.New("boom")
 // recovery ladder (predicted → opposite mode → heuristic plan) for
 // forced-timeout scenarios, using the deterministic evalHook instead of
 // wall-clock budgets: the rungs run in order with the right (mode, plan)
-// each, and the counters, the recoveries metric and the profile's
-// per-rung timeline mirror exactly the states that ran.
+// each, and the worker's per-rung ladder tallies (rungs 2 and 3 are the
+// flips and fallbacks), cache split and decision picks mirror exactly the
+// states that ran. That Run publishes these tallies from the Result is
+// TestObsPublishFromResult's job.
 func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 	type step struct {
 		ok  bool
@@ -90,18 +95,17 @@ func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 	deadline := psi.ErrDeadline
 	pess := decision{mode: psi.Pessimistic, planIdx: 0} // what no models predict
 	cases := []struct {
-		name           string
-		states         map[int]step
-		cached         *decision // pre-populate the prediction cache
-		global         time.Time // global budget (zero: none)
-		wantOK         bool
-		wantErr        error
-		wantCalls      []call
-		wantFlips      int64
-		wantFallbacks  int64
-		wantCacheHits  int64
-		wantCacheMiss  int64
-		wantRecoveries int64
+		name          string
+		states        map[int]step
+		cached        *decision // pre-populate the prediction cache
+		global        time.Time // global budget (zero: none)
+		wantOK        bool
+		wantErr       error
+		wantCalls     []call
+		wantFlips     int64
+		wantFallbacks int64
+		wantCacheHits int64
+		wantCacheMiss int64
 	}{
 		{
 			name:          "state1-answers-valid",
@@ -118,23 +122,21 @@ func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 			wantCacheMiss: 1,
 		},
 		{
-			name:           "timeout-then-flip-recovers",
-			states:         map[int]step{1: {err: deadline}, 2: {ok: true}},
-			wantOK:         true,
-			wantCalls:      []call{{1, psi.Pessimistic, 0}, {2, psi.Optimistic, 0}},
-			wantFlips:      1,
-			wantCacheMiss:  1,
-			wantRecoveries: 1,
+			name:          "timeout-then-flip-recovers",
+			states:        map[int]step{1: {err: deadline}, 2: {ok: true}},
+			wantOK:        true,
+			wantCalls:     []call{{1, psi.Pessimistic, 0}, {2, psi.Optimistic, 0}},
+			wantFlips:     1,
+			wantCacheMiss: 1,
 		},
 		{
-			name:           "double-timeout-then-heuristic-fallback",
-			states:         map[int]step{1: {err: deadline}, 2: {err: deadline}, 3: {ok: true}},
-			wantOK:         true,
-			wantCalls:      []call{{1, psi.Pessimistic, 0}, {2, psi.Optimistic, 0}, {3, psi.Pessimistic, 0}},
-			wantFlips:      1,
-			wantFallbacks:  1,
-			wantCacheMiss:  1,
-			wantRecoveries: 2,
+			name:          "double-timeout-then-heuristic-fallback",
+			states:        map[int]step{1: {err: deadline}, 2: {err: deadline}, 3: {ok: true}},
+			wantOK:        true,
+			wantCalls:     []call{{1, psi.Pessimistic, 0}, {2, psi.Optimistic, 0}, {3, psi.Pessimistic, 0}},
+			wantFlips:     1,
+			wantFallbacks: 1,
+			wantCacheMiss: 1,
 		},
 		{
 			name:          "hard-error-aborts-ladder",
@@ -163,15 +165,14 @@ func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 			// A cached optimistic decision on plan 1: rung 2 flips the
 			// method but keeps the plan, rung 3 restores the method and
 			// drops to the heuristic plan.
-			name:           "cached-plan1-walks-all-rungs",
-			states:         map[int]step{1: {err: deadline}, 2: {err: deadline}, 3: {ok: true}},
-			cached:         &decision{mode: psi.Optimistic, planIdx: 1},
-			wantOK:         true,
-			wantCalls:      []call{{1, psi.Optimistic, 1}, {2, psi.Pessimistic, 1}, {3, psi.Optimistic, 0}},
-			wantFlips:      1,
-			wantFallbacks:  1,
-			wantCacheHits:  1,
-			wantRecoveries: 2,
+			name:          "cached-plan1-walks-all-rungs",
+			states:        map[int]step{1: {err: deadline}, 2: {err: deadline}, 3: {ok: true}},
+			cached:        &decision{mode: psi.Optimistic, planIdx: 1},
+			wantOK:        true,
+			wantCalls:     []call{{1, psi.Optimistic, 1}, {2, psi.Pessimistic, 1}, {3, psi.Optimistic, 0}},
+			wantFlips:     1,
+			wantFallbacks: 1,
+			wantCacheHits: 1,
 		},
 	}
 
@@ -195,15 +196,12 @@ func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 			}
 			defer func() { e.evalHook = nil }()
 
-			prof := obs.NewProfile(tc.name)
-			w := ladderWorker(ev, compiled, prof, tc.global)
+			w := ladderWorker(ev, compiled, tc.global)
 			dec := pess
 			if tc.cached != nil {
 				dec = *tc.cached
 				w.art.cache.Store(signature.Key(e.sigs.Row(u)), dec)
 			}
-			recBefore := obs.SmartRecoveries.Value()
-
 			got, err := e.evaluateOne(w, u)
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
@@ -215,14 +213,12 @@ func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 			if !reflect.DeepEqual(calls, tc.wantCalls) {
 				t.Fatalf("hook calls (state, mode, plan) = %v, want %v", calls, tc.wantCalls)
 			}
-			if w.flips != tc.wantFlips || w.fallbacks != tc.wantFallbacks {
-				t.Errorf("flips/fallbacks = %d/%d, want %d/%d", w.flips, w.fallbacks, tc.wantFlips, tc.wantFallbacks)
+			// Flips and fallbacks are entries into rungs 2 and 3.
+			if f, b := w.Ladder[obs.LadderOpposite].Entered, w.Ladder[obs.LadderHeuristic].Entered; f != tc.wantFlips || b != tc.wantFallbacks {
+				t.Errorf("flips/fallbacks = %d/%d, want %d/%d", f, b, tc.wantFlips, tc.wantFallbacks)
 			}
 			if w.cacheHits != tc.wantCacheHits || w.cacheMisses != tc.wantCacheMiss {
 				t.Errorf("cache hits/misses = %d/%d, want %d/%d", w.cacheHits, w.cacheMisses, tc.wantCacheHits, tc.wantCacheMiss)
-			}
-			if d := obs.SmartRecoveries.Value() - recBefore; d != tc.wantRecoveries {
-				t.Errorf("smartpsi_recoveries_total delta = %d, want %d", d, tc.wantRecoveries)
 			}
 			// A rung-1 resolution of a fresh prediction fills the cache;
 			// nothing else may.
@@ -230,10 +226,9 @@ func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 			if want := tc.cached != nil || (tc.wantErr == nil && len(tc.wantCalls) == 1); stored != want {
 				t.Errorf("prediction cache holds the decision = %v, want %v", stored, want)
 			}
-			// The profiler's recovery-ladder timeline must mirror the
-			// states the hook ran: rung N entered iff state N executed,
-			// resolved iff it returned without error.
-			snap := prof.Snapshot()
+			// The worker's recovery-ladder tallies must mirror the states
+			// the hook ran: rung N entered iff state N executed, resolved
+			// iff it returned without error.
 			for s := 1; s <= obs.NumLadderRungs; s++ {
 				var wantEntered, wantResolved int64
 				if step, ran := tc.states[s]; ran {
@@ -242,48 +237,59 @@ func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 						wantResolved = 1
 					}
 				}
-				r := snap.Ladder[s-1]
+				r := w.Ladder[s-1]
 				if r.Entered != wantEntered || r.Resolved != wantResolved {
 					t.Errorf("ladder rung %d = entered %d resolved %d, want %d/%d",
 						s, r.Entered, r.Resolved, wantEntered, wantResolved)
 				}
 			}
-			if snap.CacheHits != tc.wantCacheHits || snap.CacheMisses != tc.wantCacheMiss {
-				t.Errorf("profile cache hits/misses = %d/%d, want %d/%d",
-					snap.CacheHits, snap.CacheMisses, tc.wantCacheHits, tc.wantCacheMiss)
-			}
-			// The decision itself (the former mode_predicted / plan_chosen
-			// events) is on the profile too.
-			mode := map[psi.Mode]string{psi.Optimistic: "optimistic", psi.Pessimistic: "pessimistic"}[dec.mode]
-			if snap.ModePredicted[mode] != 1 || len(snap.PlanChosen) != dec.planIdx+1 || snap.PlanChosen[dec.planIdx] != 1 {
-				t.Errorf("profile decision = modes %v plans %v, want one %s pick of plan %d",
-					snap.ModePredicted, snap.PlanChosen, mode, dec.planIdx)
+			// The decision itself is tallied once: one pick of its mode
+			// and one of its plan.
+			var wantModes [2]int64
+			wantModes[dec.mode] = 1
+			if w.ModePicks != wantModes || len(w.PlanPicks) != dec.planIdx+1 || w.PlanPicks[dec.planIdx] != 1 {
+				t.Errorf("decision tallies = modes %v plans %v, want one %v pick of plan %d",
+					w.ModePicks, w.PlanPicks, dec.mode, dec.planIdx)
 			}
 		})
 	}
 }
 
-// TestObsScoreAlphaMispredictions checks the model-α accuracy counters
-// and the mode_mispredictions metric.
+// TestObsScoreAlphaMispredictions checks the worker's model-α cells,
+// the Result.Alpha mergeInto derives from them, and the
+// mode_predictions / mode_mispredictions metrics published from it.
 func TestObsScoreAlphaMispredictions(t *testing.T) {
 	prev := obs.Enabled()
 	obs.Enable(true)
 	defer obs.Enable(prev)
 	e, ev, compiled := ladderFixture(t)
-	w := ladderWorker(ev, compiled, nil, time.Time{})
-	before := obs.SmartMispredicts.Value()
+	w := ladderWorker(ev, compiled, time.Time{})
+	checksBefore, missBefore := obs.SmartModeChecks.Value(), obs.SmartMispredicts.Value()
 
 	// Optimistic prediction means "valid"; actual invalid → mispredict.
-	e.scoreAlpha(w, true, decision{mode: psi.Optimistic}, false)
+	e.scoreAlpha(w, true, decision{mode: psi.Optimistic, margin: 0.9}, false)
 	// Pessimistic prediction means "invalid"; actual invalid → correct.
-	e.scoreAlpha(w, true, decision{mode: psi.Pessimistic}, false)
+	e.scoreAlpha(w, true, decision{mode: psi.Pessimistic, margin: 0.1}, false)
 	// No prediction made → not scored.
 	e.scoreAlpha(w, false, decision{mode: psi.Pessimistic}, true)
 
-	if w.alphaTotal != 2 || w.alphaCorrect != 1 {
-		t.Errorf("alpha = %d/%d, want 1/2", w.alphaCorrect, w.alphaTotal)
+	if w.alpha.Alpha != [2][2]int64{{1, 1}, {0, 0}} {
+		t.Errorf("alpha confusion = %v, want [[1 1] [0 0]]", w.alpha.Alpha)
 	}
-	if d := obs.SmartMispredicts.Value() - before; d != 1 {
+	if c := w.alpha.Calibration; c[4].N != 1 || c[4].Correct != 0 || c[0].N != 1 || c[0].Correct != 1 {
+		t.Errorf("alpha calibration = %v", c)
+	}
+	res := w.run.res
+	var modelNanos int64
+	w.mergeInto(res, &modelNanos)
+	if res.Alpha != (AccuracyReport{Correct: 1, Total: 2}) {
+		t.Errorf("Result.Alpha = %+v, want 1/2", res.Alpha)
+	}
+	w.run.finish(nil)
+	if d := obs.SmartModeChecks.Value() - checksBefore; d != 2 {
+		t.Errorf("smartpsi_mode_predictions_total delta = %d, want 2", d)
+	}
+	if d := obs.SmartMispredicts.Value() - missBefore; d != 1 {
 		t.Errorf("smartpsi_mode_mispredictions_total delta = %d, want 1", d)
 	}
 }
@@ -338,7 +344,148 @@ func TestObsEndToEndMetricsFlow(t *testing.T) {
 
 	// The query's one record, its profile, must be sealed and retained
 	// by the default flight recorder.
-	if res.Profile == nil || !res.Profile.Finished() || obs.DefaultRecorder.Lookup(res.Profile.ID()) != res.Profile {
+	if res.Profile == nil || !res.Profile.Snapshot().Finished || obs.DefaultRecorder.Lookup(res.Profile.ID()) != res.Profile {
 		t.Error("default recorder did not retain the query's finished profile")
+	}
+}
+
+// TestObsPublishFromResult runs a real ML-path query whose ladder the
+// evalHook forces through flips and fallbacks, and checks that Run
+// publishes the query's tallies once, from the Result: every smartpsi_*
+// counter delta, the one train-time observation, the psi_* work, and
+// /modelz's model-α cells. Flips and fallbacks are rungs 2 and 3.
+func TestObsPublishFromResult(t *testing.T) {
+	prev := obs.Enabled()
+	obs.Enable(true)
+	defer obs.Enable(prev)
+	e, q := profileFixture(t)
+	var calls atomic.Int64
+	e.evalHook = func(state int, _ psi.Mode, _ int) (bool, error) {
+		n := calls.Add(1)
+		if (state == 1 && n%3 == 0) || (state == 2 && n%2 == 0) {
+			return false, psi.ErrDeadline
+		}
+		return n%2 == 0, nil
+	}
+	counters := []*obs.Counter{obs.SmartCacheHits, obs.SmartCacheMisses, obs.SmartFlips, obs.SmartFallbacks,
+		obs.SmartRecoveries, obs.SmartModeChecks, obs.SmartMispredicts, obs.SmartTrainedNodes, obs.PSIRecursions}
+	before := make([]int64, len(counters))
+	for i, c := range counters {
+		before[i] = c.Value()
+	}
+	trainsBefore := obs.Default.Snapshot().Histograms[obs.SmartTrainSeconds.Name()].Count
+	alphaBefore := obs.DefaultModelStats.Snapshot().AlphaTotal()
+
+	res, err := e.Evaluate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.UsedML || res.Flips == 0 || res.Fallbacks == 0 || res.Alpha.Total == 0 || res.TrainedNodes == 0 {
+		t.Fatalf("fixture: used_ml=%v flips=%d fallbacks=%d scored=%d trained=%d, want all non-zero",
+			res.UsedML, res.Flips, res.Fallbacks, res.Alpha.Total, res.TrainedNodes)
+	}
+	if res.Flips != res.Ladder[obs.LadderOpposite].Entered || res.Fallbacks != res.Ladder[obs.LadderHeuristic].Entered {
+		t.Errorf("flips/fallbacks = %d/%d, rungs 2/3 entered %d/%d", res.Flips, res.Fallbacks,
+			res.Ladder[obs.LadderOpposite].Entered, res.Ladder[obs.LadderHeuristic].Entered)
+	}
+	want := []int64{res.CacheHits, res.CacheMisses, res.Flips, res.Fallbacks, res.Flips + res.Fallbacks,
+		res.Alpha.Total, res.Alpha.Total - res.Alpha.Correct, int64(res.TrainedNodes), res.Work.Recursions}
+	for i, c := range counters {
+		if d := c.Value() - before[i]; d != want[i] {
+			t.Errorf("%s delta = %d, Result says %d", c.Name(), d, want[i])
+		}
+	}
+	if d := obs.Default.Snapshot().Histograms[obs.SmartTrainSeconds.Name()].Count - trainsBefore; d != 1 {
+		t.Errorf("%s observed %d trains, want 1", obs.SmartTrainSeconds.Name(), d)
+	}
+	if d := obs.DefaultModelStats.Snapshot().AlphaTotal() - alphaBefore; d != res.Alpha.Total {
+		t.Errorf("/modelz scored predictions grew by %d, Result.Alpha.Total = %d", d, res.Alpha.Total)
+	}
+}
+
+// TestObsAbortedQueryAccountsWork aborts one query in the training sweep
+// (at the trainHook checkpoint after it) and one in execute (a hard
+// evalHook error): the work each did before the abort must reach the
+// psi_* counters and the sealed profile's work map, as a finished
+// query's does.
+func TestObsAbortedQueryAccountsWork(t *testing.T) {
+	prev := obs.Enabled()
+	obs.Enable(true)
+	defer obs.Enable(prev)
+	// One plan and a generous plan time limit: every sweep node finishes
+	// at its first limit, so the sweep's work is a function of the seed.
+	e, qs := preparedFixture(t, Options{Seed: 4, Threads: 1, PlanSamples: 1, PlanTimeLimit: time.Minute,
+		DisablePreparedCache: true}, 1)
+	q := qs[0]
+	rng := rand.New(rand.NewSource(e.opts.Seed))
+	art, err := e.prepare(q, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, order := newRun(e, q)
+	t0 := time.Now()
+	if _, err := e.train(art, r, order, rng, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	// Each aborted query gets ten times the whole train (sweep and both
+	// fits) as its budget, so the sweep always reaches checkpoint 0 in
+	// time, however slow the machine or the build.
+	budget := max(10*time.Since(t0), 100*time.Millisecond)
+	want := psi.RecordWork(r.res.Work) // the whole sweep: both aborts come after it
+	if want[obs.PSIRecursions.Name()] == 0 {
+		t.Fatal("fixture: the training sweep did no work")
+	}
+
+	for _, tc := range []struct {
+		name    string
+		arm     func(deadline time.Time) (reached *bool)
+		wantErr error
+	}{
+		{"sweep", func(deadline time.Time) *bool {
+			reached := new(bool)
+			e.trainHook = func(i int) {
+				if i == 0 {
+					*reached = true
+					time.Sleep(time.Until(deadline) + time.Millisecond)
+				}
+			}
+			return reached
+		}, psi.ErrDeadline},
+		{"execute", func(time.Time) *bool {
+			e.evalHook = func(int, psi.Mode, int) (bool, error) { return false, errBoom }
+			return new(bool)
+		}, errBoom},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			deadline := time.Now().Add(budget)
+			reached := tc.arm(deadline)
+			defer func() { e.trainHook, e.evalHook = nil, nil }()
+			before := obs.Default.Snapshot().Counters
+			_, err := e.Run(Request{Query: q, Deadline: deadline})
+			after := obs.Default.Snapshot().Counters
+			if tc.name == "sweep" && !*reached {
+				t.Fatalf("the sweep did not reach checkpoint 0 within %v (%v)", budget, err)
+			}
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			for name, v := range after {
+				if strings.HasPrefix(name, "psi_") && v-before[name] != want[name] {
+					t.Errorf("%s delta = %d, the aborted query did %d", name, v-before[name], want[name])
+				}
+			}
+			snap := obs.DefaultRecorder.Lookup(obs.DefaultRecorder.LastID()).Snapshot()
+			if !snap.Finished || snap.Error != err.Error() || !reflect.DeepEqual(snap.Work, want) {
+				t.Errorf("sealed profile: finished=%v error=%q work=%v, want error %q and work %v",
+					snap.Finished, snap.Error, snap.Work, err, want)
+			}
+			var text strings.Builder
+			if err := snap.WriteText(&text); err != nil {
+				t.Fatal(err)
+			}
+			if line := "error: " + err.Error(); !strings.Contains(text.String(), line) {
+				t.Errorf("sealed profile's text misses %q:\n%s", line, text.String())
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/psi"
 	"repro/internal/signature"
@@ -102,7 +103,7 @@ func TestPreemptionRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w := ladderWorker(ev, []*plan.Compiled{c}, nil, time.Time{})
+	w := ladderWorker(ev, []*plan.Compiled{c}, time.Time{})
 	w.st = st
 	w.art.timing.record(psi.Optimistic, 0, time.Nanosecond, false) // floor (200us) applies
 	got, err := e.evaluateOne(w, 0)
@@ -112,12 +113,13 @@ func TestPreemptionRecovers(t *testing.T) {
 	if got != want {
 		t.Errorf("preempted evaluation = %v, ground truth %v", got, want)
 	}
-	if w.flips == 0 {
+	flips, fallbacks := w.Ladder[obs.LadderOpposite].Entered, w.Ladder[obs.LadderHeuristic].Entered
+	if flips == 0 {
 		t.Skip("node evaluated under 200us on this machine; preemption never fired")
 	}
 	// If state 2 also timed out we must have fallen back.
-	if w.fallbacks > w.flips {
-		t.Errorf("fallbacks %d > flips %d", w.fallbacks, w.flips)
+	if fallbacks > flips {
+		t.Errorf("fallbacks %d > flips %d", fallbacks, flips)
 	}
 }
 

@@ -2,11 +2,13 @@ package smartpsi
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/invariant"
 	"repro/internal/obs"
+	"repro/internal/psi"
 )
 
 // profileFixture builds a labeled random graph big enough to push
@@ -58,8 +60,8 @@ func profileFixture(t *testing.T) (*Engine, graph.Query) {
 // TestObsQueryProfileEndToEnd runs a real ML-path query with collection
 // and deep checking enabled and cross-checks the execution profile
 // against the Result: ladder rungs vs flip/fallback counters, the cache
-// split, the decision/training headers, the monotone candidate funnel,
-// and the flight-recorder retention.
+// split vs the decision picks, the decision/training headers, the
+// monotone candidate funnel, and the flight-recorder retention.
 func TestObsQueryProfileEndToEnd(t *testing.T) {
 	prevObs := obs.Enabled()
 	obs.Enable(true)
@@ -100,9 +102,23 @@ func TestObsQueryProfileEndToEnd(t *testing.T) {
 		t.Errorf("profile cache = %d/%d, Result has %d/%d",
 			snap.CacheHits, snap.CacheMisses, res.CacheHits, res.CacheMisses)
 	}
+	if !reflect.DeepEqual(snap.Ladder, res.Ladder[:]) || !reflect.DeepEqual(snap.PlanChosen, res.PlanPicks) ||
+		snap.ModePredicted["optimistic"] != res.ModePicks[psi.Optimistic] ||
+		snap.ModePredicted["pessimistic"] != res.ModePicks[psi.Pessimistic] {
+		t.Errorf("profile decisions = ladder %v plans %v modes %v, Result has %v / %v / %v",
+			snap.Ladder, snap.PlanChosen, snap.ModePredicted, res.Ladder, res.PlanPicks, res.ModePicks)
+	}
+	// One decision per non-training candidate: every decision is a cache
+	// hit or miss, and every one enters rung 1.
+	picks := res.ModePicks[0] + res.ModePicks[1]
+	if picks != res.CacheHits+res.CacheMisses || picks != res.Ladder[obs.LadderPredicted].Entered {
+		t.Errorf("mode picks = %d, cache hits+misses = %d, rung-1 entered = %d; want all equal",
+			picks, res.CacheHits+res.CacheMisses, res.Ladder[obs.LadderPredicted].Entered)
+	}
 
-	// Ladder vs PR-2 recovery counters: every non-training candidate
-	// enters rung 1; flips enter rung 2; fallbacks enter rung 3.
+	// Ladder vs the recovery counters Run copies from it: every
+	// non-training candidate enters rung 1; flips enter rung 2; fallbacks
+	// enter rung 3.
 	nonTraining := int64(res.Candidates - res.TrainedNodes)
 	if got := snap.Ladder[obs.LadderPredicted].Entered; got != nonTraining {
 		t.Errorf("rung 1 entered = %d, want %d (candidates − training set)", got, nonTraining)
@@ -116,9 +132,12 @@ func TestObsQueryProfileEndToEnd(t *testing.T) {
 
 	// Candidate funnel: present, monotone non-increasing per depth, and
 	// consistent with the evaluator's aggregate work counters.
-	fun := res.Profile.FunnelSnapshot()
-	if fun == nil || len(fun.Depths) == 0 {
-		t.Fatal("profile has no candidate funnel")
+	fun := &res.Funnel
+	if len(fun.Depths) == 0 {
+		t.Fatal("query has no candidate funnel")
+	}
+	if !reflect.DeepEqual(snap.Funnel, fun.Depths) {
+		t.Errorf("profile funnel = %v, Result has %v", snap.Funnel, fun.Depths)
 	}
 	if len(fun.Depths) != q.Size() {
 		t.Errorf("funnel has %d depths, query has %d nodes", len(fun.Depths), q.Size())
@@ -186,8 +205,8 @@ func TestObsQueryProfileSmallPath(t *testing.T) {
 	if snap.Bindings != 1 {
 		t.Errorf("bindings = %d, want 1", snap.Bindings)
 	}
-	fun := res.Profile.FunnelSnapshot()
-	if fun == nil || fun.Totals().Generated == 0 {
+	fun := &res.Funnel
+	if fun.Totals().Generated == 0 {
 		t.Fatal("small path recorded no funnel")
 	}
 	if err := invariant.CheckFunnel(fun); err != nil {

@@ -176,9 +176,7 @@ func (e *Engine) recordShadow(w *worker, p primaryRun, kind string, cf counterfa
 		if cf.valid != p.valid {
 			// Both runs are exact algorithms for the same decision
 			// problem: disagreement means one evaluator is unsound.
-			if w.run.enabled {
-				obs.DefaultModelStats.ObserveShadowMismatch()
-			}
+			w.mismatches++
 			if invariant.Enabled() {
 				return invariant.CheckShadowAgreement(kind, int64(p.u), p.valid, cf.valid)
 			}
@@ -188,7 +186,6 @@ func (e *Engine) recordShadow(w *worker, p primaryRun, kind string, cf counterfa
 		}
 	}
 	w.regretNanos += regret.Nanoseconds()
-	w.run.prof.RecordShadow(kind, regret, cf.timedOut)
 	rec := w.decisionRecord(p, kind)
 	rec.ShadowMode = int(cf.mode)
 	rec.ShadowPlan = cf.planIdx
@@ -196,7 +193,7 @@ func (e *Engine) recordShadow(w *worker, p primaryRun, kind string, cf counterfa
 	rec.ShadowNanos = cf.took.Nanoseconds()
 	rec.RegretNanos = regret.Nanoseconds()
 	rec.ShadowTimeout = cf.timedOut
-	e.record(w.run.enabled, rec)
+	w.audits = append(w.audits, rec)
 	return nil
 }
 
@@ -207,6 +204,21 @@ func (e *Engine) record(enabled bool, rec obs.DecisionRecord) {
 		obs.DefaultModelStats.Observe(rec, true)
 	}
 	e.opts.DecisionLog.Append(rec)
+}
+
+// flushDecisions files what one execute worker learned about the models,
+// once, when it exits: its audited decisions (record), and with the query
+// collected its model-α cells and shadow mismatches into /modelz.
+func (e *Engine) flushDecisions(w *worker) {
+	for _, rec := range w.audits {
+		e.record(w.run.enabled, rec)
+	}
+	if w.run.enabled {
+		obs.DefaultModelStats.AddAlpha(w.alpha)
+		for range w.mismatches {
+			obs.DefaultModelStats.ObserveShadowMismatch()
+		}
+	}
 }
 
 // decisionRecord fills the part of a decision-log record every audit of
@@ -239,11 +251,10 @@ func (e *Engine) shadowCacheCheck(w *worker, p primaryRun) {
 	if stale {
 		w.cacheStale++
 	}
-	w.run.prof.RecordCacheCheck(stale)
 	rec := w.decisionRecord(p, obs.DecisionKindCache)
 	rec.VoteMargin = fresh.margin
 	rec.CacheStale = stale
-	e.record(w.run.enabled, rec)
+	w.audits = append(w.audits, rec)
 }
 
 // betaSweep retains one training node's per-plan sweep measurements for

@@ -97,20 +97,19 @@ func TestShadowRungOneOnly(t *testing.T) {
 				t.Fatalf("ladder reached unexpected state %d", state)
 				return false, nil
 			}
-			prof := obs.NewProfile(tc.name)
+			w := ladderWorker(ev, compiled, time.Time{})
 			var shadowCalls int64
 			e.shadowHook = func(mode psi.Mode, planIdx int) (bool, error) {
 				shadowCalls++
 				// Audits run strictly after the verdict: by the time a
-				// shadow starts, the profile already shows the primary
-				// resolved at rung 1.
-				if r := prof.Snapshot().Ladder[obs.LadderPredicted]; r.Resolved != 1 {
+				// shadow starts, the worker already tallied the primary
+				// as resolved at rung 1.
+				if r := w.Ladder[obs.LadderPredicted]; r.Resolved != 1 {
 					t.Errorf("shadow ran before the primary's rung-1 resolution was recorded: %+v", r)
 				}
 				return true, nil // agree with the primary verdict
 			}
 
-			w := ladderWorker(ev, compiled, prof, time.Time{})
 			w.rng = newShadowRNG(1, 0)
 			got, err := e.evaluateOne(w, 0)
 			if err != nil {
@@ -123,13 +122,13 @@ func TestShadowRungOneOnly(t *testing.T) {
 				t.Errorf("shadow hook ran %d times, want %d", shadowCalls, tc.wantShadow)
 			}
 			// The worker's counters (folded into Result.ShadowModeRuns by
-			// mergeInto) and the profile's RecordShadow data agree.
-			if w.shadowModeRuns != tc.wantShadow {
-				t.Errorf("shadowModeRuns = %d, want %d", w.shadowModeRuns, tc.wantShadow)
+			// mergeInto) and the audit records it files at exit agree.
+			if w.shadowModeRuns != tc.wantShadow || w.shadowPlanRuns != 0 || w.shadowTimeouts != 0 {
+				t.Errorf("shadow runs mode/plan/censored = %d/%d/%d, want %d/0/0",
+					w.shadowModeRuns, w.shadowPlanRuns, w.shadowTimeouts, tc.wantShadow)
 			}
-			if snap := prof.Snapshot(); snap.ShadowModeRuns != tc.wantShadow || snap.ShadowPlanRuns != 0 || snap.ShadowTimeouts != 0 {
-				t.Errorf("profile shadow runs mode/plan/censored = %d/%d/%d, want %d/0/0",
-					snap.ShadowModeRuns, snap.ShadowPlanRuns, snap.ShadowTimeouts, tc.wantShadow)
+			if int64(len(w.audits)) != tc.wantShadow {
+				t.Errorf("%d audit records pending, want %d", len(w.audits), tc.wantShadow)
 			}
 		})
 	}
@@ -148,10 +147,11 @@ func TestShadowMismatchDetection(t *testing.T) {
 		e.opts.ShadowRate = 1
 		e.evalHook = func(state int, mode psi.Mode, planIdx int) (bool, error) { return true, nil }
 		e.shadowHook = func(mode psi.Mode, planIdx int) (bool, error) { return false, nil } // contradict
-		w := ladderWorker(ev, compiled, nil, time.Time{})
+		w := ladderWorker(ev, compiled, time.Time{})
 		w.rng = newShadowRNG(1, 0)
 		before := obs.DefaultModelStats.Snapshot().ShadowMismatches
 		got, err := e.evaluateOne(w, 0)
+		e.flushDecisions(w) // as the worker's exit does
 		return got, err, obs.DefaultModelStats.Snapshot().ShadowMismatches - before
 	}
 
