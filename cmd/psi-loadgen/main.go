@@ -62,6 +62,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	repro "repro"
@@ -496,7 +497,9 @@ func clientTimeout(timeoutMS int64) time.Duration {
 }
 
 // driveClosed runs cfg.concurrency workers, each keeping exactly one
-// request in flight until the budget (count or clock) runs out.
+// request in flight until the budget (count or clock) runs out. One
+// counter hands out the request indices 0, 1, 2, … across the workers,
+// so every index is sent exactly once whatever the scheduling.
 func driveClosed(cfg config, client *http.Client, base string, wire []server.QueryJSON, st *stats) error {
 	ctx := context.Background()
 	if cfg.requests == 0 {
@@ -504,31 +507,20 @@ func driveClosed(cfg config, client *http.Client, base string, wire []server.Que
 		ctx, cancel = context.WithTimeout(ctx, cfg.duration)
 		defer cancel()
 	}
-	// Tickets bound the total when -requests is set; each send consumes
-	// one. With -duration the channel is effectively unbounded and the
-	// context ends the run.
-	tickets := make(chan struct{}, cfg.requests)
-	for i := 0; i < cfg.requests; i++ {
-		tickets <- struct{}{}
-	}
-	close(tickets)
-
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.concurrency; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := w; ; i++ {
-				if cfg.requests > 0 {
-					if _, ok := <-tickets; !ok {
-						return
-					}
-				} else if ctx.Err() != nil {
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if cfg.requests > 0 && i >= cfg.requests {
 					return
 				}
 				sendOne(cfg, client, base, wire, i, st)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	return nil

@@ -3,16 +3,23 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
+	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	repro "repro"
 	"repro/internal/graph"
+	"repro/internal/graph/graphtest"
 	"repro/internal/server"
 	"repro/internal/smartpsi"
+	"repro/internal/workload"
 )
 
 const testGraph = `t # 0
@@ -151,7 +158,7 @@ func TestOpenLoopAndBatch(t *testing.T) {
 // query, so a Workers=1/queue=0 server must shed concurrent load.
 type slowEval struct{ delay time.Duration }
 
-func (e *slowEval) EvaluateBudget(q graph.Query, deadline time.Time) (*smartpsi.Result, error) {
+func (e *slowEval) EvaluateTagged(graph.Query, time.Time, string, string) (*smartpsi.Result, error) {
 	time.Sleep(e.delay)
 	return &smartpsi.Result{Bindings: []graph.NodeID{0}}, nil
 }
@@ -249,4 +256,82 @@ func closeTo(got, want float64) bool {
 		diff = -diff
 	}
 	return diff < 1e-9
+}
+
+// recordArrivals serves /v1/psi with an empty answer and counts each
+// wire query that arrives, keyed by its JSON encoding.
+func recordArrivals(t *testing.T) (addr string, arrivals func() map[string]int) {
+	t.Helper()
+	var mu sync.Mutex
+	seen := make(map[string]int)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/psi", func(w http.ResponseWriter, r *http.Request) {
+		var req server.PSIRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Query == nil {
+			http.Error(w, "bad request", http.StatusBadRequest)
+			return
+		}
+		key, _ := json.Marshal(req.Query)
+		mu.Lock()
+		seen[string(key)]++
+		mu.Unlock()
+		_, _ = w.Write([]byte(`{"bindings":[]}`))
+	})
+	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write([]byte(`{}`))
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts.Listener.Addr().String(), func() map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(seen)
+	}
+}
+
+// TestClosedLoopSendsEachIndexOnce: the closed loop's workers share one
+// request counter, so with N requests over N queries every query
+// arrives exactly once, and a Zipfian mix sends the same multiset of
+// queries at any concurrency.
+func TestClosedLoopSendsEachIndexOnce(t *testing.T) {
+	const n = 60
+	gp := filepath.Join(t.TempDir(), "g.lg")
+	if err := graph.SaveLG(gp, graphtest.Random(300, 900, 4, 11)); err != nil {
+		t.Fatal(err)
+	}
+	g, err := repro.LoadGraph(gp) // the graph as psi-loadgen reads it
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := workload.ExtractQueries(g, 4, n, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]int)
+	for _, q := range qs {
+		qj := server.QueryToJSON(q)
+		key, _ := json.Marshal(&qj)
+		want[string(key)]++
+	}
+
+	drive := func(concurrency int, skew string) map[string]int {
+		addr, arrivals := recordArrivals(t)
+		cfg := baseConfig(addr, gp)
+		cfg.querySize, cfg.queries, cfg.requests = 4, n, n
+		cfg.concurrency, cfg.skew = concurrency, skew
+		var out bytes.Buffer
+		if err := run(cfg, &out); err != nil {
+			t.Fatalf("run: %v\noutput:\n%s", err, out.String())
+		}
+		return arrivals()
+	}
+
+	if got := drive(4, ""); !maps.Equal(got, want) {
+		t.Errorf("-concurrency 4 sent %d distinct queries, want each of the %d queries once", len(got), n)
+	}
+	serial, parallel := drive(1, "zipf:1.1"), drive(4, "zipf:1.1")
+	if !maps.Equal(serial, parallel) {
+		t.Errorf("-skew zipf:1.1 sent another multiset at -concurrency 4 (%d distinct queries) than at -concurrency 1 (%d)",
+			len(parallel), len(serial))
+	}
 }

@@ -61,7 +61,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -92,14 +91,13 @@ func main() {
 		seed           = flag.Int64("seed", 42, "engine sampling seed")
 		shadowRate     = flag.Float64("shadow-rate", 0, "model-decision audit sampling rate in [0,1] (see /modelz)")
 
-		shards       = flag.Int("shards", 0, "run an in-process scatter-gather cluster of N shards (0: single engine)")
-		partitioner  = flag.String("partitioner", "label-hash", "shard ownership partitioner: label-hash or degree")
-		shardWorkers = flag.Int("shard-workers", 0, "per-shard evaluation workers in -shards mode (0: match -workers)")
-		shardOf      = flag.Int("shard-of", 0, "serve as one node of an N-shard fleet (requires -shard-index)")
-		shardIndex   = flag.Int("shard-index", -1, "this node's shard index in [0, shard-of)")
-		coordinator  = flag.Bool("coordinator", false, "serve as a fleet coordinator scattering to -shard-addrs (no -graph needed)")
-		shardAddrs   = flag.String("shard-addrs", "", "comma-separated shard node addresses in shard-index order (coordinator mode)")
-		shardProbe   = flag.Duration("shard-probe", 2*time.Second, "coordinator health-probe interval for per-shard /readyz rows")
+		shards      = flag.Int("shards", 0, "run an in-process scatter-gather cluster of N shards (0: single engine)")
+		partitioner = flag.String("partitioner", "label-hash", "shard ownership partitioner: label-hash or degree")
+		shardOf     = flag.Int("shard-of", 0, "serve as one node of an N-shard fleet (requires -shard-index)")
+		shardIndex  = flag.Int("shard-index", -1, "this node's shard index in [0, shard-of)")
+		coordinator = flag.Bool("coordinator", false, "serve as a fleet coordinator scattering to -shard-addrs (no -graph needed)")
+		shardAddrs  = flag.String("shard-addrs", "", "comma-separated shard node addresses in shard-index order (coordinator mode)")
+		shardProbe  = flag.Duration("shard-probe", 2*time.Second, "coordinator health-probe interval for per-shard /readyz rows")
 
 		sampleInterval = flag.Duration("sample-interval", time.Second, "metrics sampling interval for /seriesz and /alertz (0: disable sampling and SLO alerting)")
 		seriesSamples  = flag.Int("series-samples", 0, "ring-buffer capacity per metric series (0: default 128)")
@@ -127,7 +125,7 @@ func main() {
 		maxBatch: *maxBatch, maxQueryNodes: *maxQueryNodes,
 		retryAfter: *retryAfter, drainTimeout: *drainTimeout,
 		threads: *threads, seed: *seed, shadowRate: *shadowRate,
-		shards: *shards, partitioner: *partitioner, shardWorkers: *shardWorkers,
+		shards: *shards, partitioner: *partitioner,
 		shardOf: *shardOf, shardIndex: *shardIndex,
 		coordinator: *coordinator, shardAddrs: *shardAddrs, shardProbe: *shardProbe,
 		sampleInterval: *sampleInterval, seriesSamples: *seriesSamples,
@@ -160,14 +158,13 @@ type config struct {
 	seed               int64
 	shadowRate         float64
 
-	shards       int    // >0: in-process scatter-gather cluster
-	partitioner  string // label-hash | degree
-	shardWorkers int    // 0: match the server worker count
-	shardOf      int    // >0: fleet shard node of N
-	shardIndex   int    // this node's index in [0, shardOf)
-	coordinator  bool   // fleet coordinator mode
-	shardAddrs   string // comma-separated shard addresses
-	shardProbe   time.Duration
+	shards      int    // >0: in-process scatter-gather cluster
+	partitioner string // label-hash | degree
+	shardOf     int    // >0: fleet shard node of N
+	shardIndex  int    // this node's index in [0, shardOf)
+	coordinator bool   // fleet coordinator mode
+	shardAddrs  string // comma-separated shard addresses
+	shardProbe  time.Duration
 
 	sampleInterval  time.Duration // 0: no sampler, no SLO alerting
 	seriesSamples   int
@@ -272,19 +269,7 @@ func buildEvaluator(cfg config, g *graph.Graph, logger *slog.Logger) (server.Eva
 		return coord, nil
 
 	case cfg.shards > 0:
-		pool := cfg.shardWorkers
-		if pool == 0 {
-			pool = cfg.workers
-		}
-		if pool == 0 {
-			pool = runtime.GOMAXPROCS(0)
-		}
-		cluster, err := shard.NewCluster(g, shard.Options{
-			Shards:   cfg.shards,
-			Strategy: strat,
-			Workers:  pool,
-			Engine:   engOpts,
-		})
+		cluster, err := shard.NewCluster(g, shard.Options{Shards: cfg.shards, Strategy: strat, Engine: engOpts})
 		if err != nil {
 			return nil, err
 		}
@@ -293,8 +278,7 @@ func buildEvaluator(cfg config, g *graph.Graph, logger *slog.Logger) (server.Eva
 		for _, st := range cluster.ShardStatuses() {
 			logger.Info("shard warm", "shard", st.Index, "owned_nodes", st.OwnedNodes)
 		}
-		logger.Info("cluster armed", "shards", cfg.shards,
-			"partitioner", strat.String(), "workers_per_shard", pool)
+		logger.Info("cluster armed", "shards", cfg.shards, "partitioner", strat.String())
 		return cluster, nil
 
 	case cfg.shardOf > 0:

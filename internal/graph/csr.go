@@ -11,8 +11,8 @@ package graph
 //
 // The caller is trusted: nothing is checked beyond what the derived-
 // state rebuild touches. Callers ingesting untrusted data must call
-// (*Graph).Validate (as ReadBinary does) or enable package invariant's
-// deep checking. The input slices are retained, not copied.
+// (*Graph).Validate or enable package invariant's deep checking. The
+// input slices are retained, not copied.
 func FromCSR(labels []Label, offsets []int64, adj []NodeID, edgeLabels []Label, numLabels int) *Graph {
 	g := &Graph{
 		labels:     labels,

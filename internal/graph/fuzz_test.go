@@ -21,7 +21,7 @@ func encode(write func(io.Writer, *graph.Graph) error, g *graph.Graph) []byte {
 
 // fuzzSeedGraphs returns small valid graphs covering the codec feature
 // space: node labels, edge labels, isolated nodes, multiple components.
-func fuzzSeedGraphs(edgeLabels bool) []*graph.Graph {
+func fuzzSeedGraphs() []*graph.Graph {
 	var out []*graph.Graph
 
 	// Labeled triangle plus an isolated node.
@@ -35,18 +35,12 @@ func fuzzSeedGraphs(edgeLabels bool) []*graph.Graph {
 	}
 	out = append(out, b.MustBuild())
 
-	// Two-component path with edge labels (when the codec supports them).
+	// Two-component path with edge labels.
 	b = graph.NewBuilder(5, 3)
 	p0, p1, p2 := b.AddNode(1), b.AddNode(1), b.AddNode(0)
 	q0, q1 := b.AddNode(2), b.AddNode(2)
 	addEdge := func(u, v graph.NodeID, l graph.Label) {
-		var err error
-		if edgeLabels {
-			err = b.AddLabeledEdge(u, v, l)
-		} else {
-			err = b.AddEdge(u, v)
-		}
-		if err != nil {
+		if err := b.AddLabeledEdge(u, v, l); err != nil {
 			panic(err)
 		}
 	}
@@ -63,75 +57,6 @@ func fuzzSeedGraphs(edgeLabels bool) []*graph.Graph {
 	return out
 }
 
-// unlabel rebuilds g with every node label forced to 0 so it fits the
-// unlabeled edge-list format.
-func unlabel(g *graph.Graph) *graph.Graph {
-	b := graph.NewBuilder(g.NumNodes(), int(g.NumEdges()))
-	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
-		b.AddNode(0)
-	}
-	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
-		for _, v := range g.Neighbors(u) {
-			if u < v {
-				if err := b.AddEdge(u, v); err != nil {
-					panic(err)
-				}
-			}
-		}
-	}
-	return b.MustBuild()
-}
-
-// roundTrip asserts parse(write(g)) == g for one codec and one already-
-// parsed graph.
-func roundTrip(t *testing.T, g *graph.Graph,
-	write func(io.Writer, *graph.Graph) error,
-	parse func(io.Reader) (*graph.Graph, error)) {
-	t.Helper()
-	if err := g.Validate(); err != nil {
-		t.Fatalf("parsed graph fails validation: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := write(&buf, g); err != nil {
-		t.Fatalf("writing parsed graph: %v", err)
-	}
-	g2, err := parse(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("reparsing serialized graph: %v", err)
-	}
-	if !graph.Equal(g, g2) {
-		t.Fatalf("round trip changed the graph: %d nodes/%d edges -> %d nodes/%d edges",
-			g.NumNodes(), g.NumEdges(), g2.NumNodes(), g2.NumEdges())
-	}
-	// Serialization must be deterministic.
-	var buf2 bytes.Buffer
-	if err := write(&buf2, g2); err != nil {
-		t.Fatalf("re-writing graph: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatalf("serialization is not deterministic (%d vs %d bytes)", buf.Len(), buf2.Len())
-	}
-}
-
-// FuzzEdgeListRoundTrip feeds arbitrary bytes to the edge-list parser;
-// whatever parses must survive write+reparse unchanged.
-func FuzzEdgeListRoundTrip(f *testing.F) {
-	f.Add([]byte("# nodes 5\n0\t1\n1\t2\n"))
-	f.Add([]byte("0 1\n0 2\n1 2\n3 4\n"))
-	f.Add([]byte("# nodes 0\n"))
-	for _, g := range fuzzSeedGraphs(false) {
-		f.Add(encode(graph.WriteEdgeList, unlabel(g)))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		invariant.Enable(true)
-		g, err := graph.ParseEdgeList(bytes.NewReader(data))
-		if err != nil {
-			t.Skip()
-		}
-		roundTrip(t, g, graph.WriteEdgeList, graph.ParseEdgeList)
-	})
-}
-
 // FuzzLGRoundTrip checks the labeled LG text codec. Labels are interned
 // strings, and reparsing can renumber them (edges serialize in sorted
 // order, not intern order), so the property is a serialization fixpoint:
@@ -140,7 +65,7 @@ func FuzzEdgeListRoundTrip(f *testing.F) {
 func FuzzLGRoundTrip(f *testing.F) {
 	f.Add([]byte("t # 0\nv 0 a\nv 1 b\ne 0 1 x\n"))
 	f.Add([]byte("v 0 a\nv 1 a\nv 2 b\ne 2 1 x\ne 0 1\n"))
-	for _, g := range fuzzSeedGraphs(true) {
+	for _, g := range fuzzSeedGraphs() {
 		f.Add(encode(graph.WriteLG, g))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -177,22 +102,5 @@ func FuzzLGRoundTrip(f *testing.F) {
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("LG serialization is not a fixpoint (%d vs %d bytes)", first.Len(), second.Len())
 		}
-	})
-}
-
-// FuzzBinaryRoundTrip is the same property for the binary CSR codec,
-// which additionally must reject corrupt input rather than build an
-// inconsistent graph (roundTrip re-validates).
-func FuzzBinaryRoundTrip(f *testing.F) {
-	for _, g := range fuzzSeedGraphs(true) {
-		f.Add(encode(graph.WriteBinary, g))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		invariant.Enable(true)
-		g, err := graph.ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			t.Skip()
-		}
-		roundTrip(t, g, graph.WriteBinary, graph.ReadBinary)
 	})
 }

@@ -5,8 +5,8 @@
 // Checking is off by default and costs one atomic load per call site.
 // Enable it with the PSI_INVARIANTS environment variable (any non-empty
 // value), the `psi_invariants` build tag, or Enable(true) from tests.
-// With checking enabled, graph.Builder.Build and graph.ReadBinary run
-// CheckGraph on every graph they produce (wired through
+// With checking enabled, graph.Builder.Build runs CheckGraph on every
+// graph it produces (wired through
 // graph.RegisterBuildCheck), package signature validates every built
 // signature set, package dyngraph revalidates maintained rows after
 // mutations, and both PSI evaluators verify each full mapping they find

@@ -33,11 +33,6 @@ var (
 	PSIDeadlineHits = Default.Counter("psi_deadline_aborts_total", "evaluations aborted by a deadline")
 	PSIStopHits     = Default.Counter("psi_stop_aborts_total", "evaluations aborted by a stop flag (two-threaded racing)")
 
-	// --- package psi: EvaluateAllParallel worker pool ---
-
-	PSIParallelWorkers = Default.Gauge("psi_parallel_workers", "live EvaluateAllParallel workers")
-	PSIParallelRuns    = Default.Counter("psi_parallel_runs_total", "EvaluateAllParallel invocations")
-
 	// --- package smartpsi: engine, models, cache, preemption ---
 
 	SmartEngineBuilds  = Default.Counter("smartpsi_engine_builds_total", "engines constructed (signature startup phases)")

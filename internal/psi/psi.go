@@ -96,7 +96,7 @@ type Stats struct {
 }
 
 // Add accumulates other into s. It is the single canonical Stats merge:
-// worker pools (EvaluateAllParallel, smartpsi's candidate workers) must
+// worker pools (smartpsi's candidate workers) must
 // use it rather than ad-hoc field adds, so that a new field added here
 // propagates everywhere (TestObsStatsMergeCoversAllFields enforces the
 // field coverage).

@@ -21,7 +21,7 @@ import (
 // the scatter extension so a script can also return a partial gather.
 type scriptedEval func() (*shard.Gather, error)
 
-func (f scriptedEval) EvaluateBudget(graph.Query, time.Time) (*smartpsi.Result, error) {
+func (f scriptedEval) EvaluateTagged(graph.Query, time.Time, string, string) (*smartpsi.Result, error) {
 	g, err := f()
 	if err != nil {
 		return nil, err

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/psi"
 	"repro/internal/shard"
 	"repro/internal/smartpsi"
 )
@@ -190,81 +191,52 @@ func (c *Coordinator) probeOne(i int) (st shard.Status, misplaced string) {
 	return st, ""
 }
 
-// EvaluateBudget satisfies the plain Evaluator interface.
-func (c *Coordinator) EvaluateBudget(q graph.Query, deadline time.Time) (*smartpsi.Result, error) {
-	g, err := c.EvaluateScatter(q, deadline, "", "")
+// EvaluateTagged satisfies the Evaluator interface with the gather's
+// merged result.
+func (c *Coordinator) EvaluateTagged(q graph.Query, deadline time.Time, requestID, fingerprint string) (*smartpsi.Result, error) {
+	g, err := c.EvaluateScatter(q, deadline, requestID, fingerprint)
 	if err != nil {
 		return nil, err
 	}
 	return g.Res, nil
 }
 
-// EvaluateScatter POSTs the query to every shard node concurrently and
-// merges the answers under the shared shard.Merge degradation
-// semantics.
-func (c *Coordinator) EvaluateScatter(q graph.Query, deadline time.Time, requestID, fingerprint string) (*shard.Gather, error) {
-	start := time.Now()
-	obs.ShardScatters.Inc()
-	shardDeadline := shard.SliceDeadline(deadline)
-	outcomes := make([]shard.Outcome, len(c.addrs))
-	results := make([]*smartpsi.Result, len(c.addrs))
+// EvaluateScatter POSTs the query to every shard node through
+// shard.Scatter, so the fan-out, its metrics and its degradation
+// semantics are the in-process Cluster's.
+func (c *Coordinator) EvaluateScatter(q graph.Query, deadline time.Time, requestID, _ string) (*shard.Gather, error) {
 	qj := QueryToJSON(q)
-	var wg sync.WaitGroup
-	for i := range c.addrs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c.metrics[i].Queries.Inc()
-			t0 := time.Now()
-			res, o := c.callShard(i, qj, shardDeadline, requestID)
-			o.Shard = i
-			o.Elapsed = time.Since(t0)
-			c.metrics[i].Seconds.ObserveSeconds(o.Elapsed.Seconds())
-			switch {
-			case o.TimedOut:
-				c.metrics[i].Timeouts.Inc()
-			case o.Err != "":
-				c.metrics[i].Errors.Inc()
-			default:
-				o.Bindings = len(res.Bindings)
-				results[i] = res
-			}
-			outcomes[i] = o
-		}(i)
-	}
-	wg.Wait()
-	return shard.Merge(outcomes, results, start)
+	return shard.Scatter(c.metrics, deadline, func(i int, d time.Time) (*smartpsi.Result, error) {
+		return c.callShard(i, qj, d, requestID)
+	})
 }
 
-// callShard runs one sub-query against shard i and classifies the
-// outcome: 200 -> answered, 504 -> timed out, anything else (transport
-// errors included) -> errored. A misplaced shard is not asked.
-func (c *Coordinator) callShard(i int, qj QueryJSON, deadline time.Time, requestID string) (*smartpsi.Result, shard.Outcome) {
-	var o shard.Outcome
+// callShard runs one sub-query against shard i: a 200 is the shard's
+// result; a 504, a budget under 1 ms or a transport timeout is
+// psi.ErrDeadline; anything else is an error. A misplaced shard is not
+// asked.
+func (c *Coordinator) callShard(i int, qj QueryJSON, deadline time.Time, requestID string) (*smartpsi.Result, error) {
 	c.mu.Lock()
-	o.Err = c.misplaced[i]
+	misplaced := c.misplaced[i]
 	c.mu.Unlock()
-	if o.Err != "" {
-		return nil, o
+	if misplaced != "" {
+		return nil, errors.New(misplaced)
 	}
 	body := PSIRequest{Query: &qj}
 	if !deadline.IsZero() {
 		ms := time.Until(deadline).Milliseconds()
 		if ms < 1 {
-			o.TimedOut = true
-			return nil, o
+			return nil, psi.ErrDeadline
 		}
 		body.TimeoutMS = ms
 	}
 	buf, err := json.Marshal(body)
 	if err != nil {
-		o.Err = err.Error()
-		return nil, o
+		return nil, err
 	}
 	req, err := http.NewRequest(http.MethodPost, c.addrs[i]+"/v1/psi", bytes.NewReader(buf))
 	if err != nil {
-		o.Err = err.Error()
-		return nil, o
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if requestID != "" {
@@ -281,34 +253,30 @@ func (c *Coordinator) callShard(i int, qj QueryJSON, deadline time.Time, request
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		if isDeadlineErr(err) {
-			o.TimedOut = true
-		} else {
-			o.Err = err.Error()
+		// A *url.Error is a Timeout when its cause is: a net timeout or
+		// the request context's deadline.
+		if t, ok := err.(interface{ Timeout() bool }); ok && t.Timeout() {
+			return nil, psi.ErrDeadline
 		}
-		return nil, o
+		return nil, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
 	if err != nil {
-		o.Err = err.Error()
-		return nil, o
+		return nil, err
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusGatewayTimeout:
-		o.TimedOut = true
-		return nil, o
+		return nil, psi.ErrDeadline
 	default:
-		o.Err = fmt.Sprintf("status %d: %s", resp.StatusCode, errorMessage(raw))
-		return nil, o
+		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, errorMessage(raw))
 	}
 	var qr QueryResult
 	if err := json.Unmarshal(raw, &qr); err != nil {
-		o.Err = fmt.Sprintf("bad shard response: %v", err)
-		return nil, o
+		return nil, fmt.Errorf("bad shard response: %v", err)
 	}
-	return resultFromJSON(&qr), o
+	return resultFromJSON(&qr), nil
 }
 
 // resultFromJSON lifts a shard node's wire result back into engine-
@@ -343,15 +311,4 @@ func errorMessage(raw []byte) string {
 		s = s[:200]
 	}
 	return s
-}
-
-// isDeadlineErr reports whether a transport error is a timeout.
-func isDeadlineErr(err error) bool {
-	if err == nil {
-		return false
-	}
-	if t, ok := err.(interface{ Timeout() bool }); ok && t.Timeout() {
-		return true
-	}
-	return errors.Is(err, context.DeadlineExceeded)
 }

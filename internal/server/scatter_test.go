@@ -23,8 +23,8 @@ type fakeScatterEval struct {
 	err    error
 }
 
-func (f *fakeScatterEval) EvaluateBudget(q graph.Query, deadline time.Time) (*smartpsi.Result, error) {
-	g, err := f.EvaluateScatter(q, deadline, "", "")
+func (f *fakeScatterEval) EvaluateTagged(q graph.Query, deadline time.Time, requestID, fingerprint string) (*smartpsi.Result, error) {
+	g, err := f.EvaluateScatter(q, deadline, requestID, fingerprint)
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,7 @@
 // tail latency bounded under overload instead of letting the queue grow
 // without bound. The per-request deadline (timeout_ms, clamped to
 // MaxTimeout) covers the admission wait and is propagated into the
-// preemptive executor's global budget (smartpsi.EvaluateBudget), so a
+// preemptive executor's global budget (Evaluator.EvaluateTagged), so a
 // deadline doesn't just abandon the response — it stops the evaluation
 // itself (504). A panic while evaluating one request is recovered into a
 // 500 for that request only. Drain flips readiness, rejects new work
@@ -73,20 +73,13 @@ import (
 )
 
 // Evaluator is the query-evaluation dependency of the server:
-// *smartpsi.Engine in production, fakes in the tests. EvaluateBudget
+// *smartpsi.Engine in production, fakes in the tests. EvaluateTagged
 // must honor the deadline by aborting with psi.ErrDeadline (wrapped or
-// not) and must be safe for concurrent calls.
+// not) and must be safe for concurrent calls. It receives the serving
+// request ID and the shape fingerprint the server computed at admission
+// ("" when workload analytics is off), so the profile and decision-log
+// records carry the same keys the access log and /queryz group by.
 type Evaluator interface {
-	EvaluateBudget(q graph.Query, deadline time.Time) (*smartpsi.Result, error)
-}
-
-// taggedEvaluator is the optional extension implemented by evaluators
-// (smartpsi.Engine, shard.Node) that thread the serving request ID and
-// the shape fingerprint the server computed at admission into their
-// profile and decision-log telemetry, so those records carry the same
-// keys the access log and /queryz group by. Plain Evaluators still work;
-// they just produce uncorrelated records.
-type taggedEvaluator interface {
 	EvaluateTagged(q graph.Query, deadline time.Time, requestID, fingerprint string) (*smartpsi.Result, error)
 }
 
@@ -106,10 +99,9 @@ type shardStatusProvider interface {
 
 var (
 	_ Evaluator        = (*smartpsi.Engine)(nil)
-	_ taggedEvaluator  = (*smartpsi.Engine)(nil)
+	_ Evaluator        = (*shard.Node)(nil)
 	_ scatterEvaluator = (*shard.Cluster)(nil)
 	_ Evaluator        = (*shard.Cluster)(nil)
-	_ taggedEvaluator  = (*shard.Node)(nil)
 )
 
 // evalFunc is the one shape every evaluator is called through, resolved
@@ -117,25 +109,18 @@ var (
 // with no shard outcomes.
 type evalFunc func(q graph.Query, deadline time.Time, requestID, fingerprint string) (*shard.Gather, error)
 
-// resolveEvaluator picks the richest call eval supports.
+// resolveEvaluator calls a scatter evaluator for its gather and wraps
+// any other evaluator's result in a gather of its own.
 func resolveEvaluator(eval Evaluator) evalFunc {
-	lone := func(res *smartpsi.Result, err error) (*shard.Gather, error) {
+	if ev, ok := eval.(scatterEvaluator); ok {
+		return ev.EvaluateScatter
+	}
+	return func(q graph.Query, deadline time.Time, requestID, fingerprint string) (*shard.Gather, error) {
+		res, err := eval.EvaluateTagged(q, deadline, requestID, fingerprint)
 		if err != nil {
 			return nil, err
 		}
 		return &shard.Gather{Res: res}, nil
-	}
-	switch ev := eval.(type) {
-	case scatterEvaluator:
-		return ev.EvaluateScatter
-	case taggedEvaluator:
-		return func(q graph.Query, deadline time.Time, requestID, fingerprint string) (*shard.Gather, error) {
-			return lone(ev.EvaluateTagged(q, deadline, requestID, fingerprint))
-		}
-	default:
-		return func(q graph.Query, deadline time.Time, _, _ string) (*shard.Gather, error) {
-			return lone(eval.EvaluateBudget(q, deadline))
-		}
 	}
 }
 
@@ -572,7 +557,7 @@ func classify(err error) verdict {
 		// Client disconnected while queued; nobody is listening.
 		return verdict{status: http.StatusGatewayTimeout, msg: "request cancelled"}
 	case errors.Is(err, psi.ErrDeadline):
-		// The executor has already stopped: EvaluateBudget aborts the
+		// The executor has already stopped: the evaluator aborts the
 		// search itself.
 		return verdict{http.StatusGatewayTimeout, "query deadline exceeded", obs.WorkloadOutcomeDeadline, obs.ServerDeadlineHits}
 	case errors.Is(err, errPanic):

@@ -39,7 +39,7 @@ func (f *fakeEval) snapshotCalls() int {
 	return f.calls
 }
 
-func (f *fakeEval) EvaluateBudget(q graph.Query, deadline time.Time) (*smartpsi.Result, error) {
+func (f *fakeEval) EvaluateTagged(q graph.Query, deadline time.Time, _, _ string) (*smartpsi.Result, error) {
 	f.mu.Lock()
 	f.calls++
 	block, panics, res := f.block, f.panicOn, f.result

@@ -30,7 +30,7 @@ func (f *taggedFake) EvaluateTagged(q graph.Query, deadline time.Time, requestID
 	f.lastFingerprint = fingerprint
 	f.lastRequestID = requestID
 	f.mu.Unlock()
-	return f.EvaluateBudget(q, deadline)
+	return f.fakeEval.EvaluateTagged(q, deadline, requestID, fingerprint)
 }
 
 var fingerprintRE = regexp.MustCompile(`^[0-9a-f]{16}$`)

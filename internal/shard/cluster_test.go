@@ -102,8 +102,8 @@ func TestClusterEquivalence(t *testing.T) {
 							seed, strat, n, i, gth.Res.Candidates, candidates[i])
 					}
 					perShard := 0
-					for _, w := range c.workers {
-						res, err := w.eval.EvaluateTagged(q, time.Time{}, "", "")
+					for _, ev := range c.evals {
+						res, err := ev.EvaluateTagged(q, time.Time{}, "", "")
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -238,7 +238,7 @@ func TestClusterPartialOnShardError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c.workers[1].eval = fakeEval{err: errors.New("shard exploded")}
+	c.evals[1] = fakeEval{err: errors.New("shard exploded")}
 	gth, err := c.EvaluateScatter(q, time.Time{}, "", "")
 	if err != nil {
 		t.Fatalf("partial scatter should succeed, got %v", err)
@@ -270,15 +270,15 @@ func TestClusterAllShardsLost(t *testing.T) {
 	defer c.Close()
 	q := testQueries(t, g, 1, 9)[0]
 
-	for i := range c.workers {
-		c.workers[i].eval = fakeEval{err: errors.New("down")}
+	for i := range c.evals {
+		c.evals[i] = fakeEval{err: errors.New("down")}
 	}
 	if _, err := c.EvaluateScatter(q, time.Time{}, "", ""); err == nil {
 		t.Fatal("all shards failed but scatter returned no error")
 	}
 
-	for i := range c.workers {
-		c.workers[i].eval = fakeEval{err: psi.ErrDeadline}
+	for i := range c.evals {
+		c.evals[i] = fakeEval{err: psi.ErrDeadline}
 	}
 	if _, err := c.EvaluateScatter(q, time.Time{}, "", ""); !errors.Is(err, psi.ErrDeadline) {
 		t.Fatalf("all-timeout scatter returned %v, want psi.ErrDeadline", err)

@@ -14,7 +14,8 @@ import (
 // global node ids as they stand and a coordinator unions shard responses
 // without translation. A `psi-serve -shard-of N -shard-index i` process
 // serves one (same wire format, admission and metrics as any server);
-// an in-process Cluster holds N of them over one shared engine.
+// an in-process Cluster holds N of them over one shared engine and
+// scatters to them through the same Scatter a fleet coordinator uses.
 type Node struct {
 	eng       *smartpsi.Engine
 	index, of int
@@ -57,11 +58,6 @@ func (n *Node) ShardStatuses() []Status {
 		OwnedNodes: n.owned,
 		HaloNodes:  n.eng.Graph().NumNodes() - n.owned,
 	}}
-}
-
-// EvaluateBudget satisfies the plain server evaluator interface.
-func (n *Node) EvaluateBudget(q graph.Query, deadline time.Time) (*smartpsi.Result, error) {
-	return n.EvaluateTagged(q, deadline, "", "")
 }
 
 // EvaluateTagged evaluates the candidates this shard owns on the full

@@ -65,9 +65,7 @@ step "serving smoke (psi-serve + psi-loadgen: verify, overload shed, drain)"
 
 if [[ "$FUZZTIME" != "0" ]]; then
     step "fuzz smoke ($FUZZTIME per target)"
-    go test ./internal/graph/ -run '^$' -fuzz 'FuzzEdgeListRoundTrip' -fuzztime "$FUZZTIME"
     go test ./internal/graph/ -run '^$' -fuzz 'FuzzLGRoundTrip' -fuzztime "$FUZZTIME"
-    go test ./internal/graph/ -run '^$' -fuzz 'FuzzBinaryRoundTrip' -fuzztime "$FUZZTIME"
     go test ./internal/psi/ -run '^$' -fuzz 'FuzzMatchVsReference' -fuzztime "$FUZZTIME"
 fi
 
