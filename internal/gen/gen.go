@@ -72,8 +72,6 @@ func Generate(spec Spec) (*graph.Graph, error) {
 	}
 
 	slots := degreeSlots(spec, rng)
-	// Incremental adjacency for the triangle-closure step.
-	adj := make([][]graph.NodeID, n)
 	addEdge := func(u, v graph.NodeID) bool {
 		if u == v || b.HasEdge(u, v) {
 			return false
@@ -81,12 +79,7 @@ func Generate(spec Spec) (*graph.Graph, error) {
 		if spec.LabelHomophily > 0 && labels[u] != labels[v] && rng.Float64() < spec.LabelHomophily {
 			return false
 		}
-		if err := b.AddEdge(u, v); err != nil {
-			return false
-		}
-		adj[u] = append(adj[u], v)
-		adj[v] = append(adj[v], u)
-		return true
+		return b.AddEdge(u, v) == nil
 	}
 
 	misses := 0
@@ -94,13 +87,13 @@ func Generate(spec Spec) (*graph.Graph, error) {
 	for int64(b.NumEdges()) < spec.Edges && misses < maxMisses {
 		var ok bool
 		if spec.TriangleFrac > 0 && rng.Float64() < spec.TriangleFrac && b.NumEdges() > 0 {
-			// Close a wedge: pick a node with >=2 neighbors, join two of
-			// its neighbors.
+			// Close a wedge: pick a node with >=2 neighbors (so far, in
+			// insertion order), join two of its neighbors.
 			u := graph.NodeID(slots[rng.Intn(len(slots))])
-			if len(adj[u]) >= 2 {
-				i := rng.Intn(len(adj[u]))
-				j := rng.Intn(len(adj[u]))
-				ok = i != j && addEdge(adj[u][i], adj[u][j])
+			if nbrs := b.Neighbors(u); len(nbrs) >= 2 {
+				i := rng.Intn(len(nbrs))
+				j := rng.Intn(len(nbrs))
+				ok = i != j && addEdge(nbrs[i], nbrs[j])
 			}
 		} else {
 			u := graph.NodeID(slots[rng.Intn(len(slots))])

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -10,24 +12,20 @@ import (
 // Builder is ready to use. Node-level mistakes (negative labels) are
 // deferred and surface as an error from Build, so no Builder method
 // panics.
+//
+// Each edge is kept once per endpoint, in that endpoint's neighbour list,
+// which is also what Build copies into the CSR: there is no separate edge
+// list and no edge set.
 type Builder struct {
-	labels     []Label
-	src, dst   []NodeID
-	edgeLabels []Label
-	hasELabels bool
-	nodeTable  *LabelTable
-	edgeTable  *LabelTable
-	seen       map[edgeKey]struct{}
-	err        error // first deferred construction error
-}
-
-type edgeKey struct{ a, b NodeID }
-
-func normKey(u, v NodeID) edgeKey {
-	if u > v {
-		u, v = v, u
-	}
-	return edgeKey{u, v}
+	labels []Label
+	nbrs   [][]NodeID // nbrs[u]: u's neighbours in insertion order
+	// elabels[u] is aligned with nbrs[u]. It stays nil until some edge
+	// carries a label; then every list is back-filled with NoLabel.
+	elabels   [][]Label
+	numEdges  int
+	nodeTable *LabelTable
+	edgeTable *LabelTable
+	err       error // first deferred construction error
 }
 
 // NewBuilder returns a Builder expecting roughly the given node and edge
@@ -35,9 +33,7 @@ func normKey(u, v NodeID) edgeKey {
 func NewBuilder(nodeHint, edgeHint int) *Builder {
 	return &Builder{
 		labels: make([]Label, 0, nodeHint),
-		src:    make([]NodeID, 0, edgeHint),
-		dst:    make([]NodeID, 0, edgeHint),
-		seen:   make(map[edgeKey]struct{}, edgeHint),
+		nbrs:   make([][]NodeID, 0, nodeHint),
 	}
 }
 
@@ -53,6 +49,10 @@ func (b *Builder) AddNode(label Label) NodeID {
 		b.err = fmt.Errorf("graph: negative node label %d", label)
 	}
 	b.labels = append(b.labels, label)
+	b.nbrs = append(b.nbrs, nil)
+	if b.elabels != nil {
+		b.elabels = append(b.elabels, nil)
+	}
 	return NodeID(len(b.labels) - 1)
 }
 
@@ -60,12 +60,29 @@ func (b *Builder) AddNode(label Label) NodeID {
 func (b *Builder) NumNodes() int { return len(b.labels) }
 
 // NumEdges returns the number of edges added so far.
-func (b *Builder) NumEdges() int { return len(b.src) }
+func (b *Builder) NumEdges() int { return b.numEdges }
+
+// Neighbors returns the neighbours of u added so far, in insertion order
+// (nil for an unknown node). The caller must not modify it, and it is
+// valid only until the next AddEdge.
+func (b *Builder) Neighbors(u NodeID) []NodeID {
+	if u < 0 || int(u) >= len(b.nbrs) {
+		return nil
+	}
+	return b.nbrs[u]
+}
 
 // HasEdge reports whether the undirected edge (u, v) was already added.
+// It scans the shorter of the two endpoints' lists.
 func (b *Builder) HasEdge(u, v NodeID) bool {
-	_, ok := b.seen[normKey(u, v)]
-	return ok
+	n := NodeID(len(b.nbrs))
+	if u < 0 || u >= n || v < 0 || v >= n {
+		return false
+	}
+	if len(b.nbrs[u]) > len(b.nbrs[v]) {
+		u, v = v, u
+	}
+	return slices.Contains(b.nbrs[u], v)
 }
 
 // AddEdge adds the undirected unlabeled edge (u, v). It returns an error
@@ -85,17 +102,26 @@ func (b *Builder) AddLabeledEdge(u, v NodeID, l Label) error {
 	if u == v {
 		return fmt.Errorf("graph: self loop on node %d", u)
 	}
-	k := normKey(u, v)
-	if _, dup := b.seen[k]; dup {
+	if b.HasEdge(u, v) {
 		return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
 	}
-	b.seen[k] = struct{}{}
-	b.src = append(b.src, u)
-	b.dst = append(b.dst, v)
-	b.edgeLabels = append(b.edgeLabels, l)
-	if l != NoLabel {
-		b.hasELabels = true
+	if l != NoLabel && b.elabels == nil {
+		b.elabels = make([][]Label, len(b.nbrs))
+		for x, run := range b.nbrs {
+			el := make([]Label, len(run))
+			for i := range el {
+				el[i] = NoLabel
+			}
+			b.elabels[x] = el
+		}
 	}
+	b.nbrs[u] = append(b.nbrs[u], v)
+	b.nbrs[v] = append(b.nbrs[v], u)
+	if b.elabels != nil {
+		b.elabels[u] = append(b.elabels[u], l)
+		b.elabels[v] = append(b.elabels[v], l)
+	}
+	b.numEdges++
 	return nil
 }
 
@@ -127,56 +153,38 @@ func (b *Builder) Build() (*Graph, error) {
 		labels:     b.labels,
 		nodeLabels: b.nodeTable,
 		edgeTable:  b.edgeTable,
-		numEdges:   int64(len(b.src)),
+		numEdges:   int64(b.numEdges),
 	}
 
-	// Degree counting pass.
-	deg := make([]int64, n+1)
-	for i := range b.src {
-		deg[b.src[i]+1]++
-		deg[b.dst[i]+1]++
-	}
+	// Copy each neighbour list into its CSR run, releasing the list as it
+	// goes, and sort the run by (label, id) with edge labels aligned.
 	g.offsets = make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		g.offsets[i+1] = g.offsets[i] + deg[i+1]
-		if d := int32(deg[i+1]); d > g.maxDegree {
+	for u, run := range b.nbrs {
+		g.offsets[u+1] = g.offsets[u] + int64(len(run))
+		if d := int32(len(run)); d > g.maxDegree {
 			g.maxDegree = d
 		}
 	}
-
 	g.adj = make([]NodeID, g.offsets[n])
-	if b.hasELabels {
+	if b.elabels != nil {
 		g.edgeLabels = make([]Label, g.offsets[n])
 	}
-	cursor := make([]int64, n)
-	copy(cursor, g.offsets[:n])
-	place := func(u, v NodeID, l Label) {
-		p := cursor[u]
-		g.adj[p] = v
-		if g.edgeLabels != nil {
-			g.edgeLabels[p] = l
-		}
-		cursor[u] = p + 1
-	}
-	for i := range b.src {
-		place(b.src[i], b.dst[i], b.edgeLabels[i])
-		place(b.dst[i], b.src[i], b.edgeLabels[i])
-	}
-
-	// Sort each neighbor run by (label, id), keeping edge labels aligned.
 	for u := 0; u < n; u++ {
 		lo, hi := g.offsets[u], g.offsets[u+1]
 		run := g.adj[lo:hi]
+		copy(run, b.nbrs[u])
+		b.nbrs[u] = nil
 		if g.edgeLabels == nil {
-			sort.Slice(run, func(i, j int) bool {
-				li, lj := g.labels[run[i]], g.labels[run[j]]
-				if li != lj {
-					return li < lj
+			slices.SortFunc(run, func(a, b NodeID) int {
+				if c := cmp.Compare(g.labels[a], g.labels[b]); c != 0 {
+					return c
 				}
-				return run[i] < run[j]
+				return cmp.Compare(a, b)
 			})
 		} else {
 			el := g.edgeLabels[lo:hi]
+			copy(el, b.elabels[u])
+			b.elabels[u] = nil
 			sort.Sort(&pairedRun{ids: run, el: el, labels: g.labels})
 		}
 	}
@@ -202,7 +210,7 @@ func (b *Builder) Build() (*Graph, error) {
 		g.labelIndex[l] = append(g.labelIndex[l], NodeID(u))
 	}
 
-	b.src, b.dst, b.edgeLabels, b.seen = nil, nil, nil, nil
+	b.nbrs, b.elabels = nil, nil
 	if err := runBuildChecks(g); err != nil {
 		return nil, err
 	}

@@ -210,18 +210,27 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
-	// Second pass: sorting and symmetry.
+	// Second pass: sorting, which the reverse lookups below rely on.
 	for u := NodeID(0); int(u) < n; u++ {
 		run := g.Neighbors(u)
-		for i, w := range run {
-			if i > 0 {
-				p := run[i-1]
-				if g.labels[p] > g.labels[w] || (g.labels[p] == g.labels[w] && p >= w) {
-					return fmt.Errorf("graph: neighbors of %d not sorted by (label,id) at index %d", u, i)
-				}
+		for i := 1; i < len(run); i++ {
+			p, w := run[i-1], run[i]
+			if g.labels[p] > g.labels[w] || (g.labels[p] == g.labels[w] && p >= w) {
+				return fmt.Errorf("graph: neighbors of %d not sorted by (label,id) at index %d", u, i)
 			}
-			if !g.HasEdge(w, u) {
+		}
+	}
+	// Third pass: symmetry. Each half-edge (u,w) must appear in w's own
+	// run, with the same edge label.
+	for u := NodeID(0); int(u) < n; u++ {
+		for i, w := range g.Neighbors(u) {
+			j := g.neighborSearch(w, g.labels[u], u)
+			rev := g.Neighbors(w)
+			if j >= len(rev) || rev[j] != u {
 				return fmt.Errorf("graph: edge (%d,%d) missing its reverse", u, w)
+			}
+			if l, r := g.EdgeLabelAt(u, i), g.EdgeLabelAt(w, j); l != r {
+				return fmt.Errorf("graph: edge (%d,%d) has edge label %d, its reverse %d", u, w, l, r)
 			}
 		}
 	}

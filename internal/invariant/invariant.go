@@ -109,21 +109,23 @@ func CheckGraph(g *graph.Graph) error {
 	return nil
 }
 
-// SignatureView is the read surface of signature.Signatures (and of any
-// other node-major row store, e.g. dyngraph's maintained rows wrapped
-// via signature.FromDense). Defined here so this package stays a leaf
-// below package signature.
+// SignatureView is the read surface of signature.Signatures (including
+// dyngraph's maintained rows converted by signature.FromDense): rows of
+// exact uint32 counts of 2^-Depth. Defined here so this package stays a
+// leaf below package signature.
 type SignatureView interface {
 	NumNodes() int
 	Width() int
-	Row(graph.NodeID) []float64
+	Depth() int
+	Scaled(graph.NodeID) []uint32
 }
 
 // CheckSignatures validates a signature set against its graph: one row
-// per node, width at least the label alphabet, every weight finite and
-// non-negative, and each node's own label carrying weight >= 1 (the
-// propagation recurrences all seed a node with its own label at weight
-// 1 and only ever add non-negative terms).
+// per node, width at least the label alphabet, and each node's own label
+// carrying at least 2^Depth units, weight 1 (the propagation recurrences
+// all seed a node with its own label at weight 1 and only ever add
+// non-negative terms). Units are unsigned integers, so every weight is
+// finite, non-negative and dyadic by construction.
 func CheckSignatures(s SignatureView, g *graph.Graph) error {
 	if s.NumNodes() != g.NumNodes() {
 		return violationf("signature", "%d rows for %d nodes", s.NumNodes(), g.NumNodes())
@@ -131,22 +133,17 @@ func CheckSignatures(s SignatureView, g *graph.Graph) error {
 	if s.Width() < g.NumLabels() {
 		return violationf("signature", "width %d < label alphabet %d", s.Width(), g.NumLabels())
 	}
-	const eps = 1e-9
+	if d := s.Depth(); d < 0 || d > 31 {
+		return violationf("signature", "depth %d outside [0, 31]", d)
+	}
+	one := uint32(1) << s.Depth()
 	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
-		row := s.Row(u)
+		row := s.Scaled(u)
 		if len(row) != s.Width() {
 			return violationf("signature", "node %d row has %d entries, want %d", u, len(row), s.Width())
 		}
-		for l, w := range row {
-			if math.IsNaN(w) || math.IsInf(w, 0) {
-				return violationf("signature", "node %d label %d weight %v not finite", u, l, w)
-			}
-			if w < -eps {
-				return violationf("signature", "node %d label %d weight %v negative", u, l, w)
-			}
-		}
-		if own := row[g.Label(u)]; own < 1-eps {
-			return violationf("signature", "node %d own-label weight %v < 1", u, own)
+		if own := row[g.Label(u)]; own < one {
+			return violationf("signature", "node %d own-label weight %d units < 2^%d", u, own, s.Depth())
 		}
 	}
 	return nil
@@ -155,7 +152,7 @@ func CheckSignatures(s SignatureView, g *graph.Graph) error {
 // CheckKeyStability verifies that hashing the same row twice yields the
 // same cache key — the property the smartpsi prediction cache depends
 // on. key is the hash function under test (signature.Key in production).
-func CheckKeyStability(key func([]float64) uint64, row []float64) error {
+func CheckKeyStability(key func([]uint32) uint64, row []uint32) error {
 	if a, b := key(row), key(row); a != b {
 		return violationf("signature", "key not stable: %#x vs %#x for same row", a, b)
 	}

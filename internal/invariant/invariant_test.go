@@ -96,6 +96,15 @@ func TestCheckGraphRejectsCorruptCSR(t *testing.T) {
 			wantError: "out-of-range neighbor",
 		},
 		{
+			// Regression: each half-edge of (0,1) carried its own label,
+			// so EdgeLabel(0,1) and EdgeLabel(1,0) disagreed.
+			name: "asymmetric edge label",
+			corrupt: func() *graph.Graph {
+				return graph.FromCSR([]graph.Label{0, 0}, []int64{0, 1, 2}, []graph.NodeID{1, 0}, []graph.Label{0, 1}, 1)
+			},
+			wantError: "edge label",
+		},
+		{
 			// Regression: monotone prefix overshooting len(adj) used to
 			// panic Validate instead of returning an error.
 			name: "offset overshoot",
@@ -135,15 +144,17 @@ func TestCheckGraphRejectsCorruptCSR(t *testing.T) {
 	}
 }
 
-// fakeSigs is a SignatureView with directly controllable rows.
+// fakeSigs is a SignatureView with directly controllable rows, in units
+// of 2^-depth.
 type fakeSigs struct {
-	width int
-	rows  [][]float64
+	width, depth int
+	rows         [][]uint32
 }
 
-func (f *fakeSigs) NumNodes() int                { return len(f.rows) }
-func (f *fakeSigs) Width() int                   { return f.width }
-func (f *fakeSigs) Row(u graph.NodeID) []float64 { return f.rows[u] }
+func (f *fakeSigs) NumNodes() int                  { return len(f.rows) }
+func (f *fakeSigs) Width() int                     { return f.width }
+func (f *fakeSigs) Depth() int                     { return f.depth }
+func (f *fakeSigs) Scaled(u graph.NodeID) []uint32 { return f.rows[u] }
 
 func sigFixtureGraph() *graph.Graph {
 	b := graph.NewBuilder(3, 2)
@@ -165,7 +176,8 @@ func TestCheckSignatures(t *testing.T) {
 		t.Fatalf("real signatures rejected: %v", err)
 	}
 
-	ok := &fakeSigs{width: 2, rows: [][]float64{{1, 2}, {2, 1.5}, {1, 0}}}
+	// Weights {1, 2}, {2, 1.5}, {1, 0} at depth 2.
+	ok := &fakeSigs{width: 2, depth: 2, rows: [][]uint32{{4, 8}, {8, 6}, {4, 0}}}
 	if err := invariant.CheckSignatures(ok, g); err != nil {
 		t.Fatalf("valid fake signatures rejected: %v", err)
 	}
@@ -175,13 +187,12 @@ func TestCheckSignatures(t *testing.T) {
 		s    *fakeSigs
 		want string
 	}{
-		{"row count mismatch", &fakeSigs{width: 2, rows: [][]float64{{1, 0}}}, "rows"},
-		{"narrow width", &fakeSigs{width: 1, rows: [][]float64{{1}, {1}, {1}}}, "width"},
-		{"ragged row", &fakeSigs{width: 2, rows: [][]float64{{1, 0}, {2, 1}, {1}}}, "entries"},
-		{"nan weight", &fakeSigs{width: 2, rows: [][]float64{{1, math.NaN()}, {0, 1}, {1, 0}}}, "not finite"},
-		{"inf weight", &fakeSigs{width: 2, rows: [][]float64{{1, math.Inf(1)}, {0, 1}, {1, 0}}}, "not finite"},
-		{"negative weight", &fakeSigs{width: 2, rows: [][]float64{{1, -0.5}, {0, 1}, {1, 0}}}, "negative"},
-		{"own label below one", &fakeSigs{width: 2, rows: [][]float64{{0.2, 1}, {0, 1}, {1, 0}}}, "own-label"},
+		{"row count mismatch", &fakeSigs{width: 2, rows: [][]uint32{{1, 0}}}, "rows"},
+		{"narrow width", &fakeSigs{width: 1, rows: [][]uint32{{1}, {1}, {1}}}, "width"},
+		{"ragged row", &fakeSigs{width: 2, rows: [][]uint32{{1, 0}, {2, 1}, {1}}}, "entries"},
+		{"depth out of range", &fakeSigs{width: 2, depth: 32, rows: [][]uint32{{1, 0}, {0, 1}, {1, 0}}}, "depth"},
+		// Weight 0.75 at depth 2: below the node's own weight 1.
+		{"own label below one", &fakeSigs{width: 2, depth: 2, rows: [][]uint32{{3, 4}, {0, 4}, {4, 0}}}, "own-label"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
@@ -194,12 +205,12 @@ func TestCheckSignatures(t *testing.T) {
 }
 
 func TestCheckKeyStability(t *testing.T) {
-	row := []float64{1, 0.5, 2}
+	row := []uint32{4, 2, 8}
 	if err := invariant.CheckKeyStability(signature.Key, row); err != nil {
 		t.Fatalf("signature.Key flagged as unstable: %v", err)
 	}
 	calls := uint64(0)
-	unstable := func([]float64) uint64 { calls++; return calls }
+	unstable := func([]uint32) uint64 { calls++; return calls }
 	if err := invariant.CheckKeyStability(unstable, row); err == nil {
 		t.Fatal("unstable key function accepted")
 	}

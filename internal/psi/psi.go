@@ -143,9 +143,11 @@ type Evaluator struct {
 // maxPruneEntries caps the per-node satisfaction check.
 const maxPruneEntries = 8
 
+// sigEntry is one positive query-signature entry, in the signatures'
+// 2^-D units (signature.Signatures.Scaled).
 type sigEntry struct {
 	label  int32
-	weight float64
+	weight uint32
 }
 
 // NewEvaluator builds an evaluator. dataSigs and querySigs must have been
@@ -168,7 +170,7 @@ func NewEvaluator(g *graph.Graph, q graph.Query, dataSigs, querySigs *signature.
 	e.sparse = make([][]sigEntry, q.G.NumNodes())
 	e.prune = make([][]sigEntry, q.G.NumNodes())
 	for v := 0; v < q.G.NumNodes(); v++ {
-		row := querySigs.Row(graph.NodeID(v))
+		row := querySigs.Scaled(graph.NodeID(v))
 		for l, w := range row {
 			if w > 0 {
 				e.sparse[v] = append(e.sparse[v], sigEntry{label: int32(l), weight: w})
@@ -186,8 +188,9 @@ func NewEvaluator(g *graph.Graph, q graph.Query, dataSigs, querySigs *signature.
 
 // satisfies is the capped sparse form of signature.Satisfies for query
 // node v: the highest-weight entries checked first, so non-matching
-// candidates fail as early as possible.
-func (e *Evaluator) satisfies(dataRow []float64, v graph.NodeID) bool {
+// candidates fail as early as possible. Both rows are in the same exact
+// units, so Proposition 3.2's test is an integer compare.
+func (e *Evaluator) satisfies(dataRow []uint32, v graph.NodeID) bool {
 	for _, entry := range e.prune[v] {
 		if dataRow[entry.label] < entry.weight {
 			return false
@@ -196,15 +199,17 @@ func (e *Evaluator) satisfies(dataRow []float64, v graph.NodeID) bool {
 	return true
 }
 
-// score is the sparse form of signature.Score for query node v.
-func (e *Evaluator) score(dataRow []float64, v graph.NodeID) float64 {
+// score is the sparse form of signature.Score for query node v. Both
+// operands carry the same 2^D factor and convert to float64 exactly, so
+// each correctly rounded quotient equals the unscaled one bit for bit.
+func (e *Evaluator) score(dataRow []uint32, v graph.NodeID) float64 {
 	entries := e.sparse[v]
 	if len(entries) == 0 {
 		return 0
 	}
 	var sum float64
 	for _, entry := range entries {
-		sum += dataRow[entry.label] / entry.weight
+		sum += float64(dataRow[entry.label]) / float64(entry.weight)
 	}
 	return sum / float64(len(entries))
 }
@@ -356,7 +361,7 @@ func (e *Evaluator) run(st *State, c *plan.Compiled, u graph.NodeID, mode Mode, 
 			st.stats.DegPrunes++
 			return false, nil
 		}
-		if !st.noSigPrune && !e.satisfies(e.dataSigs.Row(u), step0.QueryNode) {
+		if !st.noSigPrune && !e.satisfies(e.dataSigs.Scaled(u), step0.QueryNode) {
 			st.stats.SigPrunes++
 			if fd != nil {
 				fd.DegOK++
@@ -439,7 +444,7 @@ func (e *Evaluator) extend(st *State, c *plan.Compiled, depth int, mode Mode, su
 			if fd != nil {
 				fd.DegOK++
 			}
-			if !st.noSigPrune && !e.satisfies(e.dataSigs.Row(cand), qn) {
+			if !st.noSigPrune && !e.satisfies(e.dataSigs.Scaled(cand), qn) {
 				st.stats.SigPrunes++
 				continue
 			}
@@ -449,7 +454,7 @@ func (e *Evaluator) extend(st *State, c *plan.Compiled, depth int, mode Mode, su
 			if fd != nil {
 				fd.DegOK++
 			}
-			cands = append(cands, scored{node: cand, score: e.score(e.dataSigs.Row(cand), qn)})
+			cands = append(cands, scored{node: cand, score: e.score(e.dataSigs.Scaled(cand), qn)})
 		}
 		if fd != nil {
 			fd.SigOK++

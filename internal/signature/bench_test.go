@@ -45,7 +45,7 @@ func BenchmarkScore(b *testing.B) {
 func BenchmarkKey(b *testing.B) {
 	g := graphtest.Random(500, 2500, 8, 4)
 	s := MustBuild(g, DefaultDepth, g.NumLabels(), Matrix)
-	row := s.Row(0)
+	row := s.Scaled(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

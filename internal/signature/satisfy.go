@@ -1,8 +1,8 @@
 package signature
 
 import (
+	"encoding/binary"
 	"hash/maphash"
-	"math"
 )
 
 // Satisfies reports whether signature row a satisfies row b: for every
@@ -52,20 +52,20 @@ func Score(u, v []float64) float64 {
 
 var keySeed = maphash.MakeSeed()
 
-// Key hashes a signature row to a cache key. Signature weights are exact
-// dyadic rationals (sums of powers of ½), so identical neighborhoods hash
-// identically and the prediction cache of Section 4.2.3 can reuse their
-// decisions.
-func Key(row []float64) uint64 {
+// Key hashes a row of Scaled units to a cache key. Units are exact, so
+// identical neighborhoods hash identically and the prediction cache of
+// Section 4.2.3 can reuse their decisions.
+func Key(row []uint32) uint64 {
 	var h maphash.Hash
 	h.SetSeed(keySeed)
-	var buf [8]byte
-	for _, w := range row {
-		bits := math.Float64bits(w)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(bits >> (8 * i))
+	var buf [64]byte
+	for len(row) > 0 {
+		k := min(len(row), len(buf)/4)
+		for i, w := range row[:k] {
+			binary.LittleEndian.PutUint32(buf[4*i:], w)
 		}
-		h.Write(buf[:])
+		h.Write(buf[:4*k])
+		row = row[k:]
 	}
 	return h.Sum64()
 }

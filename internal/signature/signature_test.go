@@ -109,6 +109,9 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(g, 2, 3, Method(99)); err == nil {
 		t.Error("unknown method accepted")
 	}
+	if _, err := Build(g, maxDepth+1, 3, Exploration); err == nil {
+		t.Error("depth beyond uint32 units accepted")
+	}
 }
 
 func TestMethodString(t *testing.T) {
@@ -204,24 +207,31 @@ func TestSatisfactionIdentity(t *testing.T) {
 }
 
 func TestKeyDeterministicAndDiscriminating(t *testing.T) {
-	a := []float64{1, 0.5, 0.25}
-	b := []float64{1, 0.5, 0.25}
-	c := []float64{1, 0.5, 0.5}
+	a := []uint32{4, 2, 1}
+	b := []uint32{4, 2, 1}
+	c := []uint32{4, 2, 2}
 	if Key(a) != Key(b) {
 		t.Error("equal rows hash differently")
 	}
 	if Key(a) == Key(c) {
 		t.Error("different rows hash equally (possible but indicates a bug here)")
 	}
+	// Rows longer than Key's 16-word buffer hash every word.
+	long := make([]uint32, 40)
+	k := Key(long)
+	long[39] = 1
+	if Key(long) == k {
+		t.Error("a change in word 39 does not change the key")
+	}
 }
 
 func TestKeyRandomRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	seen := make(map[uint64][]float64)
+	seen := make(map[uint64][]uint32)
 	for i := 0; i < 2000; i++ {
-		row := make([]float64, 8)
+		row := make([]uint32, 8)
 		for j := range row {
-			row[j] = float64(rng.Intn(16)) / 4
+			row[j] = uint32(rng.Intn(16))
 		}
 		k := Key(row)
 		if prev, ok := seen[k]; ok {

@@ -519,6 +519,9 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 	betaDS := ml.Dataset{NumClasses: len(art.compiled)}
 	st := r.newState(art.q.Size())
 	defer r.merge(st) // on every exit: an aborted sweep's work still counts
+	// The training rows' features, one flat block for the whole prefix.
+	width := e.sigs.Width()
+	features := make([]float64, trainCount*width)
 	// Retain the per-plan sweep measurements for the model-β plan-rank
 	// audit (scoreBetaRanks) when anyone will consume them.
 	collectSweeps := (r.enabled || (e.opts.DecisionLog != nil && e.opts.auditing())) && !e.opts.DisablePlanModel
@@ -552,7 +555,7 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 			bestPlan = -1
 		}
 		r.valid[pos] = isValid
-		row := e.sigs.Row(u)
+		row := e.sigs.RowInto(u, features[i*width:(i+1)*width:(i+1)*width])
 		cls := 0
 		if isValid {
 			cls = 1
@@ -827,6 +830,7 @@ type workerCounters struct {
 
 	// Non-counter scratch (exempt from the mergeInto coverage test).
 	votesScratch []int      // forest-vote scratch, reused per worker
+	rowScratch   []float64  // feature-row scratch (features), reused per worker
 	rng          *rand.Rand // deterministic shadow-sampling stream
 	shadowState  *psi.State // counterfactual evaluator state (nil unless auditing)
 }
@@ -859,6 +863,13 @@ func (w *workerCounters) votes(n int) []int {
 		w.votesScratch = make([]int, n)
 	}
 	return w.votesScratch[:n]
+}
+
+// features returns node u's signature row, the models' feature vector,
+// in the worker's scratch row: it is valid until the next call.
+func (w *worker) features(u graph.NodeID) []float64 {
+	w.rowScratch = w.art.ev.DataSignatures().RowInto(u, w.rowScratch)
+	return w.rowScratch
 }
 
 type decision struct {
@@ -911,12 +922,11 @@ type rung struct {
 // audits (shadow.go); rungs 2–3 never do — they are already
 // counterfactuals.
 func (e *Engine) evaluateOne(w *worker, u graph.NodeID) (bool, error) {
-	row := e.sigs.Row(u)
 	var dec decision
 	var key uint64
 	cached, predicted := false, false
 	if !e.opts.DisableCache {
-		key = signature.Key(row)
+		key = signature.Key(e.sigs.Scaled(u))
 		if v, ok := w.art.cache.Load(key); ok {
 			dec, cached = v.(decision), true
 		}
@@ -926,7 +936,7 @@ func (e *Engine) evaluateOne(w *worker, u graph.NodeID) (bool, error) {
 	} else {
 		w.cacheMisses++
 		t0 := time.Now()
-		dec, predicted = w.predict(row)
+		dec, predicted = w.predict(w.features(u))
 		w.modelNanos += time.Since(t0).Nanoseconds()
 	}
 	w.ModePicks[dec.mode]++
@@ -956,7 +966,7 @@ func (e *Engine) evaluateOne(w *worker, u graph.NodeID) (bool, error) {
 				w.art.cache.Store(key, dec)
 			}
 			if e.opts.auditing() {
-				p := primaryRun{u: u, row: row, dec: dec, cached: cached, valid: ok, took: took}
+				p := primaryRun{u: u, row: w.features(u), dec: dec, cached: cached, valid: ok, took: took}
 				if err := e.auditDecision(w, p); err != nil {
 					return false, err
 				}

@@ -200,7 +200,7 @@ func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 			dec := pess
 			if tc.cached != nil {
 				dec = *tc.cached
-				w.art.cache.Store(signature.Key(e.sigs.Row(u)), dec)
+				w.art.cache.Store(signature.Key(e.sigs.Scaled(u)), dec)
 			}
 			got, err := e.evaluateOne(w, u)
 			if !errors.Is(err, tc.wantErr) {
@@ -222,7 +222,7 @@ func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 			}
 			// A rung-1 resolution of a fresh prediction fills the cache;
 			// nothing else may.
-			_, stored := w.art.cache.Load(signature.Key(e.sigs.Row(u)))
+			_, stored := w.art.cache.Load(signature.Key(e.sigs.Scaled(u)))
 			if want := tc.cached != nil || (tc.wantErr == nil && len(tc.wantCalls) == 1); stored != want {
 				t.Errorf("prediction cache holds the decision = %v, want %v", stored, want)
 			}

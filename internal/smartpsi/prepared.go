@@ -55,10 +55,10 @@ const (
 	artifactBaseBytes    = 4 << 10
 
 	// Charged artifacts run from 20-40 KB (Human, 100-200 candidates) to
-	// 0.25-1 MB (YouTube 1/50, 1,500-7,000 candidates; that server is
-	// 100 MB resident). The byte cap holds thirty-odd of the largest, at
-	// most a third more than such a server already uses; the entry cap
-	// bounds the count when artifacts are small (256 x 40 KB = 10 MB) and
+	// 0.25-1 MB (YouTube 1/50, 1,500-7,000 candidates; that server
+	// peaks at about 60 MB resident). The byte cap holds thirty-odd of
+	// the largest, about half what such a server already uses; the entry
+	// cap bounds the count when artifacts are small (256 x 40 KB = 10 MB) and
 	// covers four times the shapes /queryz tracks
 	// (obs.DefaultWorkloadK).
 	preparedMaxEntries = 256

@@ -18,6 +18,7 @@ package smartpsi
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -56,9 +57,9 @@ func (w *workerCounters) shadowSampled(rate float64) bool {
 }
 
 // primaryRun is one rung-1 resolution as the audits see it: the
-// candidate and its signature row, the decision that produced the run
-// (mode, plan, vote margin) and whether the prediction cache served it,
-// and the run's verdict and wall time.
+// candidate and its signature row (the worker's scratch), the decision
+// that produced the run (mode, plan, vote margin) and whether the
+// prediction cache served it, and the run's verdict and wall time.
 type primaryRun struct {
 	u      graph.NodeID
 	row    []float64
@@ -230,7 +231,7 @@ func (w *worker) decisionRecord(p primaryRun, kind string) obs.DecisionRecord {
 		RequestID:   w.run.req.ID,
 		Fingerprint: w.run.req.Fingerprint,
 		Node:        int64(p.u),
-		Features:    p.row,
+		Features:    slices.Clone(p.row), // p.row is the worker's scratch
 		FromCache:   p.cached,
 		PredMode:    int(p.dec.mode),
 		PredPlan:    p.dec.planIdx,
@@ -271,8 +272,10 @@ type betaSweep struct {
 // predictions rank behind every finished plan).
 func (e *Engine) scoreBetaRanks(r *queryRun, betaModel *ml.Forest, sweeps []betaSweep) {
 	votes := make([]int, betaModel.NumClasses())
+	var row []float64
 	for _, s := range sweeps {
-		pred := betaModel.PredictInto(e.sigs.Row(s.node), votes)
+		row = e.sigs.RowInto(s.node, row)
+		pred := betaModel.PredictInto(row, votes)
 		var predOutcome planOutcome
 		if pred >= 0 && pred < len(s.outcomes) {
 			predOutcome = s.outcomes[pred]
