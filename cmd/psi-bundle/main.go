@@ -3,10 +3,10 @@
 // manually from /debugz/bundle, or saved by psi-loadgen
 // -bundle-on-fail). It turns the zip of endpoint documents into a
 // readable incident report: what was firing, how fast the error budget
-// was burning, what the serving and process-health series looked like
-// leading up to capture, which requests were slow, which shapes cost
-// the most, and which request IDs can be followed from a profile into
-// the model-decision audit (/modelz's recent records).
+// was burning, what the series the SLO objectives and Retry-After read
+// looked like leading up to capture, which requests were slow, which
+// shapes cost the most, and which request IDs can be followed from a
+// profile into the model-decision audit (/modelz's recent records).
 //
 // Usage:
 //
@@ -192,7 +192,7 @@ type reportDoc struct {
 // seriesLine is one rendered sparkline: a metric's recent trajectory.
 type seriesLine struct {
 	Name  string  `json:"name"`
-	Kind  string  `json:"kind"` // "rate", "value", "p99"
+	Kind  string  `json:"kind"` // "rate" or "p99"
 	Last  float64 `json:"last"`
 	Spark string  `json:"spark"`
 }
@@ -245,54 +245,23 @@ func buildReport(a *obs.BundleArchive) (*reportDoc, error) {
 	return rep, nil
 }
 
-// seriesOfInterest picks which metrics get sparklines, in render
-// order: serving traffic and its failure modes, then process health.
-var seriesOfInterest = []string{
-	"server_requests_total",
-	"server_shed_total",
-	"server_deadline_hits_total",
-	"server_drain_rejects_total",
-	"server_panics_total",
-	"process_goroutines",
-	"process_heap_inuse_bytes",
-}
-
-// renderSeries turns the bundle's ring snapshots into sparklines for
-// the metrics worth eyeballing during an incident. Metrics absent from
-// the rings are skipped.
+// renderSeries turns the bundle's ring snapshots into sparklines: the
+// per-step rate of every counter and the per-step p99 of every
+// histogram the sampler kept. Series with fewer than two samples are
+// skipped.
 func renderSeries(s obs.SeriesData) []seriesLine {
-	counters := make(map[string]obs.CounterSeries, len(s.Counters))
-	for _, c := range s.Counters {
-		counters[c.Name] = c
-	}
-	gauges := make(map[string]obs.GaugeSeries, len(s.Gauges))
-	for _, g := range s.Gauges {
-		gauges[g.Name] = g
-	}
 	var out []seriesLine
-	for _, name := range seriesOfInterest {
-		if c, ok := counters[name]; ok && len(c.Rates) > 0 {
+	for _, c := range s.Counters {
+		if len(c.Rates) > 0 {
 			out = append(out, seriesLine{
-				Name: name, Kind: "rate",
+				Name: c.Name, Kind: "rate",
 				Last:  c.Rates[len(c.Rates)-1],
 				Spark: spark(c.Rates),
-			})
-			continue
-		}
-		if g, ok := gauges[name]; ok && len(g.Values) > 0 {
-			vals := make([]float64, len(g.Values))
-			for i, v := range g.Values {
-				vals[i] = float64(v)
-			}
-			out = append(out, seriesLine{
-				Name: name, Kind: "value",
-				Last:  vals[len(vals)-1],
-				Spark: spark(vals),
 			})
 		}
 	}
 	for _, h := range s.Histograms {
-		if h.Name == "server_psi_seconds" && len(h.P99) > 0 {
+		if len(h.P99) > 0 {
 			out = append(out, seriesLine{
 				Name: h.Name + "_p99", Kind: "p99",
 				Last:  h.P99[len(h.P99)-1],

@@ -26,7 +26,7 @@ func makeBundle(t *testing.T, withCorrelation bool) string {
 	reg := obs.NewRegistry()
 	req := reg.Counter("server_requests_total", "requests")
 	shed := reg.Counter("server_shed_total", "sheds")
-	s := obs.NewSampler(reg, time.Second, 16)
+	s := obs.NewSampler(reg, time.Second)
 	set := obs.NewSLOSet(s, []obs.Objective{
 		obs.AvailabilityObjective(0.9, 2*time.Second, 5*time.Second, 2, 0),
 	})

@@ -29,18 +29,18 @@
 //
 // Endpoints: POST /v1/psi, POST /v1/psi/batch, GET /healthz, GET
 // /readyz, plus the full obs debug surface (/metrics, /metrics.json,
-// /profilez, /modelz, /seriesz, /alertz, /queryz, /debugz/bundle; /debug/pprof answers 403 unless -expose-pprof is
-// set). Metric
+// /profilez, /modelz, /seriesz, /alertz, /queryz, /debugz/bundle;
+// /debug/pprof answers 403 unless -expose-pprof is set). Metric
 // collection is always on in a serving process; with -sample-interval
-// > 0 a background sampler additionally keeps windowed time series
-// (/seriesz) and evaluates SLO burn-rate alerts (/alertz). With
-// -bundle-dir set, a diagnostic bundle (zip of the JSON the debug
-// endpoints serve, plus goroutine and heap dumps) is auto-captured
-// whenever an SLO objective starts firing. With
-// -workload-topk > 0 (the default) every served query is canonically
-// fingerprinted and folded into a bounded top-K sketch served at
-// /queryz — per-shape counts, cost attribution and an answer-cache
-// win estimate; bundles then carry workload.json.
+// > 0 a background sampler additionally keeps windowed time series of
+// what the SLO objectives and the Retry-After estimate read (/seriesz)
+// and evaluates SLO burn-rate alerts (/alertz). With -bundle-dir set, a
+// diagnostic bundle (zip of the JSON the debug endpoints serve, plus
+// goroutine and heap dumps) is auto-captured whenever an SLO objective
+// starts firing. With -workload-topk > 0 (the default) every served
+// query is canonically fingerprinted and folded into a bounded top-K
+// sketch served at /queryz — per-shape counts, cost attribution and an
+// answer-cache win estimate; bundles then carry workload.json.
 //
 // A single query:
 //
@@ -100,7 +100,6 @@ func main() {
 		shardProbe  = flag.Duration("shard-probe", 2*time.Second, "coordinator health-probe interval for per-shard /readyz rows")
 
 		sampleInterval = flag.Duration("sample-interval", time.Second, "metrics sampling interval for /seriesz and /alertz (0: disable sampling and SLO alerting)")
-		seriesSamples  = flag.Int("series-samples", 0, "ring-buffer capacity per metric series (0: default 128)")
 		sloAvail       = flag.Float64("slo-availability", 0.99, "availability SLO target in (0,1) (0: disable the availability objective)")
 		sloLatencyMS   = flag.Float64("slo-latency-ms", 0, "latency SLO threshold in milliseconds (0: no latency objective)")
 		sloLatencyTgt  = flag.Float64("slo-latency-target", 0.95, "fraction of requests that must finish under -slo-latency-ms")
@@ -128,7 +127,7 @@ func main() {
 		shards: *shards, partitioner: *partitioner,
 		shardOf: *shardOf, shardIndex: *shardIndex,
 		coordinator: *coordinator, shardAddrs: *shardAddrs, shardProbe: *shardProbe,
-		sampleInterval: *sampleInterval, seriesSamples: *seriesSamples,
+		sampleInterval:  *sampleInterval,
 		sloAvailability: *sloAvail,
 		sloLatency:      time.Duration(*sloLatencyMS * float64(time.Millisecond)),
 		sloLatencyTgt:   *sloLatencyTgt,
@@ -167,7 +166,6 @@ type config struct {
 	shardProbe  time.Duration
 
 	sampleInterval  time.Duration // 0: no sampler, no SLO alerting
-	seriesSamples   int
 	sloAvailability float64
 	sloLatency      time.Duration
 	sloLatencyTgt   float64
@@ -350,8 +348,7 @@ func run(cfg config, parent context.Context, ready chan<- string) error {
 	var sampler *obs.Sampler
 	var alerts *obs.SLOSet
 	if cfg.sampleInterval > 0 {
-		sampler = obs.NewSampler(obs.Default, cfg.sampleInterval, cfg.seriesSamples)
-		obs.ArmRuntimeGauges(sampler)
+		sampler = obs.NewSampler(obs.Default, cfg.sampleInterval)
 		if objs := cfg.objectives(); len(objs) > 0 {
 			alerts = obs.NewSLOSet(sampler, objs)
 			for _, o := range objs {

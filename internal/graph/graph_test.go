@@ -311,34 +311,6 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 }
 
-func TestBFSDistances(t *testing.T) {
-	// Path 0-1-2-3 plus isolated 4.
-	b := NewBuilder(5, 3)
-	for i := 0; i < 5; i++ {
-		b.AddNode(0)
-	}
-	for i := NodeID(0); i < 3; i++ {
-		if err := b.AddEdge(i, i+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := b.MustBuild()
-	d := BFSDistances(g, 0, 10, nil)
-	want := []int32{0, 1, 2, 3, -1}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Errorf("dist[%d] = %d, want %d", i, d[i], want[i])
-		}
-	}
-	d = BFSDistances(g, 0, 1, d) // capped + scratch reuse
-	want = []int32{0, 1, -1, -1, -1}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Errorf("capped dist[%d] = %d, want %d", i, d[i], want[i])
-		}
-	}
-}
-
 func TestQueryValidate(t *testing.T) {
 	g := buildTriangle(t)
 	q, err := NewQuery(g, 1)

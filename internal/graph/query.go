@@ -116,32 +116,3 @@ func InducedSubgraph(g *Graph, nodes []NodeID) (*Graph, []NodeID, error) {
 	}
 	return sub, orig, nil
 }
-
-// BFSDistances returns the shortest-path hop distance from start to every
-// node, capped at maxDepth; unreached nodes (or those beyond maxDepth) get
-// -1. scratch may be nil or a reusable slice of length NumNodes.
-func BFSDistances(g *Graph, start NodeID, maxDepth int, scratch []int32) []int32 {
-	n := g.NumNodes()
-	dist := scratch
-	if len(dist) != n {
-		dist = make([]int32, n)
-	}
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[start] = 0
-	frontier := []NodeID{start}
-	for d := 1; d <= maxDepth && len(frontier) > 0; d++ {
-		var next []NodeID
-		for _, u := range frontier {
-			for _, w := range g.Neighbors(u) {
-				if dist[w] < 0 {
-					dist[w] = int32(d)
-					next = append(next, w)
-				}
-			}
-		}
-		frontier = next
-	}
-	return dist
-}

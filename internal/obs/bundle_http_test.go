@@ -154,29 +154,3 @@ func TestDecisionTail(t *testing.T) {
 		t.Errorf("aggregates = %d mode runs, %d cache checks; want %d and 1", d.ModeRegret.Runs, d.CacheChecks, n)
 	}
 }
-
-// TestRuntimeGauges checks the process_* gauges publish real values and
-// that arming them on a sampler lands fresh values in the series rings.
-func TestRuntimeGauges(t *testing.T) {
-	UpdateRuntimeGauges()
-	snap := Default.Snapshot()
-	if snap.Gauges["process_goroutines"] <= 0 {
-		t.Errorf("process_goroutines = %d, want > 0", snap.Gauges["process_goroutines"])
-	}
-	if snap.Gauges["process_heap_alloc_bytes"] <= 0 {
-		t.Errorf("process_heap_alloc_bytes = %d, want > 0", snap.Gauges["process_heap_alloc_bytes"])
-	}
-
-	s := NewSampler(Default, time.Second, 8)
-	ArmRuntimeGauges(s)
-	s.SampleAt(sloBase)
-	var found bool
-	for _, g := range s.SeriesSnapshot().Gauges {
-		if g.Name == "process_goroutines" && g.Last > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("armed sampler series lack a live process_goroutines gauge")
-	}
-}

@@ -37,7 +37,7 @@ func bundleFixture(t *testing.T) *bundleRig {
 	r := &bundleRig{reg: NewRegistry(), rec: NewRecorder(4), wl: NewWorkload(4)}
 	r.req = r.reg.Counter("server_requests_total", "requests")
 	r.shed = r.reg.Counter("server_shed_total", "sheds")
-	r.s = NewSampler(r.reg, time.Second, 64)
+	r.s = NewSampler(r.reg, time.Second)
 	r.set = NewSLOSet(r.s, []Objective{
 		AvailabilityObjective(0.9, 2*time.Second, 5*time.Second, 2, 0),
 	})
@@ -72,6 +72,52 @@ func (r *bundleRig) bundler(t *testing.T, cfg BundlerConfig) *Bundler {
 // captured reads the Default registry's bundle counter, where every
 // Bundler counts.
 func captured() int64 { return Default.Snapshot().Counters[BundlesCaptured] }
+
+// TestSeriesHoldOnlyDeclared pins that the sampler rings exactly what a
+// window reader declared: an undeclared counter, gauge and histogram in
+// the same registry appear neither on /seriesz nor in a bundle's
+// seriesz.json.
+func TestSeriesHoldOnlyDeclared(t *testing.T) {
+	r := bundleFixture(t)
+	r.reg.Counter("undeclared_total", "read by no window").Add(3)
+	r.reg.Gauge("undeclared_depth", "read by no window").Set(4)
+	r.reg.Histogram("undeclared_seconds", "read by no window", LatencyBuckets).Observe(0.1)
+	r.req.Add(10)
+	r.s.SampleAt(sloBase)
+	r.s.SampleAt(sloBase.Add(time.Second))
+
+	b := r.bundler(t, BundlerConfig{})
+	var buf bytes.Buffer
+	if _, err := b.WriteBundle(&buf, BundleReasonManual, ""); err != nil {
+		t.Fatal(err)
+	}
+	a, err := ReadBundle(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, body := get(t, r.mux, "/seriesz")
+	if code != http.StatusOK {
+		t.Fatalf("/seriesz = %d\n%s", code, body)
+	}
+	for src, doc := range map[string][]byte{"/seriesz": []byte(body), SeriesEntry: mustEntry(t, a, SeriesEntry)} {
+		var d SeriesData
+		if err := json.Unmarshal(doc, &d); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		var names []string
+		for _, c := range d.Counters {
+			names = append(names, c.Name)
+		}
+		for _, h := range d.Histograms {
+			names = append(names, h.Name)
+		}
+		// The availability objective declares five bad counters too; the
+		// rig registers only the shed one.
+		if got, want := strings.Join(names, ","), "server_requests_total,server_shed_total"; got != want {
+			t.Errorf("%s rings %s, want %s", src, got, want)
+		}
+	}
+}
 
 func TestBundleRoundTrip(t *testing.T) {
 	r := bundleFixture(t)

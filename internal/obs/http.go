@@ -78,8 +78,8 @@ func WithPprof(on bool) HandlerOption {
 //	                    quality, shadow-scoring regret
 //	/modelz?format=json the same data as JSON, plus the last
 //	                    RecentDecisions audited records ("recent")
-//	/seriesz            windowed time series (WithSampler): the ring data
-//	                    as JSON
+//	/seriesz            windowed time series (WithSampler): the rings of
+//	                    the series the window readers keep, as JSON
 //	/alertz             SLO burn-rate alerts (WithAlerts): text table,
 //	                    ?format=json for machine consumption
 //	/debugz/bundle      download a diagnostic bundle (WithBundler):

@@ -128,7 +128,7 @@ func TestObsSeriesAndAlertEndpoints(t *testing.T) {
 		t.Errorf("/alertz without alerts = %d\n%s", code, body)
 	}
 
-	s := NewSampler(reg, time.Second, 8)
+	s := NewSampler(reg, time.Second)
 	set := NewSLOSet(s, []Objective{{
 		Name: "demo", Target: 0.9,
 		TotalCounter: "series_demo_total",
@@ -154,7 +154,7 @@ func TestObsSeriesAndAlertEndpoints(t *testing.T) {
 	c.Add(4)
 	s.SampleAt(seriesBase.Add(time.Second))
 	code, body = get(t, h, "/seriesz?format=json")
-	if code != 200 || json.Unmarshal([]byte(body), &sd) != nil || sd.Samples != 2 || sd.Schema != 1 {
+	if code != 200 || json.Unmarshal([]byte(body), &sd) != nil || sd.Samples != 2 || sd.Schema != 2 {
 		t.Fatalf("/seriesz json = %d\n%s", code, body)
 	}
 	if cs := sd.Counters[0]; cs.Name != "series_demo_total" || cs.Last != 4 || len(cs.Rates) != 1 || cs.Rates[0] != 4 {

@@ -255,18 +255,29 @@ func (r *Registry) Snapshot() Snapshot {
 		case *Gauge:
 			s.Gauges[name] = m.Value()
 		case *Histogram:
-			hs := HistogramSnapshot{Sum: m.Sum()}
-			var cum int64
-			for i, b := range m.bounds {
-				cum += m.counts[i].Load()
-				hs.Buckets = append(hs.Buckets, BucketCount{UpperBound: b, Count: cum})
-			}
-			cum += m.counts[len(m.bounds)].Load()
-			hs.Count = cum
-			s.Histograms[name] = hs
+			s.Histograms[name] = m.snapshot()
 		}
 	}
 	return s
+}
+
+// snapshot reads h's cumulative buckets, count and sum.
+func (h *Histogram) snapshot() HistogramSnapshot {
+	hs := HistogramSnapshot{Sum: h.Sum()}
+	var cum int64
+	for i, b := range h.bounds {
+		cum += h.counts[i].Load()
+		hs.Buckets = append(hs.Buckets, BucketCount{UpperBound: b, Count: cum})
+	}
+	hs.Count = cum + h.counts[len(h.bounds)].Load()
+	return hs
+}
+
+// lookup returns the metric registered under name, or nil.
+func (r *Registry) lookup(name string) any {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.byName[name]
 }
 
 // WritePrometheus encodes every registered metric in the Prometheus

@@ -274,10 +274,12 @@ func TestObsOverheadGuard(t *testing.T) {
 	before := obs.Default.Snapshot()
 	lastID := obs.DefaultRecorder.LastID()
 	obs.Enable(true)
-	// A background sampler at the default interval runs across the
-	// measured workload: /seriesz sampling reads the registry off the
-	// hot path and must not disturb the overhead budget.
-	sampler := obs.NewSampler(obs.Default, obs.DefaultSampleInterval, 0)
+	// A background sampler at the default interval, keeping the
+	// availability objective's counters, runs across the measured
+	// workload: sampling reads the registry off the hot path and must
+	// not disturb the overhead budget.
+	sampler := obs.NewSampler(obs.Default, obs.DefaultSampleInterval)
+	obs.NewSLOSet(sampler, []obs.Objective{obs.AvailabilityObjective(0.99, 0, 0, 0, 0)})
 	sampler.Start()
 	defer sampler.Stop()
 	for _, q := range queries {

@@ -155,8 +155,10 @@ type SLOSet struct {
 // alerts.
 const AlertsFiring = "obs_alerts_firing"
 
-// NewSLOSet builds an SLOSet over the sampler's registry and hooks it
-// into the sampler so every sample re-evaluates the objectives.
+// NewSLOSet builds an SLOSet over the sampler's registry, declares each
+// objective's counters or histograms to the sampler for its longer
+// window, and hooks it into the sampler so every sample re-evaluates
+// the objectives.
 // Objectives with non-positive windows get defaults (1m fast, 5m
 // slow); a non-positive burn factor defaults to 14.4 (the classic
 // 2%-of-monthly-budget-per-hour page threshold).
@@ -180,8 +182,15 @@ func NewSLOSet(sampler *Sampler, objectives []Objective) *SLOSet {
 		firing:     sampler.reg.Gauge(AlertsFiring, "number of SLO alerts currently in the firing state (see /alertz)"),
 		states:     make([]alertState, len(objs)),
 	}
-	for i := range s.states {
+	for i, o := range objs {
 		s.states[i].state = StateInactive
+		// Both windows read the same rings; the longer one sizes them.
+		w := max(o.FastWindow, o.SlowWindow)
+		sampler.Keep(w, o.BadCounters...)
+		sampler.Keep(w, o.Histograms...)
+		if o.TotalCounter != "" {
+			sampler.Keep(w, o.TotalCounter)
+		}
 	}
 	sampler.OnSample(s.Evaluate)
 	return s

@@ -17,7 +17,7 @@ func sloFixture(t *testing.T, forDur time.Duration) (*Counter, *Counter, *Sample
 	reg := NewRegistry()
 	req := reg.Counter("server_requests_total", "requests")
 	shed := reg.Counter("server_shed_total", "sheds")
-	s := NewSampler(reg, time.Second, 64)
+	s := NewSampler(reg, time.Second)
 	// Target 0.9 (10% error budget), burn factor 2: windowed bad ratio
 	// >= 20% trips the alert.
 	set := NewSLOSet(s, []Objective{
@@ -59,6 +59,40 @@ func TestSLOBurnMath(t *testing.T) {
 	st = set.Status()[0]
 	if !st.FastWindowSampled || st.FastBurn != 0 {
 		t.Errorf("clean fast burn = %v (sampled=%v), want 0", st.FastBurn, st.FastWindowSampled)
+	}
+}
+
+// TestSLOSlowWindowSpansItsLength drives five minutes of one-second
+// ticks with every request shed in the first half: the 5m slow window
+// must span all five minutes and burn at the half-bad rate (0.5 over a
+// 1% budget = 50), however many samples that takes, while the 1m fast
+// window sees only the clean second half.
+func TestSLOSlowWindowSpansItsLength(t *testing.T) {
+	reg := NewRegistry()
+	req := reg.Counter("server_requests_total", "requests")
+	shed := reg.Counter("server_shed_total", "sheds")
+	s := NewSampler(reg, DefaultSampleInterval)
+	set := NewSLOSet(s, []Objective{
+		AvailabilityObjective(0.99, time.Minute, 5*time.Minute, 14.4, 0),
+	})
+
+	s.SampleAt(sloBase)
+	for i := 1; i <= 300; i++ {
+		req.Add(10)
+		if i <= 150 {
+			shed.Add(10)
+		}
+		s.SampleAt(sloBase.Add(time.Duration(i) * DefaultSampleInterval))
+	}
+	if _, dt, ok := s.CounterDelta("server_requests_total", 5*time.Minute); !ok || dt != 5*time.Minute {
+		t.Errorf("slow window spans %v (ok=%v), want 5m", dt, ok)
+	}
+	st := set.Status()[0]
+	if !st.SlowWindowSampled || !approx(st.SlowBurn, 50, 1e-9) {
+		t.Errorf("slow burn = %.2f (sampled=%v), want 50", st.SlowBurn, st.SlowWindowSampled)
+	}
+	if !st.FastWindowSampled || st.FastBurn != 0 {
+		t.Errorf("fast burn = %.2f (sampled=%v), want 0", st.FastBurn, st.FastWindowSampled)
 	}
 }
 
@@ -154,7 +188,7 @@ func TestSLOPendingHoldoff(t *testing.T) {
 func TestSLOLatencyObjective(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("server_psi_seconds", "latency", LatencyBuckets)
-	s := NewSampler(reg, time.Second, 64)
+	s := NewSampler(reg, time.Second)
 	// 90% of requests must finish within 10ms; burn factor 1.
 	set := NewSLOSet(s, []Objective{
 		LatencyObjective(10*time.Millisecond, 0.9, 2*time.Second, 5*time.Second, 1, 0),
@@ -182,7 +216,7 @@ func TestSLOLatencyObjective(t *testing.T) {
 
 // TestSLOSetDefaults checks window/burn-factor defaulting in NewSLOSet.
 func TestSLOSetDefaults(t *testing.T) {
-	s := NewSampler(NewRegistry(), time.Second, 4)
+	s := NewSampler(NewRegistry(), time.Second)
 	set := NewSLOSet(s, []Objective{{Name: "custom", Target: 0.99}})
 	o := set.Objectives()[0]
 	if o.FastWindow != time.Minute || o.SlowWindow != 5*time.Minute || o.BurnFactor != 14.4 {

@@ -7,23 +7,21 @@ import (
 )
 
 // The Sampler turns the cumulative-since-boot registry into time
-// series: a background goroutine snapshots every registered metric at
-// a fixed interval into per-metric ring buffers, from which windowed
-// counter rates and windowed histogram quantiles (bucket-count deltas
-// between two samples, interpolated inside a bucket) are derived. The
-// /seriesz endpoint serves the rings as JSON (psi-bundle report draws
-// the sparklines), and the SLO evaluator (slo.go) runs off the same
-// samples via OnSample hooks.
+// series for the readers that look back over a window: the SLO
+// objectives (slo.go) and the server's Retry-After estimate. Each
+// reader declares with Keep the counters or histograms it reads and how
+// far back it reads them; a background goroutine snapshots exactly
+// those metrics at a fixed interval into per-metric rings long enough
+// for the longest declared window, from which windowed counter deltas
+// and histogram deltas (bucket-count differences between two samples)
+// are derived. The /seriesz endpoint serves the rings as JSON
+// (psi-bundle report draws the sparklines), and the SLO evaluator runs
+// off the same samples via OnSample hooks.
 
 // DefaultSampleInterval is the sampling period used when NewSampler is
 // given a non-positive interval; psi-serve's -sample-interval flag
 // defaults to it.
 const DefaultSampleInterval = time.Second
-
-// defaultSeriesCapacity is the per-metric ring size when NewSampler is
-// given a non-positive capacity: ~2 minutes of history at the default
-// interval.
-const defaultSeriesCapacity = 128
 
 // ring is a fixed-capacity time-indexed buffer. Index 0 is the oldest
 // retained sample. Not goroutine-safe; the Sampler's mutex guards it.
@@ -47,6 +45,15 @@ func (r *ring[T]) push(at time.Time, v T) {
 	}
 }
 
+// grow re-lays the ring into a larger capacity, keeping every sample.
+func (r *ring[T]) grow(capacity int) {
+	g := newRing[T](capacity)
+	for i := 0; i < r.n; i++ {
+		g.push(r.sample(i))
+	}
+	*r = *g
+}
+
 // idx maps a logical index (0 = oldest) to a physical slot.
 func (r *ring[T]) idx(i int) int {
 	return (r.pos - r.n + i + len(r.v)) % len(r.v)
@@ -57,39 +64,43 @@ func (r *ring[T]) sample(i int) (time.Time, T) {
 	return r.at[j], r.v[j]
 }
 
-// window returns the logical index of the oldest sample at or after
-// the newest sample's time minus w, or -1 when fewer than two samples
-// fall inside the window.
-func (r *ring[T]) window(w time.Duration) int {
-	if r.n < 2 {
-		return -1
+// span returns the oldest sample at or after the newest sample's time
+// minus w, the newest sample, and the time between them. ok is false
+// for a nil ring, when fewer than two samples fall inside the window,
+// or when they share a timestamp. A window longer than the ring's
+// history starts at the oldest retained sample.
+func (r *ring[T]) span(w time.Duration) (oldest, newest T, dt time.Duration, ok bool) {
+	if r == nil || r.n < 2 {
+		return oldest, newest, 0, false
 	}
-	newest := r.at[r.idx(r.n-1)]
-	cut := newest.Add(-w)
+	t1, v1 := r.sample(r.n - 1)
+	cut := t1.Add(-w)
 	for i := 0; i < r.n-1; i++ {
-		if at := r.at[r.idx(i)]; !at.Before(cut) {
-			return i
+		if t0, v0 := r.sample(i); !t0.Before(cut) {
+			if dt = t1.Sub(t0); dt <= 0 {
+				break
+			}
+			return v0, v1, dt, true
 		}
 	}
-	return -1
+	return oldest, newest, 0, false
 }
 
-// Sampler snapshots a Registry on a fixed interval into per-metric
-// rings. Construct with NewSampler, then Start; Stop joins the
-// background goroutine. Sample may be called directly for
-// deterministic tests (or instead of Start for manual pacing).
+// Sampler snapshots the declared metrics of a Registry on a fixed
+// interval into per-metric rings. Construct with NewSampler, declare
+// with Keep, then Start; Stop joins the background goroutine. Sample
+// may be called directly for deterministic tests (or instead of Start
+// for manual pacing).
 type Sampler struct {
 	reg      *Registry
 	interval time.Duration
-	capacity int
 
 	mu       sync.Mutex
+	capacity int             // ⌈longest declared window ÷ interval⌉ + 1
+	kept     map[string]bool // declared metric names
 	counters map[string]*ring[int64]
-	gauges   map[string]*ring[int64]
 	hists    map[string]*ring[HistogramSnapshot]
-
 	hooks    []func(now time.Time)
-	preHooks []func(now time.Time)
 
 	started  bool
 	stopOnce sync.Once
@@ -97,30 +108,48 @@ type Sampler struct {
 	done     chan struct{}
 }
 
-// NewSampler builds a sampler over reg. A non-positive interval means
-// DefaultSampleInterval; a non-positive capacity means a default of
-// about two minutes of history at that interval.
-func NewSampler(reg *Registry, interval time.Duration, capacity int) *Sampler {
+// NewSampler builds a sampler over reg that records nothing until a
+// reader declares with Keep. A non-positive interval means
+// DefaultSampleInterval.
+func NewSampler(reg *Registry, interval time.Duration) *Sampler {
 	if interval <= 0 {
 		interval = DefaultSampleInterval
-	}
-	if capacity <= 0 {
-		capacity = defaultSeriesCapacity
 	}
 	return &Sampler{
 		reg:      reg,
 		interval: interval,
-		capacity: capacity,
+		kept:     make(map[string]bool),
 		counters: make(map[string]*ring[int64]),
-		gauges:   make(map[string]*ring[int64]),
 		hists:    make(map[string]*ring[HistogramSnapshot]),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 }
 
-// Interval reports the sampling period.
-func (s *Sampler) Interval() time.Duration { return s.interval }
+// Keep declares that a reader looks back up to window over the named
+// counters or histograms: every later sample records them, and every
+// ring holds at least ⌈window ÷ interval⌉ + 1 samples, enough to span
+// the window. Safe at any time; a ring declared late starts empty. A
+// name the registry does not hold as a counter or histogram records
+// nothing.
+func (s *Sampler) Keep(window time.Duration, names ...string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, name := range names {
+		s.kept[name] = true
+	}
+	c := int((max(window, 0)+s.interval-1)/s.interval) + 1
+	if c <= s.capacity {
+		return
+	}
+	s.capacity = c
+	for _, r := range s.counters {
+		r.grow(c)
+	}
+	for _, r := range s.hists {
+		r.grow(c)
+	}
+}
 
 // OnSample registers a hook invoked after every sample (ticker-driven
 // or manual) with the sample time, outside the sampler's lock.
@@ -129,16 +158,6 @@ func (s *Sampler) OnSample(fn func(now time.Time)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.hooks = append(s.hooks, fn)
-}
-
-// OnBeforeSample registers a hook invoked immediately before every
-// snapshot (outside the sampler's lock), so gauges that must be polled
-// — the process_* runtime health gauges — are fresh in the sample about
-// to be taken. Register hooks before Start.
-func (s *Sampler) OnBeforeSample(fn func(now time.Time)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.preHooks = append(s.preHooks, fn)
 }
 
 // Start launches the background sampling goroutine. Idempotent.
@@ -181,39 +200,16 @@ func (s *Sampler) Stop() {
 // want manual pacing) can drive the rings deterministically.
 func (s *Sampler) Sample() { s.SampleAt(time.Now()) }
 
-// SampleAt takes one snapshot stamped with the given time.
+// SampleAt records every declared metric, stamped with the given time.
 func (s *Sampler) SampleAt(now time.Time) {
 	s.mu.Lock()
-	pre := s.preHooks
-	s.mu.Unlock()
-	for _, fn := range pre {
-		fn(now)
-	}
-	snap := s.reg.Snapshot()
-	s.mu.Lock()
-	for name, v := range snap.Counters {
-		r := s.counters[name]
-		if r == nil {
-			r = newRing[int64](s.capacity)
-			s.counters[name] = r
+	for name := range s.kept {
+		switch m := s.reg.lookup(name).(type) {
+		case *Counter:
+			record(s.counters, name, s.capacity, now, m.Value())
+		case *Histogram:
+			record(s.hists, name, s.capacity, now, m.snapshot())
 		}
-		r.push(now, v)
-	}
-	for name, v := range snap.Gauges {
-		r := s.gauges[name]
-		if r == nil {
-			r = newRing[int64](s.capacity)
-			s.gauges[name] = r
-		}
-		r.push(now, v)
-	}
-	for name, v := range snap.Histograms {
-		r := s.hists[name]
-		if r == nil {
-			r = newRing[HistogramSnapshot](s.capacity)
-			s.hists[name] = r
-		}
-		r.push(now, v)
 	}
 	hooks := s.hooks
 	s.mu.Unlock()
@@ -222,31 +218,29 @@ func (s *Sampler) SampleAt(now time.Time) {
 	}
 }
 
+// record pushes v onto name's ring, creating the ring on first use.
+func record[T any](rings map[string]*ring[T], name string, capacity int, at time.Time, v T) {
+	r := rings[name]
+	if r == nil {
+		r = newRing[T](capacity)
+		rings[name] = r
+	}
+	r.push(at, v)
+}
+
 // CounterDelta reports how much the named counter advanced across the
 // trailing window: the value difference and elapsed time between the
 // oldest in-window sample and the newest. ok is false when fewer than
-// two samples fall in the window or the metric is unknown.
+// two samples fall in the window or the counter is not kept.
 func (s *Sampler) CounterDelta(name string, window time.Duration) (delta float64, dt time.Duration, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := s.counters[name]
-	if r == nil {
+	v0, v1, dt, ok := s.counters[name].span(window)
+	if !ok {
 		return 0, 0, false
 	}
-	i := r.window(window)
-	if i < 0 {
-		return 0, 0, false
-	}
-	t0, v0 := r.sample(i)
-	t1, v1 := r.sample(r.n - 1)
-	if dt = t1.Sub(t0); dt <= 0 {
-		return 0, 0, false
-	}
-	d := v1 - v0
-	if d < 0 { // registry Reset between samples
-		d = 0
-	}
-	return float64(d), dt, true
+	// A registry Reset between samples clamps to zero.
+	return float64(max(v1-v0, 0)), dt, true
 }
 
 // CounterRate is CounterDelta expressed per second.
@@ -264,17 +258,8 @@ func (s *Sampler) CounterRate(name string, window time.Duration) (perSec float64
 func (s *Sampler) HistogramDelta(name string, window time.Duration) (h HistogramSnapshot, dt time.Duration, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := s.hists[name]
-	if r == nil {
-		return HistogramSnapshot{}, 0, false
-	}
-	i := r.window(window)
-	if i < 0 {
-		return HistogramSnapshot{}, 0, false
-	}
-	t0, h0 := r.sample(i)
-	t1, h1 := r.sample(r.n - 1)
-	if dt = t1.Sub(t0); dt <= 0 {
+	h0, h1, dt, ok := s.hists[name].span(window)
+	if !ok {
 		return HistogramSnapshot{}, 0, false
 	}
 	return SubtractHistogram(h1, h0), dt, true
@@ -288,13 +273,6 @@ type CounterSeries struct {
 	Rates []float64 `json:"rates_per_sec"`
 }
 
-// GaugeSeries is one gauge's ring: raw sampled values.
-type GaugeSeries struct {
-	Name   string  `json:"name"`
-	Last   int64   `json:"last"`
-	Values []int64 `json:"values"`
-}
-
 // HistogramSeries is one histogram's ring: per-step observation rates
 // and per-step windowed p50/p99 (quantiles of each adjacent-sample
 // delta; steps with no observations report -1).
@@ -306,7 +284,8 @@ type HistogramSeries struct {
 	P99   []float64 `json:"p99"`
 }
 
-// SeriesData is the /seriesz JSON document.
+// SeriesData is the /seriesz JSON document: the rings of the kept
+// counters and histograms.
 type SeriesData struct {
 	Schema          int               `json:"schema"`
 	IntervalSeconds float64           `json:"interval_seconds"`
@@ -315,7 +294,6 @@ type SeriesData struct {
 	Start           time.Time         `json:"start,omitempty"`
 	End             time.Time         `json:"end,omitempty"`
 	Counters        []CounterSeries   `json:"counters"`
-	Gauges          []GaugeSeries     `json:"gauges"`
 	Histograms      []HistogramSeries `json:"histograms"`
 }
 
@@ -325,18 +303,15 @@ func (s *Sampler) SeriesSnapshot() SeriesData {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := SeriesData{
-		Schema:          1,
+		Schema:          2,
 		IntervalSeconds: s.interval.Seconds(),
 		Capacity:        s.capacity,
 		Counters:        []CounterSeries{},
-		Gauges:          []GaugeSeries{},
 		Histograms:      []HistogramSeries{},
 	}
 	for _, name := range sortedKeys(s.counters) {
 		r := s.counters[name]
-		if r.n > out.Samples {
-			out.Samples = r.n
-		}
+		cover(&out, r)
 		cs := CounterSeries{Name: name, Rates: []float64{}}
 		for i := 1; i < r.n; i++ {
 			t0, v0 := r.sample(i - 1)
@@ -345,37 +320,12 @@ func (s *Sampler) SeriesSnapshot() SeriesData {
 		}
 		if r.n > 0 {
 			_, cs.Last = r.sample(r.n - 1)
-			t0, _ := r.sample(0)
-			t1, _ := r.sample(r.n - 1)
-			if out.Start.IsZero() || t0.Before(out.Start) {
-				out.Start = t0
-			}
-			if t1.After(out.End) {
-				out.End = t1
-			}
 		}
 		out.Counters = append(out.Counters, cs)
 	}
-	for _, name := range sortedKeys(s.gauges) {
-		r := s.gauges[name]
-		if r.n > out.Samples {
-			out.Samples = r.n
-		}
-		gs := GaugeSeries{Name: name, Values: []int64{}}
-		for i := 0; i < r.n; i++ {
-			_, v := r.sample(i)
-			gs.Values = append(gs.Values, v)
-		}
-		if r.n > 0 {
-			gs.Last = gs.Values[r.n-1]
-		}
-		out.Gauges = append(out.Gauges, gs)
-	}
 	for _, name := range sortedKeys(s.hists) {
 		r := s.hists[name]
-		if r.n > out.Samples {
-			out.Samples = r.n
-		}
+		cover(&out, r)
 		hs := HistogramSeries{Name: name, Rates: []float64{}, P50: []float64{}, P99: []float64{}}
 		for i := 1; i < r.n; i++ {
 			t0, h0 := r.sample(i - 1)
@@ -392,6 +342,22 @@ func (s *Sampler) SeriesSnapshot() SeriesData {
 		out.Histograms = append(out.Histograms, hs)
 	}
 	return out
+}
+
+// cover widens d's sample count and time span to take in r.
+func cover[T any](d *SeriesData, r *ring[T]) {
+	if r.n == 0 {
+		return
+	}
+	d.Samples = max(d.Samples, r.n)
+	t0, _ := r.sample(0)
+	t1, _ := r.sample(r.n - 1)
+	if d.Start.IsZero() || t0.Before(d.Start) {
+		d.Start = t0
+	}
+	if t1.After(d.End) {
+		d.End = t1
+	}
 }
 
 func stepRate(delta float64, dt time.Duration) float64 {

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"sync"
 	"testing"
 	"time"
 )
@@ -16,7 +17,8 @@ func TestSamplerWindowedRates(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("ts_req_total", "requests")
 	h := reg.Histogram("ts_lat_seconds", "latency", []float64{1, 2, 4})
-	s := NewSampler(reg, time.Second, 16)
+	s := NewSampler(reg, time.Second)
+	s.Keep(time.Minute, "ts_req_total", "ts_lat_seconds")
 
 	if _, _, ok := s.CounterDelta("ts_req_total", time.Minute); ok {
 		t.Error("delta reported ok before any sample")
@@ -40,7 +42,7 @@ func TestSamplerWindowedRates(t *testing.T) {
 		t.Errorf("rate = %v (ok=%v), want 5/s", rate, ok)
 	}
 	if _, ok := s.CounterRate("no_such_metric", time.Minute); ok {
-		t.Error("unknown metric reported ok")
+		t.Error("unkept metric reported ok")
 	}
 
 	// All 4 observations landed in (1,2] within the 2s window: p50
@@ -53,7 +55,7 @@ func TestSamplerWindowedRates(t *testing.T) {
 		t.Errorf("window p50 = %v (ok=%v), want 1.5", q, ok)
 	}
 	if _, _, ok := s.HistogramDelta("no_such_metric", time.Minute); ok {
-		t.Error("unknown histogram reported ok")
+		t.Error("unkept histogram reported ok")
 	}
 
 	// A window too narrow to hold two samples is not sampled.
@@ -70,12 +72,14 @@ func TestSamplerWindowedRates(t *testing.T) {
 	}
 }
 
-// TestSamplerRingWrap fills a small ring past capacity and checks that
-// only the newest samples are retained.
+// TestSamplerRingWrap fills a ring sized for a 3s window past capacity
+// and checks that only the newest samples are retained, then that a
+// longer window declared later grows the ring without losing them.
 func TestSamplerRingWrap(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("wrap_total", "wrap")
-	s := NewSampler(reg, time.Second, 4)
+	s := NewSampler(reg, time.Second)
+	s.Keep(3*time.Second, "wrap_total") // ⌈3s ÷ 1s⌉ + 1 = 4 samples
 	for i := 0; i < 10; i++ {
 		c.Add(1)
 		s.SampleAt(seriesBase.Add(time.Duration(i) * time.Second))
@@ -104,15 +108,29 @@ func TestSamplerRingWrap(t *testing.T) {
 	if delta, _, ok := s.CounterDelta("wrap_total", time.Hour); !ok || delta != 3 {
 		t.Errorf("windowed delta after wrap = %v (ok=%v), want 3", delta, ok)
 	}
+
+	s.Keep(5*time.Second, "wrap_total")
+	for i := 10; i < 12; i++ {
+		c.Add(1)
+		s.SampleAt(seriesBase.Add(time.Duration(i) * time.Second))
+	}
+	if d := s.SeriesSnapshot(); d.Capacity != 6 || d.Samples != 6 || d.Start != seriesBase.Add(6*time.Second) {
+		t.Errorf("after growing: capacity %d, samples %d from %v; want 6, 6 from 6s after base", d.Capacity, d.Samples, d.Start)
+	}
+	if delta, dt, ok := s.CounterDelta("wrap_total", 5*time.Second); !ok || delta != 5 || dt != 5*time.Second {
+		t.Errorf("5s delta after growing = %v over %v (ok=%v), want 5 over 5s", delta, dt, ok)
+	}
 }
 
 // TestSeriesSnapshotJSON checks the /seriesz document shape, including
-// the -1 markers for histogram steps with no observations.
+// the -1 markers for histogram steps with no observations, and that a
+// declared gauge is not sampled.
 func TestSeriesSnapshotJSON(t *testing.T) {
 	reg := NewRegistry()
 	reg.Gauge("g_depth", "depth").Set(7)
 	h := reg.Histogram("h_seconds", "h", []float64{1, 2})
-	s := NewSampler(reg, time.Second, 8)
+	s := NewSampler(reg, time.Second)
+	s.Keep(7*time.Second, "g_depth", "h_seconds")
 	s.SampleAt(seriesBase)
 	h.Observe(1.5)
 	s.SampleAt(seriesBase.Add(time.Second))
@@ -126,11 +144,11 @@ func TestSeriesSnapshotJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &d); err != nil {
 		t.Fatalf("invalid /seriesz JSON: %v\n%s", err, buf.String())
 	}
-	if d.Schema != 1 || d.IntervalSeconds != 1 || d.Samples != 3 {
+	if d.Schema != 2 || d.IntervalSeconds != 1 || d.Capacity != 8 || d.Samples != 3 {
 		t.Errorf("header = %+v", d)
 	}
-	if len(d.Gauges) != 1 || d.Gauges[0].Last != 7 || len(d.Gauges[0].Values) != 3 {
-		t.Errorf("gauges = %+v", d.Gauges)
+	if len(d.Counters) != 0 || bytes.Contains(buf.Bytes(), []byte("g_depth")) {
+		t.Errorf("gauge g_depth was sampled:\n%s", buf.String())
 	}
 	if len(d.Histograms) != 1 {
 		t.Fatalf("histograms = %+v", d.Histograms)
@@ -149,7 +167,8 @@ func TestSeriesSnapshotJSON(t *testing.T) {
 func TestSamplerStartStop(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("bg_total", "bg").Add(1)
-	s := NewSampler(reg, time.Millisecond, 64)
+	s := NewSampler(reg, time.Millisecond)
+	s.Keep(64*time.Millisecond, "bg_total")
 	s.Start()
 	s.Start() // idempotent
 	deadline := time.Now().Add(5 * time.Second)
@@ -168,16 +187,45 @@ func TestSamplerStartStop(t *testing.T) {
 	}
 }
 
+// TestSamplerKeepWhileSampling declares and reads while the background
+// loop samples, as psi-serve's NewServer declares after Start: under
+// -race it checks that Keep, SampleAt and the readers share the rings
+// safely, and that the longest window sizes them.
+func TestSamplerKeepWhileSampling(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Counter("live_total", "live")
+	s := NewSampler(reg, time.Millisecond)
+	s.Keep(2*time.Millisecond, "live_total")
+	s.Start()
+	defer s.Stop()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 1; i <= 50; i++ {
+				c.Inc()
+				s.Keep(time.Duration(g*50+i)*time.Millisecond, "live_total")
+				s.CounterDelta("live_total", time.Second)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := s.SeriesSnapshot().Capacity; got != 201 {
+		t.Errorf("capacity = %d, want 201 (a 200ms window at 1ms)", got)
+	}
+}
+
 // TestSamplerStopWithoutStart pins that Stop is safe on a sampler whose
 // goroutine never launched (psi-serve's disabled-sampling path).
 func TestSamplerStopWithoutStart(t *testing.T) {
-	s := NewSampler(NewRegistry(), time.Second, 4)
+	s := NewSampler(NewRegistry(), time.Second)
 	s.Stop()
 }
 
 // TestSamplerOnSample checks hook delivery with the sample timestamp.
 func TestSamplerOnSample(t *testing.T) {
-	s := NewSampler(NewRegistry(), time.Second, 4)
+	s := NewSampler(NewRegistry(), time.Second)
 	var got []time.Time
 	s.OnSample(func(now time.Time) { got = append(got, now) })
 	s.SampleAt(seriesBase)

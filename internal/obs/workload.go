@@ -441,8 +441,8 @@ func (d WorkloadData) WriteText(w io.Writer) error {
 }
 
 // obs_workload_* meta-metrics: the sketch's own health, exported
-// through the default registry so the sampler, /seriesz and the SLO
-// machinery see workload-shape churn like any other series.
+// through the default registry so /metrics and a bundle's metrics.json
+// show workload-shape churn like any other counter.
 var (
 	workloadObserved = Default.Counter("obs_workload_observed_total",
 		"Queries folded into the workload sketch.")

@@ -115,56 +115,6 @@ func Heuristic(q graph.Query, g *graph.Graph) Plan {
 	return p
 }
 
-// Enumerate returns all valid plans for q, in a deterministic order, up
-// to max (<=0 means unbounded). The result's indices are the class labels
-// of model β.
-func Enumerate(q graph.Query, max int) []Plan {
-	n := q.G.NumNodes()
-	var out []Plan
-	if n == 0 {
-		return out
-	}
-	cur := make(Plan, 1, n)
-	cur[0] = q.Pivot
-	inPlan := make([]bool, n)
-	inPlan[q.Pivot] = true
-	var rec func() bool
-	rec = func() bool {
-		if len(cur) == n {
-			cp := make(Plan, n)
-			copy(cp, cur)
-			out = append(out, cp)
-			return max > 0 && len(out) >= max
-		}
-		for v := graph.NodeID(0); int(v) < n; v++ {
-			if inPlan[v] {
-				continue
-			}
-			connected := false
-			for _, w := range q.G.Neighbors(v) {
-				if inPlan[w] {
-					connected = true
-					break
-				}
-			}
-			if !connected {
-				continue
-			}
-			inPlan[v] = true
-			cur = append(cur, v)
-			done := rec()
-			cur = cur[:len(cur)-1]
-			inPlan[v] = false
-			if done {
-				return true
-			}
-		}
-		return false
-	}
-	rec()
-	return out
-}
-
 // Sample returns up to k distinct valid plans drawn uniformly-ish by
 // random greedy extension. The heuristic plan for g is always included
 // first so the model β class set contains the safe default.

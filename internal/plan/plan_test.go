@@ -66,63 +66,6 @@ func TestHeuristicPrefersRareLabels(t *testing.T) {
 	}
 }
 
-func TestEnumerate(t *testing.T) {
-	q := graphtest.Figure1Query() // triangle, pivot v1: both orders valid
-	plans := Enumerate(q, 0)
-	if len(plans) != 2 {
-		t.Fatalf("triangle has %d plans, want 2", len(plans))
-	}
-	for _, p := range plans {
-		if err := Validate(q, p); err != nil {
-			t.Errorf("enumerated plan %v invalid: %v", p, err)
-		}
-	}
-	// The Figure 2 query: count by hand. Valid orders from pivot v1 keep
-	// prefixes connected; v4 must come after v3, v0 anywhere after v1.
-	q2 := graphtest.Figure2Query()
-	plans2 := Enumerate(q2, 0)
-	for _, p := range plans2 {
-		if err := Validate(q2, p); err != nil {
-			t.Errorf("plan %v invalid: %v", p, err)
-		}
-	}
-	// Cross-check the count against brute force over all permutations.
-	want := bruteForcePlanCount(q2)
-	if len(plans2) != want {
-		t.Errorf("Enumerate found %d plans, brute force %d", len(plans2), want)
-	}
-	// max caps the output.
-	if got := Enumerate(q2, 3); len(got) != 3 {
-		t.Errorf("Enumerate(max=3) returned %d", len(got))
-	}
-}
-
-func bruteForcePlanCount(q graph.Query) int {
-	n := q.G.NumNodes()
-	perm := make(Plan, n)
-	used := make([]bool, n)
-	count := 0
-	var rec func(i int)
-	rec = func(i int) {
-		if i == n {
-			if Validate(q, perm) == nil {
-				count++
-			}
-			return
-		}
-		for v := graph.NodeID(0); int(v) < n; v++ {
-			if !used[v] {
-				used[v] = true
-				perm[i] = v
-				rec(i + 1)
-				used[v] = false
-			}
-		}
-	}
-	rec(0)
-	return count
-}
-
 func TestSample(t *testing.T) {
 	q := graphtest.Figure2Query()
 	g := graphtest.Figure1Data()

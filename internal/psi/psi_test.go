@@ -193,7 +193,7 @@ func TestModesAgreeAcrossPlans(t *testing.T) {
 		}
 		q, _ := graph.NewQuery(sub, 0)
 		e := newEvalQuiet(g, q)
-		plans := plan.Enumerate(q, 6)
+		plans := enumeratePlans(q, 6)
 		var want []bool
 		for pi, p := range plans {
 			c := plan.MustCompile(q, p)

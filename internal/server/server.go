@@ -154,13 +154,10 @@ type Config struct {
 	RetryAfter time.Duration
 	// Sampler, when non-nil, is the obs time-series sampler: it mounts
 	// /seriesz on the debug mux and replaces the static RetryAfter hint
-	// with an estimate from the observed queue-drain rate.
+	// with an estimate from the queue-drain rate it samples.
 	Sampler *obs.Sampler
 	// Alerts, when non-nil, mounts /alertz on the debug mux.
 	Alerts *obs.SLOSet
-	// RateWindow is the trailing window for the Sampler-derived drain
-	// rate. Default 30s.
-	RateWindow time.Duration
 	// Log, when non-nil, receives one structured access-log line per
 	// /v1 request (with its request ID) plus one line per rejected or
 	// failed request.
@@ -210,9 +207,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.RateWindow <= 0 {
-		c.RateWindow = 30 * time.Second
-	}
 	return c
 }
 
@@ -247,6 +241,9 @@ func NewServer(eval Evaluator, cfg Config) *Server {
 	}
 	if gp, ok := eval.(interface{ Graph() *graph.Graph }); ok {
 		s.graph = gp.Graph()
+	}
+	if s.cfg.Sampler != nil {
+		s.cfg.Sampler.Keep(rateWindow, "server_requests_total", "server_shed_total")
 	}
 	s.adm = newAdmission(s.cfg.Workers, s.cfg.QueueDepth)
 	s.mux = http.NewServeMux()
@@ -621,6 +618,8 @@ func (s *Server) retryAfterSeconds() string {
 	return strconv.Itoa(secs)
 }
 
+const rateWindow = 30 * time.Second // trailing window of the drain rate
+
 // drainRetrySeconds estimates how long the current admission queue
 // takes to drain at the sampler's windowed served-request rate
 // (requests minus sheds), clamped to [1s, 60s]. ok is false without a
@@ -630,11 +629,11 @@ func (s *Server) drainRetrySeconds() (int, bool) {
 	if s.cfg.Sampler == nil {
 		return 0, false
 	}
-	total, ok := s.cfg.Sampler.CounterRate("server_requests_total", s.cfg.RateWindow)
+	total, ok := s.cfg.Sampler.CounterRate("server_requests_total", rateWindow)
 	if !ok {
 		return 0, false
 	}
-	shed, _ := s.cfg.Sampler.CounterRate("server_shed_total", s.cfg.RateWindow)
+	shed, _ := s.cfg.Sampler.CounterRate("server_shed_total", rateWindow)
 	drain := total - shed
 	if drain <= 0 {
 		return 0, false

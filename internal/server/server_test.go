@@ -807,7 +807,7 @@ func TestServerRequestCorrelation(t *testing.T) {
 func TestServerDynamicRetryAfter(t *testing.T) {
 	reg := obs.NewRegistry()
 	req := reg.Counter("server_requests_total", "requests")
-	sampler := obs.NewSampler(reg, time.Second, 16)
+	sampler := obs.NewSampler(reg, time.Second)
 
 	s := NewServer(&fakeEval{}, Config{RetryAfter: 7 * time.Second, Sampler: sampler})
 
@@ -830,7 +830,7 @@ func TestServerDynamicRetryAfter(t *testing.T) {
 	reg2 := obs.NewRegistry()
 	req2 := reg2.Counter("server_requests_total", "requests")
 	shed2 := reg2.Counter("server_shed_total", "sheds")
-	sampler2 := obs.NewSampler(reg2, time.Second, 16)
+	sampler2 := obs.NewSampler(reg2, time.Second)
 	sShed := NewServer(&fakeEval{}, Config{RetryAfter: 5 * time.Second, Sampler: sampler2})
 	sampler2.SampleAt(base)
 	req2.Add(50)

@@ -12,7 +12,8 @@
 #      alert (-forbid-alert availability) while the overload pass must
 #      drive the availability burn rate to "firing"
 #      (-require-alert availability), and /seriesz?format=json must be
-#      well-formed JSON under load;
+#      well-formed JSON under load, ringing server_requests_total and
+#      no smartpsi_* series;
 #   4. incident forensics — the overload pass runs with -bundle-dir, so
 #      the firing alert must auto-capture a diagnostic bundle; the
 #      bundle's JSON entries must validate, and psi-bundle report
@@ -120,8 +121,20 @@ start_server -workers 2 -queue 32 \
 "$work/psi-loadgen" -addr "$addr" -graph "$work/g.lg" \
     -batch 4 -requests 10 -timeout-ms 5000 -min-bindings 1
 grep -q '"schema": 1' "$work/load.json"
-step "series endpoint serves well-formed JSON"
-"$work/jsoncheck" -url "http://$addr/seriesz?format=json"
+step "series endpoint serves well-formed JSON ringing only what a window reads"
+# The sampler keeps the SLO objectives' and Retry-After's series, and
+# nothing else: server_requests_total must be there, smartpsi_* not. A
+# ring appears at the first 250ms tick, which a fast pass can precede.
+for _ in $(seq 1 20); do
+    "$work/jsoncheck" -print -url "http://$addr/seriesz?format=json" >"$work/seriesz.json"
+    grep -q '"server_requests_total"' "$work/seriesz.json" && break
+    sleep 0.1
+done
+grep -q '"server_requests_total"' "$work/seriesz.json"
+if grep -q '"smartpsi_' "$work/seriesz.json"; then
+    echo "/seriesz rings smartpsi_* series no window reads" >&2
+    exit 1
+fi
 step "drain"
 stop_server
 
