@@ -20,10 +20,9 @@
 //	psi-loadgen -addr $A -graph g.lg -concurrency 32 -require-shed
 //	psi-loadgen -addr $A -graph g.lg -skew zipf:1.5 -require-hot-shape
 //
-// The -json document has the same top-level shape as psi-bench's
-// ({"schema":1,...,"metrics":{...}}), with the "metrics" key holding
-// the server's /metrics.json snapshot taken after the run, so the same
-// tooling can diff either.
+// The -json document ({"schema":1,...,"metrics":{...}}) carries the
+// client-side numbers, with the "metrics" key holding the server's
+// /metrics.json snapshot taken after the run.
 //
 // Self-asserting flags make the binary usable as a test gate without
 // JSON parsing: the exit status is non-zero when any unexpected 5xx
@@ -89,7 +88,7 @@ func main() {
 		batch       = flag.Int("batch", 0, "queries per request via /v1/psi/batch (0: single-query endpoint)")
 		seed        = flag.Int64("seed", 1, "workload sampling seed")
 		skew        = flag.String("skew", "", "query-mix skew: empty for uniform round-robin, or zipf:<s> for a Zipfian hot-key mix (query 0 hottest, exponent s > 0)")
-		jsonPath    = flag.String("json", "", "write a psi-bench-shaped results document to this file")
+		jsonPath    = flag.String("json", "", "write the JSON results document to this file")
 		verify      = flag.Bool("verify", false, "cross-check every distinct query against a direct model-free PSI evaluation")
 		requireShed = flag.Bool("require-shed", false, "fail unless at least one request was load-shed (429)")
 		requirePart = flag.Bool("require-partial", false, "fail unless at least one OK response was flagged partial (a sharded fleet answering around a lost shard)")
@@ -149,8 +148,7 @@ type config struct {
 	zipfCDF []float64
 }
 
-// report is the -json document: the same top-level shape as
-// psi-bench's regression documents, with loadgen's client-side numbers
+// report is the -json document: loadgen's client-side numbers
 // alongside the server's metric snapshot.
 type report struct {
 	Schema         int          `json:"schema"`

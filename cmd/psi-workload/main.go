@@ -16,22 +16,23 @@
 // collection.
 //
 // With -shadow-rate > 0 the engine additionally audits that fraction of
-// its model decisions by shadow scoring (see /modelz), and -decision-log
-// captures one JSONL record per audited decision for offline analysis
-// with psi-decisions:
+// its model decisions by shadow scoring. Audits are filed only into
+// /modelz, so this turns collection on and, at the end, prints the
+// /modelz report the run folded (model-α confusion matrix and
+// calibration, model-β plan ranks, cache staleness, regret):
 //
 //	psi-workload -dataset cora -sizes 4-6 -count 10 -evaluate \
-//	             -shadow-rate 0.05 -decision-log decisions.jsonl
+//	             -shadow-rate 0.05 -out /dev/null
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	repro "repro"
 	"repro/internal/graph"
@@ -50,8 +51,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve obs debug HTTP (metrics, per-query profiles, pprof) on this address")
 	shadowRate := flag.Float64("shadow-rate", 0, "model-decision audit sampling rate in [0,1] (with -evaluate; 0 disables shadow scoring)")
 	planShadowRate := flag.Float64("plan-shadow-rate", 0, "model-β plan-audit sampling rate (0: shadow-rate/4)")
-	decisionLog := flag.String("decision-log", "", "capture audited decisions as JSONL to this file (with -evaluate; analyze with psi-decisions)")
-	decisionLogCap := flag.Int64("decision-log-cap", 0, "max decision records (0: default cap)")
 	flag.Parse()
 
 	if *debugAddr != "" {
@@ -68,13 +67,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "debug server on http://%s (/metrics /profilez /modelz /debug/pprof; per-query view: /profilez?id=N)\n", addr)
 	}
 
-	audit := auditOptions{
-		shadowRate:     *shadowRate,
-		planShadowRate: *planShadowRate,
-		decisionLog:    *decisionLog,
-		decisionLogCap: *decisionLogCap,
-	}
-	if err := run(*graphPath, *dataset, *sizes, *count, *seed, *out, *evaluate, *threads, audit); err != nil {
+	audit := auditOptions{shadowRate: *shadowRate, planShadowRate: *planShadowRate}
+	if err := run(*graphPath, *dataset, *sizes, *count, *seed, *out, *evaluate, *threads, audit, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "psi-workload:", err)
 		os.Exit(1)
 	}
@@ -84,11 +78,11 @@ func main() {
 type auditOptions struct {
 	shadowRate     float64
 	planShadowRate float64
-	decisionLog    string
-	decisionLogCap int64
 }
 
-func run(graphPath, dataset, sizes string, count int, seed int64, out string, evaluate bool, threads int, audit auditOptions) error {
+// run extracts the workload and, with evaluate, runs it; progress and
+// the /modelz report go to stderr.
+func run(graphPath, dataset, sizes string, count int, seed int64, out string, evaluate bool, threads int, audit auditOptions, stderr io.Writer) error {
 	lo, hi, err := parseSizes(sizes)
 	if err != nil {
 		return err
@@ -128,41 +122,35 @@ func run(graphPath, dataset, sizes string, count int, seed int64, out string, ev
 	if err := graph.WriteQuerySetLG(w, queries); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "extracted %d queries (sizes %d-%d, %d per size)\n",
+	_, _ = fmt.Fprintf(stderr, "extracted %d queries (sizes %d-%d, %d per size)\n",
 		len(queries), lo, hi, count)
 	if evaluate {
-		return evaluateQueries(g, queries, threads, seed, audit)
+		return evaluateQueries(g, queries, threads, seed, audit, stderr)
 	}
 	return nil
 }
 
 // evaluateQueries runs every extracted query through the SmartPSI
 // engine. With collection enabled (-debug-addr or PSI_OBS) each query
-// feeds the obs registry and flight recorder as it executes; with a shadow rate
-// set, sampled model decisions are audited (regret shows up on /modelz)
-// and optionally captured to a JSONL decision log.
-func evaluateQueries(g *graph.Graph, queries []graph.Query, threads int, seed int64, audit auditOptions) error {
-	opts := repro.Options{
+// feeds the obs registry and flight recorder as it executes. With an
+// audit rate set, sampled model decisions are audited; audits are filed
+// only into /modelz, so collection is turned on and the /modelz report
+// is printed once the workload has run.
+func evaluateQueries(g *graph.Graph, queries []graph.Query, threads int, seed int64, audit auditOptions, stderr io.Writer) error {
+	auditing := audit.shadowRate > 0 || audit.planShadowRate > 0
+	if auditing {
+		obs.Enable(true)
+	}
+	engine, err := repro.NewEngine(g, repro.Options{
 		Threads:        threads,
 		Seed:           seed,
 		ShadowRate:     audit.shadowRate,
 		PlanShadowRate: audit.planShadowRate,
-	}
-	var dlog *obs.DecisionLog
-	if audit.decisionLog != "" {
-		var err error
-		dlog, err = obs.CreateDecisionLog(audit.decisionLog, audit.decisionLogCap)
-		if err != nil {
-			return err
-		}
-		opts.DecisionLog = dlog
-	}
-	engine, err := repro.NewEngine(g, opts)
+	})
 	if err != nil {
 		return err
 	}
-	var bindings, work, shadowRuns int64
-	var regret time.Duration
+	var bindings, work int64
 	for i, q := range queries {
 		res, err := engine.Evaluate(q)
 		if err != nil {
@@ -170,22 +158,14 @@ func evaluateQueries(g *graph.Graph, queries []graph.Query, threads int, seed in
 		}
 		bindings += int64(len(res.Bindings))
 		work += res.Work.Recursions
-		shadowRuns += res.ShadowModeRuns + res.ShadowPlanRuns
-		regret += res.Regret
 	}
-	fmt.Fprintf(os.Stderr, "evaluated %d queries: %d pivot bindings, %d recursions\n",
+	_, _ = fmt.Fprintf(stderr, "evaluated %d queries: %d pivot bindings, %d recursions\n",
 		len(queries), bindings, work)
-	if shadowRuns > 0 {
-		fmt.Fprintf(os.Stderr, "shadow audits: %d runs, total regret %s\n", shadowRuns, regret)
+	if !auditing {
+		return nil
 	}
-	if dlog != nil {
-		if err := dlog.Close(); err != nil {
-			return fmt.Errorf("decision log: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "decision log: %d records written, %d dropped -> %s\n",
-			dlog.Written(), dlog.Dropped(), audit.decisionLog)
-	}
-	return nil
+	_, _ = fmt.Fprintln(stderr)
+	return obs.DefaultModelStats.Snapshot().WriteText(stderr)
 }
 
 func parseSizes(s string) (lo, hi int, err error) {

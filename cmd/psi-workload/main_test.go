@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -58,7 +59,7 @@ func TestRunExtractsWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "q.lg")
-	if err := run(gp, "", "3-4", 5, 1, out, false, 1, auditOptions{}); err != nil {
+	if err := run(gp, "", "3-4", 5, 1, out, false, 1, auditOptions{}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -74,10 +75,10 @@ func TestRunExtractsWorkload(t *testing.T) {
 		t.Errorf("extracted %d queries, want 10", len(qs))
 	}
 	// Error paths.
-	if err := run("", "", "3", 1, 1, "", false, 1, auditOptions{}); err == nil {
+	if err := run("", "", "3", 1, 1, "", false, 1, auditOptions{}, io.Discard); err == nil {
 		t.Error("missing inputs accepted")
 	}
-	if err := run(gp, "", "bogus", 1, 1, "", false, 1, auditOptions{}); err == nil {
+	if err := run(gp, "", "bogus", 1, 1, "", false, 1, auditOptions{}, io.Discard); err == nil {
 		t.Error("bogus sizes accepted")
 	}
 }
@@ -116,7 +117,7 @@ func TestObsWorkloadDebugServerAcceptance(t *testing.T) {
 	}()
 
 	out := filepath.Join(dir, "q.lg")
-	if err := run(gp, "", "3-4", 4, 1, out, true, 2, auditOptions{}); err != nil {
+	if err := run(gp, "", "3-4", 4, 1, out, true, 2, auditOptions{}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,6 +152,63 @@ func TestObsWorkloadDebugServerAcceptance(t *testing.T) {
 		if v := metricValue(t, text, name); v <= 0 {
 			t.Errorf("%s = %d, want > 0", name, v)
 		}
+	}
+}
+
+// TestObsWorkloadModelzReport runs -evaluate -shadow-rate 1 on a graph
+// large enough for the ML path: collection is turned on, and stderr
+// ends with the /modelz report the audits folded.
+func TestObsWorkloadModelzReport(t *testing.T) {
+	prevEnabled := obs.Enabled()
+	defer obs.Enable(prevEnabled)
+	obs.DefaultModelStats.Reset()
+	defer obs.DefaultModelStats.Reset()
+
+	// 300 nodes over 3 labels: 100 candidates per pivot label, above the
+	// engine's 64-candidate training threshold.
+	dir := t.TempDir()
+	gp := filepath.Join(dir, "g.lg")
+	const n = 300
+	var content strings.Builder
+	content.WriteString("t # 0\n")
+	for i := 0; i < n; i++ {
+		content.WriteString("v " + itoa(i) + " L" + itoa(i%3) + "\n")
+	}
+	rng := rand.New(rand.NewSource(3))
+	seen := map[[2]int]bool{}
+	for len(seen) < 3*n {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u > v {
+			u, v = v, u
+		}
+		if u == v || seen[[2]int{u, v}] {
+			continue
+		}
+		seen[[2]int{u, v}] = true
+		content.WriteString("e " + itoa(u) + " " + itoa(v) + "\n")
+	}
+	if err := os.WriteFile(gp, []byte(content.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var stderr strings.Builder
+	out := filepath.Join(dir, "q.lg")
+	if err := run(gp, "", "3", 4, 1, out, true, 1, auditOptions{shadowRate: 1}, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	text := stderr.String()
+	if !obs.Enabled() {
+		t.Error("-shadow-rate did not turn collection on")
+	}
+	if !strings.Contains(text, "model α (node type, §4.2) — confusion matrix") {
+		t.Errorf("stderr has no /modelz report:\n%s", text)
+	}
+	m := regexp.MustCompile(`shadow mode \(model α counterfactual\) regret: (\d+) runs`).FindStringSubmatch(text)
+	if m == nil || m[1] == "0" {
+		t.Errorf("/modelz report has no mode-regret runs:\n%s", text)
+	}
+	if !strings.Contains(text, "shadow verdict mismatches: 0 ") {
+		t.Errorf("/modelz report does not show 0 shadow verdict mismatches:\n%s", text)
 	}
 }
 

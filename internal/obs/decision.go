@@ -1,21 +1,16 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"time"
 )
 
 // This file is the model-decision observability layer: the aggregate
 // telemetry behind /modelz (ModelStats, which also keeps the most
-// recent audited records) and the opt-in JSONL decision-log writer
-// (DecisionLog) whose files cmd/psi-decisions replays through the same
-// ModelStats fold.
+// recent audited records).
 //
 // SmartPSI's bet (paper §4) is that the per-node choices of model α
 // (optimistic vs pessimistic method) and model β (search order) beat
@@ -26,10 +21,6 @@ import (
 // hits), and per-decision regret from shadow scoring — the extra time
 // the predicted choice cost versus a counterfactual run of the
 // opposite method or an alternative plan.
-
-// DecisionSchemaVersion is the schema tag written into every decision
-// record; cmd/psi-decisions refuses records from other versions.
-const DecisionSchemaVersion = 1
 
 // Decision-record kinds.
 const (
@@ -49,12 +40,10 @@ const (
 	DecisionKindBeta = "beta"
 )
 
-// DecisionRecord is one audited model decision, serialized as a single
-// JSONL line by DecisionLog. Fields are populated per Kind; zero-valued
-// optional fields are omitted.
+// DecisionRecord is one audited model decision, as /modelz?format=json
+// lists it among the recent ones. Fields are populated per Kind;
+// zero-valued optional fields are omitted.
 type DecisionRecord struct {
-	// Schema is DecisionSchemaVersion; readers must reject others.
-	Schema int `json:"schema"`
 	// Kind is one of the DecisionKind* constants.
 	Kind string `json:"kind"`
 	// Query names the originating query (the profile name).
@@ -63,13 +52,11 @@ type DecisionRecord struct {
 	// decision, when the query arrived through psi-serve.
 	RequestID string `json:"request_id,omitempty"`
 	// Fingerprint is the query's canonical shape fingerprint (the
-	// /queryz grouping key), letting decision-log analysis pivot model
-	// behavior by workload shape.
+	// /queryz grouping key), letting an audit be pivoted by workload
+	// shape.
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Node is the audited candidate node (-1 for beta-rank records).
 	Node int64 `json:"node"`
-	// Features is the candidate's signature row (the model input).
-	Features []float64 `json:"features,omitempty"`
 	// FromCache marks decisions served by the prediction cache.
 	FromCache bool `json:"from_cache,omitempty"`
 	// PredMode is model α's method choice (0 optimistic, 1 pessimistic,
@@ -105,163 +92,6 @@ type DecisionRecord struct {
 	Rank int `json:"rank,omitempty"`
 }
 
-// PredValid reports the validity model α's method choice implies
-// (optimistic ⇒ predicted valid).
-func (r *DecisionRecord) PredValid() bool { return r.PredMode == 0 }
-
-// DecisionLog is a bounded, schema-versioned JSONL writer: one line per
-// audited decision. All methods are safe for concurrent use and
-// nil-safe, so call sites hold a possibly-nil *DecisionLog
-// unconditionally. Once the record cap is reached further appends are
-// counted as dropped rather than growing the file without bound.
-type DecisionLog struct {
-	mu      sync.Mutex
-	bw      *bufio.Writer
-	closer  io.Closer // non-nil when the log owns the underlying file
-	max     int64
-	written int64
-	dropped int64
-	closed  bool
-	err     error // first write error; subsequent appends are dropped
-}
-
-// DefaultDecisionLogCap bounds a log when NewDecisionLog is given a
-// non-positive cap.
-const DefaultDecisionLogCap = 1 << 20
-
-// NewDecisionLog returns a bounded JSONL decision log writing to w
-// (maxRecords <= 0 means DefaultDecisionLogCap). The caller retains
-// ownership of w; Close flushes but does not close it.
-func NewDecisionLog(w io.Writer, maxRecords int64) *DecisionLog {
-	if maxRecords <= 0 {
-		maxRecords = DefaultDecisionLogCap
-	}
-	return &DecisionLog{bw: bufio.NewWriter(w), max: maxRecords}
-}
-
-// CreateDecisionLog creates (truncates) path and returns a log that
-// owns the file: Close flushes and closes it.
-func CreateDecisionLog(path string, maxRecords int64) (*DecisionLog, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: decision log: %w", err)
-	}
-	l := NewDecisionLog(f, maxRecords)
-	l.closer = f
-	return l, nil
-}
-
-// Append writes one record (stamping the schema version). Appends past
-// the record cap, after Close, or after a write error are counted as
-// dropped. Nil-safe: a nil log drops everything silently.
-func (l *DecisionLog) Append(rec DecisionRecord) {
-	if l == nil {
-		return
-	}
-	rec.Schema = DecisionSchemaVersion
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed || l.err != nil || l.written >= l.max {
-		l.dropped++
-		return
-	}
-	data, err := json.Marshal(rec)
-	if err == nil {
-		data = append(data, '\n')
-		_, err = l.bw.Write(data)
-	}
-	if err != nil {
-		l.err = err
-		l.dropped++
-		return
-	}
-	l.written++
-}
-
-// Written returns the number of records written.
-func (l *DecisionLog) Written() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.written
-}
-
-// Dropped returns the number of records dropped (cap reached, closed,
-// or write error).
-func (l *DecisionLog) Dropped() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
-
-// Close flushes buffered records (closing the underlying file when the
-// log owns it) and marks the log closed; later appends are dropped.
-// Idempotent and nil-safe.
-func (l *DecisionLog) Close() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return l.err
-	}
-	l.closed = true
-	if err := l.bw.Flush(); err != nil && l.err == nil {
-		l.err = err
-	}
-	if l.closer != nil {
-		if err := l.closer.Close(); err != nil && l.err == nil {
-			l.err = err
-		}
-	}
-	return l.err
-}
-
-// ReadDecisionLog parses a JSONL decision log, rejecting records with a
-// foreign schema version. Blank lines are skipped.
-func ReadDecisionLog(r io.Reader) ([]DecisionRecord, error) {
-	var recs []DecisionRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := bytes.TrimSpace(sc.Bytes())
-		if len(text) == 0 {
-			continue
-		}
-		var rec DecisionRecord
-		if err := json.Unmarshal(text, &rec); err != nil {
-			return nil, fmt.Errorf("obs: decision log line %d: %w", line, err)
-		}
-		if rec.Schema != DecisionSchemaVersion {
-			return nil, fmt.Errorf("obs: decision log line %d: schema %d, this reader handles %d",
-				line, rec.Schema, DecisionSchemaVersion)
-		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: decision log: %w", err)
-	}
-	return recs, nil
-}
-
-// ReadDecisionLogFile opens path and parses it with ReadDecisionLog.
-func ReadDecisionLogFile(path string) ([]DecisionRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: decision log: %w", err)
-	}
-	defer f.Close()
-	return ReadDecisionLog(f)
-}
-
 // NumCalibrationBuckets is the vote-margin calibration resolution:
 // margin ∈ [0,1] split into equal buckets.
 const NumCalibrationBuckets = 5
@@ -289,8 +119,7 @@ type CalibrationBucket struct {
 // the vote-margin calibration. Every scored prediction lands here, not
 // just shadow-sampled ones — ground truth is free (§4.2.1: the
 // evaluation itself labels the node). The engine's workers tally cells
-// in plain fields and add them to /modelz once (ModelStats.AddAlpha);
-// Replay folds a decision log the same way.
+// in plain fields and add them to /modelz once (ModelStats.AddAlpha).
 type AlphaCells struct {
 	// Alpha is the confusion matrix [actual][predicted], with 1 = valid
 	// (optimistic).
@@ -408,10 +237,9 @@ func (m *ModelStats) AddAlpha(c AlphaCells) {
 
 // Observe folds one decision record into the aggregates: a shadow run's
 // regret (mode and plan kinds), a cache-quality audit (cache) or a
-// model-β plan rank (beta). With keep it also retains the record, with
-// its schema stamped, among the recent ones /modelz serves. This is the
-// one fold from a record into the aggregates: the engine calls it as it
-// audits, psi-decisions through Replay.
+// model-β plan rank (beta). With keep it also retains the record among
+// the recent ones /modelz serves. This is the one fold from a record
+// into the aggregates; the engine calls it as it audits.
 func (m *ModelStats) Observe(rec DecisionRecord, keep bool) {
 	if m == nil {
 		return
@@ -452,28 +280,11 @@ func (m *ModelStats) Observe(rec DecisionRecord, keep bool) {
 		SmartShadowTimeouts.Inc()
 	}
 	if keep {
-		rec.Schema = DecisionSchemaVersion
 		if len(m.recent) == RecentDecisions {
 			m.recent = m.recent[1:]
 		}
 		m.recent = append(m.recent, rec)
 	}
-}
-
-// Replay folds a decision log offline: every record through Observe
-// (unretained), and each mode audit's prediction into the model-α
-// cells, added once through AddAlpha — in a log, the audited
-// predictions are the only scored ones.
-func (m *ModelStats) Replay(recs []DecisionRecord) {
-	var alpha AlphaCells
-	for i := range recs {
-		r := &recs[i]
-		m.Observe(*r, false)
-		if r.Kind == DecisionKindMode {
-			alpha.Score(r.PredValid(), r.ActualValid, r.VoteMargin)
-		}
-	}
-	m.AddAlpha(alpha)
 }
 
 // ObserveShadowMismatch records a shadow/primary verdict disagreement.

@@ -1,127 +1,12 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 )
-
-func TestDecisionLogBounded(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewDecisionLog(&buf, 3)
-	for i := 0; i < 5; i++ {
-		l.Append(DecisionRecord{Kind: DecisionKindMode, Node: int64(i)})
-	}
-	if w, d := l.Written(), l.Dropped(); w != 3 || d != 2 {
-		t.Errorf("written/dropped = %d/%d, want 3/2", w, d)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l.Append(DecisionRecord{Kind: DecisionKindMode}) // post-close: dropped
-	if d := l.Dropped(); d != 3 {
-		t.Errorf("dropped after post-close append = %d, want 3", d)
-	}
-	if err := l.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-
-	recs, err := ReadDecisionLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("read %d records, want 3", len(recs))
-	}
-	for i, r := range recs {
-		if r.Schema != DecisionSchemaVersion {
-			t.Errorf("record %d schema = %d, want %d (Append must stamp it)", i, r.Schema, DecisionSchemaVersion)
-		}
-		if r.Node != int64(i) {
-			t.Errorf("record %d node = %d, want %d (order must be preserved)", i, r.Node, i)
-		}
-	}
-}
-
-func TestDecisionLogNilSafe(t *testing.T) {
-	var l *DecisionLog
-	l.Append(DecisionRecord{Kind: DecisionKindMode})
-	if l.Written() != 0 || l.Dropped() != 0 {
-		t.Error("nil log reports nonzero counts")
-	}
-	if err := l.Close(); err != nil {
-		t.Errorf("nil Close = %v", err)
-	}
-}
-
-func TestDecisionLogDefaultCap(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewDecisionLog(&buf, 0)
-	if l.max != DefaultDecisionLogCap {
-		t.Errorf("cap = %d with maxRecords=0, want DefaultDecisionLogCap %d", l.max, DefaultDecisionLogCap)
-	}
-}
-
-func TestReadDecisionLogRejectsForeignSchema(t *testing.T) {
-	rec := DecisionRecord{Schema: DecisionSchemaVersion + 1, Kind: DecisionKindMode}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadDecisionLog(bytes.NewReader(data)); err == nil {
-		t.Error("schema version +1 accepted; readers must reject foreign schemas")
-	}
-	if _, err := ReadDecisionLog(strings.NewReader("{not json}\n")); err == nil {
-		t.Error("malformed JSON line accepted")
-	}
-	// Blank lines are tolerated.
-	var buf bytes.Buffer
-	l := NewDecisionLog(&buf, 0)
-	l.Append(DecisionRecord{Kind: DecisionKindCache})
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ReadDecisionLog(strings.NewReader("\n" + buf.String() + "\n\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 {
-		t.Errorf("read %d records with padding blank lines, want 1", len(recs))
-	}
-}
-
-func TestDecisionLogConcurrentAppend(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewDecisionLog(&buf, 1000)
-	var wg sync.WaitGroup
-	const writers, each = 8, 50
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				l.Append(DecisionRecord{Kind: DecisionKindMode, Node: int64(w*each + i)})
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if l.Written() != writers*each {
-		t.Fatalf("written = %d, want %d", l.Written(), writers*each)
-	}
-	recs, err := ReadDecisionLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != writers*each {
-		t.Errorf("read %d records, want %d (interleaved writes must stay line-atomic)", len(recs), writers*each)
-	}
-}
 
 func TestCalibrationBucketIndexBoundaries(t *testing.T) {
 	cases := []struct {

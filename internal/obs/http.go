@@ -64,7 +64,7 @@ func WithPprof(on bool) HandlerOption {
 // recorder:
 //
 //	/metrics            Prometheus text exposition
-//	/metrics.json       JSON snapshot (the psi-bench "metrics" key)
+//	/metrics.json       JSON snapshot of the registry
 //	/profilez           flight recorder: K slowest + K most recent profiles
 //	/profilez?id=N      one profile as an EXPLAIN ANALYZE text tree
 //	/profilez?request_id=X  the profile recorded for one served request

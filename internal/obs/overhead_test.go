@@ -12,7 +12,6 @@
 package obs_test
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"runtime"
@@ -312,8 +311,8 @@ var auditRate float64
 // TestObsShadowDisabledOverhead is the ShadowRate=0 guard: shadow
 // scoring off must cost at most a rate comparison per rung-1 candidate
 // — under 2% of workload wall time — and must leave every shadow
-// artifact empty: no shadow runs, no shadow work, no regret, and zero
-// decision-log records even when a log is attached.
+// artifact empty: no shadow runs, no shadow work, no regret, and, with
+// collection on, no audit record retained by /modelz.
 func TestObsShadowDisabledOverhead(t *testing.T) {
 	prev := obs.Enabled()
 	defer obs.Enable(prev)
@@ -333,17 +332,14 @@ func TestObsShadowDisabledOverhead(t *testing.T) {
 		return h
 	}), loopBaseline(checks))
 
-	// 2. Representative workload with ShadowRate=0 and a decision log
-	// attached (appends are sampling-gated, so it must stay empty).
+	// 2. Representative workload with ShadowRate=0.
 	g := overheadGraph(t)
 	rng := rand.New(rand.NewSource(2))
 	queries, err := repro.ExtractQueries(g, 4, 16, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var logBuf bytes.Buffer
-	dlog := obs.NewDecisionLog(&logBuf, 0)
-	eng, err := repro.NewEngine(g, repro.Options{Seed: 2, DecisionLog: dlog})
+	eng, err := repro.NewEngine(g, repro.Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,21 +357,35 @@ func TestObsShadowDisabledOverhead(t *testing.T) {
 		regretNanos += res.Regret.Nanoseconds()
 	}
 	wall := time.Since(t0).Seconds()
-	if err := dlog.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	if shadowRuns != 0 || shadowWork != 0 || regretNanos != 0 {
 		t.Errorf("ShadowRate=0 left shadow artifacts: runs=%d work=%d regret=%dns", shadowRuns, shadowWork, regretNanos)
-	}
-	if dlog.Written() != 0 || logBuf.Len() != 0 {
-		t.Errorf("ShadowRate=0 wrote %d decision records (%d bytes); appends must be sampling-gated", dlog.Written(), logBuf.Len())
 	}
 	if candidates == 0 {
 		t.Fatal("workload evaluated no candidates; fixture broken")
 	}
 
-	// 3. Budget: a bounded handful of audit-gate branches per candidate.
+	// 3. The same workload collected, on a fresh engine (untimed):
+	// /modelz still folds model β's plan ranks, but retains no record.
+	obs.Enable(true)
+	obs.DefaultModelStats.Reset()
+	defer obs.DefaultModelStats.Reset()
+	collected, err := repro.NewEngine(g, repro.Options{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range queries {
+		if _, err := collected.Evaluate(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	obs.Enable(false)
+	if d := obs.DefaultModelStats.Snapshot(); len(d.Recent) != 0 || d.BetaObserved() == 0 {
+		t.Errorf("ShadowRate=0 retained %d audit records and folded %d plan ranks; want none retained, some folded",
+			len(d.Recent), d.BetaObserved())
+	}
+
+	// 4. Budget: a bounded handful of audit-gate branches per candidate.
 	const sitesPerCandidate = 4
 	overhead := perCheck * float64(candidates) * sitesPerCandidate
 	t.Logf("perCheck=%.2fns candidates=%d overhead=%.3fµs wall=%.3fms (2%% limit %.3fµs)",

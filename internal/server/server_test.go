@@ -655,15 +655,19 @@ func directBindings(t *testing.T, g *graph.Graph, q graph.Query) []int64 {
 // TestServerRequestCorrelation walks one request ID through the whole
 // pipeline: the client sends X-Request-ID, the server echoes it,
 // stamps the structured access log, files the execution profile under
-// it (served by /profilez?request_id=), and threads it into the
-// decision-log records the audited evaluation appends.
+// it (served by /profilez?request_id=), and threads it into the audit
+// records /modelz retains for the audited evaluation.
 func TestServerRequestCorrelation(t *testing.T) {
 	prevEnabled := obs.Enabled()
 	obs.Enable(true)
-	t.Cleanup(func() { obs.Enable(prevEnabled) })
+	obs.DefaultModelStats.Reset()
+	t.Cleanup(func() {
+		obs.Enable(prevEnabled)
+		obs.DefaultModelStats.Reset()
+	})
 
 	// Sparse random graph with enough label-0 candidates for the ML
-	// path, so the audited evaluation writes decision records.
+	// path, so the audited evaluation files audit records.
 	const n, m = 300, 900
 	rng := rand.New(rand.NewSource(9))
 	b := graph.NewBuilder(n, m)
@@ -694,12 +698,9 @@ func TestServerRequestCorrelation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var dlogBuf bytes.Buffer
-	dlog := obs.NewDecisionLog(&dlogBuf, 0)
 	engine, err := smartpsi.NewEngine(g, smartpsi.Options{
 		Seed: 3, MinTrainNodes: 10, MaxTrainNodes: 20, PlanSamples: 2,
 		DisablePreemption: true, ShadowRate: 1, PlanShadowRate: 1,
-		DecisionLog: dlog,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -766,18 +767,8 @@ func TestServerRequestCorrelation(t *testing.T) {
 		t.Errorf("/profilez with unknown request_id = %d, want 404", code)
 	}
 
-	// 3. Decision-log records carry the ID.
-	if err := dlog.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if dlog.Written() == 0 {
-		t.Fatal("audited evaluation wrote no decision records; fixture broken")
-	}
-	if !strings.Contains(dlogBuf.String(), `"request_id":"`+reqID+`"`) {
-		t.Errorf("decision log has no request_id field; first line:\n%.300s", dlogBuf.String())
-	}
-	// ... and so do the recent ones /modelz serves (a diagnostic bundle's
-	// modelz.json).
+	// 3. Every audit record /modelz retains (a diagnostic bundle's
+	// modelz.json) carries the ID.
 	mresp, err := ts.Client().Get(ts.URL + "/modelz?format=json")
 	if err != nil {
 		t.Fatal(err)
@@ -790,8 +781,13 @@ func TestServerRequestCorrelation(t *testing.T) {
 	if decErr != nil {
 		t.Fatal(decErr)
 	}
-	if n := len(model.Recent); n == 0 || model.Recent[n-1].RequestID != reqID {
-		t.Errorf("/modelz recent holds %d records, want the newest from %s", n, reqID)
+	if len(model.Recent) == 0 {
+		t.Fatal("audited evaluation filed no audit records; fixture broken")
+	}
+	for i, rec := range model.Recent {
+		if rec.RequestID != reqID {
+			t.Fatalf("/modelz recent[%d] (%s) has request ID %q, want %q", i, rec.Kind, rec.RequestID, reqID)
+		}
 	}
 
 	// 4. A request without the header gets a server-minted ID.

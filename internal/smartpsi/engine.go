@@ -75,11 +75,6 @@ type Options struct {
 	// ShadowRate/4 — plan counterfactuals are costlier and noisier, so
 	// they run at a lower rate.
 	PlanShadowRate float64
-	// DecisionLog, when non-nil, captures one schema-versioned JSONL
-	// record per audited decision (see obs.DecisionRecord); replay it
-	// with cmd/psi-decisions. Only audited decisions are logged, so
-	// ShadowRate=0 writes nothing.
-	DecisionLog *obs.DecisionLog
 
 	// Ablation switches (all false in the full system).
 	DisableCache      bool // skip the Section 4.2.3 prediction cache

@@ -158,12 +158,13 @@ type Request struct {
 	Deadline time.Time
 	// ID is the serving-layer request ID (X-Request-ID) and Fingerprint
 	// the query's canonical shape key; both are threaded into the
-	// execution profile and the decision-log records, so one served
-	// request is correlatable across the access log,
-	// /profilez?request_id= and the decision log. The serving layer
-	// fingerprints once at admission so the workload sketch, the profile
-	// and the decision log all agree; an empty Fingerprint falls back to
-	// computing one here when anything will record it.
+	// execution profile and the audit records /modelz retains, so one
+	// served request is correlatable across the access log,
+	// /profilez?request_id= and /modelz?format=json's recent list. The
+	// serving layer fingerprints once at admission so the workload
+	// sketch, the profile and the audit records all agree; an empty
+	// Fingerprint falls back to computing one here when the query is
+	// collected.
 	ID, Fingerprint string
 	// Owns selects the pivot candidates this evaluation answers for (nil:
 	// all of them). A shard passes its ownership predicate: verdicts are
@@ -194,7 +195,7 @@ func (e *Engine) EvaluateTagged(q graph.Query, deadline time.Time, requestID, fi
 // outlives the request lives in the artifact.
 type queryRun struct {
 	req  Request
-	name string // "" when nothing records it
+	name string // "" when the query is not collected
 	// enabled is obs.Enabled() as read once when the query started; every
 	// metric and audit site of the query tests it instead of the gate.
 	enabled bool
@@ -232,16 +233,12 @@ func (e *Engine) Run(req Request) (_ *Result, retErr error) {
 	start := time.Now()
 	q, deadline := req.Query, req.Deadline
 	enabled := obs.Enabled()
-	tagged := enabled || e.opts.auditing() || e.opts.DecisionLog != nil
-	var name string // profile and decision-record name
-	if tagged {
-		name = fmt.Sprintf("smartpsi/q%d.p%d", q.Size(), int(q.Pivot))
-	}
 	res := &Result{}
-	r := &queryRun{req: req, name: name, enabled: enabled, res: res}
+	r := &queryRun{req: req, enabled: enabled, res: res}
 	if enabled {
+		r.name = fmt.Sprintf("smartpsi/q%d.p%d", q.Size(), int(q.Pivot))
 		obs.SmartQueries.Inc()
-		res.Profile = obs.StartProfile(name, req.ID, req.Fingerprint)
+		res.Profile = obs.StartProfile(r.name, req.ID, req.Fingerprint)
 	}
 	// Record the query on every exit, errors included, so aborted
 	// (deadline/stop) queries are accounted and retained too.
@@ -251,9 +248,9 @@ func (e *Engine) Run(req Request) (_ *Result, retErr error) {
 	if err := e.checkQuery(q); err != nil {
 		return nil, err
 	}
-	if tagged && req.Fingerprint == "" {
+	if enabled && req.Fingerprint == "" {
 		// Non-serving entry points (CLIs, tests) fingerprint here so
-		// their profiles and decision records still pivot by shape; the
+		// their profiles and audit records still pivot by shape; the
 		// serving layer passes one in instead.
 		r.req.Fingerprint = fsm.PivotFingerprint(q, 0).String()
 	}
@@ -524,7 +521,7 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 	features := make([]float64, trainCount*width)
 	// Retain the per-plan sweep measurements for the model-β plan-rank
 	// audit (scoreBetaRanks) when anyone will consume them.
-	collectSweeps := (r.enabled || (e.opts.DecisionLog != nil && e.opts.auditing())) && !e.opts.DisablePlanModel
+	collectSweeps := r.enabled && !e.opts.DisablePlanModel
 	var sweeps []betaSweep
 	for i, pos := range order[:trainCount] {
 		if expired(deadline) {
@@ -652,7 +649,7 @@ func (e *Engine) execute(art *artifact, r *queryRun, order []int32, deadline tim
 				if w.shadowState != nil {
 					w.shadowWork = w.shadowState.Stats()
 				}
-				e.flushDecisions(w)
+				w.flushDecisions()
 				mu.Lock()
 				w.mergeInto(r.res, &modelNanos)
 				mu.Unlock()

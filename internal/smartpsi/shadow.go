@@ -18,7 +18,6 @@ package smartpsi
 
 import (
 	"math/rand"
-	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -167,8 +166,8 @@ func (e *Engine) shadowEvaluate(w *worker, p primaryRun, mode psi.Mode, planIdx 
 }
 
 // recordShadow scores one finished (or censored) counterfactual:
-// verdict agreement, regret accounting, metrics, profile and the
-// decision log.
+// verdict agreement and regret accounting, and with the query collected
+// the audit record /modelz files.
 func (e *Engine) recordShadow(w *worker, p primaryRun, kind string, cf counterfactual) error {
 	regret := time.Duration(0)
 	if cf.timedOut {
@@ -187,6 +186,9 @@ func (e *Engine) recordShadow(w *worker, p primaryRun, kind string, cf counterfa
 		}
 	}
 	w.regretNanos += regret.Nanoseconds()
+	if !w.run.enabled {
+		return nil
+	}
 	rec := w.decisionRecord(p, kind)
 	rec.ShadowMode = int(cf.mode)
 	rec.ShadowPlan = cf.planIdx
@@ -198,32 +200,25 @@ func (e *Engine) recordShadow(w *worker, p primaryRun, kind string, cf counterfa
 	return nil
 }
 
-// record files one audited decision: into /modelz (aggregates and the
-// recent tail) when the query is collected, and into the decision log.
-func (e *Engine) record(enabled bool, rec obs.DecisionRecord) {
-	if enabled {
+// flushDecisions files what one execute worker learned about the models
+// into /modelz, once, when it exits and only if the query is collected:
+// its audited decisions (aggregated and retained), its model-α cells
+// and its shadow mismatches.
+func (w *worker) flushDecisions() {
+	if !w.run.enabled {
+		return
+	}
+	for _, rec := range w.audits {
 		obs.DefaultModelStats.Observe(rec, true)
 	}
-	e.opts.DecisionLog.Append(rec)
-}
-
-// flushDecisions files what one execute worker learned about the models,
-// once, when it exits: its audited decisions (record), and with the query
-// collected its model-α cells and shadow mismatches into /modelz.
-func (e *Engine) flushDecisions(w *worker) {
-	for _, rec := range w.audits {
-		e.record(w.run.enabled, rec)
-	}
-	if w.run.enabled {
-		obs.DefaultModelStats.AddAlpha(w.alpha)
-		for range w.mismatches {
-			obs.DefaultModelStats.ObserveShadowMismatch()
-		}
+	obs.DefaultModelStats.AddAlpha(w.alpha)
+	for range w.mismatches {
+		obs.DefaultModelStats.ObserveShadowMismatch()
 	}
 }
 
-// decisionRecord fills the part of a decision-log record every audit of
-// one primary run shares: the query's identity and the audited decision.
+// decisionRecord fills the part of an audit record every audit of one
+// primary run shares: the query's identity and the audited decision.
 func (w *worker) decisionRecord(p primaryRun, kind string) obs.DecisionRecord {
 	return obs.DecisionRecord{
 		Kind:        kind,
@@ -231,7 +226,6 @@ func (w *worker) decisionRecord(p primaryRun, kind string) obs.DecisionRecord {
 		RequestID:   w.run.req.ID,
 		Fingerprint: w.run.req.Fingerprint,
 		Node:        int64(p.u),
-		Features:    slices.Clone(p.row), // p.row is the worker's scratch
 		FromCache:   p.cached,
 		PredMode:    int(p.dec.mode),
 		PredPlan:    p.dec.planIdx,
@@ -251,6 +245,9 @@ func (e *Engine) shadowCacheCheck(w *worker, p primaryRun) {
 	w.cacheChecks++
 	if stale {
 		w.cacheStale++
+	}
+	if !w.run.enabled {
+		return
 	}
 	rec := w.decisionRecord(p, obs.DecisionKindCache)
 	rec.VoteMargin = fresh.margin
@@ -305,14 +302,10 @@ func (e *Engine) scoreBetaRanks(r *queryRun, betaModel *ml.Forest, sweeps []beta
 			PredPlan:    pred,
 			Rank:        rank,
 		}
-		// The contract pinned by the overhead guard: ShadowRate=0 emits
-		// no decision records, beta ranks included, even with a log
-		// attached; the rank still reaches the /modelz aggregate.
-		if e.opts.auditing() {
-			e.record(r.enabled, rec)
-		} else if r.enabled {
-			obs.DefaultModelStats.Observe(rec, false)
-		}
+		// The contract pinned by the overhead guard: ShadowRate=0
+		// retains no record, beta ranks included; the rank still
+		// reaches the /modelz aggregate.
+		obs.DefaultModelStats.Observe(rec, e.opts.auditing())
 	}
 }
 

@@ -1,8 +1,8 @@
 package smartpsi
 
 import (
-	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -151,7 +151,7 @@ func TestShadowMismatchDetection(t *testing.T) {
 		w.rng = newShadowRNG(1, 0)
 		before := obs.DefaultModelStats.Snapshot().ShadowMismatches
 		got, err := e.evaluateOne(w, 0)
-		e.flushDecisions(w) // as the worker's exit does
+		w.flushDecisions() // as the worker's exit does
 		return got, err, obs.DefaultModelStats.Snapshot().ShadowMismatches - before
 	}
 
@@ -213,6 +213,9 @@ func TestShadowContextInvariants(t *testing.T) {
 // not reproducible run-to-run regardless of auditing. Plan audits are
 // covered by TestShadowPlanAudits.
 func TestShadowDoesNotPerturbPrimary(t *testing.T) {
+	prev := obs.Enabled()
+	obs.Enable(true)
+	defer obs.Enable(prev)
 	g, q := auditFixture(t)
 
 	opts0 := auditOptions(0)
@@ -226,10 +229,10 @@ func TestShadowDoesNotPerturbPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
+	obs.DefaultModelStats.Reset()
+	defer obs.DefaultModelStats.Reset()
 	opts := auditOptions(1)
 	opts.PlanSamples = 1
-	opts.DecisionLog = obs.NewDecisionLog(&buf, 0)
 	audited, err := NewEngine(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -270,40 +273,39 @@ func TestShadowDoesNotPerturbPrimary(t *testing.T) {
 		t.Error("shadow runs executed but ShadowWork is empty")
 	}
 
-	// The decision log captured the audits even without obs collection.
-	if opts.DecisionLog.Written() == 0 {
-		t.Error("decision log empty with ShadowRate=1")
+	// /modelz filed and retained one mode record per shadow mode run.
+	d := obs.DefaultModelStats.Snapshot()
+	if n := countKind(d.Recent, obs.DecisionKindMode); n != res1.ShadowModeRuns || d.ModeRegret.Runs != res1.ShadowModeRuns {
+		t.Errorf("/modelz holds %d mode records (%d mode regret runs), Result reports %d shadow mode runs",
+			n, d.ModeRegret.Runs, res1.ShadowModeRuns)
 	}
-	if err := opts.DecisionLog.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := obs.ReadDecisionLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var modeRecs int64
+}
+
+// countKind counts the records of one kind.
+func countKind(recs []obs.DecisionRecord, kind string) int64 {
+	var n int64
 	for _, r := range recs {
-		if r.Kind == obs.DecisionKindMode {
-			modeRecs++
+		if r.Kind == kind {
+			n++
 		}
 	}
-	if modeRecs != res1.ShadowModeRuns {
-		t.Errorf("log has %d mode records, Result reports %d shadow mode runs", modeRecs, res1.ShadowModeRuns)
-	}
+	return n
 }
 
 // TestShadowPlanAudits exercises the plan-audit path: with two plan
 // classes and PlanShadowRate=1, sampled rung-1 decisions re-run a
-// random alternative plan, plan regret accumulates, and the decision
-// log captures plan records. The primary verdict set must be the one
-// invariant that survives β-timing noise: the binding count is pinned.
+// random alternative plan, plan regret accumulates, and /modelz retains
+// the plan records. The primary verdict set must be the one invariant
+// that survives β-timing noise: the binding count is pinned.
 func TestShadowPlanAudits(t *testing.T) {
+	prev := obs.Enabled()
+	obs.Enable(true)
+	defer obs.Enable(prev)
+	obs.DefaultModelStats.Reset()
+	defer obs.DefaultModelStats.Reset()
 	g, q := auditFixture(t)
 
-	var buf bytes.Buffer
-	opts := auditOptions(1) // PlanSamples: 2
-	opts.DecisionLog = obs.NewDecisionLog(&buf, 0)
-	e, err := NewEngine(g, opts)
+	e, err := NewEngine(g, auditOptions(1)) // PlanSamples: 2
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,23 +327,104 @@ func TestShadowPlanAudits(t *testing.T) {
 		t.Errorf("plan shadows %d exceed the %d non-training candidates", res.ShadowPlanRuns, nonTraining)
 	}
 
-	if err := opts.DecisionLog.Close(); err != nil {
-		t.Fatal(err)
+	d := obs.DefaultModelStats.Snapshot()
+	if d.PlanRegret.Runs != res.ShadowPlanRuns {
+		t.Errorf("/modelz has %d plan regret runs, Result reports %d shadow plan runs", d.PlanRegret.Runs, res.ShadowPlanRuns)
 	}
-	recs, err := obs.ReadDecisionLog(&buf)
+	for _, r := range d.Recent {
+		if r.Kind == obs.DecisionKindPlan && r.ShadowPlan == r.PredPlan && !r.ShadowTimeout {
+			t.Errorf("plan record audits the predicted plan %d against itself", r.PredPlan)
+		}
+	}
+	if n := countKind(d.Recent, obs.DecisionKindPlan); n != res.ShadowPlanRuns {
+		t.Errorf("/modelz retains %d plan records, Result reports %d shadow plan runs", n, res.ShadowPlanRuns)
+	}
+}
+
+// TestShadowFoldMatchesResult is the one-fold guard: with collection on
+// and every decision audited, the /modelz aggregates equal the summed
+// Result counters, every audit is retained, and each retained record
+// carries the request ID and fingerprint its Run was given. The
+// evalHook/shadowHook seams make the schedule deterministic, and every
+// third counterfactual is censored by its budget so timeouts are
+// exercised too.
+func TestShadowFoldMatchesResult(t *testing.T) {
+	prev := obs.Enabled()
+	obs.Enable(true)
+	defer obs.Enable(prev)
+	obs.DefaultModelStats.Reset()
+	defer obs.DefaultModelStats.Reset()
+	g, q := auditFixture(t)
+
+	e, err := NewEngine(g, auditOptions(1)) // PlanSamples: 2
 	if err != nil {
 		t.Fatal(err)
 	}
-	var planRecs int64
-	for _, r := range recs {
-		if r.Kind == obs.DecisionKindPlan {
-			planRecs++
-			if r.ShadowPlan == r.PredPlan && !r.ShadowTimeout {
-				t.Errorf("plan record audits the predicted plan %d against itself", r.PredPlan)
+	e.evalHook = func(int, psi.Mode, int) (bool, error) { return true, nil }
+	var shadows int
+	e.shadowHook = func(psi.Mode, int) (bool, error) {
+		shadows++
+		if shadows%3 == 0 {
+			return false, psi.ErrDeadline // censored: regret 0, a timeout
+		}
+		return true, nil // agree with the primary verdict
+	}
+
+	const fingerprint = "fold-fingerprint"
+	total := &Result{}
+	filed := func(d obs.ModelStatsData) int64 {
+		return d.ModeRegret.Runs + d.PlanRegret.Runs + d.CacheChecks + d.BetaObserved()
+	}
+	for i := range 3 {
+		id := fmt.Sprintf("fold-%d", i)
+		before := filed(obs.DefaultModelStats.Snapshot())
+		res, err := e.Run(Request{Query: q, ID: id, Fingerprint: fingerprint})
+		if err != nil {
+			t.Fatal(err)
+		}
+		total.ShadowModeRuns += res.ShadowModeRuns
+		total.ShadowPlanRuns += res.ShadowPlanRuns
+		total.ShadowTimeouts += res.ShadowTimeouts
+		total.CacheChecks += res.CacheChecks
+		total.CacheStale += res.CacheStale
+		total.Regret += res.Regret
+
+		d := obs.DefaultModelStats.Snapshot()
+		fresh := min(filed(d)-before, int64(len(d.Recent)))
+		if fresh == 0 {
+			t.Fatalf("run %d filed no audit records", i)
+		}
+		for _, rec := range d.Recent[int64(len(d.Recent))-fresh:] {
+			if rec.RequestID != id || rec.Fingerprint != fingerprint {
+				t.Fatalf("run %d retained a %s record tagged %q/%q, want %q/%q",
+					i, rec.Kind, rec.RequestID, rec.Fingerprint, id, fingerprint)
 			}
 		}
 	}
-	if planRecs != res.ShadowPlanRuns {
-		t.Errorf("log has %d plan records, Result reports %d shadow plan runs", planRecs, res.ShadowPlanRuns)
+
+	d := obs.DefaultModelStats.Snapshot()
+	if total.ShadowModeRuns == 0 || total.ShadowPlanRuns == 0 || total.ShadowTimeouts == 0 {
+		t.Fatalf("fixture exercised mode/plan/censored = %d/%d/%d shadow runs, want all nonzero",
+			total.ShadowModeRuns, total.ShadowPlanRuns, total.ShadowTimeouts)
+	}
+	if d.ModeRegret.Runs != total.ShadowModeRuns || d.PlanRegret.Runs != total.ShadowPlanRuns {
+		t.Errorf("/modelz mode/plan runs = %d/%d, Result reports %d/%d",
+			d.ModeRegret.Runs, d.PlanRegret.Runs, total.ShadowModeRuns, total.ShadowPlanRuns)
+	}
+	if got := d.ModeRegret.Timeouts + d.PlanRegret.Timeouts; got != total.ShadowTimeouts {
+		t.Errorf("/modelz timeouts = %d, Result reports %d", got, total.ShadowTimeouts)
+	}
+	if d.CacheChecks != total.CacheChecks || d.CacheStale != total.CacheStale {
+		t.Errorf("/modelz cache checks/stale = %d/%d, Result reports %d/%d",
+			d.CacheChecks, d.CacheStale, total.CacheChecks, total.CacheStale)
+	}
+	if got := time.Duration(d.ModeRegret.TotalNanos + d.PlanRegret.TotalNanos); got != total.Regret {
+		t.Errorf("/modelz regret = %s, Result reports %s", got, total.Regret)
+	}
+	if want := min(filed(d), obs.RecentDecisions); int64(len(d.Recent)) != want {
+		t.Errorf("/modelz retains %d records, want %d (every audit, up to the cap)", len(d.Recent), want)
+	}
+	if d.ShadowMismatches != 0 {
+		t.Errorf("%d shadow mismatches; every counterfactual agreed", d.ShadowMismatches)
 	}
 }

@@ -46,19 +46,16 @@ step "benchmark module (vet + tests against this tree's engine API)"
 go -C benchmark vet ./...
 go -C benchmark test ./...
 
-step "observability suite (-race; overhead + shadow guards, /modelz, decision log)"
-go test -race -count=1 -run 'TestObs|TestShadow|TestModelz|TestDecisionLog|TestMerge' \
-    ./internal/obs/ ./internal/psi/ ./internal/smartpsi/ \
-    ./cmd/psi-bench/ ./cmd/psi-workload/ ./cmd/psi-decisions/
+step "observability suite (-race; overhead + shadow guards, /modelz)"
+go test -race -count=1 -run 'TestObs|TestShadow|TestModelz|TestMerge' \
+    ./internal/obs/ ./internal/psi/ ./internal/smartpsi/ ./cmd/psi-workload/
 
-step "decision-log pipeline (psi-workload -shadow-rate -> psi-decisions)"
-declog_dir="$(mktemp -d)"
-trap 'rm -rf "$declog_dir"' EXIT
-go run ./cmd/psi-workload -dataset cora -sizes 4 -count 4 -evaluate \
-    -shadow-rate 0.5 -decision-log "$declog_dir/decisions.jsonl" \
-    -out "$declog_dir/queries.lg"
-go run ./cmd/psi-decisions "$declog_dir/decisions.jsonl"
-go run ./cmd/psi-decisions -json "$declog_dir/decisions.jsonl" > /dev/null
+step "audited workload (psi-workload -evaluate -shadow-rate prints the /modelz report)"
+modelz="$(go run ./cmd/psi-workload -dataset cora -sizes 4 -count 4 -evaluate \
+    -shadow-rate 0.5 -out /dev/null 2>&1)"
+printf '%s\n' "$modelz"
+grep -q 'model α (node type, §4.2) — confusion matrix' <<<"$modelz"
+grep -q 'shadow verdict mismatches: 0 ' <<<"$modelz"
 
 step "serving smoke (psi-serve + psi-loadgen: verify, overload shed, drain)"
 ./scripts/serve_smoke.sh
