@@ -96,11 +96,7 @@ func key(name string, size int) string { return name + "/" + string(rune('0'+siz
 func makeEvaluator(b *testing.B, f *benchFixture, dataset string, q graph.Query) *psi.Evaluator {
 	b.Helper()
 	eng := f.engines[dataset]
-	qSigs, err := signature.Build(q.G, signature.DefaultDepth, eng.Signatures().Width(), signature.Matrix)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev, err := psi.NewEvaluator(f.graphs[dataset], q, eng.Signatures(), qSigs)
+	ev, err := psi.NewEvaluator(f.graphs[dataset], q, eng.Signatures(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -255,7 +251,7 @@ func BenchmarkFig9_TwoThreaded(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := psi.EvaluateAll(ev, psi.TwoThreaded, time.Time{}); err != nil {
+		if _, err := psi.EvaluateAll(ev, psi.TwoThreaded, 0, time.Time{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -286,7 +282,7 @@ func benchmarkStrategy(b *testing.B, strategy psi.Strategy) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := psi.EvaluateAll(ev, strategy, time.Time{}); err != nil {
+		if _, err := psi.EvaluateAll(ev, strategy, 0, time.Time{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -366,11 +362,7 @@ func classifierDataset(b *testing.B) ml.Dataset {
 	eng := f.engines["human"]
 	g := f.graphs["human"]
 	q := f.queries[key("human", 5)]
-	qSigs, err := signature.Build(q.G, signature.DefaultDepth, eng.Signatures().Width(), signature.Matrix)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev, err := psi.NewEvaluator(g, q, eng.Signatures(), qSigs)
+	ev, err := psi.NewEvaluator(g, q, eng.Signatures(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

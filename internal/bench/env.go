@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/signature"
 	"repro/internal/smartpsi"
 	"repro/internal/workload"
 )
@@ -82,7 +81,7 @@ func (e *Env) Graph(name string) (*graph.Graph, error) {
 
 // Engine returns a cached SmartPSI engine for the named dataset.
 func (e *Env) Engine(name string) (*smartpsi.Engine, error) {
-	return e.EngineWithOptions(name, name, smartpsi.Options{Seed: e.Seed, SignatureMethod: signature.Matrix})
+	return e.EngineWithOptions(name, name, smartpsi.Options{Seed: e.Seed})
 }
 
 // EngineWithOptions returns a cached engine for the named dataset built

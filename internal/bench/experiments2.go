@@ -134,16 +134,11 @@ func Fig10(env *Env, cfg Config, w io.Writer) error {
 // runStrategyQuery evaluates one query with a fixed psi strategy using
 // the engine's precomputed data signatures, honoring the budget.
 func runStrategyQuery(env *Env, eng *smartpsi.Engine, q graph.Query, strategy psi.Strategy, budget time.Duration) (censored bool, err error) {
-	opts := eng.Options()
-	qSigs, err := signature.Build(q.G, opts.SignatureDepth, eng.Signatures().Width(), opts.SignatureMethod)
+	ev, err := psi.NewEvaluator(eng.Graph(), q, eng.Signatures(), nil)
 	if err != nil {
 		return false, err
 	}
-	ev, err := psi.NewEvaluator(eng.Graph(), q, eng.Signatures(), qSigs)
-	if err != nil {
-		return false, err
-	}
-	_, err = psi.EvaluateAll(ev, strategy, time.Now().Add(budget))
+	_, err = psi.EvaluateAll(ev, strategy, 0, time.Now().Add(budget))
 	if err == psi.ErrDeadline {
 		return true, nil
 	}
@@ -352,12 +347,7 @@ func nodeTypeDataset(env *Env, dataset string, querySize, maxNodes int) (ml.Data
 		if err != nil {
 			return ml.Dataset{}, err
 		}
-		opts := eng.Options()
-		qSigs, err := signature.Build(q.G, opts.SignatureDepth, eng.Signatures().Width(), opts.SignatureMethod)
-		if err != nil {
-			return ml.Dataset{}, err
-		}
-		ev, err := psi.NewEvaluator(g, q, eng.Signatures(), qSigs)
+		ev, err := psi.NewEvaluator(g, q, eng.Signatures(), nil)
 		if err != nil {
 			return ml.Dataset{}, err
 		}

@@ -183,10 +183,9 @@ func TestStreamingPSI(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := graphtest.Figure1Query()
-	qSigs := signature.MustBuild(q.G, Depth, d.Width(), signature.Matrix)
 
 	// The new node must now be a valid pivot binding alongside u1, u6.
-	bindings := evaluateAllPessimistic(t, snap, q, sigs, qSigs)
+	bindings := evaluateAllPessimistic(t, snap, q, sigs)
 	want := []graph.NodeID{0, 5, nu}
 	if len(bindings) != len(want) {
 		t.Fatalf("bindings = %v, want %v", bindings, want)

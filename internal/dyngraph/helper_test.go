@@ -12,14 +12,13 @@ import (
 
 // evaluateAllPessimistic runs a PSI query over every pivot-labeled
 // candidate with the pessimistic method and returns sorted bindings.
-func evaluateAllPessimistic(t testing.TB, g *graph.Graph, q graph.Query,
-	dataSigs, querySigs *signature.Signatures) []graph.NodeID {
+func evaluateAllPessimistic(t testing.TB, g *graph.Graph, q graph.Query, dataSigs *signature.Signatures) []graph.NodeID {
 	t.Helper()
-	ev, err := psi.NewEvaluator(g, q, dataSigs, querySigs)
+	ev, err := psi.NewEvaluator(g, q, dataSigs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := psi.EvaluateAll(ev, psi.PessimisticOnly, time.Time{})
+	res, err := psi.EvaluateAll(ev, psi.PessimisticOnly, 0, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/psi"
 	"repro/internal/signature"
 )
@@ -110,8 +109,8 @@ type PSISupport struct {
 }
 
 // NewPSISupport returns the PSI evaluator over g, reusing precomputed
-// data signatures (depth signature.DefaultDepth, matrix method, width =
-// g.NumLabels()).
+// data signatures; each pattern's signatures are built the same way
+// (signature.ForQuery).
 func NewPSISupport(g *graph.Graph, sigs *signature.Signatures) (*PSISupport, error) {
 	if sigs.NumNodes() != g.NumNodes() {
 		return nil, fmt.Errorf("fsm: signatures cover %d nodes, graph has %d", sigs.NumNodes(), g.NumNodes())
@@ -125,53 +124,26 @@ func (s *PSISupport) Name() string { return "psi" }
 // IsFrequent implements SupportEvaluator.
 func (s *PSISupport) IsFrequent(p Pattern, threshold int, deadline time.Time) (bool, int, error) {
 	start := time.Now()
-	qSigs, err := signature.Build(p.G, s.sigs.Depth(), s.sigs.Width(), signature.Matrix)
+	qSigs, err := signature.ForQuery(p.G, s.sigs)
 	if err != nil {
 		return false, 0, err
 	}
-	minSupport := -1
 	var evals int64
-	st := psi.NewState(p.G.NumNodes())
 	for v := graph.NodeID(0); int(v) < p.G.NumNodes(); v++ {
-		q := graph.Query{G: p.G, Pivot: v}
-		ev, err := psi.NewEvaluator(s.g, q, s.sigs, qSigs)
+		ev, err := psi.NewEvaluator(s.g, graph.Query{G: p.G, Pivot: v}, s.sigs, qSigs)
 		if err != nil {
 			return false, 0, err
 		}
-		c, err := plan.Compile(q, plan.Heuristic(q, s.g))
+		res, err := psi.EvaluateAll(ev, psi.PessimisticOnly, threshold, deadline)
+		evals += int64(res.Candidates)
 		if err != nil {
 			return false, 0, err
 		}
-		candidates := s.g.NodesWithLabel(p.G.Label(v))
-		count := 0
-		for i, u := range candidates {
-			// Unreachable even if every remaining candidate matches?
-			if count+(len(candidates)-i) < threshold {
-				break
-			}
-			evals++
-			ok, err := ev.Evaluate(st, c, u, psi.Pessimistic, psi.Limits{Deadline: deadline})
-			if err != nil {
-				psi.PublishStats(st.Stats())
-				return false, 0, err
-			}
-			if ok {
-				count++
-				if count >= threshold {
-					break // this pivot satisfies MNI; next pattern node
-				}
-			}
-		}
-		if count < threshold {
-			psi.PublishStats(st.Stats())
+		if count := len(res.Bindings); count < threshold {
 			observeSupport(start, false, evals)
 			return false, count, nil // MNI is the min: pattern infrequent
 		}
-		if minSupport < 0 || count < minSupport {
-			minSupport = count
-		}
 	}
-	psi.PublishStats(st.Stats())
 	observeSupport(start, true, evals)
 	return true, -1, nil
 }

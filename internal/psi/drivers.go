@@ -35,36 +35,44 @@ func (s Strategy) String() string {
 }
 
 // Result is the outcome of a whole-graph PSI evaluation: the distinct
-// data nodes that bind the query pivot, plus work counters.
+// data nodes that bind the query pivot, in ascending order, plus work
+// counters.
 type Result struct {
 	Bindings   []graph.NodeID
 	Candidates int   // label-matching nodes examined
-	Stats      Stats // zero for TwoThreaded (per-goroutine states are discarded)
+	Stats      Stats // zero for TwoThreaded (Race publishes its discarded states' work)
 	Elapsed    time.Duration
 }
 
 // EvaluateAll runs the full PSI query with a fixed strategy and the
-// heuristic plan — the paper's optimistic-only, pessimistic-only and
-// two-threaded baselines. A deadline of zero means no limit.
-func EvaluateAll(e *Evaluator, strategy Strategy, deadline time.Time) (Result, error) {
+// heuristic plan: the paper's optimistic-only, pessimistic-only and
+// two-threaded baselines, and the threshold count of frequent-subgraph
+// mining (Section 5.5). A threshold of 0 evaluates every candidate; a
+// positive one stops once threshold bindings are found or the remaining
+// candidates can no longer reach it, so the threshold is reached exactly
+// when len(Bindings) == threshold. A deadline of zero means no limit.
+// The work done is in Result.Stats and published on every exit, an
+// aborted run's included.
+func EvaluateAll(e *Evaluator, strategy Strategy, threshold int, deadline time.Time) (res Result, err error) {
+	start := time.Now()
 	c, err := plan.Compile(e.query, plan.Heuristic(e.query, e.g))
 	if err != nil {
 		return Result{}, err
 	}
-	return EvaluateAllWithPlan(e, strategy, c, deadline)
-}
-
-// EvaluateAllWithPlan is EvaluateAll with a caller-chosen compiled plan.
-func EvaluateAllWithPlan(e *Evaluator, strategy Strategy, c *plan.Compiled, deadline time.Time) (Result, error) {
-	start := time.Now()
-	limits := Limits{Deadline: deadline}
-	var res Result
 	st := NewState(e.query.Size())
-	pivotLabel := e.query.G.Label(e.query.Pivot)
-	for _, u := range e.g.NodesWithLabel(pivotLabel) {
+	defer func() {
+		res.Stats = st.Stats()
+		res.Elapsed = time.Since(start)
+		PublishStats(res.Stats)
+	}()
+	limits := Limits{Deadline: deadline}
+	candidates := e.g.NodesWithLabel(e.query.G.Label(e.query.Pivot))
+	for i, u := range candidates {
+		if threshold > 0 && (len(res.Bindings) == threshold || len(res.Bindings)+len(candidates)-i < threshold) {
+			break
+		}
 		res.Candidates++
 		var valid bool
-		var err error
 		switch strategy {
 		case OptimisticOnly:
 			valid, err = e.Evaluate(st, c, u, Optimistic, limits)
@@ -82,8 +90,5 @@ func EvaluateAllWithPlan(e *Evaluator, strategy Strategy, c *plan.Compiled, dead
 			res.Bindings = append(res.Bindings, u)
 		}
 	}
-	res.Stats = st.Stats()
-	res.Elapsed = time.Since(start)
-	PublishStats(res.Stats)
 	return res, nil
 }

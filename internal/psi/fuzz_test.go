@@ -59,10 +59,11 @@ func fuzzInstance(data []byte) (*graph.Graph, graph.Query, bool) {
 	return g, q, true
 }
 
-// FuzzMatchVsReference cross-checks four independent implementations on
-// random small instances: the optimistic and pessimistic PSI evaluators,
-// the full-enumeration backtracking engine projected to the pivot, and
-// the naive reference oracle. All four must agree on every data node.
+// FuzzMatchVsReference cross-checks independent implementations on
+// random small instances: the optimistic and pessimistic PSI evaluators
+// over matrix and over exploration signatures, the full-enumeration
+// backtracking engine projected to the pivot, and the naive reference
+// oracle. All must agree on every data node.
 func FuzzMatchVsReference(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 1, 2, 2, 3, 0, 2, 3, 4, 1, 3})
 	f.Add([]byte{3, 2, 0, 0, 1, 1, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0})
@@ -79,11 +80,14 @@ func FuzzMatchVsReference(f *testing.F) {
 		if w := q.G.NumLabels(); w > width {
 			width = w
 		}
-		ds := signature.MustBuild(g, signature.DefaultDepth, width, signature.Matrix)
-		qs := signature.MustBuild(q.G, signature.DefaultDepth, width, signature.Matrix)
-		e, err := NewEvaluator(g, q, ds, qs)
-		if err != nil {
-			t.Fatalf("NewEvaluator: %v", err)
+		// The query side is derived from each construction's data side.
+		var evs []*Evaluator
+		for _, method := range []signature.Method{signature.Matrix, signature.Exploration} {
+			e, err := NewEvaluator(g, q, signature.MustBuild(g, signature.DefaultDepth, width, method), nil)
+			if err != nil {
+				t.Fatalf("NewEvaluator(%v): %v", method, err)
+			}
+			evs = append(evs, e)
 		}
 		c, err := plan.Compile(q, plan.Heuristic(q, g))
 		if err != nil {
@@ -110,14 +114,16 @@ func FuzzMatchVsReference(f *testing.F) {
 				t.Fatalf("node %d: backtrack=%v reference=%v (n=%d, qsize=%d)",
 					u, fromBacktrack[u], want, g.NumNodes(), q.Size())
 			}
-			for _, mode := range []Mode{Optimistic, Pessimistic} {
-				got, err := e.Evaluate(st, c, u, mode, Limits{})
-				if err != nil {
-					t.Fatalf("node %d mode %v: %v", u, mode, err)
-				}
-				if got != want {
-					t.Fatalf("node %d mode %v: evaluator=%v reference=%v (n=%d, qsize=%d)",
-						u, mode, got, want, g.NumNodes(), q.Size())
+			for _, e := range evs {
+				for _, mode := range []Mode{Optimistic, Pessimistic} {
+					got, err := e.Evaluate(st, c, u, mode, Limits{})
+					if err != nil {
+						t.Fatalf("node %d %v mode %v: %v", u, e.DataSignatures().Method(), mode, err)
+					}
+					if got != want {
+						t.Fatalf("node %d %v mode %v: evaluator=%v reference=%v (n=%d, qsize=%d)",
+							u, e.DataSignatures().Method(), mode, got, want, g.NumNodes(), q.Size())
+					}
 				}
 			}
 		}

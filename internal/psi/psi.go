@@ -127,7 +127,6 @@ type Evaluator struct {
 	g        *graph.Graph
 	query    graph.Query
 	dataSigs *signature.Signatures
-	qSigs    *signature.Signatures
 	// sparse holds each query node's positive signature entries, so the
 	// hot satisfaction and score loops touch only the labels that occur
 	// within D hops of the query node instead of the whole alphabet.
@@ -150,10 +149,21 @@ type sigEntry struct {
 	weight uint32
 }
 
-// NewEvaluator builds an evaluator. dataSigs and querySigs must have been
-// built with the same method, depth, and width (signature satisfaction is
-// only sound when both sides count walks the same way).
+// NewEvaluator builds an evaluator. With querySigs nil it builds the
+// query's signatures from dataSigs (signature.ForQuery); explicit
+// querySigs must match dataSigs' method, depth and width, since
+// signature satisfaction is only sound when both sides count walks the
+// same way.
 func NewEvaluator(g *graph.Graph, q graph.Query, dataSigs, querySigs *signature.Signatures) (*Evaluator, error) {
+	if querySigs == nil {
+		var err error
+		if querySigs, err = signature.ForQuery(q.G, dataSigs); err != nil {
+			return nil, fmt.Errorf("psi: query signatures: %w", err)
+		}
+	}
+	if dataSigs.Method() != querySigs.Method() {
+		return nil, fmt.Errorf("psi: signature methods differ (%v vs %v)", dataSigs.Method(), querySigs.Method())
+	}
 	if dataSigs.Width() != querySigs.Width() {
 		return nil, fmt.Errorf("psi: signature widths differ (%d vs %d)", dataSigs.Width(), querySigs.Width())
 	}
@@ -166,7 +176,7 @@ func NewEvaluator(g *graph.Graph, q graph.Query, dataSigs, querySigs *signature.
 	if querySigs.NumNodes() != q.G.NumNodes() {
 		return nil, fmt.Errorf("psi: query signatures cover %d nodes, query has %d", querySigs.NumNodes(), q.G.NumNodes())
 	}
-	e := &Evaluator{g: g, query: q, dataSigs: dataSigs, qSigs: querySigs}
+	e := &Evaluator{g: g, query: q, dataSigs: dataSigs}
 	e.sparse = make([][]sigEntry, q.G.NumNodes())
 	e.prune = make([][]sigEntry, q.G.NumNodes())
 	for v := 0; v < q.G.NumNodes(); v++ {
@@ -223,9 +233,6 @@ func (e *Evaluator) Query() graph.Query { return e.query }
 // DataSignatures returns the data-node signatures.
 func (e *Evaluator) DataSignatures() *signature.Signatures { return e.dataSigs }
 
-// QuerySignatures returns the query-node signatures.
-func (e *Evaluator) QuerySignatures() *signature.Signatures { return e.qSigs }
-
 // State holds the mutable per-evaluation scratch. Reusing a State across
 // evaluations avoids rebinding allocations; a State must not be shared
 // between goroutines.
@@ -261,9 +268,6 @@ func NewState(maxQuerySize int) *State {
 
 // Stats returns the accumulated work counters.
 func (s *State) Stats() Stats { return s.stats }
-
-// ResetStats zeroes the work counters.
-func (s *State) ResetStats() { s.stats = Stats{} }
 
 // SetFunnel attaches (or, with nil, detaches) a candidate funnel that
 // subsequent evaluations fill per plan depth.

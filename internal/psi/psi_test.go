@@ -14,8 +14,8 @@ import (
 	"repro/internal/signature"
 )
 
-// newEval builds an evaluator with matrix signatures at depth 2 for both
-// sides, as SmartPSI does.
+// newEval builds an evaluator over matrix data signatures at depth 2, as
+// SmartPSI does; the query side is derived from them.
 func newEval(t testing.TB, g *graph.Graph, q graph.Query) *Evaluator {
 	t.Helper()
 	width := g.NumLabels()
@@ -23,8 +23,7 @@ func newEval(t testing.TB, g *graph.Graph, q graph.Query) *Evaluator {
 		width = w
 	}
 	ds := signature.MustBuild(g, signature.DefaultDepth, width, signature.Matrix)
-	qs := signature.MustBuild(q.G, signature.DefaultDepth, width, signature.Matrix)
-	e, err := NewEvaluator(g, q, ds, qs)
+	e, err := NewEvaluator(g, q, ds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +143,7 @@ func TestAgainstReferenceOracle(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		width := g.NumLabels()
-		if w := sub.NumLabels(); w > width {
-			width = w
-		}
-		ds := signature.MustBuild(g, 2, width, signature.Matrix)
-		qs := signature.MustBuild(sub, 2, width, signature.Matrix)
-		e, err := NewEvaluator(g, q, ds, qs)
+		e, err := NewEvaluator(g, q, signature.MustBuild(g, 2, g.NumLabels(), signature.Matrix), nil)
 		if err != nil {
 			return false
 		}
@@ -222,9 +215,7 @@ func newEvalQuiet(g *graph.Graph, q graph.Query) *Evaluator {
 	if w := q.G.NumLabels(); w > width {
 		width = w
 	}
-	ds := signature.MustBuild(g, 2, width, signature.Matrix)
-	qs := signature.MustBuild(q.G, 2, width, signature.Matrix)
-	e, err := NewEvaluator(g, q, ds, qs)
+	e, err := NewEvaluator(g, q, signature.MustBuild(g, 2, width, signature.Matrix), nil)
 	if err != nil {
 		panic(err)
 	}
@@ -247,8 +238,18 @@ func TestEvaluatorConstructionErrors(t *testing.T) {
 	if _, err := NewEvaluator(g, q, qs, qs); err == nil {
 		t.Error("node-count mismatch accepted")
 	}
+	// Proposition 3.2 compares walk counts: a matrix data side against an
+	// exploration query side is unsound however the shapes line up.
+	explored := signature.MustBuild(q.G, 2, 3, signature.Exploration)
+	if _, err := NewEvaluator(g, q, ds, explored); err == nil {
+		t.Error("method mismatch accepted")
+	}
 	if _, err := NewEvaluator(g, q, ds, qs); err != nil {
 		t.Errorf("valid construction rejected: %v", err)
+	}
+	// The derived query side follows the data side's method.
+	if _, err := NewEvaluator(g, q, signature.MustBuild(g, 2, 3, signature.Exploration), nil); err != nil {
+		t.Errorf("exploration data with derived query signatures rejected: %v", err)
 	}
 }
 
@@ -360,7 +361,7 @@ func TestEvaluateAllStrategiesAgree(t *testing.T) {
 	e := newEval(t, g, q)
 	want := graphtest.Figure1PivotBindings()
 	for _, s := range []Strategy{OptimisticOnly, PessimisticOnly, TwoThreaded} {
-		res, err := EvaluateAll(e, s, time.Time{})
+		res, err := EvaluateAll(e, s, 0, time.Time{})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -396,7 +397,7 @@ func TestStatsAccumulate(t *testing.T) {
 	if s.ScoreCalcs == 0 {
 		t.Errorf("optimistic did not compute scores: %+v", s)
 	}
-	st.ResetStats()
+	st = NewState(q.Size())
 	if _, err := e.Evaluate(st, c, 1, Pessimistic, Limits{}); err != nil {
 		t.Fatal(err)
 	}

@@ -38,15 +38,11 @@ func (r *Reference) Bindings(q graph.Query) ([]int64, error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("server: reference query: %w", err)
 	}
-	qSigs, err := signature.Build(q.G, r.sigs.Depth(), r.sigs.Width(), signature.Matrix)
-	if err != nil {
-		return nil, fmt.Errorf("server: reference query signatures: %w", err)
-	}
-	ev, err := psi.NewEvaluator(r.g, q, r.sigs, qSigs)
+	ev, err := psi.NewEvaluator(r.g, q, r.sigs, nil)
 	if err != nil {
 		return nil, fmt.Errorf("server: reference evaluator: %w", err)
 	}
-	res, err := psi.EvaluateAll(ev, psi.PessimisticOnly, time.Time{})
+	res, err := psi.EvaluateAll(ev, psi.PessimisticOnly, 0, time.Time{})
 	if err != nil {
 		return nil, fmt.Errorf("server: reference evaluation: %w", err)
 	}

@@ -146,8 +146,6 @@ type Config struct {
 	MaxBatch int
 	// MaxQueryNodes bounds the size of one query graph. Default 32.
 	MaxQueryNodes int
-	// MaxBodyBytes bounds a request body. Default 1 MiB.
-	MaxBodyBytes int64
 	// RetryAfter is the static hint sent with 429/503 responses when no
 	// Sampler is wired (or before it holds samples). Default 1s, rounded
 	// up to whole seconds on the wire.
@@ -179,6 +177,10 @@ type Config struct {
 	ExposePprof bool
 }
 
+// maxBodyBytes bounds a request body: 1 MiB holds a full batch of
+// MaxBatch queries of MaxQueryNodes nodes many times over.
+const maxBodyBytes = 1 << 20
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -200,9 +202,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueryNodes <= 0 {
 		c.MaxQueryNodes = 32
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
@@ -344,7 +343,7 @@ func (s *Server) Handler() http.Handler {
 				writeError(sw, http.StatusInternalServerError, "internal error")
 			}
 		}()
-		r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
+		r.Body = http.MaxBytesReader(sw, r.Body, maxBodyBytes)
 		s.mux.ServeHTTP(sw, r)
 	})
 }

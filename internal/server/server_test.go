@@ -162,6 +162,7 @@ func TestServerMalformedRequests(t *testing.T) {
 	fake := &fakeEval{}
 	_, ts := newTestServer(t, fake, Config{MaxQueryNodes: 4, MaxBatch: 2})
 	maxTimeout := fmt.Sprintf(`"timeout_ms":%d`, int64(math.MaxInt64))
+	oversized := `{"query_lg":"` + strings.Repeat("x", maxBodyBytes) + `"}`
 	cases := []struct {
 		name string
 		path string // default /v1/psi
@@ -182,6 +183,8 @@ func TestServerMalformedRequests(t *testing.T) {
 		{name: "negative timeout", body: `{"query":{"nodes":[0,0],"edges":[[0,1]],"pivot":0},"timeout_ms":-5}`, want: http.StatusBadRequest},
 		{name: "too many nodes", body: `{"query":{"nodes":[0,0,0,0,0],"edges":[[0,1],[1,2],[2,3],[3,4]],"pivot":0}}`, want: http.StatusRequestEntityTooLarge},
 		{name: "bad lg", body: `{"query_lg":"w 0 0"}`, want: http.StatusBadRequest},
+		{name: "body over 1 MiB", body: oversized, want: http.StatusRequestEntityTooLarge},
+		{name: "batch body over 1 MiB", path: "/v1/psi/batch", body: oversized, want: http.StatusRequestEntityTooLarge},
 		// The longest timeout a client can ask for is clamped to
 		// MaxTimeout, not overflowed into a deadline in the past.
 		{name: "max timeout", body: `{"query":{"nodes":[0,0],"edges":[[0,1]],"pivot":0},` + maxTimeout + `}`, want: http.StatusOK},

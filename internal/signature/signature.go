@@ -52,11 +52,14 @@ func (m Method) String() string {
 // Signatures holds one dense weight row per node over a fixed label
 // alphabet of Width labels. Every weight is an integer multiple of
 // 2^-Depth (both constructions only add 2^-d multiples of counts, d ≤
-// Depth), so a row is stored exactly as uint32 counts of that unit.
+// Depth), so a row is stored exactly as uint32 counts of that unit. A
+// value records the Method that built it: Proposition 3.2 compares two
+// rows soundly only when both count walks the same way.
 type Signatures struct {
-	rows  []uint32 // weight × 2^depth, node-major
-	width int
-	depth int
+	rows   []uint32 // weight × 2^depth, node-major
+	width  int
+	depth  int
+	method Method
 }
 
 // maxDepth is the deepest signature Build accepts: a node's own label
@@ -88,6 +91,7 @@ func Build(g *graph.Graph, depth, width int, method Method) (*Signatures, error)
 	if err != nil {
 		return nil, err
 	}
+	s.method = method
 	if invariant.Enabled() {
 		if err := invariant.CheckSignatures(s, g); err != nil {
 			return nil, err
@@ -106,10 +110,11 @@ func MustBuild(g *graph.Graph, depth, width int, method Method) *Signatures {
 }
 
 // FromDense converts externally maintained weights (len = nodes*width,
-// node-major) into a Signatures value. Package dyngraph uses it to hand
-// its incrementally maintained matrix signatures to the evaluators. Every
-// value must be a non-negative multiple of 2^-depth below 2^(32-depth);
-// anything else (negative, non-finite, non-dyadic) is an error.
+// node-major) into a Signatures value whose Method is Matrix: package
+// dyngraph uses it to hand its incrementally maintained matrix-recurrence
+// signatures to the evaluators. Every value must be a non-negative
+// multiple of 2^-depth below 2^(32-depth); anything else (negative,
+// non-finite, non-dyadic) is an error.
 func FromDense(rows []float64, width, depth int) (*Signatures, error) {
 	if width <= 0 {
 		return nil, fmt.Errorf("signature: width %d", width)
@@ -129,7 +134,7 @@ func FromDense(rows []float64, width, depth int) (*Signatures, error) {
 		}
 		out[i] = uint32(x)
 	}
-	return &Signatures{rows: out, width: width, depth: depth}, nil
+	return &Signatures{rows: out, width: width, depth: depth, method: Matrix}, nil
 }
 
 // Scaled returns node u's row in units of 2^-Depth: entry l is u's weight
@@ -165,6 +170,9 @@ func (s *Signatures) Width() int { return s.width }
 
 // Depth returns the propagation depth the signatures were built with.
 func (s *Signatures) Depth() int { return s.depth }
+
+// Method returns the construction the signatures were built with.
+func (s *Signatures) Method() Method { return s.method }
 
 // NumNodes returns the number of signature rows.
 func (s *Signatures) NumNodes() int {
@@ -306,9 +314,9 @@ func parallelNodes(n int, f func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ForQuery builds the signatures of a query graph in the data graph's
-// label space. Query graphs share the data graph's label identifiers, so
-// only the row width differs.
-func ForQuery(q graph.Query, depth, width int, method Method) (*Signatures, error) {
-	return Build(q.G, depth, width, method)
+// ForQuery builds the signatures of query graph q for satisfaction tests
+// against data: q's rows use data's method, depth and width. Query graphs
+// share the data graph's label identifiers, so the width aligns them.
+func ForQuery(q *graph.Graph, data *Signatures) (*Signatures, error) {
+	return Build(q, data.depth, data.width, data.method)
 }

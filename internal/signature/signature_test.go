@@ -3,6 +3,7 @@ package signature
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -250,14 +251,43 @@ func TestKeyRandomRows(t *testing.T) {
 	}
 }
 
+// TestForQuery checks the one rule that builds a query's signatures:
+// ForQuery's rows equal a direct Build of the query graph with the data
+// signatures' method, depth and width, and carry that method.
 func TestForQuery(t *testing.T) {
+	g := graphtest.Figure1Data()
 	q := graphtest.Figure1Query()
-	s, err := ForQuery(q, 2, 3, Exploration)
+	for _, method := range []Method{Matrix, Exploration} {
+		for depth := 0; depth <= 3; depth++ {
+			data := MustBuild(g, depth, g.NumLabels()+1, method)
+			s, err := ForQuery(q.G, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := MustBuild(q.G, depth, data.Width(), method)
+			if s.Method() != method || s.Depth() != depth || s.Width() != data.Width() || s.NumNodes() != q.G.NumNodes() {
+				t.Fatalf("%v D=%d: got method %v depth %d width %d nodes %d", method, depth, s.Method(), s.Depth(), s.Width(), s.NumNodes())
+			}
+			for v := graph.NodeID(0); int(v) < q.G.NumNodes(); v++ {
+				if !slices.Equal(s.Scaled(v), want.Scaled(v)) {
+					t.Errorf("%v D=%d node %d: ForQuery %v, Build %v", method, depth, v, s.Scaled(v), want.Scaled(v))
+				}
+			}
+		}
+	}
+	// v1 has one B and one C neighbor at distance 1, nothing at distance 2.
+	s, err := ForQuery(q.G, MustBuild(g, 2, 3, Exploration))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// v1 has one B and one C neighbor at distance 1, nothing at distance 2.
 	rowEq(t, s.Row(q.Pivot), []float64{1, 0.5, 0.5}, "NS_v1")
+	dense, err := FromDense(make([]float64, 3), 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dense.Method() != Matrix {
+		t.Errorf("FromDense method = %v, want matrix", dense.Method())
+	}
 }
 
 func TestEmptyGraph(t *testing.T) {

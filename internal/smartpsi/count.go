@@ -13,7 +13,8 @@ type CountResult struct {
 	// Reached is true when at least Threshold distinct bindings exist.
 	Reached bool
 	// Count is the number of bindings found before stopping: exactly
-	// Threshold when Reached, the exact total otherwise.
+	// Threshold when Reached; otherwise at most the total, found before
+	// the unexamined candidates could no longer make up the difference.
 	Count int
 	// Examined is the number of candidates evaluated before the
 	// decision (early exit makes this less than the candidate total).
@@ -24,8 +25,8 @@ type CountResult struct {
 // CountBindingsAtLeast decides whether q has at least threshold distinct
 // pivot bindings, stopping as soon as the answer is known in either
 // direction — the primitive frequent-subgraph mining needs for MNI
-// support (Section 5.5). Candidates are evaluated pessimistically with
-// the heuristic plan: threshold queries evaluate only a slice of the
+// support (Section 5.5). It is psi.EvaluateAll's pessimistic-only run
+// with a threshold: threshold queries evaluate only a slice of the
 // candidates, which is too few to amortize model training.
 func (e *Engine) CountBindingsAtLeast(q graph.Query, threshold int, deadline time.Time) (CountResult, error) {
 	start := time.Now()
@@ -35,35 +36,15 @@ func (e *Engine) CountBindingsAtLeast(q graph.Query, threshold int, deadline tim
 	if err := e.checkQuery(q); err != nil {
 		return CountResult{}, err
 	}
-	art, err := e.prepare(q, nil)
+	ev, err := psi.NewEvaluator(e.g, q, e.sigs, nil)
 	if err != nil {
-		return CountResult{}, err
+		return CountResult{}, fmt.Errorf("smartpsi: %w", err)
 	}
-	ev, c := art.ev, art.compiled[0]
-
-	res := CountResult{}
-	candidates := e.g.NodesWithLabel(q.G.Label(q.Pivot))
-	st := psi.NewState(q.Size())
-	for i, u := range candidates {
-		// Even if every remaining candidate matched, could we reach the
-		// threshold? If not, the answer is already "no".
-		if res.Count+(len(candidates)-i) < threshold {
-			break
-		}
-		ok, err := ev.Evaluate(st, c, u, psi.Pessimistic, psi.Limits{Deadline: deadline})
-		if err != nil {
-			return res, err
-		}
-		res.Examined++
-		if ok {
-			res.Count++
-			if res.Count >= threshold {
-				res.Reached = true
-				break
-			}
-		}
-	}
-	res.Elapsed = time.Since(start)
-	psi.PublishStats(st.Stats())
-	return res, nil
+	res, err := psi.EvaluateAll(ev, psi.PessimisticOnly, threshold, deadline)
+	return CountResult{
+		Reached:  len(res.Bindings) >= threshold,
+		Count:    len(res.Bindings),
+		Examined: res.Candidates,
+		Elapsed:  time.Since(start),
+	}, err
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/psi"
 	"repro/internal/signature"
@@ -23,16 +22,8 @@ import (
 // Options configures an Engine. The zero value gives the paper's
 // defaults.
 type Options struct {
-	// SignatureDepth is the propagation depth D (default 2).
-	SignatureDepth int
-	// SignatureMethod picks the signature construction (default Matrix,
-	// the paper's optimized strategy).
-	SignatureMethod signature.Method
-	// TrainFraction is the share of candidate nodes used for training
-	// (default 0.10), capped by MaxTrainNodes.
-	TrainFraction float64
-	// MaxTrainNodes caps the training set (default 1000, the paper's
-	// experimental setting).
+	// MaxTrainNodes caps the training set, trainFraction of the
+	// candidates (default 1000, the paper's experimental setting).
 	MaxTrainNodes int
 	// MinTrainNodes is the smallest candidate set worth training on;
 	// below it the engine just evaluates every candidate pessimistically
@@ -42,17 +33,9 @@ type Options struct {
 	// PlanSamples is the number of candidate plans evaluated for model β
 	// (default 6; the heuristic plan is always among them).
 	PlanSamples int
-	// PlanSweepNodes caps how many training nodes run the full per-plan
-	// sweep that labels model β (default 100). Remaining training nodes
-	// are evaluated once, under the heuristic plan, for model α only —
-	// keeping the Table 4 overhead proportional to the plan count on
-	// large candidate sets.
-	PlanSweepNodes int
 	// PlanTimeLimit is the initial per-plan time limit during β training
 	// (default 2ms), doubled until some plan finishes (Section 4.2.2).
 	PlanTimeLimit time.Duration
-	// Forest configures both classifiers.
-	Forest ml.ForestConfig
 	// Threads is the number of candidate-evaluation workers (default 1;
 	// Figure 9 uses 2 for parity with the two-threaded baseline).
 	Threads int
@@ -100,13 +83,23 @@ func (o Options) planShadowRate() float64 {
 // auditing reports whether any decision audit can trigger.
 func (o Options) auditing() bool { return o.ShadowRate > 0 || o.PlanShadowRate > 0 }
 
+// The paper's fixed training settings (§4.2), which no option overrides.
+// Data signatures are always matrix-built at signature.DefaultDepth, and
+// a query's follow them (psi.NewEvaluator); both forests use ml's
+// defaults, seeded from Options.Seed.
+const (
+	// trainFraction is the share of candidate nodes used for training,
+	// capped by Options.MaxTrainNodes.
+	trainFraction = 0.10
+	// planSweepNodes caps how many training nodes run the full per-plan
+	// sweep that labels model β. The remaining training nodes are
+	// evaluated once, under the heuristic plan, for model α only,
+	// keeping the Table 4 overhead proportional to the plan count on
+	// large candidate sets.
+	planSweepNodes = 100
+)
+
 func (o Options) withDefaults() Options {
-	if o.SignatureDepth <= 0 {
-		o.SignatureDepth = signature.DefaultDepth
-	}
-	if o.TrainFraction <= 0 {
-		o.TrainFraction = 0.10
-	}
 	if o.MaxTrainNodes <= 0 {
 		o.MaxTrainNodes = 1000
 	}
@@ -115,9 +108,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PlanSamples <= 0 {
 		o.PlanSamples = 6
-	}
-	if o.PlanSweepNodes <= 0 {
-		o.PlanSweepNodes = 100
 	}
 	if o.PlanTimeLimit <= 0 {
 		o.PlanTimeLimit = 2 * time.Millisecond
@@ -168,12 +158,11 @@ type Engine struct {
 	trainHook func(checkpoint int)
 }
 
-// NewEngine builds an engine over g, computing node signatures with the
-// configured method.
+// NewEngine builds an engine over g, computing its node signatures.
 func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
-	sigs, err := signature.Build(g, opts.SignatureDepth, g.NumLabels(), opts.SignatureMethod)
+	sigs, err := signature.Build(g, signature.DefaultDepth, g.NumLabels(), signature.Matrix)
 	if err != nil {
 		return nil, fmt.Errorf("smartpsi: %w", err)
 	}
@@ -198,21 +187,19 @@ func newEngine(g *graph.Graph, sigs *signature.Signatures, opts Options) *Engine
 // NewEngineWithSignatures builds an engine that reuses externally
 // maintained signatures (e.g. package dyngraph's incrementally updated
 // rows) instead of recomputing them. The signatures must cover every
-// node of g, be at least as wide as g's label alphabet, and have been
-// built with the matrix recurrence at the options' depth — query-side
-// signatures are always matrix-built, and satisfaction is only sound
-// when both sides count walks the same way.
+// node of g, be at least as wide as g's label alphabet, and have depth
+// signature.DefaultDepth. Each query's signatures are built the way the
+// given ones were, with their method, depth and width.
 func NewEngineWithSignatures(g *graph.Graph, sigs *signature.Signatures, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
-	opts.SignatureMethod = signature.Matrix
 	if sigs.NumNodes() != g.NumNodes() {
 		return nil, fmt.Errorf("smartpsi: signatures cover %d nodes, graph has %d", sigs.NumNodes(), g.NumNodes())
 	}
 	if sigs.Width() < g.NumLabels() {
 		return nil, fmt.Errorf("smartpsi: signature width %d < graph labels %d", sigs.Width(), g.NumLabels())
 	}
-	if sigs.Depth() != opts.SignatureDepth {
-		return nil, fmt.Errorf("smartpsi: signature depth %d, options want %d", sigs.Depth(), opts.SignatureDepth)
+	if sigs.Depth() != signature.DefaultDepth {
+		return nil, fmt.Errorf("smartpsi: signature depth %d, want %d", sigs.Depth(), signature.DefaultDepth)
 	}
 	return newEngine(g, sigs, opts), nil
 }

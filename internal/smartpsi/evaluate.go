@@ -466,11 +466,7 @@ func (e *Engine) evaluateML(q graph.Query, r *queryRun, deadline time.Time) erro
 // it samples Options.PlanSamples plans (model β's classes, the heuristic
 // plan first); with none it compiles the heuristic plan alone.
 func (e *Engine) prepare(q graph.Query, rng *rand.Rand) (*artifact, error) {
-	qSigs, err := signature.Build(q.G, e.opts.SignatureDepth, e.sigs.Width(), e.opts.SignatureMethod)
-	if err != nil {
-		return nil, fmt.Errorf("smartpsi: %w", err)
-	}
-	ev, err := psi.NewEvaluator(e.g, q, e.sigs, qSigs)
+	ev, err := psi.NewEvaluator(e.g, q, e.sigs, nil)
 	if err != nil {
 		return nil, fmt.Errorf("smartpsi: %w", err)
 	}
@@ -499,7 +495,7 @@ func (e *Engine) prepare(q graph.Query, rng *rand.Rand) (*artifact, error) {
 func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand, deadline time.Time) (int, error) {
 	trainStart := time.Now()
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	trainCount := int(e.opts.TrainFraction * float64(len(order)))
+	trainCount := int(trainFraction * float64(len(order)))
 	if trainCount > e.opts.MaxTrainNodes {
 		trainCount = e.opts.MaxTrainNodes
 	}
@@ -531,7 +527,7 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 		var isValid bool
 		var bestPlan int
 		var err error
-		if i < e.opts.PlanSweepNodes {
+		if i < planSweepNodes {
 			// Full per-plan sweep: labels both models.
 			var outcomes []planOutcome
 			isValid, bestPlan, outcomes, err = e.trainOne(art, st, u, deadline, r.enabled)
@@ -572,8 +568,9 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 		return 0, err
 	}
 	fitStart := time.Now()
+	forest := ml.ForestConfig{Seed: e.opts.Seed + 1}
 	if !e.opts.DisableTypeModel {
-		if art.alpha, err = ml.TrainForest(alphaDS, e.forestConfig()); err != nil {
+		if art.alpha, err = ml.TrainForest(alphaDS, forest); err != nil {
 			return 0, fmt.Errorf("smartpsi: model α: %w", err)
 		}
 	}
@@ -581,7 +578,7 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 		return 0, err
 	}
 	if !e.opts.DisablePlanModel {
-		if art.beta, err = ml.TrainForest(betaDS, e.forestConfig()); err != nil {
+		if art.beta, err = ml.TrainForest(betaDS, forest); err != nil {
 			return 0, fmt.Errorf("smartpsi: model β: %w", err)
 		}
 	}
@@ -677,14 +674,6 @@ func (e *Engine) execute(art *artifact, r *queryRun, order []int32, deadline tim
 	r.res.EvalTime = time.Since(evalStart)
 	r.res.ModelTime = time.Duration(modelNanos)
 	return nil
-}
-
-func (e *Engine) forestConfig() ml.ForestConfig {
-	cfg := e.opts.Forest
-	if cfg.Seed == 0 {
-		cfg.Seed = e.opts.Seed + 1
-	}
-	return cfg
 }
 
 // collect projects the verdict slots into the binding list. Candidates

@@ -47,11 +47,7 @@ func ladderFixture(t *testing.T) (*Engine, *psi.Evaluator, []*plan.Compiled) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qSigs, err := signature.Build(q.G, e.opts.SignatureDepth, e.sigs.Width(), e.opts.SignatureMethod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := psi.NewEvaluator(g, q, e.sigs, qSigs)
+	ev, err := psi.NewEvaluator(g, q, e.sigs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/psi"
-	"repro/internal/signature"
 )
 
 func TestPlanTimingMaxTime(t *testing.T) {
@@ -83,11 +82,7 @@ func TestPreemptionRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qSigs, err := signature.Build(q.G, e.opts.SignatureDepth, e.sigs.Width(), e.opts.SignatureMethod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := psi.NewEvaluator(g, q, e.sigs, qSigs)
+	ev, err := psi.NewEvaluator(g, q, e.sigs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graph/graphtest"
 	"repro/internal/psi"
-	"repro/internal/signature"
 	"repro/internal/workload"
 )
 
@@ -30,15 +29,11 @@ func coraEngine(t testing.TB, opts Options) *Engine {
 // driver (exact regardless of ML decisions).
 func referenceBindings(t testing.TB, e *Engine, q graph.Query) []graph.NodeID {
 	t.Helper()
-	qSigs, err := signature.Build(q.G, e.opts.SignatureDepth, e.sigs.Width(), e.opts.SignatureMethod)
+	ev, err := psi.NewEvaluator(e.g, q, e.sigs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := psi.NewEvaluator(e.g, q, e.sigs, qSigs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := psi.EvaluateAll(ev, psi.PessimisticOnly, time.Time{})
+	res, err := psi.EvaluateAll(ev, psi.PessimisticOnly, 0, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,8 +302,7 @@ func TestNoCandidates(t *testing.T) {
 func TestEngineOptionsDefaults(t *testing.T) {
 	e := coraEngine(t, Options{})
 	o := e.Options()
-	if o.SignatureDepth != 2 || o.TrainFraction != 0.10 || o.MaxTrainNodes != 1000 ||
-		o.PlanSamples != 6 || o.Threads != 1 || o.MinTrainNodes != 64 || o.PlanSweepNodes != 100 {
+	if o.MaxTrainNodes != 1000 || o.PlanSamples != 6 || o.Threads != 1 || o.MinTrainNodes != 64 {
 		t.Errorf("defaults wrong: %+v", o)
 	}
 	if e.SignatureBuildTime <= 0 {
@@ -316,27 +310,5 @@ func TestEngineOptionsDefaults(t *testing.T) {
 	}
 	if e.Signatures().NumNodes() != e.Graph().NumNodes() {
 		t.Error("signatures do not cover the graph")
-	}
-}
-
-func TestExplorationSignaturesWork(t *testing.T) {
-	spec, _ := gen.DefaultSpec("cora")
-	g := gen.MustGenerate(spec)
-	e, err := NewEngine(g, Options{Seed: 9, SignatureMethod: signature.Exploration, PlanSamples: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(10))
-	q, err := workload.ExtractQuery(g, 4, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Evaluate(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := referenceBindings(t, e, q)
-	if !sameNodes(res.Bindings, want) {
-		t.Errorf("exploration signatures: %d bindings, want %d", len(res.Bindings), len(want))
 	}
 }

@@ -89,20 +89,13 @@ type (
 	// Engine evaluates PSI queries with the full SmartPSI pipeline.
 	Engine = smartpsi.Engine
 	// Options configures an Engine; the zero value gives the paper's
-	// defaults (depth-2 matrix signatures, 10% training capped at 1000
-	// nodes, Random Forest models, cache and preemption enabled).
+	// defaults (10% training capped at 1000 nodes, Random Forest models,
+	// cache and preemption enabled). Data signatures are always depth-2
+	// matrix-built, and each query's signatures are built the same way.
 	Options = smartpsi.Options
 	// Result reports one query evaluation: bindings plus training,
 	// prediction, caching and preemption telemetry.
 	Result = smartpsi.Result
-)
-
-// Signature construction methods for Options.SignatureMethod.
-const (
-	// SignatureMatrix is the paper's fast iterated-matrix construction.
-	SignatureMatrix = signature.Matrix
-	// SignatureExploration is the traditional BFS construction.
-	SignatureExploration = signature.Exploration
 )
 
 // NewEngine builds a SmartPSI engine over g, computing all node
