@@ -152,9 +152,7 @@ type config struct {
 // alongside the server's metric snapshot.
 type report struct {
 	Schema         int          `json:"schema"`
-	Experiment     string       `json:"experiment"`
-	Quick          bool         `json:"quick"`
-	Scale          int          `json:"scale"`
+	Concurrency    int          `json:"concurrency"`
 	Seed           int64        `json:"seed"`
 	ElapsedSeconds float64      `json:"elapsed_seconds"`
 	Metrics        obs.Snapshot `json:"metrics"`
@@ -728,9 +726,8 @@ func buildReport(cfg config, st *stats, elapsed time.Duration, snap obs.Snapshot
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	rep := &report{
-		Schema:         1,
-		Experiment:     "loadgen",
-		Scale:          cfg.concurrency,
+		Schema:         2,
+		Concurrency:    cfg.concurrency,
 		Seed:           cfg.seed,
 		ElapsedSeconds: elapsed.Seconds(),
 		Metrics:        snap,

@@ -111,8 +111,8 @@ func TestClosedLoop(t *testing.T) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatalf("decode -json: %v", err)
 	}
-	if rep.Schema != 1 || rep.Experiment != "loadgen" {
-		t.Errorf("report header = schema %d experiment %q", rep.Schema, rep.Experiment)
+	if rep.Schema != 2 || rep.Concurrency != cfg.concurrency {
+		t.Errorf("report header = schema %d concurrency %d, want 2 and %d", rep.Schema, rep.Concurrency, cfg.concurrency)
 	}
 	if rep.OK != 24 || rep.ServerErrors != 0 {
 		t.Errorf("report counts: ok=%d server5xx=%d", rep.OK, rep.ServerErrors)

@@ -50,7 +50,6 @@ func main() {
 	threads := flag.Int("threads", 1, "evaluation workers (with -evaluate)")
 	debugAddr := flag.String("debug-addr", "", "serve obs debug HTTP (metrics, per-query profiles, pprof) on this address")
 	shadowRate := flag.Float64("shadow-rate", 0, "model-decision audit sampling rate in [0,1] (with -evaluate; 0 disables shadow scoring)")
-	planShadowRate := flag.Float64("plan-shadow-rate", 0, "model-β plan-audit sampling rate (0: shadow-rate/4)")
 	flag.Parse()
 
 	if *debugAddr != "" {
@@ -67,22 +66,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "debug server on http://%s (/metrics /profilez /modelz /debug/pprof; per-query view: /profilez?id=N)\n", addr)
 	}
 
-	audit := auditOptions{shadowRate: *shadowRate, planShadowRate: *planShadowRate}
-	if err := run(*graphPath, *dataset, *sizes, *count, *seed, *out, *evaluate, *threads, audit, os.Stderr); err != nil {
+	if err := run(*graphPath, *dataset, *sizes, *count, *seed, *out, *evaluate, *threads, *shadowRate, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "psi-workload:", err)
 		os.Exit(1)
 	}
 }
 
-// auditOptions carries the model-decision audit flags to the evaluator.
-type auditOptions struct {
-	shadowRate     float64
-	planShadowRate float64
-}
-
 // run extracts the workload and, with evaluate, runs it; progress and
 // the /modelz report go to stderr.
-func run(graphPath, dataset, sizes string, count int, seed int64, out string, evaluate bool, threads int, audit auditOptions, stderr io.Writer) error {
+func run(graphPath, dataset, sizes string, count int, seed int64, out string, evaluate bool, threads int, shadowRate float64, stderr io.Writer) error {
 	lo, hi, err := parseSizes(sizes)
 	if err != nil {
 		return err
@@ -125,28 +117,23 @@ func run(graphPath, dataset, sizes string, count int, seed int64, out string, ev
 	_, _ = fmt.Fprintf(stderr, "extracted %d queries (sizes %d-%d, %d per size)\n",
 		len(queries), lo, hi, count)
 	if evaluate {
-		return evaluateQueries(g, queries, threads, seed, audit, stderr)
+		return evaluateQueries(g, queries, threads, seed, shadowRate, stderr)
 	}
 	return nil
 }
 
 // evaluateQueries runs every extracted query through the SmartPSI
 // engine. With collection enabled (-debug-addr or PSI_OBS) each query
-// feeds the obs registry and flight recorder as it executes. With an
-// audit rate set, sampled model decisions are audited; audits are filed
+// feeds the obs registry and flight recorder as it executes. With
+// shadowRate > 0, sampled model decisions are audited; audits are filed
 // only into /modelz, so collection is turned on and the /modelz report
 // is printed once the workload has run.
-func evaluateQueries(g *graph.Graph, queries []graph.Query, threads int, seed int64, audit auditOptions, stderr io.Writer) error {
-	auditing := audit.shadowRate > 0 || audit.planShadowRate > 0
+func evaluateQueries(g *graph.Graph, queries []graph.Query, threads int, seed int64, shadowRate float64, stderr io.Writer) error {
+	auditing := shadowRate > 0
 	if auditing {
 		obs.Enable(true)
 	}
-	engine, err := repro.NewEngine(g, repro.Options{
-		Threads:        threads,
-		Seed:           seed,
-		ShadowRate:     audit.shadowRate,
-		PlanShadowRate: audit.planShadowRate,
-	})
+	engine, err := repro.NewEngine(g, repro.Options{Threads: threads, Seed: seed, ShadowRate: shadowRate})
 	if err != nil {
 		return err
 	}

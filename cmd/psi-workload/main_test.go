@@ -59,7 +59,7 @@ func TestRunExtractsWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "q.lg")
-	if err := run(gp, "", "3-4", 5, 1, out, false, 1, auditOptions{}, io.Discard); err != nil {
+	if err := run(gp, "", "3-4", 5, 1, out, false, 1, 0, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -75,10 +75,10 @@ func TestRunExtractsWorkload(t *testing.T) {
 		t.Errorf("extracted %d queries, want 10", len(qs))
 	}
 	// Error paths.
-	if err := run("", "", "3", 1, 1, "", false, 1, auditOptions{}, io.Discard); err == nil {
+	if err := run("", "", "3", 1, 1, "", false, 1, 0, io.Discard); err == nil {
 		t.Error("missing inputs accepted")
 	}
-	if err := run(gp, "", "bogus", 1, 1, "", false, 1, auditOptions{}, io.Discard); err == nil {
+	if err := run(gp, "", "bogus", 1, 1, "", false, 1, 0, io.Discard); err == nil {
 		t.Error("bogus sizes accepted")
 	}
 }
@@ -117,7 +117,7 @@ func TestObsWorkloadDebugServerAcceptance(t *testing.T) {
 	}()
 
 	out := filepath.Join(dir, "q.lg")
-	if err := run(gp, "", "3-4", 4, 1, out, true, 2, auditOptions{}, io.Discard); err != nil {
+	if err := run(gp, "", "3-4", 4, 1, out, true, 2, 0, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 
@@ -193,7 +193,7 @@ func TestObsWorkloadModelzReport(t *testing.T) {
 
 	var stderr strings.Builder
 	out := filepath.Join(dir, "q.lg")
-	if err := run(gp, "", "3", 4, 1, out, true, 1, auditOptions{shadowRate: 1}, &stderr); err != nil {
+	if err := run(gp, "", "3", 4, 1, out, true, 1, 1, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	text := stderr.String()

@@ -1,7 +1,9 @@
 // Package ml provides the from-scratch machine-learning substrate of
-// SmartPSI: a CART decision tree, the Random Forest classifier used for
-// model α (node type) and model β (plan choice), and the linear-SVM and
-// neural-network baselines of the paper's Section 5.4 model comparison.
+// SmartPSI: the Random Forest classifier (of CART decision trees) used
+// for model α (node type) and model β (plan choice), and the linear-SVM
+// and neural-network baselines of the paper's Section 5.4 model
+// comparison. Each learner's hyperparameters are fixed; its config
+// carries only the seed.
 //
 // Everything is stdlib-only and deterministic given a seed.
 package ml

@@ -56,7 +56,7 @@ func TestConfusionMatrixEdgeCases(t *testing.T) {
 
 func TestEvaluate(t *testing.T) {
 	d := blobs(120, 4, 2, 0.3, 21)
-	tree, err := TrainTree(d, TreeConfig{MaxDepth: 6})
+	tree, err := trainTree(d, treeConfig{maxDepth: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestEvaluate(t *testing.T) {
 func TestCrossValidate(t *testing.T) {
 	d := blobs(150, 6, 3, 0.4, 22)
 	accs, err := CrossValidate(d, 5, 1, func(train Dataset) (Classifier, error) {
-		return TrainForest(train, ForestConfig{Trees: 8, Seed: 2})
+		return TrainForest(train, ForestConfig{Seed: 2})
 	})
 	if err != nil {
 		t.Fatal(err)

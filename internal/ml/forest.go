@@ -9,36 +9,23 @@ import (
 	"sync/atomic"
 )
 
+// The forest's fixed hyperparameters: plenty for the small training
+// sets SmartPSI draws per query.
+const (
+	forestTrees    = 20 // ensemble size
+	forestMaxDepth = 12 // bound on each tree's height
+)
+
 // ForestConfig controls Random Forest training (Breiman 2001).
 type ForestConfig struct {
-	// Trees is the ensemble size (default 20 — plenty for the small
-	// training sets SmartPSI draws per query).
-	Trees int
-	// MaxDepth bounds each tree (default 12).
-	MaxDepth int
-	// MinLeaf is the minimum leaf size (default 1).
-	MinLeaf int
 	// Seed makes training deterministic.
 	Seed int64
-}
-
-func (c ForestConfig) withDefaults() ForestConfig {
-	if c.Trees <= 0 {
-		c.Trees = 20
-	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 12
-	}
-	if c.MinLeaf <= 0 {
-		c.MinLeaf = 1
-	}
-	return c
 }
 
 // Forest is a trained Random Forest: bootstrap-sampled CART trees with
 // sqrt-feature subsampling, predicting by majority vote.
 type Forest struct {
-	trees      []*Tree
+	trees      []*tree
 	numClasses int
 }
 
@@ -50,18 +37,13 @@ func TrainForest(d Dataset, cfg ForestConfig) (*Forest, error) {
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("ml: empty training set")
 	}
-	cfg = cfg.withDefaults()
-	f := &Forest{trees: make([]*Tree, cfg.Trees), numClasses: d.NumClasses}
+	f := &Forest{trees: make([]*tree, forestTrees), numClasses: d.NumClasses}
 	c := newColumns(d)
-	tc := TreeConfig{
-		MaxDepth:    cfg.MaxDepth,
-		MinLeaf:     cfg.MinLeaf,
-		FeatureFrac: math.Sqrt(float64(c.nf)) / float64(c.nf),
-	}
+	tc := treeConfig{maxDepth: forestMaxDepth, featureFrac: math.Sqrt(float64(c.nf)) / float64(c.nf)}
 
 	// Derive one independent seed per tree up front so training is
 	// deterministic regardless of goroutine scheduling.
-	seeds := make([]splitMix64, cfg.Trees)
+	seeds := make([]splitMix64, forestTrees)
 	next := splitMix64(cfg.Seed)
 	for i := range seeds {
 		seeds[i] = splitMix64(next.Uint64())
@@ -75,14 +57,14 @@ func TrainForest(d Dataset, cfg ForestConfig) (*Forest, error) {
 		tc := tc
 		tc.rng = rand.New(&src)
 		g := newGrower(c, tc)
-		for i := int(claimed.Add(1) - 1); i < cfg.Trees; i = int(claimed.Add(1) - 1) {
+		for i := int(claimed.Add(1) - 1); i < forestTrees; i = int(claimed.Add(1) - 1) {
 			src = seeds[i]
 			g.bag(tc.rng)
 			f.trees[i] = g.grow()
 		}
 	}
 	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), cfg.Trees) - 1 {
+	for range min(runtime.GOMAXPROCS(0), forestTrees) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -143,18 +125,6 @@ func (f *Forest) PredictInto(x []float64, votes []int) int {
 
 // NumClasses returns the number of classes the forest votes over.
 func (f *Forest) NumClasses() int { return f.numClasses }
-
-// PredictProba returns the per-class vote fractions for x.
-func (f *Forest) PredictProba(x []float64) []float64 {
-	votes := make([]float64, f.numClasses)
-	for _, t := range f.trees {
-		votes[t.Predict(x)]++
-	}
-	for c := range votes {
-		votes[c] /= float64(len(f.trees))
-	}
-	return votes
-}
 
 // NumTrees returns the ensemble size.
 func (f *Forest) NumTrees() int { return len(f.trees) }

@@ -1,11 +1,28 @@
 package ml
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 	"testing/quick"
 )
+
+// trainTree fits a single CART tree on d: the forest's grower on every
+// row once, splitting over all features.
+func trainTree(d Dataset, cfg treeConfig) (*tree, error) {
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	if d.Len() == 0 {
+		return nil, fmt.Errorf("ml: empty training set")
+	}
+	g := newGrower(newColumns(d), cfg)
+	for r := range g.mult {
+		g.mult[r] = 1
+	}
+	return g.grow(), nil
+}
 
 // blobs returns a well-separated synthetic classification problem:
 // classes are Gaussian blobs around distinct centers.
@@ -66,7 +83,7 @@ func TestSplit(t *testing.T) {
 func TestTreeLearnsSeparableData(t *testing.T) {
 	d := blobs(200, 6, 3, 0.3, 3)
 	train, test := d.Split(0.7, rand.New(rand.NewSource(4)))
-	tree, err := TrainTree(train, TreeConfig{MaxDepth: 8})
+	tree, err := trainTree(train, treeConfig{maxDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +104,7 @@ func TestTreePureLeafStopsEarly(t *testing.T) {
 		Y:          []int{1, 1, 1},
 		NumClasses: 2,
 	}
-	tree, err := TrainTree(d, TreeConfig{})
+	tree, err := trainTree(d, treeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +123,7 @@ func TestTreeConstantFeatures(t *testing.T) {
 		Y:          []int{0, 1, 0, 0},
 		NumClasses: 2,
 	}
-	tree, err := TrainTree(d, TreeConfig{})
+	tree, err := trainTree(d, treeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +137,7 @@ func TestTreeConstantFeatures(t *testing.T) {
 
 func TestTrainErrors(t *testing.T) {
 	empty := Dataset{NumClasses: 2}
-	if _, err := TrainTree(empty, TreeConfig{}); err == nil {
+	if _, err := trainTree(empty, treeConfig{}); err == nil {
 		t.Error("tree accepted empty set")
 	}
 	if _, err := TrainForest(empty, ForestConfig{}); err == nil {
@@ -141,15 +158,15 @@ func TestTrainErrors(t *testing.T) {
 func TestForestLearnsSeparableData(t *testing.T) {
 	d := blobs(300, 8, 3, 0.5, 5)
 	train, test := d.Split(0.7, rand.New(rand.NewSource(6)))
-	f, err := TrainForest(train, ForestConfig{Trees: 15, Seed: 7})
+	f, err := TrainForest(train, ForestConfig{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if acc := Accuracy(f, test); acc < 0.9 {
 		t.Errorf("forest accuracy %.3f, want >= 0.9", acc)
 	}
-	if f.NumTrees() != 15 {
-		t.Errorf("NumTrees = %d", f.NumTrees())
+	if f.NumTrees() != forestTrees {
+		t.Errorf("NumTrees = %d, want %d", f.NumTrees(), forestTrees)
 	}
 	if f.Name() != "random-forest" {
 		t.Error("name wrong")
@@ -162,7 +179,7 @@ func TestForestDeterministic(t *testing.T) {
 	d := blobs(100, 4, 2, 0.8, 8)
 	train := func(procs int) *Forest {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		f, err := TrainForest(d, ForestConfig{Trees: 8, Seed: 42})
+		f, err := TrainForest(d, ForestConfig{Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +192,7 @@ func TestForestDeterministic(t *testing.T) {
 	if err := sameForest(train(4), f1); err != nil {
 		t.Fatalf("same seed, GOMAXPROCS 4 vs 1: %v", err)
 	}
-	other, err := TrainForest(d, ForestConfig{Trees: 8, Seed: 43})
+	other, err := TrainForest(d, ForestConfig{Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,26 +201,10 @@ func TestForestDeterministic(t *testing.T) {
 	}
 }
 
-func TestForestProba(t *testing.T) {
-	d := blobs(100, 4, 2, 0.3, 9)
-	f, err := TrainForest(d, ForestConfig{Trees: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := f.PredictProba(d.X[0])
-	if len(p) != 2 {
-		t.Fatalf("proba length %d", len(p))
-	}
-	sum := p[0] + p[1]
-	if sum < 0.999 || sum > 1.001 {
-		t.Errorf("probabilities sum to %v", sum)
-	}
-}
-
 func TestSVMLearnsSeparableData(t *testing.T) {
 	d := blobs(300, 6, 2, 0.4, 10)
 	train, test := d.Split(0.7, rand.New(rand.NewSource(11)))
-	s, err := TrainSVM(train, SVMConfig{Epochs: 30, Seed: 12})
+	s, err := TrainSVM(train, SVMConfig{Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestSVMLearnsSeparableData(t *testing.T) {
 func TestSVMMultiClass(t *testing.T) {
 	d := blobs(300, 9, 3, 0.4, 13)
 	train, test := d.Split(0.7, rand.New(rand.NewSource(14)))
-	s, err := TrainSVM(train, SVMConfig{Epochs: 40, Seed: 15})
+	s, err := TrainSVM(train, SVMConfig{Seed: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestSVMMultiClass(t *testing.T) {
 func TestNNLearnsSeparableData(t *testing.T) {
 	d := blobs(300, 6, 3, 0.4, 16)
 	train, test := d.Split(0.7, rand.New(rand.NewSource(17)))
-	n, err := TrainNN(train, NNConfig{Hidden: 12, Epochs: 60, Seed: 18})
+	n, err := TrainNN(train, NNConfig{Seed: 18})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestNNLearnsSeparableData(t *testing.T) {
 
 func TestAccuracyEmpty(t *testing.T) {
 	d := blobs(10, 2, 2, 0.1, 19)
-	tree, err := TrainTree(d, TreeConfig{})
+	tree, err := trainTree(d, treeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestForestRobustToNoise(t *testing.T) {
 			d.X = append(d.X, []float64{rng.Float64(), rng.Float64()})
 			d.Y = append(d.Y, rng.Intn(3))
 		}
-		forest, err := TrainForest(d, ForestConfig{Trees: 5, Seed: seed})
+		forest, err := TrainForest(d, ForestConfig{Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -6,30 +6,18 @@ import (
 	"math/rand"
 )
 
+// The network's fixed hyperparameters.
+const (
+	nnHidden       = 16   // hidden-layer width
+	nnEpochs       = 100  // passes over the data
+	nnLearningRate = 0.05 // SGD step size
+)
+
 // NNConfig controls the small feed-forward network baseline: one hidden
 // ReLU layer trained by SGD on the softmax cross-entropy.
 type NNConfig struct {
-	// Hidden is the hidden-layer width (default 16).
-	Hidden int
-	// Epochs is the number of passes over the data (default 100).
-	Epochs int
-	// LearningRate is the SGD step size (default 0.05).
-	LearningRate float64
 	// Seed makes training deterministic.
 	Seed int64
-}
-
-func (c NNConfig) withDefaults() NNConfig {
-	if c.Hidden <= 0 {
-		c.Hidden = 16
-	}
-	if c.Epochs <= 0 {
-		c.Epochs = 100
-	}
-	if c.LearningRate <= 0 {
-		c.LearningRate = 0.05
-	}
-	return c
 }
 
 // NN is a trained one-hidden-layer network, the paper's Section 5.4
@@ -47,11 +35,10 @@ func TrainNN(d Dataset, cfg NNConfig) (*NN, error) {
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("ml: empty training set")
 	}
-	cfg = cfg.withDefaults()
 	nf := d.NumFeatures()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := &NN{
-		w1: make([][]float64, cfg.Hidden),
+		w1: make([][]float64, nnHidden),
 		w2: make([][]float64, d.NumClasses),
 	}
 	scale1 := math.Sqrt(2 / float64(nf+1))
@@ -61,19 +48,19 @@ func TrainNN(d Dataset, cfg NNConfig) (*NN, error) {
 			n.w1[h][i] = rng.NormFloat64() * scale1
 		}
 	}
-	scale2 := math.Sqrt(2 / float64(cfg.Hidden+1))
+	scale2 := math.Sqrt(2 / float64(nnHidden+1))
 	for c := range n.w2 {
-		n.w2[c] = make([]float64, cfg.Hidden+1)
+		n.w2[c] = make([]float64, nnHidden+1)
 		for i := range n.w2[c] {
 			n.w2[c][i] = rng.NormFloat64() * scale2
 		}
 	}
 
-	hidden := make([]float64, cfg.Hidden)
+	hidden := make([]float64, nnHidden)
 	logits := make([]float64, d.NumClasses)
 	probs := make([]float64, d.NumClasses)
-	dHidden := make([]float64, cfg.Hidden)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	dHidden := make([]float64, nnHidden)
+	for epoch := 0; epoch < nnEpochs; epoch++ {
 		for _, i := range rng.Perm(d.Len()) {
 			x := d.X[i]
 			n.forward(x, hidden, logits)
@@ -85,7 +72,7 @@ func TrainNN(d Dataset, cfg NNConfig) (*NN, error) {
 					grad -= 1
 				}
 				w := n.w2[c]
-				for h := 0; h < cfg.Hidden; h++ {
+				for h := 0; h < nnHidden; h++ {
 					dh := grad * w[h]
 					if hidden[h] <= 0 {
 						dh = 0
@@ -95,20 +82,20 @@ func TrainNN(d Dataset, cfg NNConfig) (*NN, error) {
 					} else {
 						dHidden[h] += dh
 					}
-					w[h] -= cfg.LearningRate * grad * hidden[h]
+					w[h] -= nnLearningRate * grad * hidden[h]
 				}
-				w[cfg.Hidden] -= cfg.LearningRate * grad
+				w[nnHidden] -= nnLearningRate * grad
 			}
 			// Hidden layer.
-			for h := 0; h < cfg.Hidden; h++ {
+			for h := 0; h < nnHidden; h++ {
 				if dHidden[h] == 0 {
 					continue
 				}
 				w := n.w1[h]
 				for f, v := range x {
-					w[f] -= cfg.LearningRate * dHidden[h] * v
+					w[f] -= nnLearningRate * dHidden[h] * v
 				}
-				w[nf] -= cfg.LearningRate * dHidden[h]
+				w[nf] -= nnLearningRate * dHidden[h]
 			}
 		}
 	}

@@ -15,12 +15,12 @@ import (
 // every sampled feature at every node. Given the same *rand.Rand both
 // must build the same trees node for node.
 
-// seedTrainTree is the seed TrainTree after validation.
-func seedTrainTree(d Dataset, cfg TreeConfig) *Tree {
-	if cfg.MinLeaf < 1 {
-		cfg.MinLeaf = 1
+// seedTrainTree is the seed trainTree after validation.
+func seedTrainTree(d Dataset, cfg treeConfig) *tree {
+	if cfg.minLeaf < 1 {
+		cfg.minLeaf = 1
 	}
-	t := &Tree{numClasses: d.NumClasses}
+	t := &tree{numClasses: d.NumClasses}
 	idx := make([]int, d.Len())
 	for i := range idx {
 		idx[i] = i
@@ -31,7 +31,7 @@ func seedTrainTree(d Dataset, cfg TreeConfig) *Tree {
 
 // seedBaggedTree is one tree of the seed forest: n bootstrap draws from
 // rng, then a tree whose feature subsampling reads the same rng.
-func seedBaggedTree(d Dataset, cfg TreeConfig, rng *rand.Rand) *Tree {
+func seedBaggedTree(d Dataset, cfg treeConfig, rng *rand.Rand) *tree {
 	boot := Dataset{NumClasses: d.NumClasses}
 	boot.X = make([][]float64, d.Len())
 	boot.Y = make([]int, d.Len())
@@ -47,24 +47,23 @@ func seedBaggedTree(d Dataset, cfg TreeConfig, rng *rand.Rand) *Tree {
 // seedTrainForest is the seed TrainForest: a goroutine per tree, each
 // seeding its own math/rand source.
 func seedTrainForest(d Dataset, cfg ForestConfig) *Forest {
-	cfg = cfg.withDefaults()
-	f := &Forest{trees: make([]*Tree, cfg.Trees), numClasses: d.NumClasses}
+	f := &Forest{trees: make([]*tree, forestTrees), numClasses: d.NumClasses}
 	featureFrac := math.Sqrt(float64(d.NumFeatures())) / float64(d.NumFeatures())
-	seeds := make([]int64, cfg.Trees)
+	seeds := make([]int64, forestTrees)
 	seedRng := rand.New(rand.NewSource(cfg.Seed))
 	for i := range seeds {
 		seeds[i] = seedRng.Int63()
 	}
-	workers := min(runtime.GOMAXPROCS(0), cfg.Trees)
+	workers := min(runtime.GOMAXPROCS(0), forestTrees)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
-	for i := 0; i < cfg.Trees; i++ {
+	for i := 0; i < forestTrees; i++ {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			f.trees[i] = seedBaggedTree(d, TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, FeatureFrac: featureFrac},
+			f.trees[i] = seedBaggedTree(d, treeConfig{maxDepth: forestMaxDepth, featureFrac: featureFrac},
 				rand.New(rand.NewSource(seeds[i])))
 		}(i)
 	}
@@ -72,7 +71,7 @@ func seedTrainForest(d Dataset, cfg ForestConfig) *Forest {
 	return f
 }
 
-func seedBuild(t *Tree, d Dataset, idx []int, cfg TreeConfig, depth int) int32 {
+func seedBuild(t *tree, d Dataset, idx []int, cfg treeConfig, depth int) int32 {
 	ys := make([]int, len(idx))
 	for i, r := range idx {
 		ys[i] = d.Y[r]
@@ -80,7 +79,7 @@ func seedBuild(t *Tree, d Dataset, idx []int, cfg TreeConfig, depth int) int32 {
 	cls, pure := majority(ys, d.NumClasses)
 	nodeID := int32(len(t.nodes))
 	t.nodes = append(t.nodes, treeNode{feature: -1, class: cls})
-	if pure || len(idx) < 2*cfg.MinLeaf || (cfg.MaxDepth > 0 && depth >= cfg.MaxDepth) {
+	if pure || len(idx) < 2*cfg.minLeaf || (cfg.maxDepth > 0 && depth >= cfg.maxDepth) {
 		return nodeID
 	}
 	feature, threshold, ok := seedBestSplit(d, idx, cfg)
@@ -95,7 +94,7 @@ func seedBuild(t *Tree, d Dataset, idx []int, cfg TreeConfig, depth int) int32 {
 			right = append(right, r)
 		}
 	}
-	if len(left) < cfg.MinLeaf || len(right) < cfg.MinLeaf {
+	if len(left) < cfg.minLeaf || len(right) < cfg.minLeaf {
 		return nodeID
 	}
 	l := seedBuild(t, d, left, cfg, depth+1)
@@ -107,14 +106,14 @@ func seedBuild(t *Tree, d Dataset, idx []int, cfg TreeConfig, depth int) int32 {
 	return nodeID
 }
 
-func seedBestSplit(d Dataset, idx []int, cfg TreeConfig) (feature int, threshold float64, ok bool) {
+func seedBestSplit(d Dataset, idx []int, cfg treeConfig) (feature int, threshold float64, ok bool) {
 	nf := d.NumFeatures()
 	features := make([]int, nf)
 	for i := range features {
 		features[i] = i
 	}
-	if cfg.FeatureFrac > 0 && cfg.FeatureFrac < 1 && cfg.rng != nil {
-		k := int(cfg.FeatureFrac * float64(nf))
+	if cfg.featureFrac > 0 && cfg.featureFrac < 1 && cfg.rng != nil {
+		k := int(cfg.featureFrac * float64(nf))
 		if k < 1 {
 			k = 1
 		}
@@ -255,7 +254,7 @@ func genDataset(rng *rand.Rand, n, nf, classes int, kind valueKind) Dataset {
 }
 
 // sameTree reports the first difference between two trees' node arrays.
-func sameTree(got, want *Tree) error {
+func sameTree(got, want *tree) error {
 	if got.numClasses != want.numClasses {
 		return fmt.Errorf("%d classes, want %d", got.numClasses, want.numClasses)
 	}
@@ -288,7 +287,7 @@ func sameForest(got, want *Forest) error {
 // ulp-spaced values; several depth and leaf bounds) the grower builds
 // the seed CART's trees node for node — bagged forest trees with
 // feature subsampling from the same RNG, and, every fifth case, the
-// all-feature tree of TrainTree.
+// all-feature tree of trainTree.
 func TestPresortedMatchesSeed(t *testing.T) {
 	sizes := []int{8, 60, 300, 1000}
 	depths := []int{0, 1, 4, 12}
@@ -300,13 +299,13 @@ func TestPresortedMatchesSeed(t *testing.T) {
 		classes := 2 + rng.Intn(5)
 		kind := valueKind(i / len(sizes) % 4)
 		d := genDataset(rng, n, nf, classes, kind)
-		cfg := TreeConfig{
-			MaxDepth:    depths[rng.Intn(len(depths))],
-			MinLeaf:     leaves[rng.Intn(len(leaves))],
-			FeatureFrac: math.Sqrt(float64(nf)) / float64(nf),
+		cfg := treeConfig{
+			maxDepth:    depths[rng.Intn(len(depths))],
+			minLeaf:     leaves[rng.Intn(len(leaves))],
+			featureFrac: math.Sqrt(float64(nf)) / float64(nf),
 		}
 		name := fmt.Sprintf("case %d (%dx%d, %d classes, kind %d, depth %d, leaf %d)",
-			i, n, nf, classes, kind, cfg.MaxDepth, cfg.MinLeaf)
+			i, n, nf, classes, kind, cfg.maxDepth, cfg.minLeaf)
 
 		seed := rng.Int63()
 		want := seedBaggedTree(d, cfg, rand.New(rand.NewSource(seed)))
@@ -319,13 +318,13 @@ func TestPresortedMatchesSeed(t *testing.T) {
 		}
 
 		if i%5 == 0 {
-			cfg.FeatureFrac = 0
-			got, err := TrainTree(d, cfg)
+			cfg.featureFrac = 0
+			got, err := trainTree(d, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := sameTree(got, seedTrainTree(d, cfg)); err != nil {
-				t.Fatalf("%s, TrainTree: %v", name, err)
+				t.Fatalf("%s, trainTree: %v", name, err)
 			}
 		}
 	}
@@ -338,12 +337,12 @@ func TestPresortedMatchesSeed(t *testing.T) {
 func TestForestMatchesSeedTrees(t *testing.T) {
 	for i, s := range forestShapes {
 		d := genDataset(rand.New(rand.NewSource(int64(i))), s.n, s.nf, s.classes, signature)
-		cfg := ForestConfig{Seed: int64(i) + 1}.withDefaults()
+		cfg := ForestConfig{Seed: int64(i) + 1}
 		f, err := TrainForest(d, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tc := TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, FeatureFrac: math.Sqrt(float64(s.nf)) / float64(s.nf)}
+		tc := treeConfig{maxDepth: forestMaxDepth, featureFrac: math.Sqrt(float64(s.nf)) / float64(s.nf)}
 		next := splitMix64(cfg.Seed)
 		for k, tree := range f.trees {
 			src := splitMix64(next.Uint64())

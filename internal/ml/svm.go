@@ -5,25 +5,17 @@ import (
 	"math/rand"
 )
 
+// The SVM's fixed hyperparameters.
+const (
+	svmEpochs = 50   // passes over the data
+	svmLambda = 0.01 // L2 regularization strength
+)
+
 // SVMConfig controls linear-SVM training via Pegasos (primal SGD on the
 // hinge loss), one-vs-rest for multi-class problems.
 type SVMConfig struct {
-	// Epochs is the number of passes over the data (default 50).
-	Epochs int
-	// Lambda is the L2 regularization strength (default 0.01).
-	Lambda float64
 	// Seed makes training deterministic.
 	Seed int64
-}
-
-func (c SVMConfig) withDefaults() SVMConfig {
-	if c.Epochs <= 0 {
-		c.Epochs = 50
-	}
-	if c.Lambda <= 0 {
-		c.Lambda = 0.01
-	}
-	return c
 }
 
 // SVM is a trained one-vs-rest linear SVM. It exists as the paper's
@@ -40,17 +32,16 @@ func TrainSVM(d Dataset, cfg SVMConfig) (*SVM, error) {
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("ml: empty training set")
 	}
-	cfg = cfg.withDefaults()
 	nf := d.NumFeatures()
 	s := &SVM{weights: make([][]float64, d.NumClasses)}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for cls := 0; cls < d.NumClasses; cls++ {
 		w := make([]float64, nf+1)
 		t := 0
-		for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		for epoch := 0; epoch < svmEpochs; epoch++ {
 			for _, i := range rng.Perm(d.Len()) {
 				t++
-				eta := 1 / (cfg.Lambda * float64(t))
+				eta := 1 / (svmLambda * float64(t))
 				y := -1.0
 				if d.Y[i] == cls {
 					y = 1.0
@@ -62,7 +53,7 @@ func TrainSVM(d Dataset, cfg SVMConfig) (*SVM, error) {
 				}
 				margin *= y
 				for f := 0; f < nf; f++ {
-					w[f] *= 1 - eta*cfg.Lambda
+					w[f] *= 1 - eta*svmLambda
 				}
 				if margin < 1 {
 					for f, v := range x {

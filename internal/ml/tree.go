@@ -2,28 +2,27 @@ package ml
 
 import (
 	"cmp"
-	"fmt"
 	"math/rand"
 	"slices"
 )
 
-// TreeConfig controls CART decision-tree induction.
-type TreeConfig struct {
-	// MaxDepth bounds the tree height (<=0: unbounded).
-	MaxDepth int
-	// MinLeaf is the minimum sample count of a leaf (default 1).
-	MinLeaf int
-	// FeatureFrac is the fraction of features considered per split
+// treeConfig controls CART decision-tree induction.
+type treeConfig struct {
+	// maxDepth bounds the tree height (<=0: unbounded).
+	maxDepth int
+	// minLeaf is the minimum sample count of a leaf (default 1).
+	minLeaf int
+	// featureFrac is the fraction of features considered per split
 	// (<=0 or >=1: all). Random forests use sqrt-fraction subsampling.
-	FeatureFrac float64
+	featureFrac float64
 	// rng supplies feature subsampling; nil means deterministic
 	// all-features splitting.
 	rng *rand.Rand
 }
 
-// Tree is a trained CART decision tree over numeric features, split by
+// tree is a trained CART decision tree over numeric features, split by
 // Gini impurity.
-type Tree struct {
+type tree struct {
 	nodes      []treeNode
 	numClasses int
 }
@@ -36,26 +35,11 @@ type treeNode struct {
 	class     int // leaf prediction
 }
 
-// TrainTree fits a CART tree on d.
-func TrainTree(d Dataset, cfg TreeConfig) (*Tree, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if d.Len() == 0 {
-		return nil, fmt.Errorf("ml: empty training set")
-	}
-	g := newGrower(newColumns(d), cfg)
-	for r := range g.mult {
-		g.mult[r] = 1
-	}
-	return g.grow(), nil
-}
-
 // Name implements Classifier.
-func (t *Tree) Name() string { return "decision-tree" }
+func (t *tree) Name() string { return "decision-tree" }
 
 // Predict implements Classifier.
-func (t *Tree) Predict(x []float64) int {
+func (t *tree) Predict(x []float64) int {
 	i := int32(0)
 	for {
 		n := &t.nodes[i]
@@ -71,7 +55,7 @@ func (t *Tree) Predict(x []float64) int {
 }
 
 // NumNodes returns the number of tree nodes (testing/inspection).
-func (t *Tree) NumNodes() int { return len(t.nodes) }
+func (t *tree) NumNodes() int { return len(t.nodes) }
 
 // columns is a training set laid out for fitting, feature-major: the
 // values, and each feature's rows in ascending value order. A forest
@@ -113,7 +97,7 @@ func newColumns(d Dataset) *columns {
 // scores and the chosen splits are the ones of the expanded sample.
 type grower struct {
 	c         *columns
-	cfg       TreeConfig
+	cfg       treeConfig
 	subsample bool // draw k of nf features per split
 	k         int
 
@@ -131,9 +115,9 @@ type grower struct {
 	nodes                    []treeNode
 }
 
-func newGrower(c *columns, cfg TreeConfig) *grower {
-	if cfg.MinLeaf < 1 {
-		cfg.MinLeaf = 1
+func newGrower(c *columns, cfg treeConfig) *grower {
+	if cfg.minLeaf < 1 {
+		cfg.minLeaf = 1
 	}
 	g := &grower{
 		c: c, cfg: cfg, k: c.nf,
@@ -141,9 +125,9 @@ func newGrower(c *columns, cfg TreeConfig) *grower {
 		lists: make([]int32, max(c.nf, 1)*c.n), spill: make([]int32, c.n), feats: make([]int, c.nf),
 		counts: make([]float64, c.numClasses), countsL: make([]float64, c.numClasses), countsR: make([]float64, c.numClasses),
 	}
-	if cfg.FeatureFrac > 0 && cfg.FeatureFrac < 1 && cfg.rng != nil {
+	if cfg.featureFrac > 0 && cfg.featureFrac < 1 && cfg.rng != nil {
 		g.subsample = true
-		g.k = max(1, int(cfg.FeatureFrac*float64(c.nf)))
+		g.k = max(1, int(cfg.featureFrac*float64(c.nf)))
 	}
 	return g
 }
@@ -159,7 +143,7 @@ func (g *grower) bag(rng *rand.Rand) {
 
 // grow fits one tree on the rows with nonzero multiplicity, filtering
 // each feature's order through the sample: O(nf*n), no sorting.
-func (g *grower) grow() *Tree {
+func (g *grower) grow() *tree {
 	c := g.c
 	m := 0
 	for f := range c.nf {
@@ -180,7 +164,7 @@ func (g *grower) grow() *Tree {
 	}
 	g.nodes = g.nodes[:0]
 	g.build(0, m, 0)
-	return &Tree{nodes: slices.Clone(g.nodes), numClasses: c.numClasses}
+	return &tree{nodes: slices.Clone(g.nodes), numClasses: c.numClasses}
 }
 
 // build grows the subtree over the segment [lo,hi) of every list, each
@@ -208,8 +192,8 @@ func (g *grower) build(lo, hi, depth int) int32 {
 	}
 	nodeID := int32(len(g.nodes))
 	g.nodes = append(g.nodes, treeNode{feature: -1, class: cls})
-	minLeaf := g.cfg.MinLeaf
-	if classes <= 1 || size < 2*minLeaf || (g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth) {
+	minLeaf := g.cfg.minLeaf
+	if classes <= 1 || size < 2*minLeaf || (g.cfg.maxDepth > 0 && depth >= g.cfg.maxDepth) {
 		return nodeID
 	}
 	feature, threshold, ok := g.bestSplit(lo, hi, size)

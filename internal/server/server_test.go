@@ -701,10 +701,7 @@ func TestServerRequestCorrelation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	engine, err := smartpsi.NewEngine(g, smartpsi.Options{
-		Seed: 3, MinTrainNodes: 10, MaxTrainNodes: 20, PlanSamples: 2,
-		DisablePreemption: true, ShadowRate: 1, PlanShadowRate: 1,
-	})
+	engine, err := smartpsi.NewEngine(g, smartpsi.Options{Seed: 3, DisablePreemption: true, ShadowRate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,13 +101,30 @@ func TestServerWorkloadObservation(t *testing.T) {
 // cluster, /queryz's mode mix counts every shard's decisions, not one
 // shard's. On a run warm on both shards every candidate makes exactly
 // one model-α decision, so the shape's mode_optimistic +
-// mode_pessimistic grows by exactly that run's candidates.
+// mode_pessimistic grows by exactly that run's candidates. Each shard
+// owns at least MinTrainNodes of the pivot's label, and only the ML
+// path stores the artifacts a warm run reuses, so both shards train.
 func TestServerShardedWorkloadDecisions(t *testing.T) {
 	prev := obs.Enabled()
 	obs.Enable(true)
 	t.Cleanup(func() { obs.Enable(prev) })
-	c, err := shard.NewCluster(graphtest.Random(300, 900, 3, 5),
-		shard.Options{Shards: 2, Engine: smartpsi.Options{Seed: 3, MinTrainNodes: 10}})
+	g := graphtest.Random(900, 2700, 3, 5)
+	p, err := shard.Partition(g, 2, shard.LabelHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 2 {
+		owned := 0
+		for _, u := range g.NodesWithLabel(0) {
+			if int(p.Owner[u]) == i {
+				owned++
+			}
+		}
+		if owned < smartpsi.MinTrainNodes {
+			t.Fatalf("shard %d owns %d label-0 candidates, want at least %d", i, owned, smartpsi.MinTrainNodes)
+		}
+	}
+	c, err := shard.NewCluster(g, shard.Options{Shards: 2, Engine: smartpsi.Options{Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -128,4 +130,76 @@ func TestScatter(t *testing.T) {
 type reply struct {
 	res *smartpsi.Result
 	err error
+}
+
+// countLeaves calls fn with every int and int64 value (counts and
+// time.Durations) reachable from v through structs, arrays and slices,
+// and its path; pointers and other scalars are skipped.
+func countLeaves(v reflect.Value, path string, fn func(path string, f reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		fn(path, v)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			countLeaves(v.Field(i), path+"."+v.Type().Field(i).Name, fn)
+		}
+	case reflect.Array, reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			countLeaves(v.Index(i), fmt.Sprintf("%s[%d]", path, i), fn)
+		}
+	}
+}
+
+// TestMergeSumsAllCounts is the reflection guard of the gather: each
+// count of smartpsi.Result — plain fields, Alpha, the psi.Stats blocks,
+// and each element of the tally arrays and slices — set alone on two
+// answered shards must come out of merge as their sum, so a failure
+// names the exact dropped leaves. The exclusions are merge's own:
+// EvalTime is the slowest shard's time, TotalTime the gather's wall
+// time, and TrainTime, FitTime and ModelTime are per-shard wall times,
+// which do not add up across parallel shards; PlanClasses is not a
+// count (nor are Warm and Profile, which the walk does not reach).
+func TestMergeSumsAllCounts(t *testing.T) {
+	excluded := map[string]bool{".EvalTime": true, ".TotalTime": true, ".TrainTime": true,
+		".FitTime": true, ".ModelTime": true, ".PlanClasses": true}
+	probe := func() *smartpsi.Result {
+		res := &smartpsi.Result{}
+		res.PlanPicks = make([]int64, 2)
+		res.Funnel.Depths = make([]obs.FunnelDepth, 2)
+		return res
+	}
+	leaf := func(res *smartpsi.Result, path string) (f reflect.Value) {
+		countLeaves(reflect.ValueOf(res).Elem(), "", func(p string, v reflect.Value) {
+			if p == path {
+				f = v
+			}
+		})
+		return f
+	}
+	var paths []string
+	countLeaves(reflect.ValueOf(probe()).Elem(), "", func(path string, _ reflect.Value) {
+		if !excluded[path] {
+			paths = append(paths, path)
+		}
+	})
+	var bad []string
+	for _, path := range paths {
+		results := []*smartpsi.Result{probe(), probe()}
+		for _, res := range results {
+			leaf(res, path).SetInt(7)
+		}
+		g, err := merge([]Outcome{{Shard: 0}, {Shard: 1}}, results, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := leaf(g.Res, path); !got.IsValid() || got.Int() != 14 {
+			bad = append(bad, path)
+		}
+	}
+	if len(bad) > 0 {
+		t.Fatalf("merge drops %s; sum each shard count into the gather (or name it as excluded)", strings.Join(bad, ", "))
+	}
+	if len(paths) < 50 {
+		t.Fatalf("probed only %d Result counts; did their types change?", len(paths))
+	}
 }

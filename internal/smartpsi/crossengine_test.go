@@ -24,7 +24,7 @@ func TestAgainstTurboIsoPlus(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := gen.MustGenerate(spec)
-	e, err := NewEngine(g, Options{Seed: 19, PlanSamples: 3})
+	e, err := NewEngine(g, Options{Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestConcurrentEvaluate(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := gen.MustGenerate(spec)
-	e, err := NewEngine(g, Options{Seed: 3, PlanSamples: 2})
+	e, err := NewEngine(g, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

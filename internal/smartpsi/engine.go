@@ -20,19 +20,9 @@ import (
 )
 
 // Options configures an Engine. The zero value gives the paper's
-// defaults.
+// defaults; the paper's fixed training settings are the constants
+// below, which no option overrides.
 type Options struct {
-	// MaxTrainNodes caps the training set, trainFraction of the
-	// candidates (default 1000, the paper's experimental setting).
-	MaxTrainNodes int
-	// MinTrainNodes is the smallest candidate set worth training on;
-	// below it the engine just evaluates every candidate pessimistically
-	// with the heuristic plan (default 64 — with fewer candidates the
-	// models cannot amortize their training cost).
-	MinTrainNodes int
-	// PlanSamples is the number of candidate plans evaluated for model β
-	// (default 6; the heuristic plan is always among them).
-	PlanSamples int
 	// PlanTimeLimit is the initial per-plan time limit during β training
 	// (default 2ms), doubled until some plan finishes (Section 4.2.2).
 	PlanTimeLimit time.Duration
@@ -49,15 +39,13 @@ type Options struct {
 	// runs the *opposite* method as a shadow and records the decision's
 	// regret (max(0, primary − counterfactual) wall time). The same rate
 	// samples cache hits for cache-quality audits (cached decision vs a
-	// fresh model prediction). Rate 1 audits every eligible decision —
-	// the deterministic seam tests use. Shadow work is accounted in
-	// Result.ShadowWork, never in Result.Work.
+	// fresh model prediction), and a quarter of it samples shadow runs
+	// of a random *alternative plan* under the same method (model-β
+	// audits: plan counterfactuals are costlier and noisier). Rate 1
+	// audits every eligible α decision — the deterministic seam tests
+	// use. Shadow work is accounted in Result.ShadowWork, never in
+	// Result.Work.
 	ShadowRate float64
-	// PlanShadowRate samples shadow runs of a random *alternative plan*
-	// under the same method (model-β audit). Zero defaults to
-	// ShadowRate/4 — plan counterfactuals are costlier and noisier, so
-	// they run at a lower rate.
-	PlanShadowRate float64
 
 	// Ablation switches (all false in the full system).
 	DisableCache      bool // skip the Section 4.2.3 prediction cache
@@ -72,25 +60,29 @@ type Options struct {
 	DisablePreparedCache bool
 }
 
-// planShadowRate resolves the effective model-β shadow rate.
-func (o Options) planShadowRate() float64 {
-	if o.PlanShadowRate > 0 {
-		return o.PlanShadowRate
-	}
-	return o.ShadowRate / 4
-}
-
 // auditing reports whether any decision audit can trigger.
-func (o Options) auditing() bool { return o.ShadowRate > 0 || o.PlanShadowRate > 0 }
+func (o Options) auditing() bool { return o.ShadowRate > 0 }
 
-// The paper's fixed training settings (§4.2), which no option overrides.
-// Data signatures are always matrix-built at signature.DefaultDepth, and
-// a query's follow them (psi.NewEvaluator); both forests use ml's
-// defaults, seeded from Options.Seed.
+// MinTrainNodes is the smallest candidate set worth training on: below
+// it the engine evaluates every candidate pessimistically with the
+// heuristic plan, because with fewer candidates the models cannot
+// amortize their training cost.
+const MinTrainNodes = 64
+
+// The paper's other fixed training settings (§4.2). Data signatures are
+// always matrix-built at signature.DefaultDepth, and a query's follow
+// them (psi.NewEvaluator); both forests use ml's settings, seeded from
+// Options.Seed.
 const (
 	// trainFraction is the share of candidate nodes used for training,
-	// capped by Options.MaxTrainNodes.
+	// capped at maxTrainNodes.
 	trainFraction = 0.10
+	// maxTrainNodes caps the training set (the paper's experimental
+	// setting).
+	maxTrainNodes = 1000
+	// planSamples is the number of candidate plans evaluated for model
+	// β; the heuristic plan is always among them.
+	planSamples = 6
 	// planSweepNodes caps how many training nodes run the full per-plan
 	// sweep that labels model β. The remaining training nodes are
 	// evaluated once, under the heuristic plan, for model α only,
@@ -100,15 +92,6 @@ const (
 )
 
 func (o Options) withDefaults() Options {
-	if o.MaxTrainNodes <= 0 {
-		o.MaxTrainNodes = 1000
-	}
-	if o.MinTrainNodes <= 0 {
-		o.MinTrainNodes = 64
-	}
-	if o.PlanSamples <= 0 {
-		o.PlanSamples = 6
-	}
 	if o.PlanTimeLimit <= 0 {
 		o.PlanTimeLimit = 2 * time.Millisecond
 	}

@@ -273,7 +273,7 @@ func (e *Engine) Run(req Request) (_ *Result, retErr error) {
 	var err error
 	switch {
 	case len(r.candidates) == 0:
-	case len(r.candidates) < e.opts.MinTrainNodes:
+	case len(r.candidates) < MinTrainNodes:
 		err = e.evaluateSmall(q, r, deadline)
 	default:
 		err = e.evaluateML(q, r, deadline)
@@ -463,7 +463,7 @@ func (e *Engine) evaluateML(q graph.Query, r *queryRun, deadline time.Time) erro
 
 // prepare builds the query-side half of an artifact: the query's
 // signatures inside a psi.Evaluator, and the compiled plans. With an rng
-// it samples Options.PlanSamples plans (model β's classes, the heuristic
+// it samples planSamples plans (model β's classes, the heuristic
 // plan first); with none it compiles the heuristic plan alone.
 func (e *Engine) prepare(q graph.Query, rng *rand.Rand) (*artifact, error) {
 	ev, err := psi.NewEvaluator(e.g, q, e.sigs, nil)
@@ -472,7 +472,7 @@ func (e *Engine) prepare(q graph.Query, rng *rand.Rand) (*artifact, error) {
 	}
 	var plans []plan.Plan
 	if rng != nil {
-		plans = plan.Sample(q, e.g, e.opts.PlanSamples, rng)
+		plans = plan.Sample(q, e.g, planSamples, rng)
 	} else {
 		plans = []plan.Plan{plan.Heuristic(q, e.g)}
 	}
@@ -495,17 +495,9 @@ func (e *Engine) prepare(q graph.Query, rng *rand.Rand) (*artifact, error) {
 func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand, deadline time.Time) (int, error) {
 	trainStart := time.Now()
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	trainCount := int(trainFraction * float64(len(order)))
-	if trainCount > e.opts.MaxTrainNodes {
-		trainCount = e.opts.MaxTrainNodes
-	}
 	const minTrainFloor = 16 // enough rows for the forests to be useful
-	if trainCount < minTrainFloor {
-		trainCount = minTrainFloor
-	}
-	if trainCount > len(order)/2 {
-		trainCount = len(order) / 2
-	}
+	trainCount := min(int(trainFraction*float64(len(order))), maxTrainNodes)
+	trainCount = min(max(trainCount, minTrainFloor), len(order)/2)
 
 	art.timing = newPlanTiming(len(art.compiled))
 	alphaDS := ml.Dataset{NumClasses: 2}

@@ -14,18 +14,20 @@ import (
 // TestEndToEndAgainstEnumeration verifies the whole SmartPSI pipeline
 // against ground truth established by full subgraph-isomorphism
 // enumeration (an entirely independent code path) on a realistic
-// generated dataset.
+// generated dataset. The workload takes both the ML path and the
+// small-candidate one.
 func TestEndToEndAgainstEnumeration(t *testing.T) {
-	spec, err := gen.ScaledSpec("yeast", 4)
+	spec, err := gen.DefaultSpec("yeast")
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := gen.MustGenerate(spec)
-	e, err := NewEngine(g, Options{Seed: 5, MinTrainNodes: 12, PlanSamples: 3})
+	e, err := NewEngine(g, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(31))
+	paths := map[bool]int{}
 	for size := 3; size <= 6; size++ {
 		for i := 0; i < 2; i++ {
 			q, err := workload.ExtractQuery(g, size, rng)
@@ -36,6 +38,7 @@ func TestEndToEndAgainstEnumeration(t *testing.T) {
 			if err != nil {
 				t.Fatalf("size %d query %d: %v", size, i, err)
 			}
+			paths[res.UsedML]++
 			bt, err := match.NewBacktracking(g, q.G)
 			if err != nil {
 				t.Fatal(err)
@@ -56,6 +59,9 @@ func TestEndToEndAgainstEnumeration(t *testing.T) {
 				}
 			}
 		}
+	}
+	if paths[true] == 0 || paths[false] == 0 {
+		t.Errorf("%d queries took the ML path and %d the small-candidate one, want both", paths[true], paths[false])
 	}
 }
 

@@ -408,9 +408,9 @@ func TestObsAbortedQueryAccountsWork(t *testing.T) {
 	prev := obs.Enabled()
 	obs.Enable(true)
 	defer obs.Enable(prev)
-	// One plan and a generous plan time limit: every sweep node finishes
+	// A generous plan time limit: every plan of every sweep node finishes
 	// at its first limit, so the sweep's work is a function of the seed.
-	e, qs := preparedFixture(t, Options{Seed: 4, Threads: 1, PlanSamples: 1, PlanTimeLimit: time.Minute,
+	e, qs := preparedFixture(t, Options{Seed: 4, Threads: 1, PlanTimeLimit: time.Minute,
 		DisablePreparedCache: true}, 1)
 	q := qs[0]
 	rng := rand.New(rand.NewSource(e.opts.Seed))

@@ -39,14 +39,20 @@ func TestPlanTimingMaxTime(t *testing.T) {
 	}
 }
 
-// slowFixture builds a dense one-label blob whose 6-cycle query takes
-// well over minDeadline per candidate, plus the query itself.
-func slowFixture(t *testing.T) (*graph.Graph, graph.Query) {
+// slowFixture builds a dense blob whose 7-cycle query takes well over
+// minDeadline per candidate, plus the query itself. Every node has label
+// 0, except that with rare > 0 data nodes 0..rare-1 and the query's
+// pivot have label 1, so the query has rare candidates.
+func slowFixture(t *testing.T, rare int) (*graph.Graph, graph.Query) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(8))
 	b := graph.NewBuilder(400, 8000)
 	for i := 0; i < 400; i++ {
-		b.AddNode(0)
+		if i < rare {
+			b.AddNode(1)
+		} else {
+			b.AddNode(0)
+		}
 	}
 	for b.NumEdges() < 8000 {
 		u, v := graph.NodeID(rng.Intn(400)), graph.NodeID(rng.Intn(400))
@@ -59,7 +65,11 @@ func slowFixture(t *testing.T) (*graph.Graph, graph.Query) {
 	g := b.MustBuild()
 	qb := graph.NewBuilder(7, 7)
 	for i := 0; i < 7; i++ {
-		qb.AddNode(0)
+		if i == 0 && rare > 0 {
+			qb.AddNode(1)
+		} else {
+			qb.AddNode(0)
+		}
 	}
 	for i := graph.NodeID(0); i < 7; i++ {
 		if err := qb.AddEdge(i, (i+1)%7); err != nil {
@@ -77,7 +87,7 @@ func slowFixture(t *testing.T) (*graph.Graph, graph.Query) {
 // tiny timing averages so state 1 and state 2 both time out and the
 // state-3 heuristic fallback must produce the (correct) answer.
 func TestPreemptionRecovers(t *testing.T) {
-	g, q := slowFixture(t)
+	g, q := slowFixture(t, 0)
 	e, err := NewEngine(g, Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -121,9 +131,8 @@ func TestPreemptionRecovers(t *testing.T) {
 // TestPreemptionDisabled: with DisablePreemption no deadline is set and
 // the counters stay zero even on the slow fixture.
 func TestPreemptionDisabledCounters(t *testing.T) {
-	g, q := slowFixture(t)
-	e, err := NewEngine(g, Options{Seed: 4, DisablePreemption: true, MinTrainNodes: 10, PlanSamples: 2,
-		MaxTrainNodes: 20})
+	g, q := slowFixture(t, 0)
+	e, err := NewEngine(g, Options{Seed: 4, DisablePreemption: true})
 	if err != nil {
 		t.Fatal(err)
 	}

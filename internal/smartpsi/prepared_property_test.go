@@ -22,7 +22,7 @@ func TestPreparedColdWarmReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := smartpsi.NewEngine(g, smartpsi.Options{Seed: 42, MinTrainNodes: 10, PlanSamples: 3, Threads: 1 + int(seed%2)})
+		eng, err := smartpsi.NewEngine(g, smartpsi.Options{Seed: 42, Threads: 1 + int(seed%2)})
 		if err != nil {
 			t.Fatal(err)
 		}

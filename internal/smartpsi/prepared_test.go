@@ -13,16 +13,13 @@ import (
 	"repro/internal/workload"
 )
 
-// preparedFixture is a small random graph whose every label has enough
-// nodes for the ML path at MinTrainNodes=10, an engine over it, and
-// distinct (as numbered) extracted queries.
+// preparedFixture is a random graph whose every label has enough nodes
+// for the ML path even when split three ways (about 300 per label, so
+// about 100 per share of TestRunOwnedCandidates, over MinTrainNodes), an
+// engine over it, and distinct (as numbered) extracted queries.
 func preparedFixture(t *testing.T, opts Options, queries int) (*Engine, []graph.Query) {
 	t.Helper()
-	g := graphtest.Random(300, 900, 3, 5)
-	opts.MinTrainNodes = 10
-	if opts.PlanSamples == 0 {
-		opts.PlanSamples = 3
-	}
+	g := graphtest.Random(900, 2700, 3, 5)
 	e, err := NewEngine(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -128,8 +125,9 @@ func TestRunOwnedCandidates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.UsedML {
-				t.Fatalf("query %d share %d: %d candidates took the no-ML path", qi, k, res.Candidates)
+			if res.Candidates < MinTrainNodes || !res.UsedML {
+				t.Fatalf("query %d share %d: %d candidates, UsedML=%v; want at least %d on the ML path",
+					qi, k, res.Candidates, res.UsedML, MinTrainNodes)
 			}
 			if res.Warm {
 				warm++
@@ -343,7 +341,7 @@ func TestPrepareTrainExecuteStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(art.compiled) < 1 || len(art.compiled) > e.opts.PlanSamples || art.alpha != nil || art.timing != nil {
+	if len(art.compiled) < 1 || len(art.compiled) > planSamples || art.alpha != nil || art.timing != nil {
 		t.Fatalf("prepare: %d plans, alpha=%v timing=%v", len(art.compiled), art.alpha, art.timing)
 	}
 	if small, err := e.prepare(q, nil); err != nil || len(small.compiled) != 1 {

@@ -36,7 +36,7 @@ func profileFixture(t *testing.T) (*Engine, graph.Query) {
 		}
 	}
 	g := b.MustBuild()
-	e, err := NewEngine(g, Options{Seed: 2, MinTrainNodes: 10, MaxTrainNodes: 30, PlanSamples: 2, Threads: 2})
+	e, err := NewEngine(g, Options{Seed: 2, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

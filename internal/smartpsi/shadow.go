@@ -100,7 +100,7 @@ func (e *Engine) auditDecision(w *worker, p primaryRun) error {
 		}
 	}
 	if len(w.art.compiled) > 1 {
-		if w.shadowSampled(e.opts.planShadowRate()) {
+		if w.shadowSampled(e.opts.ShadowRate / 4) {
 			if err := e.shadowPlanRun(w, p); err != nil {
 				return err
 			}

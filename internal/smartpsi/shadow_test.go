@@ -15,8 +15,8 @@ import (
 )
 
 // auditFixture builds a modest 2-hop-query workload over a sparse
-// random graph: cheap per-candidate evaluations, enough label-0
-// candidates to enter the ML path with MinTrainNodes=10.
+// random graph: cheap per-candidate evaluations, and 100 nodes of each
+// label, enough candidates to enter the ML path (MinTrainNodes).
 func auditFixture(t *testing.T) (*graph.Graph, graph.Query) {
 	t.Helper()
 	const n, m = 300, 900
@@ -45,8 +45,8 @@ func auditFixture(t *testing.T) (*graph.Graph, graph.Query) {
 		t.Fatal(err)
 	}
 	// Pivot at the middle node: two distinct matching orders exist
-	// ([1,0,2] and [1,2,0]), so plan.Sample with PlanSamples=2 yields
-	// two plan classes and the plan-audit path is exercised.
+	// ([1,0,2] and [1,2,0]), so plan.Sample yields two plan classes and
+	// the plan-audit path is exercised.
 	q, err := graph.NewQuery(qb.MustBuild(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -57,12 +57,8 @@ func auditFixture(t *testing.T) (*graph.Graph, graph.Query) {
 func auditOptions(rate float64) Options {
 	return Options{
 		Seed:              3,
-		MinTrainNodes:     10,
-		MaxTrainNodes:     20,
-		PlanSamples:       2,
 		DisablePreemption: true, // rung 1 always resolves: deterministic
 		ShadowRate:        rate,
-		PlanShadowRate:    rate,
 	}
 }
 
@@ -208,19 +204,22 @@ func TestShadowContextInvariants(t *testing.T) {
 // bit-identical, shadow work must stay out of Result.Work, and the
 // audit counters must respect the non-training candidate budget.
 //
-// PlanSamples is pinned to 1 here: with two or more plans the β model
-// trains on wall-clock sweep timings, so plan choices (and Work) are
-// not reproducible run-to-run regardless of auditing. Plan audits are
-// covered by TestShadowPlanAudits.
+// The query is the fixture's path pivoted at an endpoint, which has one
+// connected matching order and so one plan class: with two or more the
+// β model trains on wall-clock sweep timings, so plan choices (and Work)
+// are not reproducible run-to-run regardless of auditing. Plan audits
+// are covered by TestShadowPlanAudits.
 func TestShadowDoesNotPerturbPrimary(t *testing.T) {
 	prev := obs.Enabled()
 	obs.Enable(true)
 	defer obs.Enable(prev)
-	g, q := auditFixture(t)
+	g, mid := auditFixture(t)
+	q, err := graph.NewQuery(mid.G, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	opts0 := auditOptions(0)
-	opts0.PlanSamples = 1
-	base, err := NewEngine(g, opts0)
+	base, err := NewEngine(g, auditOptions(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,9 +230,7 @@ func TestShadowDoesNotPerturbPrimary(t *testing.T) {
 
 	obs.DefaultModelStats.Reset()
 	defer obs.DefaultModelStats.Reset()
-	opts := auditOptions(1)
-	opts.PlanSamples = 1
-	audited, err := NewEngine(g, opts)
+	audited, err := NewEngine(g, auditOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,6 +241,9 @@ func TestShadowDoesNotPerturbPrimary(t *testing.T) {
 
 	if !res0.UsedML || !res1.UsedML {
 		t.Fatalf("fixture too small: UsedML = %v/%v, want true", res0.UsedML, res1.UsedML)
+	}
+	if res0.PlanClasses != 1 || res1.PlanClasses != 1 {
+		t.Fatalf("PlanClasses = %d/%d, want 1 (an endpoint-pivoted path has one order)", res0.PlanClasses, res1.PlanClasses)
 	}
 	if !reflect.DeepEqual(res0.Bindings, res1.Bindings) {
 		t.Errorf("bindings differ with auditing on: %d vs %d nodes", len(res0.Bindings), len(res1.Bindings))
@@ -267,7 +267,7 @@ func TestShadowDoesNotPerturbPrimary(t *testing.T) {
 			res1.ShadowModeRuns, nonTraining)
 	}
 	if res1.ShadowPlanRuns != 0 {
-		t.Errorf("PlanSamples=1 but %d plan shadows ran; there is no alternative plan to audit", res1.ShadowPlanRuns)
+		t.Errorf("one plan class but %d plan shadows ran; there is no alternative plan to audit", res1.ShadowPlanRuns)
 	}
 	if res1.ShadowWork.Total() == 0 {
 		t.Error("shadow runs executed but ShadowWork is empty")
@@ -293,9 +293,9 @@ func countKind(recs []obs.DecisionRecord, kind string) int64 {
 }
 
 // TestShadowPlanAudits exercises the plan-audit path: with two plan
-// classes and PlanShadowRate=1, sampled rung-1 decisions re-run a
-// random alternative plan, plan regret accumulates, and /modelz retains
-// the plan records. The primary verdict set must be the one invariant
+// classes and ShadowRate=1 (plan audits sample at a quarter of it),
+// sampled rung-1 decisions re-run a random alternative plan, plan regret
+// accumulates, and /modelz retains the plan records. The primary verdict set must be the one invariant
 // that survives β-timing noise: the binding count is pinned.
 func TestShadowPlanAudits(t *testing.T) {
 	prev := obs.Enabled()
@@ -305,7 +305,7 @@ func TestShadowPlanAudits(t *testing.T) {
 	defer obs.DefaultModelStats.Reset()
 	g, q := auditFixture(t)
 
-	e, err := NewEngine(g, auditOptions(1)) // PlanSamples: 2
+	e, err := NewEngine(g, auditOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestShadowPlanAudits(t *testing.T) {
 		t.Fatalf("PlanClasses = %d, want >= 2 (pivot-centered path query should admit two orders)", res.PlanClasses)
 	}
 	if res.ShadowPlanRuns == 0 {
-		t.Error("PlanShadowRate=1 with 2 plans but no plan shadows ran")
+		t.Error("ShadowRate=1 with 2 plans but no plan shadows ran")
 	}
 	nonTraining := int64(res.Candidates - res.TrainedNodes)
 	if res.ShadowPlanRuns > nonTraining {
@@ -356,7 +356,7 @@ func TestShadowFoldMatchesResult(t *testing.T) {
 	defer obs.DefaultModelStats.Reset()
 	g, q := auditFixture(t)
 
-	e, err := NewEngine(g, auditOptions(1)) // PlanSamples: 2
+	e, err := NewEngine(g, auditOptions(1)) // two plan classes
 	if err != nil {
 		t.Fatal(err)
 	}

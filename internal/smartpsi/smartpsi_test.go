@@ -83,10 +83,49 @@ func TestFigure1SmallCandidateFallback(t *testing.T) {
 	}
 }
 
+// TestMinTrainNodesBoundary pins the training threshold: a query with
+// MinTrainNodes-1 candidates takes the no-ML path (no training, the
+// heuristic plan alone), one with MinTrainNodes trains.
+func TestMinTrainNodesBoundary(t *testing.T) {
+	for _, n := range []int{MinTrainNodes - 1, MinTrainNodes} {
+		// n disjoint label-0/label-1 edges; the query is one such edge.
+		b := graph.NewBuilder(2*n, n)
+		for i := 0; i < n; i++ {
+			if err := b.AddEdge(b.AddNode(0), b.AddNode(1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e, err := NewEngine(b.MustBuild(), Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		qb := graph.NewBuilder(2, 1)
+		if err := qb.AddEdge(qb.AddNode(0), qb.AddNode(1)); err != nil {
+			t.Fatal(err)
+		}
+		q, err := graph.NewQuery(qb.MustBuild(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := mustEvaluate(t, e, q)
+		if res.Candidates != n || len(res.Bindings) != n {
+			t.Fatalf("%d candidates: got %d candidates, %d bindings", n, res.Candidates, len(res.Bindings))
+		}
+		if n < MinTrainNodes {
+			if res.UsedML || res.PlanClasses != 1 || res.TrainedNodes != 0 {
+				t.Errorf("%d candidates: UsedML=%v PlanClasses=%d TrainedNodes=%d, want the no-ML path",
+					n, res.UsedML, res.PlanClasses, res.TrainedNodes)
+			}
+		} else if !res.UsedML || res.TrainedNodes == 0 {
+			t.Errorf("%d candidates: UsedML=%v TrainedNodes=%d, want a trained run", n, res.UsedML, res.TrainedNodes)
+		}
+	}
+}
+
 // TestExactnessOnCora is the paper's central correctness claim: SmartPSI
 // is exact no matter what the models predict.
 func TestExactnessOnCora(t *testing.T) {
-	e := coraEngine(t, Options{Seed: 7, PlanSamples: 4})
+	e := coraEngine(t, Options{Seed: 7})
 	rng := rand.New(rand.NewSource(13))
 	for size := 4; size <= 6; size++ {
 		for i := 0; i < 3; i++ {
@@ -110,7 +149,7 @@ func TestExactnessOnCora(t *testing.T) {
 }
 
 func TestUsedMLAndCounters(t *testing.T) {
-	e := coraEngine(t, Options{Seed: 3, PlanSamples: 3})
+	e := coraEngine(t, Options{Seed: 3})
 	rng := rand.New(rand.NewSource(4))
 	q, err := workload.ExtractQuery(e.Graph(), 4, rng)
 	if err != nil {
@@ -153,13 +192,13 @@ func TestUsedMLAndCounters(t *testing.T) {
 }
 
 func TestAblationsStayExact(t *testing.T) {
-	base := Options{Seed: 11, PlanSamples: 3}
+	base := Options{Seed: 11}
 	variants := map[string]Options{
-		"no-cache":      {Seed: 11, PlanSamples: 3, DisableCache: true},
-		"no-plan-model": {Seed: 11, PlanSamples: 3, DisablePlanModel: true},
-		"no-preemption": {Seed: 11, PlanSamples: 3, DisablePreemption: true},
-		"no-type-model": {Seed: 11, PlanSamples: 3, DisableTypeModel: true},
-		"two-threads":   {Seed: 11, PlanSamples: 3, Threads: 2},
+		"no-cache":      {Seed: 11, DisableCache: true},
+		"no-plan-model": {Seed: 11, DisablePlanModel: true},
+		"no-preemption": {Seed: 11, DisablePreemption: true},
+		"no-type-model": {Seed: 11, DisableTypeModel: true},
+		"two-threads":   {Seed: 11, Threads: 2},
 	}
 	spec, err := gen.DefaultSpec("cora")
 	if err != nil {
@@ -206,7 +245,7 @@ func TestCacheHitsOnRepetitiveGraph(t *testing.T) {
 		}
 	}
 	g := b.MustBuild()
-	e, err := NewEngine(g, Options{Seed: 5, MinTrainNodes: 10, PlanSamples: 2})
+	e, err := NewEngine(g, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +275,7 @@ func TestCacheHitsOnRepetitiveGraph(t *testing.T) {
 		t.Error("identical signatures produced no cache hits")
 	}
 	// With caching disabled there must be none.
-	e2, err := NewEngine(g, Options{Seed: 5, MinTrainNodes: 10, PlanSamples: 2, DisableCache: true})
+	e2, err := NewEngine(g, Options{Seed: 5, DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +341,7 @@ func TestNoCandidates(t *testing.T) {
 func TestEngineOptionsDefaults(t *testing.T) {
 	e := coraEngine(t, Options{})
 	o := e.Options()
-	if o.MaxTrainNodes != 1000 || o.PlanSamples != 6 || o.Threads != 1 || o.MinTrainNodes != 64 {
+	if o.PlanTimeLimit != 2*time.Millisecond || o.Threads != 1 {
 		t.Errorf("defaults wrong: %+v", o)
 	}
 	if e.SignatureBuildTime <= 0 {

@@ -88,10 +88,13 @@ func ComputeStats(g *Graph, countTriangles bool) Stats {
 type (
 	// Engine evaluates PSI queries with the full SmartPSI pipeline.
 	Engine = smartpsi.Engine
-	// Options configures an Engine; the zero value gives the paper's
-	// defaults (10% training capped at 1000 nodes, Random Forest models,
-	// cache and preemption enabled). Data signatures are always depth-2
-	// matrix-built, and each query's signatures are built the same way.
+	// Options configures an Engine; the zero value gives the full
+	// system (Random Forest models, cache and preemption enabled). The
+	// paper's training settings are constants, not options: 10% of the
+	// candidates capped at 1000 nodes, six sampled plans for model β,
+	// no models below smartpsi.MinTrainNodes (64) candidates. Data
+	// signatures are always depth-2 matrix-built, and each query's
+	// signatures are built the same way.
 	Options = smartpsi.Options
 	// Result reports one query evaluation: bindings plus training,
 	// prediction, caching and preemption telemetry.

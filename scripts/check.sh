@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # check.sh is the full local CI gate: formatting, vet, psilint, build,
-# race-enabled tests, the serving smoke (scripts/serve_smoke.sh), and a
-# short fuzz smoke over every fuzz target.
+# race-enabled tests, the tests again with metric collection and with
+# deep invariant checking on (as CI runs them), the serving smoke
+# (scripts/serve_smoke.sh), and a short fuzz smoke over every fuzz
+# target.
 #
 # Usage:
 #   ./scripts/check.sh                    # everything, ~2-5 minutes
@@ -34,6 +36,12 @@ go run ./cmd/psilint -root .
 
 step "go test -race ./..."
 go test -race ./...
+
+step "go test ./... with collection enabled end to end (PSI_OBS=1)"
+PSI_OBS=1 go test -count=1 ./...
+
+step "go test ./... with deep invariant checking (PSI_INVARIANTS=1)"
+PSI_INVARIANTS=1 go test -count=1 ./...
 
 # One iteration each: keeps the forest benchmark and its seed-fitter
 # oracle compiling and running.

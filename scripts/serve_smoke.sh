@@ -120,7 +120,7 @@ start_server -workers 2 -queue 32 \
     -forbid-alert availability
 "$work/psi-loadgen" -addr "$addr" -graph "$work/g.lg" \
     -batch 4 -requests 10 -timeout-ms 5000 -min-bindings 1
-grep -q '"schema": 1' "$work/load.json"
+grep -q '"schema": 2' "$work/load.json"
 step "series endpoint serves well-formed JSON ringing only what a window reads"
 # The sampler keeps the SLO objectives' and Retry-After's series, and
 # nothing else: server_requests_total must be there, smartpsi_* not. A
