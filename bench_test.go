@@ -508,11 +508,6 @@ func benchmarkEngineVariant(b *testing.B, opts smartpsi.Options) {
 	}
 }
 
-func BenchmarkAblationPredictionCache(b *testing.B) {
-	b.Run("with-cache", func(b *testing.B) { benchmarkEngineVariant(b, smartpsi.Options{}) })
-	b.Run("without-cache", func(b *testing.B) { benchmarkEngineVariant(b, smartpsi.Options{DisableCache: true}) })
-}
-
 func BenchmarkAblationPreemption(b *testing.B) {
 	b.Run("with-preemption", func(b *testing.B) { benchmarkEngineVariant(b, smartpsi.Options{}) })
 	b.Run("without-preemption", func(b *testing.B) {

@@ -19,7 +19,7 @@
 // its model decisions by shadow scoring. Audits are filed only into
 // /modelz, so this turns collection on and, at the end, prints the
 // /modelz report the run folded (model-α confusion matrix and
-// calibration, model-β plan ranks, cache staleness, regret):
+// calibration, model-β plan ranks, regret):
 //
 //	psi-workload -dataset cora -sizes 4-6 -count 10 -evaluate \
 //	             -shadow-rate 0.05 -out /dev/null

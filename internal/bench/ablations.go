@@ -9,9 +9,9 @@ import (
 )
 
 // Ablations measures the design choices DESIGN.md calls out by running
-// the same workload with one feature disabled at a time: the prediction
-// cache (Section 4.2.3), model β (learned plans, Section 4.2.2),
-// preemption (Section 4.3), and model α (method choice, Section 4.2.1).
+// the same workload with one feature disabled at a time: model β
+// (learned plans, Section 4.2.2), preemption (Section 4.3), and model α
+// (method choice, Section 4.2.1).
 func Ablations(env *Env, cfg Config, w io.Writer) error {
 	const dataset = "twitter"
 	sizes := intersectSizes(cfg.Sizes, 4, 6)
@@ -23,7 +23,6 @@ func Ablations(env *Env, cfg Config, w io.Writer) error {
 		opts smartpsi.Options
 	}{
 		{"full", smartpsi.Options{}},
-		{"no-cache", smartpsi.Options{DisableCache: true}},
 		{"no-plan-model", smartpsi.Options{DisablePlanModel: true}},
 		{"no-preemption", smartpsi.Options{DisablePreemption: true}},
 		{"no-type-model", smartpsi.Options{DisableTypeModel: true}},

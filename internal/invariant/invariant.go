@@ -149,16 +149,6 @@ func CheckSignatures(s SignatureView, g *graph.Graph) error {
 	return nil
 }
 
-// CheckKeyStability verifies that hashing the same row twice yields the
-// same cache key — the property the smartpsi prediction cache depends
-// on. key is the hash function under test (signature.Key in production).
-func CheckKeyStability(key func([]uint32) uint64, row []uint32) error {
-	if a, b := key(row), key(row); a != b {
-		return violationf("signature", "key not stable: %#x vs %#x for same row", a, b)
-	}
-	return nil
-}
-
 // CheckEmbedding validates a full query embedding: mapping[i] is the
 // data node bound to query node i. It verifies completeness, range,
 // injectivity, node-label preservation, and edge (and edge-label)

@@ -204,18 +204,6 @@ func TestCheckSignatures(t *testing.T) {
 	}
 }
 
-func TestCheckKeyStability(t *testing.T) {
-	row := []uint32{4, 2, 8}
-	if err := invariant.CheckKeyStability(signature.Key, row); err != nil {
-		t.Fatalf("signature.Key flagged as unstable: %v", err)
-	}
-	calls := uint64(0)
-	unstable := func([]uint32) uint64 { calls++; return calls }
-	if err := invariant.CheckKeyStability(unstable, row); err == nil {
-		t.Fatal("unstable key function accepted")
-	}
-}
-
 func embFixture() (*graph.Graph, graph.Query) {
 	b := graph.NewBuilder(4, 4)
 	n0, n1 := b.AddNode(0), b.AddNode(1)

@@ -25,8 +25,9 @@ type ForestConfig struct {
 // Forest is a trained Random Forest: bootstrap-sampled CART trees with
 // sqrt-feature subsampling, predicting by majority vote.
 type Forest struct {
-	trees      []*tree
+	trees      []*tree // the fitted trees; the seed oracle compares them
 	numClasses int
+	flat       *flatForest // the same trees laid out for prediction
 }
 
 // TrainForest fits a Random Forest on d.
@@ -73,6 +74,7 @@ func TrainForest(d Dataset, cfg ForestConfig) (*Forest, error) {
 	}
 	work()
 	wg.Wait()
+	f.flat = flatten(f.trees, f.numClasses)
 	return f, nil
 }
 
@@ -108,11 +110,11 @@ func (f *Forest) Predict(x []float64) int {
 // PredictInto is Predict with a caller-provided vote scratch slice of
 // length NumClasses, for allocation-free hot loops.
 func (f *Forest) PredictInto(x []float64, votes []int) int {
-	for c := range votes {
-		votes[c] = 0
-	}
-	for _, t := range f.trees {
-		votes[t.Predict(x)]++
+	clear(votes)
+	if fl := f.flat; fl != nil && len(x) >= fl.width && x[0] == x[0] {
+		fl.vote(x, votes)
+	} else {
+		f.voteTrees(x, votes)
 	}
 	best, bestVotes := 0, -1
 	for c, v := range votes {
@@ -121,6 +123,15 @@ func (f *Forest) PredictInto(x []float64, votes []int) int {
 		}
 	}
 	return best
+}
+
+// voteTrees adds each tree's vote for x by walking the trees one by one:
+// the reference the flat walk must match, and the path for the rows it
+// cannot take (shorter than a split's feature, or NaN in x[0]).
+func (f *Forest) voteTrees(x []float64, votes []int) {
+	for _, t := range f.trees {
+		votes[t.Predict(x)]++
+	}
 }
 
 // NumClasses returns the number of classes the forest votes over.

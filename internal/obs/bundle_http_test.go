@@ -130,7 +130,7 @@ func TestDecisionTail(t *testing.T) {
 			Kind: DecisionKindMode, Node: int64(i), RequestID: fmt.Sprintf("req-%d", i),
 		}, true)
 	}
-	DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindCache, RequestID: "unkept"}, false)
+	DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindBeta, Rank: 1, RequestID: "unkept"}, false)
 
 	code, body := get(t, h, "/modelz?format=json")
 	var d ModelStatsData
@@ -147,7 +147,7 @@ func TestDecisionTail(t *testing.T) {
 				i, rec.Node, rec.RequestID, want)
 		}
 	}
-	if d.ModeRegret.Runs != n || d.CacheChecks != 1 {
-		t.Errorf("aggregates = %d mode runs, %d cache checks; want %d and 1", d.ModeRegret.Runs, d.CacheChecks, n)
+	if d.ModeRegret.Runs != n || d.BetaObserved() != 1 {
+		t.Errorf("aggregates = %d mode runs, %d beta ranks; want %d and 1", d.ModeRegret.Runs, d.BetaObserved(), n)
 	}
 }

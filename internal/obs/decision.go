@@ -17,8 +17,7 @@ import (
 // either fixed strategy. ModelStats turns that bet into measurable
 // quantities: a full 2×2 confusion matrix and vote-margin calibration
 // for model α, plan-rank tracking for model β against the training
-// sweeps, prediction-cache quality (cached vs fresh answers on sampled
-// hits), and per-decision regret from shadow scoring — the extra time
+// sweeps, and per-decision regret from shadow scoring — the extra time
 // the predicted choice cost versus a counterfactual run of the
 // opposite method or an alternative plan.
 
@@ -31,9 +30,6 @@ const (
 	// DecisionKindPlan is a shadow run of a sampled alternative plan
 	// (audits model β) under the same method.
 	DecisionKindPlan = "plan"
-	// DecisionKindCache is a cache-quality audit: the cached decision
-	// compared against a fresh model prediction (no shadow evaluation).
-	DecisionKindCache = "cache"
 	// DecisionKindBeta is a model-β plan-rank observation from the
 	// training sweeps: Rank is the predicted plan's 1-based position in
 	// the sweep's measured per-plan times.
@@ -57,7 +53,8 @@ type DecisionRecord struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Node is the audited candidate node (-1 for beta-rank records).
 	Node int64 `json:"node"`
-	// FromCache marks decisions served by the prediction cache.
+	// FromCache marks decisions served by the node's decision slot (the
+	// §4.2.3 prediction memo) rather than a fresh prediction.
 	FromCache bool `json:"from_cache,omitempty"`
 	// PredMode is model α's method choice (0 optimistic, 1 pessimistic,
 	// psi.Mode numbering).
@@ -84,9 +81,6 @@ type DecisionRecord struct {
 	// (the predicted choice was at least budget/primary times faster, so
 	// regret is 0 but the shadow time is a lower bound).
 	ShadowTimeout bool `json:"shadow_timeout,omitempty"`
-	// CacheStale marks cache-kind records whose fresh prediction
-	// disagreed with the cached decision.
-	CacheStale bool `json:"cache_stale,omitempty"`
 	// Rank is the beta-kind plan rank (1 = the predicted plan was the
 	// sweep's fastest).
 	Rank int `json:"rank,omitempty"`
@@ -197,8 +191,6 @@ type ModelStats struct {
 	// betaRanks[r-1] counts sweep nodes whose predicted plan ranked r
 	// among the sweep's finished plans (1 = fastest).
 	betaRanks []int64
-	// cache-quality audit counts (sampled cache hits re-predicted).
-	cacheChecks, cacheStale int64
 	// Shadow-scoring regret, split by audited model.
 	mode, plan RegretAggregate
 	// shadowMismatches counts shadow runs whose matched/not-matched
@@ -236,8 +228,7 @@ func (m *ModelStats) AddAlpha(c AlphaCells) {
 }
 
 // Observe folds one decision record into the aggregates: a shadow run's
-// regret (mode and plan kinds), a cache-quality audit (cache) or a
-// model-β plan rank (beta). With keep it also retains the record among
+// regret (mode and plan kinds) or a model-β plan rank (beta). With keep it also retains the record among
 // the recent ones /modelz serves. This is the one fold from a record
 // into the aggregates; the engine calls it as it audits.
 func (m *ModelStats) Observe(rec DecisionRecord, keep bool) {
@@ -256,13 +247,6 @@ func (m *ModelStats) Observe(rec DecisionRecord, keep bool) {
 		m.plan.observe(&rec)
 		SmartShadowPlanRuns.Inc()
 		SmartPlanRegretSeconds.Observe(regret)
-	case DecisionKindCache:
-		m.cacheChecks++
-		SmartCacheQualityChecks.Inc()
-		if rec.CacheStale {
-			m.cacheStale++
-			SmartCacheStaleHits.Inc()
-		}
 	case DecisionKindBeta:
 		if rec.Rank < 1 {
 			break
@@ -307,7 +291,6 @@ func (m *ModelStats) Reset() {
 	m.mu.Lock()
 	m.alpha = AlphaCells{}
 	m.betaRanks = nil
-	m.cacheChecks, m.cacheStale = 0, 0
 	m.mode, m.plan = RegretAggregate{}, RegretAggregate{}
 	m.shadowMismatches = 0
 	m.recent = nil
@@ -327,8 +310,6 @@ type ModelStatsData struct {
 	AlphaCells
 	// BetaRanks[r-1] counts predictions of sweep-rank r.
 	BetaRanks        []int64         `json:"beta_ranks,omitempty"`
-	CacheChecks      int64           `json:"cache_checks"`
-	CacheStale       int64           `json:"cache_stale"`
 	ModeRegret       RegretAggregate `json:"mode_regret"`
 	PlanRegret       RegretAggregate `json:"plan_regret"`
 	ShadowMismatches int64           `json:"shadow_mismatches"`
@@ -346,7 +327,6 @@ func (m *ModelStats) Snapshot() ModelStatsData {
 	defer m.mu.Unlock()
 	d.AlphaCells = m.alpha
 	d.BetaRanks = append([]int64(nil), m.betaRanks...)
-	d.CacheChecks, d.CacheStale = m.cacheChecks, m.cacheStale
 	d.ModeRegret, d.PlanRegret = m.mode, m.plan
 	d.ShadowMismatches = m.shadowMismatches
 	d.Recent = append([]DecisionRecord(nil), m.recent...)
@@ -419,13 +399,6 @@ func (d ModelStatsData) WriteText(w io.Writer) error {
 		}
 	}
 	fmt.Fprintf(&buf, "\n\n")
-
-	rate := "-"
-	if d.CacheChecks > 0 {
-		rate = fmt.Sprintf("%.4f", float64(d.CacheStale)/float64(d.CacheChecks))
-	}
-	fmt.Fprintf(&buf, "prediction-cache quality (§4.2.3): %d sampled hits, %d stale (stale rate %s)\n\n",
-		d.CacheChecks, d.CacheStale, rate)
 
 	writeRegret := func(name string, a RegretAggregate) {
 		fmt.Fprintf(&buf, "shadow %s regret: %d runs (%d censored by budget), total %s, mean %s, max %s\n",

@@ -34,8 +34,6 @@ func TestModelStatsSnapshot(t *testing.T) {
 	m.AddAlpha(cells)
 	m.Observe(DecisionRecord{Kind: DecisionKindBeta, Rank: 1}, false)
 	m.Observe(DecisionRecord{Kind: DecisionKindBeta, Rank: 3}, false)
-	m.Observe(DecisionRecord{Kind: DecisionKindCache}, false)
-	m.Observe(DecisionRecord{Kind: DecisionKindCache, CacheStale: true}, false)
 	m.Observe(DecisionRecord{Kind: DecisionKindMode, RegretNanos: 100}, false)
 	m.Observe(DecisionRecord{Kind: DecisionKindPlan, RegretNanos: 300, ShadowTimeout: true}, true)
 	m.ObserveShadowMismatch()
@@ -55,9 +53,6 @@ func TestModelStatsSnapshot(t *testing.T) {
 	}
 	if d.BetaTopK(1) != 0.5 || d.BetaTopK(3) != 1 {
 		t.Errorf("top-1 = %v, top-3 = %v", d.BetaTopK(1), d.BetaTopK(3))
-	}
-	if d.CacheChecks != 2 || d.CacheStale != 1 {
-		t.Errorf("cache = %d/%d, want 2/1", d.CacheChecks, d.CacheStale)
 	}
 	if d.ModeRegret.Runs != 1 || d.ModeRegret.TotalNanos != 100 || d.ModeRegret.Timeouts != 0 {
 		t.Errorf("mode regret = %+v", d.ModeRegret)
@@ -109,7 +104,6 @@ func TestModelzConcurrent(t *testing.T) {
 					cells.Score(i%2 == 0, i%3 == 0, float64(i%10)/10)
 					DefaultModelStats.AddAlpha(cells)
 					DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindBeta, Rank: 1 + i%4}, false)
-					DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindCache, CacheStale: i%7 == 0}, true)
 					DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindMode, RegretNanos: 50}, true)
 					DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindPlan, RegretNanos: 80, ShadowTimeout: i%5 == 0}, false)
 				}

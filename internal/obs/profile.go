@@ -215,13 +215,11 @@ type ProfileData struct {
 	CacheHits     int64     `json:"cache_hits"`
 	CacheMisses   int64     `json:"cache_misses"`
 	// Shadow-audit aggregates: runs per audited model, budget-censored
-	// counterfactuals, per-query total regret, and cache-quality checks.
+	// counterfactuals and per-query total regret.
 	ShadowModeRuns int64            `json:"shadow_mode_runs,omitempty"`
 	ShadowPlanRuns int64            `json:"shadow_plan_runs,omitempty"`
 	ShadowTimeouts int64            `json:"shadow_timeouts,omitempty"`
 	RegretNanos    int64            `json:"regret_nanos,omitempty"`
-	CacheChecks    int64            `json:"cache_quality_checks,omitempty"`
-	CacheStale     int64            `json:"cache_stale_hits,omitempty"`
 	ModePredicted  map[string]int64 `json:"mode_predicted,omitempty"`
 	PlanChosen     []int64          `json:"plan_chosen,omitempty"`
 	Ladder         []LadderRung     `json:"ladder"`
@@ -295,10 +293,10 @@ func (d ProfileData) WriteText(w io.Writer) error {
 		fmt.Fprintf(&buf, "\n")
 	}
 
-	if d.ShadowModeRuns+d.ShadowPlanRuns+d.CacheChecks > 0 {
-		fmt.Fprintf(&buf, "├─ shadow audit  mode=%d plan=%d censored=%d regret=%s  cache-quality: %d checks / %d stale\n",
+	if d.ShadowModeRuns+d.ShadowPlanRuns > 0 {
+		fmt.Fprintf(&buf, "├─ shadow audit  mode=%d plan=%d censored=%d regret=%s\n",
 			d.ShadowModeRuns, d.ShadowPlanRuns, d.ShadowTimeouts,
-			time.Duration(d.RegretNanos).Round(time.Microsecond), d.CacheChecks, d.CacheStale)
+			time.Duration(d.RegretNanos).Round(time.Microsecond))
 	}
 
 	fmt.Fprintf(&buf, "├─ recovery ladder (§4.3)\n")

@@ -26,7 +26,7 @@ var (
 	PSICandidates   = Default.Counter("psi_candidates_total", "candidate bindings examined")
 	PSISigPrunes    = Default.Counter("psi_sig_prunes_total", "candidates pruned by Proposition 3.2 signature satisfaction")
 	PSIDegPrunes    = Default.Counter("psi_deg_prunes_total", "candidates pruned by the degree lower bound (pessimistic, Section 3.4)")
-	PSISorts        = Default.Counter("psi_sorts_total", "optimistic candidate sorts performed")
+	PSISorts        = Default.Counter("psi_sorts_total", "optimistic candidate tails sorted (after the first few are selected)")
 	PSIScoreCalcs   = Default.Counter("psi_score_calcs_total", "satisfiability scores computed")
 	PSICapHits      = Default.Counter("psi_cap_hits_total", "super-optimistic candidate-cap truncations (cap 10, Section 3.3)")
 	PSIMatches      = Default.Counter("psi_matches_total", "full query embeddings found (successful pivot evaluations)")
@@ -40,8 +40,8 @@ var (
 	SmartQueries       = Default.Counter("smartpsi_queries_total", "SmartPSI query evaluations started")
 	SmartQueriesML     = Default.Counter("smartpsi_ml_queries_total", "queries large enough to train per-query models")
 	SmartTrainedNodes  = Default.Counter("smartpsi_trained_nodes_total", "training-set nodes evaluated for model fitting")
-	SmartCacheHits     = Default.Counter("smartpsi_cache_hits_total", "signature-keyed prediction cache hits (Section 4.2.3)")
-	SmartCacheMisses   = Default.Counter("smartpsi_cache_misses_total", "prediction cache misses")
+	SmartCacheHits     = Default.Counter("smartpsi_cache_hits_total", "candidates whose decision slot held a decision (Section 4.2.3 prediction memo)")
+	SmartCacheMisses   = Default.Counter("smartpsi_cache_misses_total", "candidates predicted afresh (empty or absent decision slot)")
 	SmartFlips         = Default.Counter("smartpsi_flips_total", "state-2 recoveries: re-evaluation with the opposite method")
 	SmartFallbacks     = Default.Counter("smartpsi_fallbacks_total", "state-3 recoveries: heuristic-plan restarts")
 	SmartRecoveries    = Default.Counter("smartpsi_recoveries_total", "total recovery transitions (flips + fallbacks)")
@@ -58,7 +58,7 @@ var (
 	SmartPreparedMisses     = Default.Counter("smartpsi_prepared_misses_total", "ML-path queries that prepared and trained cold (no artifact, or a key match that failed verification)")
 	SmartPreparedMismatches = Default.Counter("smartpsi_prepared_mismatches_total", "prepared-cache key matches whose stored query was not equal to the request's (64-bit hash collisions; also counted as misses)")
 	SmartPreparedEvictions  = Default.Counter("smartpsi_prepared_evictions_total", "artifacts evicted from the prepared-query cache by its entry or byte cap")
-	SmartPreparedBytes      = Default.Gauge("smartpsi_prepared_bytes", "bytes charged to retained prepared-query artifacts (forest nodes + prediction-cache entries), summed over this process's engines")
+	SmartPreparedBytes      = Default.Gauge("smartpsi_prepared_bytes", "bytes charged to retained prepared-query artifacts (both layouts of each forest + decision slots), summed over this process's engines")
 
 	// --- package smartpsi: per-query candidate-funnel totals (published from the Result) ---
 
@@ -77,8 +77,6 @@ var (
 	SmartModeRegretSeconds  = Default.Histogram("smartpsi_shadow_mode_regret_seconds", "per-decision regret of the predicted method vs its counterfactual (max(0, primary − shadow))", LatencyBuckets)
 	SmartPlanRegretSeconds  = Default.Histogram("smartpsi_shadow_plan_regret_seconds", "per-decision regret of the predicted plan vs a sampled alternative", LatencyBuckets)
 	SmartQueryRegretSeconds = Default.Histogram("smartpsi_query_regret_seconds", "per-query total shadow-scoring regret", LatencyBuckets)
-	SmartCacheQualityChecks = Default.Counter("smartpsi_cache_quality_checks_total", "sampled cache hits re-predicted against the fresh per-query models")
-	SmartCacheStaleHits     = Default.Counter("smartpsi_cache_stale_hits_total", "sampled cache hits whose cached decision disagreed with a fresh prediction")
 	SmartBetaRankChecks     = Default.Counter("smartpsi_beta_rank_checks_total", "model-β predictions ranked against the per-plan training sweeps")
 	SmartBetaRankTop1       = Default.Counter("smartpsi_beta_rank_top1_total", "model-β predictions that picked the sweep's fastest plan")
 

@@ -11,7 +11,6 @@
 package psi
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -87,7 +86,7 @@ type Stats struct {
 	Candidates int64 // candidate bindings examined
 	SigPrunes  int64 // candidates pruned by signature satisfaction
 	DegPrunes  int64 // candidates pruned by the degree lower bound (pessimistic)
-	Sorts      int64 // candidate sorts performed (optimistic)
+	Sorts      int64 // optimistic candidate tails sorted (past the first few, selected)
 	ScoreCalcs int64 // satisfiability scores computed
 	CapHits    int64 // super-optimistic candidate-cap truncations
 	Matches    int64 // full query embeddings found (successful evaluations)
@@ -255,6 +254,49 @@ type State struct {
 type scored struct {
 	node  graph.NodeID
 	score float64
+}
+
+// before is the optimistic visit order: higher score first, ties to the
+// lower node id. Scores are never NaN, so they compare directly.
+func before(a, b scored) bool {
+	return a.score > b.score || (a.score == b.score && a.node < b.node)
+}
+
+// visitOrder is before as a comparison, for sorting.
+func visitOrder(a, b scored) int {
+	switch {
+	case before(a, b):
+		return -1
+	case before(b, a):
+		return 1
+	}
+	return 0
+}
+
+// optimisticSelect is how many optimistic candidates per depth are
+// picked by a linear scan before the remainder is sorted.
+const optimisticSelect = 3
+
+// nextOptimistic puts the i-th candidate in visit order at cs[i], given
+// that cs[:i] already hold the first i: it selects the first few by
+// linear scan and sorts the rest at once, only if the search gets that
+// far (most optimistic searches succeed on an early candidate). It
+// reports whether it sorted the tail.
+func nextOptimistic(cs []scored, i int) bool {
+	switch {
+	case i < optimisticSelect:
+		best := i
+		for j := i + 1; j < len(cs); j++ {
+			if before(cs[j], cs[best]) {
+				best = j
+			}
+		}
+		cs[i], cs[best] = cs[best], cs[i]
+	case i == optimisticSelect && len(cs)-i > 1:
+		slices.SortFunc(cs[i:], visitOrder)
+		return true
+	}
+	return false
 }
 
 // NewState returns a State sized for queries up to maxQuerySize nodes.
@@ -464,18 +506,13 @@ func (e *Evaluator) extend(st *State, c *plan.Compiled, depth int, mode Mode, su
 			fd.SigOK++
 		}
 	}
-	if mode == Optimistic && len(cands) > 1 {
-		st.stats.Sorts++
-		slices.SortFunc(cands, func(a, b scored) int {
-			if c := cmp.Compare(b.score, a.score); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.node, b.node)
-		})
-	}
 	st.cands[depth] = cands // keep grown capacity
 
-	for _, cand := range cands {
+	for i := range cands {
+		if mode == Optimistic && i <= optimisticSelect && nextOptimistic(cands, i) {
+			st.stats.Sorts++
+		}
+		cand := cands[i]
 		if fd != nil {
 			fd.Recursed++
 		}

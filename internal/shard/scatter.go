@@ -157,8 +157,6 @@ func merge(outcomes []Outcome, results []*smartpsi.Result, start time.Time) (*Ga
 		merged.ShadowPlanRuns += res.ShadowPlanRuns
 		merged.ShadowTimeouts += res.ShadowTimeouts
 		merged.Regret += res.Regret
-		merged.CacheChecks += res.CacheChecks
-		merged.CacheStale += res.CacheStale
 		merged.Work.Add(res.Work)
 		merged.ShadowWork.Add(res.ShadowWork)
 		merged.Tallies.Add(&res.Tallies)

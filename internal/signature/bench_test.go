@@ -41,14 +41,3 @@ func BenchmarkScore(b *testing.B) {
 		Score(a, c)
 	}
 }
-
-func BenchmarkKey(b *testing.B) {
-	g := graphtest.Random(500, 2500, 8, 4)
-	s := MustBuild(g, DefaultDepth, g.NumLabels(), Matrix)
-	row := s.Scaled(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Key(row)
-	}
-}

@@ -1,10 +1,5 @@
 package signature
 
-import (
-	"encoding/binary"
-	"hash/maphash"
-)
-
 // Satisfies reports whether signature row a satisfies row b: for every
 // label with positive weight in b, a's weight is at least as large
 // (Section 3.2). By Proposition 3.2, a data node whose signature does not
@@ -48,24 +43,4 @@ func Score(u, v []float64) float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-var keySeed = maphash.MakeSeed()
-
-// Key hashes a row of Scaled units to a cache key. Units are exact, so
-// identical neighborhoods hash identically and the prediction cache of
-// Section 4.2.3 can reuse their decisions.
-func Key(row []uint32) uint64 {
-	var h maphash.Hash
-	h.SetSeed(keySeed)
-	var buf [64]byte
-	for len(row) > 0 {
-		k := min(len(row), len(buf)/4)
-		for i, w := range row[:k] {
-			binary.LittleEndian.PutUint32(buf[4*i:], w)
-		}
-		h.Write(buf[:4*k])
-		row = row[k:]
-	}
-	return h.Sum64()
 }

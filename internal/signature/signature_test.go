@@ -2,7 +2,6 @@ package signature
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -204,50 +203,6 @@ func TestSatisfactionIdentity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestKeyDeterministicAndDiscriminating(t *testing.T) {
-	a := []uint32{4, 2, 1}
-	b := []uint32{4, 2, 1}
-	c := []uint32{4, 2, 2}
-	if Key(a) != Key(b) {
-		t.Error("equal rows hash differently")
-	}
-	if Key(a) == Key(c) {
-		t.Error("different rows hash equally (possible but indicates a bug here)")
-	}
-	// Rows longer than Key's 16-word buffer hash every word.
-	long := make([]uint32, 40)
-	k := Key(long)
-	long[39] = 1
-	if Key(long) == k {
-		t.Error("a change in word 39 does not change the key")
-	}
-}
-
-func TestKeyRandomRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	seen := make(map[uint64][]uint32)
-	for i := 0; i < 2000; i++ {
-		row := make([]uint32, 8)
-		for j := range row {
-			row[j] = uint32(rng.Intn(16))
-		}
-		k := Key(row)
-		if prev, ok := seen[k]; ok {
-			same := true
-			for j := range row {
-				if row[j] != prev[j] {
-					same = false
-					break
-				}
-			}
-			if !same {
-				t.Fatalf("hash collision between %v and %v", row, prev)
-			}
-		}
-		seen[k] = row
 	}
 }
 

@@ -2,11 +2,11 @@
 // PSI engine that trains, per query, a Random-Forest node-type
 // classifier (model α) to pick the optimistic or pessimistic evaluation
 // method per candidate node, and a multi-class plan classifier (model β)
-// to pick a search order, with a signature-keyed prediction cache and a
-// preemptive query processor that detects and recovers from wrong
-// predictions (Section 4.3). Where the paper trains on every evaluation,
-// an Engine keeps what it prepared and trained for queries that repeat
-// (prepared.go).
+// to pick a search order, with a prediction memo (Section 4.2.3; kept
+// per node, prepared.go) and a preemptive query processor that detects
+// and recovers from wrong predictions (Section 4.3). Where the paper
+// trains on every evaluation, an Engine keeps what it prepared and
+// trained for queries that repeat (prepared.go).
 package smartpsi
 
 import (
@@ -37,18 +37,15 @@ type Options struct {
 	// off): on that fraction of non-training candidates whose primary
 	// evaluation resolves at recovery-ladder rung 1, the engine also
 	// runs the *opposite* method as a shadow and records the decision's
-	// regret (max(0, primary − counterfactual) wall time). The same rate
-	// samples cache hits for cache-quality audits (cached decision vs a
-	// fresh model prediction), and a quarter of it samples shadow runs
-	// of a random *alternative plan* under the same method (model-β
-	// audits: plan counterfactuals are costlier and noisier). Rate 1
-	// audits every eligible α decision — the deterministic seam tests
-	// use. Shadow work is accounted in Result.ShadowWork, never in
-	// Result.Work.
+	// regret (max(0, primary − counterfactual) wall time). A quarter of
+	// the rate samples shadow runs of a random *alternative plan* under
+	// the same method (model-β audits: plan counterfactuals are costlier
+	// and noisier). Rate 1 audits every eligible α decision — the
+	// deterministic seam tests use. Shadow work is accounted in
+	// Result.ShadowWork, never in Result.Work.
 	ShadowRate float64
 
 	// Ablation switches (all false in the full system).
-	DisableCache      bool // skip the Section 4.2.3 prediction cache
 	DisablePlanModel  bool // always use the heuristic plan (no model β)
 	DisablePreemption bool // no Section 4.3 detection & recovery
 	DisableTypeModel  bool // always predict "invalid" (pessimistic only)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fsm"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/psi"
-	"repro/internal/signature"
 )
 
 // Result reports one PSI query evaluation.
@@ -51,7 +51,8 @@ type Result struct {
 	// (prediction vs ground truth established by the evaluation itself).
 	Alpha AccuracyReport
 
-	// CacheHits/CacheMisses count prediction-cache lookups.
+	// CacheHits/CacheMisses count lookups of the candidates' decision
+	// slots (§4.2.3; prepared.go).
 	CacheHits, CacheMisses int64
 	// Flips counts preemptions into the opposite method (state 2);
 	// Fallbacks counts state-3 heuristic-plan restarts. Run copies them
@@ -72,9 +73,6 @@ type Result struct {
 	// Regret totals the audited decisions' regret: max(0, primary −
 	// counterfactual) wall time, summed over this query's shadow runs.
 	Regret time.Duration
-	// CacheChecks / CacheStale count sampled cache-quality audits and
-	// the hits whose fresh prediction disagreed with the cached decision.
-	CacheChecks, CacheStale int64
 	// ShadowWork aggregates the counterfactual evaluators' work. Audits
 	// never contribute to Work: primary accounting must be identical
 	// with auditing on or off.
@@ -206,7 +204,21 @@ type queryRun struct {
 	// it).
 	candidates []graph.NodeID
 	valid      []bool
-	res        *Result
+	// labelled is the number of pivot-labelled data nodes, owned or not:
+	// an artifact's decision slots. slots[i] is candidates[i]'s slot,
+	// its position among them; nil when the request owns them all and
+	// candidates[i] is slot i.
+	labelled int
+	slots    []int32
+	res      *Result
+}
+
+// slot returns the decision slot of the candidate at position i.
+func (r *queryRun) slot(i int32) int32 {
+	if r.slots == nil {
+		return i
+	}
+	return r.slots[i]
 }
 
 // newState returns an evaluator state for a query of n nodes, counting
@@ -221,7 +233,12 @@ func (r *queryRun) newState(n int) *psi.State {
 
 // expired reports whether a budget (zero: none) has run out.
 func expired(deadline time.Time) bool {
-	return !deadline.IsZero() && time.Now().After(deadline)
+	return expiredAt(deadline, time.Now())
+}
+
+// expiredAt reports whether a budget (zero: none) had run out at now.
+func expiredAt(deadline, now time.Time) bool {
+	return !deadline.IsZero() && now.After(deadline)
 }
 
 // Run is the one evaluation path; Evaluate, EvaluateBudget and
@@ -256,13 +273,15 @@ func (e *Engine) Run(req Request) (_ *Result, retErr error) {
 	}
 
 	r.candidates = e.g.NodesWithLabel(q.G.Label(q.Pivot))
+	r.labelled = len(r.candidates)
 	if req.Owns != nil {
 		// Filtered once, ahead of the train/execute split: everything
-		// downstream sees only the owned candidates.
+		// downstream sees only the owned candidates, each with its slot.
 		owned := make([]graph.NodeID, 0, len(r.candidates))
-		for _, u := range r.candidates {
+		for i, u := range r.candidates {
 			if req.Owns(u) {
 				owned = append(owned, u)
+				r.slots = append(r.slots, int32(i))
 			}
 		}
 		r.candidates = owned
@@ -349,8 +368,6 @@ func (r *queryRun) finish(err error) {
 		ShadowPlanRuns: res.ShadowPlanRuns,
 		ShadowTimeouts: res.ShadowTimeouts,
 		RegretNanos:    res.Regret.Nanoseconds(),
-		CacheChecks:    res.CacheChecks,
-		CacheStale:     res.CacheStale,
 		PlanChosen:     slices.Clone(res.PlanPicks),
 		Ladder:         slices.Clone(res.Ladder[:]),
 		Funnel:         slices.Clone(res.Funnel.Depths),
@@ -454,7 +471,10 @@ func (e *Engine) evaluateML(q graph.Query, r *queryRun, deadline time.Time) erro
 		}
 		order = order[trained:]
 		if admit {
-			e.prepared.store(key, art, len(r.candidates))
+			// Only a kept artifact is executed again, so only it gets
+			// decision slots: a cold query evaluates each node once.
+			art.decisions = make([]atomic.Uint32, r.labelled)
+			e.prepared.store(key, art)
 		}
 	}
 	r.res.PlanClasses = len(art.compiled)
@@ -598,7 +618,7 @@ func (e *Engine) trainCheckpoint(i int, deadline time.Time) error {
 // execute is prediction + preemptive evaluation (Sections 4.2.3, 4.3)
 // of the candidates at the given positions, split across
 // Options.Threads workers. It only reads art's models and plans; art's
-// planTiming and prediction cache are the two concurrent parts, so any
+// planTiming and decision slots are the two concurrent parts, so any
 // number of requests may execute one artifact at once.
 func (e *Engine) execute(art *artifact, r *queryRun, order []int32, deadline time.Time) error {
 	evalStart := time.Now()
@@ -644,11 +664,11 @@ func (e *Engine) execute(art *artifact, r *queryRun, order []int32, deadline tim
 				mu.Unlock()
 			}()
 			for _, pos := range positions {
-				if expired(deadline) {
+				if expiredAt(deadline, w.now) {
 					errs[i] = psi.ErrDeadline
 					return
 				}
-				ok, err := e.evaluateOne(w, r.candidates[pos])
+				ok, err := e.evaluateOne(w, r.candidates[pos], r.slot(pos))
 				if err != nil {
 					errs[i] = err
 					return
@@ -770,6 +790,11 @@ type worker struct {
 	run    *queryRun
 	global time.Time
 	st     *psi.State // primary evaluator state; its Stats are Result.Work
+	// now is the worker's last clock reading. One reading ends a step and
+	// starts the next: the end of an attempt is the start of the next
+	// candidate's prediction and its budget check, the end of a
+	// prediction the start of its first attempt and of the rung budget.
+	now time.Time
 	workerCounters
 	// audits and mismatches are the worker's shadow-audit findings, filed
 	// by flushDecisions when it exits.
@@ -779,7 +804,7 @@ type worker struct {
 
 // newWorker builds execute's i-th worker.
 func (e *Engine) newWorker(art *artifact, r *queryRun, global time.Time, i int) *worker {
-	w := &worker{art: art, run: r, global: global, st: r.newState(art.q.Size())}
+	w := &worker{art: art, run: r, global: global, st: r.newState(art.q.Size()), now: time.Now()}
 	if e.opts.auditing() {
 		// Shadow audits get their own sampling stream and their own
 		// evaluator state: counterfactual work must land in ShadowWork,
@@ -802,7 +827,6 @@ type workerCounters struct {
 	// Shadow-audit counters (Options.ShadowRate; see shadow.go).
 	shadowModeRuns, shadowPlanRuns, shadowTimeouts int64
 	regretNanos                                    int64
-	cacheChecks, cacheStale                        int64
 	work                                           psi.Stats // the worker State's counters, captured at exit
 	shadowWork                                     psi.Stats // the shadow State's counters, captured at exit
 
@@ -829,8 +853,6 @@ func (w *workerCounters) mergeInto(res *Result, modelNanos *int64) {
 	res.ShadowPlanRuns += w.shadowPlanRuns
 	res.ShadowTimeouts += w.shadowTimeouts
 	res.Regret += time.Duration(w.regretNanos)
-	res.CacheChecks += w.cacheChecks
-	res.CacheStale += w.cacheStale
 	res.Work.Add(w.work)
 	res.ShadowWork.Add(w.shadowWork)
 	*modelNanos += w.modelNanos
@@ -853,10 +875,19 @@ func (w *worker) features(u graph.NodeID) []float64 {
 type decision struct {
 	mode    psi.Mode
 	planIdx int
-	// margin is model α's forest vote margin in [0,1] for this decision
-	// ((winner − runner-up) / trees); 0 when no model predicted. Cached
-	// decisions carry the margin of the prediction that filled the cache.
-	margin float64
+	// lead is model α's winning class's votes minus the runner-up's; 0
+	// when no model predicted. A decision read from a slot carries the
+	// lead of the prediction that filled it.
+	lead int
+}
+
+// margin is the decision's vote margin in [0, 1], lead / trees: the
+// calibration axis of /modelz.
+func (w *worker) margin(dec decision) float64 {
+	if w.art.alpha == nil {
+		return 0
+	}
+	return float64(dec.lead) / float64(w.art.alpha.NumTrees())
 }
 
 // predict asks the artifact's models for a fresh decision on one
@@ -870,7 +901,7 @@ func (w *worker) predict(row []float64) (dec decision, predicted bool) {
 		if alpha.PredictInto(row, votes) == 1 {
 			dec.mode = psi.Optimistic
 		}
-		dec.margin = voteMargin(votes, alpha.NumTrees())
+		dec.lead = voteLead(votes)
 		predicted = true
 	}
 	if beta := w.art.beta; beta != nil {
@@ -892,30 +923,29 @@ type rung struct {
 }
 
 // evaluateOne runs the prediction + preemptive pipeline for one
-// candidate node: a cached or fresh decision, then the recovery ladder —
-// the predicted method and plan, the opposite method on the same plan
-// (recovers from model α errors), the predicted method on the heuristic
-// plan (recovers from model β errors) — stopping at the first rung that
-// finishes. A rung-1 resolution additionally runs the sampled shadow
+// candidate node and its decision slot: the slot's decision or a fresh
+// one, then the recovery ladder — the predicted method and plan, the
+// opposite method on the same plan (recovers from model α errors), the
+// predicted method on the heuristic plan (recovers from model β
+// errors) — stopping at the first rung that finishes. A rung-1 resolution additionally runs the sampled shadow
 // audits (shadow.go); rungs 2–3 never do — they are already
 // counterfactuals.
-func (e *Engine) evaluateOne(w *worker, u graph.NodeID) (bool, error) {
+func (e *Engine) evaluateOne(w *worker, u graph.NodeID, slot int32) (bool, error) {
 	var dec decision
-	var key uint64
+	var memo *atomic.Uint32
 	cached, predicted := false, false
-	if !e.opts.DisableCache {
-		key = signature.Key(e.sigs.Scaled(u))
-		if v, ok := w.art.cache.Load(key); ok {
-			dec, cached = v.(decision), true
-		}
+	if w.art.decisions != nil {
+		memo = &w.art.decisions[slot]
+		dec, cached = decodeDecision(memo.Load())
 	}
 	if cached {
 		w.cacheHits++
 	} else {
 		w.cacheMisses++
-		t0 := time.Now()
 		dec, predicted = w.predict(w.features(u))
-		w.modelNanos += time.Since(t0).Nanoseconds()
+		now := time.Now()
+		w.modelNanos += now.Sub(w.now).Nanoseconds()
+		w.now = now
 	}
 	w.ModePicks[dec.mode]++
 	for len(w.PlanPicks) <= dec.planIdx {
@@ -933,19 +963,22 @@ func (e *Engine) evaluateOne(w *worker, u graph.NodeID) (bool, error) {
 		var ok bool
 		var took time.Duration
 		if ok, took, err = e.attempt(w, u, i, r); err != nil {
-			if err != psi.ErrDeadline || expired(w.global) {
+			if err != psi.ErrDeadline || expiredAt(w.global, w.now) {
 				break
 			}
 			continue
 		}
 		e.scoreAlpha(w, predicted, dec, ok)
 		if i == obs.LadderPredicted {
-			if !cached && !e.opts.DisableCache {
-				w.art.cache.Store(key, dec)
+			if memo != nil && !cached {
+				memo.Store(encodeDecision(dec))
 			}
 			if e.opts.auditing() {
 				p := primaryRun{u: u, row: w.features(u), dec: dec, cached: cached, valid: ok, took: took}
-				if err := e.auditDecision(w, p); err != nil {
+				err := e.auditDecision(w, p)
+				// The audit's time is no candidate's model or rung time.
+				w.now = time.Now()
+				if err != nil {
 					return false, err
 				}
 			}
@@ -958,15 +991,16 @@ func (e *Engine) evaluateOne(w *worker, u graph.NodeID) (bool, error) {
 // attempt runs rung i of the ladder for candidate u. It is the one place
 // an execute-phase candidate evaluation happens: the rung's deadline,
 // the evalHook seam, the rung's tally and the planTiming update all live
-// here.
+// here. The attempt starts at the worker's last clock reading and its
+// end is the next one.
 func (e *Engine) attempt(w *worker, u graph.NodeID, i int, r rung) (bool, time.Duration, error) {
+	t0 := w.now
 	limit := w.global
 	if r.budgeted {
-		if d := time.Now().Add(w.art.timing.maxTime(r.mode, r.planIdx)); limit.IsZero() || d.Before(limit) {
+		if d := t0.Add(w.art.timing.maxTime(r.mode, r.planIdx)); limit.IsZero() || d.Before(limit) {
 			limit = d
 		}
 	}
-	t0 := time.Now()
 	var ok bool
 	var err error
 	if e.evalHook != nil {
@@ -974,7 +1008,8 @@ func (e *Engine) attempt(w *worker, u graph.NodeID, i int, r rung) (bool, time.D
 	} else {
 		ok, err = w.art.ev.Evaluate(w.st, w.art.compiled[r.planIdx], u, r.mode, psi.Limits{Deadline: limit})
 	}
-	took := time.Since(t0)
+	w.now = time.Now()
+	took := w.now.Sub(t0)
 	rt := &w.Ladder[i]
 	rt.Entered++
 	rt.Nanos += took.Nanoseconds()
@@ -991,7 +1026,7 @@ func (e *Engine) attempt(w *worker, u graph.NodeID, i int, r rung) (bool, time.D
 // labels the node, §4.2.1).
 func (e *Engine) scoreAlpha(w *worker, predicted bool, dec decision, actualValid bool) {
 	if predicted {
-		w.alpha.Score(dec.mode == psi.Optimistic, actualValid, dec.margin)
+		w.alpha.Score(dec.mode == psi.Optimistic, actualValid, w.margin(dec))
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/psi"
-	"repro/internal/signature"
 )
 
 // ladderFixture builds a tiny engine/evaluator pair for driving
@@ -59,15 +59,29 @@ func ladderFixture(t *testing.T) (*Engine, *psi.Evaluator, []*plan.Compiled) {
 }
 
 // ladderWorker builds the per-worker value evaluateOne takes over a
-// fresh artifact: no models, an empty prediction cache, a fresh
-// planTiming.
+// fresh artifact: no models, an empty decision slot per data node (node
+// u's is slot u), a fresh planTiming.
 func ladderWorker(ev *psi.Evaluator, compiled []*plan.Compiled, global time.Time) *worker {
-	art := &artifact{ev: ev, compiled: compiled, timing: newPlanTiming(len(compiled))}
+	art := &artifact{ev: ev, compiled: compiled, timing: newPlanTiming(len(compiled)),
+		decisions: make([]atomic.Uint32, ev.Graph().NumNodes())}
 	r := &queryRun{name: "test", enabled: obs.Enabled(), res: &Result{}} // read once, as Run does
-	return &worker{art: art, run: r, global: global, st: psi.NewState(2)}
+	return &worker{art: art, run: r, global: global, st: psi.NewState(2), now: time.Now()}
 }
 
 var errBoom = errors.New("boom")
+
+// alphaStub is a fitted forest of ml's 20 trees: a margin is a vote
+// lead over its NumTrees.
+func alphaStub(t *testing.T) *ml.Forest {
+	f, err := ml.TrainForest(ml.Dataset{NumClasses: 2, X: [][]float64{{0}, {1}}, Y: []int{0, 1}}, ml.ForestConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.NumTrees() != 20 {
+		t.Fatalf("stub forest has %d trees, want 20", f.NumTrees())
+	}
+	return f
+}
 
 // TestObsRecoveryLadderTraceSequences pins the preemptive executor's
 // recovery ladder (predicted → opposite mode → heuristic plan) for
@@ -196,9 +210,9 @@ func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 			dec := pess
 			if tc.cached != nil {
 				dec = *tc.cached
-				w.art.cache.Store(signature.Key(e.sigs.Scaled(u)), dec)
+				w.art.decisions[u].Store(encodeDecision(dec))
 			}
-			got, err := e.evaluateOne(w, u)
+			got, err := e.evaluateOne(w, u, int32(u))
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
@@ -216,11 +230,13 @@ func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 			if w.cacheHits != tc.wantCacheHits || w.cacheMisses != tc.wantCacheMiss {
 				t.Errorf("cache hits/misses = %d/%d, want %d/%d", w.cacheHits, w.cacheMisses, tc.wantCacheHits, tc.wantCacheMiss)
 			}
-			// A rung-1 resolution of a fresh prediction fills the cache;
+			// A rung-1 resolution of a fresh prediction fills the slot;
 			// nothing else may.
-			_, stored := w.art.cache.Load(signature.Key(e.sigs.Scaled(u)))
-			if want := tc.cached != nil || (tc.wantErr == nil && len(tc.wantCalls) == 1); stored != want {
-				t.Errorf("prediction cache holds the decision = %v, want %v", stored, want)
+			stored, full := decodeDecision(w.art.decisions[u].Load())
+			if want := tc.cached != nil || (tc.wantErr == nil && len(tc.wantCalls) == 1); full != want {
+				t.Errorf("decision slot filled = %v, want %v", full, want)
+			} else if full && stored != dec {
+				t.Errorf("decision slot holds %+v, want %+v", stored, dec)
 			}
 			// The worker's recovery-ladder tallies must mirror the states
 			// the hook ran: rung N entered iff state N executed, resolved
@@ -263,9 +279,10 @@ func TestObsScoreAlphaMispredictions(t *testing.T) {
 	checksBefore, missBefore := obs.SmartModeChecks.Value(), obs.SmartMispredicts.Value()
 
 	// Optimistic prediction means "valid"; actual invalid → mispredict.
-	e.scoreAlpha(w, true, decision{mode: psi.Optimistic, margin: 0.9}, false)
+	w.art.alpha = alphaStub(t)
+	e.scoreAlpha(w, true, decision{mode: psi.Optimistic, lead: 18}, false)
 	// Pessimistic prediction means "invalid"; actual invalid → correct.
-	e.scoreAlpha(w, true, decision{mode: psi.Pessimistic, margin: 0.1}, false)
+	e.scoreAlpha(w, true, decision{mode: psi.Pessimistic, lead: 2}, false)
 	// No prediction made → not scored.
 	e.scoreAlpha(w, false, decision{mode: psi.Pessimistic}, true)
 

@@ -111,7 +111,7 @@ func TestPreemptionRecovers(t *testing.T) {
 	w := ladderWorker(ev, []*plan.Compiled{c}, time.Time{})
 	w.st = st
 	w.art.timing.record(psi.Optimistic, 0, time.Nanosecond, false) // floor (200us) applies
-	got, err := e.evaluateOne(w, 0)
+	got, err := e.evaluateOne(w, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

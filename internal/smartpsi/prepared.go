@@ -9,14 +9,15 @@ package smartpsi
 // It is not an answer cache. An artifact only chooses how to search:
 // bindings are recomputed by its psi.Evaluator on every request, and the
 // §4.3 recovery ladder keeps each verdict exact whatever a stale
-// planTiming or cached decision says. What must be right is the
-// query-side half (evaluator, compiled plans), which names query node
-// IDs; so a 64-bit key match counts as a hit only after the stored query
-// is verified equal, node for node, with the same pivot.
+// planTiming says. What must be right is the query-side half
+// (evaluator, compiled plans), which names query node IDs; so a 64-bit
+// key match counts as a hit only after the stored query is verified
+// equal, node for node, with the same pivot.
 
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/ml"
@@ -27,9 +28,9 @@ import (
 
 // artifact is everything prepare and train produce for one query.
 // prepare fills q, ev and compiled, train fills alpha, beta and timing;
-// after that those fields are read-only. timing and cache are the two
-// parts execute updates, each safe for concurrent use, so any number of
-// requests may execute one artifact at once.
+// after that those fields are read-only. timing and decisions are the
+// two parts execute updates, each safe for concurrent use, so any number
+// of requests may execute one artifact at once.
 type artifact struct {
 	q        graph.Query
 	ev       *psi.Evaluator   // holds the query's signatures
@@ -37,30 +38,63 @@ type artifact struct {
 
 	alpha, beta *ml.Forest  // nil when ablated
 	timing      *planTiming // §4.3 MaxTime averages
-	cache       sync.Map    // §4.2.3 prediction cache: signature key -> decision
+	// decisions is the §4.2.3 prediction memo, one slot per node with
+	// the pivot's label (queryRun.slot), holding encodeDecision of the
+	// node's decision once a rung-1 resolution has stored it. It is nil
+	// on an artifact the prepared cache does not keep. The paper keys its
+	// cache by signature, so distinct nodes with equal rows share an
+	// entry; a slot is one node's own prediction from these forests, so a
+	// hit always equals a fresh one.
+	decisions []atomic.Uint32
 
 	key   uint64
 	bytes int64
 }
 
+// A decision slot is 0 while empty, else slotFull with the mode bit, the
+// plan index and model α's vote lead: the decision exactly, since its
+// margin is lead / trees.
 const (
-	// Accounting units. A tree node is ml's 32-byte treeNode. A
-	// prediction-cache entry is a boxed uint64 key, a boxed 24-byte
-	// decision and sync.Map's entry and bucket share, about 128 bytes;
-	// an artifact is charged one per candidate, the most execute can
-	// ever insert. The base covers evaluator, plans and planTiming of a
-	// ten-node query.
-	treeNodeBytes        = 32
-	predictionEntryBytes = 128
-	artifactBaseBytes    = 4 << 10
+	slotFull       = 1 << 31
+	slotOptimistic = 1 << 30
+	slotPlanShift  = 16
+	slotLeadMask   = 1<<slotPlanShift - 1
+)
 
-	// Charged artifacts run from 20-40 KB (Human, 100-200 candidates) to
-	// 0.25-1 MB (YouTube 1/50, 1,500-7,000 candidates; that server
-	// peaks at about 60 MB resident). The byte cap holds thirty-odd of
-	// the largest, about half what such a server already uses; the entry
-	// cap bounds the count when artifacts are small (256 x 40 KB = 10 MB) and
-	// covers four times the shapes /queryz tracks
-	// (obs.DefaultWorkloadK).
+func encodeDecision(d decision) uint32 {
+	v := uint32(slotFull) | uint32(d.planIdx)<<slotPlanShift | uint32(d.lead)
+	if d.mode == psi.Optimistic {
+		v |= slotOptimistic
+	}
+	return v
+}
+
+// decodeDecision returns the decision in slot value v, and false when
+// the slot is empty.
+func decodeDecision(v uint32) (decision, bool) {
+	d := decision{mode: psi.Pessimistic, planIdx: int(v&^(slotFull|slotOptimistic)) >> slotPlanShift, lead: int(v & slotLeadMask)}
+	if v&slotOptimistic != 0 {
+		d.mode = psi.Optimistic
+	}
+	return d, v != 0
+}
+
+const (
+	// Accounting units. A forest node is held twice: as ml's 32-byte
+	// tree node and as its 16-byte node of the flat layout prediction
+	// walks. A decision slot is 4 bytes. The base covers evaluator,
+	// plans and planTiming of a ten-node query.
+	forestNodeBytes   = 32 + 16
+	decisionSlotBytes = 4
+	artifactBaseBytes = 4 << 10
+
+	// Charged size-4 artifacts run from 10-40 KB (Human, about 300
+	// candidates) to 60-300 KB (YouTube 1/50, up to 11,000 candidates;
+	// that server peaks at about 60 MB resident). The byte cap holds a
+	// hundred-odd of the largest, about half what such a server already
+	// uses; the entry cap bounds the count when artifacts are small
+	// (256 x 40 KB = 10 MB) and covers four times the shapes /queryz
+	// tracks (obs.DefaultWorkloadK).
 	preparedMaxEntries = 256
 	preparedMaxBytes   = 32 << 20
 
@@ -71,8 +105,8 @@ const (
 	seenSlots = 4096
 )
 
-// size charges an artifact that serves the given number of candidates.
-func (a *artifact) size(candidates int) int64 {
+// size charges an artifact for its forests and decision slots.
+func (a *artifact) size() int64 {
 	nodes := 0
 	if a.alpha != nil {
 		nodes += a.alpha.NumNodes()
@@ -80,7 +114,7 @@ func (a *artifact) size(candidates int) int64 {
 	if a.beta != nil {
 		nodes += a.beta.NumNodes()
 	}
-	return artifactBaseBytes + int64(nodes)*treeNodeBytes + int64(candidates)*predictionEntryBytes
+	return artifactBaseBytes + int64(nodes)*forestNodeBytes + int64(len(a.decisions))*decisionSlotBytes
 }
 
 // preparedCache is an Engine's bounded LRU of artifacts, keyed by
@@ -137,8 +171,8 @@ func (c *preparedCache) lookup(q graph.Query) (art *artifact, key uint64, admit 
 // store retains art under key unless another request got there first
 // (two concurrent cold requests both train; the first store wins), then
 // evicts from the cold end until both caps hold.
-func (c *preparedCache) store(key uint64, art *artifact, candidates int) {
-	art.key, art.bytes = key, art.size(candidates)
+func (c *preparedCache) store(key uint64, art *artifact) {
+	art.key, art.bytes = key, art.size()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; ok {

@@ -3,6 +3,7 @@ package smartpsi
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -278,7 +279,7 @@ func TestPreparedCaps(t *testing.T) {
 		if art != nil || !admit {
 			t.Fatal("second sighting not admitted")
 		}
-		c.store(key, &artifact{q: q}, 100)
+		c.store(key, &artifact{q: q})
 		check()
 		if art, _, _ := c.lookup(q); art == nil {
 			t.Fatal("stored artifact not found")
@@ -293,13 +294,14 @@ func TestPreparedCaps(t *testing.T) {
 	if art, _, _ := c.lookup(qs[0]); art != nil {
 		t.Error("least recently used artifact survived")
 	}
-	// 100k candidates charge 12.8 MB: a third one cannot fit.
+	// Slots charging two fifths of the cap each: a third one cannot fit.
+	slots := preparedMaxBytes * 2 / 5 / decisionSlotBytes
 	for i := 0; i < 3; i++ {
-		c.store(uint64(1e6+i), &artifact{}, 100_000)
+		c.store(uint64(1e6+i), &artifact{decisions: make([]atomic.Uint32, slots)})
 		check()
 	}
 	if len(c.entries) > 2 {
-		t.Errorf("%d entries of 12.8 MB each under a %d-byte cap", len(c.entries), preparedMaxBytes)
+		t.Errorf("%d entries of %d slots each under a %d-byte cap", len(c.entries), slots, preparedMaxBytes)
 	}
 }
 
@@ -322,6 +324,7 @@ func TestDisablePreparedCache(t *testing.T) {
 // newRun builds the per-request state evaluate would for q.
 func newRun(e *Engine, q graph.Query) (*queryRun, []int32) {
 	r := &queryRun{res: &Result{}, candidates: e.g.NodesWithLabel(q.G.Label(q.Pivot))}
+	r.labelled = len(r.candidates)
 	r.valid = make([]bool, len(r.candidates))
 	order := make([]int32, len(r.candidates))
 	for i := range order {
@@ -422,5 +425,65 @@ func TestAbortedTrainStoresNothing(t *testing.T) {
 	}
 	if res := mustEvaluate(t, e, q); !res.Warm {
 		t.Error("the completed train's artifact was not kept")
+	}
+}
+
+// TestSlotHitsAreFreshPredictions: on generated graphs, with two
+// workers and with requests that own only part of the candidates, every
+// filled decision slot of every kept artifact holds exactly what the
+// artifact's forests predict for that slot's node now, so a hit serves
+// the same decision a fresh prediction would.
+func TestSlotHitsAreFreshPredictions(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		g := graphtest.Random(900, 2700, 3, seed)
+		e, err := NewEngine(g, Options{Seed: seed, Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var hits int64
+		for size := 3; size <= 5; size++ {
+			q, err := workload.ExtractQuery(g, size, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for sighting := range 6 {
+				req := Request{Query: q}
+				if sighting%2 == 1 {
+					req.Owns = func(u graph.NodeID) bool { return u%3 != 0 }
+				}
+				res, err := e.Run(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hits += res.CacheHits
+			}
+		}
+		if hits == 0 {
+			t.Fatalf("seed %d: no slot hits; the warm repeats exercised nothing", seed)
+		}
+		filled := 0
+		for _, el := range e.prepared.entries {
+			art := el.Value.(*artifact)
+			nodes := g.NodesWithLabel(art.q.G.Label(art.q.Pivot))
+			if len(art.decisions) != len(nodes) {
+				t.Fatalf("seed %d: %d slots for %d pivot-labelled nodes", seed, len(art.decisions), len(nodes))
+			}
+			w := &worker{art: art}
+			for slot, u := range nodes {
+				got, full := decodeDecision(art.decisions[slot].Load())
+				if !full {
+					continue
+				}
+				filled++
+				want, _ := w.predict(e.sigs.RowInto(u, nil))
+				if got != want {
+					t.Fatalf("seed %d: node %d's slot holds %+v, a fresh prediction is %+v", seed, u, got, want)
+				}
+			}
+		}
+		if filled == 0 {
+			t.Fatalf("seed %d: no slot filled", seed)
+		}
 	}
 }

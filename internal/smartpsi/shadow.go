@@ -4,9 +4,7 @@ package smartpsi
 // the engine re-evaluates a sampled fraction of its model decisions
 // against a counterfactual — the opposite method (model-α audit) or a
 // random alternative plan (model-β audit) — and records the decision's
-// regret: max(0, primary − counterfactual) wall time. The same rate
-// samples prediction-cache hits for cache-quality audits (cached
-// decision vs a fresh model prediction; no extra evaluation).
+// regret: max(0, primary − counterfactual) wall time.
 //
 // Audits never influence the primary result. A shadow run uses its own
 // psi.State (its work lands in Result.ShadowWork, never Result.Work),
@@ -57,8 +55,8 @@ func (w *workerCounters) shadowSampled(rate float64) bool {
 
 // primaryRun is one rung-1 resolution as the audits see it: the
 // candidate and its signature row (the worker's scratch), the decision
-// that produced the run (mode, plan, vote margin) and whether the
-// prediction cache served it, and the run's verdict and wall time.
+// that produced the run (mode, plan, vote lead) and whether its decision
+// slot served it, and the run's verdict and wall time.
 type primaryRun struct {
 	u      graph.NodeID
 	row    []float64
@@ -87,11 +85,6 @@ func (e *Engine) auditDecision(w *worker, p primaryRun) error {
 		// check documents (and pins) that contract.
 		if err := invariant.CheckShadowContext(int64(p.u), 1, false); err != nil {
 			return err
-		}
-	}
-	if p.cached {
-		if w.shadowSampled(e.opts.ShadowRate) {
-			e.shadowCacheCheck(w, p)
 		}
 	}
 	if w.shadowSampled(e.opts.ShadowRate) {
@@ -229,30 +222,9 @@ func (w *worker) decisionRecord(p primaryRun, kind string) obs.DecisionRecord {
 		FromCache:   p.cached,
 		PredMode:    int(p.dec.mode),
 		PredPlan:    p.dec.planIdx,
-		VoteMargin:  p.dec.margin,
+		VoteMargin:  w.margin(p.dec),
 		ActualValid: p.valid,
 	}
-}
-
-// shadowCacheCheck audits the prediction cache on one sampled hit: the
-// cached decision against a fresh model prediction for this node's
-// signature row. Signature keys can collide, so a hit may serve another
-// row's decision — the stale rate measures how often that matters. No
-// shadow evaluation runs; the audit costs one forest prediction.
-func (e *Engine) shadowCacheCheck(w *worker, p primaryRun) {
-	fresh, _ := w.predict(p.row)
-	stale := fresh.mode != p.dec.mode || fresh.planIdx != p.dec.planIdx
-	w.cacheChecks++
-	if stale {
-		w.cacheStale++
-	}
-	if !w.run.enabled {
-		return
-	}
-	rec := w.decisionRecord(p, obs.DecisionKindCache)
-	rec.VoteMargin = fresh.margin
-	rec.CacheStale = stale
-	w.audits = append(w.audits, rec)
 }
 
 // betaSweep retains one training node's per-plan sweep measurements for
@@ -309,12 +281,8 @@ func (e *Engine) scoreBetaRanks(r *queryRun, betaModel *ml.Forest, sweeps []beta
 	}
 }
 
-// voteMargin returns the forest's winner-minus-runner-up vote share in
-// [0, 1] — the calibration axis of /modelz.
-func voteMargin(votes []int, trees int) float64 {
-	if trees <= 0 {
-		return 0
-	}
+// voteLead returns the forest's winner-minus-runner-up vote count.
+func voteLead(votes []int) int {
 	best, second := 0, 0
 	for _, v := range votes {
 		if v > best {
@@ -323,7 +291,7 @@ func voteMargin(votes []int, trees int) float64 {
 			second = v
 		}
 	}
-	return float64(best-second) / float64(trees)
+	return best - second
 }
 
 // newShadowRNG builds worker w's deterministic sampling stream.

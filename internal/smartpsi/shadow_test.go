@@ -107,7 +107,7 @@ func TestShadowRungOneOnly(t *testing.T) {
 			}
 
 			w.rng = newShadowRNG(1, 0)
-			got, err := e.evaluateOne(w, 0)
+			got, err := e.evaluateOne(w, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +146,7 @@ func TestShadowMismatchDetection(t *testing.T) {
 		w := ladderWorker(ev, compiled, time.Time{})
 		w.rng = newShadowRNG(1, 0)
 		before := obs.DefaultModelStats.Snapshot().ShadowMismatches
-		got, err := e.evaluateOne(w, 0)
+		got, err := e.evaluateOne(w, 0, 0)
 		w.flushDecisions() // as the worker's exit does
 		return got, err, obs.DefaultModelStats.Snapshot().ShadowMismatches - before
 	}
@@ -373,7 +373,7 @@ func TestShadowFoldMatchesResult(t *testing.T) {
 	const fingerprint = "fold-fingerprint"
 	total := &Result{}
 	filed := func(d obs.ModelStatsData) int64 {
-		return d.ModeRegret.Runs + d.PlanRegret.Runs + d.CacheChecks + d.BetaObserved()
+		return d.ModeRegret.Runs + d.PlanRegret.Runs + d.BetaObserved()
 	}
 	for i := range 3 {
 		id := fmt.Sprintf("fold-%d", i)
@@ -385,8 +385,6 @@ func TestShadowFoldMatchesResult(t *testing.T) {
 		total.ShadowModeRuns += res.ShadowModeRuns
 		total.ShadowPlanRuns += res.ShadowPlanRuns
 		total.ShadowTimeouts += res.ShadowTimeouts
-		total.CacheChecks += res.CacheChecks
-		total.CacheStale += res.CacheStale
 		total.Regret += res.Regret
 
 		d := obs.DefaultModelStats.Snapshot()
@@ -413,10 +411,6 @@ func TestShadowFoldMatchesResult(t *testing.T) {
 	}
 	if got := d.ModeRegret.Timeouts + d.PlanRegret.Timeouts; got != total.ShadowTimeouts {
 		t.Errorf("/modelz timeouts = %d, Result reports %d", got, total.ShadowTimeouts)
-	}
-	if d.CacheChecks != total.CacheChecks || d.CacheStale != total.CacheStale {
-		t.Errorf("/modelz cache checks/stale = %d/%d, Result reports %d/%d",
-			d.CacheChecks, d.CacheStale, total.CacheChecks, total.CacheStale)
 	}
 	if got := time.Duration(d.ModeRegret.TotalNanos + d.PlanRegret.TotalNanos); got != total.Regret {
 		t.Errorf("/modelz regret = %s, Result reports %s", got, total.Regret)

@@ -194,7 +194,6 @@ func TestUsedMLAndCounters(t *testing.T) {
 func TestAblationsStayExact(t *testing.T) {
 	base := Options{Seed: 11}
 	variants := map[string]Options{
-		"no-cache":      {Seed: 11, DisableCache: true},
 		"no-plan-model": {Seed: 11, DisablePlanModel: true},
 		"no-preemption": {Seed: 11, DisablePreemption: true},
 		"no-type-model": {Seed: 11, DisableTypeModel: true},
@@ -230,10 +229,16 @@ func TestAblationsStayExact(t *testing.T) {
 	}
 }
 
+// TestCacheHitsOnRepetitiveGraph: decision slots are per node, so a cold
+// query never hits, even on a graph where every candidate has the same
+// signature; a kept artifact's slots serve its warm repeats, the second
+// of which hits on every candidate; and none of it changes the bindings.
+// A slot is filled only when rung 1 resolves, so rung 1 runs without a
+// time budget (DisablePreemption): the hit counts depend on the code,
+// not on how fast this machine runs it.
 func TestCacheHitsOnRepetitiveGraph(t *testing.T) {
-	// A graph of many identical star components: every star center has
-	// an identical signature, so after the first few evaluations the
-	// cache should serve the rest.
+	// 100 identical star components: every star center has the same
+	// signature row.
 	b := graph.NewBuilder(400, 400)
 	for i := 0; i < 100; i++ {
 		center := b.AddNode(0)
@@ -245,10 +250,6 @@ func TestCacheHitsOnRepetitiveGraph(t *testing.T) {
 		}
 	}
 	g := b.MustBuild()
-	e, err := NewEngine(g, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Query: one star (center + 2 leaves), pivot center.
 	qb := graph.NewBuilder(3, 2)
 	c := qb.AddNode(0)
@@ -264,30 +265,36 @@ func TestCacheHitsOnRepetitiveGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Evaluate(q)
+
+	e, err := NewEngine(g, Options{Seed: 5, DisablePreemption: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Bindings) != 100 {
-		t.Errorf("bindings = %d, want 100 (every center matches)", len(res.Bindings))
+	cold := mustEvaluate(t, e, q)
+	if !cold.UsedML || len(cold.Bindings) != 100 {
+		t.Fatalf("cold run: UsedML %v, %d bindings; want the ML path and 100", cold.UsedML, len(cold.Bindings))
 	}
-	if res.CacheHits == 0 {
-		t.Error("identical signatures produced no cache hits")
+	if cold.CacheHits != 0 {
+		t.Errorf("cold run hit %d slots; a cold query evaluates each node once", cold.CacheHits)
 	}
-	// With caching disabled there must be none.
-	e2, err := NewEngine(g, Options{Seed: 5, DisableCache: true})
-	if err != nil {
-		t.Fatal(err)
+	// The second sighting keeps its artifact and fills the slots of the
+	// nodes it executes; training labels the rest without a decision.
+	kept := mustEvaluate(t, e, q)
+	first, second := mustEvaluate(t, e, q), mustEvaluate(t, e, q)
+	if !first.Warm || !second.Warm {
+		t.Fatalf("third and fourth sightings warm = %v/%v", first.Warm, second.Warm)
 	}
-	res2, err := e2.Evaluate(q)
-	if err != nil {
-		t.Fatal(err)
+	if want := int64(100 - kept.TrainedNodes); first.CacheHits != want {
+		t.Errorf("first warm run: %d hits, want the %d nodes the keeping run executed", first.CacheHits, want)
 	}
-	if res2.CacheHits != 0 {
-		t.Errorf("cache disabled but %d hits", res2.CacheHits)
+	if second.CacheHits != 100 || second.CacheMisses != 0 {
+		t.Errorf("second warm run: %d hits, %d misses; want every candidate to hit", second.CacheHits, second.CacheMisses)
 	}
-	if !sameNodes(res.Bindings, res2.Bindings) {
-		t.Error("cache changed the result")
+
+	for _, res := range []*Result{kept, first, second} {
+		if !sameNodes(res.Bindings, cold.Bindings) {
+			t.Error("decision slots changed the bindings")
+		}
 	}
 }
 

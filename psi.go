@@ -18,8 +18,8 @@
 //
 // The Engine is the paper's full SmartPSI system: per-query Random
 // Forest models select the optimistic or pessimistic evaluation method
-// and a search order for every candidate node, a signature-keyed cache
-// reuses decisions, and a preemptive executor recovers from wrong
+// and a search order for every candidate node, a repeated query reuses
+// each node's decision, and a preemptive executor recovers from wrong
 // predictions. Lower-level building blocks (the individual evaluation
 // methods, the full-isomorphism competitor engines, the frequent
 // subgraph miner) live in the subpackages referenced below and are

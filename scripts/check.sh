@@ -43,10 +43,11 @@ PSI_OBS=1 go test -count=1 ./...
 step "go test ./... with deep invariant checking (PSI_INVARIANTS=1)"
 PSI_INVARIANTS=1 go test -count=1 ./...
 
-# One iteration each: keeps the forest benchmark and its seed-fitter
-# oracle compiling and running.
+# One iteration each: keeps the forest benchmarks (the fit against its
+# seed-fitter oracle, the flat walk against the per-tree walk)
+# compiling and running.
 step "forest-fit benchmark smoke"
-go test -run '^$' -bench TrainForest -benchtime 1x ./internal/ml/
+go test -run '^$' -bench 'TrainForest|ForestPredict' -benchtime 1x ./internal/ml/
 
 # benchmark/ is a module of its own (it builds against this one through
 # a replace directive), so ./... above never compiles it.
@@ -72,6 +73,7 @@ if [[ "$FUZZTIME" != "0" ]]; then
     step "fuzz smoke ($FUZZTIME per target)"
     go test ./internal/graph/ -run '^$' -fuzz 'FuzzLGRoundTrip' -fuzztime "$FUZZTIME"
     go test ./internal/psi/ -run '^$' -fuzz 'FuzzMatchVsReference' -fuzztime "$FUZZTIME"
+    go test ./internal/ml/ -run '^$' -fuzz 'FuzzFlatWalk' -fuzztime "$FUZZTIME"
 fi
 
 step "OK"
