@@ -49,8 +49,14 @@ func TestRun(t *testing.T) {
 	if err := os.WriteFile(qp, []byte(testQuery), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(gp, qp, 1, 1, true, false); err != nil {
+	// The query has two candidates, too few to train on: model α
+	// predicts nothing, so -stats prints no accuracy for it.
+	out, err := captureStderr(t, func() error { return run(gp, qp, 1, 1, true, false) })
+	if err != nil {
 		t.Fatalf("run: %v", err)
+	}
+	if !strings.Contains(out, "candidates=2 ") || !strings.Contains(out, "alphaAcc=n/a") {
+		t.Errorf("-stats on a no-ML query printed:\n%s\nwant candidates=2 and alphaAcc=n/a", out)
 	}
 	// Missing files error cleanly.
 	if err := run(filepath.Join(dir, "missing.lg"), qp, 1, 1, false, false); err == nil {
@@ -85,14 +91,28 @@ func TestObsRunExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// run writes the tree to os.Stderr; capture it through a pipe.
+	out, runErr := captureStderr(t, func() error { return run(gp, qp, 1, 1, false, true) })
+	if runErr != nil {
+		t.Fatalf("run(-explain): %v", runErr)
+	}
+	for _, want := range []string{"decision", "candidate funnel", "generated"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("explain output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// captureStderr runs fn with os.Stderr redirected into a pipe and returns
+// what it wrote there.
+func captureStderr(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	oldStderr := os.Stderr
 	os.Stderr = w
-	runErr := run(gp, qp, 1, 1, false, true)
+	runErr := fn()
 	os.Stderr = oldStderr
 	if cerr := w.Close(); cerr != nil {
 		t.Fatal(cerr)
@@ -101,13 +121,5 @@ func TestObsRunExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runErr != nil {
-		t.Fatalf("run(-explain): %v", runErr)
-	}
-	out := string(data)
-	for _, want := range []string{"decision", "candidate funnel", "generated"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("explain output missing %q:\n%s", want, out)
-		}
-	}
+	return string(data), runErr
 }

@@ -49,7 +49,7 @@ type routeAnswer struct {
 // workload-sketch outcome: both are serveQuery plus an envelope.
 func TestServeRouteParity(t *testing.T) {
 	full := func() (*shard.Gather, error) {
-		return &shard.Gather{Res: &smartpsi.Result{Bindings: []graph.NodeID{4, 9}, Candidates: 7}}, nil
+		return &shard.Gather{Res: &smartpsi.Result{Bindings: []graph.NodeID{4, 9}, Counts: smartpsi.Counts{Candidates: 7}}}, nil
 	}
 	fails := func(err error) scriptedEval {
 		return func() (*shard.Gather, error) { return nil, err }

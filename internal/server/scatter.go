@@ -280,19 +280,14 @@ func (c *Coordinator) callShard(i int, qj QueryJSON, deadline time.Time, request
 }
 
 // resultFromJSON lifts a shard node's wire result back into engine-
-// result form for the shared merge. Only the merged/served fields
-// survive the round trip; per-shard profiles stay on their own nodes
-// (reachable there by the forwarded request ID).
+// result form for the shared merge: its bindings, UsedML and its counts
+// whole. Per-shard times and profiles stay on their own nodes (the
+// profile reachable there by the forwarded request ID).
 func resultFromJSON(qr *QueryResult) *smartpsi.Result {
-	res := &smartpsi.Result{
-		Candidates: qr.Candidates,
-		UsedML:     qr.UsedML,
-		CacheHits:  qr.CacheHits,
-		Flips:      qr.Flips,
-		Fallbacks:  qr.Fallbacks,
+	res := &smartpsi.Result{UsedML: qr.UsedML, Bindings: make([]graph.NodeID, len(qr.Bindings))}
+	if qr.Counts != nil {
+		res.Counts = *qr.Counts
 	}
-	res.Work.Recursions = qr.Recursions
-	res.Bindings = make([]graph.NodeID, len(qr.Bindings))
 	for i, u := range qr.Bindings {
 		res.Bindings[i] = graph.NodeID(u)
 	}

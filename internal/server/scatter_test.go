@@ -2,9 +2,11 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -46,7 +48,7 @@ func (f *fakeScatterEval) ShardStatuses() []shard.Status {
 // outcomes) and burn server_partial_total.
 func TestServerPartialResponse(t *testing.T) {
 	fake := &fakeScatterEval{gather: &shard.Gather{
-		Res:     &smartpsi.Result{Bindings: []graph.NodeID{4, 9}, Candidates: 7},
+		Res:     &smartpsi.Result{Bindings: []graph.NodeID{4, 9}, Counts: smartpsi.Counts{Candidates: 7}},
 		Partial: true,
 		Outcomes: []shard.Outcome{
 			{Shard: 0, Bindings: 2, Elapsed: 3 * time.Millisecond},
@@ -299,4 +301,69 @@ func int64SlicesEqual(a, b []int64) bool {
 		}
 	}
 	return true
+}
+
+// countLeaves calls fn with every int and int64 leaf reachable from v
+// through structs, arrays and slices, and its path.
+func countLeaves(v reflect.Value, path string, fn func(path string, f reflect.Value)) {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		fn(path, v)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			countLeaves(v.Field(i), path+"."+v.Type().Field(i).Name, fn)
+		}
+	case reflect.Array, reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			countLeaves(v.Index(i), fmt.Sprintf("%s[%d]", path, i), fn)
+		}
+	}
+}
+
+// TestWireCountsRoundTrip: a shard node's answer carries its Result's
+// Counts whole, and the coordinator reads them back unchanged. Each int
+// and int64 leaf of smartpsi.Counts is set alone and sent through
+// resultJSON, the JSON wire and resultFromJSON, so a failure names the
+// leaves the round trip loses.
+func TestWireCountsRoundTrip(t *testing.T) {
+	probe := func() *smartpsi.Result {
+		res := &smartpsi.Result{Bindings: []graph.NodeID{2, 5}, UsedML: true}
+		res.PlanPicks = make([]int64, 2)
+		res.Funnel.Depths = make([]obs.FunnelDepth, 2)
+		return res
+	}
+	var paths []string
+	countLeaves(reflect.ValueOf(&probe().Counts).Elem(), "", func(path string, _ reflect.Value) {
+		paths = append(paths, path)
+	})
+	var bad []string
+	for _, path := range paths {
+		res := probe()
+		countLeaves(reflect.ValueOf(&res.Counts).Elem(), "", func(p string, f reflect.Value) {
+			if p == path {
+				f.SetInt(7)
+			}
+		})
+		raw, err := json.Marshal(resultJSON(&shard.Gather{Res: res}, time.Millisecond, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var qr QueryResult
+		if err := json.Unmarshal(raw, &qr); err != nil {
+			t.Fatal(err)
+		}
+		got := resultFromJSON(&qr)
+		if !reflect.DeepEqual(got.Counts, res.Counts) {
+			bad = append(bad, path)
+		}
+		if !reflect.DeepEqual(got.Bindings, res.Bindings) || !got.UsedML {
+			t.Fatalf("round trip lost bindings or used_ml: %v %v", got.Bindings, got.UsedML)
+		}
+	}
+	if len(bad) > 0 {
+		t.Fatalf("the shard wire loses %s", strings.Join(bad, ", "))
+	}
+	if len(paths) < 50 {
+		t.Fatalf("probed only %d Counts leaves; did their types change?", len(paths))
+	}
 }

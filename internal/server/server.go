@@ -216,6 +216,7 @@ type Server struct {
 	eval     Evaluator
 	evaluate evalFunc     // eval's shape, resolved once
 	graph    *graph.Graph // eval's data graph when it exposes one, else nil
+	counts   bool         // eval is a fleet shard node: answers carry Counts for its coordinator
 	cfg      Config
 	adm      *admission
 	mux      *http.ServeMux
@@ -241,6 +242,7 @@ func NewServer(eval Evaluator, cfg Config) *Server {
 	if gp, ok := eval.(interface{ Graph() *graph.Graph }); ok {
 		s.graph = gp.Graph()
 	}
+	_, s.counts = eval.(*shard.Node)
 	if s.cfg.Sampler != nil {
 		s.cfg.Sampler.Keep(rateWindow, "server_requests_total", "server_shed_total")
 	}
@@ -600,7 +602,7 @@ func (s *Server) serveQuery(ctx context.Context, q graph.Query, deadline time.Ti
 		s.logf("query failed (%d): %v", v.status, err)
 		return BatchItem{Status: v.status, Error: v.msg}
 	}
-	return BatchItem{Status: v.status, Result: resultJSON(gth, time.Since(start))}
+	return BatchItem{Status: v.status, Result: resultJSON(gth, time.Since(start), s.counts)}
 }
 
 // retryAfterSeconds renders the Retry-After hint, at least 1 second:

@@ -66,7 +66,7 @@ func (f *fakeEval) EvaluateTagged(q graph.Query, deadline time.Time, _, _ string
 	if res != nil {
 		return res, nil
 	}
-	return &smartpsi.Result{Bindings: []graph.NodeID{int32(q.Pivot)}, Candidates: 1}, nil
+	return &smartpsi.Result{Bindings: []graph.NodeID{int32(q.Pivot)}, Counts: smartpsi.Counts{Candidates: 1}}, nil
 }
 
 // triangleQuery is a minimal valid wire query: a labeled triangle with
@@ -122,7 +122,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 
 func TestServerSingleQueryOK(t *testing.T) {
 	fake := &fakeEval{result: &smartpsi.Result{
-		Bindings: []graph.NodeID{3, 7}, Candidates: 9, UsedML: true,
+		Bindings: []graph.NodeID{3, 7}, Counts: smartpsi.Counts{Candidates: 9}, UsedML: true,
 	}}
 	_, ts := newTestServer(t, fake, Config{})
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/psi", PSIRequest{Query: triangleQuery()})

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"testing"
 	"time"
@@ -97,17 +98,12 @@ func TestServerWorkloadObservation(t *testing.T) {
 	}
 }
 
-// TestServerShardedWorkloadDecisions: behind a 2-shard in-process
-// cluster, /queryz's mode mix counts every shard's decisions, not one
-// shard's. On a run warm on both shards every candidate makes exactly
-// one model-α decision, so the shape's mode_optimistic +
-// mode_pessimistic grows by exactly that run's candidates. Each shard
-// owns at least MinTrainNodes of the pivot's label, and only the ML
-// path stores the artifacts a warm run reuses, so both shards train.
-func TestServerShardedWorkloadDecisions(t *testing.T) {
-	prev := obs.Enabled()
-	obs.Enable(true)
-	t.Cleanup(func() { obs.Enable(prev) })
+// shardedGraph returns a graph on which each shard of a 2-way LabelHash
+// partition owns at least MinTrainNodes label-0 nodes. Only the ML path
+// stores the artifacts a warm run reuses, so a query pivoted on label 0
+// trains on both shards.
+func shardedGraph(t *testing.T) *graph.Graph {
+	t.Helper()
 	g := graphtest.Random(900, 2700, 3, 5)
 	p, err := shard.Partition(g, 2, shard.LabelHash)
 	if err != nil {
@@ -124,20 +120,20 @@ func TestServerShardedWorkloadDecisions(t *testing.T) {
 			t.Fatalf("shard %d owns %d label-0 candidates, want at least %d", i, owned, smartpsi.MinTrainNodes)
 		}
 	}
-	c, err := shard.NewCluster(g, shard.Options{Shards: 2, Engine: smartpsi.Options{Seed: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	w := obs.NewWorkload(8)
-	_, ts := newTestServer(t, c, Config{Workload: w})
-	q := &QueryJSON{Nodes: []int64{0, 1, 2}, Edges: [][]int64{{0, 1}, {1, 2}}, Pivot: 0}
+	return g
+}
 
+// requireWarmShardedDecisions posts a label-0 query to a 2-shard server
+// until it runs warm on both shards. On that run every candidate makes
+// exactly one model-α decision, so the mode mix of totals (the query's
+// shape in /queryz) must grow by exactly the run's candidates. The
+// client's answer carries no counts object: that is for coordinators.
+func requireWarmShardedDecisions(t *testing.T, ts *httptest.Server, totals func() obs.ShapeAggregates) {
+	t.Helper()
+	q := &QueryJSON{Nodes: []int64{0, 1, 2}, Edges: [][]int64{{0, 1}, {1, 2}}, Pivot: 0}
 	decisions := func() int64 {
-		if d := w.Snapshot(); len(d.Shapes) == 1 {
-			return d.Shapes[0].Totals.ModeOptimistic + d.Shapes[0].Totals.ModePessimistic
-		}
-		return 0
+		tot := totals()
+		return tot.ModeOptimistic + tot.ModePessimistic
 	}
 	for i := 0; i < 5; i++ {
 		warmBefore, before := obs.SmartPreparedHits.Value(), decisions()
@@ -152,15 +148,80 @@ func TestServerShardedWorkloadDecisions(t *testing.T) {
 		if err := json.Unmarshal(body, &qr); err != nil {
 			t.Fatal(err)
 		}
-		if !qr.UsedML || len(qr.Shards) != 2 {
-			t.Fatalf("used_ml = %v over %d shards, want an ML run on 2", qr.UsedML, len(qr.Shards))
+		if !qr.UsedML || len(qr.Shards) != 2 || qr.Candidates == 0 {
+			t.Fatalf("used_ml = %v over %d shards with %d candidates, want an ML run on 2", qr.UsedML, len(qr.Shards), qr.Candidates)
 		}
 		if got := decisions() - before; got != int64(qr.Candidates) {
 			t.Errorf("warm sharded run grew the shape's mode mix by %d, want its %d candidates", got, qr.Candidates)
 		}
+		if qr.Counts != nil {
+			t.Errorf("client answer carries counts %+v, want none", qr.Counts)
+		}
 		return
 	}
 	t.Fatal("the query never ran warm on both shards")
+}
+
+// TestServerShardedWorkloadDecisions: behind a 2-shard in-process
+// cluster, /queryz's mode mix counts every shard's decisions, not one
+// shard's.
+func TestServerShardedWorkloadDecisions(t *testing.T) {
+	prev := obs.Enabled()
+	obs.Enable(true)
+	t.Cleanup(func() { obs.Enable(prev) })
+	c, err := shard.NewCluster(shardedGraph(t), shard.Options{Shards: 2, Engine: smartpsi.Options{Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	w := obs.NewWorkload(8)
+	_, ts := newTestServer(t, c, Config{Workload: w})
+	requireWarmShardedDecisions(t, ts, func() obs.ShapeAggregates {
+		if d := w.Snapshot(); len(d.Shapes) == 1 {
+			return d.Shapes[0].Totals
+		}
+		return obs.ShapeAggregates{}
+	})
+}
+
+// TestServerFleetWorkloadDecisions is the networked twin: a coordinator
+// over two HTTP shard nodes gathers the nodes' counts objects, so its
+// /queryz mode mix and funnel count every node's decisions too. A node's
+// own answer carries its counts; the coordinator's does not.
+func TestServerFleetWorkloadDecisions(t *testing.T) {
+	prev := obs.Enabled()
+	obs.Enable(true)
+	t.Cleanup(func() { obs.Enable(prev) })
+	ts, nodes, _ := startFleet(t, shardedGraph(t), 2, Config{Workload: obs.NewWorkload(8)})
+	totals := func() obs.ShapeAggregates {
+		resp, err := ts.Client().Get(ts.URL + "/queryz?format=json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var doc obs.WorkloadData
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("/queryz?format=json = %d, %v", resp.StatusCode, err)
+		}
+		if len(doc.Shapes) == 1 {
+			return doc.Shapes[0].Totals
+		}
+		return obs.ShapeAggregates{}
+	}
+	requireWarmShardedDecisions(t, ts, totals)
+	if f := totals().Funnel; f.Generated <= 0 {
+		t.Errorf("coordinator /queryz funnel = %+v, want generated > 0", f)
+	}
+
+	q := &QueryJSON{Nodes: []int64{0, 1, 2}, Edges: [][]int64{{0, 1}, {1, 2}}, Pivot: 0}
+	resp, body := postJSON(t, nodes[0].Client(), nodes[0].URL+"/v1/psi", PSIRequest{Query: q, TimeoutMS: 60000})
+	var qr QueryResult
+	if err := json.Unmarshal(body, &qr); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("shard node: status %d, %v: %s", resp.StatusCode, err, body)
+	}
+	if qr.Counts == nil || qr.Counts.Candidates != qr.Candidates || qr.Counts.Work.Recursions != qr.Recursions {
+		t.Errorf("shard node counts = %+v, want its candidates %d and recursions %d", qr.Counts, qr.Candidates, qr.Recursions)
+	}
 }
 
 // TestServerWorkloadUnarmed: with no sketch the serving path stays

@@ -107,12 +107,13 @@ func SliceDeadline(deadline time.Time) time.Time {
 // surfaces that error (500), and a strict subset lost flags the answer
 // partial.
 //
-// The merged Result sums every count of the answered shards. It does
-// not sum the wall times: EvalTime is the slowest shard's time and
-// TotalTime the gather's own, while TrainTime, FitTime and ModelTime
-// are left zero, because per-shard wall times do not add up across
-// shards running in parallel. PlanClasses, Warm and Profile are not
-// counts: the first two stay zero and Profile is the slowest shard's.
+// The merged Result sums the answered shards' Counts with Counts.Add and
+// is UsedML when any shard used ML. It does not sum the wall times:
+// EvalTime is the slowest shard's time and TotalTime the gather's own,
+// while TrainTime, FitTime and ModelTime are left zero, because
+// per-shard wall times do not add up across shards running in
+// parallel. PlanClasses, Warm and Profile are not counts: the first two
+// stay zero and Profile is the slowest shard's.
 func merge(outcomes []Outcome, results []*smartpsi.Result, start time.Time) (*Gather, error) {
 	ok, timedOut := 0, 0
 	var firstErr error
@@ -144,25 +145,11 @@ func merge(outcomes []Outcome, results []*smartpsi.Result, start time.Time) (*Ga
 			continue
 		}
 		bindings = append(bindings, res.Bindings...)
-		merged.Candidates += res.Candidates
-		merged.TrainedNodes += res.TrainedNodes
-		merged.CacheHits += res.CacheHits
-		merged.CacheMisses += res.CacheMisses
-		merged.Flips += res.Flips
-		merged.Fallbacks += res.Fallbacks
+		merged.Counts.Add(&res.Counts)
 		merged.UsedML = merged.UsedML || res.UsedML
-		merged.Alpha.Correct += res.Alpha.Correct
-		merged.Alpha.Total += res.Alpha.Total
-		merged.ShadowModeRuns += res.ShadowModeRuns
-		merged.ShadowPlanRuns += res.ShadowPlanRuns
-		merged.ShadowTimeouts += res.ShadowTimeouts
-		merged.Regret += res.Regret
-		merged.Work.Add(res.Work)
-		merged.ShadowWork.Add(res.ShadowWork)
-		merged.Tallies.Add(&res.Tallies)
 		if outcomes[i].Elapsed >= slowest {
 			// The profile stays one shard's record (the slowest); the
-			// tallies above are the fleet's sum.
+			// counts above are the fleet's sum.
 			slowest = outcomes[i].Elapsed
 			merged.Profile = res.Profile
 		}

@@ -227,8 +227,8 @@ func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 			if f, b := w.Ladder[obs.LadderOpposite].Entered, w.Ladder[obs.LadderHeuristic].Entered; f != tc.wantFlips || b != tc.wantFallbacks {
 				t.Errorf("flips/fallbacks = %d/%d, want %d/%d", f, b, tc.wantFlips, tc.wantFallbacks)
 			}
-			if w.cacheHits != tc.wantCacheHits || w.cacheMisses != tc.wantCacheMiss {
-				t.Errorf("cache hits/misses = %d/%d, want %d/%d", w.cacheHits, w.cacheMisses, tc.wantCacheHits, tc.wantCacheMiss)
+			if w.CacheHits != tc.wantCacheHits || w.CacheMisses != tc.wantCacheMiss {
+				t.Errorf("cache hits/misses = %d/%d, want %d/%d", w.CacheHits, w.CacheMisses, tc.wantCacheHits, tc.wantCacheMiss)
 			}
 			// A rung-1 resolution of a fresh prediction fills the slot;
 			// nothing else may.
@@ -268,7 +268,7 @@ func TestObsRecoveryLadderTraceSequences(t *testing.T) {
 }
 
 // TestObsScoreAlphaMispredictions checks the worker's model-α cells,
-// the Result.Alpha mergeInto derives from them, and the
+// the Result.Alpha its exit derives from them, and the
 // mode_predictions / mode_mispredictions metrics published from it.
 func TestObsScoreAlphaMispredictions(t *testing.T) {
 	prev := obs.Enabled()
@@ -293,8 +293,8 @@ func TestObsScoreAlphaMispredictions(t *testing.T) {
 		t.Errorf("alpha calibration = %v", c)
 	}
 	res := w.run.res
-	var modelNanos int64
-	w.mergeInto(res, &modelNanos)
+	w.exit()
+	res.Counts.Add(&w.Counts)
 	if res.Alpha != (AccuracyReport{Correct: 1, Total: 2}) {
 		t.Errorf("Result.Alpha = %+v, want 1/2", res.Alpha)
 	}

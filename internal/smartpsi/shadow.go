@@ -43,7 +43,7 @@ func shadowSeed(seed int64, w int) int64 {
 // sit behind it (the psilint shadowgate rule enforces this). Rates ≥ 1
 // short-circuit without consuming randomness, so ShadowRate=1 tests get
 // deterministic audit schedules regardless of RNG state.
-func (w *workerCounters) shadowSampled(rate float64) bool {
+func (w *worker) shadowSampled(rate float64) bool {
 	if rate <= 0 {
 		return false
 	}
@@ -109,7 +109,7 @@ func (e *Engine) shadowModeRun(w *worker, p primaryRun) error {
 	if err != nil {
 		return err
 	}
-	w.shadowModeRuns++
+	w.ShadowModeRuns++
 	return e.recordShadow(w, p, obs.DecisionKindMode, cf)
 }
 
@@ -125,7 +125,7 @@ func (e *Engine) shadowPlanRun(w *worker, p primaryRun) error {
 	if err != nil {
 		return err
 	}
-	w.shadowPlanRuns++
+	w.ShadowPlanRuns++
 	return e.recordShadow(w, p, obs.DecisionKindPlan, cf)
 }
 
@@ -164,7 +164,7 @@ func (e *Engine) shadowEvaluate(w *worker, p primaryRun, mode psi.Mode, planIdx 
 func (e *Engine) recordShadow(w *worker, p primaryRun, kind string, cf counterfactual) error {
 	regret := time.Duration(0)
 	if cf.timedOut {
-		w.shadowTimeouts++
+		w.ShadowTimeouts++
 	} else {
 		if cf.valid != p.valid {
 			// Both runs are exact algorithms for the same decision
@@ -178,7 +178,7 @@ func (e *Engine) recordShadow(w *worker, p primaryRun, kind string, cf counterfa
 			regret = p.took - cf.took
 		}
 	}
-	w.regretNanos += regret.Nanoseconds()
+	w.Regret += regret
 	if !w.run.enabled {
 		return nil
 	}

@@ -117,11 +117,11 @@ func TestShadowRungOneOnly(t *testing.T) {
 			if shadowCalls != tc.wantShadow {
 				t.Errorf("shadow hook ran %d times, want %d", shadowCalls, tc.wantShadow)
 			}
-			// The worker's counters (folded into Result.ShadowModeRuns by
-			// mergeInto) and the audit records it files at exit agree.
-			if w.shadowModeRuns != tc.wantShadow || w.shadowPlanRuns != 0 || w.shadowTimeouts != 0 {
+			// The worker's Counts (folded into the Result by Counts.Add)
+			// and the audit records it files at exit agree.
+			if w.ShadowModeRuns != tc.wantShadow || w.ShadowPlanRuns != 0 || w.ShadowTimeouts != 0 {
 				t.Errorf("shadow runs mode/plan/censored = %d/%d/%d, want %d/0/0",
-					w.shadowModeRuns, w.shadowPlanRuns, w.shadowTimeouts, tc.wantShadow)
+					w.ShadowModeRuns, w.ShadowPlanRuns, w.ShadowTimeouts, tc.wantShadow)
 			}
 			if int64(len(w.audits)) != tc.wantShadow {
 				t.Errorf("%d audit records pending, want %d", len(w.audits), tc.wantShadow)

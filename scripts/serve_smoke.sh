@@ -32,7 +32,9 @@
 #   6. sharded serving — a 2-shard fleet (two psi-serve shard nodes
 #      plus a coordinator) must answer exactly what the model-free
 #      reference computes (-verify) on size-4 and on size-7 (deep-pivot)
-#      queries, then keep answering after one shard is SIGKILLed: 200s
+#      queries, and the coordinator's /queryz must sum the shards'
+#      model-α picks (a shape with mode_optimistic + mode_pessimistic >
+#      0); then it must keep answering after one shard is SIGKILLed: 200s
 #      flagged partial (-require-partial), which burn the availability
 #      SLO until the alert fires (-require-alert availability);
 #
@@ -260,6 +262,15 @@ step "fleet correctness (scattered answers match the model-free reference)"
     -concurrency 4 -requests 40 -timeout-ms 5000 -query-size 7 \
     -verify -min-bindings 1 -forbid-alert availability
 "$work/jsoncheck" -url "http://$addr/readyz"
+
+step "fleet /queryz sums the shards' decisions (coordinator mode mix > 0)"
+# Shard nodes answer the coordinator with their counts object, so its
+# workload sketch sees every shard's model-α picks.
+if ! "$work/jsoncheck" -print -url "http://$addr/queryz?format=json" |
+    grep -Eq '"mode_(optimistic|pessimistic)": [1-9]'; then
+    echo "coordinator /queryz has no shape with mode_optimistic + mode_pessimistic > 0" >&2
+    exit 1
+fi
 
 step "fleet shard loss: SIGKILL shard 1 -> flagged partials, firing availability alert"
 kill -KILL "${shard_pids[1]}"
