@@ -1,0 +1,374 @@
+package smartpsi
+
+import (
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/graph"
+	"repro/internal/obs"
+	"repro/internal/psi"
+)
+
+// minDeadline floors the preemption budget so timer quantization cannot
+// starve legitimate evaluations.
+const minDeadline = 200 * time.Microsecond
+
+// execute is prediction + preemptive evaluation (Sections 4.2.3, 4.3)
+// of the candidates at the given positions, split across
+// Options.Threads workers. It only reads art's models and plans; art's
+// planTiming and decision slots are the two concurrent parts, so any
+// number of requests may execute one artifact at once.
+func (e *Engine) execute(art *artifact, r *queryRun, order []int32, deadline time.Time) error {
+	evalStart := time.Now()
+	var mu sync.Mutex // guards r.res's Counts and modelNanos
+	var modelNanos int64
+
+	workers := e.opts.Threads
+	if workers > len(order) {
+		workers = len(order)
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	chunk := (len(order) + workers - 1) / workers
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
+		lo := w * chunk
+		hi := lo + chunk
+		if hi > len(order) {
+			hi = len(order)
+		}
+		if lo >= hi {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, positions []int32) {
+			defer wg.Done()
+			w := e.newWorker(art, r, deadline, i)
+			// Merge the worker's counters even on the error paths, so
+			// censored runs still account their work.
+			defer func() {
+				w.exit()
+				w.flushDecisions()
+				mu.Lock()
+				r.res.Counts.Add(&w.Counts)
+				modelNanos += w.modelNanos
+				mu.Unlock()
+			}()
+			for _, pos := range positions {
+				if expiredAt(deadline, w.now) {
+					errs[i] = psi.ErrDeadline
+					return
+				}
+				ok, err := e.evaluateOne(w, r.candidates[pos], r.slot(pos))
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				r.valid[pos] = ok
+			}
+		}(w, order[lo:hi])
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	r.res.EvalTime = time.Since(evalStart)
+	r.res.ModelTime = time.Duration(modelNanos)
+	return nil
+}
+
+// worker is one candidate-evaluating goroutine's view of a query: the
+// shared artifact it reads, the run whose verdict slots it fills, the
+// query's global budget, and the state only it touches.
+type worker struct {
+	art    *artifact
+	run    *queryRun
+	global time.Time
+	st     *psi.State // primary evaluator state; its Stats are Result.Work
+	// now is the worker's last clock reading. One reading ends a step and
+	// starts the next: the end of an attempt is the start of the next
+	// candidate's prediction and its budget check, the end of a
+	// prediction the start of its first attempt and of the rung budget.
+	now time.Time
+	// Counts are the worker's share of the query's counts; execute folds
+	// them into the Result when the worker exits.
+	Counts
+	modelNanos int64
+	// alpha scores model α's fresh predictions against ground truth: exit
+	// stores its confusion in Counts.Alpha, and flushDecisions adds it,
+	// calibration cells included, to /modelz.
+	alpha obs.AlphaCells
+	// audits and mismatches are the worker's shadow-audit findings, filed
+	// by flushDecisions when it exits.
+	audits     []obs.DecisionRecord
+	mismatches int
+
+	votesScratch []int      // forest-vote scratch, reused per worker
+	rowScratch   []float64  // feature-row scratch (features), reused per worker
+	rng          *rand.Rand // deterministic shadow-sampling stream
+	shadowState  *psi.State // counterfactual evaluator state (nil unless auditing)
+}
+
+// newWorker builds execute's i-th worker.
+func (e *Engine) newWorker(art *artifact, r *queryRun, global time.Time, i int) *worker {
+	w := &worker{art: art, run: r, global: global, st: r.newState(art.q.Size()), now: time.Now()}
+	if e.opts.auditing() {
+		// Shadow audits get their own sampling stream and their own
+		// evaluator state: counterfactual work must land in ShadowWork,
+		// never in the primary accounting.
+		w.rng = newShadowRNG(e.opts.Seed, i)
+		w.shadowState = psi.NewState(art.q.Size())
+	}
+	return w
+}
+
+// exit stores what the worker's evaluator states and model-α cells
+// counted into its Counts, when it exits.
+func (w *worker) exit() {
+	w.capture(w.st)
+	if w.shadowState != nil {
+		w.ShadowWork = w.shadowState.Stats()
+	}
+	w.Alpha = AccuracyReport{Correct: w.alpha.AlphaCorrect(), Total: w.alpha.AlphaTotal()}
+}
+
+func (w *worker) votes(n int) []int {
+	if cap(w.votesScratch) < n {
+		w.votesScratch = make([]int, n)
+	}
+	return w.votesScratch[:n]
+}
+
+// features returns node u's signature row, the models' feature vector,
+// in the worker's scratch row: it is valid until the next call.
+func (w *worker) features(u graph.NodeID) []float64 {
+	w.rowScratch = w.art.ev.DataSignatures().RowInto(u, w.rowScratch)
+	return w.rowScratch
+}
+
+type decision struct {
+	mode    psi.Mode
+	planIdx int
+	// lead is model α's winning class's votes minus the runner-up's; 0
+	// when no model predicted. A decision read from a slot carries the
+	// lead of the prediction that filled it.
+	lead int
+}
+
+// margin is the decision's vote margin in [0, 1], lead / trees: the
+// calibration axis of /modelz.
+func (w *worker) margin(dec decision) float64 {
+	if w.art.alpha == nil {
+		return 0
+	}
+	return float64(dec.lead) / float64(w.art.alpha.NumTrees())
+}
+
+// predict asks the artifact's models for a fresh decision on one
+// signature row: model α picks the method (pessimistic when ablated),
+// model β the plan (the heuristic plan when ablated or out of range).
+// predicted reports whether model α actually voted.
+func (w *worker) predict(row []float64) (dec decision, predicted bool) {
+	dec.mode = psi.Pessimistic
+	if alpha := w.art.alpha; alpha != nil {
+		votes := w.votes(alpha.NumClasses())
+		if alpha.PredictInto(row, votes) == 1 {
+			dec.mode = psi.Optimistic
+		}
+		dec.lead = voteLead(votes)
+		predicted = true
+	}
+	if beta := w.art.beta; beta != nil {
+		dec.planIdx = beta.PredictInto(row, w.votes(beta.NumClasses()))
+		if dec.planIdx >= len(w.art.compiled) {
+			dec.planIdx = 0
+		}
+	}
+	return dec, predicted
+}
+
+// rung is one step of the §4.3 recovery ladder: a method, a plan, and
+// whether the attempt runs under the (method, plan) MaxTime budget or
+// only under the query's global one.
+type rung struct {
+	mode     psi.Mode
+	planIdx  int
+	budgeted bool
+}
+
+// evaluateOne runs the prediction + preemptive pipeline for one
+// candidate node and its decision slot: the slot's decision or a fresh
+// one, then the recovery ladder — the predicted method and plan, the
+// opposite method on the same plan (recovers from model α errors), the
+// predicted method on the heuristic plan (recovers from model β
+// errors) — stopping at the first rung that finishes. A rung-1 resolution additionally runs the sampled shadow
+// audits (shadow.go); rungs 2–3 never do — they are already
+// counterfactuals.
+func (e *Engine) evaluateOne(w *worker, u graph.NodeID, slot int32) (bool, error) {
+	var dec decision
+	var memo *atomic.Uint32
+	cached, predicted := false, false
+	if w.art.decisions != nil {
+		memo = &w.art.decisions[slot]
+		dec, cached = decodeDecision(memo.Load())
+	}
+	if cached {
+		w.CacheHits++
+	} else {
+		w.CacheMisses++
+		dec, predicted = w.predict(w.features(u))
+		now := time.Now()
+		w.modelNanos += now.Sub(w.now).Nanoseconds()
+		w.now = now
+	}
+	w.ModePicks[dec.mode]++
+	for len(w.PlanPicks) <= dec.planIdx {
+		w.PlanPicks = append(w.PlanPicks, 0)
+	}
+	w.PlanPicks[dec.planIdx]++
+
+	ladder := [obs.NumLadderRungs]rung{
+		obs.LadderPredicted: {dec.mode, dec.planIdx, !e.opts.DisablePreemption},
+		obs.LadderOpposite:  {dec.mode.Opposite(), dec.planIdx, true},
+		obs.LadderHeuristic: {dec.mode, 0, false},
+	}
+	var err error
+	for i, r := range ladder {
+		var ok bool
+		var took time.Duration
+		if ok, took, err = e.attempt(w, u, i, r); err != nil {
+			if err != psi.ErrDeadline || expiredAt(w.global, w.now) {
+				break
+			}
+			continue
+		}
+		e.scoreAlpha(w, predicted, dec, ok)
+		if i == obs.LadderPredicted {
+			if memo != nil && !cached {
+				memo.Store(encodeDecision(dec))
+			}
+			if e.opts.auditing() {
+				p := primaryRun{u: u, row: w.features(u), dec: dec, cached: cached, valid: ok, took: took}
+				err := e.auditDecision(w, p)
+				// The audit's time is no candidate's model or rung time.
+				w.now = time.Now()
+				if err != nil {
+					return false, err
+				}
+			}
+		}
+		return ok, nil
+	}
+	return false, err
+}
+
+// attempt runs rung i of the ladder for candidate u. It is the one place
+// an execute-phase candidate evaluation happens: the rung's deadline,
+// the evalHook seam, the rung's tally and the planTiming update all live
+// here. The attempt starts at the worker's last clock reading and its
+// end is the next one.
+func (e *Engine) attempt(w *worker, u graph.NodeID, i int, r rung) (bool, time.Duration, error) {
+	t0 := w.now
+	limit := w.global
+	if r.budgeted {
+		if d := t0.Add(w.art.timing.maxTime(r.mode, r.planIdx)); limit.IsZero() || d.Before(limit) {
+			limit = d
+		}
+	}
+	var ok bool
+	var err error
+	if e.evalHook != nil {
+		ok, err = e.evalHook(i+1, r.mode, r.planIdx)
+	} else {
+		ok, err = w.art.ev.Evaluate(w.st, w.art.compiled[r.planIdx], u, r.mode, psi.Limits{Deadline: limit})
+	}
+	w.now = time.Now()
+	took := w.now.Sub(t0)
+	rt := &w.Ladder[i]
+	rt.Entered++
+	rt.Nanos += took.Nanoseconds()
+	if err == nil {
+		rt.Resolved++
+		w.art.timing.record(r.mode, r.planIdx, took, w.run.enabled)
+	}
+	return ok, took, err
+}
+
+// scoreAlpha records ground truth for one candidate when model α
+// actually predicted it: the worker's confusion and vote-margin
+// calibration cells (ground truth is free here — the evaluation itself
+// labels the node, §4.2.1).
+func (e *Engine) scoreAlpha(w *worker, predicted bool, dec decision, actualValid bool) {
+	if predicted {
+		w.alpha.Score(dec.mode == psi.Optimistic, actualValid, w.margin(dec))
+	}
+}
+
+// planTiming tracks average evaluation times per (method, plan), feeding
+// the MaxTime budget of Section 4.3. It belongs to an artifact: seeded by
+// the training sweep, then refined by every execute of that artifact.
+type planTiming struct {
+	mu  sync.Mutex
+	sum [2][]time.Duration
+	n   [2][]int64
+}
+
+func newPlanTiming(plans int) *planTiming {
+	t := &planTiming{}
+	for m := 0; m < 2; m++ {
+		t.sum[m] = make([]time.Duration, plans)
+		t.n[m] = make([]int64, plans)
+	}
+	return t
+}
+
+// record adds one finished evaluation; observe (the query's obs gate)
+// also feeds the per-evaluation histogram.
+func (t *planTiming) record(mode psi.Mode, planIdx int, took time.Duration, observe bool) {
+	if observe {
+		obs.SmartPlanSeconds.Observe(took.Seconds())
+	}
+	t.mu.Lock()
+	t.sum[mode][planIdx] += took
+	t.n[mode][planIdx]++
+	t.mu.Unlock()
+}
+
+// maxTime returns 2x the average observed time for (mode, plan)
+// (Section 4.3). Modes or plans without observations borrow the other
+// method's average for the same plan, then any average, then the floor.
+func (t *planTiming) maxTime(mode psi.Mode, planIdx int) time.Duration {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	avg := t.avgLocked(int(mode), planIdx)
+	if avg == 0 {
+		avg = t.avgLocked(int(mode.Opposite()), planIdx)
+	}
+	if avg == 0 {
+		for m := 0; m < 2; m++ {
+			for p := range t.n[m] {
+				if a := t.avgLocked(m, p); a > avg {
+					avg = a
+				}
+			}
+		}
+	}
+	budget := 2 * avg
+	if budget < minDeadline {
+		budget = minDeadline
+	}
+	return budget
+}
+
+func (t *planTiming) avgLocked(m, p int) time.Duration {
+	if t.n[m][p] == 0 {
+		return 0
+	}
+	return t.sum[m][p] / time.Duration(t.n[m][p])
+}
