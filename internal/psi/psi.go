@@ -60,7 +60,8 @@ func (m Mode) String() string {
 // first pass; the paper uses 10.
 const SuperOptimisticCap = 10
 
-// ErrDeadline reports that an evaluation exceeded its deadline.
+// ErrDeadline reports that an evaluation exceeded its deadline or its
+// work ceiling.
 var ErrDeadline = errors.New("psi: evaluation deadline exceeded")
 
 // ErrStopped reports that an evaluation was cancelled via its stop flag.
@@ -68,9 +69,12 @@ var ErrStopped = errors.New("psi: evaluation stopped")
 
 // Limits bounds a single node evaluation. The zero value means no limits.
 type Limits struct {
-	// Deadline aborts the evaluation with ErrDeadline once passed.
-	// The zero time means no deadline.
+	// Deadline aborts the evaluation with ErrDeadline once passed: the
+	// request's own budget. The zero time means no deadline.
 	Deadline time.Time
+	// MaxSteps aborts the evaluation with ErrDeadline once it has done
+	// that many Stats.Units, checked once per recursion. Zero: none.
+	MaxSteps int64
 	// Stop, when non-nil and set, aborts the evaluation with ErrStopped.
 	// The two-threaded baseline uses it to cancel the losing method.
 	Stop *atomic.Bool
@@ -90,7 +94,7 @@ type Stats struct {
 	ScoreCalcs int64 // satisfiability scores computed
 	CapHits    int64 // super-optimistic candidate-cap truncations
 	Matches    int64 // full query embeddings found (successful evaluations)
-	Deadlines  int64 // evaluations aborted by the deadline
+	Deadlines  int64 // evaluations aborted by the deadline or the work ceiling
 	Stops      int64 // evaluations aborted by the stop flag
 }
 
@@ -118,6 +122,10 @@ func (s Stats) Total() int64 {
 	return s.Recursions + s.Candidates + s.SigPrunes + s.DegPrunes + s.Sorts +
 		s.ScoreCalcs + s.CapHits + s.Matches + s.Deadlines + s.Stops
 }
+
+// Units is the work the counters measure, in the unit of
+// Limits.MaxSteps: one per recursion plus one per generated candidate.
+func (s Stats) Units() int64 { return s.Recursions + s.Candidates }
 
 // Evaluator answers pivot-binding questions for one (data graph, query)
 // pair. It is immutable after construction and safe for concurrent use;
@@ -236,11 +244,11 @@ func (e *Evaluator) DataSignatures() *signature.Signatures { return e.dataSigs }
 // evaluations avoids rebinding allocations; a State must not be shared
 // between goroutines.
 type State struct {
-	bound  []graph.NodeID
-	cands  [][]scored // per-depth candidate scratch
-	stats  Stats
-	limits Limits
-	steps  int64 // work counter for amortized deadline checks
+	bound   []graph.NodeID
+	cands   [][]scored // per-depth candidate scratch
+	stats   Stats
+	limits  Limits
+	ceiling int64 // Stats.Units at which the evaluation stops: start + MaxSteps
 	// noSigPrune disables Proposition 3.2 pruning (ablation only).
 	noSigPrune bool
 	// fun, when non-nil, receives per-depth candidate-funnel events
@@ -319,15 +327,18 @@ func (s *State) SetFunnel(f *obs.Funnel) { s.fun = f }
 // off).
 func (s *State) Funnel() *obs.Funnel { return s.fun }
 
-const deadlineCheckMask = 255 // check the clock every 256 work units
+const deadlineCheckMask = 255 // check the clock every 256 recursions
 
 func (s *State) tick() error {
-	s.steps++
 	if s.limits.Stop != nil && s.limits.Stop.Load() {
 		s.stats.Stops++
 		return ErrStopped
 	}
-	if !s.limits.Deadline.IsZero() && s.steps&deadlineCheckMask == 0 {
+	if s.limits.MaxSteps > 0 && s.stats.Units() >= s.ceiling {
+		s.stats.Deadlines++
+		return ErrDeadline
+	}
+	if !s.limits.Deadline.IsZero() && s.stats.Recursions&deadlineCheckMask == 0 {
 		if time.Now().After(s.limits.Deadline) {
 			s.stats.Deadlines++
 			return ErrDeadline
@@ -342,23 +353,13 @@ func (s *State) tick() error {
 // (ErrDeadline or ErrStopped) means the evaluation was aborted and the
 // boolean is meaningless.
 func (e *Evaluator) Evaluate(st *State, c *plan.Compiled, u graph.NodeID, mode Mode, limits Limits) (bool, error) {
-	if mode == Optimistic {
-		// Super-optimistic first: cheap capped search that often finds a
-		// match immediately. Its "no" is not a proof, so fall through to
-		// the exhaustive optimistic pass.
-		found, err := e.run(st, c, u, Optimistic, true, limits)
-		if err != nil || found {
-			return found, err
-		}
-		return e.run(st, c, u, Optimistic, false, limits)
-	}
-	return e.run(st, c, u, mode, false, limits)
+	return e.evaluate(st, c, u, mode, mode == Optimistic, limits)
 }
 
 // EvaluateNoSuper is Evaluate without the super-optimistic first pass,
 // used by the ablation benchmarks.
 func (e *Evaluator) EvaluateNoSuper(st *State, c *plan.Compiled, u graph.NodeID, mode Mode, limits Limits) (bool, error) {
-	return e.run(st, c, u, mode, false, limits)
+	return e.evaluate(st, c, u, mode, false, limits)
 }
 
 // EvaluateNoSigPrune is pessimistic evaluation with the Proposition 3.2
@@ -367,14 +368,18 @@ func (e *Evaluator) EvaluateNoSuper(st *State, c *plan.Compiled, u graph.NodeID,
 func (e *Evaluator) EvaluateNoSigPrune(st *State, c *plan.Compiled, u graph.NodeID, limits Limits) (bool, error) {
 	st.noSigPrune = true
 	defer func() { st.noSigPrune = false }()
-	return e.run(st, c, u, Pessimistic, false, limits)
+	return e.evaluate(st, c, u, Pessimistic, false, limits)
 }
 
-func (e *Evaluator) run(st *State, c *plan.Compiled, u graph.NodeID, mode Mode, super bool, limits Limits) (bool, error) {
+// evaluate arms st under limits, checking them once up front so that an
+// already-expired deadline or a set stop flag aborts even evaluations
+// too small to reach a tick, and searches. With super it first runs the
+// cheap capped super-optimistic pass, which often finds a match at once;
+// its "no" is not a proof, so the exhaustive pass follows, under the
+// same limits.
+func (e *Evaluator) evaluate(st *State, c *plan.Compiled, u graph.NodeID, mode Mode, super bool, limits Limits) (bool, error) {
 	st.limits = limits
-	st.bound = st.bound[:0]
-	// Check the limits once up front so an already-expired deadline or a
-	// set stop flag aborts even evaluations too small to hit a tick.
+	st.ceiling = st.stats.Units() + limits.MaxSteps
 	if limits.Stop != nil && limits.Stop.Load() {
 		st.stats.Stops++
 		return false, ErrStopped
@@ -383,6 +388,16 @@ func (e *Evaluator) run(st *State, c *plan.Compiled, u graph.NodeID, mode Mode, 
 		st.stats.Deadlines++
 		return false, ErrDeadline
 	}
+	if super {
+		if found, err := e.run(st, c, u, mode, true); err != nil || found {
+			return found, err
+		}
+	}
+	return e.run(st, c, u, mode, false)
+}
+
+func (e *Evaluator) run(st *State, c *plan.Compiled, u graph.NodeID, mode Mode, super bool) (bool, error) {
+	st.bound = st.bound[:0]
 	if len(st.cands) < len(c.Steps) {
 		st.cands = make([][]scored, len(c.Steps))
 	}

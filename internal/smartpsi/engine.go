@@ -21,11 +21,10 @@ import (
 
 // Options configures an Engine. The zero value gives the paper's
 // defaults; the paper's fixed training settings are the constants
-// below, which no option overrides.
+// below, which no option overrides. The engine's own budgets (§4.2.2's
+// sweep limit, §4.3's rung and audit budgets) count psi.Stats.Units, not
+// wall time, so a seed decides alike on any machine.
 type Options struct {
-	// PlanTimeLimit is the initial per-plan time limit during β training
-	// (default 2ms), doubled until some plan finishes (Section 4.2.2).
-	PlanTimeLimit time.Duration
 	// Threads is the number of candidate-evaluation workers (default 1;
 	// Figure 9 uses 2 for parity with the two-threaded baseline).
 	Threads int
@@ -89,9 +88,6 @@ const (
 )
 
 func (o Options) withDefaults() Options {
-	if o.PlanTimeLimit <= 0 {
-		o.PlanTimeLimit = 2 * time.Millisecond
-	}
 	if o.Threads <= 0 {
 		o.Threads = 1
 	}
@@ -124,7 +120,7 @@ type Engine struct {
 	// evalHook, when non-nil, replaces the candidate evaluation call in
 	// attempt with a deterministic stand-in keyed by the recovery state
 	// (1, 2, 3). Only the recovery-ladder tests set it, to force
-	// exact timeout sequences without depending on wall-clock budgets.
+	// exact timeout sequences without real searches and their budgets.
 	evalHook func(state int, mode psi.Mode, planIdx int) (bool, error)
 	// shadowHook, when non-nil, replaces the counterfactual evaluation
 	// inside shadow audits with a deterministic stand-in keyed by the

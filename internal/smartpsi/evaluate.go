@@ -99,11 +99,6 @@ func (r *queryRun) newState(n int) *psi.State {
 	return st
 }
 
-// expired reports whether a budget (zero: none) has run out.
-func expired(deadline time.Time) bool {
-	return expiredAt(deadline, time.Now())
-}
-
 // expiredAt reports whether a budget (zero: none) had run out at now.
 func expiredAt(deadline, now time.Time) bool {
 	return !deadline.IsZero() && now.After(deadline)

@@ -2,6 +2,7 @@ package smartpsi
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,47 +12,41 @@ import (
 	"repro/internal/psi"
 )
 
-// minDeadline floors the preemption budget so timer quantization cannot
-// starve legitimate evaluations.
-const minDeadline = 200 * time.Microsecond
+// minBudgetUnits floors the §4.3 rung budget and a shadow audit's, so a
+// (method, plan) averaging a few units does not preempt every costlier
+// candidate: 200 µs at sweepStartUnits' ≈ 50 ns a unit.
+const minBudgetUnits = 4_000
 
 // execute is prediction + preemptive evaluation (Sections 4.2.3, 4.3)
 // of the candidates at the given positions, split across
 // Options.Threads workers. It only reads art's models and plans; art's
 // planTiming and decision slots are the two concurrent parts, so any
-// number of requests may execute one artifact at once.
+// number of requests may execute one artifact at once. Every worker is
+// built (and copies art's planTiming) before any starts.
 func (e *Engine) execute(art *artifact, r *queryRun, order []int32, deadline time.Time) error {
 	evalStart := time.Now()
 	var mu sync.Mutex // guards r.res's Counts and modelNanos
 	var modelNanos int64
 
-	workers := e.opts.Threads
-	if workers > len(order) {
-		workers = len(order)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(e.opts.Threads, len(order)))
 	chunk := (len(order) + workers - 1) / workers
+	var ws []*worker
+	var shares [][]int32
+	for lo := 0; lo < len(order); lo += chunk {
+		ws = append(ws, e.newWorker(art, r, deadline, len(ws)))
+		shares = append(shares, order[lo:min(lo+chunk, len(order))])
+	}
 	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(order) {
-			hi = len(order)
-		}
-		if lo >= hi {
-			continue
-		}
+	errs := make([]error, len(ws))
+	for i, w := range ws {
 		wg.Add(1)
-		go func(i int, positions []int32) {
+		go func(i int, w *worker, positions []int32) {
 			defer wg.Done()
-			w := e.newWorker(art, r, deadline, i)
 			// Merge the worker's counters even on the error paths, so
 			// censored runs still account their work.
 			defer func() {
 				w.exit()
+				art.timing.add(w.learned)
 				w.flushDecisions()
 				mu.Lock()
 				r.res.Counts.Add(&w.Counts)
@@ -70,7 +65,7 @@ func (e *Engine) execute(art *artifact, r *queryRun, order []int32, deadline tim
 				}
 				r.valid[pos] = ok
 			}
-		}(w, order[lo:hi])
+		}(i, w, shares[i])
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -91,6 +86,10 @@ type worker struct {
 	run    *queryRun
 	global time.Time
 	st     *psi.State // primary evaluator state; its Stats are Result.Work
+	// timing is the artifact's planTiming as the worker started, plus
+	// what it has learned since; learned is that part alone, added to
+	// the artifact's when the worker exits.
+	timing, learned *planTiming
 	// now is the worker's last clock reading. One reading ends a step and
 	// starts the next: the end of an attempt is the start of the next
 	// candidate's prediction and its budget check, the end of a
@@ -117,7 +116,8 @@ type worker struct {
 
 // newWorker builds execute's i-th worker.
 func (e *Engine) newWorker(art *artifact, r *queryRun, global time.Time, i int) *worker {
-	w := &worker{art: art, run: r, global: global, st: r.newState(art.q.Size()), now: time.Now()}
+	w := &worker{art: art, run: r, global: global, st: r.newState(art.q.Size()), now: time.Now(),
+		timing: art.timing.snapshot(), learned: newPlanTiming(len(art.compiled))}
 	if e.opts.auditing() {
 		// Shadow audits get their own sampling stream and their own
 		// evaluator state: counterfactual work must land in ShadowWork,
@@ -194,8 +194,8 @@ func (w *worker) predict(row []float64) (dec decision, predicted bool) {
 }
 
 // rung is one step of the §4.3 recovery ladder: a method, a plan, and
-// whether the attempt runs under the (method, plan) MaxTime budget or
-// only under the query's global one.
+// whether the attempt runs under the (method, plan) MaxTime work budget
+// or only under the query's global deadline.
 type rung struct {
 	mode     psi.Mode
 	planIdx  int
@@ -240,21 +240,20 @@ func (e *Engine) evaluateOne(w *worker, u graph.NodeID, slot int32) (bool, error
 	}
 	var err error
 	for i, r := range ladder {
-		var ok bool
-		var took time.Duration
-		if ok, took, err = e.attempt(w, u, i, r); err != nil {
+		var p primaryRun
+		if p, err = e.attempt(w, u, i, r); err != nil {
 			if err != psi.ErrDeadline || expiredAt(w.global, w.now) {
 				break
 			}
 			continue
 		}
-		e.scoreAlpha(w, predicted, dec, ok)
+		e.scoreAlpha(w, predicted, dec, p.valid)
 		if i == obs.LadderPredicted {
 			if memo != nil && !cached {
 				memo.Store(encodeDecision(dec))
 			}
 			if e.opts.auditing() {
-				p := primaryRun{u: u, row: w.features(u), dec: dec, cached: cached, valid: ok, took: took}
+				p.row, p.dec, p.cached = w.features(u), dec, cached
 				err := e.auditDecision(w, p)
 				// The audit's time is no candidate's model or rung time.
 				w.now = time.Now()
@@ -263,41 +262,45 @@ func (e *Engine) evaluateOne(w *worker, u graph.NodeID, slot int32) (bool, error
 				}
 			}
 		}
-		return ok, nil
+		return p.valid, nil
 	}
 	return false, err
 }
 
 // attempt runs rung i of the ladder for candidate u. It is the one place
-// an execute-phase candidate evaluation happens: the rung's deadline,
+// an execute-phase candidate evaluation happens: the rung's work budget,
 // the evalHook seam, the rung's tally and the planTiming update all live
-// here. The attempt starts at the worker's last clock reading and its
-// end is the next one.
-func (e *Engine) attempt(w *worker, u graph.NodeID, i int, r rung) (bool, time.Duration, error) {
+// here. It returns the run's verdict, units and wall time, which starts
+// at the worker's last clock reading and ends at the next one.
+func (e *Engine) attempt(w *worker, u graph.NodeID, i int, r rung) (primaryRun, error) {
+	p := primaryRun{u: u}
 	t0 := w.now
-	limit := w.global
+	limits := psi.Limits{Deadline: w.global}
 	if r.budgeted {
-		if d := t0.Add(w.art.timing.maxTime(r.mode, r.planIdx)); limit.IsZero() || d.Before(limit) {
-			limit = d
-		}
+		limits.MaxSteps = w.timing.maxUnits(r.mode, r.planIdx)
 	}
-	var ok bool
+	before := w.st.Stats().Units()
 	var err error
 	if e.evalHook != nil {
-		ok, err = e.evalHook(i+1, r.mode, r.planIdx)
+		p.valid, err = e.evalHook(i+1, r.mode, r.planIdx)
 	} else {
-		ok, err = w.art.ev.Evaluate(w.st, w.art.compiled[r.planIdx], u, r.mode, psi.Limits{Deadline: limit})
+		p.valid, err = w.art.ev.Evaluate(w.st, w.art.compiled[r.planIdx], u, r.mode, limits)
 	}
+	p.units = w.st.Stats().Units() - before
 	w.now = time.Now()
-	took := w.now.Sub(t0)
+	p.took = w.now.Sub(t0)
 	rt := &w.Ladder[i]
 	rt.Entered++
-	rt.Nanos += took.Nanoseconds()
+	rt.Nanos += p.took.Nanoseconds()
 	if err == nil {
 		rt.Resolved++
-		w.art.timing.record(r.mode, r.planIdx, took, w.run.enabled)
+		w.timing.record(r.mode, r.planIdx, p.units)
+		w.learned.record(r.mode, r.planIdx, p.units)
+		if w.run.enabled {
+			obs.SmartPlanSeconds.Observe(p.took.Seconds())
+		}
 	}
-	return ok, took, err
+	return p, err
 }
 
 // scoreAlpha records ground truth for one candidate when model α
@@ -310,65 +313,68 @@ func (e *Engine) scoreAlpha(w *worker, predicted bool, dec decision, actualValid
 	}
 }
 
-// planTiming tracks average evaluation times per (method, plan), feeding
-// the MaxTime budget of Section 4.3. It belongs to an artifact: seeded by
-// the training sweep, then refined by every execute of that artifact.
+// planTiming tracks the average work (psi.Stats.Units) of finished
+// evaluations per (method, plan), for §4.3's MaxTime budget. An
+// artifact's is seeded by the training sweep before it is shared; a
+// worker reads a snapshot and adds what it learned when it exits, so mu
+// is never taken per attempt.
 type planTiming struct {
-	mu  sync.Mutex
-	sum [2][]time.Duration
-	n   [2][]int64
+	mu    sync.Mutex
+	cells []unitSum // [mode*plans + plan]
 }
 
-func newPlanTiming(plans int) *planTiming {
-	t := &planTiming{}
-	for m := 0; m < 2; m++ {
-		t.sum[m] = make([]time.Duration, plans)
-		t.n[m] = make([]int64, plans)
-	}
-	return t
+type unitSum struct{ sum, n int64 }
+
+func newPlanTiming(plans int) *planTiming { return &planTiming{cells: make([]unitSum, 2*plans)} }
+
+func (t *planTiming) cell(mode psi.Mode, planIdx int) *unitSum {
+	return &t.cells[int(mode)*len(t.cells)/2+planIdx]
 }
 
-// record adds one finished evaluation; observe (the query's obs gate)
-// also feeds the per-evaluation histogram.
-func (t *planTiming) record(mode psi.Mode, planIdx int, took time.Duration, observe bool) {
-	if observe {
-		obs.SmartPlanSeconds.Observe(took.Seconds())
-	}
-	t.mu.Lock()
-	t.sum[mode][planIdx] += took
-	t.n[mode][planIdx]++
-	t.mu.Unlock()
+// record adds one finished evaluation.
+func (t *planTiming) record(mode psi.Mode, planIdx int, units int64) {
+	c := t.cell(mode, planIdx)
+	c.sum += units
+	c.n++
 }
 
-// maxTime returns 2x the average observed time for (mode, plan)
-// (Section 4.3). Modes or plans without observations borrow the other
-// method's average for the same plan, then any average, then the floor.
-func (t *planTiming) maxTime(mode psi.Mode, planIdx int) time.Duration {
+// snapshot returns a copy of t's tallies.
+func (t *planTiming) snapshot() *planTiming {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	avg := t.avgLocked(int(mode), planIdx)
-	if avg == 0 {
-		avg = t.avgLocked(int(mode.Opposite()), planIdx)
-	}
-	if avg == 0 {
-		for m := 0; m < 2; m++ {
-			for p := range t.n[m] {
-				if a := t.avgLocked(m, p); a > avg {
-					avg = a
-				}
-			}
-		}
-	}
-	budget := 2 * avg
-	if budget < minDeadline {
-		budget = minDeadline
-	}
-	return budget
+	return &planTiming{cells: slices.Clone(t.cells)}
 }
 
-func (t *planTiming) avgLocked(m, p int) time.Duration {
-	if t.n[m][p] == 0 {
+// add folds o's tallies into t.
+func (t *planTiming) add(o *planTiming) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i, c := range o.cells {
+		t.cells[i].sum += c.sum
+		t.cells[i].n += c.n
+	}
+}
+
+// maxUnits returns 2x the average observed work for (mode, plan)
+// (Section 4.3), floored at minBudgetUnits. Modes or plans without
+// observations borrow the other method's average for the same plan,
+// then the largest average of any.
+func (t *planTiming) maxUnits(mode psi.Mode, planIdx int) int64 {
+	avg := t.cell(mode, planIdx).avg()
+	if avg == 0 {
+		avg = t.cell(mode.Opposite(), planIdx).avg()
+	}
+	if avg == 0 {
+		for _, c := range t.cells {
+			avg = max(avg, c.avg())
+		}
+	}
+	return max(2*avg, minBudgetUnits)
+}
+
+func (c *unitSum) avg() int64 {
+	if c.n == 0 {
 		return 0
 	}
-	return t.sum[m][p] / time.Duration(t.n[m][p])
+	return c.sum / c.n
 }

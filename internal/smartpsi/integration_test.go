@@ -2,6 +2,7 @@ package smartpsi
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -103,37 +104,53 @@ func TestThreadCountsAgree(t *testing.T) {
 	}
 }
 
-// TestRepeatEvaluationsDeterministic: evaluating the same query twice on
-// the same engine gives identical results.
+// TestRepeatEvaluationsDeterministic: two fresh engines with the same
+// options give the same everything on the same query, at one worker and
+// at two: every budget the engine decides by counts work, so labels,
+// forests, plan and method picks, flips, fallbacks and Work cannot
+// depend on how fast the machine runs. Only the wall-clock reports
+// (Ladder[].Nanos, Regret) may differ. The slow fixture preempts, so the
+// ladder's budgets are exercised.
 func TestRepeatEvaluationsDeterministic(t *testing.T) {
 	spec, err := gen.ScaledSpec("cora", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := gen.MustGenerate(spec)
-	e, err := NewEngine(g, Options{Seed: 9})
+	cora := gen.MustGenerate(spec)
+	q, err := workload.ExtractQuery(cora, 4, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(2))
-	q, err := workload.ExtractQuery(g, 4, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := e.Evaluate(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := e.Evaluate(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Bindings) != len(r2.Bindings) {
-		t.Fatalf("repeat evaluation: %d vs %d bindings", len(r1.Bindings), len(r2.Bindings))
-	}
-	for i := range r1.Bindings {
-		if r1.Bindings[i] != r2.Bindings[i] {
-			t.Fatal("repeat evaluation produced different bindings")
+	slow, slowQ := slowFixture(t, 0)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		q    graph.Query
+	}{{"cora", cora, q}, {"slow", slow, slowQ}} {
+		for _, threads := range []int{1, 2} {
+			var runs [2]*Result
+			for i := range runs {
+				e, err := NewEngine(tc.g, Options{Seed: 9, Threads: threads, DisablePreparedCache: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs[i] = mustEvaluate(t, e, tc.q)
+				runs[i].Regret = 0
+				for r := range runs[i].Ladder {
+					runs[i].Ladder[r].Nanos = 0
+				}
+			}
+			a, b := runs[0], runs[1]
+			if !a.UsedML {
+				t.Fatalf("%s: the query took the no-ML path", tc.name)
+			}
+			if !reflect.DeepEqual(a.Counts, b.Counts) || a.TrainedNodes != b.TrainedNodes ||
+				a.PlanClasses != b.PlanClasses || !reflect.DeepEqual(a.Bindings, b.Bindings) {
+				t.Errorf("%s, %d threads: two runs differ:\n  %+v\n  %+v", tc.name, threads, a.Counts, b.Counts)
+			}
+			if tc.name == "slow" && (a.Flips == 0 || a.Fallbacks == 0) {
+				t.Errorf("slow fixture, %d threads: %d flips, %d fallbacks; want both", threads, a.Flips, a.Fallbacks)
+			}
 		}
 	}
 }

@@ -65,7 +65,8 @@ func ladderWorker(ev *psi.Evaluator, compiled []*plan.Compiled, global time.Time
 	art := &artifact{ev: ev, compiled: compiled, timing: newPlanTiming(len(compiled)),
 		decisions: make([]atomic.Uint32, ev.Graph().NumNodes())}
 	r := &queryRun{name: "test", enabled: obs.Enabled(), res: &Result{}} // read once, as Run does
-	return &worker{art: art, run: r, global: global, st: psi.NewState(2), now: time.Now()}
+	return &worker{art: art, run: r, global: global, st: psi.NewState(2), now: time.Now(),
+		timing: newPlanTiming(len(compiled)), learned: newPlanTiming(len(compiled))}
 }
 
 var errBoom = errors.New("boom")
@@ -86,7 +87,7 @@ func alphaStub(t *testing.T) *ml.Forest {
 // TestObsRecoveryLadderTraceSequences pins the preemptive executor's
 // recovery ladder (predicted → opposite mode → heuristic plan) for
 // forced-timeout scenarios, using the deterministic evalHook instead of
-// wall-clock budgets: the rungs run in order with the right (mode, plan)
+// real searches and their budgets: the rungs run in order with the right (mode, plan)
 // each, and the worker's per-rung ladder tallies (rungs 2 and 3 are the
 // flips and fallbacks), cache split and decision picks mirror exactly the
 // states that ran. That Run publishes these tallies from the Result is
@@ -425,10 +426,9 @@ func TestObsAbortedQueryAccountsWork(t *testing.T) {
 	prev := obs.Enabled()
 	obs.Enable(true)
 	defer obs.Enable(prev)
-	// A generous plan time limit: every plan of every sweep node finishes
-	// at its first limit, so the sweep's work is a function of the seed.
-	e, qs := preparedFixture(t, Options{Seed: 4, Threads: 1, PlanTimeLimit: time.Minute,
-		DisablePreparedCache: true}, 1)
+	// The sweep's limits count work, so its work is a function of the
+	// seed.
+	e, qs := preparedFixture(t, Options{Seed: 4, Threads: 1, DisablePreparedCache: true}, 1)
 	q := qs[0]
 	rng := rand.New(rand.NewSource(e.opts.Seed))
 	art, err := e.prepare(q, rng)

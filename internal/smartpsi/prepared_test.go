@@ -307,10 +307,9 @@ func TestPreparedCaps(t *testing.T) {
 
 // TestDisablePreparedCache: with the ablation switch every evaluation is
 // the paper's per-query pipeline, so repeats report identical training
-// and work. (Timing-driven choices are switched off to make work exact.)
+// and work (every budget counts work, so work is exact).
 func TestDisablePreparedCache(t *testing.T) {
-	e, qs := preparedFixture(t, Options{Seed: 6, DisablePreparedCache: true,
-		PlanTimeLimit: time.Hour, DisablePlanModel: true, DisablePreemption: true}, 1)
+	e, qs := preparedFixture(t, Options{Seed: 6, DisablePreparedCache: true}, 1)
 	first := mustEvaluate(t, e, qs[0])
 	for i := 0; i < 3; i++ {
 		res := mustEvaluate(t, e, qs[0])

@@ -4,7 +4,9 @@ package smartpsi
 // the engine re-evaluates a sampled fraction of its model decisions
 // against a counterfactual — the opposite method (model-α audit) or a
 // random alternative plan (model-β audit) — and records the decision's
-// regret: max(0, primary − counterfactual) wall time.
+// regret: max(0, primary − counterfactual) wall time. The audit's budget
+// is counted in work, so which audits are censored does not depend on
+// the machine; the times it reports are the clock's.
 //
 // Audits never influence the primary result. A shadow run uses its own
 // psi.State (its work lands in Result.ShadowWork, never Result.Work),
@@ -26,10 +28,10 @@ import (
 )
 
 // shadowBudgetFactor bounds a counterfactual run relative to its
-// primary: a shadow may take at most 16x the primary's wall time before
-// it is censored (ShadowTimeout, regret 0). Censoring keeps a good
-// primary decision from paying an unbounded audit bill — knowing the
-// counterfactual is ≥16x slower is enough to score the decision.
+// primary: a shadow may do at most 16x the primary's work
+// (psi.Stats.Units) before it is censored (ShadowTimeout, regret 0).
+// Censoring keeps a good primary decision from paying an unbounded audit
+// bill — knowing the counterfactual costs ≥16x is enough to score it.
 const shadowBudgetFactor = 16
 
 // shadowSeed derives worker w's deterministic sampling stream from the
@@ -53,16 +55,18 @@ func (w *worker) shadowSampled(rate float64) bool {
 	return w.rng.Float64() < rate
 }
 
-// primaryRun is one rung-1 resolution as the audits see it: the
-// candidate and its signature row (the worker's scratch), the decision
-// that produced the run (mode, plan, vote lead) and whether its decision
-// slot served it, and the run's verdict and wall time.
+// primaryRun is one ladder attempt (attempt's result) as the audits see
+// a rung-1 resolution: the candidate and its signature row (the worker's
+// scratch), the decision that produced the run (mode, plan, vote lead)
+// and whether its decision slot served it, and the run's verdict, work
+// and wall time.
 type primaryRun struct {
 	u      graph.NodeID
 	row    []float64
 	dec    decision
 	cached bool
 	valid  bool
+	units  int64
 	took   time.Duration
 }
 
@@ -130,29 +134,22 @@ func (e *Engine) shadowPlanRun(w *worker, p primaryRun) error {
 }
 
 // shadowEvaluate runs one counterfactual on the worker's shadow state
-// with the 16x-primary budget (floored at minDeadline, capped by the
-// global deadline). A budget timeout censors the run (timedOut, no
-// error); a global-deadline expiry propagates psi.ErrDeadline — the
+// with the 16x-primary work budget (floored at minBudgetUnits) and the
+// query's global deadline. A budget timeout censors the run (timedOut,
+// no error); a global-deadline expiry propagates psi.ErrDeadline — the
 // query is out of budget regardless of the audit.
 func (e *Engine) shadowEvaluate(w *worker, p primaryRun, mode psi.Mode, planIdx int) (counterfactual, error) {
 	cf := counterfactual{mode: mode, planIdx: planIdx}
-	budget := shadowBudgetFactor * p.took
-	if budget < minDeadline {
-		budget = minDeadline
-	}
-	deadline := time.Now().Add(budget)
-	if !w.global.IsZero() && w.global.Before(deadline) {
-		deadline = w.global
-	}
+	limits := psi.Limits{Deadline: w.global, MaxSteps: max(shadowBudgetFactor*p.units, minBudgetUnits)}
 	t0 := time.Now()
 	var err error
 	if e.shadowHook != nil {
 		cf.valid, err = e.shadowHook(mode, planIdx)
 	} else {
-		cf.valid, err = w.art.ev.Evaluate(w.shadowState, w.art.compiled[planIdx], p.u, mode, psi.Limits{Deadline: deadline})
+		cf.valid, err = w.art.ev.Evaluate(w.shadowState, w.art.compiled[planIdx], p.u, mode, limits)
 	}
 	cf.took = time.Since(t0)
-	if err == psi.ErrDeadline && !expired(w.global) {
+	if err == psi.ErrDeadline && !expiredAt(w.global, time.Now()) {
 		cf.timedOut, err = true, nil
 	}
 	return cf, err
@@ -236,8 +233,8 @@ type betaSweep struct {
 
 // scoreBetaRanks audits model β against the training sweeps: for every
 // retained sweep, predict a plan with the trained forest and record the
-// prediction's 1-based rank among the sweep's finished plan times
-// (1 = the model picked the measured-fastest plan; unfinished
+// prediction's 1-based rank among the sweep's finished plans by work
+// (1 = the model picked the plan that used the fewest units; unfinished
 // predictions rank behind every finished plan).
 func (e *Engine) scoreBetaRanks(r *queryRun, betaModel *ml.Forest, sweeps []betaSweep) {
 	votes := make([]int, betaModel.NumClasses())
@@ -255,7 +252,7 @@ func (e *Engine) scoreBetaRanks(r *queryRun, betaModel *ml.Forest, sweeps []beta
 				continue
 			}
 			finished++
-			if predOutcome.done && i != pred && o.took < predOutcome.took {
+			if predOutcome.done && i != pred && o.units < predOutcome.units {
 				rank++
 			}
 		}

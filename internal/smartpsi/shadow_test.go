@@ -205,10 +205,8 @@ func TestShadowContextInvariants(t *testing.T) {
 // audit counters must respect the non-training candidate budget.
 //
 // The query is the fixture's path pivoted at an endpoint, which has one
-// connected matching order and so one plan class: with two or more the
-// β model trains on wall-clock sweep timings, so plan choices (and Work)
-// are not reproducible run-to-run regardless of auditing. Plan audits
-// are covered by TestShadowPlanAudits.
+// connected matching order and so one plan class: no plan audit can
+// run. Plan audits are covered by TestShadowPlanAudits.
 func TestShadowDoesNotPerturbPrimary(t *testing.T) {
 	prev := obs.Enabled()
 	obs.Enable(true)
@@ -295,8 +293,8 @@ func countKind(recs []obs.DecisionRecord, kind string) int64 {
 // TestShadowPlanAudits exercises the plan-audit path: with two plan
 // classes and ShadowRate=1 (plan audits sample at a quarter of it),
 // sampled rung-1 decisions re-run a random alternative plan, plan regret
-// accumulates, and /modelz retains the plan records. The primary verdict set must be the one invariant
-// that survives β-timing noise: the binding count is pinned.
+// accumulates, and /modelz retains the plan records. The binding count
+// is pinned.
 func TestShadowPlanAudits(t *testing.T) {
 	prev := obs.Enabled()
 	obs.Enable(true)

@@ -233,9 +233,9 @@ func TestAblationsStayExact(t *testing.T) {
 // query never hits, even on a graph where every candidate has the same
 // signature; a kept artifact's slots serve its warm repeats, the second
 // of which hits on every candidate; and none of it changes the bindings.
-// A slot is filled only when rung 1 resolves, so rung 1 runs without a
-// time budget (DisablePreemption): the hit counts depend on the code,
-// not on how fast this machine runs it.
+// A slot is filled only when rung 1 resolves; its budget counts work, so
+// the hit counts depend on the code, not on how fast this machine runs
+// it.
 func TestCacheHitsOnRepetitiveGraph(t *testing.T) {
 	// 100 identical star components: every star center has the same
 	// signature row.
@@ -266,7 +266,7 @@ func TestCacheHitsOnRepetitiveGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e, err := NewEngine(g, Options{Seed: 5, DisablePreemption: true})
+	e, err := NewEngine(g, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestNoCandidates(t *testing.T) {
 func TestEngineOptionsDefaults(t *testing.T) {
 	e := coraEngine(t, Options{})
 	o := e.Options()
-	if o.PlanTimeLimit != 2*time.Millisecond || o.Threads != 1 {
+	if o.Threads != 1 {
 		t.Errorf("defaults wrong: %+v", o)
 	}
 	if e.SignatureBuildTime <= 0 {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/ml"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/psi"
 )
@@ -62,32 +63,22 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 	collectSweeps := r.enabled && !e.opts.DisablePlanModel
 	var sweeps []betaSweep
 	for i, pos := range order[:trainCount] {
-		if expired(deadline) {
+		if expiredAt(deadline, time.Now()) {
 			return 0, psi.ErrDeadline
 		}
 		u := r.candidates[pos]
-		var isValid bool
-		var bestPlan int
+		isValid, bestPlan := false, -1
+		var outcomes []planOutcome
 		var err error
 		if i < planSweepNodes {
 			// Full per-plan sweep: labels both models.
-			var outcomes []planOutcome
 			isValid, bestPlan, outcomes, err = e.trainOne(art, st, u, deadline, r.enabled)
-			if err != nil {
-				return 0, err
-			}
-			if collectSweeps && bestPlan >= 0 {
-				sweeps = append(sweeps, betaSweep{node: u, outcomes: outcomes})
-			}
 		} else {
 			// Single heuristic-plan evaluation: labels model α only.
-			t0 := time.Now()
-			isValid, err = art.ev.Evaluate(st, art.compiled[0], u, psi.Pessimistic, psi.Limits{Deadline: deadline})
-			if err != nil {
-				return 0, err
-			}
-			art.timing.record(psi.Pessimistic, 0, time.Since(t0), r.enabled)
-			bestPlan = -1
+			isValid, _, err = e.sweepRun(art, st, 0, u, psi.Limits{Deadline: deadline}, r.enabled)
+		}
+		if err != nil {
+			return 0, err
 		}
 		r.valid[pos] = isValid
 		row := e.sigs.RowInto(u, features[i*width:(i+1)*width:(i+1)*width])
@@ -100,6 +91,9 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 		if bestPlan >= 0 {
 			betaDS.X = append(betaDS.X, row)
 			betaDS.Y = append(betaDS.Y, bestPlan)
+			if collectSweeps {
+				sweeps = append(sweeps, betaSweep{node: u, outcomes: outcomes})
+			}
 		}
 	}
 
@@ -119,7 +113,9 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 	if err = e.trainCheckpoint(1, deadline); err != nil {
 		return 0, err
 	}
-	if !e.opts.DisablePlanModel {
+	// With no β row (every sweep node passed the sweep cap) there is no
+	// model β, as when it is ablated: the heuristic plan serves.
+	if !e.opts.DisablePlanModel && len(betaDS.Y) > 0 {
 		if art.beta, err = ml.TrainForest(betaDS, forest); err != nil {
 			return 0, fmt.Errorf("smartpsi: model β: %w", err)
 		}
@@ -139,86 +135,78 @@ func (e *Engine) trainCheckpoint(i int, deadline time.Time) error {
 	if e.trainHook != nil {
 		e.trainHook(i)
 	}
-	if expired(deadline) {
+	if expiredAt(deadline, time.Now()) {
 		return psi.ErrDeadline
 	}
 	return nil
 }
 
+// sweepStartUnits is the per-plan work limit (psi.Stats.Units) a sweep
+// starts at, doubled each round until some plan finishes (§4.2.2): 2 ms
+// at ≈ 50 ns a unit. On 40 Human (sizes 4-7) and 40 YouTube 1/50 (size
+// 4) queries at Threads 1 on a 2-vCPU VM, the unit-weighted median unit
+// cost 65-75 ns on Human and 33-44 ns on YouTube (p10-p90 18-95 ns).
+const sweepStartUnits = 40_000
+
 // planOutcome is one plan's measurement in a training sweep: whether it
 // finished within the escalating limit, the node's validity under it,
-// and its wall time. scoreBetaRanks replays retained outcomes to rank
-// model β's predictions.
+// and the work it took in units. scoreBetaRanks replays retained
+// outcomes to rank model β's predictions.
 type planOutcome struct {
 	done  bool
 	valid bool
-	took  time.Duration
+	units int64
 }
 
 // trainOne evaluates a training node under every sampled plan with the
-// escalating time limit of Section 4.2.2, returning its ground-truth
-// validity, the fastest plan's index, and the per-plan outcomes.
-// observe is the query's obs gate.
+// escalating work limit of Section 4.2.2, returning its ground-truth
+// validity, the plan that used the fewest units (-1 past the sweep cap),
+// and the per-plan outcomes. observe is the query's obs gate.
 func (e *Engine) trainOne(art *artifact, st *psi.State, u graph.NodeID, global time.Time, observe bool) (bool, int, []planOutcome, error) {
 	results := make([]planOutcome, len(art.compiled))
-	limit := e.opts.PlanTimeLimit
-	// Cap the whole sweep for one node: expensive nodes would otherwise
-	// burn escalation rounds across every plan (each retry restarts from
-	// scratch); past the cap the node is labeled by a single unlimited
-	// heuristic-plan run and contributes to model α only.
-	sweepDeadline := time.Now().Add(32 * e.opts.PlanTimeLimit)
-	const maxEscalations = 24
-	anyDone := false
-	for esc := 0; esc < maxEscalations && !anyDone && time.Now().Before(sweepDeadline); esc++ {
-		for i, c := range art.compiled {
-			if results[i].done {
-				anyDone = true
-				continue
-			}
-			t0 := time.Now()
-			lim := t0.Add(limit)
-			if !global.IsZero() && global.Before(lim) {
-				lim = global
-			}
-			// The pessimistic method labels training nodes (Section
-			// 4.2.1: more stable on average).
-			ok, err := art.ev.Evaluate(st, c, u, psi.Pessimistic, psi.Limits{Deadline: lim})
-			took := time.Since(t0)
-			if err == psi.ErrDeadline {
-				if expired(global) {
-					return false, 0, nil, psi.ErrDeadline
-				}
-				continue
+	// Cap the whole sweep for one node: each round restarts every plan
+	// from scratch, so an expensive node would burn rounds across every
+	// plan. No round starts past the cap; the node is then labelled by a
+	// single unbounded heuristic-plan run and contributes to model α only.
+	var used int64
+	for limit := int64(sweepStartUnits); used < 32*sweepStartUnits; limit *= 2 {
+		best := -1
+		for i := range art.compiled {
+			ok, units, err := e.sweepRun(art, st, i, u, psi.Limits{Deadline: global, MaxSteps: limit}, observe)
+			used += units
+			if err == psi.ErrDeadline && !expiredAt(global, time.Now()) {
+				continue // over this round's limit
 			}
 			if err != nil {
-				return false, 0, nil, err
+				return false, -1, nil, err
 			}
-			results[i] = planOutcome{done: true, valid: ok, took: took}
-			art.timing.record(psi.Pessimistic, i, took, observe)
-			anyDone = true
+			results[i] = planOutcome{done: true, valid: ok, units: units}
+			if best < 0 || units < results[best].units {
+				best = i
+			}
 		}
-		limit *= 2
-	}
-	if !anyDone {
-		// Pathological node: evaluate plan 0 (heuristic) with only the
-		// global budget.
-		t0 := time.Now()
-		ok, err := art.ev.Evaluate(st, art.compiled[0], u, psi.Pessimistic, psi.Limits{Deadline: global})
-		if err != nil {
-			return false, 0, nil, err
-		}
-		took := time.Since(t0)
-		art.timing.record(psi.Pessimistic, 0, took, observe)
-		results[0] = planOutcome{done: true, valid: ok, took: took}
-		return ok, 0, results, nil
-	}
-	best, bestTook := -1, time.Duration(0)
-	var validity bool
-	for i, r := range results {
-		if r.done && (best < 0 || r.took < bestTook) {
-			best, bestTook = i, r.took
-			validity = r.valid
+		if best >= 0 {
+			return results[best].valid, best, results, nil
 		}
 	}
-	return validity, best, results, nil
+	ok, _, err := e.sweepRun(art, st, 0, u, psi.Limits{Deadline: global}, observe)
+	return ok, -1, nil, err
+}
+
+// sweepRun is one pessimistic training evaluation of u under plan p
+// (Section 4.2.1: that method is more stable on average). It returns the
+// verdict and the units used; a finished run feeds planTiming and, when
+// observed, the latency histogram.
+func (e *Engine) sweepRun(art *artifact, st *psi.State, p int, u graph.NodeID, limits psi.Limits, observe bool) (bool, int64, error) {
+	t0 := time.Now()
+	before := st.Stats().Units()
+	ok, err := art.ev.Evaluate(st, art.compiled[p], u, psi.Pessimistic, limits)
+	units := st.Stats().Units() - before
+	if err == nil {
+		art.timing.record(psi.Pessimistic, p, units)
+		if observe {
+			obs.SmartPlanSeconds.Observe(time.Since(t0).Seconds())
+		}
+	}
+	return ok, units, err
 }

@@ -94,7 +94,10 @@ type (
 	// candidates capped at 1000 nodes, six sampled plans for model β,
 	// no models below smartpsi.MinTrainNodes (64) candidates. Data
 	// signatures are always depth-2 matrix-built, and each query's
-	// signatures are built the same way.
+	// signatures are built the same way. The engine's own budgets (the
+	// training sweep's per-plan limit, the preemption and audit budgets)
+	// count search work, not wall time, so a seed decides the same way
+	// on any machine; a request's deadline is its one clock budget.
 	Options = smartpsi.Options
 	// Result reports one query evaluation: bindings plus training,
 	// prediction, caching and preemption telemetry.
