@@ -38,10 +38,12 @@ step "go test -race ./..."
 go test -race ./...
 
 # Every engine budget counts work, not wall time, so two runs of a query
-# agree on all but the clock's reports. Under -race evaluation is several
-# times slower, so a decision still made by the clock would show here.
-step "repeat runs agree under -race (smartpsi -run Deterministic, -cpu 1,2)"
-go test -race -count=5 -cpu 1,2 -run Deterministic ./internal/smartpsi/
+# agree on all but the clock's reports, and the committed work ledger
+# (testdata/ledger.json) holds on any machine. Under -race evaluation is
+# several times slower, so a decision still made by the clock would show
+# here.
+step "repeat runs agree under -race (smartpsi -run 'Deterministic|WorkLedger', -cpu 1,2)"
+go test -race -count=5 -cpu 1,2 -run 'Deterministic|WorkLedger' ./internal/smartpsi/
 
 step "go test ./... with collection enabled end to end (PSI_OBS=1)"
 PSI_OBS=1 go test -count=1 ./...
