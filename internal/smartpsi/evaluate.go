@@ -256,8 +256,13 @@ func (e *Engine) evaluateML(q graph.Query, r *queryRun, deadline time.Time) erro
 		r.res.Warm = true
 	} else {
 		rng := rand.New(rand.NewSource(e.opts.Seed))
+		// Without model β only the heuristic plan is compiled.
+		planRNG := rng
+		if e.opts.DisablePlanModel {
+			planRNG = nil
+		}
 		var err error
-		if art, err = e.prepare(q, rng); err != nil {
+		if art, err = e.prepare(q, planRNG); err != nil {
 			return err
 		}
 		trained, err := e.train(art, r, order, rng, deadline)

@@ -226,6 +226,10 @@ func TestAblationsStayExact(t *testing.T) {
 		if !sameNodes(res.Bindings, want) {
 			t.Errorf("%s: %d bindings, want %d", name, len(res.Bindings), len(want))
 		}
+		// Without model β nothing samples, compiles or sweeps plans.
+		if opts.DisablePlanModel && (!res.UsedML || res.PlanClasses != 1) {
+			t.Errorf("%s: ML path %v, %d plan classes; want the ML path on the heuristic plan alone", name, res.UsedML, res.PlanClasses)
+		}
 	}
 }
 
