@@ -235,7 +235,10 @@ type betaSweep struct {
 // retained sweep, predict a plan with the trained forest and record the
 // prediction's 1-based rank among the sweep's finished plans by work
 // (1 = the model picked the plan that used the fewest units; unfinished
-// predictions rank behind every finished plan).
+// predictions rank behind every finished plan). The sweep bounds each
+// plan by the leader's units, so only rank 1 is exact: a plan that
+// matches the fastest still finishes, but the slower ones are mostly cut
+// off, and a rank past 1 does not order them.
 func (e *Engine) scoreBetaRanks(r *queryRun, betaModel *ml.Forest, sweeps []betaSweep) {
 	votes := make([]int, betaModel.NumClasses())
 	var row []float64
