@@ -6,7 +6,7 @@
 // was burning, what the series the SLO objectives and Retry-After read
 // looked like leading up to capture, which requests were slow, which
 // shapes cost the most, and which request IDs can be followed from a
-// profile into the model-decision audit (/modelz's recent records).
+// profile into the model-β records /modelz keeps (its recent list).
 //
 // Usage:
 //
@@ -197,7 +197,7 @@ type seriesLine struct {
 	Spark string  `json:"spark"`
 }
 
-// decisionSummary aggregates modelz.json's recent audited decisions.
+// decisionSummary aggregates modelz.json's recent model-β records.
 type decisionSummary struct {
 	Records    int              `json:"records"`
 	Kinds      map[string]int64 `json:"kinds,omitempty"`
@@ -324,7 +324,7 @@ func summarizeDecisions(recs []obs.DecisionRecord) decisionSummary {
 }
 
 // correlate returns the request IDs seen both by a captured profile (the
-// serving view) and by a recent decision record (the model-audit view),
+// serving view) and by a recent decision record (the model view),
 // sorted: the requests an operator can follow end to end.
 func correlate(profiles obs.ProfilesData, decisions []obs.DecisionRecord) []string {
 	profiled := map[string]bool{}
@@ -423,6 +423,6 @@ func writeText(w io.Writer, rep *reportDoc) {
 			_, _ = fmt.Fprintf(w, "  ... and %d more\n", len(rep.Correlated)-shown)
 		}
 	} else {
-		_, _ = fmt.Fprintln(w, "\nno correlated request IDs (run the server with -shadow-rate > 0 to audit decisions per request)")
+		_, _ = fmt.Fprintln(w, "\nno correlated request IDs (only a query that trains model β files decision records; a warm or small query files none)")
 	}
 }

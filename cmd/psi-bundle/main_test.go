@@ -50,7 +50,7 @@ func makeBundle(t *testing.T, withCorrelation bool) string {
 	if !withCorrelation {
 		reqID = ""
 	}
-	obs.DefaultModelStats.Observe(obs.DecisionRecord{Kind: obs.DecisionKindMode, Query: "q-slow", RequestID: reqID, Node: 7}, true)
+	obs.DefaultModelStats.Observe(obs.DecisionRecord{Kind: obs.DecisionKindBeta, Query: "q-slow", RequestID: reqID, Node: 7})
 
 	b, err := obs.NewBundler(obs.BundlerConfig{Alerts: set})
 	if err != nil {
@@ -108,8 +108,8 @@ func TestReportJSON(t *testing.T) {
 	if len(rep.Correlated) != 1 || rep.Correlated[0] != "req-42" {
 		t.Errorf("correlated = %v, want req-42 (profile + recent decision)", rep.Correlated)
 	}
-	if rep.Decisions.Records != 1 || rep.Decisions.Kinds[obs.DecisionKindMode] != 1 {
-		t.Errorf("decisions = %+v, want the one mode record from modelz.json", rep.Decisions)
+	if rep.Decisions.Records != 1 || rep.Decisions.Kinds[obs.DecisionKindBeta] != 1 {
+		t.Errorf("decisions = %+v, want the one beta record from modelz.json", rep.Decisions)
 	}
 }
 

@@ -89,7 +89,6 @@ func main() {
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight queries on shutdown")
 		threads        = flag.Int("threads", 1, "candidate-evaluation workers inside one query")
 		seed           = flag.Int64("seed", 42, "engine sampling seed")
-		shadowRate     = flag.Float64("shadow-rate", 0, "model-decision audit sampling rate in [0,1] (see /modelz)")
 
 		shards      = flag.Int("shards", 0, "run an in-process scatter-gather cluster of N shards (0: single engine)")
 		partitioner = flag.String("partitioner", "label-hash", "shard ownership partitioner: label-hash or degree")
@@ -123,7 +122,7 @@ func main() {
 		defaultTimeout: *defaultTimeout, maxTimeout: *maxTimeout,
 		maxBatch: *maxBatch, maxQueryNodes: *maxQueryNodes,
 		retryAfter: *retryAfter, drainTimeout: *drainTimeout,
-		threads: *threads, seed: *seed, shadowRate: *shadowRate,
+		threads: *threads, seed: *seed,
 		shards: *shards, partitioner: *partitioner,
 		shardOf: *shardOf, shardIndex: *shardIndex,
 		coordinator: *coordinator, shardAddrs: *shardAddrs, shardProbe: *shardProbe,
@@ -155,7 +154,6 @@ type config struct {
 	drainTimeout       time.Duration
 	threads            int
 	seed               int64
-	shadowRate         float64
 
 	shards      int    // >0: in-process scatter-gather cluster
 	partitioner string // label-hash | degree
@@ -240,11 +238,7 @@ func (c config) objectives() []obs.Objective {
 // one fleet shard node with -shard-of/-shard-index, or a graph-less
 // coordinator with -coordinator. g is nil exactly in coordinator mode.
 func buildEvaluator(cfg config, g *graph.Graph, logger *slog.Logger) (server.Evaluator, error) {
-	engOpts := smartpsi.Options{
-		Threads:    cfg.threads,
-		Seed:       cfg.seed,
-		ShadowRate: cfg.shadowRate,
-	}
+	engOpts := smartpsi.Options{Threads: cfg.threads, Seed: cfg.seed}
 	strat := shard.LabelHash
 	if cfg.partitioner != "" {
 		var err error
@@ -330,8 +324,8 @@ func run(cfg config, parent context.Context, ready chan<- string) error {
 	}
 
 	// A serving process always collects: metrics, the /profilez
-	// flight recorder and /modelz (with its recent audited decisions,
-	// produced only with -shadow-rate > 0) all feed from the same gate.
+	// flight recorder and /modelz (with its recent model-β records) all
+	// feed from the same gate.
 	obs.Enable(true)
 
 	eval, err := buildEvaluator(cfg, g, logger)

@@ -15,14 +15,13 @@
 // HTTP server (metrics + per-query profiles + pprof) and implies metric
 // collection.
 //
-// With -shadow-rate > 0 the engine additionally audits that fraction of
-// its model decisions by shadow scoring. Audits are filed only into
-// /modelz, so this turns collection on and, at the end, prints the
-// /modelz report the run folded (model-α confusion matrix and
-// calibration, model-β plan ranks, regret):
+// With collection on (PSI_OBS or -debug-addr), -evaluate ends by
+// printing the /modelz report the run folded: model α's confusion
+// matrix and vote-margin calibration, and model β's top-1 share against
+// the training sweeps:
 //
-//	psi-workload -dataset cora -sizes 4-6 -count 10 -evaluate \
-//	             -shadow-rate 0.05 -out /dev/null
+//	PSI_OBS=1 psi-workload -dataset cora -sizes 4-6 -count 10 -evaluate \
+//	             -out /dev/null
 package main
 
 import (
@@ -49,7 +48,6 @@ func main() {
 	evaluate := flag.Bool("evaluate", false, "also evaluate the extracted queries with SmartPSI")
 	threads := flag.Int("threads", 1, "evaluation workers (with -evaluate)")
 	debugAddr := flag.String("debug-addr", "", "serve obs debug HTTP (metrics, per-query profiles, pprof) on this address")
-	shadowRate := flag.Float64("shadow-rate", 0, "model-decision audit sampling rate in [0,1] (with -evaluate; 0 disables shadow scoring)")
 	flag.Parse()
 
 	if *debugAddr != "" {
@@ -66,7 +64,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "debug server on http://%s (/metrics /profilez /modelz /debug/pprof; per-query view: /profilez?id=N)\n", addr)
 	}
 
-	if err := run(*graphPath, *dataset, *sizes, *count, *seed, *out, *evaluate, *threads, *shadowRate, os.Stderr); err != nil {
+	if err := run(*graphPath, *dataset, *sizes, *count, *seed, *out, *evaluate, *threads, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "psi-workload:", err)
 		os.Exit(1)
 	}
@@ -74,7 +72,7 @@ func main() {
 
 // run extracts the workload and, with evaluate, runs it; progress and
 // the /modelz report go to stderr.
-func run(graphPath, dataset, sizes string, count int, seed int64, out string, evaluate bool, threads int, shadowRate float64, stderr io.Writer) error {
+func run(graphPath, dataset, sizes string, count int, seed int64, out string, evaluate bool, threads int, stderr io.Writer) error {
 	lo, hi, err := parseSizes(sizes)
 	if err != nil {
 		return err
@@ -117,23 +115,17 @@ func run(graphPath, dataset, sizes string, count int, seed int64, out string, ev
 	_, _ = fmt.Fprintf(stderr, "extracted %d queries (sizes %d-%d, %d per size)\n",
 		len(queries), lo, hi, count)
 	if evaluate {
-		return evaluateQueries(g, queries, threads, seed, shadowRate, stderr)
+		return evaluateQueries(g, queries, threads, seed, stderr)
 	}
 	return nil
 }
 
 // evaluateQueries runs every extracted query through the SmartPSI
 // engine. With collection enabled (-debug-addr or PSI_OBS) each query
-// feeds the obs registry and flight recorder as it executes. With
-// shadowRate > 0, sampled model decisions are audited; audits are filed
-// only into /modelz, so collection is turned on and the /modelz report
-// is printed once the workload has run.
-func evaluateQueries(g *graph.Graph, queries []graph.Query, threads int, seed int64, shadowRate float64, stderr io.Writer) error {
-	auditing := shadowRate > 0
-	if auditing {
-		obs.Enable(true)
-	}
-	engine, err := repro.NewEngine(g, repro.Options{Threads: threads, Seed: seed, ShadowRate: shadowRate})
+// feeds the obs registry, the flight recorder and /modelz as it
+// executes, and the /modelz report is printed once the workload has run.
+func evaluateQueries(g *graph.Graph, queries []graph.Query, threads int, seed int64, stderr io.Writer) error {
+	engine, err := repro.NewEngine(g, repro.Options{Threads: threads, Seed: seed})
 	if err != nil {
 		return err
 	}
@@ -148,7 +140,7 @@ func evaluateQueries(g *graph.Graph, queries []graph.Query, threads int, seed in
 	}
 	_, _ = fmt.Fprintf(stderr, "evaluated %d queries: %d pivot bindings, %d recursions\n",
 		len(queries), bindings, work)
-	if !auditing {
+	if !obs.Enabled() {
 		return nil
 	}
 	_, _ = fmt.Fprintln(stderr)

@@ -59,7 +59,7 @@ func TestRunExtractsWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "q.lg")
-	if err := run(gp, "", "3-4", 5, 1, out, false, 1, 0, io.Discard); err != nil {
+	if err := run(gp, "", "3-4", 5, 1, out, false, 1, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -75,10 +75,10 @@ func TestRunExtractsWorkload(t *testing.T) {
 		t.Errorf("extracted %d queries, want 10", len(qs))
 	}
 	// Error paths.
-	if err := run("", "", "3", 1, 1, "", false, 1, 0, io.Discard); err == nil {
+	if err := run("", "", "3", 1, 1, "", false, 1, io.Discard); err == nil {
 		t.Error("missing inputs accepted")
 	}
-	if err := run(gp, "", "bogus", 1, 1, "", false, 1, 0, io.Discard); err == nil {
+	if err := run(gp, "", "bogus", 1, 1, "", false, 1, io.Discard); err == nil {
 		t.Error("bogus sizes accepted")
 	}
 }
@@ -117,7 +117,7 @@ func TestObsWorkloadDebugServerAcceptance(t *testing.T) {
 	}()
 
 	out := filepath.Join(dir, "q.lg")
-	if err := run(gp, "", "3-4", 4, 1, out, true, 2, 0, io.Discard); err != nil {
+	if err := run(gp, "", "3-4", 4, 1, out, true, 2, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 
@@ -155,9 +155,10 @@ func TestObsWorkloadDebugServerAcceptance(t *testing.T) {
 	}
 }
 
-// TestObsWorkloadModelzReport runs -evaluate -shadow-rate 1 on a graph
-// large enough for the ML path: collection is turned on, and stderr
-// ends with the /modelz report the audits folded.
+// TestObsWorkloadModelzReport runs -evaluate with collection on (as
+// PSI_OBS does) on a graph large enough for the ML path: stderr ends
+// with the /modelz report the run folded, model α's matrix and model β's
+// top-1 share both scored. With collection off, no report is printed.
 func TestObsWorkloadModelzReport(t *testing.T) {
 	prevEnabled := obs.Enabled()
 	defer obs.Enable(prevEnabled)
@@ -191,24 +192,26 @@ func TestObsWorkloadModelzReport(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var stderr strings.Builder
 	out := filepath.Join(dir, "q.lg")
-	if err := run(gp, "", "3", 4, 1, out, true, 1, 1, &stderr); err != nil {
-		t.Fatal(err)
+	evaluate := func(collect bool) string {
+		obs.Enable(collect)
+		var stderr strings.Builder
+		if err := run(gp, "", "3", 4, 1, out, true, 1, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		return stderr.String()
 	}
-	text := stderr.String()
-	if !obs.Enabled() {
-		t.Error("-shadow-rate did not turn collection on")
+	if text := evaluate(false); strings.Contains(text, "model α") {
+		t.Errorf("collection off, but stderr has a /modelz report:\n%s", text)
 	}
-	if !strings.Contains(text, "model α (node type, §4.2) — confusion matrix") {
-		t.Errorf("stderr has no /modelz report:\n%s", text)
-	}
-	m := regexp.MustCompile(`shadow mode \(model α counterfactual\) regret: (\d+) runs`).FindStringSubmatch(text)
+	text := evaluate(true)
+	m := regexp.MustCompile(`model α \(node type, §4\.2\) — confusion matrix, (\d+) scored predictions`).FindStringSubmatch(text)
 	if m == nil || m[1] == "0" {
-		t.Errorf("/modelz report has no mode-regret runs:\n%s", text)
+		t.Errorf("/modelz report scored no model-α predictions:\n%s", text)
 	}
-	if !strings.Contains(text, "shadow verdict mismatches: 0 ") {
-		t.Errorf("/modelz report does not show 0 shadow verdict mismatches:\n%s", text)
+	m = regexp.MustCompile(`predicted plan vs training sweeps: (\d+) observed, top-1 [01]\.\d{3}`).FindStringSubmatch(text)
+	if m == nil || m[1] == "0" {
+		t.Errorf("/modelz report scored no model-β predictions:\n%s", text)
 	}
 }
 

@@ -114,7 +114,7 @@ func collectWants(dir string) (map[string]string, error) {
 // rule is added or dropped on purpose, with this list edited in the
 // same change, and every entry is complete.
 func TestRegistryWellFormed(t *testing.T) {
-	want := []string{"gojoin", "ignorederr", "nopanic", "sleepsync", "obscounter", "shadowgate", "pkgdoc", "metrichelp", "suppress"}
+	want := []string{"gojoin", "ignorederr", "nopanic", "sleepsync", "obscounter", "pkgdoc", "metrichelp", "suppress"}
 	var got []string
 	for _, r := range lint.Registry {
 		if r.Doc == "" || r.Run == nil {

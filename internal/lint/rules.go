@@ -45,12 +45,6 @@ var Registry = []Rule{
 		Run:      ruleObsCounter,
 	},
 	{
-		Name:     "shadowgate",
-		Doc:      "calls into the shadow-scoring subsystem (shadow*-named funcs) must be guarded by a *Sampled sampling condition; shadow-subsystem internals are exempt",
-		Severity: SevError,
-		Run:      ruleShadowGate,
-	},
-	{
 		Name:     "pkgdoc",
 		Doc:      "every package needs a package doc comment (`// Package <name> ...`) on at least one of its files",
 		Severity: SevError,
@@ -364,85 +358,6 @@ func isAtomicNamed(t types.Type) bool {
 		return false
 	}
 	return named.Obj().Pkg().Path() == "sync/atomic"
-}
-
-// ---- shadowgate ----
-
-// ruleShadowGate enforces the shadow-scoring sampling contract: a call
-// to a shadow*-named function (a shadow evaluation entry point) from
-// outside the shadow subsystem must sit inside an if whose condition
-// calls a *Sampled-named predicate. An unguarded call runs the
-// counterfactual on every decision — the audit overhead stops being
-// opt-in and ShadowRate=0 is no longer free.
-//
-// Exemptions: functions whose own name contains "shadow"/"Shadow" (the
-// subsystem's internals call each other after the entry gate) and
-// callees whose name contains "Sampled" (the predicates themselves).
-func ruleShadowGate(pkg *Package, report ReportFunc) {
-	isShadowName := func(name string) bool {
-		return strings.Contains(name, "shadow") || strings.Contains(name, "Shadow")
-	}
-	isShadowEntry := func(name string) bool {
-		return (strings.HasPrefix(name, "shadow") || strings.HasPrefix(name, "Shadow")) &&
-			!strings.Contains(name, "Sampled")
-	}
-	condSamples := func(cond ast.Expr) bool {
-		sampled := false
-		ast.Inspect(cond, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if name, ok := calleeName(call); ok && strings.HasSuffix(name, "Sampled") {
-					sampled = true
-				}
-			}
-			return !sampled
-		})
-		return sampled
-	}
-	for _, fn := range packageFuncs(pkg) {
-		if isShadowName(fn.name) {
-			continue
-		}
-		// Lexical spans of if-bodies whose condition calls a *Sampled
-		// predicate: shadow calls inside one are gated. AST nesting is
-		// position nesting, so range containment is containment.
-		type span struct{ lo, hi token.Pos }
-		var guarded []span
-		ast.Inspect(fn.body, func(n ast.Node) bool {
-			if ifs, ok := n.(*ast.IfStmt); ok && condSamples(ifs.Cond) {
-				guarded = append(guarded, span{ifs.Body.Pos(), ifs.Body.End()})
-			}
-			return true
-		})
-		ast.Inspect(fn.body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			name, ok := calleeName(call)
-			if !ok || !isShadowEntry(name) {
-				return true
-			}
-			for _, s := range guarded {
-				if call.Pos() >= s.lo && call.Pos() < s.hi {
-					return true
-				}
-			}
-			report(call, "shadow call %s is not guarded by a *Sampled condition in %s; shadow runs must be sampled, never unconditional", name, fn.name)
-			return true
-		})
-	}
-}
-
-// calleeName returns the bare name of a call's callee (the identifier
-// or selector member), when it has one.
-func calleeName(call *ast.CallExpr) (string, bool) {
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return f.Name, true
-	case *ast.SelectorExpr:
-		return f.Sel.Name, true
-	}
-	return "", false
 }
 
 // ---- metrichelp ----

@@ -22,8 +22,8 @@ import (
 
 // Incident forensics: a diagnostic bundle is a schema-versioned zip of
 // the JSON documents the debug endpoints serve — /metrics.json,
-// /seriesz, /alertz, /profilez, /modelz (with its recent audited
-// decisions), /queryz — read in-process through the mux that mounts the
+// /seriesz, /alertz, /profilez, /modelz (with its recent model-β
+// records), /queryz — read in-process through the mux that mounts the
 // Bundler, plus a goroutine dump and a heap profile, so a 3am alert
 // leaves postmortem evidence even after the process restarts. Each
 // entry decodes into the type its endpoint encodes. The Bundler streams

@@ -116,10 +116,9 @@ func TestSLOOnTransition(t *testing.T) {
 	}
 }
 
-// TestDecisionTail pins the recent audited decisions /modelz?format=json
-// serves: retained records carry their request IDs, oldest first,
-// bounded by RecentDecisions; unretained records fold into the
-// aggregates only.
+// TestDecisionTail pins the recent model-β records /modelz?format=json
+// serves: every record is retained with its request ID, oldest first,
+// bounded by RecentDecisions, and every one folds into the aggregates.
 func TestDecisionTail(t *testing.T) {
 	DefaultModelStats.Reset()
 	defer DefaultModelStats.Reset()
@@ -127,10 +126,9 @@ func TestDecisionTail(t *testing.T) {
 	const n = RecentDecisions + 3
 	for i := 0; i < n; i++ {
 		DefaultModelStats.Observe(DecisionRecord{
-			Kind: DecisionKindMode, Node: int64(i), RequestID: fmt.Sprintf("req-%d", i),
-		}, true)
+			Kind: DecisionKindBeta, Node: int64(i), RequestID: fmt.Sprintf("req-%d", i), Top1: i%2 == 0,
+		})
 	}
-	DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindBeta, Rank: 1, RequestID: "unkept"}, false)
 
 	code, body := get(t, h, "/modelz?format=json")
 	var d ModelStatsData
@@ -147,7 +145,7 @@ func TestDecisionTail(t *testing.T) {
 				i, rec.Node, rec.RequestID, want)
 		}
 	}
-	if d.ModeRegret.Runs != n || d.BetaObserved() != 1 {
-		t.Errorf("aggregates = %d mode runs, %d beta ranks; want %d and 1", d.ModeRegret.Runs, d.BetaObserved(), n)
+	if d.BetaObserved != n || d.BetaTop1 != (n+1)/2 {
+		t.Errorf("aggregates = %d observed, %d top-1; want %d and %d", d.BetaObserved, d.BetaTop1, n, (n+1)/2)
 	}
 }

@@ -50,7 +50,7 @@ func bundleFixture(t *testing.T) *bundleRig {
 
 	DefaultModelStats.Reset()
 	t.Cleanup(DefaultModelStats.Reset)
-	DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindMode, Query: "q-0", RequestID: "req-abc", Node: 1}, true)
+	DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindBeta, Query: "q-0", RequestID: "req-abc", Node: 1})
 	return r
 }
 
@@ -452,7 +452,7 @@ func TestBundleConcurrent(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			r.req.Inc()
 			r.s.SampleAt(sloBase.Add(time.Duration(i) * time.Second))
-			DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindMode, Node: int64(i)}, true)
+			DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindBeta, Node: int64(i)})
 		}
 	}()
 	wg.Add(1)

@@ -5,42 +5,28 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 )
 
 // This file is the model-decision observability layer: the aggregate
 // telemetry behind /modelz (ModelStats, which also keeps the most
-// recent audited records).
+// recent model-β records).
 //
 // SmartPSI's bet (paper §4) is that the per-node choices of model α
 // (optimistic vs pessimistic method) and model β (search order) beat
-// either fixed strategy. ModelStats turns that bet into measurable
-// quantities: a full 2×2 confusion matrix and vote-margin calibration
-// for model α, plan-rank tracking for model β against the training
-// sweeps, and per-decision regret from shadow scoring — the extra time
-// the predicted choice cost versus a counterfactual run of the
-// opposite method or an alternative plan.
+// either fixed strategy. ModelStats scores both from ground truth the
+// engine learns for free: a full 2×2 confusion matrix and vote-margin
+// calibration for model α (each evaluation labels its node, §4.2.1),
+// and for model β how often the predicted plan is the training sweep's
+// fastest (§4.2.2).
 
-// Decision-record kinds.
-const (
-	// DecisionKindMode is a shadow run of the opposite method (audits
-	// model α): regret compares the predicted method against its
-	// counterfactual on the same plan.
-	DecisionKindMode = "mode"
-	// DecisionKindPlan is a shadow run of a sampled alternative plan
-	// (audits model β) under the same method.
-	DecisionKindPlan = "plan"
-	// DecisionKindBeta is a model-β plan-rank observation from the
-	// training sweeps: Rank is the predicted plan's 1-based position in
-	// the sweep's measured per-plan times.
-	DecisionKindBeta = "beta"
-)
+// DecisionKindBeta is the kind of a model-β record: the plan predicted
+// for a training node, scored against the node's per-plan sweep.
+const DecisionKindBeta = "beta"
 
-// DecisionRecord is one audited model decision, as /modelz?format=json
-// lists it among the recent ones. Fields are populated per Kind;
-// zero-valued optional fields are omitted.
+// DecisionRecord is one scored model-β prediction, as
+// /modelz?format=json lists it among the recent ones.
 type DecisionRecord struct {
-	// Kind is one of the DecisionKind* constants.
+	// Kind is DecisionKindBeta.
 	Kind string `json:"kind"`
 	// Query names the originating query (the profile name).
 	Query string `json:"query,omitempty"`
@@ -48,42 +34,15 @@ type DecisionRecord struct {
 	// decision, when the query arrived through psi-serve.
 	RequestID string `json:"request_id,omitempty"`
 	// Fingerprint is the query's canonical shape fingerprint (the
-	// /queryz grouping key), letting an audit be pivoted by workload
+	// /queryz grouping key), letting a record be pivoted by workload
 	// shape.
 	Fingerprint string `json:"fingerprint,omitempty"`
-	// Node is the audited candidate node (-1 for beta-rank records).
+	// Node is the scored training node.
 	Node int64 `json:"node"`
-	// FromCache marks decisions served by the node's decision slot (the
-	// §4.2.3 prediction memo) rather than a fresh prediction.
-	FromCache bool `json:"from_cache,omitempty"`
-	// PredMode is model α's method choice (0 optimistic, 1 pessimistic,
-	// psi.Mode numbering).
-	PredMode int `json:"pred_mode"`
 	// PredPlan is model β's plan choice.
 	PredPlan int `json:"pred_plan"`
-	// VoteMargin is model α's forest vote margin in [0,1]:
-	// (winner − loser) / trees. Zero when no fresh prediction was made.
-	VoteMargin float64 `json:"vote_margin"`
-	// ActualValid is the ground-truth node label established by the
-	// primary evaluation.
-	ActualValid bool `json:"actual_valid"`
-	// ShadowMode / ShadowPlan identify the counterfactual that was run
-	// (mode and plan kinds).
-	ShadowMode int `json:"shadow_mode,omitempty"`
-	ShadowPlan int `json:"shadow_plan,omitempty"`
-	// PrimaryNanos / ShadowNanos are the primary and counterfactual wall
-	// times; RegretNanos is max(0, primary − shadow) — the cost of the
-	// predicted choice versus the counterfactual.
-	PrimaryNanos int64 `json:"primary_nanos,omitempty"`
-	ShadowNanos  int64 `json:"shadow_nanos,omitempty"`
-	RegretNanos  int64 `json:"regret_nanos"`
-	// ShadowTimeout marks counterfactuals censored by the shadow budget
-	// (the predicted choice was at least budget/primary times faster, so
-	// regret is 0 but the shadow time is a lower bound).
-	ShadowTimeout bool `json:"shadow_timeout,omitempty"`
-	// Rank is the beta-kind plan rank (1 = the predicted plan was the
-	// sweep's fastest).
-	Rank int `json:"rank,omitempty"`
+	// Top1 is true when the predicted plan was the sweep's fastest.
+	Top1 bool `json:"top1"`
 }
 
 // NumCalibrationBuckets is the vote-margin calibration resolution:
@@ -110,10 +69,10 @@ type CalibrationBucket struct {
 }
 
 // AlphaCells are model α's scored predictions: the confusion matrix and
-// the vote-margin calibration. Every scored prediction lands here, not
-// just shadow-sampled ones — ground truth is free (§4.2.1: the
-// evaluation itself labels the node). The engine's workers tally cells
-// in plain fields and add them to /modelz once (ModelStats.AddAlpha).
+// the vote-margin calibration. Every scored prediction lands here —
+// ground truth is free (§4.2.1: the evaluation itself labels the node).
+// The engine's workers tally cells in plain fields and add them to
+// /modelz once (ModelStats.AddAlpha).
 type AlphaCells struct {
 	// Alpha is the confusion matrix [actual][predicted], with 1 = valid
 	// (optimistic).
@@ -152,57 +111,24 @@ func (c AlphaCells) AlphaAccuracy() float64 {
 	return float64(c.AlphaCorrect()) / float64(t)
 }
 
-// RegretAggregate summarizes one shadow-scoring family.
-type RegretAggregate struct {
-	// Runs counts shadow evaluations; Timeouts the ones censored by the
-	// shadow budget (regret 0, counterfactual at least the budget).
-	Runs     int64 `json:"runs"`
-	Timeouts int64 `json:"timeouts"`
-	// TotalNanos / MaxNanos aggregate the per-decision regret
-	// max(0, primary − shadow).
-	TotalNanos int64 `json:"total_nanos"`
-	MaxNanos   int64 `json:"max_nanos"`
-}
-
-func (a *RegretAggregate) observe(rec *DecisionRecord) {
-	a.Runs++
-	if rec.ShadowTimeout {
-		a.Timeouts++
-	}
-	a.TotalNanos += rec.RegretNanos
-	a.MaxNanos = max(a.MaxNanos, rec.RegretNanos)
-}
-
-// Mean returns the mean regret per shadow run.
-func (a RegretAggregate) Mean() time.Duration {
-	if a.Runs == 0 {
-		return 0
-	}
-	return time.Duration(a.TotalNanos / a.Runs)
-}
-
-// ModelStats aggregates model-decision telemetry for /modelz. All
-// methods take the stats mutex and also publish into the Default
-// registry's shadow/quality metrics, so /metrics and /modelz stay
-// consistent from a single call site. Methods are nil-safe.
+// ModelStats aggregates model-decision telemetry for /modelz. Observe
+// also publishes into the Default registry's model-β metrics, so
+// /metrics and /modelz stay consistent from a single call site. Methods
+// are nil-safe.
 type ModelStats struct {
 	mu    sync.Mutex
 	alpha AlphaCells
-	// betaRanks[r-1] counts sweep nodes whose predicted plan ranked r
-	// among the sweep's finished plans (1 = fastest).
-	betaRanks []int64
-	// Shadow-scoring regret, split by audited model.
-	mode, plan RegretAggregate
-	// shadowMismatches counts shadow runs whose matched/not-matched
-	// verdict contradicted the primary run (a soundness bug; also an
-	// invariant violation when deep checking is on).
-	shadowMismatches int64
-	// recent holds the last RecentDecisions retained records, oldest
-	// first.
+	// betaObserved counts model-β predictions scored against a training
+	// sweep; betaTop1 those that picked the sweep's fastest plan.
+	betaObserved, betaTop1 int64
+	// recent is a ring of the last RecentDecisions records; next is the
+	// slot the next record fills, so recent[next:] then recent[:next] is
+	// oldest first.
 	recent []DecisionRecord
+	next   int
 }
 
-// RecentDecisions bounds the audited records a ModelStats retains for
+// RecentDecisions bounds the model-β records a ModelStats retains for
 // /modelz?format=json's "recent" list.
 const RecentDecisions = 512
 
@@ -227,59 +153,26 @@ func (m *ModelStats) AddAlpha(c AlphaCells) {
 	}
 }
 
-// Observe folds one decision record into the aggregates: a shadow run's
-// regret (mode and plan kinds) or a model-β plan rank (beta). With keep it also retains the record among
-// the recent ones /modelz serves. This is the one fold from a record
-// into the aggregates; the engine calls it as it audits.
-func (m *ModelStats) Observe(rec DecisionRecord, keep bool) {
+// Observe folds one model-β record into the aggregates and retains it
+// among the recent ones /modelz serves.
+func (m *ModelStats) Observe(rec DecisionRecord) {
 	if m == nil {
 		return
 	}
-	regret := time.Duration(rec.RegretNanos).Seconds()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	switch rec.Kind {
-	case DecisionKindMode:
-		m.mode.observe(&rec)
-		SmartShadowModeRuns.Inc()
-		SmartModeRegretSeconds.Observe(regret)
-	case DecisionKindPlan:
-		m.plan.observe(&rec)
-		SmartShadowPlanRuns.Inc()
-		SmartPlanRegretSeconds.Observe(regret)
-	case DecisionKindBeta:
-		if rec.Rank < 1 {
-			break
-		}
-		for len(m.betaRanks) < rec.Rank {
-			m.betaRanks = append(m.betaRanks, 0)
-		}
-		m.betaRanks[rec.Rank-1]++
-		SmartBetaRankChecks.Inc()
-		if rec.Rank == 1 {
-			SmartBetaRankTop1.Inc()
-		}
+	m.betaObserved++
+	SmartBetaRankChecks.Inc()
+	if rec.Top1 {
+		m.betaTop1++
+		SmartBetaRankTop1.Inc()
 	}
-	if rec.ShadowTimeout {
-		SmartShadowTimeouts.Inc()
-	}
-	if keep {
-		if len(m.recent) == RecentDecisions {
-			m.recent = m.recent[1:]
-		}
+	if len(m.recent) < RecentDecisions {
 		m.recent = append(m.recent, rec)
+	} else {
+		m.recent[m.next] = rec
 	}
-}
-
-// ObserveShadowMismatch records a shadow/primary verdict disagreement.
-func (m *ModelStats) ObserveShadowMismatch() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.shadowMismatches++
-	m.mu.Unlock()
-	SmartShadowMismatches.Inc()
+	m.next = (m.next + 1) % RecentDecisions
 }
 
 // Reset zeroes the aggregate (tests only; the registry metrics are
@@ -290,10 +183,8 @@ func (m *ModelStats) Reset() {
 	}
 	m.mu.Lock()
 	m.alpha = AlphaCells{}
-	m.betaRanks = nil
-	m.mode, m.plan = RegretAggregate{}, RegretAggregate{}
-	m.shadowMismatches = 0
-	m.recent = nil
+	m.betaObserved, m.betaTop1 = 0, 0
+	m.recent, m.next = nil, 0
 	m.mu.Unlock()
 }
 
@@ -308,12 +199,11 @@ func boolIdx(b bool) int {
 // JSON-ready, and the input of the /modelz text renderer.
 type ModelStatsData struct {
 	AlphaCells
-	// BetaRanks[r-1] counts predictions of sweep-rank r.
-	BetaRanks        []int64         `json:"beta_ranks,omitempty"`
-	ModeRegret       RegretAggregate `json:"mode_regret"`
-	PlanRegret       RegretAggregate `json:"plan_regret"`
-	ShadowMismatches int64           `json:"shadow_mismatches"`
-	// Recent are the last retained audited records, oldest first.
+	// BetaObserved counts model-β predictions scored against a training
+	// sweep; BetaTop1 those that picked the sweep's fastest plan.
+	BetaObserved int64 `json:"beta_observed"`
+	BetaTop1     int64 `json:"beta_top1"`
+	// Recent are the last retained model-β records, oldest first.
 	Recent []DecisionRecord `json:"recent,omitempty"`
 }
 
@@ -326,36 +216,9 @@ func (m *ModelStats) Snapshot() ModelStatsData {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	d.AlphaCells = m.alpha
-	d.BetaRanks = append([]int64(nil), m.betaRanks...)
-	d.ModeRegret, d.PlanRegret = m.mode, m.plan
-	d.ShadowMismatches = m.shadowMismatches
-	d.Recent = append([]DecisionRecord(nil), m.recent...)
+	d.BetaObserved, d.BetaTop1 = m.betaObserved, m.betaTop1
+	d.Recent = append(append([]DecisionRecord(nil), m.recent[m.next:]...), m.recent[:m.next]...)
 	return d
-}
-
-// BetaObserved returns the number of plan-rank observations.
-func (d ModelStatsData) BetaObserved() int64 {
-	var n int64
-	for _, c := range d.BetaRanks {
-		n += c
-	}
-	return n
-}
-
-// BetaTopK returns the fraction of plan predictions ranked ≤ k (1.0
-// when nothing was observed).
-func (d ModelStatsData) BetaTopK(k int) float64 {
-	total := d.BetaObserved()
-	if total == 0 {
-		return 1
-	}
-	var in int64
-	for i, c := range d.BetaRanks {
-		if i < k {
-			in += c
-		}
-	}
-	return float64(in) / float64(total)
 }
 
 // WriteText renders the /modelz report.
@@ -389,29 +252,13 @@ func (d ModelStatsData) WriteText(w io.Writer) error {
 	}
 	fmt.Fprintf(&buf, "\n")
 
-	fmt.Fprintf(&buf, "model β (plan choice, §4.2) — predicted-plan rank vs training sweeps: %d observed", d.BetaObserved())
-	if d.BetaObserved() > 0 {
-		fmt.Fprintf(&buf, ", top-1 %.3f, top-2 %.3f\n  ranks:", d.BetaTopK(1), d.BetaTopK(2))
-		for i, c := range d.BetaRanks {
-			if c != 0 {
-				fmt.Fprintf(&buf, " %d:%d", i+1, c)
-			}
-		}
+	fmt.Fprintf(&buf, "model β (plan choice, §4.2) — predicted plan vs training sweeps: %d observed", d.BetaObserved)
+	if d.BetaObserved > 0 {
+		fmt.Fprintf(&buf, ", top-1 %.3f", float64(d.BetaTop1)/float64(d.BetaObserved))
 	}
-	fmt.Fprintf(&buf, "\n\n")
-
-	writeRegret := func(name string, a RegretAggregate) {
-		fmt.Fprintf(&buf, "shadow %s regret: %d runs (%d censored by budget), total %s, mean %s, max %s\n",
-			name, a.Runs, a.Timeouts,
-			time.Duration(a.TotalNanos).Round(time.Microsecond),
-			a.Mean().Round(time.Microsecond),
-			time.Duration(a.MaxNanos).Round(time.Microsecond))
-	}
-	writeRegret("mode (model α counterfactual)", d.ModeRegret)
-	writeRegret("plan (model β counterfactual)", d.PlanRegret)
-	fmt.Fprintf(&buf, "shadow verdict mismatches: %d (must be 0; invariant-gated)\n", d.ShadowMismatches)
+	fmt.Fprintf(&buf, "\n")
 	if len(d.Recent) > 0 {
-		fmt.Fprintf(&buf, "recent audited decisions retained: %d (listed as \"recent\" in the JSON)\n", len(d.Recent))
+		fmt.Fprintf(&buf, "recent model-β records retained: %d (listed as \"recent\" in the JSON)\n", len(d.Recent))
 	}
 	_, err := w.Write(buf.Bytes())
 	return err

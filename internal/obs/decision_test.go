@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -23,8 +22,8 @@ func TestCalibrationBucketIndexBoundaries(t *testing.T) {
 }
 
 // TestModelStatsSnapshot pins the aggregate arithmetic: confusion
-// matrix cells, calibration buckets, rank histogram growth, regret
-// split by kind, and the derived accuracy/top-k helpers.
+// matrix cells, calibration buckets, model-β observed and top-1 counts,
+// the retained records, and the derived accuracy helper.
 func TestModelStatsSnapshot(t *testing.T) {
 	var m ModelStats
 	var cells AlphaCells
@@ -32,11 +31,8 @@ func TestModelStatsSnapshot(t *testing.T) {
 	cells.Score(true, false, 0.1)  // FP, bucket 0
 	cells.Score(false, false, 0.9) // TN, bucket 4
 	m.AddAlpha(cells)
-	m.Observe(DecisionRecord{Kind: DecisionKindBeta, Rank: 1}, false)
-	m.Observe(DecisionRecord{Kind: DecisionKindBeta, Rank: 3}, false)
-	m.Observe(DecisionRecord{Kind: DecisionKindMode, RegretNanos: 100}, false)
-	m.Observe(DecisionRecord{Kind: DecisionKindPlan, RegretNanos: 300, ShadowTimeout: true}, true)
-	m.ObserveShadowMismatch()
+	m.Observe(DecisionRecord{Kind: DecisionKindBeta, Node: 1, Top1: true})
+	m.Observe(DecisionRecord{Kind: DecisionKindBeta, Node: 2})
 
 	d := m.Snapshot()
 	if d.Alpha != [2][2]int64{{1, 1}, {0, 1}} {
@@ -48,35 +44,26 @@ func TestModelStatsSnapshot(t *testing.T) {
 	if d.Calibration[4].N != 2 || d.Calibration[4].Correct != 2 || d.Calibration[0].N != 1 || d.Calibration[0].Correct != 0 {
 		t.Errorf("calibration = %v", d.Calibration)
 	}
-	if want := []int64{1, 0, 1}; fmt.Sprint(d.BetaRanks) != fmt.Sprint(want) {
-		t.Errorf("betaRanks = %v, want %v", d.BetaRanks, want)
+	if d.BetaObserved != 2 || d.BetaTop1 != 1 {
+		t.Errorf("beta observed/top-1 = %d/%d, want 2/1", d.BetaObserved, d.BetaTop1)
 	}
-	if d.BetaTopK(1) != 0.5 || d.BetaTopK(3) != 1 {
-		t.Errorf("top-1 = %v, top-3 = %v", d.BetaTopK(1), d.BetaTopK(3))
+	if len(d.Recent) != 2 || d.Recent[0].Node != 1 || d.Recent[1].Node != 2 {
+		t.Errorf("recent = %+v, want both records, oldest first", d.Recent)
 	}
-	if d.ModeRegret.Runs != 1 || d.ModeRegret.TotalNanos != 100 || d.ModeRegret.Timeouts != 0 {
-		t.Errorf("mode regret = %+v", d.ModeRegret)
-	}
-	if d.PlanRegret.Runs != 1 || d.PlanRegret.TotalNanos != 300 || d.PlanRegret.Timeouts != 1 {
-		t.Errorf("plan regret = %+v", d.PlanRegret)
-	}
-	if d.ShadowMismatches != 1 {
-		t.Errorf("mismatches = %d, want 1", d.ShadowMismatches)
-	}
-	if len(d.Recent) != 1 || d.Recent[0].Kind != DecisionKindPlan {
-		t.Errorf("recent = %+v, want the one kept plan record", d.Recent)
+	var text strings.Builder
+	if err := d.WriteText(&text); err != nil || !strings.Contains(text.String(), "2 observed, top-1 0.500\n") {
+		t.Errorf("/modelz text (%v) has no model-β top-1 line:\n%s", err, text.String())
 	}
 
 	m.Reset()
-	if d := m.Snapshot(); d.AlphaTotal() != 0 || d.BetaObserved() != 0 || len(d.Recent) != 0 {
+	if d := m.Snapshot(); d.AlphaTotal() != 0 || d.BetaObserved != 0 || len(d.Recent) != 0 {
 		t.Errorf("Reset left data behind: %+v", d)
 	}
 
 	// Nil-safety: every method on a nil receiver is a no-op.
 	var nm *ModelStats
 	nm.AddAlpha(cells)
-	nm.Observe(DecisionRecord{Kind: DecisionKindMode}, true)
-	nm.ObserveShadowMismatch()
+	nm.Observe(DecisionRecord{Kind: DecisionKindBeta})
 	nm.Reset()
 	if d := nm.Snapshot(); d.AlphaTotal() != 0 {
 		t.Error("nil ModelStats snapshot non-empty")
@@ -103,9 +90,7 @@ func TestModelzConcurrent(t *testing.T) {
 					var cells AlphaCells
 					cells.Score(i%2 == 0, i%3 == 0, float64(i%10)/10)
 					DefaultModelStats.AddAlpha(cells)
-					DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindBeta, Rank: 1 + i%4}, false)
-					DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindMode, RegretNanos: 50}, true)
-					DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindPlan, RegretNanos: 80, ShadowTimeout: i%5 == 0}, false)
+					DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindBeta, Top1: i%4 == 0})
 				}
 			}(w)
 		}
@@ -131,11 +116,11 @@ func TestModelzConcurrent(t *testing.T) {
 		if got, want := d.AlphaTotal(), int64(writers*iters); got != want {
 			t.Errorf("alpha total = %d, want %d (lost updates under contention)", got, want)
 		}
-		if got, want := d.BetaObserved(), int64(writers*iters); got != want {
+		if got, want := d.BetaObserved, int64(writers*iters); got != want {
 			t.Errorf("beta observed = %d, want %d", got, want)
 		}
-		if got, want := d.ModeRegret.Runs+d.PlanRegret.Runs, int64(2*writers*iters); got != want {
-			t.Errorf("regret runs = %d, want %d", got, want)
+		if got, want := d.BetaTop1, int64(writers*iters/4); got != want {
+			t.Errorf("beta top-1 = %d, want %d", got, want)
 		}
 
 		// The final rendering reflects the settled totals in both formats.

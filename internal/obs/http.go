@@ -73,11 +73,11 @@ func WithPprof(on bool) HandlerOption {
 //	/queryz             workload analytics (WithWorkload): shapes ranked
 //	                    by aggregate cost with a cache-win estimate,
 //	                    ?format=json for the schema-1 document
-//	/modelz             model-decision telemetry: model-α confusion matrix,
-//	                    vote-margin calibration, model-β plan rank, cache
-//	                    quality, shadow-scoring regret
+//	/modelz             model-decision telemetry: model-α confusion matrix
+//	                    and vote-margin calibration, model-β top-1 share
+//	                    against the training sweeps
 //	/modelz?format=json the same data as JSON, plus the last
-//	                    RecentDecisions audited records ("recent")
+//	                    RecentDecisions model-β records ("recent")
 //	/seriesz            windowed time series (WithSampler): the rings of
 //	                    the series the window readers keep, as JSON
 //	/alertz             SLO burn-rate alerts (WithAlerts): text table,

@@ -304,95 +304,6 @@ func TestObsOverheadGuard(t *testing.T) {
 	checkOverheadBudget(t, "disabled-path", overhead, wall)
 }
 
-// auditRate is package-level so the compiler cannot fold the
-// auditing() stand-in branch below.
-var auditRate float64
-
-// TestObsShadowDisabledOverhead is the ShadowRate=0 guard: shadow
-// scoring off must cost at most a rate comparison per rung-1 candidate
-// — under 2% of workload wall time — and must leave every shadow
-// artifact empty: no shadow runs, no shadow work, no regret, and, with
-// collection on, no audit record retained by /modelz.
-func TestObsShadowDisabledOverhead(t *testing.T) {
-	prev := obs.Enabled()
-	defer obs.Enable(prev)
-	obs.Enable(false)
-
-	// 1. Per-candidate cost of the disabled audit gate. Options.auditing
-	// is two float comparisons on plain struct fields; model the branch
-	// with a package-level rate the compiler cannot constant-fold.
-	const checks = 1 << 21
-	perCheck := netOf(perIterMin(5, checks, func(n int) int {
-		h := 0
-		for i := 0; i < n; i++ {
-			if auditRate > 0 {
-				h++
-			}
-		}
-		return h
-	}), loopBaseline(checks))
-
-	// 2. Representative workload with ShadowRate=0.
-	g := overheadGraph(t)
-	rng := rand.New(rand.NewSource(2))
-	queries, err := repro.ExtractQueries(g, 4, 16, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := repro.NewEngine(g, repro.Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var candidates int64
-	var shadowRuns, shadowWork, regretNanos int64
-	t0 := time.Now()
-	for _, q := range queries {
-		res, err := eng.Evaluate(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		candidates += int64(res.Candidates)
-		shadowRuns += res.ShadowModeRuns + res.ShadowPlanRuns + res.ShadowTimeouts
-		shadowWork += res.ShadowWork.Total()
-		regretNanos += res.Regret.Nanoseconds()
-	}
-	wall := time.Since(t0).Seconds()
-
-	if shadowRuns != 0 || shadowWork != 0 || regretNanos != 0 {
-		t.Errorf("ShadowRate=0 left shadow artifacts: runs=%d work=%d regret=%dns", shadowRuns, shadowWork, regretNanos)
-	}
-	if candidates == 0 {
-		t.Fatal("workload evaluated no candidates; fixture broken")
-	}
-
-	// 3. The same workload collected, on a fresh engine (untimed):
-	// /modelz still folds model β's plan ranks, but retains no record.
-	obs.Enable(true)
-	obs.DefaultModelStats.Reset()
-	defer obs.DefaultModelStats.Reset()
-	collected, err := repro.NewEngine(g, repro.Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range queries {
-		if _, err := collected.Evaluate(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	obs.Enable(false)
-	if d := obs.DefaultModelStats.Snapshot(); len(d.Recent) != 0 || d.BetaObserved() == 0 {
-		t.Errorf("ShadowRate=0 retained %d audit records and folded %d plan ranks; want none retained, some folded",
-			len(d.Recent), d.BetaObserved())
-	}
-
-	// 4. Budget: a bounded handful of audit-gate branches per candidate.
-	const sitesPerCandidate = 4
-	overhead := perCheck * float64(candidates) * sitesPerCandidate
-	t.Logf("perCheck=%.2fns candidates=%d overhead=%.3fµs wall=%.3fms (2%% limit %.3fµs)",
-		perCheck*1e9, candidates, overhead*1e6, wall*1e3, 0.02*wall*1e6)
-	checkOverheadBudget(t, "ShadowRate=0 audit-gate", overhead, wall)
-}
-
 // BenchmarkObsDisabledGate documents the cost of one disabled check.
 func BenchmarkObsDisabledGate(b *testing.B) {
 	prev := obs.Enabled()

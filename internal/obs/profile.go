@@ -198,35 +198,29 @@ func (p *Profile) Seal(d ProfileData) {
 // ready, and the input of the text renderer. Durations are nanoseconds
 // in JSON.
 type ProfileData struct {
-	ID            uint64    `json:"id"`
-	Name          string    `json:"name"`
-	RequestID     string    `json:"request_id,omitempty"`
-	Fingerprint   string    `json:"fingerprint,omitempty"`
-	Start         time.Time `json:"start"`
-	DurationNanos int64     `json:"duration_nanos"`
-	Finished      bool      `json:"finished"`
-	Method        string    `json:"method"`
-	Candidates    int       `json:"candidates"`
-	Bindings      int       `json:"bindings"`
-	TrainedNodes  int       `json:"trained_nodes"`
-	PlanClasses   int       `json:"plan_classes"`
-	TrainNanos    int64     `json:"train_nanos"`
-	FitNanos      int64     `json:"fit_nanos"`
-	CacheHits     int64     `json:"cache_hits"`
-	CacheMisses   int64     `json:"cache_misses"`
-	// Shadow-audit aggregates: runs per audited model, budget-censored
-	// counterfactuals and per-query total regret.
-	ShadowModeRuns int64            `json:"shadow_mode_runs,omitempty"`
-	ShadowPlanRuns int64            `json:"shadow_plan_runs,omitempty"`
-	ShadowTimeouts int64            `json:"shadow_timeouts,omitempty"`
-	RegretNanos    int64            `json:"regret_nanos,omitempty"`
-	ModePredicted  map[string]int64 `json:"mode_predicted,omitempty"`
-	PlanChosen     []int64          `json:"plan_chosen,omitempty"`
-	Ladder         []LadderRung     `json:"ladder"`
-	LadderNames    []string         `json:"ladder_names"`
-	Funnel         []FunnelDepth    `json:"funnel,omitempty"`
-	Work           map[string]int64 `json:"work,omitempty"`
-	Error          string           `json:"error,omitempty"`
+	ID            uint64           `json:"id"`
+	Name          string           `json:"name"`
+	RequestID     string           `json:"request_id,omitempty"`
+	Fingerprint   string           `json:"fingerprint,omitempty"`
+	Start         time.Time        `json:"start"`
+	DurationNanos int64            `json:"duration_nanos"`
+	Finished      bool             `json:"finished"`
+	Method        string           `json:"method"`
+	Candidates    int              `json:"candidates"`
+	Bindings      int              `json:"bindings"`
+	TrainedNodes  int              `json:"trained_nodes"`
+	PlanClasses   int              `json:"plan_classes"`
+	TrainNanos    int64            `json:"train_nanos"`
+	FitNanos      int64            `json:"fit_nanos"`
+	CacheHits     int64            `json:"cache_hits"`
+	CacheMisses   int64            `json:"cache_misses"`
+	ModePredicted map[string]int64 `json:"mode_predicted,omitempty"`
+	PlanChosen    []int64          `json:"plan_chosen,omitempty"`
+	Ladder        []LadderRung     `json:"ladder"`
+	LadderNames   []string         `json:"ladder_names"`
+	Funnel        []FunnelDepth    `json:"funnel,omitempty"`
+	Work          map[string]int64 `json:"work,omitempty"`
+	Error         string           `json:"error,omitempty"`
 }
 
 // Snapshot returns the profile's record: the sealed query, or while it
@@ -291,12 +285,6 @@ func (d ProfileData) WriteText(w io.Writer) error {
 			}
 		}
 		fmt.Fprintf(&buf, "\n")
-	}
-
-	if d.ShadowModeRuns+d.ShadowPlanRuns > 0 {
-		fmt.Fprintf(&buf, "├─ shadow audit  mode=%d plan=%d censored=%d regret=%s\n",
-			d.ShadowModeRuns, d.ShadowPlanRuns, d.ShadowTimeouts,
-			time.Duration(d.RegretNanos).Round(time.Microsecond))
 	}
 
 	fmt.Fprintf(&buf, "├─ recovery ladder (§4.3)\n")

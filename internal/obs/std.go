@@ -68,17 +68,10 @@ var (
 	SmartFunnelRecursed  = Default.Histogram("smartpsi_funnel_recursed", "per-query funnel: candidates recursed into", CountBuckets)
 	SmartFunnelMatched   = Default.Histogram("smartpsi_funnel_matched", "per-query funnel: candidates whose subtree produced a full mapping", CountBuckets)
 
-	// --- package smartpsi: model-decision audit (shadow scoring) ---
+	// --- package smartpsi: model β scored against the training sweeps (/modelz) ---
 
-	SmartShadowModeRuns     = Default.Counter("smartpsi_shadow_mode_runs_total", "shadow runs of the opposite method on sampled candidates (model-α audit)")
-	SmartShadowPlanRuns     = Default.Counter("smartpsi_shadow_plan_runs_total", "shadow runs of a sampled alternative plan (model-β audit)")
-	SmartShadowTimeouts     = Default.Counter("smartpsi_shadow_timeouts_total", "shadow runs censored by the shadow budget (counterfactual at least budget; regret 0)")
-	SmartShadowMismatches   = Default.Counter("smartpsi_shadow_mismatches_total", "shadow runs whose matched/not-matched verdict contradicted the primary run (must stay 0)")
-	SmartModeRegretSeconds  = Default.Histogram("smartpsi_shadow_mode_regret_seconds", "per-decision regret of the predicted method vs its counterfactual (max(0, primary − shadow))", LatencyBuckets)
-	SmartPlanRegretSeconds  = Default.Histogram("smartpsi_shadow_plan_regret_seconds", "per-decision regret of the predicted plan vs a sampled alternative", LatencyBuckets)
-	SmartQueryRegretSeconds = Default.Histogram("smartpsi_query_regret_seconds", "per-query total shadow-scoring regret", LatencyBuckets)
-	SmartBetaRankChecks     = Default.Counter("smartpsi_beta_rank_checks_total", "model-β predictions ranked against the per-plan training sweeps")
-	SmartBetaRankTop1       = Default.Counter("smartpsi_beta_rank_top1_total", "model-β predictions that picked the sweep's fastest plan")
+	SmartBetaRankChecks = Default.Counter("smartpsi_beta_rank_checks_total", "model-β predictions scored against the per-plan training sweeps")
+	SmartBetaRankTop1   = Default.Counter("smartpsi_beta_rank_top1_total", "model-β predictions that picked the sweep's fastest plan")
 
 	// --- package server: the psi-serve query service ---
 	//

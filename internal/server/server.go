@@ -38,9 +38,9 @@
 // Requests are correlated end to end: the server accepts or mints an
 // X-Request-ID, echoes it on the response, logs it in the structured
 // access log, and threads it into the evaluator's execution profile and
-// audit records, so one served query can be followed from the log line
-// to /profilez?request_id= (its per-query record) to the audited
-// decisions in /modelz?format=json's recent list.
+// model-β records, so one served query can be followed from the log line
+// to /profilez?request_id= (its per-query record) to the model-β
+// decisions its training scored in /modelz?format=json's recent list.
 //
 // The server publishes its own metric family (server_* in internal/obs:
 // queue depth, in-flight, shed/drain/panic/deadline counters, per-route
@@ -77,7 +77,7 @@ import (
 // must honor the deadline by aborting with psi.ErrDeadline (wrapped or
 // not) and must be safe for concurrent calls. It receives the serving
 // request ID and the shape fingerprint the server computed at admission
-// ("" when workload analytics is off), so the profile and the audit
+// ("" when workload analytics is off), so the profile and the model-β
 // records carry the same keys the access log and /queryz group by.
 type Evaluator interface {
 	EvaluateTagged(q graph.Query, deadline time.Time, requestID, fingerprint string) (*smartpsi.Result, error)
@@ -265,7 +265,7 @@ func (s *Server) Config() Config { return s.cfg }
 // requestIDHeader is the correlation header: an incoming value is
 // accepted (trimmed, length-capped), otherwise a fresh ID is generated.
 // The resolved ID is echoed on the response and threaded through the
-// access log, the execution profile and the audit records.
+// access log, the execution profile and the model-β records.
 const requestIDHeader = "X-Request-ID"
 
 // maxRequestIDLen caps accepted client-supplied request IDs.
@@ -571,7 +571,7 @@ func classify(err error) verdict {
 // workload observation -> classification. The item carries the status
 // the query gets standalone. The canonical shape key is computed once,
 // here, when workload analytics is armed, and feeds the workload sketch
-// and (via EvaluateTagged) the profile and the audit records.
+// and (via EvaluateTagged) the profile and the model-β records.
 func (s *Server) serveQuery(ctx context.Context, q graph.Query, deadline time.Time) BatchItem {
 	var fp fsm.Fingerprint
 	var fingerprint string

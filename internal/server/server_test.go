@@ -658,8 +658,8 @@ func directBindings(t *testing.T, g *graph.Graph, q graph.Query) []int64 {
 // TestServerRequestCorrelation walks one request ID through the whole
 // pipeline: the client sends X-Request-ID, the server echoes it,
 // stamps the structured access log, files the execution profile under
-// it (served by /profilez?request_id=), and threads it into the audit
-// records /modelz retains for the audited evaluation.
+// it (served by /profilez?request_id=), and threads it into the model-β
+// records /modelz retains for the evaluation's training sweep.
 func TestServerRequestCorrelation(t *testing.T) {
 	prevEnabled := obs.Enabled()
 	obs.Enable(true)
@@ -669,8 +669,8 @@ func TestServerRequestCorrelation(t *testing.T) {
 		obs.DefaultModelStats.Reset()
 	})
 
-	// Sparse random graph with enough label-0 candidates for the ML
-	// path, so the audited evaluation files audit records.
+	// Sparse random graph with enough label-1 candidates for the ML
+	// path, so the evaluation trains model β and files its records.
 	const n, m = 300, 900
 	rng := rand.New(rand.NewSource(9))
 	b := graph.NewBuilder(n, m)
@@ -701,7 +701,7 @@ func TestServerRequestCorrelation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	engine, err := smartpsi.NewEngine(g, smartpsi.Options{Seed: 3, DisablePreemption: true, ShadowRate: 1})
+	engine, err := smartpsi.NewEngine(g, smartpsi.Options{Seed: 3, DisablePreemption: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -767,7 +767,7 @@ func TestServerRequestCorrelation(t *testing.T) {
 		t.Errorf("/profilez with unknown request_id = %d, want 404", code)
 	}
 
-	// 3. Every audit record /modelz retains (a diagnostic bundle's
+	// 3. Every model-β record /modelz retains (a diagnostic bundle's
 	// modelz.json) carries the ID.
 	mresp, err := ts.Client().Get(ts.URL + "/modelz?format=json")
 	if err != nil {
@@ -782,7 +782,7 @@ func TestServerRequestCorrelation(t *testing.T) {
 		t.Fatal(decErr)
 	}
 	if len(model.Recent) == 0 {
-		t.Fatal("audited evaluation filed no audit records; fixture broken")
+		t.Fatal("the evaluation filed no model-β records; fixture broken")
 	}
 	for i, rec := range model.Recent {
 		if rec.RequestID != reqID {

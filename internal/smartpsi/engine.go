@@ -22,27 +22,15 @@ import (
 // Options configures an Engine. The zero value gives the paper's
 // defaults; the paper's fixed training settings are the constants
 // below, which no option overrides. The engine's own budgets (§4.2.2's
-// sweep limit, §4.3's rung and audit budgets) count psi.Stats.Units, not
-// wall time, so a seed decides alike on any machine.
+// sweep limit, §4.3's rung budgets) count psi.Stats.Units, not wall
+// time, so a seed decides alike on any machine.
 type Options struct {
 	// Threads is the number of candidate-evaluation workers (default 1;
 	// Figure 9 uses 2 for parity with the two-threaded baseline).
 	Threads int
-	// Seed drives all sampling (training-set choice, plan sampling, and
-	// the deterministic per-worker shadow-sampling streams).
+	// Seed drives all sampling (training-set choice, plan sampling and
+	// the forests).
 	Seed int64
-
-	// ShadowRate is the model-decision audit sampling rate (default 0 =
-	// off): on that fraction of non-training candidates whose primary
-	// evaluation resolves at recovery-ladder rung 1, the engine also
-	// runs the *opposite* method as a shadow and records the decision's
-	// regret (max(0, primary − counterfactual) wall time). A quarter of
-	// the rate samples shadow runs of a random *alternative plan* under
-	// the same method (model-β audits: plan counterfactuals are costlier
-	// and noisier). Rate 1 audits every eligible α decision — the
-	// deterministic seam tests use. Shadow work is accounted in
-	// Result.ShadowWork, never in Result.Work.
-	ShadowRate float64
 
 	// Ablation switches (all false in the full system).
 	DisablePlanModel  bool // always use the heuristic plan (no model β)
@@ -55,9 +43,6 @@ type Options struct {
 	// engine.
 	DisablePreparedCache bool
 }
-
-// auditing reports whether any decision audit can trigger.
-func (o Options) auditing() bool { return o.ShadowRate > 0 }
 
 // MinTrainNodes is the smallest candidate set worth training on: below
 // it the engine evaluates every candidate pessimistically with the
@@ -122,11 +107,6 @@ type Engine struct {
 	// (1, 2, 3). Only the recovery-ladder tests set it, to force
 	// exact timeout sequences without real searches and their budgets.
 	evalHook func(state int, mode psi.Mode, planIdx int) (bool, error)
-	// shadowHook, when non-nil, replaces the counterfactual evaluation
-	// inside shadow audits with a deterministic stand-in keyed by the
-	// shadow's (mode, plan). Only the shadow-audit tests set it — paired
-	// with evalHook it pins the exact audit call sites without timing.
-	shadowHook func(mode psi.Mode, planIdx int) (bool, error)
 	// trainHook, when non-nil, runs at train's two budget checkpoints
 	// (0: after the sweep, 1: between the α and β fits) just before the
 	// deadline is read. Only the deadline tests set it, to let a budget

@@ -24,11 +24,11 @@ type Request struct {
 	Deadline time.Time
 	// ID is the serving-layer request ID (X-Request-ID) and Fingerprint
 	// the query's canonical shape key; both are threaded into the
-	// execution profile and the audit records /modelz retains, so one
+	// execution profile and the model-β records /modelz retains, so one
 	// served request is correlatable across the access log,
 	// /profilez?request_id= and /modelz?format=json's recent list. The
 	// serving layer fingerprints once at admission so the workload
-	// sketch, the profile and the audit records all agree; an empty
+	// sketch, the profile and the model-β records all agree; an empty
 	// Fingerprint falls back to computing one here when the query is
 	// collected.
 	ID, Fingerprint string
@@ -63,7 +63,7 @@ type queryRun struct {
 	req  Request
 	name string // "" when the query is not collected
 	// enabled is obs.Enabled() as read once when the query started; every
-	// metric and audit site of the query tests it instead of the gate.
+	// metric and /modelz site of the query tests it instead of the gate.
 	enabled bool
 
 	// candidates are the pivot-labelled data nodes the request owns,
@@ -130,7 +130,7 @@ func (e *Engine) Run(req Request) (_ *Result, retErr error) {
 	}
 	if enabled && req.Fingerprint == "" {
 		// Non-serving entry points (CLIs, tests) fingerprint here so
-		// their profiles and audit records still pivot by shape; the
+		// their profiles and model-β records still pivot by shape; the
 		// serving layer passes one in instead.
 		r.req.Fingerprint = fsm.PivotFingerprint(q, 0).String()
 	}
@@ -174,9 +174,6 @@ func (e *Engine) Run(req Request) (_ *Result, retErr error) {
 	if enabled {
 		obs.SmartQuerySeconds.Observe(res.TotalTime.Seconds())
 		obs.SmartRecursionDist.Observe(float64(res.Work.Recursions))
-		if e.opts.auditing() {
-			obs.SmartQueryRegretSeconds.Observe(res.Regret.Seconds())
-		}
 		tot := res.Funnel.Totals()
 		obs.SmartFunnelGenerated.Observe(float64(tot.Generated))
 		obs.SmartFunnelDegOK.Observe(float64(tot.DegOK))

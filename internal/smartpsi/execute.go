@@ -1,7 +1,6 @@
 package smartpsi
 
 import (
-	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -12,9 +11,9 @@ import (
 	"repro/internal/psi"
 )
 
-// minBudgetUnits floors the §4.3 rung budget and a shadow audit's, so a
-// (method, plan) averaging a few units does not preempt every costlier
-// candidate: 200 µs at sweepStartUnits' ≈ 50 ns a unit.
+// minBudgetUnits floors the §4.3 rung budget, so a (method, plan)
+// averaging a few units does not preempt every costlier candidate:
+// 200 µs at sweepStartUnits' ≈ 50 ns a unit.
 const minBudgetUnits = 4_000
 
 // execute is prediction + preemptive evaluation (Sections 4.2.3, 4.3)
@@ -33,7 +32,7 @@ func (e *Engine) execute(art *artifact, r *queryRun, order []int32, deadline tim
 	var ws []*worker
 	var shares [][]int32
 	for lo := 0; lo < len(order); lo += chunk {
-		ws = append(ws, e.newWorker(art, r, deadline, len(ws)))
+		ws = append(ws, newWorker(art, r, deadline))
 		shares = append(shares, order[lo:min(lo+chunk, len(order))])
 	}
 	var wg sync.WaitGroup
@@ -47,7 +46,6 @@ func (e *Engine) execute(art *artifact, r *queryRun, order []int32, deadline tim
 			defer func() {
 				w.exit()
 				art.timing.add(w.learned)
-				w.flushDecisions()
 				mu.Lock()
 				r.res.Counts.Add(&w.Counts)
 				modelNanos += w.modelNanos
@@ -100,42 +98,29 @@ type worker struct {
 	Counts
 	modelNanos int64
 	// alpha scores model α's fresh predictions against ground truth: exit
-	// stores its confusion in Counts.Alpha, and flushDecisions adds it,
-	// calibration cells included, to /modelz.
+	// stores its confusion in Counts.Alpha and, when the query is
+	// collected, adds it, calibration cells included, to /modelz.
 	alpha obs.AlphaCells
-	// audits and mismatches are the worker's shadow-audit findings, filed
-	// by flushDecisions when it exits.
-	audits     []obs.DecisionRecord
-	mismatches int
 
-	votesScratch []int      // forest-vote scratch, reused per worker
-	rowScratch   []float64  // feature-row scratch (features), reused per worker
-	rng          *rand.Rand // deterministic shadow-sampling stream
-	shadowState  *psi.State // counterfactual evaluator state (nil unless auditing)
+	votesScratch []int     // forest-vote scratch, reused per worker
+	rowScratch   []float64 // feature-row scratch (features), reused per worker
 }
 
-// newWorker builds execute's i-th worker.
-func (e *Engine) newWorker(art *artifact, r *queryRun, global time.Time, i int) *worker {
-	w := &worker{art: art, run: r, global: global, st: r.newState(art.q.Size()), now: time.Now(),
+// newWorker builds one of execute's workers.
+func newWorker(art *artifact, r *queryRun, global time.Time) *worker {
+	return &worker{art: art, run: r, global: global, st: r.newState(art.q.Size()), now: time.Now(),
 		timing: art.timing.snapshot(), learned: newPlanTiming(len(art.compiled))}
-	if e.opts.auditing() {
-		// Shadow audits get their own sampling stream and their own
-		// evaluator state: counterfactual work must land in ShadowWork,
-		// never in the primary accounting.
-		w.rng = newShadowRNG(e.opts.Seed, i)
-		w.shadowState = psi.NewState(art.q.Size())
-	}
-	return w
 }
 
-// exit stores what the worker's evaluator states and model-α cells
-// counted into its Counts, when it exits.
+// exit stores what the worker's evaluator state and model-α cells
+// counted into its Counts, when it exits, and files the cells in /modelz
+// if the query is collected.
 func (w *worker) exit() {
 	w.capture(w.st)
-	if w.shadowState != nil {
-		w.ShadowWork = w.shadowState.Stats()
-	}
 	w.Alpha = AccuracyReport{Correct: w.alpha.AlphaCorrect(), Total: w.alpha.AlphaTotal()}
+	if w.run.enabled {
+		obs.DefaultModelStats.AddAlpha(w.alpha)
+	}
 }
 
 func (w *worker) votes(n int) []int {
@@ -207,9 +192,7 @@ type rung struct {
 // one, then the recovery ladder — the predicted method and plan, the
 // opposite method on the same plan (recovers from model α errors), the
 // predicted method on the heuristic plan (recovers from model β
-// errors) — stopping at the first rung that finishes. A rung-1 resolution additionally runs the sampled shadow
-// audits (shadow.go); rungs 2–3 never do — they are already
-// counterfactuals.
+// errors) — stopping at the first rung that finishes.
 func (e *Engine) evaluateOne(w *worker, u graph.NodeID, slot int32) (bool, error) {
 	var dec decision
 	var memo *atomic.Uint32
@@ -240,29 +223,18 @@ func (e *Engine) evaluateOne(w *worker, u graph.NodeID, slot int32) (bool, error
 	}
 	var err error
 	for i, r := range ladder {
-		var p primaryRun
-		if p, err = e.attempt(w, u, i, r); err != nil {
+		var valid bool
+		if valid, err = e.attempt(w, u, i, r); err != nil {
 			if err != psi.ErrDeadline || expiredAt(w.global, w.now) {
 				break
 			}
 			continue
 		}
-		e.scoreAlpha(w, predicted, dec, p.valid)
-		if i == obs.LadderPredicted {
-			if memo != nil && !cached {
-				memo.Store(encodeDecision(dec))
-			}
-			if e.opts.auditing() {
-				p.row, p.dec, p.cached = w.features(u), dec, cached
-				err := e.auditDecision(w, p)
-				// The audit's time is no candidate's model or rung time.
-				w.now = time.Now()
-				if err != nil {
-					return false, err
-				}
-			}
+		e.scoreAlpha(w, predicted, dec, valid)
+		if i == obs.LadderPredicted && memo != nil && !cached {
+			memo.Store(encodeDecision(dec))
 		}
-		return p.valid, nil
+		return valid, nil
 	}
 	return false, err
 }
@@ -270,37 +242,37 @@ func (e *Engine) evaluateOne(w *worker, u graph.NodeID, slot int32) (bool, error
 // attempt runs rung i of the ladder for candidate u. It is the one place
 // an execute-phase candidate evaluation happens: the rung's work budget,
 // the evalHook seam, the rung's tally and the planTiming update all live
-// here. It returns the run's verdict, units and wall time, which starts
-// at the worker's last clock reading and ends at the next one.
-func (e *Engine) attempt(w *worker, u graph.NodeID, i int, r rung) (primaryRun, error) {
-	p := primaryRun{u: u}
+// here. It returns the run's verdict; its wall time starts at the
+// worker's last clock reading and ends at the next one.
+func (e *Engine) attempt(w *worker, u graph.NodeID, i int, r rung) (bool, error) {
 	t0 := w.now
 	limits := psi.Limits{Deadline: w.global}
 	if r.budgeted {
 		limits.MaxSteps = w.timing.maxUnits(r.mode, r.planIdx)
 	}
 	before := w.st.Stats().Units()
+	var valid bool
 	var err error
 	if e.evalHook != nil {
-		p.valid, err = e.evalHook(i+1, r.mode, r.planIdx)
+		valid, err = e.evalHook(i+1, r.mode, r.planIdx)
 	} else {
-		p.valid, err = w.art.ev.Evaluate(w.st, w.art.compiled[r.planIdx], u, r.mode, limits)
+		valid, err = w.art.ev.Evaluate(w.st, w.art.compiled[r.planIdx], u, r.mode, limits)
 	}
-	p.units = w.st.Stats().Units() - before
+	units := w.st.Stats().Units() - before
 	w.now = time.Now()
-	p.took = w.now.Sub(t0)
+	took := w.now.Sub(t0)
 	rt := &w.Ladder[i]
 	rt.Entered++
-	rt.Nanos += p.took.Nanoseconds()
+	rt.Nanos += took.Nanoseconds()
 	if err == nil {
 		rt.Resolved++
-		w.timing.record(r.mode, r.planIdx, p.units)
-		w.learned.record(r.mode, r.planIdx, p.units)
+		w.timing.record(r.mode, r.planIdx, units)
+		w.learned.record(r.mode, r.planIdx, units)
 		if w.run.enabled {
-			obs.SmartPlanSeconds.Observe(p.took.Seconds())
+			obs.SmartPlanSeconds.Observe(took.Seconds())
 		}
 	}
-	return p, err
+	return valid, err
 }
 
 // scoreAlpha records ground truth for one candidate when model α
@@ -311,6 +283,19 @@ func (e *Engine) scoreAlpha(w *worker, predicted bool, dec decision, actualValid
 	if predicted {
 		w.alpha.Score(dec.mode == psi.Optimistic, actualValid, w.margin(dec))
 	}
+}
+
+// voteLead returns the forest's winner-minus-runner-up vote count.
+func voteLead(votes []int) int {
+	best, second := 0, 0
+	for _, v := range votes {
+		if v > best {
+			best, second = v, best
+		} else if v > second {
+			second = v
+		}
+	}
+	return best - second
 }
 
 // planTiming tracks the average work (psi.Stats.Units) of finished

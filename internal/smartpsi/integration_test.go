@@ -108,8 +108,8 @@ func TestThreadCountsAgree(t *testing.T) {
 // options give the same everything on the same query, at one worker and
 // at two: every budget the engine decides by counts work, so labels,
 // forests, plan and method picks, flips, fallbacks and Work cannot
-// depend on how fast the machine runs. Only the wall-clock reports
-// (Ladder[].Nanos, Regret) may differ. The slow fixture preempts, so the
+// depend on how fast the machine runs. Only the wall-clock report
+// (Ladder[].Nanos) may differ. The slow fixture preempts, so the
 // ladder's budgets are exercised.
 func TestRepeatEvaluationsDeterministic(t *testing.T) {
 	spec, err := gen.ScaledSpec("cora", 2)
@@ -135,7 +135,6 @@ func TestRepeatEvaluationsDeterministic(t *testing.T) {
 					t.Fatal(err)
 				}
 				runs[i] = mustEvaluate(t, e, tc.q)
-				runs[i].Regret = 0
 				for r := range runs[i].Ladder {
 					runs[i].Ladder[r].Nanos = 0
 				}

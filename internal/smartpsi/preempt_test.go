@@ -177,7 +177,7 @@ func TestPreemptionDisabledCounters(t *testing.T) {
 // TestSweepCapLabelsAlphaOnly: a training node that no plan finishes
 // within the sweep cap is labelled by one unbounded heuristic-plan run
 // and gives model α a row, but model β none (so there is no model β),
-// and keeps no sweep for the β-rank audit.
+// and keeps no sweep to score model β against.
 func TestSweepCapLabelsAlphaOnly(t *testing.T) {
 	// K_{30,30} has no odd cycle, so a 5-cycle search from any node
 	// visits all ~750k paths of four edges under every plan: over the
@@ -208,7 +208,7 @@ func TestSweepCapLabelsAlphaOnly(t *testing.T) {
 	r, order := newRun(e, q)
 	r.candidates, r.valid, order = r.candidates[:2], r.valid[:2], order[:2]
 	r.enabled = true // sweeps are kept only for a collected query
-	ranks := obs.DefaultModelStats.Snapshot().BetaObserved()
+	ranks := obs.DefaultModelStats.Snapshot().BetaObserved
 	trained, err := e.train(art, r, order, rng, time.Time{})
 	if err != nil {
 		t.Fatal(err)
@@ -220,8 +220,8 @@ func TestSweepCapLabelsAlphaOnly(t *testing.T) {
 	if trained != 1 || art.alpha == nil || art.beta != nil {
 		t.Errorf("trained %d nodes, α %v, β %v; want one α row and no β", trained, art.alpha != nil, art.beta != nil)
 	}
-	if d := obs.DefaultModelStats.Snapshot().BetaObserved() - ranks; d != 0 {
-		t.Errorf("%d β-rank audits filed; a node past the cap keeps no sweep", d)
+	if d := obs.DefaultModelStats.Snapshot().BetaObserved - ranks; d != 0 {
+		t.Errorf("%d model-β records filed; a node past the cap keeps no sweep", d)
 	}
 	if r.valid[order[0]] {
 		t.Error("K_{30,30} has no 5-cycle, yet the node was labelled valid")

@@ -74,17 +74,6 @@ type Counts struct {
 	// cap hits, deadline aborts, ...) across training and all candidate
 	// workers, merged with the canonical psi.Stats.Add.
 	Work psi.Stats
-	// ShadowModeRuns / ShadowPlanRuns count the sampled shadow audits
-	// (Options.ShadowRate); ShadowTimeouts counts counterfactuals
-	// censored by the 16x-primary shadow budget.
-	ShadowModeRuns, ShadowPlanRuns, ShadowTimeouts int64
-	// Regret totals the audited decisions' regret: max(0, primary −
-	// counterfactual) wall time, summed over this query's shadow runs.
-	Regret time.Duration
-	// ShadowWork aggregates the counterfactual evaluators' work. Audits
-	// never contribute to Work: primary accounting must be identical
-	// with auditing on or off.
-	ShadowWork psi.Stats
 
 	// ModePicks counts decisions (cached or fresh) per method, in
 	// psi.Mode order: optimistic, pessimistic.
@@ -112,11 +101,6 @@ func (c *Counts) Add(o *Counts) {
 	c.Flips += o.Flips
 	c.Fallbacks += o.Fallbacks
 	c.Work.Add(o.Work)
-	c.ShadowModeRuns += o.ShadowModeRuns
-	c.ShadowPlanRuns += o.ShadowPlanRuns
-	c.ShadowTimeouts += o.ShadowTimeouts
-	c.Regret += o.Regret
-	c.ShadowWork.Add(o.ShadowWork)
 	for m, n := range o.ModePicks {
 		c.ModePicks[m] += n
 	}
@@ -183,22 +167,18 @@ func (r *queryRun) finish(err error) {
 		return
 	}
 	d := obs.ProfileData{
-		Fingerprint:    r.req.Fingerprint,
-		Candidates:     res.Candidates,
-		Bindings:       len(res.Bindings),
-		TrainedNodes:   res.TrainedNodes,
-		TrainNanos:     res.TrainTime.Nanoseconds(),
-		FitNanos:       res.FitTime.Nanoseconds(),
-		CacheHits:      res.CacheHits,
-		CacheMisses:    res.CacheMisses,
-		ShadowModeRuns: res.ShadowModeRuns,
-		ShadowPlanRuns: res.ShadowPlanRuns,
-		ShadowTimeouts: res.ShadowTimeouts,
-		RegretNanos:    res.Regret.Nanoseconds(),
-		PlanChosen:     slices.Clone(res.PlanPicks),
-		Ladder:         slices.Clone(res.Ladder[:]),
-		Funnel:         slices.Clone(res.Funnel.Depths),
-		Work:           psi.RecordWork(res.Work),
+		Fingerprint:  r.req.Fingerprint,
+		Candidates:   res.Candidates,
+		Bindings:     len(res.Bindings),
+		TrainedNodes: res.TrainedNodes,
+		TrainNanos:   res.TrainTime.Nanoseconds(),
+		FitNanos:     res.FitTime.Nanoseconds(),
+		CacheHits:    res.CacheHits,
+		CacheMisses:  res.CacheMisses,
+		PlanChosen:   slices.Clone(res.PlanPicks),
+		Ladder:       slices.Clone(res.Ladder[:]),
+		Funnel:       slices.Clone(res.Funnel.Depths),
+		Work:         psi.RecordWork(res.Work),
 	}
 	// The method and the model-β class count describe how candidates
 	// were decided, so a query that never reached a decision path (no

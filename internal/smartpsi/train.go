@@ -58,8 +58,8 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 	// The training rows' features, one flat block for the whole prefix.
 	width := e.sigs.Width()
 	features := make([]float64, trainCount*width)
-	// The per-plan sweep measurements, retained for the model-β
-	// plan-rank audit (scoreBetaRanks) when the query is collected.
+	// The per-plan sweep measurements, retained for scoring model β
+	// against them (scoreBetaRanks) when the query is collected.
 	var sweeps []betaSweep
 	for i, pos := range order[:trainCount] {
 		if expiredAt(deadline, time.Now()) {
@@ -91,7 +91,7 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 			betaDS.X = append(betaDS.X, row)
 			betaDS.Y = append(betaDS.Y, bestPlan)
 			if r.enabled {
-				sweeps = append(sweeps, betaSweep{node: u, outcomes: outcomes})
+				sweeps = append(sweeps, betaSweep{node: u, outcomes: outcomes, best: bestPlan})
 			}
 		}
 	}
@@ -128,6 +128,39 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 	return trainCount, nil
 }
 
+// betaSweep retains one training node's per-plan sweep measurements and
+// the plan that used the fewest units, for scoreBetaRanks.
+type betaSweep struct {
+	node     graph.NodeID
+	outcomes []planOutcome
+	best     int
+}
+
+// scoreBetaRanks scores model β against the training sweeps: for every
+// retained sweep it predicts a plan with the trained forest and files in
+// /modelz whether that plan is the sweep's fastest (finished, with the
+// fewest units). The sweep bounds each plan by the leader's units, so
+// that is all it measures: a plan as fast as the leader still finishes,
+// but the slower ones are mostly cut off and stay unordered.
+func (e *Engine) scoreBetaRanks(r *queryRun, betaModel *ml.Forest, sweeps []betaSweep) {
+	votes := make([]int, betaModel.NumClasses())
+	var row []float64
+	for _, s := range sweeps {
+		row = e.sigs.RowInto(s.node, row)
+		pred := betaModel.PredictInto(row, votes)
+		o := s.outcomes[pred]
+		obs.DefaultModelStats.Observe(obs.DecisionRecord{
+			Kind:        obs.DecisionKindBeta,
+			Query:       r.name,
+			RequestID:   r.req.ID,
+			Fingerprint: r.req.Fingerprint,
+			Node:        int64(s.node),
+			PredPlan:    pred,
+			Top1:        o.done && o.units == s.outcomes[s.best].units,
+		})
+	}
+}
+
 // trainCheckpoint is one of train's two budget reads between the sweep
 // and the fits (0: before α, 1: before β).
 func (e *Engine) trainCheckpoint(i int, deadline time.Time) error {
@@ -149,8 +182,8 @@ const sweepStartUnits = 40_000
 
 // planOutcome is one plan's measurement in a training sweep: whether it
 // finished within the escalating limit, the node's validity under it,
-// and the work it took in units. scoreBetaRanks replays retained
-// outcomes to rank model β's predictions.
+// and the work it took in units. scoreBetaRanks reads retained outcomes
+// to score model β's predictions.
 type planOutcome struct {
 	done  bool
 	valid bool

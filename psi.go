@@ -95,7 +95,7 @@ type (
 	// no models below smartpsi.MinTrainNodes (64) candidates. Data
 	// signatures are always depth-2 matrix-built, and each query's
 	// signatures are built the same way. The engine's own budgets (the
-	// training sweep's per-plan limit, the preemption and audit budgets)
+	// training sweep's per-plan limit, the preemption budgets)
 	// count search work, not wall time, so a seed decides the same way
 	// on any machine; a request's deadline is its one clock budget.
 	Options = smartpsi.Options

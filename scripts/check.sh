@@ -63,16 +63,16 @@ step "benchmark module (vet + tests against this tree's engine API)"
 go -C benchmark vet ./...
 go -C benchmark test ./...
 
-step "observability suite (-race; overhead + shadow guards, /modelz)"
-go test -race -count=1 -run 'TestObs|TestShadow|TestModelz|TestMerge' \
+step "observability suite (-race; overhead guard, /modelz)"
+go test -race -count=1 -run 'TestObs|TestModelz|TestMerge' \
     ./internal/obs/ ./internal/psi/ ./internal/smartpsi/ ./cmd/psi-workload/
 
-step "audited workload (psi-workload -evaluate -shadow-rate prints the /modelz report)"
-modelz="$(go run ./cmd/psi-workload -dataset cora -sizes 4 -count 4 -evaluate \
-    -shadow-rate 0.5 -out /dev/null 2>&1)"
+step "collected workload (PSI_OBS=1 psi-workload -evaluate prints the /modelz report)"
+modelz="$(PSI_OBS=1 go run ./cmd/psi-workload -dataset cora -sizes 4 -count 4 -evaluate \
+    -out /dev/null 2>&1)"
 printf '%s\n' "$modelz"
 grep -q 'model α (node type, §4.2) — confusion matrix' <<<"$modelz"
-grep -q 'shadow verdict mismatches: 0 ' <<<"$modelz"
+grep -Eq 'predicted plan vs training sweeps: [1-9][0-9]* observed, top-1 ' <<<"$modelz"
 
 step "serving smoke (psi-serve + psi-loadgen: verify, overload shed, drain)"
 ./scripts/serve_smoke.sh

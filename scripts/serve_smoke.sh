@@ -19,7 +19,7 @@
 #      bundle's JSON entries must validate, and psi-bundle report
 #      -require-correlation must find the firing objective plus at
 #      least one request ID present in both a captured profile and
-#      modelz.json's recent audited decisions;
+#      modelz.json's recent model-β records;
 #   5. workload analytics — a Zipfian loadgen pass (-skew zipf:2
 #      -require-hot-shape) must surface its hot query's canonical
 #      fingerprint at rank 1 on /queryz with a nonzero repeat-hit
@@ -144,15 +144,19 @@ step "overload server (workers=1, shed-immediately, bundle auto-capture armed)"
 start_server -workers 1 -queue 0 \
     -sample-interval 100ms -slo-availability 0.99 \
     -slo-fast-window 1s -slo-slow-window 3s -slo-burn-factor 2 -slo-for 0s \
-    -shadow-rate 1 \
     -bundle-dir "$work/bundles" -bundle-cooldown 1s -bundle-keep 4
 
 step "skewed load surfaces its hot shape at /queryz (zipf mix, one worker, no shedding)"
 # Concurrency 1 against the one worker: nothing sheds, so the alert
 # stays quiet and every request lands in the workload sketch. The pass
 # prints "hot shape: <fp> ..." on success; capture the fingerprint.
+# From its third sighting a query is served warm (~0.08 ms here), while
+# a cold query that trains costs 1-2 ms, more on a busy box. At 60
+# requests the hot shape's 36 led a shape seen once by only ~2x in cost;
+# 600 requests make its lead over any other shape ~3x, however long
+# that shape's cold runs take.
 "$work/psi-loadgen" -addr "$addr" -graph "$work/g.lg" \
-    -concurrency 1 -requests 60 -timeout-ms 5000 -min-bindings 1 \
+    -concurrency 1 -requests 600 -timeout-ms 5000 -min-bindings 1 \
     -skew zipf:2 -require-hot-shape | tee "$work/skew.out"
 fp="$(sed -n 's/^hot shape: \([0-9a-f]\{16\}\).*/\1/p' "$work/skew.out")"
 if [[ -z "$fp" ]]; then
