@@ -387,7 +387,7 @@ func writeText(w io.Writer, rep *reportDoc) {
 			if p.RequestID != "" {
 				_, _ = fmt.Fprintf(w, "  req %s", p.RequestID)
 			}
-			f := (&obs.Funnel{Depths: p.Funnel}).Totals()
+			f := obs.FunnelTotals(p.Funnel...)
 			_, _ = fmt.Fprintf(w, "\n             funnel generated %d > deg-ok %d > sig-ok %d > recursed %d > matched %d; bindings %d\n",
 				f.Generated, f.DegOK, f.SigOK, f.Recursed, f.Matched, p.Bindings)
 		}

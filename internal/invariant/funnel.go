@@ -2,19 +2,17 @@ package invariant
 
 import "repro/internal/obs"
 
-// CheckFunnel validates a query profiler candidate funnel: within every
-// plan depth the stage counts must be non-negative and monotone
-// non-increasing in pipeline order (generated ≥ deg-ok ≥ sig-ok ≥
-// recursed ≥ matched) — each stage only ever filters the previous one.
-// It iterates obs.FunnelDepth.Stages rather than the named fields, so a
-// stage added to the funnel is covered here automatically.
-func CheckFunnel(f *obs.Funnel) error {
-	if f == nil {
-		return nil
-	}
+// CheckFunnel validates a query's candidate funnel, one row per plan
+// depth, as psi.Funnel derives it: within every depth the stage counts
+// must be non-negative and monotone non-increasing in pipeline order
+// (generated ≥ deg-ok ≥ sig-ok ≥ recursed ≥ matched) — each stage only
+// ever filters the previous one. It iterates obs.FunnelDepth.Stages
+// rather than the named fields, so a stage added to the funnel is
+// covered here automatically.
+func CheckFunnel(rows []obs.FunnelDepth) error {
 	names := obs.StageNames()
-	for depth := range f.Depths {
-		stages := f.Depths[depth].Stages()
+	for depth := range rows {
+		stages := rows[depth].Stages()
 		for i, v := range stages {
 			if v < 0 {
 				return violationf("funnel", "depth %d: stage %s is negative (%d)", depth, names[i], v)

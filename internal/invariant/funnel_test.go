@@ -10,14 +10,13 @@ import (
 )
 
 func TestCheckFunnelAcceptsMonotone(t *testing.T) {
-	cases := []*obs.Funnel{
+	cases := [][]obs.FunnelDepth{
 		nil,
-		{},
-		{Depths: []obs.FunnelDepth{{}}},
-		{Depths: []obs.FunnelDepth{
+		{{}},
+		{
 			{Generated: 10, DegOK: 10, SigOK: 7, Recursed: 7, Matched: 0},
 			{Generated: 3, DegOK: 2, SigOK: 1, Recursed: 1, Matched: 1},
-		}},
+		},
 	}
 	for i, f := range cases {
 		if err := invariant.CheckFunnel(f); err != nil {
@@ -29,25 +28,25 @@ func TestCheckFunnelAcceptsMonotone(t *testing.T) {
 func TestCheckFunnelRejectsViolations(t *testing.T) {
 	cases := []struct {
 		name      string
-		f         *obs.Funnel
+		f         []obs.FunnelDepth
 		wantError string
 	}{
 		{
 			name:      "stage exceeds predecessor",
-			f:         &obs.Funnel{Depths: []obs.FunnelDepth{{Generated: 5, DegOK: 6}}},
+			f:         []obs.FunnelDepth{{Generated: 5, DegOK: 6}},
 			wantError: "deg-ok (6) exceeds generated (5)",
 		},
 		{
 			name: "violation at deeper depth",
-			f: &obs.Funnel{Depths: []obs.FunnelDepth{
+			f: []obs.FunnelDepth{
 				{Generated: 5, DegOK: 5, SigOK: 5, Recursed: 5, Matched: 5},
 				{Generated: 2, DegOK: 1, SigOK: 1, Recursed: 1, Matched: 2},
-			}},
+			},
 			wantError: "depth 1: matched (2) exceeds recursed (1)",
 		},
 		{
 			name:      "negative stage",
-			f:         &obs.Funnel{Depths: []obs.FunnelDepth{{Generated: -1}}},
+			f:         []obs.FunnelDepth{{Generated: -1}},
 			wantError: "stage generated is negative",
 		},
 	}

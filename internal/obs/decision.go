@@ -254,7 +254,7 @@ func (d ModelStatsData) WriteText(w io.Writer) error {
 
 	fmt.Fprintf(&buf, "model β (plan choice, §4.2) — predicted plan vs training sweeps: %d observed", d.BetaObserved)
 	if d.BetaObserved > 0 {
-		fmt.Fprintf(&buf, ", top-1 %.3f", float64(d.BetaTop1)/float64(d.BetaObserved))
+		fmt.Fprintf(&buf, ", top-1 %.3f (in-sample: the sweep nodes β was fitted on)", float64(d.BetaTop1)/float64(d.BetaObserved))
 	}
 	fmt.Fprintf(&buf, "\n")
 	if len(d.Recent) > 0 {

@@ -51,7 +51,7 @@ func TestModelStatsSnapshot(t *testing.T) {
 		t.Errorf("recent = %+v, want both records, oldest first", d.Recent)
 	}
 	var text strings.Builder
-	if err := d.WriteText(&text); err != nil || !strings.Contains(text.String(), "2 observed, top-1 0.500\n") {
+	if err := d.WriteText(&text); err != nil || !strings.Contains(text.String(), "2 observed, top-1 0.500 (in-sample: the sweep nodes β was fitted on)\n") {
 		t.Errorf("/modelz text (%v) has no model-β top-1 line:\n%s", err, text.String())
 	}
 

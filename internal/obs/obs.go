@@ -18,16 +18,17 @@
 // same surface on its main listener and keeps collection always on.
 //
 // The hot evaluation loops of package psi do not pay even the branch:
-// they keep counting into the plain per-State psi.Stats fields they
-// always had, and the aggregated Stats are published into the registry
+// they count into plain per-State psi.Stats rows, one per plan depth,
+// on every path; the aggregated Stats are published into the registry
 // at flush points (end of a query, end of a support-counting pass) via
-// psi.PublishStats. Package smartpsi does the same with its decision
+// psi.PublishStats, and the candidate funnel is derived from the rows
+// (psi.Funnel). Package smartpsi does the same with its decision
 // facts (cache lookups, preemption transitions, model predictions): its
 // workers count them in plain fields, and the query adds them to the
 // registry and seals its profile once, from its result. It reads the
 // gate once per query and carries the answer as a plain bool to the few
-// sites still per evaluation (the plan-timing histogram, the funnel),
-// so a query that starts with collection off stays
+// sites still per evaluation (the plan-timing histogram and the
+// model-β rank counters), so a query that starts with collection off stays
 // uncollected, even if Enable flips mid-query.
 package obs
 

@@ -23,10 +23,11 @@ import (
 //     the degree bound → surviving Proposition 3.2 signature
 //     satisfaction → recursed into → matched.
 //
-// The engine counts all of it in plain fields of its own result (the
-// funnel in a *Funnel the PSI evaluator fills behind one nil check per
-// event) and seals the profile once, when the query ends. Until then a
-// profile holds only its identity and start time.
+// The engine counts all of it in plain fields of its own result and
+// seals the profile once, when the query ends; the funnel is derived
+// then from the work the PSI evaluator counts per plan depth on every
+// path (psi.Funnel). Until then a profile holds only its identity and
+// start time.
 
 // FunnelStage names used by renderers, in pipeline order. Each stage
 // counts the candidates that *survived* up to that point, so within a
@@ -55,14 +56,6 @@ type FunnelDepth struct {
 	Matched int64 `json:"matched"`
 }
 
-func (d *FunnelDepth) add(o *FunnelDepth) {
-	d.Generated += o.Generated
-	d.DegOK += o.DegOK
-	d.SigOK += o.SigOK
-	d.Recursed += o.Recursed
-	d.Matched += o.Matched
-}
-
 // stages returns the counts in pipeline order, aligned with
 // funnelStageNames.
 func (d *FunnelDepth) stages() [5]int64 {
@@ -82,38 +75,16 @@ func StageNames() [5]string {
 	return out
 }
 
-// Funnel is a per-depth candidate funnel. It is plain data with no
-// internal locking: the PSI evaluator increments it lock-free from a
-// single goroutine (one Funnel per psi.State) and the engine merges the
-// states' funnels into the query's result at its joins.
-type Funnel struct {
-	Depths []FunnelDepth `json:"depths"`
-}
-
-// At returns the row for the given plan depth, growing the funnel as
-// needed.
-func (f *Funnel) At(depth int) *FunnelDepth {
-	for len(f.Depths) <= depth {
-		f.Depths = append(f.Depths, FunnelDepth{})
-	}
-	return &f.Depths[depth]
-}
-
-// Merge accumulates o into f (no-op for a nil o).
-func (f *Funnel) Merge(o *Funnel) {
-	if o == nil {
-		return
-	}
-	for d := range o.Depths {
-		f.At(d).add(&o.Depths[d])
-	}
-}
-
-// Totals sums the funnel across depths.
-func (f *Funnel) Totals() FunnelDepth {
+// FunnelTotals sums funnel rows stage by stage: a query's rows across
+// depths, or totals across queries.
+func FunnelTotals(rows ...FunnelDepth) FunnelDepth {
 	var t FunnelDepth
-	for i := range f.Depths {
-		t.add(&f.Depths[i])
+	for _, r := range rows {
+		t.Generated += r.Generated
+		t.DegOK += r.DegOK
+		t.SigOK += r.SigOK
+		t.Recursed += r.Recursed
+		t.Matched += r.Matched
 	}
 	return t
 }

@@ -184,25 +184,19 @@ func TestObsRecorderConcurrent(t *testing.T) {
 	})
 }
 
-// TestObsFunnel pins Funnel accumulation semantics.
+// TestObsFunnel pins FunnelTotals and the stage order renderers and
+// invariant.CheckFunnel read. How the rows are derived from the
+// evaluator's counters is psi's TestObsFunnelDerived.
 func TestObsFunnel(t *testing.T) {
-	var f Funnel
-	f.At(1).Generated += 4
-	f.At(1).DegOK += 3
-	f.At(0).Generated++
-	if len(f.Depths) != 2 {
-		t.Fatalf("len(Depths) = %d, want 2", len(f.Depths))
+	rows := []FunnelDepth{{Generated: 1, DegOK: 1, SigOK: 1, Recursed: 1}, {Generated: 4, DegOK: 3, Matched: 1}}
+	if tot := FunnelTotals(rows...); tot != (FunnelDepth{Generated: 5, DegOK: 4, SigOK: 1, Recursed: 1, Matched: 1}) {
+		t.Errorf("FunnelTotals = %+v, want generated=5 deg-ok=4 sig-ok=1 recursed=1 matched=1", tot)
 	}
-	var g Funnel
-	g.Merge(&f)
-	g.Merge(&f)
-	g.Merge(nil)
-	tot := g.Totals()
-	if tot.Generated != 10 || tot.DegOK != 6 {
-		t.Errorf("Totals = %+v, want generated=10 deg-ok=6", tot)
+	if tot := FunnelTotals(); tot != (FunnelDepth{}) {
+		t.Errorf("FunnelTotals() = %+v, want zero", tot)
 	}
 	names := StageNames()
-	stages := f.Depths[1].Stages()
+	stages := rows[1].Stages()
 	if len(names) != len(stages) {
 		t.Errorf("StageNames/Stages length mismatch: %d vs %d", len(names), len(stages))
 	}

@@ -22,16 +22,19 @@ func StartProfile(name, requestID, fingerprint string) *Profile {
 var (
 	// --- package psi: evaluator work counters (flushed via PublishStats) ---
 
-	PSIRecursions   = Default.Counter("psi_recursions_total", "backtracking steps entered by the PSI evaluators")
-	PSICandidates   = Default.Counter("psi_candidates_total", "candidate bindings examined")
-	PSISigPrunes    = Default.Counter("psi_sig_prunes_total", "candidates pruned by Proposition 3.2 signature satisfaction")
-	PSIDegPrunes    = Default.Counter("psi_deg_prunes_total", "candidates pruned by the degree lower bound (pessimistic, Section 3.4)")
-	PSISorts        = Default.Counter("psi_sorts_total", "optimistic candidate tails sorted (after the first few are selected)")
-	PSIScoreCalcs   = Default.Counter("psi_score_calcs_total", "satisfiability scores computed")
-	PSICapHits      = Default.Counter("psi_cap_hits_total", "super-optimistic candidate-cap truncations (cap 10, Section 3.3)")
-	PSIMatches      = Default.Counter("psi_matches_total", "full query embeddings found (successful pivot evaluations)")
-	PSIDeadlineHits = Default.Counter("psi_deadline_aborts_total", "evaluations aborted by a deadline")
-	PSIStopHits     = Default.Counter("psi_stop_aborts_total", "evaluations aborted by a stop flag (two-threaded racing)")
+	PSIRecursions         = Default.Counter("psi_recursions_total", "backtracking steps entered by the PSI evaluators")
+	PSICandidates         = Default.Counter("psi_candidates_total", "candidate bindings examined")
+	PSIEdgeLabelRejects   = Default.Counter("psi_edge_label_rejects_total", "candidates rejected because their anchor edge has the wrong label")
+	PSIInjectivityRejects = Default.Counter("psi_injectivity_rejects_total", "candidates rejected because they are already bound to another query node")
+	PSIAdjacencyRejects   = Default.Counter("psi_adjacency_rejects_total", "candidates rejected for a missing edge to a bound non-anchor node")
+	PSISigPrunes          = Default.Counter("psi_sig_prunes_total", "candidates pruned by Proposition 3.2 signature satisfaction")
+	PSIDegPrunes          = Default.Counter("psi_deg_prunes_total", "candidates pruned by the degree lower bound (pessimistic, Section 3.4)")
+	PSISorts              = Default.Counter("psi_sorts_total", "optimistic candidate tails sorted (after the first few are selected)")
+	PSIScoreCalcs         = Default.Counter("psi_score_calcs_total", "satisfiability scores computed")
+	PSICapHits            = Default.Counter("psi_cap_hits_total", "super-optimistic candidate-cap truncations (cap 10, Section 3.3)")
+	PSIMatches            = Default.Counter("psi_matches_total", "full query embeddings found (successful pivot evaluations)")
+	PSIDeadlineHits       = Default.Counter("psi_deadline_aborts_total", "evaluations aborted by a deadline")
+	PSIStopHits           = Default.Counter("psi_stop_aborts_total", "evaluations aborted by a stop flag (two-threaded racing)")
 
 	// --- package smartpsi: engine, models, cache, preemption ---
 
@@ -59,14 +62,6 @@ var (
 	SmartPreparedMismatches = Default.Counter("smartpsi_prepared_mismatches_total", "prepared-cache key matches whose stored query was not equal to the request's (64-bit hash collisions; also counted as misses)")
 	SmartPreparedEvictions  = Default.Counter("smartpsi_prepared_evictions_total", "artifacts evicted from the prepared-query cache by its entry or byte cap")
 	SmartPreparedBytes      = Default.Gauge("smartpsi_prepared_bytes", "bytes charged to retained prepared-query artifacts (both layouts of each forest + decision slots), summed over this process's engines")
-
-	// --- package smartpsi: per-query candidate-funnel totals (published from the Result) ---
-
-	SmartFunnelGenerated = Default.Histogram("smartpsi_funnel_generated", "per-query funnel: candidates generated across all plan depths", CountBuckets)
-	SmartFunnelDegOK     = Default.Histogram("smartpsi_funnel_deg_ok", "per-query funnel: candidates surviving the degree lower bound", CountBuckets)
-	SmartFunnelSigOK     = Default.Histogram("smartpsi_funnel_sig_ok", "per-query funnel: candidates surviving Proposition 3.2 signature satisfaction", CountBuckets)
-	SmartFunnelRecursed  = Default.Histogram("smartpsi_funnel_recursed", "per-query funnel: candidates recursed into", CountBuckets)
-	SmartFunnelMatched   = Default.Histogram("smartpsi_funnel_matched", "per-query funnel: candidates whose subtree produced a full mapping", CountBuckets)
 
 	// --- package smartpsi: model β scored against the training sweeps (/modelz) ---
 

@@ -111,7 +111,7 @@ func (a *ShapeAggregates) fold(o QueryObservation, repeat bool) {
 	if repeat {
 		a.RepeatHits++
 	}
-	a.Funnel.add(&o.Funnel)
+	a.Funnel = FunnelTotals(a.Funnel, o.Funnel)
 }
 
 // maxExactPerShape bounds the per-shape set of distinct exact hashes

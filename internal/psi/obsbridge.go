@@ -13,6 +13,9 @@ var statsPublishers = []struct {
 }{
 	{func(s Stats) int64 { return s.Recursions }, obs.PSIRecursions},
 	{func(s Stats) int64 { return s.Candidates }, obs.PSICandidates},
+	{func(s Stats) int64 { return s.EdgeLabelRejects }, obs.PSIEdgeLabelRejects},
+	{func(s Stats) int64 { return s.InjectivityRejects }, obs.PSIInjectivityRejects},
+	{func(s Stats) int64 { return s.AdjacencyRejects }, obs.PSIAdjacencyRejects},
 	{func(s Stats) int64 { return s.SigPrunes }, obs.PSISigPrunes},
 	{func(s Stats) int64 { return s.DegPrunes }, obs.PSIDegPrunes},
 	{func(s Stats) int64 { return s.Sorts }, obs.PSISorts},
@@ -56,4 +59,41 @@ func RecordWork(s Stats) map[string]int64 {
 		}
 	}
 	return work
+}
+
+// Funnel derives a query's candidate funnel from the work its states
+// counted per plan depth (State.Depths, Counts added up row by row), the
+// rows as long as the query's plans. Every stage is an exact identity of
+// run and extend:
+//
+//   - generated is the depth's Candidates;
+//   - deg-ok drops the three basic rejections and the degree prunes;
+//   - sig-ok drops the signature prunes;
+//   - recursed is each descent into the next depth, which either counts a
+//     recursion there or aborts in its tick; at the last depth each
+//     descent completes a mapping, so it is Matches;
+//   - matched is Matches: the search stops at the first full mapping,
+//     which every depth on its path reports once.
+func Funnel(depths []Stats) []obs.FunnelDepth {
+	if len(depths) == 0 {
+		return nil
+	}
+	var matches int64
+	for _, s := range depths {
+		matches += s.Matches
+	}
+	rows := make([]obs.FunnelDepth, len(depths))
+	for d, s := range depths {
+		f := &rows[d]
+		f.Generated = s.Candidates
+		f.DegOK = s.Candidates - s.EdgeLabelRejects - s.InjectivityRejects - s.AdjacencyRejects - s.DegPrunes
+		f.SigOK = f.DegOK - s.SigPrunes
+		f.Recursed = matches
+		if d+1 < len(depths) {
+			next := depths[d+1]
+			f.Recursed = next.Recursions + next.Deadlines + next.Stops
+		}
+		f.Matched = matches
+	}
+	return rows
 }

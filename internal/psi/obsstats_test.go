@@ -1,10 +1,15 @@
 package psi
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/graph"
+	"repro/internal/invariant"
 	"repro/internal/obs"
+	"repro/internal/plan"
 )
 
 // fillDistinct sets every Stats field to a distinct non-zero value and
@@ -36,17 +41,12 @@ func TestObsStatsMergeCoversAllFields(t *testing.T) {
 	dst.Add(src)
 	dst.Add(src) // twice: catches `=` where `+=` was meant
 	got := reflect.ValueOf(dst)
-	var wantTotal int64
 	for i := 0; i < got.NumField(); i++ {
 		want := 2 * (1 + int64(i))
-		wantTotal += 1 + int64(i)
 		if g := got.Field(i).Int(); g != want {
 			t.Errorf("Stats.Add does not merge field %s: got %d after two merges, want %d — extend Add (and statsPublishers)",
 				typ.Field(i).Name, g, want)
 		}
-	}
-	if src.Total() != wantTotal {
-		t.Errorf("Stats.Total = %d, want %d — extend Total for the new field", src.Total(), wantTotal)
 	}
 }
 
@@ -120,5 +120,119 @@ func TestObsPublishStatsCoversAllFields(t *testing.T) {
 	PublishStats(src)
 	if got := statsPublishers[0].counter.Value(); got != mid {
 		t.Errorf("PublishStats with collection disabled moved %s by %d", statsPublishers[0].counter.Name(), got-mid)
+	}
+}
+
+// funnelGraph is a random graph of n nodes with about m edges, the nodes
+// carrying one of labels labels and the edges, when edgeLabels > 0, one
+// of edgeLabels labels.
+func funnelGraph(n, m, labels, edgeLabels int, rng *rand.Rand) *graph.Graph {
+	b := graph.NewBuilder(n, m)
+	for i := 0; i < n; i++ {
+		b.AddNode(graph.Label(rng.Intn(labels)))
+	}
+	for i := 0; i < m; i++ {
+		u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+		if u == v || b.HasEdge(u, v) {
+			continue
+		}
+		l := graph.NoLabel
+		if edgeLabels > 0 {
+			l = graph.Label(rng.Intn(edgeLabels))
+		}
+		_ = b.AddLabeledEdge(u, v, l)
+	}
+	return b.MustBuild()
+}
+
+// funnelGraphs are the shapes TestObsFunnelDerived draws from: one with
+// edge labels, one dense enough for the super-optimistic cap, and one
+// sparse and label-rich enough for Proposition 3.2 to prune.
+var funnelGraphs = []struct{ n, m, labels, edgeLabels int }{
+	{40, 240, 2, 2},
+	{30, 300, 1, 0},
+	{60, 90, 4, 0},
+}
+
+// TestObsFunnelDerived derives the candidate funnel from the per-depth
+// rows of queries induced from funnelGraphs, in both modes, with and without the
+// super-optimistic pass, unbounded and under a work ceiling that aborts
+// evaluations mid-search. The stages never increase; generated sums to
+// the flat Candidates; every depth reports the evaluations' Matches,
+// which are the true verdicts; every pivot that survives the row-0
+// checks is descended into; and the rejections plus the prunes account
+// for what generated loses by sig-ok.
+func TestObsFunnelDerived(t *testing.T) {
+	var seen Stats
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		shape := funnelGraphs[seed%int64(len(funnelGraphs))]
+		g := funnelGraph(shape.n, shape.m, shape.labels, shape.edgeLabels, rng)
+		comp := graph.ConnectedComponent(g, graph.NodeID(rng.Intn(g.NumNodes())))
+		size := min(len(comp), 3+rng.Intn(3))
+		if size < 2 {
+			continue
+		}
+		sub, _, err := graph.InducedSubgraph(g, comp[:size])
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := graph.NewQuery(sub, graph.NodeID(rng.Intn(size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newEval(t, g, q)
+		c := plan.MustCompile(q, plan.Heuristic(q, g))
+		for _, mode := range []Mode{Optimistic, Pessimistic} {
+			for _, super := range []bool{false, true} {
+				for _, maxSteps := range []int64{0, 6} {
+					st := NewState(q.Size())
+					var valid int64
+					for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
+						if ok, err := e.evaluate(st, c, u, mode, super, Limits{MaxSteps: maxSteps}); ok && err == nil {
+							valid++
+						}
+					}
+					total := st.Stats()
+					seen.Add(total)
+					rows := Funnel(st.Depths())
+					where := func() string {
+						return fmt.Sprintf("seed %d %v super=%v maxSteps=%d", seed, mode, super, maxSteps)
+					}
+					if len(rows) != q.Size() {
+						t.Fatalf("%s: %d funnel rows for a %d-node query", where(), len(rows), q.Size())
+					}
+					if err := invariant.CheckFunnel(rows); err != nil {
+						t.Fatalf("%s: %v", where(), err)
+					}
+					if tot := obs.FunnelTotals(rows...); tot.Generated != total.Candidates {
+						t.Errorf("%s: generated sums to %d, Candidates %d", where(), tot.Generated, total.Candidates)
+					}
+					if total.Matches != valid {
+						t.Errorf("%s: Matches %d, %d true verdicts", where(), total.Matches, valid)
+					}
+					if rows[0].Recursed != rows[0].SigOK {
+						t.Errorf("%s: depth 0 recursed %d, sig-ok %d", where(), rows[0].Recursed, rows[0].SigOK)
+					}
+					for d, s := range st.Depths() {
+						f := rows[d]
+						if f.Matched != total.Matches {
+							t.Errorf("%s: depth %d matched %d, Matches %d", where(), d, f.Matched, total.Matches)
+						}
+						if lost := s.EdgeLabelRejects + s.InjectivityRejects + s.AdjacencyRejects + s.DegPrunes + s.SigPrunes; lost != f.Generated-f.SigOK {
+							t.Errorf("%s: depth %d: rejections and prunes %d, generated - sig-ok %d", where(), d, lost, f.Generated-f.SigOK)
+						}
+					}
+				}
+			}
+		}
+	}
+	// Each term of the derivation was exercised.
+	for name, n := range map[string]int64{"EdgeLabelRejects": seen.EdgeLabelRejects, "InjectivityRejects": seen.InjectivityRejects,
+		"AdjacencyRejects": seen.AdjacencyRejects, "DegPrunes": seen.DegPrunes, "SigPrunes": seen.SigPrunes,
+		"Deadlines": seen.Deadlines, "CapHits": seen.CapHits, "Matches": seen.Matches} {
+		if n == 0 {
+			t.Errorf("no generated query counted %s", name)
+		}
 	}
 }

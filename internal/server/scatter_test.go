@@ -14,6 +14,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graph/graphtest"
 	"repro/internal/obs"
+	"repro/internal/psi"
 	"repro/internal/shard"
 	"repro/internal/smartpsi"
 	"repro/internal/workload"
@@ -329,7 +330,7 @@ func TestWireCountsRoundTrip(t *testing.T) {
 	probe := func() *smartpsi.Result {
 		res := &smartpsi.Result{Bindings: []graph.NodeID{2, 5}, UsedML: true}
 		res.PlanPicks = make([]int64, 2)
-		res.Funnel.Depths = make([]obs.FunnelDepth, 2)
+		res.Depths = make([]psi.Stats, 2)
 		return res
 	}
 	var paths []string
@@ -363,7 +364,7 @@ func TestWireCountsRoundTrip(t *testing.T) {
 	if len(bad) > 0 {
 		t.Fatalf("the shard wire loses %s", strings.Join(bad, ", "))
 	}
-	if len(paths) < 41 {
+	if len(paths) < 60 {
 		t.Fatalf("probed only %d Counts leaves; did their types change?", len(paths))
 	}
 }

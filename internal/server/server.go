@@ -523,7 +523,7 @@ func (s *Server) observeQuery(q graph.Query, fp fsm.Fingerprint, outcome string,
 		o.Fallbacks = res.Fallbacks
 		o.ModeMix = res.ModePicks
 		o.UsedML = res.UsedML
-		o.Funnel = res.Funnel.Totals()
+		o.Funnel = obs.FunnelTotals(psi.Funnel(res.Depths)...)
 	}
 	s.cfg.Workload.Observe(o)
 }

@@ -166,7 +166,7 @@ func TestMergeSumsAllCounts(t *testing.T) {
 	probe := func() *smartpsi.Result {
 		res := &smartpsi.Result{}
 		res.PlanPicks = make([]int64, 2)
-		res.Funnel.Depths = make([]obs.FunnelDepth, 2)
+		res.Depths = make([]psi.Stats, 2)
 		return res
 	}
 	leaf := func(res *smartpsi.Result, path string) (f reflect.Value) {
@@ -200,7 +200,7 @@ func TestMergeSumsAllCounts(t *testing.T) {
 	if len(bad) > 0 {
 		t.Fatalf("merge drops %s; sum each shard count into the gather (or name it as excluded)", strings.Join(bad, ", "))
 	}
-	if len(paths) < 41 {
+	if len(paths) < 60 {
 		t.Fatalf("probed only %d Result counts; did their types change?", len(paths))
 	}
 }

@@ -108,7 +108,7 @@ type worker struct {
 
 // newWorker builds one of execute's workers.
 func newWorker(art *artifact, r *queryRun, global time.Time) *worker {
-	return &worker{art: art, run: r, global: global, st: r.newState(art.q.Size()), now: time.Now(),
+	return &worker{art: art, run: r, global: global, st: psi.NewState(art.q.Size()), now: time.Now(),
 		timing: art.timing.snapshot(), learned: newPlanTiming(len(art.compiled))}
 }
 
@@ -250,7 +250,7 @@ func (e *Engine) attempt(w *worker, u graph.NodeID, i int, r rung) (bool, error)
 	if r.budgeted {
 		limits.MaxSteps = w.timing.maxUnits(r.mode, r.planIdx)
 	}
-	before := w.st.Stats().Units()
+	before := w.st.Units()
 	var valid bool
 	var err error
 	if e.evalHook != nil {
@@ -258,7 +258,7 @@ func (e *Engine) attempt(w *worker, u graph.NodeID, i int, r rung) (bool, error)
 	} else {
 		valid, err = w.art.ev.Evaluate(w.st, w.art.compiled[r.planIdx], u, r.mode, limits)
 	}
-	units := w.st.Stats().Units() - before
+	units := w.st.Units() - before
 	w.now = time.Now()
 	took := w.now.Sub(t0)
 	rt := &w.Ladder[i]

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
+	"repro/internal/psi"
 )
 
 // countLeaves calls fn with every int and int64 leaf (counts and
@@ -31,7 +31,7 @@ func countLeaves(v reflect.Value, path string, fn func(path string, f reflect.Va
 // element.
 func probeCounts() *Counts {
 	c := &Counts{PlanPicks: make([]int64, 2)}
-	c.Funnel.Depths = make([]obs.FunnelDepth, 2)
+	c.Depths = make([]psi.Stats, 2)
 	return c
 }
 
@@ -74,7 +74,7 @@ func TestMergeIntoCoversAllCounters(t *testing.T) {
 	if len(bad) > 0 {
 		t.Fatalf("Counts.Add drops or misroutes %s; sum each leaf into itself", strings.Join(bad, ", "))
 	}
-	if len(paths) < 41 {
+	if len(paths) < 60 {
 		t.Fatalf("probed only %d Counts leaves; did their types change?", len(paths))
 	}
 }

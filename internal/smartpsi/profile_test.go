@@ -130,30 +130,31 @@ func TestObsQueryProfileEndToEnd(t *testing.T) {
 		t.Errorf("rung 3 entered = %d, want Result.Fallbacks = %d", got, res.Fallbacks)
 	}
 
-	// Candidate funnel: present, monotone non-increasing per depth, and
-	// consistent with the evaluator's aggregate work counters.
-	fun := &res.Funnel
-	if len(fun.Depths) == 0 {
+	// Candidate funnel: derived from the Result's rows, monotone
+	// non-increasing per depth, and consistent with the evaluator's
+	// aggregate work counters.
+	fun := psi.Funnel(res.Depths)
+	if len(fun) == 0 {
 		t.Fatal("query has no candidate funnel")
 	}
-	if !reflect.DeepEqual(snap.Funnel, fun.Depths) {
-		t.Errorf("profile funnel = %v, Result has %v", snap.Funnel, fun.Depths)
+	if !reflect.DeepEqual(snap.Funnel, fun) {
+		t.Errorf("profile funnel = %v, Result derives %v", snap.Funnel, fun)
 	}
-	if len(fun.Depths) != q.Size() {
-		t.Errorf("funnel has %d depths, query has %d nodes", len(fun.Depths), q.Size())
+	if len(fun) != q.Size() {
+		t.Errorf("funnel has %d depths, query has %d nodes", len(fun), q.Size())
 	}
 	if err := invariant.CheckFunnel(fun); err != nil {
 		t.Errorf("funnel violates monotonicity: %v", err)
 	}
-	tot := fun.Totals()
+	tot := obs.FunnelTotals(fun...)
 	if tot.Generated == 0 || tot.Matched == 0 {
 		t.Errorf("funnel totals = %+v; expected non-empty generated and matched", tot)
 	}
 	if tot.Generated != res.Work.Candidates {
 		t.Errorf("funnel generated = %d, Work.Candidates = %d", tot.Generated, res.Work.Candidates)
 	}
-	if int64(len(res.Bindings)) > fun.Depths[0].Matched {
-		t.Errorf("depth-0 matched = %d < %d bindings", fun.Depths[0].Matched, len(res.Bindings))
+	if int64(len(res.Bindings)) > fun[0].Matched {
+		t.Errorf("depth-0 matched = %d < %d bindings", fun[0].Matched, len(res.Bindings))
 	}
 
 	// Work map mirrors Result.Work through the statsPublishers table.
@@ -205,15 +206,15 @@ func TestObsQueryProfileSmallPath(t *testing.T) {
 	if snap.Bindings != 1 {
 		t.Errorf("bindings = %d, want 1", snap.Bindings)
 	}
-	fun := &res.Funnel
-	if fun.Totals().Generated == 0 {
+	fun := psi.Funnel(res.Depths)
+	if obs.FunnelTotals(fun...).Generated == 0 {
 		t.Fatal("small path recorded no funnel")
 	}
 	if err := invariant.CheckFunnel(fun); err != nil {
 		t.Errorf("funnel violates monotonicity: %v", err)
 	}
-	if fun.Depths[0].Generated != 2 {
-		t.Errorf("depth-0 generated = %d, want 2 (both label-0 candidates)", fun.Depths[0].Generated)
+	if fun[0].Generated != 2 {
+		t.Errorf("depth-0 generated = %d, want 2 (both label-0 candidates)", fun[0].Generated)
 	}
 }
 

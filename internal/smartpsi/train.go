@@ -53,7 +53,7 @@ func (e *Engine) train(art *artifact, r *queryRun, order []int32, rng *rand.Rand
 	art.timing = newPlanTiming(len(art.compiled))
 	alphaDS := ml.Dataset{NumClasses: 2}
 	betaDS := ml.Dataset{NumClasses: len(art.compiled)}
-	st := r.newState(art.q.Size())
+	st := psi.NewState(art.q.Size())
 	defer r.merge(st) // on every exit: an aborted sweep's work still counts
 	// The training rows' features, one flat block for the whole prefix.
 	width := e.sigs.Width()
@@ -141,7 +141,10 @@ type betaSweep struct {
 // /modelz whether that plan is the sweep's fastest (finished, with the
 // fewest units). The sweep bounds each plan by the leader's units, so
 // that is all it measures: a plan as fast as the leader still finishes,
-// but the slower ones are mostly cut off and stay unordered.
+// but the slower ones are mostly cut off and stay unordered. The score
+// is in-sample: the forest was fitted on these very sweep nodes, so its
+// top-1 share says how well β fits its labels, not how often it picks
+// the fastest plan for an execute-phase candidate, and /modelz says so.
 func (e *Engine) scoreBetaRanks(r *queryRun, betaModel *ml.Forest, sweeps []betaSweep) {
 	votes := make([]int, betaModel.NumClasses())
 	var row []float64
@@ -240,9 +243,9 @@ func (e *Engine) trainOne(art *artifact, st *psi.State, u graph.NodeID, global t
 // observed, the latency histogram.
 func (e *Engine) sweepRun(art *artifact, st *psi.State, p int, u graph.NodeID, limits psi.Limits, observe bool) (bool, int64, error) {
 	t0 := time.Now()
-	before := st.Stats().Units()
+	before := st.Units()
 	ok, err := art.ev.Evaluate(st, art.compiled[p], u, psi.Pessimistic, limits)
-	units := st.Stats().Units() - before
+	units := st.Units() - before
 	if err == nil {
 		art.timing.record(psi.Pessimistic, p, units)
 		if observe {
