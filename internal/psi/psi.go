@@ -88,7 +88,13 @@ type Limits struct {
 // A candidate is generated, then rejected by at most one check, in
 // Algorithm 1's order: edge label, injectivity, adjacency, the degree
 // bound, Proposition 3.2's signature test. Funnel derives the candidate
-// funnel from these counts, kept per plan depth (State.Depths).
+// funnel from these counts, kept per plan depth (State.Depths). They
+// count what the search examined, not what Algorithm 1's listing would
+// list: a search that stops at a witness generates none of the depth's
+// remaining candidates. At a plan's last depth a candidate that passes
+// the first three checks is a witness, so no degree, signature or score
+// test runs there (deg-ok = sig-ok = generated minus the three
+// rejections) and at most one candidate per visit is recursed into.
 type Stats struct {
 	Recursions         int64 // backtracking steps entered
 	Candidates         int64 // candidate bindings examined
@@ -248,7 +254,7 @@ func (e *Evaluator) DataSignatures() *signature.Signatures { return e.dataSigs }
 // allocations; a State must not be shared between goroutines.
 type State struct {
 	bound []graph.NodeID
-	cands [][]scored // per-depth candidate scratch
+	cands [][]scored // per-depth optimistic candidate lists; the pessimist lists none
 	// depths holds one Stats row per plan depth, as long as the longest
 	// plan evaluated: each event is one plain increment in the row of
 	// the depth where it happens. Stats is their sum.
@@ -373,7 +379,9 @@ func (e *Evaluator) EvaluateNoSuper(st *State, c *plan.Compiled, u graph.NodeID,
 
 // EvaluateNoSigPrune is pessimistic evaluation with the Proposition 3.2
 // signature pruning disabled (label, degree and adjacency checks only),
-// used by the ablation benchmarks to isolate the pruning's value.
+// used by the ablation benchmarks to isolate the pruning's value. The
+// last plan depth runs no signature test in either, so the two differ
+// only above it.
 func (e *Evaluator) EvaluateNoSigPrune(st *State, c *plan.Compiled, u graph.NodeID, limits Limits) (bool, error) {
 	st.noSigPrune = true
 	defer func() { st.noSigPrune = false }()
@@ -444,7 +452,15 @@ func (e *Evaluator) run(st *State, c *plan.Compiled, u graph.NodeID, mode Mode, 
 	return found, err
 }
 
-// extend recursively binds the query node at plan position depth.
+// extend recursively binds the query node at plan position depth and
+// stops at the first full mapping (Algorithm 1), within a depth's
+// generation too, so the counters count what the search examined (Stats).
+// The pessimist recurses into each candidate as soon as it passes its
+// checks, in neighbour order; the optimist lists and scores the depth's
+// candidates, then visits them best first. At the last depth the anchor
+// edge and the adjacency checks cover every query edge of the node, so in
+// either mode the first candidate that passes them is a complete
+// embedding: it is bound at once, with no degree, signature or score test.
 func (e *Evaluator) extend(st *State, c *plan.Compiled, depth int, mode Mode, super bool) (bool, error) {
 	if depth == len(c.Steps) {
 		// Full mapping (Algorithm 1, line 1). With deep checking on,
@@ -465,6 +481,7 @@ func (e *Evaluator) extend(st *State, c *plan.Compiled, depth int, mode Mode, su
 	st.units++
 	step := &c.Steps[depth]
 	anchor := st.bound[step.Anchor]
+	last := depth == len(c.Steps)-1
 
 	// Candidate generation: the anchor's neighbors with the right label
 	// (and edge label when the query edge carries one).
@@ -492,27 +509,38 @@ func (e *Evaluator) extend(st *State, c *plan.Compiled, depth int, mode Mode, su
 			row.AdjacencyRejects++
 			continue
 		}
-		switch mode {
-		case Pessimistic:
-			// Aggressive pruning: degree then signature (line 7).
-			if e.g.Degree(cand) < step.Degree {
-				row.DegPrunes++
+		if !last {
+			switch mode {
+			case Pessimistic:
+				// Aggressive pruning: degree then signature (line 7).
+				if e.g.Degree(cand) < step.Degree {
+					row.DegPrunes++
+					continue
+				}
+				if !st.noSigPrune && !e.satisfies(e.dataSigs.Scaled(cand), qn) {
+					row.SigPrunes++
+					continue
+				}
+			case Optimistic:
+				row.ScoreCalcs++
+				cands = append(cands, scored{node: cand, score: e.score(e.dataSigs.Scaled(cand), qn)})
 				continue
 			}
-			if !st.noSigPrune && !e.satisfies(e.dataSigs.Scaled(cand), qn) {
-				row.SigPrunes++
-				continue
-			}
-			cands = append(cands, scored{node: cand})
-		case Optimistic:
-			row.ScoreCalcs++
-			cands = append(cands, scored{node: cand, score: e.score(e.dataSigs.Scaled(cand), qn)})
+		}
+		st.bound = append(st.bound, cand)
+		ok, err := e.extend(st, c, depth+1, mode, super)
+		st.bound = st.bound[:len(st.bound)-1]
+		if err != nil {
+			return false, err
+		}
+		if ok {
+			return true, nil // stop at the first full mapping
 		}
 	}
 	st.cands[depth] = cands // keep grown capacity
 
 	for i := range cands {
-		if mode == Optimistic && i <= optimisticSelect && nextOptimistic(cands, i) {
+		if i <= optimisticSelect && nextOptimistic(cands, i) {
 			row.Sorts++
 		}
 		st.bound = append(st.bound, cands[i].node)
@@ -522,7 +550,7 @@ func (e *Evaluator) extend(st *State, c *plan.Compiled, depth int, mode Mode, su
 			return false, err
 		}
 		if ok {
-			return true, nil // stop at the first full mapping
+			return true, nil
 		}
 	}
 	return false, nil
