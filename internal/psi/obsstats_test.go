@@ -236,3 +236,55 @@ func TestObsFunnelDerived(t *testing.T) {
 		}
 	}
 }
+
+// TestLastDepthEndsAtFirstMatch checks that the last plan depth binds
+// the first candidate that passes the edge-label, injectivity and
+// adjacency checks: it runs no degree, signature or score test, and the
+// candidates that pass there are exactly the evaluations' matches (at
+// most one per visit), in both modes, with and without the
+// super-optimistic pass and under a work ceiling.
+func TestLastDepthEndsAtFirstMatch(t *testing.T) {
+	var passed int64
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		shape := funnelGraphs[seed%int64(len(funnelGraphs))]
+		g := funnelGraph(shape.n, shape.m, shape.labels, shape.edgeLabels, rng)
+		comp := graph.ConnectedComponent(g, graph.NodeID(rng.Intn(g.NumNodes())))
+		size := min(len(comp), 3+rng.Intn(3))
+		if size < 2 {
+			continue
+		}
+		sub, _, err := graph.InducedSubgraph(g, comp[:size])
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := graph.NewQuery(sub, graph.NodeID(rng.Intn(size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newEval(t, g, q)
+		c := plan.MustCompile(q, plan.Heuristic(q, g))
+		for _, mode := range []Mode{Optimistic, Pessimistic} {
+			for _, super := range []bool{false, true} {
+				for _, maxSteps := range []int64{0, 6} {
+					st := NewState(q.Size())
+					for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
+						_, _ = e.evaluate(st, c, u, mode, super, Limits{MaxSteps: maxSteps})
+					}
+					last := st.Depths()[q.Size()-1]
+					pass := last.Candidates - last.EdgeLabelRejects - last.InjectivityRejects - last.AdjacencyRejects
+					if last.DegPrunes != 0 || last.SigPrunes != 0 || last.ScoreCalcs != 0 || last.Sorts != 0 {
+						t.Errorf("seed %d %v super=%v maxSteps=%d: last depth ran a degree, signature or score test: %+v", seed, mode, super, maxSteps, last)
+					}
+					if m := st.Stats().Matches; pass != m {
+						t.Errorf("seed %d %v super=%v maxSteps=%d: %d last-depth candidates passed, %d matches", seed, mode, super, maxSteps, pass, m)
+					}
+					passed += pass
+				}
+			}
+		}
+	}
+	if passed == 0 {
+		t.Error("no generated query reached its last depth")
+	}
+}

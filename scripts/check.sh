@@ -41,7 +41,10 @@ go test -race ./...
 # agree on all but the clock's reports, and the committed work ledger
 # (testdata/ledger.json) holds on any machine. Under -race evaluation is
 # several times slower, so a decision still made by the clock would show
-# here.
+# here. With the ledger's Human, YouTube, Cora and Twitter populations
+# this step takes ~157 s on a 2-vCPU VM. TestModeVerdicts evaluates
+# every pivot candidate four ways, so it stays out of this pattern and
+# runs once, in the -race run above.
 step "repeat runs agree under -race (smartpsi -run 'Deterministic|WorkLedger', -cpu 1,2)"
 go test -race -count=5 -cpu 1,2 -run 'Deterministic|WorkLedger' ./internal/smartpsi/
 
