@@ -8,10 +8,7 @@
 // and from their external string names.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // NodeID identifies a node within a Graph.
 type NodeID = int32
@@ -86,15 +83,24 @@ func (g *Graph) EdgeLabelAt(u NodeID, i int) Label {
 // neighborSearch returns the index within u's neighbor run of the first
 // neighbor >= (label, id) in the run ordering.
 func (g *Graph) neighborSearch(u NodeID, label Label, id NodeID) int {
-	run := g.adj[g.offsets[u]:g.offsets[u+1]]
-	return sort.Search(len(run), func(i int) bool {
-		w := run[i]
-		lw := g.labels[w]
-		if lw != label {
-			return lw > label
+	return g.searchRun(g.adj[g.offsets[u]:g.offsets[u+1]], 0, label, id)
+}
+
+// searchRun returns the index of the first entry of run at or after lo
+// that is >= (label, id) in the run ordering: a plain binary search, so a
+// lookup allocates nothing and calls nothing.
+func (g *Graph) searchRun(run []NodeID, lo int, label Label, id NodeID) int {
+	hi := len(run)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		w := run[mid]
+		if lw := g.labels[w]; lw < label || (lw == label && w < id) {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		return w >= id
-	})
+	}
+	return lo
 }
 
 // HasEdge reports whether the undirected edge (u, v) exists.
@@ -128,9 +134,8 @@ func (g *Graph) EdgeLabel(u, v NodeID) (Label, bool) {
 // NeighborsWithLabel returns the contiguous run of u's neighbors whose
 // label is l. The caller must not modify it.
 func (g *Graph) NeighborsWithLabel(u NodeID, l Label) []NodeID {
-	lo := g.neighborSearch(u, l, 0)
-	hi := g.neighborSearch(u, l+1, 0)
-	return g.adj[g.offsets[u]+int64(lo) : g.offsets[u]+int64(hi)]
+	lo, hi := g.NeighborRangeWithLabel(u, l)
+	return g.Neighbors(u)[lo:hi]
 }
 
 // CountNeighborsWithLabel returns how many neighbors of u carry label l.
@@ -142,7 +147,9 @@ func (g *Graph) CountNeighborsWithLabel(u NodeID, l Label) int {
 // Neighbors(u) of the neighbors carrying label l, for callers that also
 // need EdgeLabelAt for the same positions.
 func (g *Graph) NeighborRangeWithLabel(u NodeID, l Label) (lo, hi int) {
-	return g.neighborSearch(u, l, 0), g.neighborSearch(u, l+1, 0)
+	run := g.Neighbors(u)
+	lo = g.searchRun(run, 0, l, 0)
+	return lo, g.searchRun(run, lo, l+1, 0)
 }
 
 // NodesWithLabel returns all nodes carrying label l, in ascending id
