@@ -27,6 +27,7 @@ var (
 	PSIEdgeLabelRejects   = Default.Counter("psi_edge_label_rejects_total", "candidates rejected because their anchor edge has the wrong label")
 	PSIInjectivityRejects = Default.Counter("psi_injectivity_rejects_total", "candidates rejected because they are already bound to another query node")
 	PSIAdjacencyRejects   = Default.Counter("psi_adjacency_rejects_total", "candidates rejected for a missing edge to a bound non-anchor node")
+	PSIFilterPrunes       = Default.Counter("psi_filter_prunes_total", "candidates outside their query node's candidate filter set (a kept artifact's evaluator)")
 	PSISigPrunes          = Default.Counter("psi_sig_prunes_total", "candidates pruned by Proposition 3.2 signature satisfaction")
 	PSIDegPrunes          = Default.Counter("psi_deg_prunes_total", "candidates pruned by the degree lower bound (pessimistic, Section 3.4)")
 	PSISorts              = Default.Counter("psi_sorts_total", "optimistic candidate tails sorted (after the first few are selected)")

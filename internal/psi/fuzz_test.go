@@ -61,9 +61,10 @@ func fuzzInstance(data []byte) (*graph.Graph, graph.Query, bool) {
 
 // FuzzMatchVsReference cross-checks independent implementations on
 // random small instances: the optimistic and pessimistic PSI evaluators
-// over matrix and over exploration signatures, the full-enumeration
-// backtracking engine projected to the pivot, and the naive reference
-// oracle. All must agree on every data node.
+// over matrix and over exploration signatures, each unfiltered and
+// Filtered (whose Admits must hold for every valid node), the
+// full-enumeration backtracking engine projected to the pivot, and the
+// naive reference oracle. All must agree on every data node.
 func FuzzMatchVsReference(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 1, 2, 2, 3, 0, 2, 3, 4, 1, 3})
 	f.Add([]byte{3, 2, 0, 0, 1, 1, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0})
@@ -87,7 +88,7 @@ func FuzzMatchVsReference(f *testing.F) {
 			if err != nil {
 				t.Fatalf("NewEvaluator(%v): %v", method, err)
 			}
-			evs = append(evs, e)
+			evs = append(evs, e, e.Filtered())
 		}
 		c, err := plan.Compile(q, plan.Heuristic(q, g))
 		if err != nil {
@@ -115,6 +116,9 @@ func FuzzMatchVsReference(f *testing.F) {
 					u, fromBacktrack[u], want, g.NumNodes(), q.Size())
 			}
 			for _, e := range evs {
+				if want && !e.Admits(u) {
+					t.Fatalf("node %d %v: valid, but not admitted (n=%d, qsize=%d)", u, e.DataSignatures().Method(), g.NumNodes(), q.Size())
+				}
 				for _, mode := range []Mode{Optimistic, Pessimistic} {
 					got, err := e.Evaluate(st, c, u, mode, Limits{})
 					if err != nil {

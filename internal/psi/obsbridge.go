@@ -16,6 +16,7 @@ var statsPublishers = []struct {
 	{func(s Stats) int64 { return s.EdgeLabelRejects }, obs.PSIEdgeLabelRejects},
 	{func(s Stats) int64 { return s.InjectivityRejects }, obs.PSIInjectivityRejects},
 	{func(s Stats) int64 { return s.AdjacencyRejects }, obs.PSIAdjacencyRejects},
+	{func(s Stats) int64 { return s.FilterPrunes }, obs.PSIFilterPrunes},
 	{func(s Stats) int64 { return s.SigPrunes }, obs.PSISigPrunes},
 	{func(s Stats) int64 { return s.DegPrunes }, obs.PSIDegPrunes},
 	{func(s Stats) int64 { return s.Sorts }, obs.PSISorts},
@@ -67,7 +68,8 @@ func RecordWork(s Stats) map[string]int64 {
 // run and extend:
 //
 //   - generated is the depth's Candidates;
-//   - deg-ok drops the three basic rejections and the degree prunes;
+//   - deg-ok drops the three basic rejections, the filter prunes and the
+//     degree prunes;
 //   - sig-ok drops the signature prunes;
 //   - recursed is each descent into the next depth, which either counts a
 //     recursion there or aborts in its tick; at the last depth each
@@ -86,7 +88,7 @@ func Funnel(depths []Stats) []obs.FunnelDepth {
 	for d, s := range depths {
 		f := &rows[d]
 		f.Generated = s.Candidates
-		f.DegOK = s.Candidates - s.EdgeLabelRejects - s.InjectivityRejects - s.AdjacencyRejects - s.DegPrunes
+		f.DegOK = s.Candidates - s.EdgeLabelRejects - s.InjectivityRejects - s.AdjacencyRejects - s.FilterPrunes - s.DegPrunes
 		f.SigOK = f.DegOK - s.SigPrunes
 		f.Recursed = matches
 		if d+1 < len(depths) {

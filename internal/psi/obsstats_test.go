@@ -155,13 +155,13 @@ var funnelGraphs = []struct{ n, m, labels, edgeLabels int }{
 }
 
 // TestObsFunnelDerived derives the candidate funnel from the per-depth
-// rows of queries induced from funnelGraphs, in both modes, with and without the
-// super-optimistic pass, unbounded and under a work ceiling that aborts
-// evaluations mid-search. The stages never increase; generated sums to
-// the flat Candidates; every depth reports the evaluations' Matches,
-// which are the true verdicts; every pivot that survives the row-0
-// checks is descended into; and the rejections plus the prunes account
-// for what generated loses by sig-ok.
+// rows of queries induced from funnelGraphs, unfiltered and Filtered, in
+// both modes, with and without the super-optimistic pass, unbounded and
+// under a work ceiling that aborts evaluations mid-search. The stages
+// never increase; generated sums to the flat Candidates; every depth
+// reports the evaluations' Matches, which are the true verdicts; every
+// pivot that survives the row-0 checks is descended into; and the
+// rejections plus the prunes account for what generated loses by sig-ok.
 func TestObsFunnelDerived(t *testing.T) {
 	var seen Stats
 	for seed := int64(0); seed < 24; seed++ {
@@ -181,46 +181,48 @@ func TestObsFunnelDerived(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := newEval(t, g, q)
+		unfiltered := newEval(t, g, q)
 		c := plan.MustCompile(q, plan.Heuristic(q, g))
-		for _, mode := range []Mode{Optimistic, Pessimistic} {
-			for _, super := range []bool{false, true} {
-				for _, maxSteps := range []int64{0, 6} {
-					st := NewState(q.Size())
-					var valid int64
-					for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
-						if ok, err := e.evaluate(st, c, u, mode, super, Limits{MaxSteps: maxSteps}); ok && err == nil {
-							valid++
+		for _, e := range []*Evaluator{unfiltered, unfiltered.Filtered()} {
+			for _, mode := range []Mode{Optimistic, Pessimistic} {
+				for _, super := range []bool{false, true} {
+					for _, maxSteps := range []int64{0, 6} {
+						st := NewState(q.Size())
+						var valid int64
+						for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
+							if ok, err := e.evaluate(st, c, u, mode, super, Limits{MaxSteps: maxSteps}); ok && err == nil {
+								valid++
+							}
 						}
-					}
-					total := st.Stats()
-					seen.Add(total)
-					rows := Funnel(st.Depths())
-					where := func() string {
-						return fmt.Sprintf("seed %d %v super=%v maxSteps=%d", seed, mode, super, maxSteps)
-					}
-					if len(rows) != q.Size() {
-						t.Fatalf("%s: %d funnel rows for a %d-node query", where(), len(rows), q.Size())
-					}
-					if err := invariant.CheckFunnel(rows); err != nil {
-						t.Fatalf("%s: %v", where(), err)
-					}
-					if tot := obs.FunnelTotals(rows...); tot.Generated != total.Candidates {
-						t.Errorf("%s: generated sums to %d, Candidates %d", where(), tot.Generated, total.Candidates)
-					}
-					if total.Matches != valid {
-						t.Errorf("%s: Matches %d, %d true verdicts", where(), total.Matches, valid)
-					}
-					if rows[0].Recursed != rows[0].SigOK {
-						t.Errorf("%s: depth 0 recursed %d, sig-ok %d", where(), rows[0].Recursed, rows[0].SigOK)
-					}
-					for d, s := range st.Depths() {
-						f := rows[d]
-						if f.Matched != total.Matches {
-							t.Errorf("%s: depth %d matched %d, Matches %d", where(), d, f.Matched, total.Matches)
+						total := st.Stats()
+						seen.Add(total)
+						rows := Funnel(st.Depths())
+						where := func() string {
+							return fmt.Sprintf("seed %d %v super=%v maxSteps=%d filtered=%v", seed, mode, super, maxSteps, e != unfiltered)
 						}
-						if lost := s.EdgeLabelRejects + s.InjectivityRejects + s.AdjacencyRejects + s.DegPrunes + s.SigPrunes; lost != f.Generated-f.SigOK {
-							t.Errorf("%s: depth %d: rejections and prunes %d, generated - sig-ok %d", where(), d, lost, f.Generated-f.SigOK)
+						if len(rows) != q.Size() {
+							t.Fatalf("%s: %d funnel rows for a %d-node query", where(), len(rows), q.Size())
+						}
+						if err := invariant.CheckFunnel(rows); err != nil {
+							t.Fatalf("%s: %v", where(), err)
+						}
+						if tot := obs.FunnelTotals(rows...); tot.Generated != total.Candidates {
+							t.Errorf("%s: generated sums to %d, Candidates %d", where(), tot.Generated, total.Candidates)
+						}
+						if total.Matches != valid {
+							t.Errorf("%s: Matches %d, %d true verdicts", where(), total.Matches, valid)
+						}
+						if rows[0].Recursed != rows[0].SigOK {
+							t.Errorf("%s: depth 0 recursed %d, sig-ok %d", where(), rows[0].Recursed, rows[0].SigOK)
+						}
+						for d, s := range st.Depths() {
+							f := rows[d]
+							if f.Matched != total.Matches {
+								t.Errorf("%s: depth %d matched %d, Matches %d", where(), d, f.Matched, total.Matches)
+							}
+							if lost := s.EdgeLabelRejects + s.InjectivityRejects + s.AdjacencyRejects + s.FilterPrunes + s.DegPrunes + s.SigPrunes; lost != f.Generated-f.SigOK {
+								t.Errorf("%s: depth %d: rejections and prunes %d, generated - sig-ok %d", where(), d, lost, f.Generated-f.SigOK)
+							}
 						}
 					}
 				}
@@ -229,7 +231,7 @@ func TestObsFunnelDerived(t *testing.T) {
 	}
 	// Each term of the derivation was exercised.
 	for name, n := range map[string]int64{"EdgeLabelRejects": seen.EdgeLabelRejects, "InjectivityRejects": seen.InjectivityRejects,
-		"AdjacencyRejects": seen.AdjacencyRejects, "DegPrunes": seen.DegPrunes, "SigPrunes": seen.SigPrunes,
+		"AdjacencyRejects": seen.AdjacencyRejects, "FilterPrunes": seen.FilterPrunes, "DegPrunes": seen.DegPrunes, "SigPrunes": seen.SigPrunes,
 		"Deadlines": seen.Deadlines, "CapHits": seen.CapHits, "Matches": seen.Matches} {
 		if n == 0 {
 			t.Errorf("no generated query counted %s", name)
@@ -239,10 +241,11 @@ func TestObsFunnelDerived(t *testing.T) {
 
 // TestLastDepthEndsAtFirstMatch checks that the last plan depth binds
 // the first candidate that passes the edge-label, injectivity and
-// adjacency checks: it runs no degree, signature or score test, and the
-// candidates that pass there are exactly the evaluations' matches (at
-// most one per visit), in both modes, with and without the
-// super-optimistic pass and under a work ceiling.
+// adjacency checks: it runs no filter, degree, signature or score test,
+// and the candidates that pass there are exactly the evaluations'
+// matches (at most one per visit), unfiltered and Filtered, in both
+// modes, with and without the super-optimistic pass and under a work
+// ceiling.
 func TestLastDepthEndsAtFirstMatch(t *testing.T) {
 	var passed int64
 	for seed := int64(0); seed < 24; seed++ {
@@ -262,24 +265,26 @@ func TestLastDepthEndsAtFirstMatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := newEval(t, g, q)
+		unfiltered := newEval(t, g, q)
 		c := plan.MustCompile(q, plan.Heuristic(q, g))
-		for _, mode := range []Mode{Optimistic, Pessimistic} {
-			for _, super := range []bool{false, true} {
-				for _, maxSteps := range []int64{0, 6} {
-					st := NewState(q.Size())
-					for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
-						_, _ = e.evaluate(st, c, u, mode, super, Limits{MaxSteps: maxSteps})
+		for _, e := range []*Evaluator{unfiltered, unfiltered.Filtered()} {
+			for _, mode := range []Mode{Optimistic, Pessimistic} {
+				for _, super := range []bool{false, true} {
+					for _, maxSteps := range []int64{0, 6} {
+						st := NewState(q.Size())
+						for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
+							_, _ = e.evaluate(st, c, u, mode, super, Limits{MaxSteps: maxSteps})
+						}
+						last := st.Depths()[q.Size()-1]
+						pass := last.Candidates - last.EdgeLabelRejects - last.InjectivityRejects - last.AdjacencyRejects
+						if last.FilterPrunes != 0 || last.DegPrunes != 0 || last.SigPrunes != 0 || last.ScoreCalcs != 0 || last.Sorts != 0 {
+							t.Errorf("seed %d %v super=%v maxSteps=%d: last depth ran a filter, degree, signature or score test: %+v", seed, mode, super, maxSteps, last)
+						}
+						if m := st.Stats().Matches; pass != m {
+							t.Errorf("seed %d %v super=%v maxSteps=%d: %d last-depth candidates passed, %d matches", seed, mode, super, maxSteps, pass, m)
+						}
+						passed += pass
 					}
-					last := st.Depths()[q.Size()-1]
-					pass := last.Candidates - last.EdgeLabelRejects - last.InjectivityRejects - last.AdjacencyRejects
-					if last.DegPrunes != 0 || last.SigPrunes != 0 || last.ScoreCalcs != 0 || last.Sorts != 0 {
-						t.Errorf("seed %d %v super=%v maxSteps=%d: last depth ran a degree, signature or score test: %+v", seed, mode, super, maxSteps, last)
-					}
-					if m := st.Stats().Matches; pass != m {
-						t.Errorf("seed %d %v super=%v maxSteps=%d: %d last-depth candidates passed, %d matches", seed, mode, super, maxSteps, pass, m)
-					}
-					passed += pass
 				}
 			}
 		}

@@ -53,10 +53,11 @@ type QueryResult struct {
 	// UsedML reports whether the candidate set was large enough to train
 	// the per-query models (false: pessimistic-heuristic fallback).
 	UsedML bool `json:"used_ml"`
-	// CacheHits / Flips / Fallbacks / Recursions surface the decision
-	// telemetry of one evaluation (see DESIGN.md §5b for the mapping to
-	// paper concepts).
+	// CacheHits / Filtered / Flips / Fallbacks / Recursions surface the
+	// decision telemetry of one evaluation (see DESIGN.md §5b for the
+	// mapping to paper concepts).
 	CacheHits  int64 `json:"cache_hits"`
+	Filtered   int64 `json:"filtered"`
 	Flips      int64 `json:"flips"`
 	Fallbacks  int64 `json:"fallbacks"`
 	Recursions int64 `json:"recursions"`
@@ -268,6 +269,7 @@ func resultJSON(gth *shard.Gather, elapsed time.Duration, counts bool) *QueryRes
 		Candidates: res.Candidates,
 		UsedML:     res.UsedML,
 		CacheHits:  res.CacheHits,
+		Filtered:   res.Filtered,
 		Flips:      res.Flips,
 		Fallbacks:  res.Fallbacks,
 		Recursions: res.Work.Recursions,

@@ -124,9 +124,10 @@ func shardedGraph(t *testing.T) *graph.Graph {
 }
 
 // requireWarmShardedDecisions posts a label-0 query to a 2-shard server
-// until it runs warm on both shards. On that run every candidate makes
-// exactly one model-α decision, so the mode mix of totals (the query's
-// shape in /queryz) must grow by exactly the run's candidates. The
+// until it runs warm on both shards. On that run every candidate the
+// filter admits makes exactly one model-α decision, so the mode mix of
+// totals (the query's shape in /queryz) must grow by exactly the run's
+// candidates less its filtered ones. The
 // client's answer carries no counts object: that is for coordinators.
 func requireWarmShardedDecisions(t *testing.T, ts *httptest.Server, totals func() obs.ShapeAggregates) {
 	t.Helper()
@@ -151,8 +152,8 @@ func requireWarmShardedDecisions(t *testing.T, ts *httptest.Server, totals func(
 		if !qr.UsedML || len(qr.Shards) != 2 || qr.Candidates == 0 {
 			t.Fatalf("used_ml = %v over %d shards with %d candidates, want an ML run on 2", qr.UsedML, len(qr.Shards), qr.Candidates)
 		}
-		if got := decisions() - before; got != int64(qr.Candidates) {
-			t.Errorf("warm sharded run grew the shape's mode mix by %d, want its %d candidates", got, qr.Candidates)
+		if got := decisions() - before; got+qr.Filtered != int64(qr.Candidates) {
+			t.Errorf("warm sharded run grew the shape's mode mix by %d and filtered %d, want its %d candidates", got, qr.Filtered, qr.Candidates)
 		}
 		if qr.Counts != nil {
 			t.Errorf("client answer carries counts %+v, want none", qr.Counts)

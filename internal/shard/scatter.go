@@ -110,7 +110,7 @@ func SliceDeadline(deadline time.Time) time.Time {
 // The merged Result sums the answered shards' Counts with Counts.Add and
 // is UsedML when any shard used ML. It does not sum the wall times:
 // EvalTime is the slowest shard's time and TotalTime the gather's own,
-// while TrainTime, FitTime and ModelTime are left zero, because
+// while TrainTime, FitTime, ModelTime and FilterTime are left zero, because
 // per-shard wall times do not add up across shards running in
 // parallel. PlanClasses, Warm and Profile are not counts: the first two
 // stay zero and Profile is the slowest shard's.

@@ -253,7 +253,13 @@ func (e *Engine) evaluateML(q graph.Query, r *queryRun, deadline time.Time) erro
 		order = order[trained:]
 		if admit {
 			// Only a kept artifact is executed again, so only it gets
-			// decision slots: a cold query evaluates each node once.
+			// decision slots and a candidate filter: a cold query
+			// evaluates each node once, and the filter's build would
+			// cost a cheap query more than it saves. Training ran on
+			// the unfiltered evaluator, so the models are a cold run's.
+			filterStart := time.Now()
+			art.ev = art.ev.Filtered()
+			r.res.FilterTime = time.Since(filterStart)
 			art.decisions = make([]atomic.Uint32, r.labelled)
 			e.prepared.store(key, art)
 		}

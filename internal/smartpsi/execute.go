@@ -188,12 +188,18 @@ type rung struct {
 }
 
 // evaluateOne runs the prediction + preemptive pipeline for one
-// candidate node and its decision slot: the slot's decision or a fresh
-// one, then the recovery ladder — the predicted method and plan, the
+// candidate node and its decision slot. A node the evaluator does not
+// admit is invalid in every mode and plan, so it resolves at once
+// (Counts.Filtered). Any other gets the slot's decision or a fresh one,
+// then the recovery ladder — the predicted method and plan, the
 // opposite method on the same plan (recovers from model α errors), the
 // predicted method on the heuristic plan (recovers from model β
 // errors) — stopping at the first rung that finishes.
 func (e *Engine) evaluateOne(w *worker, u graph.NodeID, slot int32) (bool, error) {
+	if !w.art.ev.Admits(u) {
+		w.Filtered++
+		return false, nil
+	}
 	var dec decision
 	var memo *atomic.Uint32
 	cached, predicted := false, false

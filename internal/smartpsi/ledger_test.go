@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math/rand"
 	"os"
@@ -20,7 +21,7 @@ import (
 	"repro/internal/workload"
 )
 
-var updateLedger = flag.Bool("update", false, "rewrite testdata/ledger.json and testdata/verdicts.json from this tree's engine")
+var updateLedger = flag.Bool("update", false, "rewrite testdata/ledger.json, testdata/verdicts.json and testdata/warm.json from this tree's engine")
 
 // ledgerPath is the committed work ledger TestWorkLedger compares
 // against.
@@ -112,15 +113,19 @@ func measureLedger(t *testing.T, pop ledgerPopulation) ledgerEntry {
 			}
 			le.Funnel[d] = obs.FunnelTotals(le.Funnel[d], row)
 		}
-		// Each query's bindings, count first, so a binding moving
-		// between queries changes the hash.
-		_ = binary.Write(h, binary.LittleEndian, int64(len(res.Bindings)))
-		for _, b := range res.Bindings {
-			_ = binary.Write(h, binary.LittleEndian, int64(b))
-		}
+		hashBindings(h, res.Bindings)
 	}
 	le.BindingsFNV = fmt.Sprintf("%016x", h.Sum64())
 	return le
+}
+
+// hashBindings adds one query's bindings to h, count first, so a
+// binding moving between queries changes the hash.
+func hashBindings(h hash.Hash64, bindings []graph.NodeID) {
+	_ = binary.Write(h, binary.LittleEndian, int64(len(bindings)))
+	for _, b := range bindings {
+		_ = binary.Write(h, binary.LittleEndian, int64(b))
+	}
 }
 
 // TestWorkLedger pins the exact work of fixed Human, YouTube, Cora and
@@ -173,7 +178,8 @@ type verdictEntry struct {
 // TestModeVerdicts evaluates every pivot candidate of every ledger query
 // on its heuristic plan, with no limits, in each psi evaluation method:
 // optimistic, pessimistic, optimistic without the super-optimistic pass,
-// and pessimistic without signature pruning. The four must agree on each
+// and pessimistic without signature pruning, each on the query's
+// evaluator and on its Filtered copy. The eight must agree on each
 // candidate, and the verdicts are pinned per dataset, so a change to the
 // search that moves an answer fails here even when every method moves
 // together. Regenerate with `go test ./internal/smartpsi/ -run
@@ -186,28 +192,31 @@ func TestModeVerdicts(t *testing.T) {
 		h := fnv.New64a()
 		var ve verdictEntry
 		for qi, q := range qs {
-			ev, err := psi.NewEvaluator(e.g, q, e.sigs, nil)
+			unfiltered, err := psi.NewEvaluator(e.g, q, e.sigs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			evs := [2]*psi.Evaluator{unfiltered, unfiltered.Filtered()}
 			c := plan.MustCompile(q, plan.Heuristic(q, e.g))
 			cands := e.g.NodesWithLabel(q.G.Label(q.Pivot))
 			_ = binary.Write(h, binary.LittleEndian, int64(len(cands)))
 			for _, u := range cands {
-				var v [4]bool
-				var errs [4]error
-				v[0], errs[0] = ev.Evaluate(st, c, u, psi.Optimistic, psi.Limits{})
-				v[1], errs[1] = ev.Evaluate(st, c, u, psi.Pessimistic, psi.Limits{})
-				v[2], errs[2] = ev.EvaluateNoSuper(st, c, u, psi.Optimistic, psi.Limits{})
-				v[3], errs[3] = ev.EvaluateNoSigPrune(st, c, u, psi.Limits{})
-				for _, err := range errs {
+				var v [8]bool
+				var errs [8]error
+				for i, ev := range evs {
+					v[4*i], errs[4*i] = ev.Evaluate(st, c, u, psi.Optimistic, psi.Limits{})
+					v[4*i+1], errs[4*i+1] = ev.Evaluate(st, c, u, psi.Pessimistic, psi.Limits{})
+					v[4*i+2], errs[4*i+2] = ev.EvaluateNoSuper(st, c, u, psi.Optimistic, psi.Limits{})
+					v[4*i+3], errs[4*i+3] = ev.EvaluateNoSigPrune(st, c, u, psi.Limits{})
+				}
+				for i, err := range errs {
 					if err != nil {
 						t.Fatal(err)
 					}
-				}
-				if v[1] != v[0] || v[2] != v[0] || v[3] != v[0] {
-					t.Fatalf("%s query %d, pivot candidate %d: optimistic %v, pessimistic %v, no-super %v, no-sig-prune %v",
-						pop.dataset, qi, u, v[0], v[1], v[2], v[3])
+					if v[i] != v[0] {
+						t.Fatalf("%s query %d, pivot candidate %d: optimistic, pessimistic, no-super, no-sig-prune %v unfiltered, %v filtered",
+							pop.dataset, qi, u, v[:4], v[4:])
+					}
 				}
 				ve.Candidates++
 				b := byte(0)
@@ -242,6 +251,89 @@ func TestModeVerdicts(t *testing.T) {
 	for _, pop := range ledgerPopulations {
 		if g, w := got[pop.dataset], want[pop.dataset]; g != w {
 			t.Errorf("%s verdicts: got %+v, want %+v", pop.dataset, g, w)
+		}
+	}
+}
+
+// warmPath is the committed warm-work pin TestWarmSightings compares
+// against.
+var warmPath = filepath.Join("testdata", "warm.json")
+
+// warmEntry is what one population's third sightings cost and answered:
+// the summed work units, the candidates the filter refused, the ladder
+// entries per rung, and a hash of every query's bindings.
+type warmEntry struct {
+	Queries       int
+	Units         int64
+	Filtered      int64
+	LadderEntered [obs.NumLadderRungs]int64
+	BindingsFNV   string
+}
+
+// TestWarmSightings pins the work of the ledger queries run warm: each
+// query is evaluated three times on an engine with the prepared cache on
+// (over the ledger engine's graph and signatures), and the third
+// sighting, served from the artifact the second one kept, is measured.
+// Its bindings must hash to the cold ledger's, and the rest is pinned in
+// testdata/warm.json, regenerated with `go test ./internal/smartpsi/ -run
+// WarmSightings -update`.
+func TestWarmSightings(t *testing.T) {
+	buf, err := os.ReadFile(ledgerPath)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	var ledger map[string]ledgerEntry
+	if err := json.Unmarshal(buf, &ledger); err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]warmEntry, len(ledgerPopulations))
+	for _, pop := range ledgerPopulations {
+		cold, qs := ledgerQueries(t, pop)
+		e := newEngine(cold.g, cold.sigs, Options{Seed: 1, Threads: 1})
+		h := fnv.New64a()
+		var we warmEntry
+		for qi, q := range qs {
+			var res *Result
+			for sighting := 1; sighting <= 3; sighting++ {
+				res = mustEvaluate(t, e, q)
+			}
+			if res.UsedML && !res.Warm {
+				t.Fatalf("%s query %d: third sighting served cold", pop.dataset, qi)
+			}
+			we.Queries++
+			we.Units += res.Work.Units()
+			we.Filtered += res.Filtered
+			for i, r := range res.Ladder {
+				we.LadderEntered[i] += r.Entered
+			}
+			hashBindings(h, res.Bindings)
+		}
+		we.BindingsFNV = fmt.Sprintf("%016x", h.Sum64())
+		if want := ledger[pop.dataset].BindingsFNV; we.BindingsFNV != want {
+			t.Errorf("%s: warm bindings hash %s, cold ledger %s", pop.dataset, we.BindingsFNV, want)
+		}
+		got[pop.dataset] = we
+	}
+	if *updateLedger {
+		buf, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(warmPath, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if buf, err = os.ReadFile(warmPath); err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	var want map[string]warmEntry
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, pop := range ledgerPopulations {
+		if g, w := got[pop.dataset], want[pop.dataset]; g != w {
+			t.Errorf("%s warm sightings:\n  got  %+v\n  want %+v\n(if the change is meant to move the work, regenerate with -update)", pop.dataset, g, w)
 		}
 	}
 }

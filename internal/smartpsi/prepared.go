@@ -9,7 +9,11 @@ package smartpsi
 // It is not an answer cache. An artifact only chooses how to search:
 // bindings are recomputed by its psi.Evaluator on every request, and the
 // §4.3 recovery ladder keeps each verdict exact whatever a stale
-// planTiming says. What must be right is the query-side half
+// planTiming says. A kept artifact's evaluator carries a candidate
+// filter (psi.Evaluator.Filtered), which refuses a pivot candidate
+// before any decision: that is a structural proof from the graph, like
+// Proposition 3.2's, rebuilt from nothing a request answered, not a
+// recalled verdict. What must be right is the query-side half
 // (evaluator, compiled plans), which names query node IDs; so a 64-bit
 // key match counts as a hit only after the stored query is verified
 // equal, node for node, with the same pivot.
@@ -32,8 +36,9 @@ import (
 // two parts execute updates, each safe for concurrent use, so any number
 // of requests may execute one artifact at once.
 type artifact struct {
-	q        graph.Query
-	ev       *psi.Evaluator   // holds the query's signatures
+	q graph.Query
+	// ev holds the query's signatures; a kept artifact's is Filtered.
+	ev       *psi.Evaluator
 	compiled []*plan.Compiled // model β's classes; [0] is the heuristic plan
 
 	alpha, beta *ml.Forest  // nil when ablated
@@ -83,7 +88,9 @@ const (
 	// Accounting units. A forest node is held twice: as ml's 32-byte
 	// tree node and as its 16-byte node of the flat layout prediction
 	// walks. A decision slot is 4 bytes. The base covers evaluator,
-	// plans and planTiming of a ten-node query.
+	// plans and planTiming of a ten-node query; the candidate filter is
+	// charged at its size, ⌈N/64⌉·8 bytes per query node (592 B on
+	// Human, 12.8 KB on YouTube 1/50).
 	forestNodeBytes   = 32 + 16
 	decisionSlotBytes = 4
 	artifactBaseBytes = 4 << 10
@@ -105,7 +112,7 @@ const (
 	seenSlots = 4096
 )
 
-// size charges an artifact for its forests and decision slots.
+// size charges an artifact for its forests, decision slots and filter.
 func (a *artifact) size() int64 {
 	nodes := 0
 	if a.alpha != nil {
@@ -114,7 +121,11 @@ func (a *artifact) size() int64 {
 	if a.beta != nil {
 		nodes += a.beta.NumNodes()
 	}
-	return artifactBaseBytes + int64(nodes)*forestNodeBytes + int64(len(a.decisions))*decisionSlotBytes
+	bytes := artifactBaseBytes + int64(nodes)*forestNodeBytes + int64(len(a.decisions))*decisionSlotBytes
+	if a.ev != nil {
+		bytes += a.ev.FilterBytes()
+	}
+	return bytes
 }
 
 // preparedCache is an Engine's bounded LRU of artifacts, keyed by

@@ -99,9 +99,9 @@ func TestPreparedAdmitOnSecondSighting(t *testing.T) {
 			t.Fatalf("sighting %d: warm=%v trained=%d train=%v fit=%v", i, res.Warm, res.TrainedNodes, res.TrainTime, res.FitTime)
 		}
 		// Every candidate, former training nodes included, is on the
-		// predict path.
-		if got := res.CacheHits + res.CacheMisses; got != int64(res.Candidates) {
-			t.Errorf("sighting %d: %d prediction lookups, want %d", i, got, res.Candidates)
+		// predict path unless the filter refused it.
+		if got := res.CacheHits + res.CacheMisses + res.Filtered; got != int64(res.Candidates) {
+			t.Errorf("sighting %d: %d prediction lookups and %d filtered, want %d", i, res.CacheHits+res.CacheMisses, res.Filtered, res.Candidates)
 		}
 		if !sameNodes(res.Bindings, want) {
 			t.Fatalf("sighting %d: %d bindings, want %d", i, len(res.Bindings), len(want))

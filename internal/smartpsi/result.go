@@ -22,6 +22,10 @@ type Result struct {
 	// model-β forests; the rest is the training-node evaluation sweep.
 	FitTime   time.Duration
 	ModelTime time.Duration
+	// FilterTime is the candidate filter's build (psi.Evaluator.Filtered),
+	// paid by the run whose artifact the prepared cache keeps; zero on
+	// every other run.
+	FilterTime time.Duration
 	// EvalTime is the candidate-evaluation wall time (excluding training).
 	EvalTime time.Duration
 	// TotalTime is the whole Evaluate call.
@@ -32,7 +36,7 @@ type Result struct {
 	PlanClasses int
 	// Warm is true when the engine's prepared-query cache held a
 	// verified-equal query's artifact: nothing was prepared or trained,
-	// and every candidate took the predict path.
+	// and every candidate its filter admits took the predict path.
 	Warm bool
 	// UsedML is false when the candidate set was too small to train on
 	// and the engine fell back to pessimistic evaluation throughout.
@@ -65,6 +69,11 @@ type Counts struct {
 	// CacheHits/CacheMisses count lookups of the candidates' decision
 	// slots (§4.2.3; prepared.go).
 	CacheHits, CacheMisses int64
+	// Filtered counts execute-phase candidates the evaluator refused
+	// before any decision (psi.Evaluator.Admits): invalid, with no slot
+	// lookup, prediction or ladder. Lookups plus Filtered are the
+	// candidates execute ran.
+	Filtered int64
 	// Flips counts preemptions into the opposite method (state 2);
 	// Fallbacks counts state-3 heuristic-plan restarts. Run derives them
 	// from the Ladder tallies of rungs 2 and 3 when it returns.
@@ -100,6 +109,7 @@ func (c *Counts) Add(o *Counts) {
 	c.Alpha.Total += o.Alpha.Total
 	c.CacheHits += o.CacheHits
 	c.CacheMisses += o.CacheMisses
+	c.Filtered += o.Filtered
 	c.Flips += o.Flips
 	c.Fallbacks += o.Fallbacks
 	c.Work.Add(o.Work)
