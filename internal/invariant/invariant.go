@@ -53,7 +53,7 @@ func Enable(on bool) { enabled.Store(on) }
 // errors with errors.As.
 type Violation struct {
 	// Subsystem names the checked structure ("graph", "signature",
-	// "embedding", "bindings", "dyngraph").
+	// "embedding", "bindings", "dyngraph", "filter").
 	Subsystem string
 	// Detail describes the specific violation.
 	Detail string

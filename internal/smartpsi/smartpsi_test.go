@@ -178,10 +178,11 @@ func TestUsedMLAndCounters(t *testing.T) {
 	if p := res.Profile.Snapshot(); res.Profile != nil && p.FitNanos != res.FitTime.Nanoseconds() {
 		t.Errorf("profile fit_nanos %d, want %d", p.FitNanos, res.FitTime.Nanoseconds())
 	}
-	evaluated := res.CacheHits + res.CacheMisses
-	wantEvaluated := int64(res.Candidates - res.TrainedNodes)
-	if evaluated != wantEvaluated {
-		t.Errorf("cache lookups %d, want %d", evaluated, wantEvaluated)
+	// Every execute-phase candidate is looked up, unless the pivot's
+	// degree or signature test refused it first.
+	lookups := res.CacheHits + res.CacheMisses
+	if want := int64(res.Candidates - res.TrainedNodes); lookups+res.Filtered != want || res.Filtered == 0 {
+		t.Errorf("cache lookups %d and filtered %d, want %d with some filtered", lookups, res.Filtered, want)
 	}
 	if res.Alpha.Total == 0 {
 		t.Error("no alpha accuracy samples")
