@@ -91,14 +91,14 @@ func run(graphPath, queryPath string, threads int, seed int64, stats, explain bo
 			res.Candidates, len(res.Bindings), res.TrainedNodes, res.PlanClasses)
 		fmt.Fprintf(os.Stderr, "train=%v fit=%v model=%v eval=%v total=%v\n",
 			res.TrainTime, res.FitTime, res.ModelTime, res.EvalTime, res.TotalTime)
-		alphaAcc := "n/a" // no fresh model-α prediction: no ML, or every decision read from a slot
+		work, alphaAcc := res.Work(), "n/a" // n/a: no fresh model-α prediction (no ML, or every decision read from a slot)
 		if res.Alpha.Total > 0 {
 			alphaAcc = fmt.Sprintf("%.1f%%", 100*res.Alpha.Accuracy())
 		}
 		fmt.Fprintf(os.Stderr, "cacheHits=%d cacheMisses=%d flips=%d fallbacks=%d alphaAcc=%s\n",
 			res.CacheHits, res.CacheMisses, res.Flips, res.Fallbacks, alphaAcc)
 		fmt.Fprintf(os.Stderr, "recursions=%d sigPrunes=%d capHits=%d deadlineAborts=%d\n",
-			res.Work.Recursions, res.Work.SigPrunes, res.Work.CapHits, res.Work.Deadlines)
+			work.Recursions, work.SigPrunes, work.CapHits, work.Deadlines)
 	}
 	if explain {
 		if err := res.Profile.Snapshot().WriteText(os.Stderr); err != nil {

@@ -136,7 +136,7 @@ func evaluateQueries(g *graph.Graph, queries []graph.Query, threads int, seed in
 			return fmt.Errorf("evaluating query %d: %w", i, err)
 		}
 		bindings += int64(len(res.Bindings))
-		work += res.Work.Recursions
+		work += res.Work().Recursions
 	}
 	_, _ = fmt.Fprintf(stderr, "evaluated %d queries: %d pivot bindings, %d recursions\n",
 		len(queries), bindings, work)

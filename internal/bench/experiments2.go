@@ -185,10 +185,12 @@ func Fig11(env *Env, cfg Config, w io.Writer) error {
 }
 
 // Table4 reproduces Table 4: model training and prediction overhead as a
-// percentage of total SmartPSI time.
+// percentage of total SmartPSI time. Each cell also prints the exact
+// work its finished queries did (summed Work().Units(), equal on every
+// run of a cell with no censored query) and how many were censored.
 func Table4(env *Env, cfg Config, w io.Writer) error {
 	sizes := intersectSizes(cfg.Sizes, 4, 8)
-	t := NewTable("Table 4: training+prediction overhead (% of total time)",
+	t := NewTable("Table 4: training+prediction overhead (% of total time; work units; censored queries)",
 		append([]string{"dataset"}, sizeHeaders(sizes)...)...)
 	for _, name := range []string{"human", "youtube", "twitter"} {
 		eng, err := env.Engine(name)
@@ -202,22 +204,25 @@ func Table4(env *Env, cfg Config, w io.Writer) error {
 				return err
 			}
 			var overhead, total time.Duration
+			var units, censored int64
 			for _, q := range qs.BySize[size] {
 				res, err := eng.EvaluateBudget(q, time.Now().Add(cfg.PerQueryBudget))
 				if err == psi.ErrDeadline {
-					continue // censored query: no telemetry
+					censored++ // no telemetry
+					continue
 				}
 				if err != nil {
 					return err
 				}
 				overhead += res.TrainTime + res.ModelTime
 				total += res.TotalTime
+				units += res.Work().Units()
 			}
-			if total == 0 {
-				row = append(row, "n/a")
-			} else {
-				row = append(row, fmt.Sprintf("%.2f%%", 100*float64(overhead)/float64(total)))
+			pct := "n/a"
+			if total > 0 {
+				pct = fmt.Sprintf("%.2f%%", 100*float64(overhead)/float64(total))
 			}
+			row = append(row, fmt.Sprintf("%s %du %dc", pct, units, censored))
 		}
 		t.Add(row...)
 	}

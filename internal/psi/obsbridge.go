@@ -28,11 +28,9 @@ var statsPublishers = []struct {
 }
 
 // PublishStats flushes an aggregated Stats delta into the process-wide
-// obs registry: one atomic add per non-zero field. The hot evaluation
-// loops never call this — they count into plain State fields — so the
-// whole observability layer costs the evaluator nothing per event;
-// callers flush once per batch (worker exit, support pass, query end).
-// A no-op when collection is disabled.
+// obs registry, one atomic add per non-zero field, once per batch (worker
+// exit, support pass, query end): the hot loops count into plain State
+// rows and pay nothing per event. A no-op when collection is disabled.
 func PublishStats(s Stats) {
 	if !obs.Enabled() {
 		return
@@ -80,10 +78,7 @@ func Funnel(depths []Stats) []obs.FunnelDepth {
 	if len(depths) == 0 {
 		return nil
 	}
-	var matches int64
-	for _, s := range depths {
-		matches += s.Matches
-	}
+	matches := Sum(depths).Matches
 	rows := make([]obs.FunnelDepth, len(depths))
 	for d, s := range depths {
 		f := &rows[d]

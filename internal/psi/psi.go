@@ -115,11 +115,8 @@ type Stats struct {
 	Stops              int64 // evaluations aborted by the stop flag
 }
 
-// Add accumulates other into s. It is the single canonical Stats merge:
-// worker pools (smartpsi's candidate workers) must
-// use it rather than ad-hoc field adds, so that a new field added here
-// propagates everywhere (TestObsStatsMergeCoversAllFields enforces the
-// field coverage).
+// Add accumulates other into s. It is the one Stats merge, so a field
+// added here propagates everywhere (TestObsStatsMergeCoversAllFields).
 func (s *Stats) Add(other Stats) {
 	s.Recursions += other.Recursions
 	s.Candidates += other.Candidates
@@ -140,6 +137,16 @@ func (s *Stats) Add(other Stats) {
 // Units is the work the counters measure, in the unit of
 // Limits.MaxSteps: one per recursion plus one per generated candidate.
 func (s Stats) Units() int64 { return s.Recursions + s.Candidates }
+
+// Sum returns rows added together: a search's flat counters from its
+// per-depth rows (State.Depths).
+func Sum(rows []Stats) Stats {
+	var sum Stats
+	for _, row := range rows {
+		sum.Add(row)
+	}
+	return sum
+}
 
 // Evaluator answers pivot-binding questions for one (data graph, query)
 // pair. It is immutable after construction and safe for concurrent use;
@@ -260,14 +267,13 @@ const (
 // Filtered returns a copy of e that carries a candidate filter: for each
 // query node v, a set C(v) of data nodes holding every node that v maps
 // to in some embedding of the query. C(v) starts as the nodes with v's
-// label, at least v's query degree, that pass the capped Proposition 3.2
-// test the pessimist runs (satisfies). A refinement round then drops u
-// from C(v) when some query neighbour w of v has no neighbour of u in
-// C(w) with w's label, joined by an edge with the query edge's label when
-// it carries one. Every removal is of a node no embedding uses, so the
-// sets stay sound however many rounds run. The copy's searches test the
-// sets before the degree, signature and score tests (Stats.FilterPrunes),
-// and its verdicts are e's.
+// label that pass v's search-free tests (plausible). A refinement round
+// then drops u from C(v) when some query neighbour w of v has no
+// neighbour of u in C(w) with w's label, joined by an edge with the query
+// edge's label when it carries one. Every removal is of a node no
+// embedding uses, so the sets stay sound however many rounds run. The
+// copy's searches test the sets before the degree, signature and score
+// tests (Stats.FilterPrunes), and its verdicts are e's.
 func (e *Evaluator) Filtered() *Evaluator {
 	g, qg := e.g, e.query.G
 	f := *e
@@ -277,7 +283,7 @@ func (e *Evaluator) Filtered() *Evaluator {
 	for v := graph.NodeID(0); int(v) < qg.NumNodes(); v++ {
 		row := f.filterRow(v)
 		for _, u := range g.NodesWithLabel(qg.Label(v)) {
-			if g.Degree(u) >= qg.Degree(v) && e.satisfies(e.dataSigs.Scaled(u), v) {
+			if e.plausible(v, u) {
 				row[u>>6] |= 1 << (u & 63)
 				members++
 			}
@@ -346,15 +352,20 @@ func (e *Evaluator) FilterBytes() int64 { return int64(len(e.filter)) * 8 }
 // Admits reports whether data node u can still bind the query pivot once
 // the search-free tests are done: on a filtered evaluator, whether u is
 // in the pivot's set; on an unfiltered one, whether u has the pivot's
-// label, at least its query degree, and passes its capped Proposition
-// 3.2 test, the checks the pessimist runs at step 0 (the optimist runs
-// none). A node it refuses is invalid in every mode and under every plan.
+// label and passes its search-free tests (plausible). A node it refuses
+// is invalid in every mode and under every plan.
 func (e *Evaluator) Admits(u graph.NodeID) bool {
 	p := e.query.Pivot
 	if e.filter != nil {
 		return e.inFilter(p, u)
 	}
-	return e.g.Label(u) == e.query.G.Label(p) && e.g.Degree(u) >= e.query.G.Degree(p) && e.satisfies(e.dataSigs.Scaled(u), p)
+	return e.g.Label(u) == e.query.G.Label(p) && e.plausible(p, u)
+}
+
+// plausible reports whether data node u passes query node v's
+// search-free tests: at least v's degree, and the capped Prop. 3.2 test.
+func (e *Evaluator) plausible(v, u graph.NodeID) bool {
+	return e.g.Degree(u) >= e.query.G.Degree(v) && e.satisfies(e.dataSigs.Scaled(u), v)
 }
 
 // Graph returns the data graph the evaluator works on.
@@ -466,13 +477,7 @@ func NewState(maxQuerySize int) *State {
 }
 
 // Stats returns the accumulated work counters, summed over plan depths.
-func (s *State) Stats() Stats {
-	var sum Stats
-	for _, row := range s.depths {
-		sum.Add(row)
-	}
-	return sum
-}
+func (s *State) Stats() Stats { return Sum(s.depths) }
 
 // Depths returns the accumulated work counters of each plan depth, row 0
 // the pivot's. The rows are the State's own: the next evaluation on it

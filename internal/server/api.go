@@ -272,7 +272,7 @@ func resultJSON(gth *shard.Gather, elapsed time.Duration, counts bool) *QueryRes
 		Filtered:   res.Filtered,
 		Flips:      res.Flips,
 		Fallbacks:  res.Fallbacks,
-		Recursions: res.Work.Recursions,
+		Recursions: res.Work().Recursions,
 		ElapsedMS:  float64(elapsed.Nanoseconds()) / 1e6,
 		Partial:    gth.Partial,
 	}

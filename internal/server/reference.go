@@ -52,12 +52,3 @@ func (r *Reference) Bindings(q graph.Query) ([]int64, error) {
 	}
 	return out, nil
 }
-
-// referenceBindings is the one-shot form used by the test suite.
-func referenceBindings(g *graph.Graph, q graph.Query) ([]int64, error) {
-	ref, err := NewReference(g)
-	if err != nil {
-		return nil, err
-	}
-	return ref.Bindings(q)
-}

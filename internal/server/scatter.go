@@ -276,22 +276,31 @@ func (c *Coordinator) callShard(i int, qj QueryJSON, deadline time.Time, request
 	if err := json.Unmarshal(raw, &qr); err != nil {
 		return nil, fmt.Errorf("bad shard response: %v", err)
 	}
-	return resultFromJSON(&qr), nil
+	return resultFromJSON(&qr, len(qj.Nodes))
 }
 
-// resultFromJSON lifts a shard node's wire result back into engine-
-// result form for the shared merge: its bindings, UsedML and its counts
-// whole. Per-shard times and profiles stay on their own nodes (the
-// profile reachable there by the forwarded request ID).
-func resultFromJSON(qr *QueryResult) *smartpsi.Result {
+// resultFromJSON lifts a shard node's wire result for a query of nodes
+// nodes back into engine-result form for the shared merge: its bindings,
+// UsedML and its counts whole, folded with Counts.Add. Per-shard times
+// and profiles stay on their own nodes (the profile reachable there by
+// the forwarded request ID). A reply no engine gives is an error, so the
+// shard's share is missing and the answer partial: bindings not strictly
+// ascending node ids, or more work rows than the query has plan depths.
+func resultFromJSON(qr *QueryResult, nodes int) (*smartpsi.Result, error) {
 	res := &smartpsi.Result{UsedML: qr.UsedML, Bindings: make([]graph.NodeID, len(qr.Bindings))}
 	if qr.Counts != nil {
-		res.Counts = *qr.Counts
+		if len(qr.Counts.Depths) > nodes {
+			return nil, fmt.Errorf("bad shard response: %d work rows for a %d-node query", len(qr.Counts.Depths), nodes)
+		}
+		res.Counts.Add(qr.Counts)
 	}
 	for i, u := range qr.Bindings {
 		res.Bindings[i] = graph.NodeID(u)
+		if u < 0 || int64(res.Bindings[i]) != u || i > 0 && u <= qr.Bindings[i-1] {
+			return nil, fmt.Errorf("bad shard response: binding %d at %d is not an ascending node id", u, i)
+		}
 	}
-	return res
+	return res, nil
 }
 
 // errorMessage extracts the error string from a JSON error body, or

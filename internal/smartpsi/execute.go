@@ -83,7 +83,7 @@ type worker struct {
 	art    *artifact
 	run    *queryRun
 	global time.Time
-	st     *psi.State // primary evaluator state; its Stats are Result.Work
+	st     *psi.State // primary evaluator state; capture copies its rows into Counts
 	// timing is the artifact's planTiming as the worker started, plus
 	// what it has learned since; learned is that part alone, added to
 	// the artifact's when the worker exits.

@@ -107,7 +107,7 @@ func TestThreadCountsAgree(t *testing.T) {
 // TestRepeatEvaluationsDeterministic: two fresh engines with the same
 // options give the same everything on the same query, at one worker and
 // at two: every budget the engine decides by counts work, so labels,
-// forests, plan and method picks, flips, fallbacks and Work cannot
+// forests, plan and method picks, flips, fallbacks and work rows cannot
 // depend on how fast the machine runs. Only the wall-clock report
 // (Ladder[].Nanos) may differ. The slow fixture preempts, so the
 // ladder's budgets are exercised.

@@ -341,17 +341,17 @@ func TestObsEndToEndMetricsFlow(t *testing.T) {
 	if len(res.Bindings) != 1 || res.Bindings[0] != 0 {
 		t.Fatalf("bindings = %v, want [0]", res.Bindings)
 	}
-	if res.Work.Recursions == 0 {
-		t.Error("Result.Work.Recursions = 0; per-query work not aggregated")
+	if res.Work().Recursions == 0 {
+		t.Error("Result.Work().Recursions = 0; per-query work not aggregated")
 	}
-	if res.Work.SigPrunes == 0 {
-		t.Error("Result.Work.SigPrunes = 0; node C should be signature-pruned")
+	if res.Work().SigPrunes == 0 {
+		t.Error("Result.Work().SigPrunes = 0; node C should be signature-pruned")
 	}
-	if d := obs.PSIRecursions.Value() - recBefore; d != res.Work.Recursions {
-		t.Errorf("psi_recursions_total delta = %d, want %d", d, res.Work.Recursions)
+	if d := obs.PSIRecursions.Value() - recBefore; d != res.Work().Recursions {
+		t.Errorf("psi_recursions_total delta = %d, want %d", d, res.Work().Recursions)
 	}
-	if d := obs.PSISigPrunes.Value() - pruneBefore; d != res.Work.SigPrunes {
-		t.Errorf("psi_sig_prunes_total delta = %d, want %d", d, res.Work.SigPrunes)
+	if d := obs.PSISigPrunes.Value() - pruneBefore; d != res.Work().SigPrunes {
+		t.Errorf("psi_sig_prunes_total delta = %d, want %d", d, res.Work().SigPrunes)
 	}
 	if d := obs.SmartQueries.Value() - queriesBefore; d != 1 {
 		t.Errorf("smartpsi_queries_total delta = %d, want 1", d)
@@ -415,7 +415,7 @@ func TestObsPublishFromResult(t *testing.T) {
 			res.Ladder[obs.LadderOpposite].Entered, res.Ladder[obs.LadderHeuristic].Entered)
 	}
 	want := []int64{res.CacheHits, res.CacheMisses, res.Flips, res.Fallbacks, res.Flips + res.Fallbacks,
-		res.Alpha.Total, res.Alpha.Total - res.Alpha.Correct, int64(res.TrainedNodes), res.Work.Recursions}
+		res.Alpha.Total, res.Alpha.Total - res.Alpha.Correct, int64(res.TrainedNodes), res.Work().Recursions}
 	for i, c := range counters {
 		if d := c.Value() - before[i]; d != want[i] {
 			t.Errorf("%s delta = %d, Result says %d", c.Name(), d, want[i])
@@ -532,7 +532,7 @@ func TestObsAbortedQueryAccountsWork(t *testing.T) {
 	// fits) as its budget, so the sweep always reaches checkpoint 0 in
 	// time, however slow the machine or the build.
 	budget := max(10*time.Since(t0), 100*time.Millisecond)
-	want := psi.RecordWork(r.res.Work) // the whole sweep: both aborts come after it
+	want := psi.RecordWork(r.res.Work()) // the whole sweep: both aborts come after it
 	if want[obs.PSIRecursions.Name()] == 0 {
 		t.Fatal("fixture: the training sweep did no work")
 	}

@@ -213,9 +213,9 @@ func TestSweepCapLabelsAlphaOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(art.compiled) < 2 || r.res.Work.Units() < 32*sweepStartUnits {
+	if len(art.compiled) < 2 || r.res.Work().Units() < 32*sweepStartUnits {
 		t.Fatalf("fixture: %d plans, %d units; want a sweep over several plans past its cap",
-			len(art.compiled), r.res.Work.Units())
+			len(art.compiled), r.res.Work().Units())
 	}
 	if trained != 1 || art.alpha == nil || art.beta != nil {
 		t.Errorf("trained %d nodes, α %v, β %v; want one α row and no β", trained, art.alpha != nil, art.beta != nil)

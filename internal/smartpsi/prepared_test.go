@@ -313,9 +313,9 @@ func TestDisablePreparedCache(t *testing.T) {
 	first := mustEvaluate(t, e, qs[0])
 	for i := 0; i < 3; i++ {
 		res := mustEvaluate(t, e, qs[0])
-		if res.Warm || res.TrainedNodes != first.TrainedNodes || res.Work != first.Work {
+		if res.Warm || res.TrainedNodes != first.TrainedNodes || res.Work() != first.Work() {
 			t.Fatalf("repeat %d: warm=%v trained=%d work=%+v; first run trained=%d work=%+v",
-				i, res.Warm, res.TrainedNodes, res.Work, first.TrainedNodes, first.Work)
+				i, res.Warm, res.TrainedNodes, res.Work(), first.TrainedNodes, first.Work())
 		}
 	}
 }

@@ -150,21 +150,21 @@ func TestObsQueryProfileEndToEnd(t *testing.T) {
 	if tot.Generated == 0 || tot.Matched == 0 {
 		t.Errorf("funnel totals = %+v; expected non-empty generated and matched", tot)
 	}
-	if tot.Generated != res.Work.Candidates {
-		t.Errorf("funnel generated = %d, Work.Candidates = %d", tot.Generated, res.Work.Candidates)
+	if tot.Generated != res.Work().Candidates {
+		t.Errorf("funnel generated = %d, Work().Candidates = %d", tot.Generated, res.Work().Candidates)
 	}
 	if int64(len(res.Bindings)) > fun[0].Matched {
 		t.Errorf("depth-0 matched = %d < %d bindings", fun[0].Matched, len(res.Bindings))
 	}
 
-	// Work map mirrors Result.Work through the statsPublishers table.
-	if got := snap.Work["psi_recursions_total"]; got != res.Work.Recursions {
-		t.Errorf("work[psi_recursions_total] = %d, want %d", got, res.Work.Recursions)
+	// Work map mirrors Result.Work() through the statsPublishers table.
+	if got := snap.Work["psi_recursions_total"]; got != res.Work().Recursions {
+		t.Errorf("work[psi_recursions_total] = %d, want %d", got, res.Work().Recursions)
 	}
-	if got := snap.Work["psi_matches_total"]; got != res.Work.Matches {
-		t.Errorf("work[psi_matches_total] = %d, want %d", got, res.Work.Matches)
+	if got := snap.Work["psi_matches_total"]; got != res.Work().Matches {
+		t.Errorf("work[psi_matches_total] = %d, want %d", got, res.Work().Matches)
 	}
-	if res.Work.Matches == 0 {
+	if res.Work().Matches == 0 {
 		t.Error("Work.Matches = 0; match counting not wired")
 	}
 
@@ -237,7 +237,7 @@ func TestObsQueryProfileDisabled(t *testing.T) {
 	if d := res.Profile.Snapshot(); d.ID != 0 {
 		t.Errorf("nil profile snapshot = %+v", d)
 	}
-	if res.Work.Recursions == 0 {
+	if res.Work().Recursions == 0 {
 		t.Error("work counters must accumulate regardless of collection")
 	}
 }

@@ -79,14 +79,10 @@ type Counts struct {
 	// from the Ladder tallies of rungs 2 and 3 when it returns.
 	Flips, Fallbacks int64
 
-	// Work aggregates the evaluator work counters (recursions, prunes,
-	// cap hits, deadline aborts, ...) across training and all candidate
-	// workers, merged with the canonical psi.Stats.Add. It is Depths
-	// summed.
-	Work psi.Stats
-	// Depths are the same counters per plan depth (psi.State.Depths),
-	// added row by row; psi.Funnel derives the candidate funnel from
-	// them.
+	// Depths are the evaluator work counters (recursions, prunes, cap
+	// hits, deadline aborts, ...) per plan depth (psi.State.Depths),
+	// across training and all candidate workers, added row by row. Work
+	// sums them; psi.Funnel derives the candidate funnel from them.
 	Depths []psi.Stats
 
 	// ModePicks counts decisions (cached or fresh) per method, in
@@ -112,7 +108,6 @@ func (c *Counts) Add(o *Counts) {
 	c.Filtered += o.Filtered
 	c.Flips += o.Flips
 	c.Fallbacks += o.Fallbacks
-	c.Work.Add(o.Work)
 	for m, n := range o.ModePicks {
 		c.ModePicks[m] += n
 	}
@@ -135,12 +130,12 @@ func (c *Counts) Add(o *Counts) {
 	}
 }
 
-// capture stores what a finished evaluator state counted: its work, in
-// total and per plan depth (the state's own rows, which Add copies).
-func (c *Counts) capture(st *psi.State) {
-	c.Work = st.Stats()
-	c.Depths = st.Depths()
-}
+// Work returns the evaluator work counters summed over plan depths.
+func (c *Counts) Work() psi.Stats { return psi.Sum(c.Depths) }
+
+// capture stores what a finished evaluator state counted per plan depth:
+// the state's own rows, which Add copies.
+func (c *Counts) capture(st *psi.State) { c.Depths = st.Depths() }
 
 // AccuracyReport is a correct/total counter pair.
 type AccuracyReport struct {
@@ -156,8 +151,8 @@ func (a AccuracyReport) Accuracy() float64 {
 }
 
 // finish reports the query once, on every exit of Run: its counters and
-// evaluator work are added to the registry from the Result, and its
-// profile is sealed from the Result.
+// evaluator work, summed once here, are added to the registry from the
+// Result, and its profile is sealed from the Result.
 func (r *queryRun) finish(err error) {
 	res := r.res
 	// Entering rung 2 or 3 means the rung before it timed out.
@@ -177,7 +172,12 @@ func (r *queryRun) finish(err error) {
 		obs.SmartTrainedNodes.Add(int64(res.TrainedNodes))
 		obs.SmartTrainSeconds.Observe(res.TrainTime.Seconds())
 	}
-	psi.PublishStats(res.Work)
+	work := res.Work()
+	psi.PublishStats(work)
+	if err == nil { // the per-query distributions of a successful query
+		obs.SmartQuerySeconds.Observe(res.TotalTime.Seconds())
+		obs.SmartRecursionDist.Observe(float64(work.Recursions))
+	}
 	if res.Profile == nil {
 		return
 	}
@@ -193,7 +193,7 @@ func (r *queryRun) finish(err error) {
 		PlanChosen:   slices.Clone(res.PlanPicks),
 		Ladder:       slices.Clone(res.Ladder[:]),
 		Funnel:       psi.Funnel(res.Depths),
-		Work:         psi.RecordWork(res.Work),
+		Work:         psi.RecordWork(work),
 	}
 	// The method and the model-β class count describe how candidates
 	// were decided, so a query that never reached a decision path (no
