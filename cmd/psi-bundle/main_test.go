@@ -14,17 +14,16 @@ import (
 )
 
 // makeBundle assembles a realistic incident bundle on disk through the
-// debug mux: an availability alert driven to firing, one slow profile
-// and a recent /modelz decision record sharing its request ID
-// (correlated unless withCorrelation is false).
-func makeBundle(t *testing.T, withCorrelation bool) string {
+// debug mux: an availability alert driven to firing by sheds, and one
+// slow profile carrying its request ID and model-β tally.
+func makeBundle(t *testing.T) string {
 	t.Helper()
 	prev := obs.Enabled()
 	obs.Enable(true)
 	t.Cleanup(func() { obs.Enable(prev) })
 
 	reg := obs.NewRegistry()
-	req := reg.Counter("server_requests_total", "requests")
+	req := reg.Counter("server_queries_total", "queries")
 	shed := reg.Counter("server_shed_total", "sheds")
 	s := obs.NewSampler(reg, time.Second)
 	set := obs.NewSLOSet(s, []obs.Objective{
@@ -41,22 +40,16 @@ func makeBundle(t *testing.T, withCorrelation bool) string {
 		Method:        "pessimistic",
 		Funnel:        []obs.FunnelDepth{{Generated: 20, DegOK: 15, SigOK: 10, Recursed: 8, Matched: 2}},
 		Bindings:      2,
+		BetaScored:    12,
+		BetaTop1:      9,
 		DurationNanos: (25 * time.Millisecond).Nanoseconds(),
 	})
-
-	obs.DefaultModelStats.Reset()
-	t.Cleanup(obs.DefaultModelStats.Reset)
-	reqID := "req-42"
-	if !withCorrelation {
-		reqID = ""
-	}
-	obs.DefaultModelStats.Observe(obs.DecisionRecord{Kind: obs.DecisionKindBeta, Query: "q-slow", RequestID: reqID, Node: 7})
 
 	b, err := obs.NewBundler(obs.BundlerConfig{Alerts: set})
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs.Handler(reg, rec, obs.WithSampler(s), obs.WithAlerts(set), obs.WithBundler(b))
+	obs.Handler(reg, rec, obs.HandlerConfig{Alerts: set, Bundler: b})
 	var buf bytes.Buffer
 	if _, err := b.WriteBundle(&buf, obs.BundleReasonAlert, "availability"); err != nil {
 		t.Fatal(err)
@@ -69,7 +62,7 @@ func makeBundle(t *testing.T, withCorrelation bool) string {
 }
 
 func TestReportText(t *testing.T) {
-	path := makeBundle(t, true)
+	path := makeBundle(t)
 	var out, errOut bytes.Buffer
 	if code := run([]string{"report", path}, &out, &errOut); code != 0 {
 		t.Fatalf("report exit = %d, stderr:\n%s", code, errOut.String())
@@ -78,10 +71,9 @@ func TestReportText(t *testing.T) {
 	for _, want := range []string{
 		"reason alert", "objective availability", // manifest header
 		"1 firing", "availability", // the /alertz table
-		"server_requests_total", // sparkline
-		"q-slow", "req-42",      // slow profile with its request ID
+		"fast-window bad: server_shed_total=50", // the counter that burned
+		"q-slow", "req-42", "β top-1 9/12",      // slow profile with its request ID and β tally
 		"funnel generated 20 > deg-ok 15 > sig-ok 10 > recursed 8 > matched 2",
-		"correlated request IDs",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("report lacks %q:\n%s", want, text)
@@ -90,9 +82,9 @@ func TestReportText(t *testing.T) {
 }
 
 func TestReportJSON(t *testing.T) {
-	path := makeBundle(t, true)
+	path := makeBundle(t)
 	var out, errOut bytes.Buffer
-	if code := run([]string{"report", "-json", "-require-correlation", path}, &out, &errOut); code != 0 {
+	if code := run([]string{"report", "-json", path}, &out, &errOut); code != 0 {
 		t.Fatalf("report -json exit = %d, stderr:\n%s", code, errOut.String())
 	}
 	var rep reportDoc
@@ -105,22 +97,14 @@ func TestReportJSON(t *testing.T) {
 	if rep.Bundle.Reason != obs.BundleReasonAlert {
 		t.Errorf("manifest reason = %q, want alert", rep.Bundle.Reason)
 	}
-	if len(rep.Correlated) != 1 || rep.Correlated[0] != "req-42" {
-		t.Errorf("correlated = %v, want req-42 (profile + recent decision)", rep.Correlated)
+	if bad := rep.Alerts.Alerts[0].BadFast; bad["server_shed_total"] != 50 {
+		t.Errorf("availability breakdown = %v, want server_shed_total 50", bad)
 	}
-	if rep.Decisions.Records != 1 || rep.Decisions.Kinds[obs.DecisionKindBeta] != 1 {
-		t.Errorf("decisions = %+v, want the one beta record from modelz.json", rep.Decisions)
+	if len(rep.Slowest) != 1 {
+		t.Fatalf("slowest = %+v, want the one profile", rep.Slowest)
 	}
-}
-
-func TestRequireCorrelationFails(t *testing.T) {
-	path := makeBundle(t, false)
-	var out, errOut bytes.Buffer
-	if code := run([]string{"report", "-require-correlation", path}, &out, &errOut); code != 1 {
-		t.Fatalf("exit = %d, want 1 when no ID spans a profile and the recent decisions", code)
-	}
-	if !strings.Contains(errOut.String(), "require-correlation") {
-		t.Errorf("stderr does not name the failed assertion:\n%s", errOut.String())
+	if p := rep.Slowest[0]; p.RequestID != "req-42" || p.BetaTop1 != 9 || p.BetaScored != 12 {
+		t.Errorf("slowest = %+v, want req-42 with β 9/12", p)
 	}
 }
 
@@ -130,7 +114,7 @@ func TestCorruptBundleExit2(t *testing.T) {
 	if err := os.WriteFile(garbage, []byte("this is not a zip archive"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	good := makeBundle(t, true)
+	good := makeBundle(t)
 	data, err := os.ReadFile(good)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +152,7 @@ func TestCorruptBundleExit2(t *testing.T) {
 }
 
 func TestListAndCat(t *testing.T) {
-	path := makeBundle(t, true)
+	path := makeBundle(t)
 	var out, errOut bytes.Buffer
 	if code := run([]string{"list", path}, &out, &errOut); code != 0 {
 		t.Fatalf("list exit = %d\n%s", code, errOut.String())
@@ -208,23 +192,5 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if code := run([]string{"help"}, &out, &errOut); code != 0 {
 		t.Errorf("help exit = %d, want 0", code)
-	}
-}
-
-func TestSpark(t *testing.T) {
-	if got := spark(nil); got != "" {
-		t.Errorf("empty spark = %q", got)
-	}
-	if got := spark([]float64{-1, -1}); got != "" {
-		t.Errorf("all-missing spark = %q", got)
-	}
-	got := spark([]float64{0, 1, -1, 2})
-	want := "▁▄ █"
-	if got != want {
-		t.Errorf("spark = %q, want %q", got, want)
-	}
-	// A flat series renders at the low bar rather than dividing by zero.
-	if got := spark([]float64{5, 5, 5}); got != "▁▁▁" {
-		t.Errorf("flat spark = %q", got)
 	}
 }

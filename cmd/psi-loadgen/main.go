@@ -183,7 +183,7 @@ const latencyMetric = "loadgen_latency_seconds"
 // stats accumulates request outcomes across driver goroutines. OK
 // latencies land in a client-side histogram (obs.LatencyBuckets) so the
 // report's percentiles come from the same bucket-interpolation helper
-// the server's /seriesz quantiles use.
+// the server's /queryz quantiles use.
 type stats struct {
 	reg     *obs.Registry
 	latency *obs.Histogram // seconds, OK responses only
@@ -761,7 +761,7 @@ func buildReport(cfg config, st *stats, elapsed time.Duration, snap obs.Snapshot
 
 // quantileMS estimates the q-th latency quantile in milliseconds from
 // the client-side histogram via obs.HistogramQuantile (the same
-// bucket-interpolation the server's /seriesz uses); 0 for an empty
+// bucket-interpolation the server's /queryz uses); 0 for an empty
 // histogram.
 func quantileMS(h obs.HistogramSnapshot, q float64) float64 {
 	v, ok := obs.HistogramQuantile(h, q)

@@ -29,12 +29,13 @@
 //
 // Endpoints: POST /v1/psi, POST /v1/psi/batch, GET /healthz, GET
 // /readyz, plus the full obs debug surface (/metrics, /metrics.json,
-// /profilez, /modelz, /seriesz, /alertz, /queryz, /debugz/bundle;
+// /profilez, /modelz, /alertz, /queryz, /debugz/bundle;
 // /debug/pprof answers 403 unless -expose-pprof is set). Metric
 // collection is always on in a serving process; with -sample-interval
 // > 0 a background sampler additionally keeps windowed time series of
-// what the SLO objectives and the Retry-After estimate read (/seriesz)
-// and evaluates SLO burn-rate alerts (/alertz). With -bundle-dir set, a
+// what the SLO objectives and the Retry-After estimate read, and
+// evaluates SLO burn-rate alerts (/alertz, which names the bad counter
+// behind each burn). With -bundle-dir set, a
 // diagnostic bundle (zip of the JSON the debug endpoints serve, plus
 // goroutine and heap dumps) is auto-captured whenever an SLO objective
 // starts firing. With -workload-topk > 0 (the default) every served
@@ -98,7 +99,7 @@ func main() {
 		shardAddrs  = flag.String("shard-addrs", "", "comma-separated shard node addresses in shard-index order (coordinator mode)")
 		shardProbe  = flag.Duration("shard-probe", 2*time.Second, "coordinator health-probe interval for per-shard /readyz rows")
 
-		sampleInterval = flag.Duration("sample-interval", time.Second, "metrics sampling interval for /seriesz and /alertz (0: disable sampling and SLO alerting)")
+		sampleInterval = flag.Duration("sample-interval", time.Second, "metrics sampling interval for /alertz and the Retry-After estimate (0: disable sampling and SLO alerting)")
 		sloAvail       = flag.Float64("slo-availability", 0.99, "availability SLO target in (0,1) (0: disable the availability objective)")
 		sloLatencyMS   = flag.Float64("slo-latency-ms", 0, "latency SLO threshold in milliseconds (0: no latency objective)")
 		sloLatencyTgt  = flag.Float64("slo-latency-target", 0.95, "fraction of requests that must finish under -slo-latency-ms")
@@ -324,8 +325,7 @@ func run(cfg config, parent context.Context, ready chan<- string) error {
 	}
 
 	// A serving process always collects: metrics, the /profilez
-	// flight recorder and /modelz (with its recent model-β records) all
-	// feed from the same gate.
+	// flight recorder and /modelz all feed from the same gate.
 	obs.Enable(true)
 
 	eval, err := buildEvaluator(cfg, g, logger)

@@ -17,8 +17,7 @@
 //
 // With collection on (PSI_OBS or -debug-addr), -evaluate ends by
 // printing the /modelz report the run folded: model α's confusion
-// matrix and vote-margin calibration, and model β's top-1 share against
-// the training sweeps:
+// matrix and model β's top-1 share against the training sweeps:
 //
 //	PSI_OBS=1 psi-workload -dataset cora -sizes 4-6 -count 10 -evaluate \
 //	             -out /dev/null

@@ -2,20 +2,19 @@ package bench
 
 import (
 	"io"
-	"time"
 
-	"repro/internal/psi"
 	"repro/internal/smartpsi"
 )
 
 // Ablations measures the design choices DESIGN.md calls out by running
 // the same workload with one feature disabled at a time: model β
 // (learned plans, Section 4.2.2), preemption (Section 4.3), and model α
-// (method choice, Section 4.2.1).
+// (method choice, Section 4.2.1). Each cell prints its time, its
+// finished queries' summed work units and its unfinished count.
 func Ablations(env *Env, cfg Config, w io.Writer) error {
 	const dataset = "twitter"
 	sizes := intersectSizes(cfg.Sizes, 4, 6)
-	t := NewTable("Ablations: SmartPSI variants on "+dataset,
+	t := NewTable("Ablations: SmartPSI variants on "+dataset+" (time, work units, censored queries)",
 		append([]string{"variant"}, sizeHeaders(sizes)...)...)
 
 	variants := []struct {
@@ -41,12 +40,8 @@ func Ablations(env *Env, cfg Config, w io.Writer) error {
 				return err
 			}
 			queries := qs.BySize[size]
-			c, err := runCell(cfg.PerQueryBudget, len(queries), func(i int) (bool, error) {
-				_, err := eng.EvaluateBudget(queries[i], time.Now().Add(cfg.PerQueryBudget))
-				if err == psi.ErrDeadline {
-					return true, nil
-				}
-				return false, err
+			c, err := runWorkCell(cfg.PerQueryBudget, len(queries), func(i int) (int64, bool, error) {
+				return runSmartQuery(eng, queries[i], cfg.PerQueryBudget)
 			})
 			if err != nil {
 				return err

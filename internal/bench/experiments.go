@@ -53,6 +53,35 @@ func runCell(perQuery time.Duration, n int, run func(i int) (censored bool, err 
 	return c, nil
 }
 
+// workCell is a cell that also counts the exact work of its finished
+// queries (summed Work().Units(), which the clock does not move) and how
+// many of its queries did not finish, as Table 4 prints them.
+type workCell struct {
+	cell
+	units    int64
+	censored int
+}
+
+func (c workCell) String() string {
+	return fmt.Sprintf("%s %du %dc", c.cell, c.units, c.censored)
+}
+
+// runWorkCell is runCell over a run that also reports each finished
+// query's work units.
+func runWorkCell(perQuery time.Duration, n int, run func(i int) (units int64, censored bool, err error)) (workCell, error) {
+	var finished int
+	var units int64
+	c, err := runCell(perQuery, n, func(i int) (bool, error) {
+		u, censored, err := run(i)
+		if err == nil && !censored {
+			finished++
+			units += u
+		}
+		return censored, err
+	})
+	return workCell{cell: c, units: units, censored: n - finished}, err
+}
+
 // Table1 reproduces the paper's Table 1: the number of PSI results vs
 // the number of full subgraph-isomorphism embeddings, per dataset and
 // query size.

@@ -65,14 +65,14 @@ func Fig9(env *Env, cfg Config, w io.Writer) error {
 				}
 				queries := qs.BySize[size]
 				c, err := runCell(cfg.PerQueryBudget, len(queries), func(i int) (bool, error) {
+					var censored bool
+					var err error
 					if sys == "SmartPSI-2t" {
-						_, err := eng.EvaluateBudget(queries[i], time.Now().Add(cfg.PerQueryBudget))
-						if err == psi.ErrDeadline {
-							return true, nil
-						}
-						return false, err
+						_, censored, err = runSmartQuery(eng, queries[i], cfg.PerQueryBudget)
+					} else {
+						_, censored, err = runStrategyQuery(env, eng, queries[i], psi.TwoThreaded, cfg.PerQueryBudget)
 					}
-					return runStrategyQuery(env, eng, queries[i], psi.TwoThreaded, cfg.PerQueryBudget)
+					return censored, err
 				})
 				if err != nil {
 					return err
@@ -86,10 +86,11 @@ func Fig9(env *Env, cfg Config, w io.Writer) error {
 }
 
 // Fig10 reproduces Figure 10: SmartPSI vs optimistic-only and
-// pessimistic-only on the Twitter dataset.
+// pessimistic-only on the Twitter dataset. Each cell prints its time,
+// its finished queries' summed work units and its unfinished count.
 func Fig10(env *Env, cfg Config, w io.Writer) error {
 	sizes := intersectSizes(cfg.Sizes, 4, 8)
-	t := NewTable("Figure 10: SmartPSI vs optimistic-only and pessimistic-only (Twitter)",
+	t := NewTable("Figure 10: SmartPSI vs optimistic-only and pessimistic-only (Twitter; time, work units, censored queries)",
 		append([]string{"system"}, sizeHeaders(sizes)...)...)
 	eng, err := env.Engine("twitter")
 	if err != nil {
@@ -107,14 +108,10 @@ func Fig10(env *Env, cfg Config, w io.Writer) error {
 				return err
 			}
 			queries := qs.BySize[size]
-			c, err := runCell(cfg.PerQueryBudget, len(queries), func(i int) (bool, error) {
+			c, err := runWorkCell(cfg.PerQueryBudget, len(queries), func(i int) (int64, bool, error) {
 				switch sys {
 				case "SmartPSI":
-					_, err := eng.EvaluateBudget(queries[i], time.Now().Add(cfg.PerQueryBudget))
-					if err == psi.ErrDeadline {
-						return true, nil
-					}
-					return false, err
+					return runSmartQuery(eng, queries[i], cfg.PerQueryBudget)
 				case "Optimistic":
 					return runStrategyQuery(env, eng, queries[i], psi.OptimisticOnly, cfg.PerQueryBudget)
 				default:
@@ -132,17 +129,31 @@ func Fig10(env *Env, cfg Config, w io.Writer) error {
 }
 
 // runStrategyQuery evaluates one query with a fixed psi strategy using
-// the engine's precomputed data signatures, honoring the budget.
-func runStrategyQuery(env *Env, eng *smartpsi.Engine, q graph.Query, strategy psi.Strategy, budget time.Duration) (censored bool, err error) {
+// the engine's precomputed data signatures, honoring the budget, and
+// returns its work units.
+func runStrategyQuery(env *Env, eng *smartpsi.Engine, q graph.Query, strategy psi.Strategy, budget time.Duration) (units int64, censored bool, err error) {
 	ev, err := psi.NewEvaluator(eng.Graph(), q, eng.Signatures(), nil)
 	if err != nil {
-		return false, err
+		return 0, false, err
 	}
-	_, err = psi.EvaluateAll(ev, strategy, 0, time.Now().Add(budget))
+	res, err := psi.EvaluateAll(ev, strategy, 0, time.Now().Add(budget))
 	if err == psi.ErrDeadline {
-		return true, nil
+		return 0, true, nil
 	}
-	return false, err
+	return res.Stats.Units(), false, err
+}
+
+// runSmartQuery evaluates one query with SmartPSI under the budget and
+// returns its work units.
+func runSmartQuery(eng *smartpsi.Engine, q graph.Query, budget time.Duration) (units int64, censored bool, err error) {
+	res, err := eng.EvaluateBudget(q, time.Now().Add(budget))
+	if err == psi.ErrDeadline {
+		return 0, true, nil
+	}
+	if err != nil {
+		return 0, false, err
+	}
+	return res.Work().Units(), false, nil
 }
 
 // Fig11 reproduces Figure 11: model α prediction accuracy per dataset

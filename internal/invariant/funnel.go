@@ -10,7 +10,7 @@ import "repro/internal/obs"
 // rather than the named fields, so a stage added to the funnel is
 // covered here automatically.
 func CheckFunnel(rows []obs.FunnelDepth) error {
-	names := obs.StageNames()
+	names := obs.StageNames
 	for depth := range rows {
 		stages := rows[depth].Stages()
 		for i, v := range stages {

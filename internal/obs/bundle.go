@@ -22,9 +22,8 @@ import (
 
 // Incident forensics: a diagnostic bundle is a schema-versioned zip of
 // the JSON documents the debug endpoints serve — /metrics.json,
-// /seriesz, /alertz, /profilez, /modelz (with its recent model-β
-// records), /queryz — read in-process through the mux that mounts the
-// Bundler, plus a goroutine dump and a heap profile, so a 3am alert
+// /alertz, /profilez, /modelz, /queryz — read in-process through the
+// mux that mounts the Bundler, plus a goroutine dump and a heap profile, so a 3am alert
 // leaves postmortem evidence even after the process restarts. Each
 // entry decodes into the type its endpoint encodes. The Bundler streams
 // one on demand (/debugz/bundle) and captures one to -bundle-dir
@@ -34,7 +33,7 @@ import (
 
 // BundleSchemaVersion is stamped into every manifest; readers
 // (ReadBundle, cmd/psi-bundle) refuse other versions.
-const BundleSchemaVersion = 2
+const BundleSchemaVersion = 3
 
 // Capture reasons recorded in the manifest.
 const (
@@ -54,7 +53,6 @@ const (
 const (
 	ManifestEntry   = "manifest.json"
 	MetricsEntry    = "metrics.json"
-	SeriesEntry     = "seriesz.json"
 	AlertsEntry     = "alertz.json"
 	ProfilesEntry   = "profiles.json"
 	ModelEntry      = "modelz.json"
@@ -63,14 +61,9 @@ const (
 	WorkloadEntry   = "workload.json"
 )
 
-// BundleEntryInfo is one archive member as listed in the manifest.
-type BundleEntryInfo struct {
-	Name  string `json:"name"`
-	Bytes int    `json:"bytes"`
-}
-
 // BundleManifest is the bundle's self-description: why and when it was
-// captured, by which build on which host, and what it contains.
+// captured and by which build on which host. The zip directory lists
+// what it contains.
 type BundleManifest struct {
 	Schema     int       `json:"schema"`
 	CapturedAt time.Time `json:"captured_at"`
@@ -92,12 +85,10 @@ type BundleManifest struct {
 	VCSRevision   string   `json:"vcs_revision,omitempty"`
 	VCSTime       string   `json:"vcs_time,omitempty"`
 	VCSModified   bool     `json:"vcs_modified,omitempty"`
-
-	Entries []BundleEntryInfo `json:"entries"`
 }
 
 // BundlerConfig is a Bundler's capture policy. Its data comes from the
-// mux it is mounted on (WithBundler); every field is optional.
+// mux it is mounted on (HandlerConfig.Bundler); every field is optional.
 type BundlerConfig struct {
 	// Dir is the auto-capture directory; empty leaves the Bundler
 	// unarmed: /debugz/bundle still streams on demand, but alert
@@ -293,13 +284,6 @@ func (b *Bundler) CaptureToDir(reason, objective string) (string, error) {
 	return path, nil
 }
 
-// Kept returns the on-disk bundles currently retained, oldest first.
-func (b *Bundler) Kept() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]string(nil), b.kept...)
-}
-
 // WriteBundle assembles one bundle in memory and writes it to w,
 // returning the compressed byte count. No obs lock is ever held across
 // I/O. Updates the obs_bundles_* metrics.
@@ -321,14 +305,11 @@ type bundlePayload struct {
 }
 
 // bundleEndpoints maps each JSON archive member to the endpoint that
-// serves it. Profiles and model decisions come first and back to back:
-// a bundle correlates the request IDs the two share, and on a busy
-// server the later reads would have moved past them.
+// serves it.
 var bundleEndpoints = []struct{ entry, path string }{
 	{ProfilesEntry, "/profilez?format=json"},
 	{ModelEntry, "/modelz?format=json"},
 	{MetricsEntry, "/metrics.json"},
-	{SeriesEntry, "/seriesz?format=json"},
 	{AlertsEntry, "/alertz?format=json"},
 	{WorkloadEntry, "/queryz?format=json"},
 }
@@ -347,7 +328,7 @@ func (b *Bundler) writeBundle(w io.Writer, reason, objective string) (int64, err
 	if err != nil {
 		return 0, err
 	}
-	man := b.manifest(now, reason, objective, payloads)
+	man := b.manifest(now, reason, objective)
 	manData, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return 0, err
@@ -372,7 +353,7 @@ func (b *Bundler) writeBundle(w io.Writer, reason, objective string) (int64, err
 }
 
 // manifest assembles the bundle's self-description.
-func (b *Bundler) manifest(now time.Time, reason, objective string, payloads []bundlePayload) BundleManifest {
+func (b *Bundler) manifest(now time.Time, reason, objective string) BundleManifest {
 	man := BundleManifest{
 		Schema:        BundleSchemaVersion,
 		CapturedAt:    now.UTC(),
@@ -402,10 +383,6 @@ func (b *Bundler) manifest(now time.Time, reason, objective string, payloads []b
 				man.VCSModified = s.Value == "true"
 			}
 		}
-	}
-	man.Entries = append(man.Entries, BundleEntryInfo{ManifestEntry, -1})
-	for _, p := range payloads {
-		man.Entries = append(man.Entries, BundleEntryInfo{p.name, len(p.data)})
 	}
 	return man
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,7 +15,7 @@ func TestObsBundleEndpoint(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewRecorder(4)
 
-	bare := Handler(reg, rec)
+	bare := Handler(reg, rec, HandlerConfig{})
 	if code, body := get(t, bare, "/debugz/bundle"); code != http.StatusServiceUnavailable || !strings.Contains(body, "not configured") {
 		t.Errorf("/debugz/bundle without bundler = %d\n%s", code, body)
 	}
@@ -26,7 +24,7 @@ func TestObsBundleEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := Handler(reg, rec, WithBundler(b))
+	h := Handler(reg, rec, HandlerConfig{Bundler: b})
 
 	req := httptest.NewRequest(http.MethodGet, "/debugz/bundle", nil)
 	w := httptest.NewRecorder()
@@ -58,19 +56,19 @@ func TestObsBundleEndpoint(t *testing.T) {
 	}
 }
 
-// TestObsPprofGate pins the exposure policy: pprof is mounted by
-// default (the debug-only listener), and WithPprof(false) — the
-// serving listener without -expose-pprof — answers 403 with a hint.
+// TestObsPprofGate pins the exposure policy: pprof is mounted with
+// Pprof set (the debug-only listener), and without it — the serving
+// listener without -expose-pprof — answers 403 with a hint.
 func TestObsPprofGate(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewRecorder(4)
 
-	open := Handler(reg, rec)
+	open := Handler(reg, rec, HandlerConfig{Pprof: true})
 	if code, _ := get(t, open, "/debug/pprof/"); code != http.StatusOK {
-		t.Errorf("/debug/pprof/ with default handler = %d, want 200", code)
+		t.Errorf("/debug/pprof/ with Pprof = %d, want 200", code)
 	}
 
-	closed := Handler(reg, rec, WithPprof(false))
+	closed := Handler(reg, rec, HandlerConfig{})
 	code, body := get(t, closed, "/debug/pprof/")
 	if code != http.StatusForbidden || !strings.Contains(body, "expose-pprof") {
 		t.Errorf("/debug/pprof/ gated = %d, want 403 naming the flag\n%s", code, body)
@@ -92,7 +90,7 @@ func TestSLOOnTransition(t *testing.T) {
 	var got []Transition
 	set.OnTransition(func(tr Transition) {
 		got = append(got, tr)
-		_ = set.Firing() // must not deadlock
+		_ = set.AlertsSnapshot() // must not deadlock
 	})
 
 	s.SampleAt(sloBase)
@@ -113,39 +111,5 @@ func TestSLOOnTransition(t *testing.T) {
 	}
 	if got[0].At.IsZero() {
 		t.Error("transition timestamp is zero")
-	}
-}
-
-// TestDecisionTail pins the recent model-β records /modelz?format=json
-// serves: every record is retained with its request ID, oldest first,
-// bounded by RecentDecisions, and every one folds into the aggregates.
-func TestDecisionTail(t *testing.T) {
-	DefaultModelStats.Reset()
-	defer DefaultModelStats.Reset()
-	h := Handler(NewRegistry(), NewRecorder(1))
-	const n = RecentDecisions + 3
-	for i := 0; i < n; i++ {
-		DefaultModelStats.Observe(DecisionRecord{
-			Kind: DecisionKindBeta, Node: int64(i), RequestID: fmt.Sprintf("req-%d", i), Top1: i%2 == 0,
-		})
-	}
-
-	code, body := get(t, h, "/modelz?format=json")
-	var d ModelStatsData
-	if err := json.Unmarshal([]byte(body), &d); code != http.StatusOK || err != nil {
-		t.Fatalf("/modelz?format=json = %d (%v)", code, err)
-	}
-	if len(d.Recent) != RecentDecisions {
-		t.Fatalf("recent has %d records, want %d", len(d.Recent), RecentDecisions)
-	}
-	for i, rec := range d.Recent {
-		want := int64(i + n - RecentDecisions)
-		if rec.Node != want || rec.RequestID != fmt.Sprintf("req-%d", want) {
-			t.Fatalf("recent[%d] = node %d %q, want node %d with its request ID (oldest first after wrap)",
-				i, rec.Node, rec.RequestID, want)
-		}
-	}
-	if d.BetaObserved != n || d.BetaTop1 != (n+1)/2 {
-		t.Errorf("aggregates = %d observed, %d top-1; want %d and %d", d.BetaObserved, d.BetaTop1, n, (n+1)/2)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ import (
 // bundleRig is a fully private debug surface: a registry with serving
 // counters, a manually driven sampler, one availability objective, a
 // recorder with one finished profile, a workload sketch with one shape
-// and one recent /modelz decision — every endpoint a production bundle
+// and /modelz's model-α cells — every endpoint a production bundle
 // reads.
 type bundleRig struct {
 	reg       *Registry
@@ -35,7 +36,7 @@ func bundleFixture(t *testing.T) *bundleRig {
 	Enable(true) // Recorder.Start and Profile writes are collection-gated
 	t.Cleanup(func() { Enable(prev) })
 	r := &bundleRig{reg: NewRegistry(), rec: NewRecorder(4), wl: NewWorkload(4)}
-	r.req = r.reg.Counter("server_requests_total", "requests")
+	r.req = r.reg.Counter("server_queries_total", "queries")
 	r.shed = r.reg.Counter("server_shed_total", "sheds")
 	r.s = NewSampler(r.reg, time.Second)
 	r.set = NewSLOSet(r.s, []Objective{
@@ -43,14 +44,14 @@ func bundleFixture(t *testing.T) *bundleRig {
 	})
 
 	r.rec.Start("q-0", "req-abc", "").Seal(ProfileData{Method: "pessimistic", Bindings: 3,
-		DurationNanos: (5 * time.Millisecond).Nanoseconds()})
+		BetaScored: 4, BetaTop1: 3, DurationNanos: (5 * time.Millisecond).Nanoseconds()})
 
 	r.wl.Observe(QueryObservation{Shape: 7, Exact: 7, Example: "q-0", Nodes: 3, Edges: 2,
 		Outcome: WorkloadOutcomeOK, Wall: time.Millisecond})
 
 	DefaultModelStats.Reset()
 	t.Cleanup(DefaultModelStats.Reset)
-	DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindBeta, Query: "q-0", RequestID: "req-abc", Node: 1})
+	DefaultModelStats.AddAlpha(AlphaCells{Alpha: [2][2]int64{{1, 0}, {0, 2}}})
 	return r
 }
 
@@ -65,7 +66,7 @@ func (r *bundleRig) bundler(t *testing.T, cfg BundlerConfig) *Bundler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.mux = Handler(r.reg, r.rec, WithSampler(r.s), WithAlerts(r.set), WithWorkload(r.wl), WithBundler(b))
+	r.mux = Handler(r.reg, r.rec, HandlerConfig{Alerts: r.set, Workload: r.wl, Bundler: b})
 	return b
 }
 
@@ -75,48 +76,51 @@ func captured() int64 { return Default.Snapshot().Counters[BundlesCaptured] }
 
 // TestSeriesHoldOnlyDeclared pins that the sampler rings exactly what a
 // window reader declared: an undeclared counter, gauge and histogram in
-// the same registry appear neither on /seriesz nor in a bundle's
-// seriesz.json.
+// the same registry get no ring and read as unsampled.
 func TestSeriesHoldOnlyDeclared(t *testing.T) {
 	r := bundleFixture(t)
 	r.reg.Counter("undeclared_total", "read by no window").Add(3)
 	r.reg.Gauge("undeclared_depth", "read by no window").Set(4)
 	r.reg.Histogram("undeclared_seconds", "read by no window", LatencyBuckets).Observe(0.1)
-	r.req.Add(10)
 	r.s.SampleAt(sloBase)
+	r.req.Add(10)
 	r.s.SampleAt(sloBase.Add(time.Second))
 
-	b := r.bundler(t, BundlerConfig{})
-	var buf bytes.Buffer
-	if _, err := b.WriteBundle(&buf, BundleReasonManual, ""); err != nil {
-		t.Fatal(err)
+	var names []string
+	r.s.mu.Lock()
+	for name := range r.s.counters {
+		names = append(names, name)
 	}
-	a, err := ReadBundle(buf.Bytes())
+	for name := range r.s.hists {
+		names = append(names, name)
+	}
+	r.s.mu.Unlock()
+	sort.Strings(names)
+	// The availability objective declares five bad counters too; the
+	// rig registers only the shed one.
+	if got, want := strings.Join(names, ","), "server_queries_total,server_shed_total"; got != want {
+		t.Errorf("sampler rings %s, want %s", got, want)
+	}
+	if _, _, ok := r.s.CounterDelta("undeclared_total", time.Minute); ok {
+		t.Error("an undeclared counter reads as sampled")
+	}
+	if _, _, ok := r.s.HistogramDelta("undeclared_seconds", time.Minute); ok {
+		t.Error("an undeclared histogram reads as sampled")
+	}
+	if d, _, ok := r.s.CounterDelta("server_queries_total", time.Minute); !ok || d != 10 {
+		t.Errorf("declared counter delta = %v (sampled %v), want 10", d, ok)
+	}
+}
+
+// keptOnDisk lists the bundles in dir, oldest first.
+func keptOnDisk(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "bundle-*.zip"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, body := get(t, r.mux, "/seriesz")
-	if code != http.StatusOK {
-		t.Fatalf("/seriesz = %d\n%s", code, body)
-	}
-	for src, doc := range map[string][]byte{"/seriesz": []byte(body), SeriesEntry: mustEntry(t, a, SeriesEntry)} {
-		var d SeriesData
-		if err := json.Unmarshal(doc, &d); err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		var names []string
-		for _, c := range d.Counters {
-			names = append(names, c.Name)
-		}
-		for _, h := range d.Histograms {
-			names = append(names, h.Name)
-		}
-		// The availability objective declares five bad counters too; the
-		// rig registers only the shed one.
-		if got, want := strings.Join(names, ","), "server_requests_total,server_shed_total"; got != want {
-			t.Errorf("%s rings %s, want %s", src, got, want)
-		}
-	}
+	sort.Strings(paths) // filenames embed a fixed-width UTC timestamp
+	return paths
 }
 
 func TestBundleRoundTrip(t *testing.T) {
@@ -146,22 +150,11 @@ func TestBundleRoundTrip(t *testing.T) {
 		t.Errorf("manifest missing build identity: %+v", a.Manifest)
 	}
 	for _, name := range []string{
-		ManifestEntry, MetricsEntry, SeriesEntry, AlertsEntry,
+		ManifestEntry, MetricsEntry, AlertsEntry,
 		ProfilesEntry, ModelEntry, WorkloadEntry, GoroutinesEntry, HeapEntry,
 	} {
 		if _, err := a.Entry(name); err != nil {
 			t.Errorf("bundle missing %s: %v", name, err)
-		}
-	}
-	// Manifest entry list matches the archive (manifest itself uses -1).
-	for _, e := range a.Manifest.Entries {
-		data, err := a.Entry(e.Name)
-		if err != nil {
-			t.Errorf("manifest lists %s but archive lacks it", e.Name)
-			continue
-		}
-		if e.Name != ManifestEntry && e.Bytes != len(data) {
-			t.Errorf("%s: manifest says %d bytes, entry has %d", e.Name, e.Bytes, len(data))
 		}
 	}
 
@@ -169,24 +162,24 @@ func TestBundleRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(mustEntry(t, a, MetricsEntry), &snap); err != nil {
 		t.Fatalf("metrics.json: %v", err)
 	}
-	if snap.Counters["server_requests_total"] != 10 {
-		t.Errorf("metrics.json requests = %d, want 10", snap.Counters["server_requests_total"])
+	if snap.Counters["server_queries_total"] != 10 {
+		t.Errorf("metrics.json queries = %d, want 10", snap.Counters["server_queries_total"])
 	}
 
 	var profs ProfilesData
 	if err := json.Unmarshal(mustEntry(t, a, ProfilesEntry), &profs); err != nil {
 		t.Fatalf("profiles.json: %v", err)
 	}
-	if len(profs.Recent) != 1 || profs.Recent[0].RequestID != "req-abc" {
-		t.Errorf("profiles.json recent = %+v, want one profile with req-abc", profs.Recent)
+	if len(profs.Recent) != 1 || profs.Recent[0].RequestID != "req-abc" || profs.Recent[0].BetaScored != 4 {
+		t.Errorf("profiles.json recent = %+v, want one profile with req-abc and its β tally", profs.Recent)
 	}
 
 	var model ModelStatsData
 	if err := json.Unmarshal(mustEntry(t, a, ModelEntry), &model); err != nil {
 		t.Fatalf("modelz.json: %v", err)
 	}
-	if len(model.Recent) != 1 || model.Recent[0].RequestID != "req-abc" {
-		t.Errorf("modelz.json recent = %+v, want one req-abc record", model.Recent)
+	if model.AlphaTotal() != 3 || model.AlphaCorrect() != 3 {
+		t.Errorf("modelz.json α = %d/%d, want 3/3", model.AlphaCorrect(), model.AlphaTotal())
 	}
 
 	if !strings.Contains(string(mustEntry(t, a, GoroutinesEntry)), "goroutine") {
@@ -207,7 +200,6 @@ func TestBundleEndpointParity(t *testing.T) {
 
 	docs := map[string]func() any{
 		MetricsEntry:  func() any { return new(Snapshot) },
-		SeriesEntry:   func() any { return new(SeriesData) },
 		AlertsEntry:   func() any { return new(AlertsData) },
 		ProfilesEntry: func() any { return new(ProfilesData) },
 		ModelEntry:    func() any { return new(ModelStatsData) },
@@ -243,12 +235,12 @@ func TestBundleEndpointParity(t *testing.T) {
 		}
 	}
 
-	// Unarmed: no sampler, alerts or workload on the mux.
+	// Unarmed: no alerts or workload on the mux.
 	bare, err := NewBundler(BundlerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	Handler(r.reg, r.rec, WithBundler(bare))
+	Handler(r.reg, r.rec, HandlerConfig{Bundler: bare})
 	buf.Reset()
 	if _, err := bare.WriteBundle(&buf, BundleReasonManual, ""); err != nil {
 		t.Fatalf("bundle with unarmed endpoints: %v", err)
@@ -256,7 +248,7 @@ func TestBundleEndpointParity(t *testing.T) {
 	if a, err = ReadBundle(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{SeriesEntry, AlertsEntry, WorkloadEntry} {
+	for _, name := range []string{AlertsEntry, WorkloadEntry} {
 		if _, ok := a.Entries[name]; ok {
 			t.Errorf("unarmed endpoint's %s is in the bundle", name)
 		}
@@ -281,9 +273,9 @@ func mustEntry(t *testing.T, a *BundleArchive, name string) []byte {
 // firing inside the cooldown window must be suppressed, one after it
 // must capture again.
 func TestBundleCooldown(t *testing.T) {
-	now := sloBase
+	now, dir := sloBase, t.TempDir()
 	b := bundleFixture(t).bundler(t, BundlerConfig{
-		Dir: t.TempDir(), Cooldown: time.Minute,
+		Dir: dir, Cooldown: time.Minute,
 		Now: func() time.Time { return now },
 	})
 	before := captured()
@@ -305,7 +297,7 @@ func TestBundleCooldown(t *testing.T) {
 	if got := captured() - before; got != 3 {
 		t.Errorf("%s grew by %d, want 3", BundlesCaptured, got)
 	}
-	if got := len(b.Kept()); got != 3 {
+	if got := len(keptOnDisk(t, dir)); got != 3 {
 		t.Errorf("kept %d bundles, want 3", got)
 	}
 }
@@ -327,16 +319,9 @@ func TestBundleRetention(t *testing.T) {
 		}
 		paths = append(paths, p)
 	}
-	kept := b.Kept()
+	kept := keptOnDisk(t, dir)
 	if len(kept) != 2 || kept[0] != paths[2] || kept[1] != paths[3] {
 		t.Errorf("kept = %v, want the two newest of %v", kept, paths)
-	}
-	onDisk, err := filepath.Glob(filepath.Join(dir, "bundle-*.zip"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(onDisk) != 2 {
-		t.Errorf("%d bundles on disk, want 2: %v", len(onDisk), onDisk)
 	}
 	for _, old := range paths[:2] {
 		if _, err := os.Stat(old); !os.IsNotExist(err) {
@@ -352,16 +337,18 @@ func TestBundleRetention(t *testing.T) {
 // TestBundleAutoCaptureOnFiring drives the real alert state machine to
 // firing and checks the transition hook — which runs on the sampler
 // tick, outside the sampler's and the SLO set's locks — captured an alert
-// bundle naming the objective, with the /alertz and /seriesz documents.
+// bundle naming the objective, with the /alertz document naming the
+// counter that burned.
 func TestBundleAutoCaptureOnFiring(t *testing.T) {
 	r := bundleFixture(t)
-	b := r.bundler(t, BundlerConfig{Dir: t.TempDir()})
+	dir := t.TempDir()
+	r.bundler(t, BundlerConfig{Dir: dir})
 	r.s.SampleAt(sloBase)
 	r.req.Add(100)
 	r.shed.Add(50)
 	r.s.SampleAt(sloBase.Add(time.Second)) // burn 5 > factor 2: firing
 
-	kept := b.Kept()
+	kept := keptOnDisk(t, dir)
 	if len(kept) != 1 {
 		t.Fatalf("kept = %v, want exactly one auto-captured bundle", kept)
 	}
@@ -381,12 +368,8 @@ func TestBundleAutoCaptureOnFiring(t *testing.T) {
 		t.Errorf("alertz.json in bundle: firing=%d state=%s, want the captured state to show the alert",
 			alerts.Firing, alerts.Alerts[0].State)
 	}
-	var series SeriesData
-	if err := json.Unmarshal(mustEntry(t, a, SeriesEntry), &series); err != nil {
-		t.Fatal(err)
-	}
-	if series.Samples != 2 {
-		t.Errorf("seriesz.json in bundle holds %d samples, want the 2 taken", series.Samples)
+	if bad := alerts.Alerts[0].BadFast; bad["server_shed_total"] != 50 {
+		t.Errorf("alertz.json breakdown = %v, want server_shed_total 50", bad)
 	}
 
 	// Re-firing after a resolve inside the cooldown stays suppressed.
@@ -394,7 +377,7 @@ func TestBundleAutoCaptureOnFiring(t *testing.T) {
 	r.s.SampleAt(sloBase.Add(2 * time.Second)) // resolves
 	r.shed.Add(2000)
 	r.s.SampleAt(sloBase.Add(3 * time.Second)) // fires again, within default 5m cooldown
-	if got := b.Kept(); len(got) != 1 {
+	if got := keptOnDisk(t, dir); len(got) != 1 {
 		t.Errorf("kept = %v after re-fire inside cooldown, want still 1", got)
 	}
 }
@@ -452,7 +435,7 @@ func TestBundleConcurrent(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			r.req.Inc()
 			r.s.SampleAt(sloBase.Add(time.Duration(i) * time.Second))
-			DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindBeta, Node: int64(i)})
+			DefaultModelStats.AddAlpha(AlphaCells{Alpha: [2][2]int64{{1, 0}, {0, 1}}})
 		}
 	}()
 	wg.Add(1)

@@ -7,32 +7,19 @@ import (
 	"testing"
 )
 
-func TestCalibrationBucketIndexBoundaries(t *testing.T) {
-	cases := []struct {
-		margin float64
-		want   int
-	}{
-		{-0.5, 0}, {0, 0}, {0.19, 0}, {0.2, 1}, {0.5, 2}, {0.99, 4}, {1, 4}, {1.5, 4},
-	}
-	for _, tc := range cases {
-		if got := CalibrationBucketIndex(tc.margin); got != tc.want {
-			t.Errorf("CalibrationBucketIndex(%v) = %d, want %d", tc.margin, got, tc.want)
-		}
-	}
-}
-
 // TestModelStatsSnapshot pins the aggregate arithmetic: confusion
-// matrix cells, calibration buckets, model-β observed and top-1 counts,
-// the retained records, and the derived accuracy helper.
+// matrix cells, model-β observed and top-1 counts (read from their two
+// counters), and the derived accuracy helper.
 func TestModelStatsSnapshot(t *testing.T) {
 	var m ModelStats
 	var cells AlphaCells
-	cells.Score(true, true, 0.9)   // TP, bucket 4
-	cells.Score(true, false, 0.1)  // FP, bucket 0
-	cells.Score(false, false, 0.9) // TN, bucket 4
+	cells.Score(true, true)   // TP
+	cells.Score(true, false)  // FP
+	cells.Score(false, false) // TN
 	m.AddAlpha(cells)
-	m.Observe(DecisionRecord{Kind: DecisionKindBeta, Node: 1, Top1: true})
-	m.Observe(DecisionRecord{Kind: DecisionKindBeta, Node: 2})
+	before := m.Snapshot()
+	SmartBetaRankChecks.Add(2)
+	SmartBetaRankTop1.Add(1)
 
 	d := m.Snapshot()
 	if d.Alpha != [2][2]int64{{1, 1}, {0, 1}} {
@@ -41,29 +28,24 @@ func TestModelStatsSnapshot(t *testing.T) {
 	if got := d.AlphaAccuracy(); got != 2.0/3.0 {
 		t.Errorf("accuracy = %v, want 2/3", got)
 	}
-	if d.Calibration[4].N != 2 || d.Calibration[4].Correct != 2 || d.Calibration[0].N != 1 || d.Calibration[0].Correct != 0 {
-		t.Errorf("calibration = %v", d.Calibration)
-	}
-	if d.BetaObserved != 2 || d.BetaTop1 != 1 {
-		t.Errorf("beta observed/top-1 = %d/%d, want 2/1", d.BetaObserved, d.BetaTop1)
-	}
-	if len(d.Recent) != 2 || d.Recent[0].Node != 1 || d.Recent[1].Node != 2 {
-		t.Errorf("recent = %+v, want both records, oldest first", d.Recent)
+	if d.BetaObserved-before.BetaObserved != 2 || d.BetaTop1-before.BetaTop1 != 1 {
+		t.Errorf("beta observed/top-1 moved %d/%d, want 2/1",
+			d.BetaObserved-before.BetaObserved, d.BetaTop1-before.BetaTop1)
 	}
 	var text strings.Builder
+	d = ModelStatsData{AlphaCells: cells, BetaObserved: 2, BetaTop1: 1}
 	if err := d.WriteText(&text); err != nil || !strings.Contains(text.String(), "2 observed, top-1 0.500 (in-sample: the sweep nodes β was fitted on)\n") {
 		t.Errorf("/modelz text (%v) has no model-β top-1 line:\n%s", err, text.String())
 	}
 
 	m.Reset()
-	if d := m.Snapshot(); d.AlphaTotal() != 0 || d.BetaObserved != 0 || len(d.Recent) != 0 {
+	if d := m.Snapshot(); d.AlphaTotal() != 0 {
 		t.Errorf("Reset left data behind: %+v", d)
 	}
 
 	// Nil-safety: every method on a nil receiver is a no-op.
 	var nm *ModelStats
 	nm.AddAlpha(cells)
-	nm.Observe(DecisionRecord{Kind: DecisionKindBeta})
 	nm.Reset()
 	if d := nm.Snapshot(); d.AlphaTotal() != 0 {
 		t.Error("nil ModelStats snapshot non-empty")
@@ -78,7 +60,8 @@ func TestModelzConcurrent(t *testing.T) {
 	withEnabled(t, func() {
 		DefaultModelStats.Reset()
 		defer DefaultModelStats.Reset()
-		h := Handler(NewRegistry(), NewRecorder(1))
+		h := Handler(NewRegistry(), NewRecorder(1), HandlerConfig{})
+		before := DefaultModelStats.Snapshot()
 
 		var wg sync.WaitGroup
 		const writers, iters = 4, 200
@@ -88,9 +71,12 @@ func TestModelzConcurrent(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < iters; i++ {
 					var cells AlphaCells
-					cells.Score(i%2 == 0, i%3 == 0, float64(i%10)/10)
+					cells.Score(i%2 == 0, i%3 == 0)
 					DefaultModelStats.AddAlpha(cells)
-					DefaultModelStats.Observe(DecisionRecord{Kind: DecisionKindBeta, Top1: i%4 == 0})
+					SmartBetaRankChecks.Inc()
+					if i%4 == 0 {
+						SmartBetaRankTop1.Inc()
+					}
 				}
 			}(w)
 		}
@@ -116,10 +102,10 @@ func TestModelzConcurrent(t *testing.T) {
 		if got, want := d.AlphaTotal(), int64(writers*iters); got != want {
 			t.Errorf("alpha total = %d, want %d (lost updates under contention)", got, want)
 		}
-		if got, want := d.BetaObserved, int64(writers*iters); got != want {
+		if got, want := d.BetaObserved-before.BetaObserved, int64(writers*iters); got != want {
 			t.Errorf("beta observed = %d, want %d", got, want)
 		}
-		if got, want := d.BetaTop1, int64(writers*iters/4); got != want {
+		if got, want := d.BetaTop1-before.BetaTop1, int64(writers*iters/4); got != want {
 			t.Errorf("beta top-1 = %d, want %d", got, want)
 		}
 

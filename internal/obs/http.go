@@ -12,52 +12,21 @@ import (
 	"time"
 )
 
-// HandlerOption customises the debug mux returned by Handler.
-type HandlerOption func(*handlerConfig)
-
-type handlerConfig struct {
-	sampler  *Sampler
-	alerts   *SLOSet
-	bundler  *Bundler
-	workload *Workload
-	pprof    bool
-}
-
-// WithSampler mounts /seriesz over the given sampler's rings. Without
-// it /seriesz answers 503.
-func WithSampler(s *Sampler) HandlerOption {
-	return func(c *handlerConfig) { c.sampler = s }
-}
-
-// WithAlerts mounts /alertz over the given SLO set. Without it /alertz
-// answers 503.
-func WithAlerts(a *SLOSet) HandlerOption {
-	return func(c *handlerConfig) { c.alerts = a }
-}
-
-// WithBundler mounts /debugz/bundle: a GET streams a freshly assembled
-// diagnostic bundle. The bundler reads its entries through the mux
-// Handler builds, so a bundle holds what this mux serves. Without it (or
-// with nil) the route answers 503.
-func WithBundler(b *Bundler) HandlerOption {
-	return func(c *handlerConfig) { c.bundler = b }
-}
-
-// WithWorkload mounts /queryz over the given workload sketch. Without
-// it (or with nil) /queryz answers 503.
-func WithWorkload(w *Workload) HandlerOption {
-	return func(c *handlerConfig) { c.workload = w }
-}
-
-// WithPprof controls whether /debug/pprof/* is mounted. The default is
-// on — a debug-only listener (StartDebugServer) should expose the full
-// surface — but a mux mounted on a serving listener should pass false
-// unless the operator opted in (psi-serve -expose-pprof): pprof's CPU
-// profile and symbol endpoints hand out process internals and can
-// degrade the serving path. When off, the routes answer 403 with a
-// pointer at the flag.
-func WithPprof(on bool) HandlerOption {
-	return func(c *handlerConfig) { c.pprof = on }
+// HandlerConfig arms the optional routes of the mux Handler builds. A
+// nil field leaves its route answering 503.
+type HandlerConfig struct {
+	Alerts *SLOSet // /alertz
+	// Bundler serves /debugz/bundle and reads its entries through the
+	// mux it is mounted on, so a bundle holds what this mux serves.
+	Bundler  *Bundler
+	Workload *Workload // /queryz
+	// Pprof mounts /debug/pprof/*. A debug-only listener
+	// (StartDebugServer) sets it; a serving listener leaves it off
+	// unless the operator opted in (psi-serve -expose-pprof), because
+	// pprof's CPU profile and symbol endpoints hand out process
+	// internals and can degrade the serving path. When off, the routes
+	// answer 403 with a pointer at the flag.
+	Pprof bool
 }
 
 // Handler returns the debug mux over a registry and profile flight
@@ -70,28 +39,21 @@ func WithPprof(on bool) HandlerOption {
 //	/profilez?request_id=X  the profile recorded for one served request
 //	/profilez?fingerprint=X the most recent profile of one query shape
 //	/profilez?format=json  the same data as JSON (combinable with lookups)
-//	/queryz             workload analytics (WithWorkload): shapes ranked
+//	/queryz             workload analytics (Workload): shapes ranked
 //	                    by aggregate cost with a cache-win estimate,
 //	                    ?format=json for the schema-1 document
-//	/modelz             model-decision telemetry: model-α confusion matrix
-//	                    and vote-margin calibration, model-β top-1 share
-//	                    against the training sweeps
-//	/modelz?format=json the same data as JSON, plus the last
-//	                    RecentDecisions model-β records ("recent")
-//	/seriesz            windowed time series (WithSampler): the rings of
-//	                    the series the window readers keep, as JSON
-//	/alertz             SLO burn-rate alerts (WithAlerts): text table,
-//	                    ?format=json for machine consumption
-//	/debugz/bundle      download a diagnostic bundle (WithBundler):
+//	/modelz             model-decision telemetry: model-α confusion matrix,
+//	                    model-β top-1 share against the training sweeps
+//	                    (?format=json for JSON)
+//	/alertz             SLO burn-rate alerts (Alerts): text table naming
+//	                    the bad counters behind a burn, ?format=json for
+//	                    machine consumption
+//	/debugz/bundle      download a diagnostic bundle (Bundler):
 //	                    a zip of the JSON documents above plus goroutine/
 //	                    heap dumps; inspect offline with cmd/psi-bundle
 //	/debug/pprof/       the standard net/http/pprof handlers
-//	                    (gated by WithPprof; on by default)
-func Handler(reg *Registry, recorder *Recorder, opts ...HandlerOption) http.Handler {
-	hc := handlerConfig{pprof: true}
-	for _, o := range opts {
-		o(&hc)
-	}
+//	                    (gated by Pprof)
+func Handler(reg *Registry, recorder *Recorder, hc HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -140,34 +102,26 @@ func Handler(reg *Registry, recorder *Recorder, opts ...HandlerOption) http.Hand
 		d := DefaultModelStats.Snapshot()
 		serveDoc(w, req.URL.Query().Get("format") == "json", d, d.WriteText)
 	})
-	mux.HandleFunc("/seriesz", func(w http.ResponseWriter, req *http.Request) {
-		if hc.sampler == nil {
-			http.Error(w, "time-series sampling disabled (start with -sample-interval > 0)",
-				http.StatusServiceUnavailable)
-			return
-		}
-		serveDoc(w, true, hc.sampler.SeriesSnapshot(), nil)
-	})
 	mux.HandleFunc("/alertz", func(w http.ResponseWriter, req *http.Request) {
-		if hc.alerts == nil {
+		if hc.Alerts == nil {
 			http.Error(w, "SLO alerting disabled (start with -sample-interval > 0 and an SLO objective)",
 				http.StatusServiceUnavailable)
 			return
 		}
-		d := hc.alerts.AlertsSnapshot()
+		d := hc.Alerts.AlertsSnapshot()
 		serveDoc(w, req.URL.Query().Get("format") == "json", d, d.WriteText)
 	})
 	mux.HandleFunc("/queryz", func(w http.ResponseWriter, req *http.Request) {
-		if hc.workload == nil {
+		if hc.Workload == nil {
 			http.Error(w, "workload analytics disabled (start psi-serve with -workload-topk > 0)",
 				http.StatusServiceUnavailable)
 			return
 		}
-		d := hc.workload.Snapshot()
+		d := hc.Workload.Snapshot()
 		serveDoc(w, req.URL.Query().Get("format") == "json", d, d.WriteText)
 	})
 	mux.HandleFunc("/debugz/bundle", func(w http.ResponseWriter, req *http.Request) {
-		if hc.bundler == nil {
+		if hc.Bundler == nil {
 			http.Error(w, "diagnostic bundles not configured on this listener",
 				http.StatusServiceUnavailable)
 			return
@@ -181,9 +135,9 @@ func Handler(reg *Registry, recorder *Recorder, opts ...HandlerOption) http.Hand
 		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", name))
 		// On an error the 200 is already promised; the client gets an
 		// empty or truncated zip, which ReadBundle rejects.
-		_, _ = hc.bundler.WriteBundle(w, BundleReasonManual, "")
+		_, _ = hc.Bundler.WriteBundle(w, BundleReasonManual, "")
 	})
-	if hc.pprof {
+	if hc.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -195,8 +149,8 @@ func Handler(reg *Registry, recorder *Recorder, opts ...HandlerOption) http.Hand
 				http.StatusForbidden)
 		})
 	}
-	if hc.bundler != nil {
-		hc.bundler.setSource(mux)
+	if hc.Bundler != nil {
+		hc.Bundler.setSource(mux)
 	}
 	return mux
 }
@@ -267,7 +221,7 @@ func StartDebugServer(addr string) (boundAddr string, closeFn func() error, err 
 		return "", nil, fmt.Errorf("obs: debug server: %w", err)
 	}
 	Enable(true)
-	srv := &http.Server{Handler: Handler(Default, DefaultRecorder)}
+	srv := &http.Server{Handler: Handler(Default, DefaultRecorder, HandlerConfig{Pprof: true})}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	closeFn = func() error {

@@ -35,7 +35,7 @@ func TestObsHTTPEndpoints(t *testing.T) {
 		rec := NewRecorder(4)
 		rec.Start("httpp", "", "").Seal(ProfileData{Method: "ml",
 			Funnel: []FunnelDepth{{Generated: 9, DegOK: 7, SigOK: 5, Recursed: 5, Matched: 2}}})
-		h := Handler(reg, rec)
+		h := Handler(reg, rec, HandlerConfig{Pprof: true})
 
 		code, body := get(t, h, "/metrics")
 		if code != 200 || !strings.Contains(body, "psi_demo_total 11") {
@@ -111,19 +111,16 @@ func TestObsStartDebugServer(t *testing.T) {
 	}
 }
 
-// TestObsSeriesAndAlertEndpoints covers /seriesz and /alertz format
-// negotiation, the 503 answers when sampling is off, and the empty-ring
-// and single-sample edge cases.
+// TestObsSeriesAndAlertEndpoints covers /alertz format negotiation,
+// its 503 answer when alerting is off, the fast-window delta it names
+// for each bad counter, and the 404 of the /seriesz route it replaced.
 func TestObsSeriesAndAlertEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("series_demo_total", "demo")
+	bad := reg.Counter("series_demo_bad_total", "demo failures")
 	rec := NewRecorder(4)
 
-	// Without a sampler both endpoints answer 503, not 404.
-	bare := Handler(reg, rec)
-	if code, body := get(t, bare, "/seriesz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "sampling disabled") {
-		t.Errorf("/seriesz without sampler = %d\n%s", code, body)
-	}
+	bare := Handler(reg, rec, HandlerConfig{})
 	if code, body := get(t, bare, "/alertz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "alerting disabled") {
 		t.Errorf("/alertz without alerts = %d\n%s", code, body)
 	}
@@ -134,36 +131,19 @@ func TestObsSeriesAndAlertEndpoints(t *testing.T) {
 		TotalCounter: "series_demo_total",
 		BadCounters:  []string{"series_demo_bad_total"},
 	}})
-	h := Handler(reg, rec, WithSampler(s), WithAlerts(set))
-
-	// Empty ring: JSON is well-formed with samples=0. /seriesz serves
-	// JSON with or without ?format=json.
-	code, body := get(t, h, "/seriesz")
-	var sd SeriesData
-	if code != 200 || json.Unmarshal([]byte(body), &sd) != nil || sd.Samples != 0 {
-		t.Errorf("/seriesz empty = %d\n%s", code, body)
+	h := Handler(reg, rec, HandlerConfig{Alerts: set})
+	if code, _ := get(t, h, "/seriesz"); code != http.StatusNotFound {
+		t.Errorf("/seriesz = %d, want 404: /alertz names the burning counter", code)
 	}
 
-	// Single sample: rates are not yet computable.
 	s.SampleAt(seriesBase)
-	code, body = get(t, h, "/seriesz")
-	if code != 200 || json.Unmarshal([]byte(body), &sd) != nil || sd.Samples != 1 || len(sd.Counters[0].Rates) != 0 {
-		t.Errorf("/seriesz single-sample = %d\n%s", code, body)
-	}
-
 	c.Add(4)
+	bad.Add(1)
 	s.SampleAt(seriesBase.Add(time.Second))
-	code, body = get(t, h, "/seriesz?format=json")
-	if code != 200 || json.Unmarshal([]byte(body), &sd) != nil || sd.Samples != 2 || sd.Schema != 2 {
-		t.Fatalf("/seriesz json = %d\n%s", code, body)
-	}
-	if cs := sd.Counters[0]; cs.Name != "series_demo_total" || cs.Last != 4 || len(cs.Rates) != 1 || cs.Rates[0] != 4 {
-		t.Errorf("/seriesz counter = %+v, want series_demo_total at 4/s", cs)
-	}
 
 	// /alertz in both formats.
-	code, body = get(t, h, "/alertz")
-	if code != 200 || !strings.Contains(body, "OBJECTIVE") || !strings.Contains(body, "demo") {
+	code, body := get(t, h, "/alertz")
+	if code != 200 || !strings.Contains(body, "OBJECTIVE") || !strings.Contains(body, "fast-window bad: series_demo_bad_total=1") {
 		t.Errorf("/alertz text = %d\n%s", code, body)
 	}
 	code, body = get(t, h, "/alertz?format=json")
@@ -171,7 +151,7 @@ func TestObsSeriesAndAlertEndpoints(t *testing.T) {
 	if code != 200 || json.Unmarshal([]byte(body), &ad) != nil {
 		t.Errorf("/alertz json = %d\n%s", code, body)
 	}
-	if len(ad.Alerts) != 1 || ad.Alerts[0].Name != "demo" || ad.Alerts[0].State != StateInactive {
+	if len(ad.Alerts) != 1 || ad.Alerts[0].Name != "demo" || ad.Alerts[0].BadFast["series_demo_bad_total"] != 1 {
 		t.Errorf("alerts doc = %+v", ad)
 	}
 }

@@ -77,10 +77,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveSeconds records d expressed in seconds, the convention for all
-// latency histograms in this repository.
-func (h *Histogram) ObserveSeconds(seconds float64) { h.Observe(seconds) }
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
@@ -123,63 +119,48 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]any)}
 }
 
-// Counter returns the registered counter with the given name, creating
-// it if needed. A cross-type name collision returns a detached counter
+// register returns the metric registered under name, or registers and
+// returns mk(). A cross-type name collision returns a detached mk()
 // (never nil) and marks the registry; TestObsRegistry asserts none
 // exist.
-func (r *Registry) Counter(name, help string) *Counter {
+func register[M any](r *Registry, name string, mk func() *M) *M {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.byName[name]; ok {
-		if c, ok := m.(*Counter); ok {
-			return c
+		if m, ok := m.(*M); ok {
+			return m
 		}
 		r.dropped++
-		return &Counter{name: name, help: help}
+		return mk()
 	}
-	c := &Counter{name: name, help: help}
-	r.byName[name] = c
+	m := mk()
+	r.byName[name] = m
 	r.order = append(r.order, name)
-	return c
+	return m
+}
+
+// Counter returns the registered counter with the given name, creating
+// it if needed.
+func (r *Registry) Counter(name, help string) *Counter {
+	return register(r, name, func() *Counter { return &Counter{name: name, help: help} })
 }
 
 // Gauge returns the registered gauge with the given name, creating it
 // if needed.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.byName[name]; ok {
-		if g, ok := m.(*Gauge); ok {
-			return g
-		}
-		r.dropped++
-		return &Gauge{name: name, help: help}
-	}
-	g := &Gauge{name: name, help: help}
-	r.byName[name] = g
-	r.order = append(r.order, name)
-	return g
+	return register(r, name, func() *Gauge { return &Gauge{name: name, help: help} })
 }
 
 // Histogram returns the registered histogram with the given name,
 // creating it with the given bucket bounds if needed. Bounds must be
 // ascending; they are copied.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.byName[name]; ok {
-		if h, ok := m.(*Histogram); ok {
-			return h
-		}
-		r.dropped++
-		return newHistogram(name, help, bounds)
-	}
-	h := newHistogram(name, help, bounds)
-	r.byName[name] = h
-	r.order = append(r.order, name)
-	return h
+	return register(r, name, func() *Histogram { return newHistogram(name, help, bounds) })
 }
 
+// newHistogram builds a histogram over a copy of bounds. An unnamed one
+// is a plain distribution no registry exports (a /queryz shape's
+// latency).
 func newHistogram(name, help string, bounds []float64) *Histogram {
 	b := append([]float64(nil), bounds...)
 	return &Histogram{name: name, help: help, bounds: b, counts: make([]atomic.Int64, len(b)+1)}

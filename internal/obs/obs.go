@@ -5,7 +5,7 @@
 // once from the engine's per-query result when it ends, and retained by
 // the /profilez flight recorder), and an opt-in debug HTTP surface
 // serving /metrics, /metrics.json, /profilez, /modelz (model-decision
-// state) and net/http/pprof.
+// state), /alertz, /queryz, /debugz/bundle and net/http/pprof.
 //
 // The layer follows the same gating pattern as package invariant:
 // collection is off by default and every instrumentation site costs one
@@ -27,9 +27,9 @@
 // workers count them in plain fields, and the query adds them to the
 // registry and seals its profile once, from its result. It reads the
 // gate once per query and carries the answer as a plain bool to the few
-// sites still per evaluation (the plan-timing histogram and the
-// model-β rank counters), so a query that starts with collection off stays
-// uncollected, even if Enable flips mid-query.
+// sites still per evaluation (the plan-timing histogram and the model-β
+// scoring of the training sweeps), so a query that starts with
+// collection off stays uncollected, even if Enable flips mid-query.
 package obs
 
 import (

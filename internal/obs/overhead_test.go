@@ -118,26 +118,25 @@ func addEdgeIgnoringDuplicates(b *repro.Builder, u, v repro.NodeID) error {
 }
 
 // perCandidateSites names the metrics smartpsi still publishes per
-// candidate evaluation (or per training sweep row) behind the query's
-// copy of the gate: in the disabled build each is a plain branch on a
-// bool, not an atomic load.
+// candidate evaluation behind the query's copy of the gate: in the
+// disabled build each is a plain branch on a bool, not an atomic load.
 var perCandidateSites = map[string]bool{
-	obs.SmartPlanSeconds.Name():    true,
-	obs.SmartBetaRankChecks.Name(): true,
-	obs.SmartBetaRankTop1.Name():   true,
+	obs.SmartPlanSeconds.Name(): true,
 }
 
 // perQueryAdds names the counters smartpsi publishes once per query with
 // a single Add(n) from its Result: each is one event per query, not n.
 var perQueryAdds = map[string]bool{
-	obs.SmartTrainedNodes.Name(): true,
-	obs.SmartCacheHits.Name():    true,
-	obs.SmartCacheMisses.Name():  true,
-	obs.SmartFlips.Name():        true,
-	obs.SmartFallbacks.Name():    true,
-	obs.SmartRecoveries.Name():   true,
-	obs.SmartModeChecks.Name():   true,
-	obs.SmartMispredicts.Name():  true,
+	obs.SmartTrainedNodes.Name():   true,
+	obs.SmartCacheHits.Name():      true,
+	obs.SmartCacheMisses.Name():    true,
+	obs.SmartFlips.Name():          true,
+	obs.SmartFallbacks.Name():      true,
+	obs.SmartRecoveries.Name():     true,
+	obs.SmartModeChecks.Name():     true,
+	obs.SmartMispredicts.Name():    true,
+	obs.SmartBetaRankChecks.Name(): true,
+	obs.SmartBetaRankTop1.Name():   true,
 }
 
 // gatedEvents splits the registry deltas between two snapshots into
@@ -179,7 +178,7 @@ func TestObsOverheadGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs.Handler(obs.Default, obs.DefaultRecorder, obs.WithBundler(bundler))
+	obs.Handler(obs.Default, obs.DefaultRecorder, obs.HandlerConfig{Bundler: bundler})
 	capturedBefore := obs.Default.Snapshot().Counters[obs.BundlesCaptured]
 	defer func() {
 		if bundler.Armed() {

@@ -29,11 +29,12 @@ import (
 // path (psi.Funnel). Until then a profile holds only its identity and
 // start time.
 
-// FunnelStage names used by renderers, in pipeline order. Each stage
-// counts the candidates that *survived* up to that point, so within a
-// depth the counts are monotone non-increasing (the invariant pinned by
+// StageNames are the funnel's stage names in pipeline order, aligned
+// with FunnelDepth.Stages. Each stage counts the candidates that
+// *survived* up to that point, so within a depth the counts are
+// monotone non-increasing (the invariant pinned by
 // invariant.CheckFunnel).
-var funnelStageNames = [...]string{"generated", "deg-ok", "sig-ok", "recursed", "matched"}
+var StageNames = [5]string{"generated", "deg-ok", "sig-ok", "recursed", "matched"}
 
 // FunnelDepth is one row of the per-depth candidate funnel: how many
 // candidates at this plan depth reached each pipeline stage.
@@ -56,23 +57,12 @@ type FunnelDepth struct {
 	Matched int64 `json:"matched"`
 }
 
-// stages returns the counts in pipeline order, aligned with
-// funnelStageNames.
-func (d *FunnelDepth) stages() [5]int64 {
+// Stages returns the stage counts in pipeline order, aligned with
+// StageNames. invariant.CheckFunnel iterates these rather than the
+// named fields so a new stage cannot be added without extending the
+// monotonicity check.
+func (d *FunnelDepth) Stages() [5]int64 {
 	return [5]int64{d.Generated, d.DegOK, d.SigOK, d.Recursed, d.Matched}
-}
-
-// Stages returns the stage counts in pipeline order (generated, deg-ok,
-// sig-ok, recursed, matched); StageNames returns the matching labels.
-// invariant.CheckFunnel iterates these rather than the named fields so
-// a new stage cannot be added without extending the monotonicity check.
-func (d *FunnelDepth) Stages() [5]int64 { return d.stages() }
-
-// StageNames returns the display names aligned with Stages.
-func StageNames() [5]string {
-	var out [5]string
-	copy(out[:], funnelStageNames[:])
-	return out
 }
 
 // FunnelTotals sums funnel rows stage by stage: a query's rows across
@@ -140,8 +130,8 @@ func (p *Profile) Duration() time.Duration { return p.Snapshot().Duration() }
 
 // Seal records the finished query and admits the profile to its
 // recorder's slowest set. d carries the query's facts; Seal fills in the
-// identity (ID, name, start) and the ladder rung names, marks d finished
-// and, unless d.DurationNanos is set, times it from the start. A request
+// identity (ID, name, start), marks d finished and, unless
+// d.DurationNanos is set, times it from the start. A request
 // ID or fingerprint left empty in d keeps the one given at Start. Only
 // the first Seal counts.
 func (p *Profile) Seal(d ProfileData) {
@@ -159,7 +149,6 @@ func (p *Profile) Seal(d ProfileData) {
 	if d.DurationNanos == 0 {
 		d.DurationNanos = time.Since(d.Start).Nanoseconds()
 	}
-	d.LadderNames = append([]string(nil), ladderRungNames[:]...)
 	p.d = d
 	p.mu.Unlock()
 	p.rec.admit(p)
@@ -181,6 +170,8 @@ type ProfileData struct {
 	Bindings      int              `json:"bindings"`
 	TrainedNodes  int              `json:"trained_nodes"`
 	PlanClasses   int              `json:"plan_classes"`
+	BetaScored    int64            `json:"beta_scored"` // training-sweep nodes model β was scored on
+	BetaTop1      int64            `json:"beta_top1"`   // those where β picked the sweep's fastest plan
 	TrainNanos    int64            `json:"train_nanos"`
 	FitNanos      int64            `json:"fit_nanos"`
 	CacheHits     int64            `json:"cache_hits"`
@@ -188,7 +179,6 @@ type ProfileData struct {
 	ModePredicted map[string]int64 `json:"mode_predicted,omitempty"`
 	PlanChosen    []int64          `json:"plan_chosen,omitempty"`
 	Ladder        []LadderRung     `json:"ladder"`
-	LadderNames   []string         `json:"ladder_names"`
 	Funnel        []FunnelDepth    `json:"funnel,omitempty"`
 	Work          map[string]int64 `json:"work,omitempty"`
 	Error         string           `json:"error,omitempty"`
@@ -248,6 +238,9 @@ func (d ProfileData) WriteText(w io.Writer) error {
 		}
 		fmt.Fprintf(&buf, "\n")
 	}
+	if d.BetaScored > 0 {
+		fmt.Fprintf(&buf, "│    β top-1 %d/%d (in-sample)\n", d.BetaTop1, d.BetaScored)
+	}
 	if len(d.PlanChosen) > 0 {
 		fmt.Fprintf(&buf, "│    plan (model β):")
 		for i, n := range d.PlanChosen {
@@ -261,8 +254,8 @@ func (d ProfileData) WriteText(w io.Writer) error {
 	fmt.Fprintf(&buf, "├─ recovery ladder (§4.3)\n")
 	for i, r := range d.Ladder {
 		name := fmt.Sprintf("rung %d", i+1)
-		if i < len(d.LadderNames) {
-			name = fmt.Sprintf("rung %d %-9s", i+1, d.LadderNames[i])
+		if i < NumLadderRungs {
+			name = fmt.Sprintf("rung %d %-9s", i+1, ladderRungNames[i])
 		}
 		fmt.Fprintf(&buf, "│    %s entered=%-7d resolved=%-7d total=%s\n",
 			name, r.Entered, r.Resolved, time.Duration(r.Nanos).Round(time.Microsecond))
@@ -270,13 +263,13 @@ func (d ProfileData) WriteText(w io.Writer) error {
 
 	fmt.Fprintf(&buf, "├─ candidate funnel (per plan depth; Prop 3.2 prunes = deg-ok − sig-ok)\n")
 	fmt.Fprintf(&buf, "│    %5s", "depth")
-	for _, s := range funnelStageNames {
+	for _, s := range StageNames {
 		fmt.Fprintf(&buf, "  %10s", s)
 	}
 	fmt.Fprintf(&buf, "\n")
 	for depth := range d.Funnel {
 		fmt.Fprintf(&buf, "│    %5d", depth)
-		for _, v := range d.Funnel[depth].stages() {
+		for _, v := range d.Funnel[depth].Stages() {
 			fmt.Fprintf(&buf, "  %10d", v)
 		}
 		fmt.Fprintf(&buf, "\n")

@@ -195,7 +195,7 @@ func TestObsFunnel(t *testing.T) {
 	if tot := FunnelTotals(); tot != (FunnelDepth{}) {
 		t.Errorf("FunnelTotals() = %+v, want zero", tot)
 	}
-	names := StageNames()
+	names := StageNames
 	stages := rows[1].Stages()
 	if len(names) != len(stages) {
 		t.Errorf("StageNames/Stages length mismatch: %d vs %d", len(names), len(stages))
@@ -220,6 +220,8 @@ func TestObsProfileSnapshot(t *testing.T) {
 			Bindings:      5,
 			TrainedNodes:  64,
 			PlanClasses:   3,
+			BetaScored:    8,
+			BetaTop1:      6,
 			TrainNanos:    (2 * time.Millisecond).Nanoseconds(),
 			FitNanos:      (500 * time.Microsecond).Nanoseconds(),
 			CacheHits:     1,
@@ -250,9 +252,6 @@ func TestObsProfileSnapshot(t *testing.T) {
 		if d.Method != "ml" || d.Candidates != 42 || d.Bindings != 5 || d.CacheHits != 1 || d.CacheMisses != 2 {
 			t.Errorf("header fields = %+v", d)
 		}
-		if len(d.LadderNames) != NumLadderRungs || d.LadderNames[LadderHeuristic] != "heuristic" {
-			t.Errorf("ladder names = %v", d.LadderNames)
-		}
 
 		var buf bytes.Buffer
 		if err := d.WriteText(&buf); err != nil {
@@ -264,7 +263,7 @@ func TestObsProfileSnapshot(t *testing.T) {
 			"request: req-9", "shape: 00000000000000ff", "error: deadline exceeded",
 			"train=2ms fit=500µs",
 			"mode (model α): optimistic=1 pessimistic=2",
-			"plan (model β): [0]=2 [2]=1",
+			"plan (model β): [0]=2 [2]=1", "β top-1 6/8 (in-sample)",
 			"recovery ladder", "rung 1 predicted", "rung 3 heuristic",
 			"candidate funnel", "generated", "matched",
 			"psi_recursions_total=123",

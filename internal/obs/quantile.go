@@ -1,6 +1,6 @@
 package obs
 
-// Histogram-window arithmetic shared by /seriesz, SLO evaluation and
+// Histogram-window arithmetic shared by SLO evaluation, /queryz and
 // psi-loadgen percentile reporting: subtract two cumulative snapshots
 // to get a windowed distribution, then read quantiles or
 // fraction-under-threshold out of the cumulative bucket counts with

@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -13,8 +15,9 @@ import (
 // and an alert trips only when both a fast and a slow window burn
 // above the threshold — the fast window for responsiveness, the slow
 // one so a brief blip cannot page. Alerts walk a
-// pending → firing → resolved state machine, are served at /alertz,
-// and surface as the obs_alerts_firing gauge.
+// pending → firing → resolved state machine, are served at /alertz
+// with the fast-window delta of each bad counter (which one burns), and
+// surface as the obs_alerts_firing gauge.
 
 // Alert states.
 const (
@@ -47,7 +50,7 @@ type Objective struct {
 }
 
 // serverBadCounters are the serving-path counters that represent a
-// request the service failed to serve: load sheds (429), drain
+// query the service failed to serve: load sheds (429), drain
 // rejections (503), evaluator panics (500), deadline expiries (504)
 // and partial scatter-gather answers (200 with partial=true — the
 // client got bindings, but not all of them, so a lost shard burns the
@@ -61,13 +64,14 @@ var serverBadCounters = []string{
 }
 
 // AvailabilityObjective is the standard serving availability SLO:
-// failed requests (sheds, drain rejections, panics, deadline hits)
-// over server_requests_total.
+// failed queries (sheds, drain rejections, panics, deadline hits,
+// partial answers) over server_queries_total. Both count queries, so a
+// batch of 32 with 4 shed burns 4/32.
 func AvailabilityObjective(target float64, fast, slow time.Duration, burnFactor float64, forDur time.Duration) Objective {
 	return Objective{
 		Name:         "availability",
 		Target:       target,
-		TotalCounter: "server_requests_total",
+		TotalCounter: "server_queries_total",
 		BadCounters:  serverBadCounters,
 		FastWindow:   fast,
 		SlowWindow:   slow,
@@ -108,6 +112,9 @@ type AlertStatus struct {
 	Since             time.Time `json:"since,omitempty"` // pending or firing start
 	LastTransition    time.Time `json:"last_transition,omitempty"`
 	EvaluatedAt       time.Time `json:"evaluated_at,omitempty"`
+	// BadFast is each bad counter's delta over the fast window, for an
+	// availability objective: the counter that drives a burn.
+	BadFast map[string]int64 `json:"bad_fast_deltas,omitempty"`
 }
 
 // AlertsData is the /alertz JSON document.
@@ -127,6 +134,7 @@ type alertState struct {
 	slowBurn       float64
 	fastOK         bool
 	slowOK         bool
+	badFast        map[string]int64
 }
 
 // Transition is one alert state change, delivered to OnTransition
@@ -196,10 +204,6 @@ func NewSLOSet(sampler *Sampler, objectives []Objective) *SLOSet {
 	return s
 }
 
-// Objectives returns the configured objectives (with defaults
-// applied).
-func (s *SLOSet) Objectives() []Objective { return s.objectives }
-
 // OnTransition registers a hook invoked after every alert state change
 // with the transition, outside the set's lock (hooks may call Status or
 // AlertsSnapshot). Hooks run synchronously on the evaluating goroutine
@@ -220,8 +224,8 @@ func (s *SLOSet) Evaluate(now time.Time) {
 	for i, o := range s.objectives {
 		st := &s.states[i]
 		prev := st.state
-		st.fastBurn, st.fastOK = s.burn(o, o.FastWindow)
-		st.slowBurn, st.slowOK = s.burn(o, o.SlowWindow)
+		st.fastBurn, st.fastOK, st.badFast = s.burn(o, o.FastWindow)
+		st.slowBurn, st.slowOK, _ = s.burn(o, o.SlowWindow)
 		st.evaluatedAt = now
 		cond := st.fastOK && st.slowOK &&
 			st.fastBurn >= o.BurnFactor && st.slowBurn >= o.BurnFactor
@@ -273,10 +277,10 @@ func (s *SLOSet) Evaluate(now time.Time) {
 }
 
 // burn computes one objective's burn rate over a window: windowed
-// bad-event ratio divided by the error budget. ok is false when the
-// sampler does not yet hold two samples inside the window. A window
-// with no traffic burns at 0.
-func (s *SLOSet) burn(o Objective, window time.Duration) (float64, bool) {
+// bad-event ratio divided by the error budget, and each bad counter's
+// delta. ok is false when the sampler does not yet hold two samples
+// inside the window. A window with no traffic burns at 0.
+func (s *SLOSet) burn(o Objective, window time.Duration) (rate float64, ok bool, bad map[string]int64) {
 	budget := 1 - o.Target
 	if budget <= 0 {
 		budget = 1e-9 // a 100% target burns infinitely fast on any error
@@ -284,18 +288,20 @@ func (s *SLOSet) burn(o Objective, window time.Duration) (float64, bool) {
 	if o.TotalCounter != "" {
 		total, _, ok := s.sampler.CounterDelta(o.TotalCounter, window)
 		if !ok {
-			return 0, false
+			return 0, false, nil
 		}
-		var bad float64
+		var sum float64
+		bad = make(map[string]int64, len(o.BadCounters))
 		for _, c := range o.BadCounters {
 			if d, _, ok := s.sampler.CounterDelta(c, window); ok {
-				bad += d
+				sum += d
+				bad[c] = int64(d)
 			}
 		}
 		if total <= 0 {
-			return 0, true
+			return 0, true, bad
 		}
-		return (bad / total) / budget, true
+		return (sum / total) / budget, true, bad
 	}
 	var total, good float64
 	sampled := false
@@ -311,25 +317,12 @@ func (s *SLOSet) burn(o Objective, window time.Duration) (float64, bool) {
 		}
 	}
 	if !sampled {
-		return 0, false
+		return 0, false, nil
 	}
 	if total <= 0 {
-		return 0, true
+		return 0, true, nil
 	}
-	return ((total - good) / total) / budget, true
-}
-
-// Firing reports how many alerts are currently firing.
-func (s *SLOSet) Firing() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, st := range s.states {
-		if st.state == StateFiring {
-			n++
-		}
-	}
-	return n
+	return ((total - good) / total) / budget, true, nil
 }
 
 // Status returns the externally visible state of every objective.
@@ -350,6 +343,7 @@ func (s *SLOSet) Status() []AlertStatus {
 			SlowBurn:          st.slowBurn,
 			FastWindowSampled: st.fastOK,
 			SlowWindowSampled: st.slowOK,
+			BadFast:           st.badFast,
 			Since:             st.since,
 			LastTransition:    st.lastTransition,
 			EvaluatedAt:       st.evaluatedAt,
@@ -391,6 +385,31 @@ func (d AlertsData) WriteText(w io.Writer) error {
 			a.Name, a.State, a.Target, fast, slow, since); err != nil {
 			return err
 		}
+		if line := badLine(a.BadFast); line != "" {
+			if _, err := fmt.Fprintf(w, "  fast-window bad:%s\n", line); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
+}
+
+// badLine renders the nonzero bad-counter deltas, largest first, or ""
+// when none moved.
+func badLine(bad map[string]int64) string {
+	names := make([]string, 0, len(bad))
+	for name, n := range bad {
+		if n > 0 {
+			names = append(names, name)
+		}
+	}
+	sort.Slice(names, func(i, j int) bool {
+		a, b := names[i], names[j]
+		return bad[a] > bad[b] || bad[a] == bad[b] && a < b
+	})
+	var sb strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&sb, " %s=%d", name, bad[name])
+	}
+	return sb.String()
 }

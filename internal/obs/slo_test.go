@@ -15,7 +15,7 @@ var sloBase = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 func sloFixture(t *testing.T, forDur time.Duration) (*Counter, *Counter, *Sampler, *SLOSet) {
 	t.Helper()
 	reg := NewRegistry()
-	req := reg.Counter("server_requests_total", "requests")
+	req := reg.Counter("server_queries_total", "queries")
 	shed := reg.Counter("server_shed_total", "sheds")
 	s := NewSampler(reg, time.Second)
 	// Target 0.9 (10% error budget), burn factor 2: windowed bad ratio
@@ -69,7 +69,7 @@ func TestSLOBurnMath(t *testing.T) {
 // window sees only the clean second half.
 func TestSLOSlowWindowSpansItsLength(t *testing.T) {
 	reg := NewRegistry()
-	req := reg.Counter("server_requests_total", "requests")
+	req := reg.Counter("server_queries_total", "queries")
 	shed := reg.Counter("server_shed_total", "sheds")
 	s := NewSampler(reg, DefaultSampleInterval)
 	set := NewSLOSet(s, []Objective{
@@ -84,7 +84,7 @@ func TestSLOSlowWindowSpansItsLength(t *testing.T) {
 		}
 		s.SampleAt(sloBase.Add(time.Duration(i) * DefaultSampleInterval))
 	}
-	if _, dt, ok := s.CounterDelta("server_requests_total", 5*time.Minute); !ok || dt != 5*time.Minute {
+	if _, dt, ok := s.CounterDelta("server_queries_total", 5*time.Minute); !ok || dt != 5*time.Minute {
 		t.Errorf("slow window spans %v (ok=%v), want 5m", dt, ok)
 	}
 	st := set.Status()[0]
@@ -110,8 +110,8 @@ func TestSLOImmediateFiring(t *testing.T) {
 	if st := set.Status()[0]; st.State != StateFiring {
 		t.Fatalf("state = %s, want firing", st.State)
 	}
-	if set.Firing() != 1 || gauge() != 1 {
-		t.Errorf("firing count = %d, gauge = %d, want 1, 1", set.Firing(), gauge())
+	if n := set.AlertsSnapshot().Firing; n != 1 || gauge() != 1 {
+		t.Errorf("firing count = %d, gauge = %d, want 1, 1", n, gauge())
 	}
 
 	// Clean traffic until both windows drain the bad samples.
@@ -122,8 +122,8 @@ func TestSLOImmediateFiring(t *testing.T) {
 	if st := set.Status()[0]; st.State != StateResolved {
 		t.Fatalf("state = %s, want resolved", st.State)
 	}
-	if set.Firing() != 0 || gauge() != 0 {
-		t.Errorf("firing count = %d, gauge = %d, want 0, 0", set.Firing(), gauge())
+	if n := set.AlertsSnapshot().Firing; n != 0 || gauge() != 0 {
+		t.Errorf("firing count = %d, gauge = %d, want 0, 0", n, gauge())
 	}
 
 	// A fresh burst re-fires from resolved.
@@ -152,7 +152,7 @@ func TestSLOPendingHoldoff(t *testing.T) {
 	if st := set.Status()[0]; st.State != StatePending {
 		t.Fatalf("state = %s, want pending", st.State)
 	}
-	if set.Firing() != 0 {
+	if set.AlertsSnapshot().Firing != 0 {
 		t.Errorf("pending alert counted as firing")
 	}
 	bad(2 * time.Second)
@@ -218,8 +218,8 @@ func TestSLOLatencyObjective(t *testing.T) {
 func TestSLOSetDefaults(t *testing.T) {
 	s := NewSampler(NewRegistry(), time.Second)
 	set := NewSLOSet(s, []Objective{{Name: "custom", Target: 0.99}})
-	o := set.Objectives()[0]
-	if o.FastWindow != time.Minute || o.SlowWindow != 5*time.Minute || o.BurnFactor != 14.4 {
+	o := set.Status()[0]
+	if o.FastWindowSeconds != 60 || o.SlowWindowSeconds != 300 || o.BurnFactor != 14.4 {
 		t.Errorf("defaults = %+v", o)
 	}
 }

@@ -64,7 +64,7 @@ var (
 	SmartPreparedEvictions  = Default.Counter("smartpsi_prepared_evictions_total", "artifacts evicted from the prepared-query cache by its entry or byte cap")
 	SmartPreparedBytes      = Default.Gauge("smartpsi_prepared_bytes", "bytes charged to retained prepared-query artifacts (both layouts of each forest + decision slots), summed over this process's engines")
 
-	// --- package smartpsi: model β scored against the training sweeps (/modelz) ---
+	// --- package smartpsi: model β scored against the training sweeps (/modelz reads these) ---
 
 	SmartBetaRankChecks = Default.Counter("smartpsi_beta_rank_checks_total", "model-β predictions scored against the per-plan training sweeps")
 	SmartBetaRankTop1   = Default.Counter("smartpsi_beta_rank_top1_total", "model-β predictions that picked the sweep's fastest plan")
@@ -79,6 +79,7 @@ var (
 	// collection is toggled mid-flight.
 
 	ServerRequests     = Default.Counter("server_requests_total", "HTTP requests accepted on /v1/psi and /v1/psi/batch")
+	ServerQueries      = Default.Counter("server_queries_total", "queries answered or rejected on /v1/psi and /v1/psi/batch (one per query, plus one per drain-rejected request): the availability SLO's denominator")
 	ServerBatchQueries = Default.Counter("server_batch_queries_total", "individual queries submitted through /v1/psi/batch")
 	ServerInFlight     = Default.Gauge("server_inflight", "admitted queries currently evaluating (holding a worker slot)")
 	ServerQueueDepth   = Default.Gauge("server_queue_depth", "queries waiting in the bounded admission queue")

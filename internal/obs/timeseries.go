@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -14,9 +13,8 @@ import (
 // those metrics at a fixed interval into per-metric rings long enough
 // for the longest declared window, from which windowed counter deltas
 // and histogram deltas (bucket-count differences between two samples)
-// are derived. The /seriesz endpoint serves the rings as JSON
-// (psi-bundle report draws the sparklines), and the SLO evaluator runs
-// off the same samples via OnSample hooks.
+// are derived. The SLO evaluator runs off the same samples via OnSample
+// hooks, and /alertz names the bad counters behind a burn.
 
 // DefaultSampleInterval is the sampling period used when NewSampler is
 // given a non-positive interval; psi-serve's -sample-interval flag
@@ -263,123 +261,4 @@ func (s *Sampler) HistogramDelta(name string, window time.Duration) (h Histogram
 		return HistogramSnapshot{}, 0, false
 	}
 	return SubtractHistogram(h1, h0), dt, true
-}
-
-// CounterSeries is one counter's ring rendered for /seriesz: the last
-// cumulative value plus per-step rates between adjacent samples.
-type CounterSeries struct {
-	Name  string    `json:"name"`
-	Last  int64     `json:"last"`
-	Rates []float64 `json:"rates_per_sec"`
-}
-
-// HistogramSeries is one histogram's ring: per-step observation rates
-// and per-step windowed p50/p99 (quantiles of each adjacent-sample
-// delta; steps with no observations report -1).
-type HistogramSeries struct {
-	Name  string    `json:"name"`
-	Count int64     `json:"count"`
-	Rates []float64 `json:"rates_per_sec"`
-	P50   []float64 `json:"p50"`
-	P99   []float64 `json:"p99"`
-}
-
-// SeriesData is the /seriesz JSON document: the rings of the kept
-// counters and histograms.
-type SeriesData struct {
-	Schema          int               `json:"schema"`
-	IntervalSeconds float64           `json:"interval_seconds"`
-	Capacity        int               `json:"capacity"`
-	Samples         int               `json:"samples"`
-	Start           time.Time         `json:"start,omitempty"`
-	End             time.Time         `json:"end,omitempty"`
-	Counters        []CounterSeries   `json:"counters"`
-	Histograms      []HistogramSeries `json:"histograms"`
-}
-
-// SeriesSnapshot renders every ring into a SeriesData document, metric
-// names sorted for stable output.
-func (s *Sampler) SeriesSnapshot() SeriesData {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := SeriesData{
-		Schema:          2,
-		IntervalSeconds: s.interval.Seconds(),
-		Capacity:        s.capacity,
-		Counters:        []CounterSeries{},
-		Histograms:      []HistogramSeries{},
-	}
-	for _, name := range sortedKeys(s.counters) {
-		r := s.counters[name]
-		cover(&out, r)
-		cs := CounterSeries{Name: name, Rates: []float64{}}
-		for i := 1; i < r.n; i++ {
-			t0, v0 := r.sample(i - 1)
-			t1, v1 := r.sample(i)
-			cs.Rates = append(cs.Rates, stepRate(float64(v1-v0), t1.Sub(t0)))
-		}
-		if r.n > 0 {
-			_, cs.Last = r.sample(r.n - 1)
-		}
-		out.Counters = append(out.Counters, cs)
-	}
-	for _, name := range sortedKeys(s.hists) {
-		r := s.hists[name]
-		cover(&out, r)
-		hs := HistogramSeries{Name: name, Rates: []float64{}, P50: []float64{}, P99: []float64{}}
-		for i := 1; i < r.n; i++ {
-			t0, h0 := r.sample(i - 1)
-			t1, h1 := r.sample(i)
-			d := SubtractHistogram(h1, h0)
-			hs.Rates = append(hs.Rates, stepRate(float64(d.Count), t1.Sub(t0)))
-			hs.P50 = append(hs.P50, quantileOrMissing(d, 0.50))
-			hs.P99 = append(hs.P99, quantileOrMissing(d, 0.99))
-		}
-		if r.n > 0 {
-			_, last := r.sample(r.n - 1)
-			hs.Count = last.Count
-		}
-		out.Histograms = append(out.Histograms, hs)
-	}
-	return out
-}
-
-// cover widens d's sample count and time span to take in r.
-func cover[T any](d *SeriesData, r *ring[T]) {
-	if r.n == 0 {
-		return
-	}
-	d.Samples = max(d.Samples, r.n)
-	t0, _ := r.sample(0)
-	t1, _ := r.sample(r.n - 1)
-	if d.Start.IsZero() || t0.Before(d.Start) {
-		d.Start = t0
-	}
-	if t1.After(d.End) {
-		d.End = t1
-	}
-}
-
-func stepRate(delta float64, dt time.Duration) float64 {
-	if dt <= 0 || delta < 0 {
-		return 0
-	}
-	return delta / dt.Seconds()
-}
-
-func quantileOrMissing(h HistogramSnapshot, q float64) float64 {
-	v, ok := HistogramQuantile(h, q)
-	if !ok {
-		return -1
-	}
-	return v
-}
-
-func sortedKeys[T any](m map[string]*ring[T]) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -1,14 +1,26 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
 	"sync"
 	"testing"
 	"time"
 )
 
 var seriesBase = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// counterRing reads the sampler's capacity and the named counter ring's
+// retained samples, oldest first.
+func counterRing(s *Sampler, name string) (capacity int, at []time.Time, v []int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r := s.counters[name]; r != nil {
+		for i := 0; i < r.n; i++ {
+			t, x := r.sample(i)
+			at, v = append(at, t), append(v, x)
+		}
+	}
+	return s.capacity, at, v
+}
 
 // TestSamplerWindowedRates drives SampleAt manually and checks windowed
 // counter deltas, rates and histogram quantiles against hand-computed
@@ -84,25 +96,14 @@ func TestSamplerRingWrap(t *testing.T) {
 		c.Add(1)
 		s.SampleAt(seriesBase.Add(time.Duration(i) * time.Second))
 	}
-	d := s.SeriesSnapshot()
-	if d.Samples != 4 {
-		t.Fatalf("samples = %d, want capacity 4", d.Samples)
+	_, at, v := counterRing(s, "wrap_total")
+	if len(v) != 4 {
+		t.Fatalf("samples = %d, want capacity 4", len(v))
 	}
-	cs := d.Counters[0]
-	if cs.Name != "wrap_total" || cs.Last != 10 {
-		t.Errorf("series = %+v, want wrap_total last=10", cs)
-	}
-	// 4 retained samples -> 3 adjacent steps, 1 count/second each.
-	if len(cs.Rates) != 3 {
-		t.Fatalf("rates = %v, want 3 steps", cs.Rates)
-	}
-	for _, r := range cs.Rates {
-		if r != 1 {
-			t.Errorf("step rate = %v, want 1/s", r)
+	for i, x := range v {
+		if want := int64(7 + i); x != want || !at[i].Equal(seriesBase.Add(time.Duration(6+i)*time.Second)) {
+			t.Errorf("sample %d = %d at %v, want %d at %ds after base", i, x, at[i], want, 6+i)
 		}
-	}
-	if d.Start != seriesBase.Add(6*time.Second) || d.End != seriesBase.Add(9*time.Second) {
-		t.Errorf("span = %v .. %v, want 6s .. 9s after base", d.Start, d.End)
 	}
 	// The wide window only sees retained samples: delta 3 over 3s.
 	if delta, _, ok := s.CounterDelta("wrap_total", time.Hour); !ok || delta != 3 {
@@ -114,51 +115,11 @@ func TestSamplerRingWrap(t *testing.T) {
 		c.Add(1)
 		s.SampleAt(seriesBase.Add(time.Duration(i) * time.Second))
 	}
-	if d := s.SeriesSnapshot(); d.Capacity != 6 || d.Samples != 6 || d.Start != seriesBase.Add(6*time.Second) {
-		t.Errorf("after growing: capacity %d, samples %d from %v; want 6, 6 from 6s after base", d.Capacity, d.Samples, d.Start)
+	if c, at, _ := counterRing(s, "wrap_total"); c != 6 || len(at) != 6 || !at[0].Equal(seriesBase.Add(6*time.Second)) {
+		t.Errorf("after growing: capacity %d, samples %d from %v; want 6, 6 from 6s after base", c, len(at), at)
 	}
 	if delta, dt, ok := s.CounterDelta("wrap_total", 5*time.Second); !ok || delta != 5 || dt != 5*time.Second {
 		t.Errorf("5s delta after growing = %v over %v (ok=%v), want 5 over 5s", delta, dt, ok)
-	}
-}
-
-// TestSeriesSnapshotJSON checks the /seriesz document shape, including
-// the -1 markers for histogram steps with no observations, and that a
-// declared gauge is not sampled.
-func TestSeriesSnapshotJSON(t *testing.T) {
-	reg := NewRegistry()
-	reg.Gauge("g_depth", "depth").Set(7)
-	h := reg.Histogram("h_seconds", "h", []float64{1, 2})
-	s := NewSampler(reg, time.Second)
-	s.Keep(7*time.Second, "g_depth", "h_seconds")
-	s.SampleAt(seriesBase)
-	h.Observe(1.5)
-	s.SampleAt(seriesBase.Add(time.Second))
-	s.SampleAt(seriesBase.Add(2 * time.Second)) // empty step
-
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(s.SeriesSnapshot()); err != nil {
-		t.Fatal(err)
-	}
-	var d SeriesData
-	if err := json.Unmarshal(buf.Bytes(), &d); err != nil {
-		t.Fatalf("invalid /seriesz JSON: %v\n%s", err, buf.String())
-	}
-	if d.Schema != 2 || d.IntervalSeconds != 1 || d.Capacity != 8 || d.Samples != 3 {
-		t.Errorf("header = %+v", d)
-	}
-	if len(d.Counters) != 0 || bytes.Contains(buf.Bytes(), []byte("g_depth")) {
-		t.Errorf("gauge g_depth was sampled:\n%s", buf.String())
-	}
-	if len(d.Histograms) != 1 {
-		t.Fatalf("histograms = %+v", d.Histograms)
-	}
-	hs := d.Histograms[0]
-	if hs.Count != 1 || len(hs.P99) != 2 {
-		t.Fatalf("histogram series = %+v", hs)
-	}
-	if hs.P50[0] < 0 || hs.P50[1] != -1 {
-		t.Errorf("p50 steps = %v, want [interpolated, -1]", hs.P50)
 	}
 }
 
@@ -172,7 +133,8 @@ func TestSamplerStartStop(t *testing.T) {
 	s.Start()
 	s.Start() // idempotent
 	deadline := time.Now().Add(5 * time.Second)
-	for s.SeriesSnapshot().Samples < 2 {
+	samples := func() int { _, at, _ := counterRing(s, "bg_total"); return len(at) }
+	for samples() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("background sampler produced no samples")
 		}
@@ -180,9 +142,9 @@ func TestSamplerStartStop(t *testing.T) {
 	}
 	s.Stop()
 	s.Stop() // idempotent
-	n := s.SeriesSnapshot().Samples
+	n := samples()
 	time.Sleep(5 * time.Millisecond)
-	if got := s.SeriesSnapshot().Samples; got != n {
+	if got := samples(); got != n {
 		t.Errorf("sampler still running after Stop: %d -> %d samples", n, got)
 	}
 }
@@ -211,7 +173,7 @@ func TestSamplerKeepWhileSampling(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := s.SeriesSnapshot().Capacity; got != 201 {
+	if got, _, _ := counterRing(s, "live_total"); got != 201 {
 		t.Errorf("capacity = %d, want 201 (a 200ms window at 1ms)", got)
 	}
 }

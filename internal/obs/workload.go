@@ -135,9 +135,7 @@ type shapeEntry struct {
 	approx     bool
 	agg        ShapeAggregates
 	exactSeen  map[uint64]int64
-	lat        []int64 // LatencyBuckets counts + overflow
-	latSum     float64
-	latCount   int64
+	lat        *Histogram // wall times, unregistered
 }
 
 // Workload is the bounded-memory workload sketch: at most K tracked
@@ -201,7 +199,7 @@ func (w *Workload) Observe(o QueryObservation) {
 			pivotLabel: o.PivotLabel,
 			approx:     o.Approx,
 			exactSeen:  make(map[uint64]int64, 4),
-			lat:        make([]int64, len(LatencyBuckets)+1),
+			lat:        newHistogram("", "", LatencyBuckets),
 		}
 		w.entries[o.Shape] = e
 		w.admitted++
@@ -217,9 +215,7 @@ func (w *Workload) Observe(o QueryObservation) {
 		e.exactSeen[o.Exact] = 1
 	}
 	e.agg.fold(o, repeat)
-	e.lat[bucketIndex(LatencyBuckets, o.Wall.Seconds())]++
-	e.latSum += o.Wall.Seconds()
-	e.latCount++
+	e.lat.Observe(o.Wall.Seconds())
 
 	tracked, admitted := len(w.entries), w.admitted
 	if repeat {
@@ -249,15 +245,6 @@ func (w *Workload) minEntry() *shapeEntry {
 		}
 	}
 	return min
-}
-
-func bucketIndex(bounds []float64, v float64) int {
-	for i, b := range bounds {
-		if v <= b {
-			return i
-		}
-	}
-	return len(bounds)
 }
 
 // ShapeData is one /queryz row: the fingerprint, its Space-Saving count
@@ -350,9 +337,9 @@ func (w *Workload) Snapshot() WorkloadData {
 		if totalCost > 0 {
 			s.CostShare = float64(e.agg.CostNanos) / float64(totalCost)
 		}
-		if e.latCount > 0 {
-			s.MeanMillis = e.latSum / float64(e.latCount) * 1e3
-			h := latSnapshot(e.lat, e.latSum, e.latCount)
+		h := e.lat.snapshot()
+		if h.Count > 0 {
+			s.MeanMillis = h.Sum / float64(h.Count) * 1e3
 			if q, ok := HistogramQuantile(h, 0.50); ok {
 				s.P50Millis = q * 1e3
 			}
@@ -365,8 +352,8 @@ func (w *Workload) Snapshot() WorkloadData {
 		}
 		// Price this shape's repeats at its mean cost: what an ideal
 		// answer cache would have saved on them.
-		if e.latCount > 0 && e.agg.RepeatHits > 0 {
-			d.CacheWin.SavableNanos += e.agg.RepeatHits * (e.agg.CostNanos / e.latCount)
+		if h.Count > 0 && e.agg.RepeatHits > 0 {
+			d.CacheWin.SavableNanos += e.agg.RepeatHits * (e.agg.CostNanos / h.Count)
 		}
 		d.Shapes = append(d.Shapes, s)
 	}
@@ -387,16 +374,6 @@ func (w *Workload) Snapshot() WorkloadData {
 		d.CacheWin.SavableShare = float64(d.CacheWin.SavableNanos) / float64(totalCost)
 	}
 	return d
-}
-
-func latSnapshot(counts []int64, sum float64, n int64) HistogramSnapshot {
-	h := HistogramSnapshot{Sum: sum, Count: n, Buckets: make([]BucketCount, len(LatencyBuckets))}
-	cum := int64(0)
-	for i, b := range LatencyBuckets {
-		cum += counts[i]
-		h.Buckets[i] = BucketCount{UpperBound: b, Count: cum}
-	}
-	return h
 }
 
 // WriteText renders the /queryz table: a sketch header, the cache-win

@@ -182,7 +182,7 @@ func TestWorkloadHTTP(t *testing.T) {
 		rec := NewRecorder(4)
 
 		// Unarmed: /queryz must explain itself with a 503.
-		h := Handler(reg, rec)
+		h := Handler(reg, rec, HandlerConfig{})
 		if code, body := get(t, h, "/queryz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "workload analytics disabled") {
 			t.Errorf("/queryz unarmed = %d\n%s", code, body)
 		}
@@ -191,7 +191,7 @@ func TestWorkloadHTTP(t *testing.T) {
 		w.Observe(QueryObservation{Shape: 0xbeef, Exact: 1, Wall: time.Millisecond, Example: "srv/q1"})
 		w.Observe(QueryObservation{Shape: 0xbeef, Exact: 1, Wall: time.Millisecond})
 		rec.Start("srv/q1", "", "000000000000beef").Seal(ProfileData{})
-		h = Handler(reg, rec, WithWorkload(w))
+		h = Handler(reg, rec, HandlerConfig{Workload: w})
 
 		code, body := get(t, h, "/queryz")
 		if code != 200 || !strings.Contains(body, "000000000000beef") || !strings.Contains(body, "srv/q1") {
@@ -223,7 +223,7 @@ func TestWorkloadHTTP(t *testing.T) {
 }
 
 // TestWorkloadMetrics: the obs_workload_* meta-metrics move with the
-// sketch so /seriesz and SLO machinery can consume them.
+// sketch, so /metrics and a bundle's metrics.json show them.
 func TestWorkloadMetrics(t *testing.T) {
 	base := workloadObserved.Value()
 	baseRepeats := workloadRepeats.Value()

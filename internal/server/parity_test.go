@@ -156,7 +156,7 @@ func TestServeRouteParity(t *testing.T) {
 			if single.status != tc.status || !strings.Contains(single.errText, tc.errText) {
 				t.Errorf("/v1/psi = %d %q, want %d with %q", single.status, single.errText, tc.status, tc.errText)
 			}
-			wantCounters := map[string]int64{"server_requests_total": 1}
+			wantCounters := map[string]int64{"server_requests_total": 1, "server_queries_total": 1}
 			if tc.counter != "" {
 				wantCounters[tc.counter] = 1
 			}

@@ -443,7 +443,7 @@ func TestWireCountsRoundTrip(t *testing.T) {
 	if len(bad) > 0 {
 		t.Fatalf("the shard wire loses %s", strings.Join(bad, ", "))
 	}
-	if len(paths) < 50 {
+	if len(paths) < 52 {
 		t.Fatalf("probed only %d Counts leaves; did their types change?", len(paths))
 	}
 }

@@ -11,8 +11,8 @@
 //	GET  /healthz       liveness: 200 as long as the process serves
 //	GET  /readyz        readiness: 200 when accepting work, 503 draining
 //	(everything else)   the internal/obs debug mux: /metrics,
-//	                    /metrics.json, /profilez, /modelz, /seriesz,
-//	                    /alertz, /queryz, /debugz/bundle, /debug/pprof
+//	                    /metrics.json, /profilez, /modelz, /alertz,
+//	                    /queryz, /debugz/bundle, /debug/pprof
 //	                    (403 unless Config.ExposePprof) — see
 //	                    OPERATIONS.md
 //
@@ -37,10 +37,10 @@
 //
 // Requests are correlated end to end: the server accepts or mints an
 // X-Request-ID, echoes it on the response, logs it in the structured
-// access log, and threads it into the evaluator's execution profile and
-// model-β records, so one served query can be followed from the log line
-// to /profilez?request_id= (its per-query record) to the model-β
-// decisions its training scored in /modelz?format=json's recent list.
+// access log, and threads it into the evaluator's execution profile, so
+// one served query can be followed from the log line to
+// /profilez?request_id= (its per-query record, with the model-β tally
+// its training scored).
 //
 // The server publishes its own metric family (server_* in internal/obs:
 // queue depth, in-flight, shed/drain/panic/deadline counters, per-route
@@ -77,8 +77,8 @@ import (
 // must honor the deadline by aborting with psi.ErrDeadline (wrapped or
 // not) and must be safe for concurrent calls. It receives the serving
 // request ID and the shape fingerprint the server computed at admission
-// ("" when workload analytics is off), so the profile and the model-β
-// records carry the same keys the access log and /queryz group by.
+// ("" when workload analytics is off), so the profile carries the same
+// keys the access log and /queryz group by.
 type Evaluator interface {
 	EvaluateTagged(q graph.Query, deadline time.Time, requestID, fingerprint string) (*smartpsi.Result, error)
 }
@@ -150,9 +150,9 @@ type Config struct {
 	// Sampler is wired (or before it holds samples). Default 1s, rounded
 	// up to whole seconds on the wire.
 	RetryAfter time.Duration
-	// Sampler, when non-nil, is the obs time-series sampler: it mounts
-	// /seriesz on the debug mux and replaces the static RetryAfter hint
-	// with an estimate from the queue-drain rate it samples.
+	// Sampler, when non-nil, is the obs time-series sampler: it replaces
+	// the static RetryAfter hint with an estimate from the queue-drain
+	// rate it samples.
 	Sampler *obs.Sampler
 	// Alerts, when non-nil, mounts /alertz on the debug mux.
 	Alerts *obs.SLOSet
@@ -244,7 +244,7 @@ func NewServer(eval Evaluator, cfg Config) *Server {
 	}
 	_, s.counts = eval.(*shard.Node)
 	if s.cfg.Sampler != nil {
-		s.cfg.Sampler.Keep(rateWindow, "server_requests_total", "server_shed_total")
+		s.cfg.Sampler.Keep(rateWindow, "server_queries_total", "server_shed_total")
 	}
 	s.adm = newAdmission(s.cfg.Workers, s.cfg.QueueDepth)
 	s.mux = http.NewServeMux()
@@ -252,10 +252,8 @@ func NewServer(eval Evaluator, cfg Config) *Server {
 	s.mux.HandleFunc("/v1/psi/batch", s.v1(obs.ServerBatchSeconds, s.handleBatch))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.Handle("/", obs.Handler(obs.Default, obs.DefaultRecorder,
-		obs.WithSampler(s.cfg.Sampler), obs.WithAlerts(s.cfg.Alerts),
-		obs.WithBundler(s.cfg.Bundler), obs.WithWorkload(s.cfg.Workload),
-		obs.WithPprof(s.cfg.ExposePprof)))
+	s.mux.Handle("/", obs.Handler(obs.Default, obs.DefaultRecorder, obs.HandlerConfig{
+		Alerts: s.cfg.Alerts, Bundler: s.cfg.Bundler, Workload: s.cfg.Workload, Pprof: s.cfg.ExposePprof}))
 	return s
 }
 
@@ -265,7 +263,7 @@ func (s *Server) Config() Config { return s.cfg }
 // requestIDHeader is the correlation header: an incoming value is
 // accepted (trimmed, length-capped), otherwise a fresh ID is generated.
 // The resolved ID is echoed on the response and threaded through the
-// access log, the execution profile and the model-β records.
+// access log and the execution profile.
 const requestIDHeader = "X-Request-ID"
 
 // maxRequestIDLen caps accepted client-supplied request IDs.
@@ -571,8 +569,11 @@ func classify(err error) verdict {
 // workload observation -> classification. The item carries the status
 // the query gets standalone. The canonical shape key is computed once,
 // here, when workload analytics is armed, and feeds the workload sketch
-// and (via EvaluateTagged) the profile and the model-β records.
+// and (via EvaluateTagged) the profile. Each query counts once in
+// server_queries_total, the denominator of the availability SLO, whose
+// bad counters count queries too.
 func (s *Server) serveQuery(ctx context.Context, q graph.Query, deadline time.Time) BatchItem {
+	obs.ServerQueries.Inc()
 	var fp fsm.Fingerprint
 	var fingerprint string
 	if s.cfg.Workload != nil {
@@ -622,15 +623,15 @@ func (s *Server) retryAfterSeconds() string {
 const rateWindow = 30 * time.Second // trailing window of the drain rate
 
 // drainRetrySeconds estimates how long the current admission queue
-// takes to drain at the sampler's windowed served-request rate
-// (requests minus sheds), clamped to [1s, 60s]. ok is false without a
+// takes to drain at the sampler's windowed served-query rate (queries
+// minus sheds), clamped to [1s, 60s]. ok is false without a
 // sampler or before it holds two samples in the window — callers fall
 // back to the static hint.
 func (s *Server) drainRetrySeconds() (int, bool) {
 	if s.cfg.Sampler == nil {
 		return 0, false
 	}
-	total, ok := s.cfg.Sampler.CounterRate("server_requests_total", rateWindow)
+	total, ok := s.cfg.Sampler.CounterRate("server_queries_total", rateWindow)
 	if !ok {
 		return 0, false
 	}
@@ -651,6 +652,7 @@ func (s *Server) drainRetrySeconds() (int, bool) {
 
 // rejectDraining writes the 503 a draining server sends to new work.
 func (s *Server) rejectDraining(w http.ResponseWriter) {
+	obs.ServerQueries.Inc()
 	obs.ServerDrainRejects.Inc()
 	w.Header().Set("Retry-After", s.retryAfterSeconds())
 	writeError(w, http.StatusServiceUnavailable, "server is draining")

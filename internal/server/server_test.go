@@ -661,9 +661,9 @@ func directBindings(t *testing.T, g *graph.Graph, q graph.Query) []int64 {
 
 // TestServerRequestCorrelation walks one request ID through the whole
 // pipeline: the client sends X-Request-ID, the server echoes it,
-// stamps the structured access log, files the execution profile under
-// it (served by /profilez?request_id=), and threads it into the model-β
-// records /modelz retains for the evaluation's training sweep.
+// stamps the structured access log, and files the execution profile
+// under it (served by /profilez?request_id=), with the model-β tally of
+// the evaluation's training sweep beside it.
 func TestServerRequestCorrelation(t *testing.T) {
 	prevEnabled := obs.Enabled()
 	obs.Enable(true)
@@ -674,7 +674,7 @@ func TestServerRequestCorrelation(t *testing.T) {
 	})
 
 	// Sparse random graph with enough label-1 candidates for the ML
-	// path, so the evaluation trains model β and files its records.
+	// path, so the evaluation trains and scores model β.
 	const n, m = 300, 900
 	rng := rand.New(rand.NewSource(9))
 	b := graph.NewBuilder(n, m)
@@ -771,27 +771,23 @@ func TestServerRequestCorrelation(t *testing.T) {
 		t.Errorf("/profilez with unknown request_id = %d, want 404", code)
 	}
 
-	// 3. Every model-β record /modelz retains (a diagnostic bundle's
-	// modelz.json) carries the ID.
-	mresp, err := ts.Client().Get(ts.URL + "/modelz?format=json")
+	// 3. The profile a diagnostic bundle's profiles.json holds carries
+	// the ID and model β's tally together.
+	jresp, err := ts.Client().Get(ts.URL + "/profilez?format=json&request_id=" + reqID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var model obs.ModelStatsData
-	decErr := json.NewDecoder(mresp.Body).Decode(&model)
-	if cerr := mresp.Body.Close(); decErr == nil {
+	var prof obs.ProfileData
+	decErr := json.NewDecoder(jresp.Body).Decode(&prof)
+	if cerr := jresp.Body.Close(); decErr == nil {
 		decErr = cerr
 	}
 	if decErr != nil {
 		t.Fatal(decErr)
 	}
-	if len(model.Recent) == 0 {
-		t.Fatal("the evaluation filed no model-β records; fixture broken")
-	}
-	for i, rec := range model.Recent {
-		if rec.RequestID != reqID {
-			t.Fatalf("/modelz recent[%d] (%s) has request ID %q, want %q", i, rec.Kind, rec.RequestID, reqID)
-		}
+	if prof.RequestID != reqID || prof.BetaScored == 0 || prof.BetaTop1 > prof.BetaScored {
+		t.Errorf("profile request %q β %d/%d, want %q with a scored β tally",
+			prof.RequestID, prof.BetaTop1, prof.BetaScored, reqID)
 	}
 
 	// 4. A request without the header gets a server-minted ID.
@@ -802,11 +798,11 @@ func TestServerRequestCorrelation(t *testing.T) {
 }
 
 // TestServerDynamicRetryAfter pins the sampler-derived Retry-After:
-// with a windowed served-request rate the hint reflects queue-drain
+// with a windowed served-query rate the hint reflects queue-drain
 // time; without one it falls back to the static config.
 func TestServerDynamicRetryAfter(t *testing.T) {
 	reg := obs.NewRegistry()
-	req := reg.Counter("server_requests_total", "requests")
+	req := reg.Counter("server_queries_total", "queries")
 	sampler := obs.NewSampler(reg, time.Second)
 
 	s := NewServer(&fakeEval{}, Config{RetryAfter: 7 * time.Second, Sampler: sampler})
@@ -816,7 +812,7 @@ func TestServerDynamicRetryAfter(t *testing.T) {
 		t.Errorf("fallback Retry-After = %s, want 7", got)
 	}
 
-	// 10 requests/s served, 0 queued: ceil(1/10) -> 1s.
+	// 10 queries/s served, 0 queued: ceil(1/10) -> 1s.
 	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	sampler.SampleAt(base)
 	req.Add(100)
@@ -828,7 +824,7 @@ func TestServerDynamicRetryAfter(t *testing.T) {
 	// All traffic shed inside the window: no drain capacity, so the
 	// dynamic estimate declines and the static fallback applies.
 	reg2 := obs.NewRegistry()
-	req2 := reg2.Counter("server_requests_total", "requests")
+	req2 := reg2.Counter("server_queries_total", "queries")
 	shed2 := reg2.Counter("server_shed_total", "sheds")
 	sampler2 := obs.NewSampler(reg2, time.Second)
 	sShed := NewServer(&fakeEval{}, Config{RetryAfter: 5 * time.Second, Sampler: sampler2})
@@ -847,5 +843,56 @@ func TestServerDynamicRetryAfter(t *testing.T) {
 	s2 := NewServer(&fakeEval{}, Config{RetryAfter: 3 * time.Second})
 	if got := s2.retryAfterSeconds(); got != "3" {
 		t.Errorf("no-sampler Retry-After = %s, want 3", got)
+	}
+}
+
+// TestServerAvailabilityCountsQueries pins the availability SLO's units:
+// a batch of 8 queries with 3 shed burns 3/8 of its queries, not 3 per
+// HTTP request, because the numerator and the denominator both count
+// queries.
+func TestServerAvailabilityCountsQueries(t *testing.T) {
+	const n, shed = 8, 3
+	block := make(chan struct{})
+	s, ts := newTestServer(t, &fakeEval{block: block},
+		Config{Workers: n - shed, ShedImmediately: true, MaxBatch: n, DefaultTimeout: time.Minute})
+	sampler := obs.NewSampler(obs.Default, time.Second)
+	set := obs.NewSLOSet(sampler, []obs.Objective{
+		obs.AvailabilityObjective(0.5, time.Minute, time.Minute, 1, 0),
+	})
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	sampler.SampleAt(base)
+	shedBefore := obs.ServerShed.Value()
+
+	req := BatchRequest{Queries: make([]QueryJSON, n)}
+	for i := range req.Queries {
+		req.Queries[i] = *triangleQuery()
+	}
+	// Every slot is held until released, so exactly the rest shed.
+	go func() {
+		for give := time.Now().Add(5 * time.Second); time.Now().Before(give); time.Sleep(time.Millisecond) {
+			if s.adm.inFlight() == n-shed && obs.ServerShed.Value()-shedBefore == shed {
+				break
+			}
+		}
+		close(block)
+	}()
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/psi/batch", req)
+	var br BatchResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &br) != nil {
+		t.Fatalf("batch = %d\n%s", resp.StatusCode, body)
+	}
+	if br.Succeeded != n-shed || br.Failed != shed {
+		t.Fatalf("succeeded/failed = %d/%d, want %d/%d", br.Succeeded, br.Failed, n-shed, shed)
+	}
+	sampler.SampleAt(base.Add(time.Second))
+
+	a := set.Status()[0]
+	// Error budget 0.5: a bad ratio of 3/8 burns at 0.75.
+	if want := float64(shed) / n / 0.5; !a.FastWindowSampled || math.Abs(a.FastBurn-want) > 1e-9 {
+		t.Errorf("availability fast burn = %v (sampled %v), want %v: %d shed of %d queries",
+			a.FastBurn, a.FastWindowSampled, want, shed, n)
+	}
+	if got := a.BadFast["server_shed_total"]; got != shed {
+		t.Errorf("availability breakdown = %v, want server_shed_total %d", a.BadFast, shed)
 	}
 }

@@ -59,7 +59,7 @@ func Scatter(metrics []*obs.PerShard, deadline time.Time, call func(i int, d tim
 			t0 := time.Now()
 			res, err := call(i, shardDeadline)
 			o := Outcome{Shard: i, Elapsed: time.Since(t0)}
-			m.Seconds.ObserveSeconds(o.Elapsed.Seconds())
+			m.Seconds.Observe(o.Elapsed.Seconds())
 			switch {
 			case errors.Is(err, psi.ErrDeadline) || errors.Is(err, context.DeadlineExceeded):
 				o.TimedOut = true
@@ -174,6 +174,6 @@ func merge(outcomes []Outcome, results []*smartpsi.Result, start time.Time) (*Ga
 	if partial {
 		obs.ShardPartials.Inc()
 	}
-	obs.ShardGatherSecs.ObserveSeconds(time.Since(start).Seconds())
+	obs.ShardGatherSecs.Observe(time.Since(start).Seconds())
 	return &Gather{Res: merged, Partial: partial, Dups: dups, Outcomes: outcomes}, nil
 }

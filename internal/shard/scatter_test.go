@@ -200,7 +200,7 @@ func TestMergeSumsAllCounts(t *testing.T) {
 	if len(bad) > 0 {
 		t.Fatalf("merge drops %s; sum each shard count into the gather (or name it as excluded)", strings.Join(bad, ", "))
 	}
-	if len(paths) < 50 {
+	if len(paths) < 52 {
 		t.Fatalf("probed only %d Result counts; did their types change?", len(paths))
 	}
 }

@@ -24,11 +24,10 @@ type Request struct {
 	Deadline time.Time
 	// ID is the serving-layer request ID (X-Request-ID) and Fingerprint
 	// the query's canonical shape key; both are threaded into the
-	// execution profile and the model-β records /modelz retains, so one
-	// served request is correlatable across the access log,
-	// /profilez?request_id= and /modelz?format=json's recent list. The
-	// serving layer fingerprints once at admission so the workload
-	// sketch, the profile and the model-β records all agree; an empty
+	// execution profile, so one served request is correlatable across
+	// the access log and /profilez?request_id= (whose profile carries
+	// its model-β tally). The serving layer fingerprints once at
+	// admission so the workload sketch and the profile agree; an empty
 	// Fingerprint falls back to computing one here when the query is
 	// collected.
 	ID, Fingerprint string
@@ -120,7 +119,7 @@ func (e *Engine) Run(req Request) (_ *Result, retErr error) {
 	}
 	if enabled && req.Fingerprint == "" {
 		// Non-serving entry points (CLIs, tests) fingerprint here so
-		// their profiles and model-β records still pivot by shape; the
+		// their profiles still pivot by shape; the
 		// serving layer passes one in instead.
 		r.req.Fingerprint = fsm.PivotFingerprint(q, 0).String()
 	}

@@ -98,8 +98,8 @@ type worker struct {
 	Counts
 	modelNanos int64
 	// alpha scores model α's fresh predictions against ground truth: exit
-	// stores its confusion in Counts.Alpha and, when the query is
-	// collected, adds it, calibration cells included, to /modelz.
+	// stores its diagonal in Counts.Alpha and, when the query is
+	// collected, adds the confusion to /modelz.
 	alpha obs.AlphaCells
 
 	votesScratch []int     // forest-vote scratch, reused per worker
@@ -140,19 +140,6 @@ func (w *worker) features(u graph.NodeID) []float64 {
 type decision struct {
 	mode    psi.Mode
 	planIdx int
-	// lead is model α's winning class's votes minus the runner-up's; 0
-	// when no model predicted. A decision read from a slot carries the
-	// lead of the prediction that filled it.
-	lead int
-}
-
-// margin is the decision's vote margin in [0, 1], lead / trees: the
-// calibration axis of /modelz.
-func (w *worker) margin(dec decision) float64 {
-	if w.art.alpha == nil {
-		return 0
-	}
-	return float64(dec.lead) / float64(w.art.alpha.NumTrees())
 }
 
 // predict asks the artifact's models for a fresh decision on one
@@ -162,11 +149,9 @@ func (w *worker) margin(dec decision) float64 {
 func (w *worker) predict(row []float64) (dec decision, predicted bool) {
 	dec.mode = psi.Pessimistic
 	if alpha := w.art.alpha; alpha != nil {
-		votes := w.votes(alpha.NumClasses())
-		if alpha.PredictInto(row, votes) == 1 {
+		if alpha.PredictInto(row, w.votes(alpha.NumClasses())) == 1 {
 			dec.mode = psi.Optimistic
 		}
-		dec.lead = voteLead(votes)
 		predicted = true
 	}
 	if beta := w.art.beta; beta != nil {
@@ -282,26 +267,12 @@ func (e *Engine) attempt(w *worker, u graph.NodeID, i int, r rung) (bool, error)
 }
 
 // scoreAlpha records ground truth for one candidate when model α
-// actually predicted it: the worker's confusion and vote-margin
-// calibration cells (ground truth is free here — the evaluation itself
-// labels the node, §4.2.1).
+// actually predicted it: the worker's confusion cells (ground truth is
+// free here — the evaluation itself labels the node, §4.2.1).
 func (e *Engine) scoreAlpha(w *worker, predicted bool, dec decision, actualValid bool) {
 	if predicted {
-		w.alpha.Score(dec.mode == psi.Optimistic, actualValid, w.margin(dec))
+		w.alpha.Score(dec.mode == psi.Optimistic, actualValid)
 	}
-}
-
-// voteLead returns the forest's winner-minus-runner-up vote count.
-func voteLead(votes []int) int {
-	best, second := 0, 0
-	for _, v := range votes {
-		if v > best {
-			best, second = v, best
-		} else if v > second {
-			second = v
-		}
-	}
-	return best - second
 }
 
 // planTiming tracks the average work (psi.Stats.Units) of finished

@@ -74,7 +74,7 @@ func TestMergeIntoCoversAllCounters(t *testing.T) {
 	if len(bad) > 0 {
 		t.Fatalf("Counts.Add drops or misroutes %s; sum each leaf into itself", strings.Join(bad, ", "))
 	}
-	if len(paths) < 50 {
+	if len(paths) < 52 {
 		t.Fatalf("probed only %d Counts leaves; did their types change?", len(paths))
 	}
 }

@@ -282,17 +282,14 @@ func TestObsScoreAlphaMispredictions(t *testing.T) {
 
 	// Optimistic prediction means "valid"; actual invalid → mispredict.
 	w.art.alpha = alphaStub(t)
-	e.scoreAlpha(w, true, decision{mode: psi.Optimistic, lead: 18}, false)
+	e.scoreAlpha(w, true, decision{mode: psi.Optimistic}, false)
 	// Pessimistic prediction means "invalid"; actual invalid → correct.
-	e.scoreAlpha(w, true, decision{mode: psi.Pessimistic, lead: 2}, false)
+	e.scoreAlpha(w, true, decision{mode: psi.Pessimistic}, false)
 	// No prediction made → not scored.
 	e.scoreAlpha(w, false, decision{mode: psi.Pessimistic}, true)
 
 	if w.alpha.Alpha != [2][2]int64{{1, 1}, {0, 0}} {
 		t.Errorf("alpha confusion = %v, want [[1 1] [0 0]]", w.alpha.Alpha)
-	}
-	if c := w.alpha.Calibration; c[4].N != 1 || c[4].Correct != 0 || c[0].N != 1 || c[0].Correct != 1 {
-		t.Errorf("alpha calibration = %v", c)
 	}
 	res := w.run.res
 	w.exit()
@@ -368,10 +365,9 @@ func TestObsEndToEndMetricsFlow(t *testing.T) {
 // evalHook forces through flips and fallbacks, and checks that Run
 // publishes the query's tallies once, from the Result: every smartpsi_*
 // counter delta, the one train-time observation, the psi_* work, and
-// /modelz's model-α cells. Flips and fallbacks are rungs 2 and 3. The
-// query is tagged: every model-β record /modelz retains carries the
-// request ID and fingerprint its Run was given, and the observed and
-// top-1 counts are the retained records'.
+// /modelz's model-α cells. Flips and fallbacks are rungs 2 and 3. Model
+// β's tally reaches its two counters (/modelz's β line) once, and the
+// query's profile carries it beside the request ID its Run was given.
 func TestObsPublishFromResult(t *testing.T) {
 	prev := obs.Enabled()
 	obs.Enable(true)
@@ -394,7 +390,8 @@ func TestObsPublishFromResult(t *testing.T) {
 		return n%2 == 0, nil
 	}
 	counters := []*obs.Counter{obs.SmartCacheHits, obs.SmartCacheMisses, obs.SmartFlips, obs.SmartFallbacks,
-		obs.SmartRecoveries, obs.SmartModeChecks, obs.SmartMispredicts, obs.SmartTrainedNodes, obs.PSIRecursions}
+		obs.SmartRecoveries, obs.SmartModeChecks, obs.SmartMispredicts, obs.SmartTrainedNodes, obs.PSIRecursions,
+		obs.SmartBetaRankChecks, obs.SmartBetaRankTop1}
 	before := make([]int64, len(counters))
 	for i, c := range counters {
 		before[i] = c.Value()
@@ -406,16 +403,17 @@ func TestObsPublishFromResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.UsedML || res.PlanClasses < 2 || res.Flips == 0 || res.Fallbacks == 0 || res.Alpha.Total == 0 || res.TrainedNodes == 0 {
-		t.Fatalf("fixture: used_ml=%v plans=%d flips=%d fallbacks=%d scored=%d trained=%d, want ML, two plans and the rest non-zero",
-			res.UsedML, res.PlanClasses, res.Flips, res.Fallbacks, res.Alpha.Total, res.TrainedNodes)
+	if !res.UsedML || res.PlanClasses < 2 || res.Flips == 0 || res.Fallbacks == 0 || res.Alpha.Total == 0 || res.TrainedNodes == 0 || res.Beta.Total == 0 {
+		t.Fatalf("fixture: used_ml=%v plans=%d flips=%d fallbacks=%d scored=%d trained=%d beta=%d, want ML, two plans and the rest non-zero",
+			res.UsedML, res.PlanClasses, res.Flips, res.Fallbacks, res.Alpha.Total, res.TrainedNodes, res.Beta.Total)
 	}
 	if res.Flips != res.Ladder[obs.LadderOpposite].Entered || res.Fallbacks != res.Ladder[obs.LadderHeuristic].Entered {
 		t.Errorf("flips/fallbacks = %d/%d, rungs 2/3 entered %d/%d", res.Flips, res.Fallbacks,
 			res.Ladder[obs.LadderOpposite].Entered, res.Ladder[obs.LadderHeuristic].Entered)
 	}
 	want := []int64{res.CacheHits, res.CacheMisses, res.Flips, res.Fallbacks, res.Flips + res.Fallbacks,
-		res.Alpha.Total, res.Alpha.Total - res.Alpha.Correct, int64(res.TrainedNodes), res.Work().Recursions}
+		res.Alpha.Total, res.Alpha.Total - res.Alpha.Correct, int64(res.TrainedNodes), res.Work().Recursions,
+		res.Beta.Total, res.Beta.Correct}
 	for i, c := range counters {
 		if d := c.Value() - before[i]; d != want[i] {
 			t.Errorf("%s delta = %d, Result says %d", c.Name(), d, want[i])
@@ -428,28 +426,22 @@ func TestObsPublishFromResult(t *testing.T) {
 	if d.AlphaTotal() != res.Alpha.Total {
 		t.Errorf("/modelz scored %d predictions, Result.Alpha.Total = %d", d.AlphaTotal(), res.Alpha.Total)
 	}
-	var top1 int64
-	for _, rec := range d.Recent {
-		if rec.Kind != obs.DecisionKindBeta || rec.RequestID != id || rec.Fingerprint != fingerprint {
-			t.Fatalf("retained a %s record tagged %q/%q, want a beta record tagged %q/%q",
-				rec.Kind, rec.RequestID, rec.Fingerprint, id, fingerprint)
-		}
-		if rec.Top1 {
-			top1++
-		}
+	if d.BetaObserved != obs.SmartBetaRankChecks.Value() || d.BetaTop1 != obs.SmartBetaRankTop1.Value() {
+		t.Errorf("/modelz β %d/%d, counters %d/%d", d.BetaTop1, d.BetaObserved,
+			obs.SmartBetaRankTop1.Value(), obs.SmartBetaRankChecks.Value())
 	}
-	if d.BetaObserved == 0 || d.BetaObserved != int64(len(d.Recent)) || d.BetaTop1 != top1 {
-		t.Errorf("/modelz counts %d observed, %d top-1; it retains %d records, %d of them top-1",
-			d.BetaObserved, d.BetaTop1, len(d.Recent), top1)
+	p := res.Profile.Snapshot()
+	if p.RequestID != id || p.Fingerprint != fingerprint || p.BetaScored != res.Beta.Total || p.BetaTop1 != res.Beta.Correct {
+		t.Errorf("profile %q/%q β %d/%d, want %q/%q β %d/%d", p.RequestID, p.Fingerprint, p.BetaTop1, p.BetaScored,
+			id, fingerprint, res.Beta.Correct, res.Beta.Total)
 	}
 }
 
 // TestShadowFoldMatchesResult is the one-fold guard across runs: with
 // collection on and the prepared cache off, so every Run trains and
 // scores model β afresh, /modelz's model-α cells equal the summed
-// Result.Alpha, every model-β record is retained and counted once, and
-// each record a Run files carries the request ID and fingerprint that
-// Run was given.
+// Result.Alpha, its β line moves by each Run's Result.Beta exactly
+// once, and each Run's profile carries its own request ID and tally.
 func TestShadowFoldMatchesResult(t *testing.T) {
 	prev := obs.Enabled()
 	obs.Enable(true)
@@ -479,16 +471,14 @@ func TestShadowFoldMatchesResult(t *testing.T) {
 		alpha.Correct += res.Alpha.Correct
 		alpha.Total += res.Alpha.Total
 
-		d := obs.DefaultModelStats.Snapshot()
-		fresh := min(d.BetaObserved-before, int64(len(d.Recent)))
-		if fresh == 0 {
-			t.Fatalf("run %d filed no model-β records", i)
+		if res.Beta.Total == 0 {
+			t.Fatalf("run %d scored no model-β predictions", i)
 		}
-		for _, rec := range d.Recent[int64(len(d.Recent))-fresh:] {
-			if rec.Kind != obs.DecisionKindBeta || rec.RequestID != id || rec.Fingerprint != fingerprint {
-				t.Fatalf("run %d retained a %s record tagged %q/%q, want a beta record tagged %q/%q",
-					i, rec.Kind, rec.RequestID, rec.Fingerprint, id, fingerprint)
-			}
+		if d := obs.DefaultModelStats.Snapshot().BetaObserved - before; d != res.Beta.Total {
+			t.Errorf("run %d moved /modelz β by %d, Result.Beta.Total = %d", i, d, res.Beta.Total)
+		}
+		if p := res.Profile.Snapshot(); p.RequestID != id || p.BetaScored != res.Beta.Total {
+			t.Errorf("run %d profile %q β %d, want %q β %d", i, p.RequestID, p.BetaScored, id, res.Beta.Total)
 		}
 	}
 
@@ -499,9 +489,6 @@ func TestShadowFoldMatchesResult(t *testing.T) {
 	if d.AlphaTotal() != alpha.Total || d.AlphaCorrect() != alpha.Correct {
 		t.Errorf("/modelz model α = %d/%d correct, Results sum to %d/%d",
 			d.AlphaCorrect(), d.AlphaTotal(), alpha.Correct, alpha.Total)
-	}
-	if want := min(d.BetaObserved, obs.RecentDecisions); int64(len(d.Recent)) != want {
-		t.Errorf("/modelz retains %d records, want %d (every model-β record, up to the cap)", len(d.Recent), want)
 	}
 }
 

@@ -208,7 +208,6 @@ func TestSweepCapLabelsAlphaOnly(t *testing.T) {
 	r, order := newRun(e, q)
 	r.candidates, r.valid, order = r.candidates[:2], r.valid[:2], order[:2]
 	r.enabled = true // sweeps are kept only for a collected query
-	ranks := obs.DefaultModelStats.Snapshot().BetaObserved
 	trained, err := e.train(art, r, order, rng, time.Time{})
 	if err != nil {
 		t.Fatal(err)
@@ -220,8 +219,8 @@ func TestSweepCapLabelsAlphaOnly(t *testing.T) {
 	if trained != 1 || art.alpha == nil || art.beta != nil {
 		t.Errorf("trained %d nodes, α %v, β %v; want one α row and no β", trained, art.alpha != nil, art.beta != nil)
 	}
-	if d := obs.DefaultModelStats.Snapshot().BetaObserved - ranks; d != 0 {
-		t.Errorf("%d model-β records filed; a node past the cap keeps no sweep", d)
+	if n := r.res.Beta.Total; n != 0 {
+		t.Errorf("%d model-β predictions scored; a node past the cap keeps no sweep", n)
 	}
 	if r.valid[order[0]] {
 		t.Error("K_{30,30} has no 5-cycle, yet the node was labelled valid")

@@ -56,18 +56,15 @@ type artifact struct {
 	bytes int64
 }
 
-// A decision slot is 0 while empty, else slotFull with the mode bit, the
-// plan index and model α's vote lead: the decision exactly, since its
-// margin is lead / trees.
+// A decision slot is 0 while empty, else slotFull with the mode bit and
+// the plan index: the decision exactly.
 const (
 	slotFull       = 1 << 31
 	slotOptimistic = 1 << 30
-	slotPlanShift  = 16
-	slotLeadMask   = 1<<slotPlanShift - 1
 )
 
 func encodeDecision(d decision) uint32 {
-	v := uint32(slotFull) | uint32(d.planIdx)<<slotPlanShift | uint32(d.lead)
+	v := uint32(slotFull) | uint32(d.planIdx)
 	if d.mode == psi.Optimistic {
 		v |= slotOptimistic
 	}
@@ -77,7 +74,7 @@ func encodeDecision(d decision) uint32 {
 // decodeDecision returns the decision in slot value v, and false when
 // the slot is empty.
 func decodeDecision(v uint32) (decision, bool) {
-	d := decision{mode: psi.Pessimistic, planIdx: int(v&^(slotFull|slotOptimistic)) >> slotPlanShift, lead: int(v & slotLeadMask)}
+	d := decision{mode: psi.Pessimistic, planIdx: int(v &^ (slotFull | slotOptimistic))}
 	if v&slotOptimistic != 0 {
 		d.mode = psi.Optimistic
 	}

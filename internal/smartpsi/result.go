@@ -66,6 +66,11 @@ type Counts struct {
 	// Alpha reports model α's accuracy on the non-training candidates
 	// (prediction vs ground truth established by the evaluation itself).
 	Alpha AccuracyReport
+	// Beta reports model β's in-sample top-1 on the training sweeps it
+	// was fitted on (scoreBetaRanks): filled only when the query is
+	// collected (obs.Enabled), since scoring costs a prediction per
+	// sweep node.
+	Beta AccuracyReport
 	// CacheHits/CacheMisses count lookups of the candidates' decision
 	// slots (§4.2.3; prepared.go).
 	CacheHits, CacheMisses int64
@@ -103,6 +108,8 @@ func (c *Counts) Add(o *Counts) {
 	c.TrainedNodes += o.TrainedNodes
 	c.Alpha.Correct += o.Alpha.Correct
 	c.Alpha.Total += o.Alpha.Total
+	c.Beta.Correct += o.Beta.Correct
+	c.Beta.Total += o.Beta.Total
 	c.CacheHits += o.CacheHits
 	c.CacheMisses += o.CacheMisses
 	c.Filtered += o.Filtered
@@ -168,6 +175,8 @@ func (r *queryRun) finish(err error) {
 	obs.SmartRecoveries.Add(res.Flips + res.Fallbacks)
 	obs.SmartModeChecks.Add(res.Alpha.Total)
 	obs.SmartMispredicts.Add(res.Alpha.Total - res.Alpha.Correct)
+	obs.SmartBetaRankChecks.Add(res.Beta.Total)
+	obs.SmartBetaRankTop1.Add(res.Beta.Correct)
 	if res.TrainedNodes > 0 { // a finished train; an aborted one records nothing
 		obs.SmartTrainedNodes.Add(int64(res.TrainedNodes))
 		obs.SmartTrainSeconds.Observe(res.TrainTime.Seconds())
@@ -186,6 +195,8 @@ func (r *queryRun) finish(err error) {
 		Candidates:   res.Candidates,
 		Bindings:     len(res.Bindings),
 		TrainedNodes: res.TrainedNodes,
+		BetaScored:   res.Beta.Total,
+		BetaTop1:     res.Beta.Correct,
 		TrainNanos:   res.TrainTime.Nanoseconds(),
 		FitNanos:     res.FitTime.Nanoseconds(),
 		CacheHits:    res.CacheHits,

@@ -137,30 +137,25 @@ type betaSweep struct {
 }
 
 // scoreBetaRanks scores model β against the training sweeps: for every
-// retained sweep it predicts a plan with the trained forest and files in
-// /modelz whether that plan is the sweep's fastest (finished, with the
-// fewest units). The sweep bounds each plan by the leader's units, so
+// retained sweep it predicts a plan with the trained forest and counts
+// in Counts.Beta whether that plan is the sweep's fastest (finished,
+// with the fewest units); finish publishes the tally once. The sweep bounds each plan by the leader's units, so
 // that is all it measures: a plan as fast as the leader still finishes,
 // but the slower ones are mostly cut off and stay unordered. The score
 // is in-sample: the forest was fitted on these very sweep nodes, so its
 // top-1 share says how well β fits its labels, not how often it picks
-// the fastest plan for an execute-phase candidate, and /modelz says so.
+// the fastest plan for an execute-phase candidate, and /modelz and the
+// profile say so.
 func (e *Engine) scoreBetaRanks(r *queryRun, betaModel *ml.Forest, sweeps []betaSweep) {
 	votes := make([]int, betaModel.NumClasses())
 	var row []float64
 	for _, s := range sweeps {
 		row = e.sigs.RowInto(s.node, row)
-		pred := betaModel.PredictInto(row, votes)
-		o := s.outcomes[pred]
-		obs.DefaultModelStats.Observe(obs.DecisionRecord{
-			Kind:        obs.DecisionKindBeta,
-			Query:       r.name,
-			RequestID:   r.req.ID,
-			Fingerprint: r.req.Fingerprint,
-			Node:        int64(s.node),
-			PredPlan:    pred,
-			Top1:        o.done && o.units == s.outcomes[s.best].units,
-		})
+		o := s.outcomes[betaModel.PredictInto(row, votes)]
+		r.res.Beta.Total++
+		if o.done && o.units == s.outcomes[s.best].units {
+			r.res.Beta.Correct++
+		}
 	}
 }
 

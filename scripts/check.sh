@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# check.sh is the full local CI gate: formatting, vet, psilint, build,
+# check.sh is the full local CI gate: formatting, the observability
+# line budget, vet, psilint, build,
 # race-enabled tests, the tests again with metric collection and with
 # deep invariant checking on (as CI runs them), the serving smoke
 # (scripts/serve_smoke.sh), and a short fuzz smoke over every fuzz
@@ -22,6 +23,17 @@ unformatted="$(gofmt -l .)"
 if [[ -n "$unformatted" ]]; then
     echo "gofmt needed on:" >&2
     echo "$unformatted" >&2
+    exit 1
+fi
+
+# internal/obs and cmd/psi-bundle together hold a budget of 3,500
+# non-test Go lines (ROADMAP item 9): the observability stack must not
+# outgrow it again.
+step "observability line budget (internal/obs + cmd/psi-bundle, at most 3500 non-test Go lines)"
+obs_lines="$(find internal/obs cmd/psi-bundle -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+echo "internal/obs + cmd/psi-bundle: $obs_lines non-test Go lines"
+if [[ "$obs_lines" -gt 3500 ]]; then
+    echo "the observability stack is over its 3500-line budget" >&2
     exit 1
 fi
 

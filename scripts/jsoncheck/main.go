@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	jsoncheck -url http://host/seriesz?format=json
+//	jsoncheck -url http://host/alertz?format=json
 //	jsoncheck -print -url http://host/metrics.json | grep ...
 //	some-producer | jsoncheck
 package main
