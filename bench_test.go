@@ -11,8 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dyngraph"
-	"repro/internal/fsm"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/match"
@@ -520,85 +518,4 @@ func BenchmarkAblationPlanModel(b *testing.B) {
 	b.Run("heuristic-plan-only", func(b *testing.B) {
 		benchmarkEngineVariant(b, smartpsi.Options{DisablePlanModel: true})
 	})
-}
-
-// ---- Incremental FSM (extension; DESIGN.md experiment index) ----
-
-func buildIncMiner(b *testing.B) *fsm.IncrementalMiner {
-	b.Helper()
-	f := fixture(b)
-	d, err := dyngraph.FromGraph(f.graphs["cora"], f.graphs["cora"].NumLabels())
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := fsm.NewIncrementalMiner(d, fsm.Config{
-		Support:  d.NumNodes() / 10,
-		MaxEdges: 2,
-		Workers:  1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := m.Refresh(); err != nil {
-		b.Fatal(err)
-	}
-	return m
-}
-
-// BenchmarkIncFSM_Refresh measures a refresh after one edge insertion.
-func BenchmarkIncFSM_Refresh(b *testing.B) {
-	m := buildIncMiner(b)
-	rng := rand.New(rand.NewSource(3))
-	d := m.Graph()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for {
-			u := graph.NodeID(rng.Intn(d.NumNodes()))
-			v := graph.NodeID(rng.Intn(d.NumNodes()))
-			if u != v && !d.HasEdge(u, v) {
-				if err := m.AddEdge(u, v); err != nil {
-					b.Fatal(err)
-				}
-				break
-			}
-		}
-		b.StartTimer()
-		if _, err := m.Refresh(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIncFSM_FullRemine is the from-scratch baseline under the
-// same evolution: one edge inserted per iteration (off the clock), a
-// full re-mine of the fresh snapshot measured — directly comparable to
-// BenchmarkIncFSM_Refresh.
-func BenchmarkIncFSM_FullRemine(b *testing.B) {
-	m := buildIncMiner(b)
-	rng := rand.New(rand.NewSource(3))
-	d := m.Graph()
-	cfg := fsm.Config{Support: d.NumNodes() / 10, MaxEdges: 2, Workers: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for {
-			u := graph.NodeID(rng.Intn(d.NumNodes()))
-			v := graph.NodeID(rng.Intn(d.NumNodes()))
-			if u != v && !d.HasEdge(u, v) {
-				if err := d.AddEdge(u, v); err != nil {
-					b.Fatal(err)
-				}
-				break
-			}
-		}
-		snap, err := d.Snapshot()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := fsm.Mine(snap, fsm.NewIsoSupport(snap), cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -107,19 +107,3 @@ func ExampleEngine_CountBindingsAtLeast() {
 	fmt.Println(res.Reached, res.Count)
 	// Output: true 2
 }
-
-// Streaming PSI: grow the graph, signatures stay maintained.
-func ExampleDynamicGraph() {
-	d := repro.NewDynamicGraph(2)
-	a, _ := d.AddNode(0)
-	b, _ := d.AddNode(1)
-	if err := d.AddEdge(a, b); err != nil {
-		log.Fatal(err)
-	}
-	c, _ := d.AddNode(1)
-	if err := d.AddEdge(a, c); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(d.NumNodes(), d.NumEdges(), d.Signature(a)[1])
-	// Output: 3 2 2
-}

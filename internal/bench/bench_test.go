@@ -119,6 +119,58 @@ func TestFormatters(t *testing.T) {
 	}
 }
 
+// TestRunWorkCell drives runWorkCell with a fake run: a censored query
+// does not end the cell, the censored count covers only the queries that
+// ran, and a cell cut short by its cumulative budget prints how many of
+// its queries it ran.
+func TestRunWorkCell(t *testing.T) {
+	const n = 10
+	for _, tc := range []struct {
+		name      string
+		perQuery  time.Duration
+		run       func(i int) (int64, bool, error)
+		wantDone  int
+		wantUnits int64
+		wantCens  int
+		wantCell  string // the printed cell after its time
+	}{
+		{"first censored", time.Hour, func(i int) (int64, bool, error) {
+			return 1, i == 0, nil
+		}, n, 9, 1, "9u 1c"},
+		{"all censored", time.Hour, func(int) (int64, bool, error) {
+			return 1, true, nil
+		}, n, 0, n, "0u 10c"},
+		{"none censored", time.Hour, func(int) (int64, bool, error) {
+			return 1, false, nil
+		}, n, n, 0, "10u 0c"},
+		{"budget spent at query 3", 20 * time.Millisecond, func(i int) (int64, bool, error) {
+			if i == 2 {
+				time.Sleep(n * 20 * time.Millisecond)
+			}
+			return 1, false, nil
+		}, 3, 3, 0, "3/10q 3u 0c"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := runWorkCell(tc.perQuery, n, tc.run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.done != tc.wantDone || c.units != tc.wantUnits || c.censored != tc.wantCens {
+				t.Errorf("ran %d, units %d, censored %d; want %d, %d, %d",
+					c.done, c.units, c.censored, tc.wantDone, tc.wantUnits, tc.wantCens)
+			}
+			fields := strings.Fields(c.String())
+			wantOpen := tc.wantCens > 0 || tc.wantDone < n
+			if got := strings.HasPrefix(fields[0], ">"); got != wantOpen {
+				t.Errorf("cell %q: censored mark %v, want %v", c, got, wantOpen)
+			}
+			if got := strings.Join(fields[1:], " "); got != tc.wantCell {
+				t.Errorf("cell %q prints %q after its time, want %q", c, got, tc.wantCell)
+			}
+		})
+	}
+}
+
 func TestTableRender(t *testing.T) {
 	tab := NewTable("demo", "a", "b")
 	tab.Add(1, "x")

@@ -12,26 +12,32 @@ import (
 	"repro/internal/smartpsi"
 )
 
-// cell aggregates one (dataset, size, system) measurement.
+// cell aggregates one (dataset, size, system) measurement: the time of
+// the done queries it ran out of its n.
 type cell struct {
 	total    time.Duration
-	done     int
+	done, n  int
 	censored bool
 }
 
+// String prints the cell's time, with ">" when a query was censored or
+// the cell stopped early, and "k/nq" when it ran only k of its n queries.
 func (c cell) String() string {
 	s := FormatDuration(c.total)
 	if c.censored {
-		return ">" + s
+		s = ">" + s
+	}
+	if c.done < c.n {
+		s += fmt.Sprintf(" %d/%dq", c.done, c.n)
 	}
 	return s
 }
 
-// runCell evaluates up to n queries through run, stopping early (and
-// marking the cell censored) once the cumulative budget is spent or a
-// query reports censoring.
+// runCell evaluates up to n queries through run. A censored query marks
+// the cell censored but does not end it: only the cell's cumulative
+// budget, perQuery × n, stops it before query n.
 func runCell(perQuery time.Duration, n int, run func(i int) (censored bool, err error)) (cell, error) {
-	var c cell
+	c := cell{n: n}
 	budget := perQuery * time.Duration(n)
 	start := time.Now()
 	for i := 0; i < n; i++ {
@@ -40,22 +46,19 @@ func runCell(perQuery time.Duration, n int, run func(i int) (censored bool, err 
 			return c, err
 		}
 		c.done++
-		if censored {
-			c.censored = true
-			break
-		}
+		c.censored = c.censored || censored
 		if time.Since(start) > budget {
-			c.censored = c.done < n
 			break
 		}
 	}
+	c.censored = c.censored || c.done < c.n
 	c.total = time.Since(start)
 	return c, nil
 }
 
 // workCell is a cell that also counts the exact work of its finished
 // queries (summed Work().Units(), which the clock does not move) and how
-// many of its queries did not finish, as Table 4 prints them.
+// many of the queries it ran were censored, as Table 4 prints them.
 type workCell struct {
 	cell
 	units    int64
@@ -69,17 +72,18 @@ func (c workCell) String() string {
 // runWorkCell is runCell over a run that also reports each finished
 // query's work units.
 func runWorkCell(perQuery time.Duration, n int, run func(i int) (units int64, censored bool, err error)) (workCell, error) {
-	var finished int
 	var units int64
+	var censored int
 	c, err := runCell(perQuery, n, func(i int) (bool, error) {
-		u, censored, err := run(i)
-		if err == nil && !censored {
-			finished++
+		u, cens, err := run(i)
+		if cens {
+			censored++
+		} else {
 			units += u
 		}
-		return censored, err
+		return cens, err
 	})
-	return workCell{cell: c, units: units, censored: n - finished}, err
+	return workCell{cell: c, units: units, censored: censored}, err
 }
 
 // Table1 reproduces the paper's Table 1: the number of PSI results vs

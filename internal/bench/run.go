@@ -30,7 +30,6 @@ func Experiments() []Experiment {
 		{"fig12", "FSM: subgraph-iso vs PSI support, worker scaling (Twitter/Weibo)", Fig12},
 		{"models", "Section 5.4 classifier comparison (RF vs SVM vs NN)", ModelComparison},
 		{"ablations", "SmartPSI design-choice ablations (cache/plans/preemption/types)", Ablations},
-		{"incfsm", "incremental FSM over an evolving graph vs full re-mining", IncFSM},
 	}
 }
 

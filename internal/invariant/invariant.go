@@ -8,9 +8,8 @@
 // With checking enabled, graph.Builder.Build runs CheckGraph on every
 // graph it produces (wired through
 // graph.RegisterBuildCheck), package signature validates every built
-// signature set, package dyngraph revalidates maintained rows after
-// mutations, and both PSI evaluators verify each full mapping they find
-// before reporting a pivot binding as valid.
+// signature set, and both PSI evaluators verify each full mapping they
+// find before reporting a pivot binding as valid.
 //
 // Validators return errors rather than panicking so callers on error-
 // returning paths can propagate them; the Must helper converts a
@@ -20,7 +19,6 @@ package invariant
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"sync/atomic"
 
@@ -53,7 +51,7 @@ func Enable(on bool) { enabled.Store(on) }
 // errors with errors.As.
 type Violation struct {
 	// Subsystem names the checked structure ("graph", "signature",
-	// "embedding", "bindings", "dyngraph", "filter").
+	// "embedding", "bindings", "filter").
 	Subsystem string
 	// Detail describes the specific violation.
 	Detail string
@@ -109,8 +107,7 @@ func CheckGraph(g *graph.Graph) error {
 	return nil
 }
 
-// SignatureView is the read surface of signature.Signatures (including
-// dyngraph's maintained rows converted by signature.FromDense): rows of
+// SignatureView is the read surface of signature.Signatures: rows of
 // exact uint32 counts of 2^-Depth. Defined here so this package stays a
 // leaf below package signature.
 type SignatureView interface {
@@ -205,38 +202,6 @@ func CheckBindings(g *graph.Graph, q graph.Query, bindings []graph.NodeID) error
 		}
 		if g.Label(u) != pivotLabel {
 			return violationf("bindings", "binding %d has label %d, pivot label is %d", u, g.Label(u), pivotLabel)
-		}
-	}
-	return nil
-}
-
-// CheckDenseRows validates an incrementally maintained node-major row
-// store (package dyngraph): length divisible by width, all weights
-// finite and non-negative within epsilon, and each node's own label at
-// weight >= 1. labels[i] is node i's label.
-func CheckDenseRows(rows []float64, width int, labels []graph.Label) error {
-	if width <= 0 {
-		return violationf("dyngraph", "non-positive row width %d", width)
-	}
-	if len(rows) != width*len(labels) {
-		return violationf("dyngraph", "%d row values for %d nodes at width %d", len(rows), len(labels), width)
-	}
-	const eps = 1e-9
-	for u, l := range labels {
-		row := rows[u*width : (u+1)*width]
-		for j, w := range row {
-			if math.IsNaN(w) || math.IsInf(w, 0) {
-				return violationf("dyngraph", "node %d label %d weight %v not finite", u, j, w)
-			}
-			if w < -eps {
-				return violationf("dyngraph", "node %d label %d weight %v negative", u, j, w)
-			}
-		}
-		if l < 0 || int(l) >= width {
-			return violationf("dyngraph", "node %d label %d outside width %d", u, l, width)
-		}
-		if own := row[l]; own < 1-eps {
-			return violationf("dyngraph", "node %d own-label weight %v < 1", u, own)
 		}
 	}
 	return nil

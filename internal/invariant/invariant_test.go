@@ -2,7 +2,6 @@ package invariant_test
 
 import (
 	"errors"
-	"math"
 	"strings"
 	"testing"
 
@@ -277,36 +276,6 @@ func TestCheckBindings(t *testing.T) {
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
 			err := invariant.CheckBindings(g, q, tc.bindings)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("got %v, want error mentioning %q", err, tc.want)
-			}
-		})
-	}
-}
-
-func TestCheckDenseRows(t *testing.T) {
-	labels := []graph.Label{0, 1}
-	if err := invariant.CheckDenseRows([]float64{1, 0, 0.5, 1}, 2, labels); err != nil {
-		t.Fatalf("valid rows rejected: %v", err)
-	}
-	bad := []struct {
-		name   string
-		rows   []float64
-		width  int
-		labels []graph.Label
-		want   string
-	}{
-		{"bad width", []float64{1}, 0, labels[:1], "width"},
-		{"length mismatch", []float64{1, 0, 1}, 2, labels, "row values"},
-		{"nan", []float64{1, math.NaN(), 0, 1}, 2, labels, "not finite"},
-		{"negative", []float64{1, -1, 0, 1}, 2, labels, "negative"},
-		{"own weight below one", []float64{0, 1, 0, 1}, 2, labels, "own-label"},
-		{"label outside width", []float64{1, 0}, 2, []graph.Label{5}, "outside width"},
-		{"negative node label", []float64{1, 0}, 2, []graph.Label{-1}, "outside width"},
-	}
-	for _, tc := range bad {
-		t.Run(tc.name, func(t *testing.T) {
-			err := invariant.CheckDenseRows(tc.rows, tc.width, tc.labels)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("got %v, want error mentioning %q", err, tc.want)
 			}

@@ -147,37 +147,6 @@ func unitsSatisfy(a, b []uint32) bool {
 	return true
 }
 
-func TestFromDenseExact(t *testing.T) {
-	g := graphtest.Random(30, 70, 3, 5)
-	s := MustBuild(g, 2, g.NumLabels(), Matrix)
-	var dense []float64
-	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
-		dense = append(dense, s.Row(u)...)
-	}
-	back, err := FromDense(dense, s.Width(), s.Depth())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumNodes() != s.NumNodes() || back.Depth() != 2 {
-		t.Fatalf("round trip: %d nodes at depth %d", back.NumNodes(), back.Depth())
-	}
-	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
-		for l, w := range s.Scaled(u) {
-			if back.Scaled(u)[l] != w {
-				t.Fatalf("node %d label %d: %d units, want %d", u, l, back.Scaled(u)[l], w)
-			}
-		}
-	}
-	for _, bad := range []float64{math.NaN(), math.Inf(1), -0.25, 0.3, 0.125, 1 << 30} {
-		if _, err := FromDense([]float64{1, bad}, 2, 2); err == nil {
-			t.Errorf("FromDense accepted %v at depth 2", bad)
-		}
-	}
-	if _, err := FromDense([]float64{1, 0}, 2, maxDepth+1); err == nil {
-		t.Error("FromDense accepted depth 32")
-	}
-}
-
 // TestBuildRefusesOverflow: entries are uint32 units, so a build whose
 // row totals pass 2^32 units is an error, not a wrapped table. On a
 // single edge every matrix row total is 3^D (3^20 fits, 3^21 does not);

@@ -109,34 +109,6 @@ func MustBuild(g *graph.Graph, depth, width int, method Method) *Signatures {
 	return s
 }
 
-// FromDense converts externally maintained weights (len = nodes*width,
-// node-major) into a Signatures value whose Method is Matrix: package
-// dyngraph uses it to hand its incrementally maintained matrix-recurrence
-// signatures to the evaluators. Every value must be a non-negative
-// multiple of 2^-depth below 2^(32-depth); anything else (negative,
-// non-finite, non-dyadic) is an error.
-func FromDense(rows []float64, width, depth int) (*Signatures, error) {
-	if width <= 0 {
-		return nil, fmt.Errorf("signature: width %d", width)
-	}
-	if len(rows)%width != 0 {
-		return nil, fmt.Errorf("signature: %d values not divisible by width %d", len(rows), width)
-	}
-	if depth < 0 || depth > maxDepth {
-		return nil, fmt.Errorf("signature: depth %d outside [0, %d]", depth, maxDepth)
-	}
-	scale := math.Ldexp(1, depth)
-	out := make([]uint32, len(rows))
-	for i, v := range rows {
-		x := v * scale
-		if !(x >= 0 && x <= math.MaxUint32 && x == math.Trunc(x)) {
-			return nil, fmt.Errorf("signature: value %v (node %d, label %d) is not a multiple of 2^-%d in uint32 range", v, i/width, i%width, depth)
-		}
-		out[i] = uint32(x)
-	}
-	return &Signatures{rows: out, width: width, depth: depth, method: Matrix}, nil
-}
-
 // Scaled returns node u's row in units of 2^-Depth: entry l is u's weight
 // for label l times 2^Depth, exactly. The evaluators' hot paths read it.
 // The caller must not modify it.

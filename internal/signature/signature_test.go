@@ -236,13 +236,6 @@ func TestForQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	rowEq(t, s.Row(q.Pivot), []float64{1, 0.5, 0.5}, "NS_v1")
-	dense, err := FromDense(make([]float64, 3), 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dense.Method() != Matrix {
-		t.Errorf("FromDense method = %v, want matrix", dense.Method())
-	}
 }
 
 func TestEmptyGraph(t *testing.T) {

@@ -140,26 +140,6 @@ func newEngine(g *graph.Graph, sigs *signature.Signatures, opts Options) *Engine
 	return e
 }
 
-// NewEngineWithSignatures builds an engine that reuses externally
-// maintained signatures (e.g. package dyngraph's incrementally updated
-// rows) instead of recomputing them. The signatures must cover every
-// node of g, be at least as wide as g's label alphabet, and have depth
-// signature.DefaultDepth. Each query's signatures are built the way the
-// given ones were, with their method, depth and width.
-func NewEngineWithSignatures(g *graph.Graph, sigs *signature.Signatures, opts Options) (*Engine, error) {
-	opts = opts.withDefaults()
-	if sigs.NumNodes() != g.NumNodes() {
-		return nil, fmt.Errorf("smartpsi: signatures cover %d nodes, graph has %d", sigs.NumNodes(), g.NumNodes())
-	}
-	if sigs.Width() < g.NumLabels() {
-		return nil, fmt.Errorf("smartpsi: signature width %d < graph labels %d", sigs.Width(), g.NumLabels())
-	}
-	if sigs.Depth() != signature.DefaultDepth {
-		return nil, fmt.Errorf("smartpsi: signature depth %d, want %d", sigs.Depth(), signature.DefaultDepth)
-	}
-	return newEngine(g, sigs, opts), nil
-}
-
 // Graph returns the engine's data graph.
 func (e *Engine) Graph() *graph.Graph { return e.g }
 

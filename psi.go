@@ -30,7 +30,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/dyngraph"
 	"repro/internal/fsm"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -108,36 +107,6 @@ type (
 // signatures up front.
 func NewEngine(g *Graph, opts Options) (*Engine, error) { return smartpsi.NewEngine(g, opts) }
 
-// Evolving graphs.
-
-// DynamicGraph is a mutable labeled graph that maintains every node's
-// depth-2 neighborhood signature incrementally as edges are inserted,
-// for streaming PSI workloads.
-type DynamicGraph = dyngraph.Graph
-
-// NewDynamicGraph returns an empty evolving graph over a label alphabet
-// of the given width.
-func NewDynamicGraph(width int) *DynamicGraph { return dyngraph.New(width) }
-
-// DynamicFromGraph imports a static graph into an evolving one.
-func DynamicFromGraph(g *Graph, width int) (*DynamicGraph, error) {
-	return dyngraph.FromGraph(g, width)
-}
-
-// EngineFromDynamic snapshots d and builds an engine that reuses its
-// incrementally maintained signatures (no signature recomputation).
-func EngineFromDynamic(d *DynamicGraph, opts Options) (*Engine, error) {
-	snap, err := d.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	sigs, err := signature.FromDense(d.SignatureRows(), d.Width(), dyngraph.Depth)
-	if err != nil {
-		return nil, err
-	}
-	return smartpsi.NewEngineWithSignatures(snap, sigs, opts)
-}
-
 // Workload extraction.
 
 // ExtractQuery samples one connected query of the given size from g by
@@ -214,17 +183,6 @@ func MinePSI(g *Graph, cfg MineConfig) (*MineResult, error) {
 // full-enumeration subgraph isomorphism (the ScaleMine baseline).
 func MineIso(g *Graph, cfg MineConfig) (*MineResult, error) {
 	return fsm.Mine(g, fsm.NewIsoSupport(g), cfg)
-}
-
-// IncrementalMiner maintains the frequent-pattern set of an evolving
-// graph across edge insertions, re-evaluating only the negative border
-// on each Refresh (MNI support is monotone under insertions).
-type IncrementalMiner = fsm.IncrementalMiner
-
-// NewIncrementalMiner wraps an evolving graph for incremental mining;
-// the first Refresh performs the initial full mine.
-func NewIncrementalMiner(d *DynamicGraph, cfg MineConfig) (*IncrementalMiner, error) {
-	return fsm.NewIncrementalMiner(d, cfg)
 }
 
 // Deadline returns a time budget usable in MineConfig.Deadline and the

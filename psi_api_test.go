@@ -134,65 +134,6 @@ func TestDeadlineHelper(t *testing.T) {
 	}
 }
 
-func TestFacadeDynamicGraph(t *testing.T) {
-	d := NewDynamicGraph(3)
-	a, err := d.AddNode(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := d.AddNode(1)
-	c, _ := d.AddNode(2)
-	for _, e := range [][2]NodeID{{a, b}, {b, c}, {a, c}} {
-		if err := d.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	engine, err := EngineFromDynamic(d, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qb := NewBuilder(3, 3)
-	v0 := qb.AddNode(0)
-	v1 := qb.AddNode(1)
-	v2 := qb.AddNode(2)
-	for _, e := range [][2]NodeID{{v0, v1}, {v1, v2}, {v0, v2}} {
-		if err := qb.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q, err := NewQuery(qb.MustBuild(), v0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := engine.Evaluate(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Bindings) != 1 || res.Bindings[0] != a {
-		t.Errorf("bindings = %v, want [%d]", res.Bindings, a)
-	}
-	// Threshold counting on the same engine.
-	cres, err := engine.CountBindingsAtLeast(q, 1, Deadline(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cres.Reached || cres.Count != 1 {
-		t.Errorf("count = %+v", cres)
-	}
-	// Importing a static graph.
-	g, err := GenerateDatasetScaled("cora", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := DynamicFromGraph(g, g.NumLabels())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.NumNodes() != g.NumNodes() || d2.NumEdges() != g.NumEdges() {
-		t.Error("dynamic import changed shape")
-	}
-}
-
 func TestGenerateCustom(t *testing.T) {
 	g, err := GenerateCustom(DatasetSpec{
 		Name: "custom", Nodes: 500, Edges: 1500, Labels: 6,
