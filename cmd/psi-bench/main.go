@@ -3,15 +3,17 @@
 //
 // Usage:
 //
-//	psi-bench [-exp all|table1|table2|table3|fig7|fig8|fig9|fig10|fig11|table4|fig12|models]
-//	          [-quick] [-scale N] [-seed S] [-list] [-csv]
+//	psi-bench [-exp all|table1|table2|table3|fig7|fig8|fig9|fig10|fig11|table4|fig12|models|ablations]
+//	          [-quick] [-scale N] [-seed S] [-list]
 //	          [-debug-addr HOST:PORT]
 //
 // -quick shrinks the sweep for a fast sanity run; -scale further divides
 // every dataset's size (useful on small machines). Output is aligned
 // text, one table per experiment, with ">"-prefixed cells marking runs
 // censored by the time budget (the stand-in for the paper's 24-hour task
-// limit). -csv emits the same tables as CSV.
+// limit). A timed cell also prints "k/nq" when its cumulative budget cut
+// it after k of its n queries, its finished queries' work units "Nu"
+// when the system counts them, and its censored query count "Nc".
 //
 // -debug-addr serves the obs debug endpoints while the benchmark runs
 // and implies metric collection; /metrics.json there is the registry
@@ -33,10 +35,8 @@ func main() {
 	scale := flag.Int("scale", 1, "extra dataset scale divisor")
 	seed := flag.Int64("seed", 42, "workload seed")
 	list := flag.Bool("list", false, "list experiments and exit")
-	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	debugAddr := flag.String("debug-addr", "", "serve obs debug HTTP (metrics, per-query profiles, pprof) on this address")
 	flag.Parse()
-	bench.SetCSVMode(*csvOut)
 
 	if *list {
 		for _, e := range bench.Experiments() {

@@ -33,22 +33,11 @@ func Ablations(env *Env, cfg Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		row := []interface{}{v.name}
-		for _, size := range sizes {
-			qs, err := env.Queries(dataset, size, size, cfg.QueriesPerSize)
-			if err != nil {
-				return err
-			}
-			queries := qs.BySize[size]
-			c, err := runWorkCell(cfg.PerQueryBudget, len(queries), func(i int) (int64, bool, error) {
-				return runSmartQuery(eng, queries[i], cfg.PerQueryBudget)
-			})
-			if err != nil {
-				return err
-			}
-			row = append(row, c)
+		row, err := systemRow(env, cfg, dataset, sizes, cfg.QueriesPerSize, smart(eng, nil), v.name)
+		if err != nil {
+			return err
 		}
 		t.Add(row...)
 	}
-	return render(t, w)
+	return t.Render(w)
 }

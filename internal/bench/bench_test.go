@@ -2,9 +2,14 @@ package bench
 
 import (
 	"bytes"
+	"io"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/graph"
+	"repro/internal/psi"
 )
 
 // tinyConfig keeps experiment smoke tests fast.
@@ -41,6 +46,22 @@ func TestAllExperimentsRun(t *testing.T) {
 				t.Errorf("%s: no table rendered:\n%s", e.Name, out)
 			}
 			t.Logf("\n%s", out)
+		})
+	}
+}
+
+// BenchmarkExperiments runs every psi-bench experiment on the smoke
+// tests' tiny env and config: `go test -bench` runs the code psi-bench
+// prints.
+func BenchmarkExperiments(b *testing.B) {
+	env, cfg := tinyEnv(), tinyConfig()
+	for _, e := range Experiments() {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := e.Run(env, cfg, io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }
@@ -113,13 +134,13 @@ func TestFormatters(t *testing.T) {
 	if got := FormatDuration(100 * time.Microsecond); got != "0.10ms" {
 		t.Errorf("FormatDuration(100us) = %q", got)
 	}
-	c := cell{total: time.Second, censored: true}
+	c := cell{total: time.Second, done: 1, n: 1, censored: 1}
 	if !strings.HasPrefix(c.String(), ">") {
 		t.Errorf("censored cell = %q", c.String())
 	}
 }
 
-// TestRunWorkCell drives runWorkCell with a fake run: a censored query
+// TestRunWorkCell drives runCell with a fake system: a censored query
 // does not end the cell, the censored count covers only the queries that
 // ran, and a cell cut short by its cumulative budget prints how many of
 // its queries it ran.
@@ -151,7 +172,16 @@ func TestRunWorkCell(t *testing.T) {
 		}, 3, 3, 0, "3/10q 3u 0c"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := runWorkCell(tc.perQuery, n, tc.run)
+			i := 0
+			sys := func(graph.Query, time.Time) (int64, error) {
+				units, censored, err := tc.run(i)
+				i++
+				if censored {
+					err = psi.ErrDeadline
+				}
+				return units, err
+			}
+			c, err := runCell(tc.perQuery, make([]graph.Query, n), sys)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,6 +198,32 @@ func TestRunWorkCell(t *testing.T) {
 				t.Errorf("cell %q prints %q after its time, want %q", c, got, tc.wantCell)
 			}
 		})
+	}
+}
+
+// TestTable2Cells runs Table 2's systems through the runner: a query
+// whose match engine returns match.ErrBudget is censored, a system that
+// counts no work prints no units, and SmartPSI prints its.
+func TestTable2Cells(t *testing.T) {
+	env := tinyEnv()
+	for _, tc := range []struct {
+		perQuery time.Duration
+		want     string // the table's rows, whitespace folded
+	}{
+		// The deadline has passed when the engine starts: the first query
+		// is censored and spends the cell's budget.
+		{time.Nanosecond, `TurboIso (>\S+ 1/2q 1c ){2}TurboIso\+ (>\S+ 1/2q 1c ){2}SmartPSI `},
+		{time.Hour, `TurboIso (\S+ 0c ){2}TurboIso\+ (\S+ 0c ){2}SmartPSI (\S+ \d+u 0c ?){2}$`},
+	} {
+		cfg := tinyConfig()
+		cfg.PerQueryBudget = tc.perQuery
+		var buf bytes.Buffer
+		if err := Table2(env, cfg, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(strings.Fields(buf.String()), " "); !regexp.MustCompile(tc.want).MatchString(got) {
+			t.Errorf("budget %v: Table 2 prints\n%s\nwant rows matching %s", tc.perQuery, buf.String(), tc.want)
+		}
 	}
 }
 
@@ -194,18 +250,5 @@ func TestIntersectSizes(t *testing.T) {
 	got = intersectSizes([]int{9}, 4, 7)
 	if len(got) != 1 || got[0] != 4 {
 		t.Errorf("empty intersection fallback = %v", got)
-	}
-}
-
-func TestTableRenderCSV(t *testing.T) {
-	tab := NewTable("demo", "a", "b")
-	tab.Add(1, "x,y")
-	var buf bytes.Buffer
-	if err := tab.RenderCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "# demo") || !strings.Contains(out, `"x,y"`) {
-		t.Errorf("csv output wrong:\n%s", out)
 	}
 }

@@ -3,8 +3,7 @@ package bench
 import "time"
 
 // Config scales an experiment run. Full() approximates the paper's setup
-// at laptop scale; Quick() keeps the whole suite under a few minutes for
-// CI and `go test -bench`.
+// at laptop scale; Quick() keeps the whole suite under a few minutes.
 type Config struct {
 	// Sizes are the query sizes swept (paper: 4-10).
 	Sizes []int
@@ -12,7 +11,8 @@ type Config struct {
 	// the heavyweight comparisons).
 	QueriesPerSize int
 	// PerQueryBudget caps each single query evaluation, standing in for
-	// the paper's 24-hour task limit. Censored cells print as ">budget".
+	// the paper's 24-hour task limit. A cell with a censored query
+	// prints its time ">"-marked and its censored count.
 	PerQueryBudget time.Duration
 	// EmbeddingCap bounds full-isomorphism enumeration in Table 1.
 	EmbeddingCap int64

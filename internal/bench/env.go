@@ -2,8 +2,7 @@
 // and figure of the paper's evaluation (Section 5). Each experiment is a
 // function over a shared Env (which caches generated datasets, query
 // workloads and SmartPSI engines) writing an aligned text table; the
-// cmd/psi-bench binary and the repository's Go benchmarks both drive
-// these functions.
+// cmd/psi-bench binary prints them and BenchmarkExperiments runs them.
 package bench
 
 import (

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -12,78 +13,174 @@ import (
 	"repro/internal/smartpsi"
 )
 
-// cell aggregates one (dataset, size, system) measurement: the time of
-// the done queries it ran out of its n.
+// A system answers one query before its deadline and returns the work
+// units it spent, or noUnits when it does not count its work. A query
+// is censored when the system returns psi.ErrDeadline or match.ErrBudget.
+type system func(q graph.Query, deadline time.Time) (units int64, err error)
+
+// noUnits is what a system that counts no work returns as its units.
+const noUnits = -1
+
+// cell is one (dataset, size, system) measurement: the time of the done
+// queries it ran out of its n, how many of those were censored, and the
+// summed work units of the finished ones when its system counts them.
 type cell struct {
-	total    time.Duration
-	done, n  int
-	censored bool
+	total             time.Duration
+	done, n, censored int
+	units             int64
+	counted           bool
 }
 
-// String prints the cell's time, with ">" when a query was censored or
-// the cell stopped early, and "k/nq" when it ran only k of its n queries.
+// String prints the cell's time, ">"-marked when a query was censored or
+// the cell was cut short, then "k/nq" when it ran only k of its n
+// queries, "Nu" when its system counts work, and the censored count "Nc".
 func (c cell) String() string {
-	s := FormatDuration(c.total)
-	if c.censored {
-		s = ">" + s
-	}
+	s := markedTime(c.total, c.censored > 0 || c.done < c.n)
 	if c.done < c.n {
 		s += fmt.Sprintf(" %d/%dq", c.done, c.n)
 	}
-	return s
+	if c.counted {
+		s += fmt.Sprintf(" %du", c.units)
+	}
+	return s + fmt.Sprintf(" %dc", c.censored)
 }
 
-// runCell evaluates up to n queries through run. A censored query marks
-// the cell censored but does not end it: only the cell's cumulative
-// budget, perQuery × n, stops it before query n.
-func runCell(perQuery time.Duration, n int, run func(i int) (censored bool, err error)) (cell, error) {
-	c := cell{n: n}
-	budget := perQuery * time.Duration(n)
+// markedTime prints d, ">"-prefixed when the run it times was censored.
+func markedTime(d time.Duration, censored bool) string {
+	if censored {
+		return ">" + FormatDuration(d)
+	}
+	return FormatDuration(d)
+}
+
+// runCell evaluates queries through sys, each under its own perQuery
+// deadline. A censored query counts in the cell but does not end it:
+// only the cell's cumulative budget, perQuery × len(queries), stops it
+// before its last query.
+func runCell(perQuery time.Duration, queries []graph.Query, sys system) (cell, error) {
+	c := cell{n: len(queries)}
+	budget := perQuery * time.Duration(c.n)
 	start := time.Now()
-	for i := 0; i < n; i++ {
-		censored, err := run(i)
-		if err != nil {
+	for _, q := range queries {
+		units, err := sys(q, time.Now().Add(perQuery))
+		switch {
+		case errors.Is(err, psi.ErrDeadline) || errors.Is(err, match.ErrBudget):
+			c.censored++
+		case err != nil:
 			return c, err
+		default:
+			c.units += units
 		}
+		c.counted = units != noUnits
 		c.done++
-		c.censored = c.censored || censored
 		if time.Since(start) > budget {
 			break
 		}
 	}
-	c.censored = c.censored || c.done < c.n
 	c.total = time.Since(start)
 	return c, nil
 }
 
-// workCell is a cell that also counts the exact work of its finished
-// queries (summed Work().Units(), which the clock does not move) and how
-// many of the queries it ran were censored, as Table 4 prints them.
-type workCell struct {
-	cell
-	units    int64
-	censored int
-}
-
-func (c workCell) String() string {
-	return fmt.Sprintf("%s %du %dc", c.cell, c.units, c.censored)
-}
-
-// runWorkCell is runCell over a run that also reports each finished
-// query's work units.
-func runWorkCell(perQuery time.Duration, n int, run func(i int) (units int64, censored bool, err error)) (workCell, error) {
-	var units int64
-	var censored int
-	c, err := runCell(perQuery, n, func(i int) (bool, error) {
-		u, cens, err := run(i)
-		if cens {
-			censored++
-		} else {
-			units += u
+// smart is SmartPSI on eng. fold, when not nil, reads each finished
+// query's result (Table 4's overhead, Fig. 11's accuracy).
+func smart(eng *smartpsi.Engine, fold func(*smartpsi.Result)) system {
+	return func(q graph.Query, deadline time.Time) (int64, error) {
+		res, err := eng.EvaluateBudget(q, deadline)
+		if err != nil {
+			return 0, err
 		}
-		return cens, err
-	})
-	return workCell{cell: c, units: units, censored: censored}, err
+		if fold != nil {
+			fold(res)
+		}
+		return res.Work().Units(), nil
+	}
+}
+
+// strategy is one fixed psi strategy over eng's data signatures. The
+// two-threaded race counts its work on states it does not return, so it
+// reports noUnits.
+func strategy(eng *smartpsi.Engine, s psi.Strategy) system {
+	return func(q graph.Query, deadline time.Time) (int64, error) {
+		ev, err := psi.NewEvaluator(eng.Graph(), q, eng.Signatures(), nil)
+		if err != nil {
+			return 0, err
+		}
+		res, err := psi.EvaluateAll(ev, s, 0, deadline)
+		if s == psi.TwoThreaded {
+			return noUnits, err
+		}
+		return res.Stats.Units(), err
+	}
+}
+
+// isoSystems are the subgraph-isomorphism systems of Table 2 and Fig. 7.
+// Each answers a PSI query by projecting embeddings onto the pivot;
+// TurboIso+ stops at each pivot candidate's first embedding.
+var isoSystems = map[string]func(g *graph.Graph, q graph.Query, b match.Budget) error{
+	"GraphQL":   projected(match.NewGraphQL),
+	"CFL-Match": projected(match.NewCFL),
+	"TurboIso":  projected(match.NewTurboIso),
+	"TurboIso+": func(g *graph.Graph, q graph.Query, b match.Budget) error {
+		e, err := match.NewTurboIsoPlus(g, q)
+		if err != nil {
+			return err
+		}
+		_, _, err = e.PivotBindings(b)
+		return err
+	},
+}
+
+// projected answers a PSI query with a full enumeration engine.
+func projected[E match.Engine](newEngine func(g, q *graph.Graph) (E, error)) func(*graph.Graph, graph.Query, match.Budget) error {
+	return func(g *graph.Graph, q graph.Query, b match.Budget) error {
+		e, err := newEngine(g, q.G)
+		if err != nil {
+			return err
+		}
+		_, _, err = match.PivotBindings(e, q, b)
+		return err
+	}
+}
+
+// namedSystem returns Table 2's and Fig. 7's system called name on
+// dataset: SmartPSI or one of isoSystems.
+func namedSystem(env *Env, dataset, name string) (system, error) {
+	if name == "SmartPSI" {
+		eng, err := env.Engine(dataset)
+		if err != nil {
+			return nil, err
+		}
+		return smart(eng, nil), nil
+	}
+	iso, ok := isoSystems[name]
+	if !ok {
+		return nil, fmt.Errorf("bench: unknown system %q", name)
+	}
+	g, err := env.Graph(dataset)
+	if err != nil {
+		return nil, err
+	}
+	return func(q graph.Query, deadline time.Time) (int64, error) {
+		return noUnits, iso(g, q, match.Budget{Deadline: deadline})
+	}, nil
+}
+
+// systemRow runs sys on n queries of dataset per size and returns label
+// followed by one cell per size.
+func systemRow(env *Env, cfg Config, dataset string, sizes []int, n int, sys system, label ...interface{}) ([]interface{}, error) {
+	row := label
+	for _, size := range sizes {
+		qs, err := env.Queries(dataset, size, size, n)
+		if err != nil {
+			return nil, err
+		}
+		c, err := runCell(cfg.PerQueryBudget, qs.BySize[size], sys)
+		if err != nil {
+			return nil, err
+		}
+		row = append(row, c)
+	}
+	return row, nil
 }
 
 // Table1 reproduces the paper's Table 1: the number of PSI results vs
@@ -137,26 +234,26 @@ func Table1(env *Env, cfg Config, w io.Writer) error {
 		t.Add(psiRow...)
 		t.Add(isoRow...)
 	}
-	return render(t, w)
+	return t.Render(w)
 }
 
 // Table2 reproduces the paper's Table 2: TurboIso vs TurboIso+ vs
 // SmartPSI total time on the Human dataset.
 func Table2(env *Env, cfg Config, w io.Writer) error {
 	sizes := intersectSizes(cfg.Sizes, 4, 7)
-	t := NewTable("Table 2: PSI solutions on Human", append([]string{"system"}, sizeHeaders(sizes)...)...)
-	for _, sys := range []string{"TurboIso", "TurboIso+", "SmartPSI"} {
-		row := []interface{}{sys}
-		for _, size := range sizes {
-			c, err := runSystemCell(env, cfg, "human", sys, size)
-			if err != nil {
-				return err
-			}
-			row = append(row, c)
+	t := NewTable("Table 2: PSI solutions on Human (time, SmartPSI work units, censored queries)", append([]string{"system"}, sizeHeaders(sizes)...)...)
+	for _, name := range []string{"TurboIso", "TurboIso+", "SmartPSI"} {
+		sys, err := namedSystem(env, "human", name)
+		if err != nil {
+			return err
+		}
+		row, err := systemRow(env, cfg, "human", sizes, cfg.QueriesPerSize, sys, name)
+		if err != nil {
+			return err
 		}
 		t.Add(row...)
 	}
-	return render(t, w)
+	return t.Render(w)
 }
 
 // Table3 reports the generated datasets against the published Table 3.
@@ -175,101 +272,28 @@ func Table3(env *Env, w io.Writer) error {
 		}
 		t.Add(name, s.Nodes, s.Edges, s.Labels, fmt.Sprintf("%.1f", s.AvgDegree), pn, pe, pl)
 	}
-	return render(t, w)
+	return t.Render(w)
 }
 
 // Fig7 reproduces Figure 7: query performance of SmartPSI vs the full
 // subgraph-isomorphism systems on Yeast, Cora and Human.
 func Fig7(env *Env, cfg Config, w io.Writer) error {
-	t := NewTable("Figure 7: SmartPSI vs subgraph isomorphism systems (total time)",
+	t := NewTable("Figure 7: SmartPSI vs subgraph isomorphism systems (total time, SmartPSI work units, censored queries)",
 		append([]string{"dataset", "system"}, sizeHeaders(cfg.Sizes)...)...)
-	for _, name := range []string{"yeast", "cora", "human"} {
-		for _, sys := range []string{"GraphQL", "CFL-Match", "TurboIso", "TurboIso+", "SmartPSI"} {
-			row := []interface{}{name, sys}
-			for _, size := range cfg.Sizes {
-				c, err := runSystemCell(env, cfg, name, sys, size)
-				if err != nil {
-					return err
-				}
-				row = append(row, c)
+	for _, dataset := range []string{"yeast", "cora", "human"} {
+		for _, name := range []string{"GraphQL", "CFL-Match", "TurboIso", "TurboIso+", "SmartPSI"} {
+			sys, err := namedSystem(env, dataset, name)
+			if err != nil {
+				return err
+			}
+			row, err := systemRow(env, cfg, dataset, cfg.Sizes, cfg.QueriesPerSize, sys, dataset, name)
+			if err != nil {
+				return err
 			}
 			t.Add(row...)
 		}
 	}
-	return render(t, w)
-}
-
-// runSystemCell evaluates one workload cell with the named system.
-func runSystemCell(env *Env, cfg Config, dataset, system string, size int) (cell, error) {
-	g, err := env.Graph(dataset)
-	if err != nil {
-		return cell{}, err
-	}
-	qs, err := env.Queries(dataset, size, size, cfg.QueriesPerSize)
-	if err != nil {
-		return cell{}, err
-	}
-	queries := qs.BySize[size]
-	var eng *smartpsi.Engine
-	if system == "SmartPSI" {
-		if eng, err = env.Engine(dataset); err != nil {
-			return cell{}, err
-		}
-	}
-	return runCell(cfg.PerQueryBudget, len(queries), func(i int) (bool, error) {
-		q := queries[i]
-		deadline := time.Now().Add(cfg.PerQueryBudget)
-		switch system {
-		case "SmartPSI":
-			_, err := eng.EvaluateBudget(q, deadline)
-			if err == psi.ErrDeadline {
-				return true, nil
-			}
-			return false, err
-		case "TurboIso":
-			e, err := match.NewTurboIso(g, q.G)
-			if err != nil {
-				return false, err
-			}
-			_, _, err = match.PivotBindings(e, q, match.Budget{Deadline: deadline})
-			if err == match.ErrBudget {
-				return true, nil
-			}
-			return false, err
-		case "TurboIso+":
-			e, err := match.NewTurboIsoPlus(g, q)
-			if err != nil {
-				return false, err
-			}
-			_, _, err = e.PivotBindings(match.Budget{Deadline: deadline})
-			if err == match.ErrBudget {
-				return true, nil
-			}
-			return false, err
-		case "CFL-Match":
-			e, err := match.NewCFL(g, q.G)
-			if err != nil {
-				return false, err
-			}
-			_, _, err = match.PivotBindings(e, q, match.Budget{Deadline: deadline})
-			if err == match.ErrBudget {
-				return true, nil
-			}
-			return false, err
-		case "GraphQL":
-			e, err := match.NewGraphQL(g, q.G)
-			if err != nil {
-				return false, err
-			}
-			_, _, err = match.PivotBindings(e, q, match.Budget{Deadline: deadline})
-			if err == match.ErrBudget {
-				return true, nil
-			}
-			return false, err
-		default:
-			return false, fmt.Errorf("bench: unknown system %q", system)
-		}
-	})
+	return t.Render(w)
 }
 
 func sizeHeaders(sizes []int) []string {

@@ -42,52 +42,40 @@ func Fig8(env *Env, w io.Writer) error {
 		}
 		t.Add(name, g.NumNodes(), g.NumEdges(), FormatDuration(expl), FormatDuration(mat), speedup)
 	}
-	return render(t, w)
+	return t.Render(w)
 }
 
 // Fig9 reproduces Figure 9: SmartPSI (two worker threads) vs the
 // two-threaded racing baseline on the YouTube and Twitter datasets.
 func Fig9(env *Env, cfg Config, w io.Writer) error {
 	sizes := intersectSizes(cfg.Sizes, 4, 8)
-	t := NewTable("Figure 9: SmartPSI (2 threads) vs two-threaded baseline",
+	t := NewTable("Figure 9: SmartPSI (2 threads) vs two-threaded baseline (time, work units, censored queries)",
 		append([]string{"dataset", "system"}, sizeHeaders(sizes)...)...)
-	for _, name := range []string{"youtube", "twitter"} {
-		eng, err := env.EngineWithOptions(name+"/2t", name, smartpsi.Options{Seed: env.Seed, Threads: 2})
+	for _, dataset := range []string{"youtube", "twitter"} {
+		eng, err := env.EngineWithOptions(dataset+"/2t", dataset, smartpsi.Options{Seed: env.Seed, Threads: 2})
 		if err != nil {
 			return err
 		}
-		for _, sys := range []string{"two-threaded", "SmartPSI-2t"} {
-			row := []interface{}{name, sys}
-			for _, size := range sizes {
-				qs, err := env.Queries(name, size, size, cfg.QueriesPerSize)
-				if err != nil {
-					return err
-				}
-				queries := qs.BySize[size]
-				c, err := runCell(cfg.PerQueryBudget, len(queries), func(i int) (bool, error) {
-					var censored bool
-					var err error
-					if sys == "SmartPSI-2t" {
-						_, censored, err = runSmartQuery(eng, queries[i], cfg.PerQueryBudget)
-					} else {
-						_, censored, err = runStrategyQuery(env, eng, queries[i], psi.TwoThreaded, cfg.PerQueryBudget)
-					}
-					return censored, err
-				})
-				if err != nil {
-					return err
-				}
-				row = append(row, c)
+		for _, s := range []struct {
+			name string
+			sys  system
+		}{
+			{"two-threaded", strategy(eng, psi.TwoThreaded)},
+			{"SmartPSI-2t", smart(eng, nil)},
+		} {
+			row, err := systemRow(env, cfg, dataset, sizes, cfg.QueriesPerSize, s.sys, dataset, s.name)
+			if err != nil {
+				return err
 			}
 			t.Add(row...)
 		}
 	}
-	return render(t, w)
+	return t.Render(w)
 }
 
 // Fig10 reproduces Figure 10: SmartPSI vs optimistic-only and
-// pessimistic-only on the Twitter dataset. Each cell prints its time,
-// its finished queries' summed work units and its unfinished count.
+// pessimistic-only on the Twitter dataset, 10 queries per size at most
+// as in the paper.
 func Fig10(env *Env, cfg Config, w io.Writer) error {
 	sizes := intersectSizes(cfg.Sizes, 4, 8)
 	t := NewTable("Figure 10: SmartPSI vs optimistic-only and pessimistic-only (Twitter; time, work units, censored queries)",
@@ -96,148 +84,93 @@ func Fig10(env *Env, cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	n := cfg.QueriesPerSize
-	if n > 10 {
-		n = 10 // the paper uses 10 queries per size here
-	}
-	for _, sys := range []string{"Optimistic", "Pessimistic", "SmartPSI"} {
-		row := []interface{}{sys}
-		for _, size := range sizes {
-			qs, err := env.Queries("twitter", size, size, n)
-			if err != nil {
-				return err
-			}
-			queries := qs.BySize[size]
-			c, err := runWorkCell(cfg.PerQueryBudget, len(queries), func(i int) (int64, bool, error) {
-				switch sys {
-				case "SmartPSI":
-					return runSmartQuery(eng, queries[i], cfg.PerQueryBudget)
-				case "Optimistic":
-					return runStrategyQuery(env, eng, queries[i], psi.OptimisticOnly, cfg.PerQueryBudget)
-				default:
-					return runStrategyQuery(env, eng, queries[i], psi.PessimisticOnly, cfg.PerQueryBudget)
-				}
-			})
-			if err != nil {
-				return err
-			}
-			row = append(row, c)
-		}
-		t.Add(row...)
-	}
-	return render(t, w)
-}
-
-// runStrategyQuery evaluates one query with a fixed psi strategy using
-// the engine's precomputed data signatures, honoring the budget, and
-// returns its work units.
-func runStrategyQuery(env *Env, eng *smartpsi.Engine, q graph.Query, strategy psi.Strategy, budget time.Duration) (units int64, censored bool, err error) {
-	ev, err := psi.NewEvaluator(eng.Graph(), q, eng.Signatures(), nil)
-	if err != nil {
-		return 0, false, err
-	}
-	res, err := psi.EvaluateAll(ev, strategy, 0, time.Now().Add(budget))
-	if err == psi.ErrDeadline {
-		return 0, true, nil
-	}
-	return res.Stats.Units(), false, err
-}
-
-// runSmartQuery evaluates one query with SmartPSI under the budget and
-// returns its work units.
-func runSmartQuery(eng *smartpsi.Engine, q graph.Query, budget time.Duration) (units int64, censored bool, err error) {
-	res, err := eng.EvaluateBudget(q, time.Now().Add(budget))
-	if err == psi.ErrDeadline {
-		return 0, true, nil
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	return res.Work().Units(), false, nil
-}
-
-// Fig11 reproduces Figure 11: model α prediction accuracy per dataset
-// and query size.
-func Fig11(env *Env, cfg Config, w io.Writer) error {
-	t := NewTable("Figure 11: node-type prediction accuracy",
-		append([]string{"dataset"}, sizeHeaders(cfg.Sizes)...)...)
-	for _, name := range []string{"yeast", "cora", "human", "youtube", "twitter"} {
-		eng, err := env.Engine(name)
+	for _, s := range []struct {
+		name string
+		sys  system
+	}{
+		{"Optimistic", strategy(eng, psi.OptimisticOnly)},
+		{"Pessimistic", strategy(eng, psi.PessimisticOnly)},
+		{"SmartPSI", smart(eng, nil)},
+	} {
+		row, err := systemRow(env, cfg, "twitter", sizes, min(cfg.QueriesPerSize, 10), s.sys, s.name)
 		if err != nil {
 			return err
 		}
-		row := []interface{}{name}
+		t.Add(row...)
+	}
+	return t.Render(w)
+}
+
+// Fig11 reproduces Figure 11: model α prediction accuracy per dataset
+// and query size, over the queries that finished, followed by the cell.
+func Fig11(env *Env, cfg Config, w io.Writer) error {
+	t := NewTable("Figure 11: node-type prediction accuracy (accuracy; time, work units, censored queries)",
+		append([]string{"dataset"}, sizeHeaders(cfg.Sizes)...)...)
+	for _, dataset := range []string{"yeast", "cora", "human", "youtube", "twitter"} {
+		eng, err := env.Engine(dataset)
+		if err != nil {
+			return err
+		}
+		row := []interface{}{dataset}
 		for _, size := range cfg.Sizes {
-			qs, err := env.Queries(name, size, size, cfg.QueriesPerSize)
+			qs, err := env.Queries(dataset, size, size, cfg.QueriesPerSize)
 			if err != nil {
 				return err
 			}
 			var agg smartpsi.AccuracyReport
-			for _, q := range qs.BySize[size] {
-				res, err := eng.EvaluateBudget(q, time.Now().Add(cfg.PerQueryBudget))
-				if err == psi.ErrDeadline {
-					continue // censored query: no telemetry
-				}
-				if err != nil {
-					return err
-				}
+			c, err := runCell(cfg.PerQueryBudget, qs.BySize[size], smart(eng, func(res *smartpsi.Result) {
 				agg.Correct += res.Alpha.Correct
 				agg.Total += res.Alpha.Total
+			}))
+			if err != nil {
+				return err
 			}
-			if agg.Total == 0 {
-				row = append(row, "n/a")
-			} else {
-				row = append(row, fmt.Sprintf("%.1f%%", 100*agg.Accuracy()))
+			acc := "n/a"
+			if agg.Total > 0 {
+				acc = fmt.Sprintf("%.1f%%", 100*agg.Accuracy())
 			}
+			row = append(row, acc+" "+c.String())
 		}
 		t.Add(row...)
 	}
-	return render(t, w)
+	return t.Render(w)
 }
 
 // Table4 reproduces Table 4: model training and prediction overhead as a
-// percentage of total SmartPSI time. Each cell also prints the exact
-// work its finished queries did (summed Work().Units(), equal on every
-// run of a cell with no censored query) and how many were censored.
+// percentage of total SmartPSI time over the queries that finished,
+// followed by the cell.
 func Table4(env *Env, cfg Config, w io.Writer) error {
 	sizes := intersectSizes(cfg.Sizes, 4, 8)
-	t := NewTable("Table 4: training+prediction overhead (% of total time; work units; censored queries)",
+	t := NewTable("Table 4: training+prediction overhead (% of total time; time, work units, censored queries)",
 		append([]string{"dataset"}, sizeHeaders(sizes)...)...)
-	for _, name := range []string{"human", "youtube", "twitter"} {
-		eng, err := env.Engine(name)
+	for _, dataset := range []string{"human", "youtube", "twitter"} {
+		eng, err := env.Engine(dataset)
 		if err != nil {
 			return err
 		}
-		row := []interface{}{name}
+		row := []interface{}{dataset}
 		for _, size := range sizes {
-			qs, err := env.Queries(name, size, size, cfg.QueriesPerSize)
+			qs, err := env.Queries(dataset, size, size, cfg.QueriesPerSize)
 			if err != nil {
 				return err
 			}
 			var overhead, total time.Duration
-			var units, censored int64
-			for _, q := range qs.BySize[size] {
-				res, err := eng.EvaluateBudget(q, time.Now().Add(cfg.PerQueryBudget))
-				if err == psi.ErrDeadline {
-					censored++ // no telemetry
-					continue
-				}
-				if err != nil {
-					return err
-				}
+			c, err := runCell(cfg.PerQueryBudget, qs.BySize[size], smart(eng, func(res *smartpsi.Result) {
 				overhead += res.TrainTime + res.ModelTime
 				total += res.TotalTime
-				units += res.Work().Units()
+			}))
+			if err != nil {
+				return err
 			}
 			pct := "n/a"
 			if total > 0 {
 				pct = fmt.Sprintf("%.2f%%", 100*float64(overhead)/float64(total))
 			}
-			row = append(row, fmt.Sprintf("%s %du %dc", pct, units, censored))
+			row = append(row, pct+" "+c.String())
 		}
 		t.Add(row...)
 	}
-	return render(t, w)
+	return t.Render(w)
 }
 
 // Fig12 reproduces Figure 12: the frequent-subgraph miner with
@@ -278,12 +211,10 @@ func Fig12(env *Env, cfg Config, w io.Writer) error {
 			if psiTime > 0 && !isoCensored && !psiCensored {
 				speedup = fmt.Sprintf("%.1fx", float64(isoTime)/float64(psiTime))
 			}
-			isoCell := cell{total: isoTime, censored: isoCensored}
-			psiCell := cell{total: psiTime, censored: psiCensored}
-			t.Add(name, workers, isoCell, psiCell, speedup)
+			t.Add(name, workers, markedTime(isoTime, isoCensored), markedTime(psiTime, psiCensored), speedup)
 		}
 	}
-	return render(t, w)
+	return t.Render(w)
 }
 
 func mineTime(g *graph.Graph, eval fsm.SupportEvaluator, cfg fsm.Config) (time.Duration, bool) {
@@ -339,7 +270,7 @@ func ModelComparison(env *Env, cfg Config, w io.Writer) error {
 			fmt.Sprintf("%.2f", cm.F1(1)),
 			FormatDuration(trainTime), FormatDuration(predictTime))
 	}
-	return render(t, w)
+	return t.Render(w)
 }
 
 // nodeTypeDataset builds a ground-truth (signature, valid?) dataset for

@@ -29,7 +29,7 @@ func Experiments() []Experiment {
 		{"table4", "training+prediction overhead percentage", Table4},
 		{"fig12", "FSM: subgraph-iso vs PSI support, worker scaling (Twitter/Weibo)", Fig12},
 		{"models", "Section 5.4 classifier comparison (RF vs SVM vs NN)", ModelComparison},
-		{"ablations", "SmartPSI design-choice ablations (cache/plans/preemption/types)", Ablations},
+		{"ablations", "SmartPSI design-choice ablations (plans/preemption/types)", Ablations},
 	}
 }
 

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -48,25 +47,6 @@ func (t *Table) Render(w io.Writer) error {
 	return tw.Flush()
 }
 
-// RenderCSV writes the table as RFC-4180 CSV with a leading comment row
-// carrying the title, for machine-readable experiment artifacts.
-func (t *Table) RenderCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# %s\n", t.Title); err != nil {
-		return err
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Columns); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // FormatDuration renders d compactly (ms below 10s, seconds above).
 func FormatDuration(d time.Duration) string {
 	switch {
@@ -98,20 +78,4 @@ func FormatCount(n int64, capped bool) string {
 		}
 		return fmt.Sprintf("%s%.1fe%d", prefix, f, exp)
 	}
-}
-
-// csvMode switches every experiment's table output to CSV; set it once
-// at process start (not safe to toggle concurrently with experiments).
-var csvMode bool
-
-// SetCSVMode selects CSV (true) or aligned-text (false) table output
-// for all experiments.
-func SetCSVMode(on bool) { csvMode = on }
-
-// render writes t in the process-wide output mode.
-func render(t *Table, w io.Writer) error {
-	if csvMode {
-		return t.RenderCSV(w)
-	}
-	return t.Render(w)
 }

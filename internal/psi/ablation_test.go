@@ -5,9 +5,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/graph/graphtest"
 	"repro/internal/plan"
+	"repro/internal/workload"
 )
 
 // TestNoSigPruneEquivalent: disabling Proposition 3.2 pruning must never
@@ -91,6 +93,72 @@ func TestNoSuperEquivalent(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ablationFixture is the ablation benchmarks' workload: Human generated
+// at 1/8 of its size, the size-5 query that follows a size-4 one from a
+// seed-42 walk, and its first 64 pivot candidates.
+func ablationFixture(b *testing.B) (*Evaluator, *plan.Compiled, []graph.NodeID) {
+	b.Helper()
+	spec, err := gen.ScaledSpec("human", 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := gen.Generate(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	var q graph.Query
+	for _, size := range []int{4, 5} {
+		if q, err = workload.ExtractQuery(g, size, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+	c, err := plan.Compile(q, plan.Heuristic(q, g))
+	if err != nil {
+		b.Fatal(err)
+	}
+	candidates := g.NodesWithLabel(q.G.Label(q.Pivot))
+	return newEvalQuiet(g, q), c, candidates[:min(len(candidates), 64)]
+}
+
+// benchmarkCandidates runs eval on every candidate per iteration.
+func benchmarkCandidates(b *testing.B, name string, ev *Evaluator, candidates []graph.NodeID, eval func(*State, graph.NodeID) (bool, error)) {
+	b.Run(name, func(b *testing.B) {
+		st := NewState(ev.query.Size())
+		for i := 0; i < b.N; i++ {
+			for _, u := range candidates {
+				if _, err := eval(st, u); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkAblationSuperOptimistic measures the capped first pass's
+// value when evaluating candidates optimistically.
+func BenchmarkAblationSuperOptimistic(b *testing.B) {
+	ev, c, candidates := ablationFixture(b)
+	benchmarkCandidates(b, "with-super", ev, candidates, func(st *State, u graph.NodeID) (bool, error) {
+		return ev.Evaluate(st, c, u, Optimistic, Limits{})
+	})
+	benchmarkCandidates(b, "without-super", ev, candidates, func(st *State, u graph.NodeID) (bool, error) {
+		return ev.EvaluateNoSuper(st, c, u, Optimistic, Limits{})
+	})
+}
+
+// BenchmarkAblationSignaturePruning isolates Proposition 3.2's value in
+// the pessimistic method.
+func BenchmarkAblationSignaturePruning(b *testing.B) {
+	ev, c, candidates := ablationFixture(b)
+	benchmarkCandidates(b, "with-pruning", ev, candidates, func(st *State, u graph.NodeID) (bool, error) {
+		return ev.Evaluate(st, c, u, Pessimistic, Limits{})
+	})
+	benchmarkCandidates(b, "without-pruning", ev, candidates, func(st *State, u graph.NodeID) (bool, error) {
+		return ev.EvaluateNoSigPrune(st, c, u, Limits{})
+	})
 }
 
 // BenchmarkEvaluateOptimistic / Pessimistic measure single-node

@@ -67,10 +67,12 @@ step "go test ./... with deep invariant checking (PSI_INVARIANTS=1)"
 PSI_INVARIANTS=1 go test -count=1 ./...
 
 # One iteration each: keeps the forest benchmarks (the fit against its
-# seed-fitter oracle, the flat walk against the per-tree walk)
-# compiling and running.
-step "forest-fit benchmark smoke"
+# seed-fitter oracle, the flat walk against the per-tree walk), every
+# psi-bench experiment on its tiny config (BenchmarkExperiments) and the
+# psi ablations (super pass, signature pruning) compiling and running.
+step "benchmark smoke (forest fit, psi-bench experiments, psi ablations)"
 go test -run '^$' -bench 'TrainForest|ForestPredict' -benchtime 1x ./internal/ml/
+go test -run '^$' -bench . -benchtime 1x ./internal/bench/ ./internal/psi/
 
 # benchmark/ is a module of its own (it builds against this one through
 # a replace directive), so ./... above never compiles it.
