@@ -92,7 +92,6 @@ func main() {
 		seed           = flag.Int64("seed", 42, "engine sampling seed")
 
 		shards      = flag.Int("shards", 0, "run an in-process scatter-gather cluster of N shards (0: single engine)")
-		partitioner = flag.String("partitioner", "label-hash", "shard ownership partitioner: label-hash or degree")
 		shardOf     = flag.Int("shard-of", 0, "serve as one node of an N-shard fleet (requires -shard-index)")
 		shardIndex  = flag.Int("shard-index", -1, "this node's shard index in [0, shard-of)")
 		coordinator = flag.Bool("coordinator", false, "serve as a fleet coordinator scattering to -shard-addrs (no -graph needed)")
@@ -124,7 +123,7 @@ func main() {
 		maxBatch: *maxBatch, maxQueryNodes: *maxQueryNodes,
 		retryAfter: *retryAfter, drainTimeout: *drainTimeout,
 		threads: *threads, seed: *seed,
-		shards: *shards, partitioner: *partitioner,
+		shards:  *shards,
 		shardOf: *shardOf, shardIndex: *shardIndex,
 		coordinator: *coordinator, shardAddrs: *shardAddrs, shardProbe: *shardProbe,
 		sampleInterval:  *sampleInterval,
@@ -157,7 +156,6 @@ type config struct {
 	seed               int64
 
 	shards      int    // >0: in-process scatter-gather cluster
-	partitioner string // label-hash | degree
 	shardOf     int    // >0: fleet shard node of N
 	shardIndex  int    // this node's index in [0, shardOf)
 	coordinator bool   // fleet coordinator mode
@@ -213,9 +211,6 @@ func (c config) validate() error {
 	} else if c.shardAddrs != "" {
 		return fmt.Errorf("-shard-addrs only applies with -coordinator")
 	}
-	if _, err := shard.ParseStrategy(c.partitioner); c.partitioner != "" && err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -240,13 +235,6 @@ func (c config) objectives() []obs.Objective {
 // coordinator with -coordinator. g is nil exactly in coordinator mode.
 func buildEvaluator(cfg config, g *graph.Graph, logger *slog.Logger) (server.Evaluator, error) {
 	engOpts := smartpsi.Options{Threads: cfg.threads, Seed: cfg.seed}
-	strat := shard.LabelHash
-	if cfg.partitioner != "" {
-		var err error
-		if strat, err = shard.ParseStrategy(cfg.partitioner); err != nil {
-			return nil, err
-		}
-	}
 	switch {
 	case cfg.coordinator:
 		addrs := strings.Split(cfg.shardAddrs, ",")
@@ -262,7 +250,7 @@ func buildEvaluator(cfg config, g *graph.Graph, logger *slog.Logger) (server.Eva
 		return coord, nil
 
 	case cfg.shards > 0:
-		cluster, err := shard.NewCluster(g, shard.Options{Shards: cfg.shards, Strategy: strat, Engine: engOpts})
+		cluster, err := shard.NewCluster(g, shard.Options{Shards: cfg.shards, Engine: engOpts})
 		if err != nil {
 			return nil, err
 		}
@@ -271,11 +259,11 @@ func buildEvaluator(cfg config, g *graph.Graph, logger *slog.Logger) (server.Eva
 		for _, st := range cluster.ShardStatuses() {
 			logger.Info("shard warm", "shard", st.Index, "owned_nodes", st.OwnedNodes)
 		}
-		logger.Info("cluster armed", "shards", cfg.shards, "partitioner", strat.String())
+		logger.Info("cluster armed", "shards", cfg.shards)
 		return cluster, nil
 
 	case cfg.shardOf > 0:
-		node, err := shard.NewNode(g, shard.Options{Strategy: strat, Engine: engOpts}, cfg.shardOf, cfg.shardIndex)
+		node, err := shard.NewNode(g, shard.Options{Engine: engOpts}, cfg.shardOf, cfg.shardIndex)
 		if err != nil {
 			return nil, err
 		}
@@ -283,7 +271,7 @@ func buildEvaluator(cfg config, g *graph.Graph, logger *slog.Logger) (server.Eva
 			"nodes", g.NumNodes(), "edges", g.NumEdges(), "labels", g.NumLabels())
 		logger.Info("shard node armed",
 			"shard", cfg.shardIndex, "of", cfg.shardOf,
-			"partitioner", strat.String(), "owned_nodes", node.ShardStatuses()[0].OwnedNodes)
+			"owned_nodes", node.ShardStatuses()[0].OwnedNodes)
 		return node, nil
 	}
 

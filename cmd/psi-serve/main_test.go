@@ -195,7 +195,6 @@ func TestRunCluster(t *testing.T) {
 	}
 	cfg := testConfig(gp)
 	cfg.shards = 2
-	cfg.partitioner = "label-hash"
 	addr, cancel, errc := startRun(t, cfg)
 	defer cancel()
 
@@ -304,7 +303,6 @@ func TestRunShardFlagErrors(t *testing.T) {
 		{"coordinator without addrs", func(c *config) { c.graphPath = ""; c.coordinator = true }},
 		{"coordinator with graph", func(c *config) { c.coordinator = true; c.shardAddrs = "127.0.0.1:1" }},
 		{"addrs without coordinator", func(c *config) { c.shardAddrs = "127.0.0.1:1" }},
-		{"bad partitioner", func(c *config) { c.shards = 2; c.partitioner = "round-robin" }},
 	}
 	for _, tc := range cases {
 		cfg := testConfig(gp)

@@ -49,7 +49,7 @@ func Fig8(env *Env, w io.Writer) error {
 // two-threaded racing baseline on the YouTube and Twitter datasets.
 func Fig9(env *Env, cfg Config, w io.Writer) error {
 	sizes := intersectSizes(cfg.Sizes, 4, 8)
-	t := NewTable("Figure 9: SmartPSI (2 threads) vs two-threaded baseline (time, work units, censored queries)",
+	t := NewTable("Figure 9: SmartPSI (2 threads) vs two-threaded baseline (time, work units, censored queries; the race's units include its stopped losers' partial work and vary from run to run)",
 		append([]string{"dataset", "system"}, sizeHeaders(sizes)...)...)
 	for _, dataset := range []string{"youtube", "twitter"} {
 		eng, err := env.EngineWithOptions(dataset+"/2t", dataset, smartpsi.Options{Seed: env.Seed, Threads: 2})

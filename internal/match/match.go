@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/plan"
 )
 
 // ErrBudget reports that an enumeration exceeded its budget (deadline or
@@ -88,9 +89,7 @@ type enumState struct {
 	g       *graph.Graph
 	q       *graph.Graph
 	order   []graph.NodeID // query visit order, connected prefixes
-	anchor  []int          // position of the anchor for each order position
-	anchorE []graph.Label  // required edge label to the anchor
-	checks  [][]posCheck   // non-anchor adjacency constraints
+	steps   []plan.Step    // order's anchors and adjacency checks
 	allowed []nodeSet      // optional candidate restriction per query node
 
 	mapping []graph.NodeID // query-node-indexed current bindings
@@ -105,11 +104,6 @@ type enumState struct {
 	err      error
 }
 
-type posCheck struct {
-	pos       int
-	edgeLabel graph.Label
-}
-
 // nodeSet is a candidate restriction; nil means unrestricted.
 type nodeSet map[graph.NodeID]struct{}
 
@@ -119,41 +113,6 @@ func (s nodeSet) contains(u graph.NodeID) bool {
 	}
 	_, ok := s[u]
 	return ok
-}
-
-// compileOrder lowers a connected visit order into anchor/check programs.
-// order[0] has no anchor; its candidates are supplied by the engine.
-func compileOrder(q *graph.Graph, order []graph.NodeID) (anchor []int, anchorE []graph.Label, checks [][]posCheck) {
-	pos := make([]int, q.NumNodes())
-	for i, v := range order {
-		pos[v] = i
-	}
-	anchor = make([]int, len(order))
-	anchorE = make([]graph.Label, len(order))
-	checks = make([][]posCheck, len(order))
-	for i, v := range order {
-		anchor[i] = -1
-		anchorE[i] = graph.NoLabel
-		if i == 0 {
-			continue
-		}
-		for j, w := range q.Neighbors(v) {
-			pw := pos[w]
-			if pw >= i {
-				continue
-			}
-			el := q.EdgeLabelAt(v, j)
-			if anchor[i] < 0 || pw < anchor[i] {
-				if anchor[i] >= 0 {
-					checks[i] = append(checks[i], posCheck{pos: anchor[i], edgeLabel: anchorE[i]})
-				}
-				anchor[i], anchorE[i] = pw, el
-			} else {
-				checks[i] = append(checks[i], posCheck{pos: pw, edgeLabel: el})
-			}
-		}
-	}
-	return anchor, anchorE, checks
 }
 
 func (s *enumState) tick() bool {
@@ -186,14 +145,15 @@ func (s *enumState) run(depth int) bool {
 		return false
 	}
 	qn := s.order[depth]
-	anchorNode := s.bound[s.anchor[depth]]
+	step := &s.steps[depth]
+	anchorNode := s.bound[step.Anchor]
 	label := s.q.Label(qn)
 	qDeg := s.q.Degree(qn)
 	lo, hi := s.g.NeighborRangeWithLabel(anchorNode, label)
 	nbrs := s.g.Neighbors(anchorNode)
 	for i := lo; i < hi; i++ {
 		cand := nbrs[i]
-		if s.anchorE[depth] != graph.NoLabel && s.g.EdgeLabelAt(anchorNode, i) != s.anchorE[depth] {
+		if step.AnchorEdgeLabel != graph.NoLabel && s.g.EdgeLabelAt(anchorNode, i) != step.AnchorEdgeLabel {
 			continue
 		}
 		if !s.allowed[qn].contains(cand) {
@@ -229,15 +189,15 @@ func (s *enumState) isBound(depth int, u graph.NodeID) bool {
 }
 
 func (s *enumState) checkEdges(depth int, cand graph.NodeID) bool {
-	for _, chk := range s.checks[depth] {
-		other := s.bound[chk.pos]
-		if chk.edgeLabel == graph.NoLabel {
+	for _, chk := range s.steps[depth].Checks {
+		other := s.bound[chk.Pos]
+		if chk.EdgeLabel == graph.NoLabel {
 			if !s.g.HasEdge(cand, other) {
 				return false
 			}
 		} else {
 			l, ok := s.g.EdgeLabel(cand, other)
-			if !ok || l != chk.edgeLabel {
+			if !ok || l != chk.EdgeLabel {
 				return false
 			}
 		}
@@ -246,15 +206,19 @@ func (s *enumState) checkEdges(depth int, cand graph.NodeID) bool {
 }
 
 // enumerate runs the core over every start candidate the engine supplies.
+// order is compiled as a plan pivoted at order[0], whose candidates the
+// engine supplies.
 func enumerate(g, q *graph.Graph, order []graph.NodeID, allowed []nodeSet,
 	startCands []graph.NodeID, budget Budget, fn VisitFunc) error {
 	if q.NumNodes() == 0 {
 		return nil
 	}
-	anchor, anchorE, checks := compileOrder(q, order)
+	c, err := plan.Compile(graph.Query{G: q, Pivot: order[0]}, order)
+	if err != nil {
+		return err
+	}
 	s := &enumState{
-		g: g, q: q, order: order,
-		anchor: anchor, anchorE: anchorE, checks: checks,
+		g: g, q: q, order: order, steps: c.Steps,
 		allowed:  allowed,
 		mapping:  make([]graph.NodeID, q.NumNodes()),
 		bound:    make([]graph.NodeID, len(order)),

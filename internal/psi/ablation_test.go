@@ -27,7 +27,7 @@ func TestNoSigPruneEquivalent(t *testing.T) {
 			return true
 		}
 		q, _ := graph.NewQuery(sub, 0)
-		e := newEvalQuiet(g, q)
+		e := newEval(t, g, q)
 		c, err := plan.Compile(q, plan.Heuristic(q, g))
 		if err != nil {
 			return false
@@ -69,7 +69,7 @@ func TestNoSuperEquivalent(t *testing.T) {
 			return true
 		}
 		q, _ := graph.NewQuery(sub, 0)
-		e := newEvalQuiet(g, q)
+		e := newEval(t, g, q)
 		c, err := plan.Compile(q, plan.Heuristic(q, g))
 		if err != nil {
 			return false
@@ -120,7 +120,7 @@ func ablationFixture(b *testing.B) (*Evaluator, *plan.Compiled, []graph.NodeID) 
 		b.Fatal(err)
 	}
 	candidates := g.NodesWithLabel(q.G.Label(q.Pivot))
-	return newEvalQuiet(g, q), c, candidates[:min(len(candidates), 64)]
+	return newEval(b, g, q), c, candidates[:min(len(candidates), 64)]
 }
 
 // benchmarkCandidates runs eval on every candidate per iteration.
@@ -166,7 +166,7 @@ func BenchmarkAblationSignaturePruning(b *testing.B) {
 func benchmarkEvaluate(b *testing.B, mode Mode) {
 	g := graphtest.Figure1Data()
 	q := graphtest.Figure1Query()
-	e := newEvalQuiet(g, q)
+	e := newEval(b, g, q)
 	c := plan.MustCompile(q, plan.Plan{0, 1, 2})
 	st := NewState(q.Size())
 	b.ReportAllocs()
@@ -184,7 +184,7 @@ func BenchmarkEvaluatePessimistic(b *testing.B) { benchmarkEvaluate(b, Pessimist
 func BenchmarkRace(b *testing.B) {
 	g := graphtest.Figure1Data()
 	q := graphtest.Figure1Query()
-	e := newEvalQuiet(g, q)
+	e := newEval(b, g, q)
 	c := plan.MustCompile(q, plan.Plan{0, 1, 2})
 	b.ReportAllocs()
 	b.ResetTimer()

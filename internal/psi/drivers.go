@@ -40,7 +40,7 @@ func (s Strategy) String() string {
 type Result struct {
 	Bindings   []graph.NodeID
 	Candidates int   // label-matching nodes examined
-	Stats      Stats // zero for TwoThreaded (Race publishes its discarded states' work)
+	Stats      Stats // TwoThreaded: both racers' work, the stopped losers' included
 	Elapsed    time.Duration
 }
 
@@ -60,8 +60,10 @@ func EvaluateAll(e *Evaluator, strategy Strategy, threshold int, deadline time.T
 		return Result{}, err
 	}
 	st := NewState(e.query.Size())
+	var raced Stats // the two-threaded races' work, on states Race owns
 	defer func() {
 		res.Stats = st.Stats()
+		res.Stats.Add(raced)
 		res.Elapsed = time.Since(start)
 		PublishStats(res.Stats)
 	}()
@@ -82,6 +84,7 @@ func EvaluateAll(e *Evaluator, strategy Strategy, threshold int, deadline time.T
 			var rr RaceResult
 			rr, err = e.Race(c, u, limits)
 			valid = rr.Valid
+			raced.Add(rr.Stats)
 		}
 		if err != nil {
 			return res, err

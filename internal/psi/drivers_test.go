@@ -128,3 +128,25 @@ func TestEvaluateAllDeadlineKeepsWork(t *testing.T) {
 		t.Errorf("psi_recursions_total grew by %d, the run reports %d", got, res.Stats.Recursions)
 	}
 }
+
+// TestTwoThreadedReportsWork checks that the two-threaded baseline
+// returns its racers' work in Result.Stats and publishes exactly that
+// work to the registry, once.
+func TestTwoThreadedReportsWork(t *testing.T) {
+	g := graphtest.Figure1Data()
+	e := newEval(t, g, graphtest.Figure1Query())
+	prev := obs.Enabled()
+	obs.Enable(true)
+	defer obs.Enable(prev)
+	before := obs.PSIRecursions.Value()
+	res, err := EvaluateAll(e, TwoThreaded, 0, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Units() == 0 {
+		t.Errorf("two-threaded run reports no work: %+v", res.Stats)
+	}
+	if got := obs.PSIRecursions.Value() - before; got != res.Stats.Recursions {
+		t.Errorf("psi_recursions_total grew by %d, the run reports %d", got, res.Stats.Recursions)
+	}
+}

@@ -48,7 +48,7 @@ func TestFigure3OptimisticOrdering(t *testing.T) {
 	}
 	g := b.MustBuild()
 	q := graphtest.Figure1Query() // A-B-C triangle, pivot A
-	e := newEvalQuiet(g, q)
+	e := newEval(t, g, q)
 	c := plan.MustCompile(q, plan.Plan{0, 1, 2})
 
 	// Optimistic without the super-optimistic cap (the cap would slice
@@ -103,7 +103,7 @@ func TestFigure4PessimisticPruning(t *testing.T) {
 	}
 	g := b.MustBuild()
 	q := graphtest.Figure1Query()
-	e := newEvalQuiet(g, q)
+	e := newEval(t, g, q)
 	c := plan.MustCompile(q, plan.Plan{0, 1, 2})
 
 	stOpt := NewState(q.Size())

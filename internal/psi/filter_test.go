@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/graph/graphtest"
 	"repro/internal/plan"
 )
 
@@ -46,7 +47,7 @@ func TestFilterSound(t *testing.T) {
 			f := e.Filtered()
 			for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
 				if !f.Admits(u) {
-					if referencePSI(g, q, u) {
+					if graphtest.ReferencePSI(g, q, u) {
 						t.Fatalf("seed %d pivot %d: valid node %d is not admitted", seed, pivot, u)
 					}
 					if g.Label(u) == q.G.Label(pivot) {

@@ -2,10 +2,8 @@ package psi
 
 import (
 	"math/rand"
-	"sort"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/graph"
@@ -30,80 +28,6 @@ func newEval(t testing.TB, g *graph.Graph, q graph.Query) *Evaluator {
 	return e
 }
 
-// referencePSI is a trivially-correct PSI oracle: naive backtracking over
-// all label-preserving injective extensions, no pruning, no ordering.
-func referencePSI(g *graph.Graph, q graph.Query, u graph.NodeID) bool {
-	n := q.G.NumNodes()
-	mapping := make([]graph.NodeID, n)
-	for i := range mapping {
-		mapping[i] = -1
-	}
-	if g.Label(u) != q.G.Label(q.Pivot) {
-		return false
-	}
-	mapping[q.Pivot] = u
-	var rec func() bool
-	rec = func() bool {
-		// Find an unmapped query node adjacent to a mapped one.
-		next := graph.NodeID(-1)
-		for v := graph.NodeID(0); int(v) < n; v++ {
-			if mapping[v] >= 0 {
-				continue
-			}
-			for _, w := range q.G.Neighbors(v) {
-				if mapping[w] >= 0 {
-					next = v
-					break
-				}
-			}
-			if next >= 0 {
-				break
-			}
-		}
-		if next < 0 {
-			// All mapped (connected query) — verify every edge.
-			for v := graph.NodeID(0); int(v) < n; v++ {
-				for i, w := range q.G.Neighbors(v) {
-					if v > w {
-						continue
-					}
-					el, ok := g.EdgeLabel(mapping[v], mapping[w])
-					if !ok {
-						return false
-					}
-					if ql := q.G.EdgeLabelAt(v, i); ql != graph.NoLabel && el != ql {
-						return false
-					}
-				}
-			}
-			return true
-		}
-		for c := graph.NodeID(0); int(c) < g.NumNodes(); c++ {
-			if g.Label(c) != q.G.Label(next) {
-				continue
-			}
-			used := false
-			for _, m := range mapping {
-				if m == c {
-					used = true
-					break
-				}
-			}
-			if used {
-				continue
-			}
-			mapping[next] = c
-			if rec() {
-				mapping[next] = -1
-				return true
-			}
-			mapping[next] = -1
-		}
-		return false
-	}
-	return rec()
-}
-
 func TestFigure1BothModes(t *testing.T) {
 	g := graphtest.Figure1Data()
 	q := graphtest.Figure1Query()
@@ -122,104 +46,6 @@ func TestFigure1BothModes(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestAgainstReferenceOracle(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := graphtest.Random(14, 30, 3, seed)
-		// Extract a connected query of 3-5 nodes from g itself.
-		start := graph.NodeID(rng.Intn(g.NumNodes()))
-		comp := graph.ConnectedComponent(g, start)
-		size := 3 + rng.Intn(3)
-		if len(comp) < size {
-			return true
-		}
-		sub, _, err := graph.InducedSubgraph(g, comp[:size])
-		if err != nil || !graph.IsConnected(sub) {
-			return true
-		}
-		q, err := graph.NewQuery(sub, graph.NodeID(rng.Intn(size)))
-		if err != nil {
-			return false
-		}
-		e, err := NewEvaluator(g, q, signature.MustBuild(g, 2, g.NumLabels(), signature.Matrix), nil)
-		if err != nil {
-			return false
-		}
-		c, err := plan.Compile(q, plan.Heuristic(q, g))
-		if err != nil {
-			return false
-		}
-		st := NewState(q.Size())
-		for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
-			want := referencePSI(g, q, u)
-			for _, mode := range []Mode{Optimistic, Pessimistic} {
-				got, err := e.Evaluate(st, c, u, mode, Limits{})
-				if err != nil {
-					return false
-				}
-				if got != want {
-					t.Logf("seed %d node %d mode %v: got %v want %v", seed, u, mode, got, want)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestModesAgreeAcrossPlans(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := graphtest.Random(16, 36, 3, seed)
-		comp := graph.ConnectedComponent(g, graph.NodeID(rng.Intn(g.NumNodes())))
-		if len(comp) < 4 {
-			return true
-		}
-		sub, _, err := graph.InducedSubgraph(g, comp[:4])
-		if err != nil || !graph.IsConnected(sub) {
-			return true
-		}
-		q, _ := graph.NewQuery(sub, 0)
-		e := newEvalQuiet(g, q)
-		plans := enumeratePlans(q, 6)
-		var want []bool
-		for pi, p := range plans {
-			c := plan.MustCompile(q, p)
-			st := NewState(q.Size())
-			for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
-				got, err := e.Evaluate(st, c, u, Pessimistic, Limits{})
-				if err != nil {
-					return false
-				}
-				if pi == 0 {
-					want = append(want, got)
-				} else if got != want[u] {
-					return false // result must be plan-independent
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func newEvalQuiet(g *graph.Graph, q graph.Query) *Evaluator {
-	width := g.NumLabels()
-	if w := q.G.NumLabels(); w > width {
-		width = w
-	}
-	e, err := NewEvaluator(g, q, signature.MustBuild(g, 2, width, signature.Matrix), nil)
-	if err != nil {
-		panic(err)
-	}
-	return e
 }
 
 func TestEvaluatorConstructionErrors(t *testing.T) {
@@ -351,32 +177,6 @@ func TestRace(t *testing.T) {
 		}
 		if rr.Winner != Optimistic && rr.Winner != Pessimistic {
 			t.Errorf("race node %d: winner = %v", u, rr.Winner)
-		}
-	}
-}
-
-func TestEvaluateAllStrategiesAgree(t *testing.T) {
-	g := graphtest.Figure1Data()
-	q := graphtest.Figure1Query()
-	e := newEval(t, g, q)
-	want := graphtest.Figure1PivotBindings()
-	for _, s := range []Strategy{OptimisticOnly, PessimisticOnly, TwoThreaded} {
-		res, err := EvaluateAll(e, s, 0, time.Time{})
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		got := append([]graph.NodeID(nil), res.Bindings...)
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		if len(got) != len(want) {
-			t.Fatalf("%v: bindings %v, want %v", s, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v: bindings %v, want %v", s, got, want)
-			}
-		}
-		if res.Candidates != 2 { // two A-labeled nodes
-			t.Errorf("%v: candidates = %d, want 2", s, res.Candidates)
 		}
 	}
 }

@@ -119,7 +119,7 @@ func TestCoordinatorTransportFaults(t *testing.T) {
 	}
 	addrs, hosts := make([]string, 2), make([]string, 2)
 	for i := range addrs {
-		node, err := shard.NewNode(g, shard.Options{Strategy: shard.LabelHash, Engine: smartpsi.Options{Threads: 1}}, 2, i)
+		node, err := shard.NewNode(g, shard.Options{Engine: smartpsi.Options{Threads: 1}}, 2, i)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -206,16 +206,19 @@ func (c *Coordinator) EvaluateTagged(q graph.Query, deadline time.Time, requestI
 // semantics are the in-process Cluster's.
 func (c *Coordinator) EvaluateScatter(q graph.Query, deadline time.Time, requestID, _ string) (*shard.Gather, error) {
 	qj := QueryToJSON(q)
+	label := q.G.Label(q.Pivot)
 	return shard.Scatter(c.metrics, deadline, func(i int, d time.Time) (*smartpsi.Result, error) {
-		return c.callShard(i, qj, d, requestID)
+		return c.callShard(i, qj, label, d, requestID)
 	})
 }
 
-// callShard runs one sub-query against shard i: a 200 is the shard's
-// result; a 504, a budget under 1 ms or a transport timeout is
-// psi.ErrDeadline; anything else is an error. A misplaced shard is not
-// asked.
-func (c *Coordinator) callShard(i int, qj QueryJSON, deadline time.Time, requestID string) (*smartpsi.Result, error) {
+// callShard runs one sub-query, whose pivot has label pivot, against
+// shard i: a 200 is the shard's result; a 504, a budget under 1 ms or a
+// transport timeout is psi.ErrDeadline; anything else is an error. A
+// misplaced shard is not asked. Every binding has the pivot's label, so
+// shard.Owner names the one shard that may answer it: a reply carrying
+// a binding another shard owns is a bad shard response.
+func (c *Coordinator) callShard(i int, qj QueryJSON, pivot graph.Label, deadline time.Time, requestID string) (*smartpsi.Result, error) {
 	c.mu.Lock()
 	misplaced := c.misplaced[i]
 	c.mu.Unlock()
@@ -276,7 +279,16 @@ func (c *Coordinator) callShard(i int, qj QueryJSON, deadline time.Time, request
 	if err := json.Unmarshal(raw, &qr); err != nil {
 		return nil, fmt.Errorf("bad shard response: %v", err)
 	}
-	return resultFromJSON(&qr, len(qj.Nodes))
+	res, err := resultFromJSON(&qr, len(qj.Nodes))
+	if err != nil {
+		return nil, err
+	}
+	for _, u := range res.Bindings {
+		if o := shard.Owner(u, pivot, len(c.addrs)); o != i {
+			return nil, fmt.Errorf("bad shard response: binding %d is shard %d's", u, o)
+		}
+	}
+	return res, nil
 }
 
 // resultFromJSON lifts a shard node's wire result for a query of nodes

@@ -488,52 +488,6 @@ func TestServerBatchCaps(t *testing.T) {
 	}
 }
 
-// TestServerCorrectnessAgainstDirectPSI is the end-to-end soundness
-// check: bindings served over HTTP (single and batch) must equal a
-// direct psi-package evaluation of the same queries.
-func TestServerCorrectnessAgainstDirectPSI(t *testing.T) {
-	g, q := denseGraphAndQuery(t)
-	engine, err := smartpsi.NewEngine(g, smartpsi.Options{Seed: 7})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	_, ts := newTestServer(t, engine, Config{Workers: 4})
-
-	want := directBindings(t, g, q)
-	qj := wireQuery(t, q)
-
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/psi", PSIRequest{Query: qj, TimeoutMS: 60000})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d (body %s)", resp.StatusCode, body)
-	}
-	var res QueryResult
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if got := fmt.Sprint(res.Bindings); got != fmt.Sprint(want) {
-		t.Errorf("served bindings = %v, direct psi evaluation = %v", res.Bindings, want)
-	}
-
-	// The same query three times through the batch path.
-	breq := BatchRequest{Queries: []QueryJSON{*qj, *qj, *qj}, TimeoutMS: 60000}
-	resp, body = postJSON(t, ts.Client(), ts.URL+"/v1/psi/batch", breq)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status = %d (body %s)", resp.StatusCode, body)
-	}
-	var br BatchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	for i, item := range br.Results {
-		if item.Status != http.StatusOK {
-			t.Fatalf("batch item %d status = %d (%s)", i, item.Status, item.Error)
-		}
-		if got := fmt.Sprint(item.Result.Bindings); got != fmt.Sprint(want) {
-			t.Errorf("batch item %d bindings = %v, want %v", i, item.Result.Bindings, want)
-		}
-	}
-}
-
 func TestServerLabelAlphabetRejected(t *testing.T) {
 	g, _ := denseGraphAndQuery(t)
 	engine, err := smartpsi.NewEngine(g, smartpsi.Options{Seed: 7})
@@ -642,21 +596,6 @@ func wireQuery(t *testing.T, q graph.Query) *QueryJSON {
 	t.Helper()
 	qj := QueryToJSON(q)
 	return &qj
-}
-
-// directBindings evaluates q against g with the plain pessimistic
-// evaluator — the reference the served bindings must match.
-func directBindings(t *testing.T, g *graph.Graph, q graph.Query) []int64 {
-	t.Helper()
-	ref, err := NewReference(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Bindings(q)
-	if err != nil {
-		t.Fatalf("reference evaluation: %v", err)
-	}
-	return want
 }
 
 // TestServerRequestCorrelation walks one request ID through the whole

@@ -105,7 +105,7 @@ func TestServerWorkloadObservation(t *testing.T) {
 func shardedGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	g := graphtest.Random(900, 2700, 3, 5)
-	p, err := shard.Partition(g, 2, shard.LabelHash)
+	p, err := shard.Partition(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // Options configures an in-process Cluster or a fleet Node.
 type Options struct {
 	Shards   int      // shard count N (Cluster; a Node takes it from -shard-of)
-	Strategy Strategy // ownership partitioner
+	Strategy Strategy // unread; see Strategy
 	// Workers used to size a per-shard evaluation pool. A scatter now
 	// runs each shard on its own goroutine, bounded by the server's
 	// admission; nothing reads the field. It is still declared because
@@ -73,7 +73,7 @@ type Cluster struct {
 // its owned candidates on: one signature table and one prepared-query
 // cache whatever the shard count.
 func NewCluster(g *graph.Graph, opts Options) (*Cluster, error) {
-	plan, err := Partition(g, opts.Shards, opts.Strategy)
+	plan, err := Partition(g, opts.Shards)
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ type Node struct {
 // index of n answers from. Every fleet member loads the same graph file,
 // so the plans agree without coordination.
 func NewNode(g *graph.Graph, opts Options, n, index int) (*Node, error) {
-	plan, err := Partition(g, n, opts.Strategy)
+	plan, err := Partition(g, n)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,7 @@
 // unions the answers. A verdict computed on the full graph is the single
 // engine's by construction, so the union equals the single-engine answer
 // exactly (see ARCHITECTURE.md, "Sharded serving") — the equivalence is
-// property-tested in cluster_test.go.
+// checked by the agreement harness in internal/difftest.
 package shard
 
 import (
@@ -14,85 +14,40 @@ import (
 	"repro/internal/graph"
 )
 
-// Strategy selects how nodes are assigned to shards.
+// Strategy is unread: ownership is always Owner's label hash. The type
+// and LabelHash stay declared because the frozen benchmark/ module sets
+// Options.Strategy.
 type Strategy int
 
-const (
-	// LabelHash owns node u on shard hash(u, label(u)) mod N: stateless,
-	// deterministic across processes, and label-mixing so every shard
-	// sees every label's candidates.
-	LabelHash Strategy = iota
-	// DegreeBalanced cuts the node-id range into N contiguous runs with
-	// near-equal total weight deg(u)+1, so shards carry similar
-	// adjacency volume even on skewed graphs.
-	DegreeBalanced
-)
+// LabelHash is the only partitioner, Owner.
+const LabelHash Strategy = 0
 
-// String returns the flag spelling of the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case LabelHash:
-		return "label-hash"
-	case DegreeBalanced:
-		return "degree"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
-// ParseStrategy parses the -partitioner flag spellings.
-func ParseStrategy(s string) (Strategy, error) {
-	switch s {
-	case "label-hash", "labelhash", "hash":
-		return LabelHash, nil
-	case "degree", "degree-balanced":
-		return DegreeBalanced, nil
-	default:
-		return 0, fmt.Errorf("shard: unknown partitioner %q (want label-hash or degree)", s)
-	}
+// Owner returns the shard, of n, that owns node u of label l:
+// hash(u, l) mod n. It is stateless, deterministic across processes and
+// label-mixing, so every shard sees every label's candidates. Every
+// binding of a query has the pivot's label, so a coordinator that knows
+// the query and n knows which shard may answer each binding.
+func Owner(u graph.NodeID, l graph.Label, n int) int {
+	return int(splitmix64(uint64(u)<<32|uint64(uint32(l+1))) % uint64(n))
 }
 
 // Plan records the ownership partition: every node of the full graph is
-// owned by exactly one shard. Both partitioners are deterministic
-// functions of the graph, so fleet nodes built from the same graph file
-// agree on the plan without coordination.
+// owned by exactly one shard. It is a pure function of the graph, so
+// fleet nodes built from the same graph file agree on the plan without
+// coordination.
 type Plan struct {
 	N     int
 	Owner []int32 // Owner[u] in [0, N) for every global node u
 }
 
-// Partition assigns every node of g to one of n shards.
-func Partition(g *graph.Graph, n int, strat Strategy) (Plan, error) {
+// Partition assigns every node of g to one of n shards by Owner.
+func Partition(g *graph.Graph, n int) (Plan, error) {
 	if n < 1 {
 		return Plan{}, fmt.Errorf("shard: need at least 1 shard, got %d", n)
 	}
 	owner := make([]int32, g.NumNodes())
-	switch strat {
-	case LabelHash:
-		for u := 0; u < g.NumNodes(); u++ {
-			h := splitmix64(uint64(u)<<32 | uint64(uint32(g.Label(graph.NodeID(u))+1)))
-			owner[u] = int32(h % uint64(n))
-		}
-	case DegreeBalanced:
-		// Greedy prefix cut on weight deg(u)+1: advance to the next
-		// shard once the cumulative weight crosses the next boundary
-		// (i+1)·total/n. Each shard's weight lands within one node's
-		// weight of the ideal, so no shard exceeds total/n + maxWeight.
-		var total int64
-		for u := 0; u < g.NumNodes(); u++ {
-			total += int64(g.Degree(graph.NodeID(u))) + 1
-		}
-		var cum int64
-		idx := int32(0)
-		for u := 0; u < g.NumNodes(); u++ {
-			owner[u] = idx
-			cum += int64(g.Degree(graph.NodeID(u))) + 1
-			for int(idx) < n-1 && cum*int64(n) >= total*int64(idx+1) {
-				idx++
-			}
-		}
-	default:
-		return Plan{}, fmt.Errorf("shard: unknown strategy %v", strat)
+	for u := range owner {
+		owner[u] = int32(Owner(graph.NodeID(u), g.Label(graph.NodeID(u)), n))
 	}
 	return Plan{N: n, Owner: owner}, nil
 }

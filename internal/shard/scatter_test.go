@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -96,7 +97,7 @@ func TestScatter(t *testing.T) {
 			if gth.Partial != tc.partial {
 				t.Errorf("partial = %v, want %v", gth.Partial, tc.partial)
 			}
-			if !bindingsEqual(gth.Res.Bindings, tc.bindings) {
+			if !slices.Equal(gth.Res.Bindings, tc.bindings) {
 				t.Errorf("bindings = %v, want %v", gth.Res.Bindings, tc.bindings)
 			}
 			for i, o := range gth.Outcomes {

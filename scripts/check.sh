@@ -97,7 +97,7 @@ step "serving smoke (psi-serve + psi-loadgen: verify, overload shed, drain)"
 if [[ "$FUZZTIME" != "0" ]]; then
     step "fuzz smoke ($FUZZTIME per target)"
     go test ./internal/graph/ -run '^$' -fuzz 'FuzzLGRoundTrip' -fuzztime "$FUZZTIME"
-    go test ./internal/psi/ -run '^$' -fuzz 'FuzzMatchVsReference' -fuzztime "$FUZZTIME"
+    go test ./internal/difftest/ -run '^$' -fuzz 'FuzzAgreement' -fuzztime "$FUZZTIME"
     go test ./internal/ml/ -run '^$' -fuzz 'FuzzFlatWalk' -fuzztime "$FUZZTIME"
 fi
 
