@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"repro/internal/graph"
@@ -80,6 +81,59 @@ func TestTurboIsoPlusFigure1(t *testing.T) {
 	// far fewer than full enumeration.
 	if emb != 2 {
 		t.Errorf("embeddings = %d, want 2", emb)
+	}
+}
+
+// TestTurboIsoPlusMatchesProjection: TurboIso+'s bindings must equal the
+// projection of full enumeration on random inputs.
+func TestTurboIsoPlusMatchesProjection(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := graphtest.Random(15, 35, 3, seed)
+		comp := graph.ConnectedComponent(g, graph.NodeID(rng.Intn(g.NumNodes())))
+		size := 3 + rng.Intn(3)
+		if len(comp) < size {
+			return true
+		}
+		sub, _, err := graph.InducedSubgraph(g, comp[:size])
+		if err != nil || !graph.IsConnected(sub) {
+			return true
+		}
+		q, err := graph.NewQuery(sub, graph.NodeID(rng.Intn(size)))
+		if err != nil {
+			return false
+		}
+		bt, err := NewBacktracking(g, sub)
+		if err != nil {
+			return false
+		}
+		want, _, err := PivotBindings(bt, q, Budget{})
+		if err != nil {
+			return false
+		}
+		p, err := NewTurboIsoPlus(g, q)
+		if err != nil {
+			return false
+		}
+		got, _, err := p.PivotBindings(Budget{})
+		if err != nil {
+			return false
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+		if len(got) != len(want) {
+			t.Logf("seed %d: got %v want %v", seed, got, want)
+			return false
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 
