@@ -2,15 +2,15 @@ package match
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/psi"
 )
 
 // CFL is a CFL-Match-style engine (Bi et al., SIGMOD 2016): the query is
 // decomposed into core (its 2-core), forest (trees hanging off the core)
 // and leaves (degree-1 vertices), candidates are computed up front and
-// refined by iterated edge-consistency passes (a compact-path-index
+// refined by edge-consistency rounds (psi.NewFilter, a compact-path-index
 // approximation), and matching visits core vertices before forest
 // vertices before leaves — postponing the Cartesian-product-prone parts.
 // Leaf-match compression is not reproduced: embeddings are enumerated
@@ -19,15 +19,10 @@ type CFL struct {
 	g *graph.Graph
 	q *graph.Graph
 
-	core  []bool // in the query's 2-core
-	leaf  []bool // degree-1 query vertices
-	cands []nodeSet
+	core   []bool // in the query's 2-core
+	leaf   []bool // degree-1 query vertices
+	filter *psi.Filter
 }
-
-// refinementPasses is the number of edge-consistency sweeps applied to
-// the initial candidate sets. Three passes propagate constraints across
-// paths of length three, matching CFL's BFS-tree up/down passes.
-const refinementPasses = 3
 
 // NewCFL returns a CFL-Match-style engine for connected query q.
 func NewCFL(g *graph.Graph, q *graph.Graph) (*CFL, error) {
@@ -39,8 +34,14 @@ func NewCFL(g *graph.Graph, q *graph.Graph) (*CFL, error) {
 	}
 	c := &CFL{g: g, q: q}
 	c.decompose()
-	c.buildCandidates()
+	c.filter = psi.NewFilter(g, q, CFLSeed(g, q))
 	return c, nil
+}
+
+// CFLSeed is CFL-Match's candidate seed for psi.NewFilter: a node with
+// v's label (NewFilter's own test) and at least v's degree.
+func CFLSeed(g, q *graph.Graph) func(v, u graph.NodeID) bool {
+	return func(v, u graph.NodeID) bool { return g.Degree(u) >= q.Degree(v) }
 }
 
 // Name implements Engine.
@@ -86,57 +87,13 @@ func (c *CFL) decompose() {
 	}
 }
 
-// buildCandidates computes label/degree-filtered candidate sets and
-// refines them: v stays a candidate of u only while, for every query
-// neighbor u' of u, v has at least one neighbor in C(u').
-func (c *CFL) buildCandidates() {
-	n := c.q.NumNodes()
-	c.cands = make([]nodeSet, n)
-	for v := graph.NodeID(0); int(v) < n; v++ {
-		set := make(nodeSet)
-		for _, cand := range c.g.NodesWithLabel(c.q.Label(v)) {
-			if c.g.Degree(cand) >= c.q.Degree(v) {
-				set[cand] = struct{}{}
-			}
-		}
-		c.cands[v] = set
-	}
-	for pass := 0; pass < refinementPasses; pass++ {
-		changed := false
-		for v := graph.NodeID(0); int(v) < n; v++ {
-			for cand := range c.cands[v] {
-				ok := true
-				for _, w := range c.q.Neighbors(v) {
-					found := false
-					for _, nb := range c.g.NeighborsWithLabel(cand, c.q.Label(w)) {
-						if _, in := c.cands[w][nb]; in {
-							found = true
-							break
-						}
-					}
-					if !found {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					delete(c.cands[v], cand)
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-}
-
 // order returns the CFL matching order: the start vertex (smallest
 // candidate set among core vertices, or among all vertices for coreless
 // queries), extended connectedly with core vertices first, then forest,
 // then leaves, each tier by candidate-set size.
 func (c *CFL) order() []graph.NodeID {
 	n := c.q.NumNodes()
+	size := c.CandidateSetSizes()
 	tier := func(v graph.NodeID) int {
 		switch {
 		case c.core[v]:
@@ -150,7 +107,7 @@ func (c *CFL) order() []graph.NodeID {
 	start := graph.NodeID(-1)
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		if start < 0 || tier(v) < tier(start) ||
-			(tier(v) == tier(start) && len(c.cands[v]) < len(c.cands[start])) {
+			(tier(v) == tier(start) && size[v] < size[start]) {
 			start = v
 		}
 	}
@@ -176,7 +133,7 @@ func (c *CFL) order() []graph.NodeID {
 				continue
 			}
 			if best < 0 || tier(v) < tier(best) ||
-				(tier(v) == tier(best) && len(c.cands[v]) < len(c.cands[best])) {
+				(tier(v) == tier(best) && size[v] < size[best]) {
 				best = v
 			}
 		}
@@ -192,28 +149,17 @@ func (c *CFL) order() []graph.NodeID {
 // Enumerate implements Engine.
 func (c *CFL) Enumerate(budget Budget, fn VisitFunc) error {
 	order := c.order()
-	start := order[0]
-	startCands := make([]graph.NodeID, 0, len(c.cands[start]))
-	for v := range c.cands[start] {
-		startCands = append(startCands, v)
-	}
-	// Deterministic iteration order for reproducible experiment output.
-	sortNodeIDs(startCands)
-	return enumerate(c.g, c.q, order, c.cands, startCands, budget, fn)
+	return enumerate(c.g, c.q, order, c.filter.Has, c.filter.Members(order[0]), budget, fn)
 }
 
 // CandidateSetSizes exposes the refined candidate-set sizes (testing).
 func (c *CFL) CandidateSetSizes() []int {
-	sizes := make([]int, len(c.cands))
-	for i, s := range c.cands {
-		sizes[i] = len(s)
+	sizes := make([]int, c.q.NumNodes())
+	for v := range sizes {
+		sizes[v] = c.filter.Count(graph.NodeID(v))
 	}
 	return sizes
 }
 
 // InCore exposes the 2-core membership of query vertex v (testing).
 func (c *CFL) InCore(v graph.NodeID) bool { return c.core[v] }
-
-func sortNodeIDs(s []graph.NodeID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/psi"
 )
 
 // GraphQL is a GraphQL-style engine (He & Singh, SIGMOD 2008), the
@@ -12,19 +13,15 @@ import (
 // distinguishing ideas, reproduced here, are (1) candidate filtering by
 // *neighborhood profiles* — the sorted multiset of neighbor labels; a
 // data node can host a query node only if its profile contains the
-// query node's profile as a sub-multiset — (2) iterated pseudo-
-// isomorphism refinement of the candidate sets, and (3) a global
+// query node's profile as a sub-multiset — (2) pseudo-isomorphism
+// refinement of the candidate sets (psi.NewFilter's rounds), and (3) a global
 // left-deep join order chosen by estimated candidate cardinality.
 type GraphQL struct {
 	g *graph.Graph
 	q *graph.Graph
 
-	cands []nodeSet
+	filter *psi.Filter
 }
-
-// profileRefinements is the number of pseudo-isomorphism sweeps; GraphQL
-// uses a small constant depth.
-const profileRefinements = 2
 
 // NewGraphQL returns a GraphQL-style engine for connected query q.
 func NewGraphQL(g *graph.Graph, q *graph.Graph) (*GraphQL, error) {
@@ -34,9 +31,21 @@ func NewGraphQL(g *graph.Graph, q *graph.Graph) (*GraphQL, error) {
 	if !graph.IsConnected(q) {
 		return nil, fmt.Errorf("match: disconnected query")
 	}
-	e := &GraphQL{g: g, q: q}
-	e.buildCandidates()
-	return e, nil
+	return &GraphQL{g: g, q: q, filter: psi.NewFilter(g, q, GraphQLSeed(g, q))}, nil
+}
+
+// GraphQLSeed is GraphQL's candidate seed for psi.NewFilter: a node with
+// v's label (NewFilter's own test), at least v's degree, and a
+// neighbourhood profile containing v's. NewFilter's refinement is
+// GraphQL's pseudo-isomorphism test.
+func GraphQLSeed(g, q *graph.Graph) func(v, u graph.NodeID) bool {
+	qProfiles := make([][]graph.Label, q.NumNodes())
+	for v := range qProfiles {
+		qProfiles[v] = profile(q, graph.NodeID(v))
+	}
+	return func(v, u graph.NodeID) bool {
+		return g.Degree(u) >= q.Degree(v) && containsProfile(profile(g, u), qProfiles[v])
+	}
 }
 
 // Name implements Engine.
@@ -68,90 +77,32 @@ func containsProfile(a, b []graph.Label) bool {
 	return true
 }
 
-func (e *GraphQL) buildCandidates() {
-	n := e.q.NumNodes()
-	qProfiles := make([][]graph.Label, n)
-	for v := graph.NodeID(0); int(v) < n; v++ {
-		qProfiles[v] = profile(e.q, v)
-	}
-	e.cands = make([]nodeSet, n)
-	for v := graph.NodeID(0); int(v) < n; v++ {
-		set := make(nodeSet)
-		deg := e.q.Degree(v)
-		for _, cand := range e.g.NodesWithLabel(e.q.Label(v)) {
-			if e.g.Degree(cand) < deg {
-				continue
-			}
-			if containsProfile(profile(e.g, cand), qProfiles[v]) {
-				set[cand] = struct{}{}
-			}
-		}
-		e.cands[v] = set
-	}
-	// Pseudo-isomorphism refinement: v stays a candidate of u only while
-	// each query neighbor of u has a candidate among v's neighbors.
-	for pass := 0; pass < profileRefinements; pass++ {
-		changed := false
-		for v := graph.NodeID(0); int(v) < n; v++ {
-			for cand := range e.cands[v] {
-				ok := true
-				for _, w := range e.q.Neighbors(v) {
-					found := false
-					for _, nb := range e.g.NeighborsWithLabel(cand, e.q.Label(w)) {
-						if _, in := e.cands[w][nb]; in {
-							found = true
-							break
-						}
-					}
-					if !found {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					delete(e.cands[v], cand)
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-}
-
 // order returns GraphQL's global join order: the smallest candidate set
 // first, extended connectedly by smallest estimated cardinality.
 func (e *GraphQL) order() []graph.NodeID {
-	n := e.q.NumNodes()
+	size := e.CandidateSetSizes()
 	start := graph.NodeID(0)
-	for v := graph.NodeID(1); int(v) < n; v++ {
-		if len(e.cands[v]) < len(e.cands[start]) {
+	for v := graph.NodeID(1); int(v) < len(size); v++ {
+		if size[v] < size[start] {
 			start = v
 		}
 	}
 	return orderBySelectivity(e.q, start, func(v graph.NodeID) int64 {
-		return int64(len(e.cands[v]))
+		return int64(size[v])
 	})
 }
 
 // Enumerate implements Engine.
 func (e *GraphQL) Enumerate(budget Budget, fn VisitFunc) error {
 	order := e.order()
-	start := order[0]
-	startCands := make([]graph.NodeID, 0, len(e.cands[start]))
-	for v := range e.cands[start] {
-		startCands = append(startCands, v)
-	}
-	sortNodeIDs(startCands)
-	return enumerate(e.g, e.q, order, e.cands, startCands, budget, fn)
+	return enumerate(e.g, e.q, order, e.filter.Has, e.filter.Members(order[0]), budget, fn)
 }
 
 // CandidateSetSizes exposes the refined candidate-set sizes (testing).
 func (e *GraphQL) CandidateSetSizes() []int {
-	sizes := make([]int, len(e.cands))
-	for i, s := range e.cands {
-		sizes[i] = len(s)
+	sizes := make([]int, e.q.NumNodes())
+	for v := range sizes {
+		sizes[v] = e.filter.Count(graph.NodeID(v))
 	}
 	return sizes
 }

@@ -1,12 +1,15 @@
 // Package match implements full subgraph-isomorphism engines: the
 // competitors SmartPSI is evaluated against in the paper (Section 5.2).
 //
-// Three engines are provided: a generic label/degree-filtered
+// Four engines are provided: a generic label/degree-filtered
 // backtracking matcher (the classic Ullmann-style baseline), a
-// TurboIso-style engine built on per-region candidate exploration, and a
-// CFL-Match-style engine built on core-forest decomposition with
-// iterated candidate refinement. All three enumerate every embedding of
-// the query; PSIViaEnumeration and TurboIsoPlus adapt them to pivoted
+// TurboIso-style engine built on per-region candidate exploration, a
+// CFL-Match-style engine built on core-forest decomposition, and a
+// GraphQL-style engine built on neighbourhood profiles. CFL-Match and
+// GraphQL refine their candidate sets with psi.NewFilter, the routine
+// SmartPSI's kept artifacts use, and differ from each other only in its
+// seed and in their visit order. All four enumerate every embedding of
+// the query; PivotBindings and TurboIsoPlus adapt them to pivoted
 // queries the way existing applications do (project the pivot column,
 // or stop at the first embedding per pivot candidate).
 //
@@ -88,9 +91,9 @@ func PivotBindings(eng Engine, q graph.Query, budget Budget) (bindings []graph.N
 type enumState struct {
 	g       *graph.Graph
 	q       *graph.Graph
-	order   []graph.NodeID // query visit order, connected prefixes
-	steps   []plan.Step    // order's anchors and adjacency checks
-	allowed []nodeSet      // optional candidate restriction per query node
+	order   []graph.NodeID               // query visit order, connected prefixes
+	steps   []plan.Step                  // order's anchors and adjacency checks
+	allowed func(v, u graph.NodeID) bool // optional candidate restriction; nil: none
 
 	mapping []graph.NodeID // query-node-indexed current bindings
 	bound   []graph.NodeID // order-position-indexed bindings
@@ -102,17 +105,6 @@ type enumState struct {
 	emb      int64
 	ticks    int64
 	err      error
-}
-
-// nodeSet is a candidate restriction; nil means unrestricted.
-type nodeSet map[graph.NodeID]struct{}
-
-func (s nodeSet) contains(u graph.NodeID) bool {
-	if s == nil {
-		return true
-	}
-	_, ok := s[u]
-	return ok
 }
 
 func (s *enumState) tick() bool {
@@ -156,7 +148,7 @@ func (s *enumState) run(depth int) bool {
 		if step.AnchorEdgeLabel != graph.NoLabel && s.g.EdgeLabelAt(anchorNode, i) != step.AnchorEdgeLabel {
 			continue
 		}
-		if !s.allowed[qn].contains(cand) {
+		if s.allowed != nil && !s.allowed(qn, cand) {
 			continue
 		}
 		if s.g.Degree(cand) < qDeg {
@@ -207,8 +199,9 @@ func (s *enumState) checkEdges(depth int, cand graph.NodeID) bool {
 
 // enumerate runs the core over every start candidate the engine supplies.
 // order is compiled as a plan pivoted at order[0], whose candidates the
-// engine supplies.
-func enumerate(g, q *graph.Graph, order []graph.NodeID, allowed []nodeSet,
+// engine supplies. allowed, when not nil, reports whether data node u
+// may bind query node v.
+func enumerate(g, q *graph.Graph, order []graph.NodeID, allowed func(v, u graph.NodeID) bool,
 	startCands []graph.NodeID, budget Budget, fn VisitFunc) error {
 	if q.NumNodes() == 0 {
 		return nil
@@ -226,16 +219,13 @@ func enumerate(g, q *graph.Graph, order []graph.NodeID, allowed []nodeSet,
 		deadline: budget.Deadline,
 		maxEmb:   budget.MaxEmbeddings,
 	}
-	if s.allowed == nil {
-		s.allowed = make([]nodeSet, q.NumNodes())
-	}
 	for i := range s.mapping {
 		s.mapping[i] = -1
 	}
 	start := order[0]
 	qDeg := q.Degree(start)
 	for _, v := range startCands {
-		if g.Degree(v) < qDeg || !s.allowed[start].contains(v) {
+		if g.Degree(v) < qDeg || (allowed != nil && !allowed(start, v)) {
 			continue
 		}
 		if !s.tick() {

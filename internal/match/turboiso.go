@@ -114,6 +114,17 @@ func (t *TurboIso) exploreRegion(v graph.NodeID) []nodeSet {
 	return cr
 }
 
+// nodeSet is one query node's candidate region.
+type nodeSet map[graph.NodeID]struct{}
+
+// inRegion is region cr as an enumerate restriction.
+func inRegion(cr []nodeSet) func(v, u graph.NodeID) bool {
+	return func(v, u graph.NodeID) bool {
+		_, ok := cr[v][u]
+		return ok
+	}
+}
+
 // regionOrder returns the matching order for one region: start first,
 // then connected extension by smallest candidate-region size.
 func (t *TurboIso) regionOrder(cr []nodeSet) []graph.NodeID {
@@ -152,7 +163,7 @@ func (t *TurboIso) Enumerate(budget Budget, fn VisitFunc) error {
 			count++
 			return wrapped(m)
 		}
-		err := enumerate(t.g, t.q, order, cr, []graph.NodeID{v}, regionBudget, counting)
+		err := enumerate(t.g, t.q, order, inRegion(cr), []graph.NodeID{v}, regionBudget, counting)
 		if budget.MaxEmbeddings > 0 {
 			remaining -= count
 			if remaining <= 0 {

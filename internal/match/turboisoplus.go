@@ -51,7 +51,7 @@ func (p *TurboIsoPlus) PivotBindings(budget Budget) (bindings []graph.NodeID, em
 		}
 		order := p.t.regionOrder(cr)
 		found := false
-		err := enumerate(p.g, p.q.G, order, cr, []graph.NodeID{v},
+		err := enumerate(p.g, p.q.G, order, inRegion(cr), []graph.NodeID{v},
 			Budget{Deadline: budget.Deadline}, func(m []graph.NodeID) bool {
 				found = true
 				return false // stop at the first embedding for this pivot candidate

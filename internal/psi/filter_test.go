@@ -9,17 +9,32 @@ import (
 	"repro/internal/plan"
 )
 
+// MatchSeeds holds the internal/match engines' candidate seeds by
+// name. match imports psi, so seeds_test.go, an external test package,
+// registers them.
+var MatchSeeds = map[string]func(g, q *graph.Graph) func(v, u graph.NodeID) bool{}
+
 // TestFilterSound checks the candidate filter on the funnel shapes
 // (funnelGraphs: one edge-labelled, one dense, one sparse and
 // label-rich), with queries induced from the data graph itself and from
-// another graph of its shape, which the data graph mostly cannot match.
-// Every node the naive oracle finds valid for some pivot is admitted
-// (each query node takes its turn as the pivot, so every set C(v) is
-// checked), and the filtered evaluator's verdicts equal the unfiltered
-// one's in both modes, with and without the super-optimistic pass,
-// unbounded and under a small work ceiling (where both finish).
+// another graph of its shape, which the data graph mostly cannot match,
+// under each seed NewFilter is given: SmartPSI's (plausible, through
+// Filtered and Admits) and the CFL-Match and GraphQL baselines'
+// (MatchSeeds). Every node the naive oracle finds valid for some pivot
+// is in the pivot's set (each query node takes its turn as the pivot, so
+// every set C(v) is checked), and the filtered evaluator's verdicts
+// equal the unfiltered one's in both modes, with and without the
+// super-optimistic pass, unbounded and under a small work ceiling (where
+// both finish).
 func TestFilterSound(t *testing.T) {
-	var refused, bounded int64
+	seeds := []string{"cfl", "graphql"}
+	for _, name := range seeds {
+		if MatchSeeds[name] == nil {
+			t.Fatalf("match seed %q is not registered", name)
+		}
+	}
+	refused := make(map[string]int64)
+	var bounded int64
 	var work Stats
 	for seed := int64(0); seed < 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -38,6 +53,11 @@ func TestFilterSound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The sets do not depend on the pivot: build the baselines' once.
+		filters := make(map[string]*Filter, len(seeds))
+		for _, name := range seeds {
+			filters[name] = NewFilter(g, sub, MatchSeeds[name](g, sub))
+		}
 		for pivot := graph.NodeID(0); int(pivot) < size; pivot++ {
 			q, err := graph.NewQuery(sub, pivot)
 			if err != nil {
@@ -46,13 +66,22 @@ func TestFilterSound(t *testing.T) {
 			e := newEval(t, g, q)
 			f := e.Filtered()
 			for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
-				if !f.Admits(u) {
-					if graphtest.ReferencePSI(g, q, u) {
-						t.Fatalf("seed %d pivot %d: valid node %d is not admitted", seed, pivot, u)
+				if g.Label(u) != q.G.Label(pivot) {
+					continue
+				}
+				valid := graphtest.ReferencePSI(g, q, u)
+				in := map[string]bool{"plausible": f.Admits(u)}
+				for name, filter := range filters {
+					in[name] = filter.Has(pivot, u)
+				}
+				for name, ok := range in {
+					if ok {
+						continue
 					}
-					if g.Label(u) == q.G.Label(pivot) {
-						refused++
+					if valid {
+						t.Fatalf("seed %d pivot %d: valid node %d is not in the %s filter's set", seed, pivot, u, name)
 					}
+					refused[name]++
 				}
 			}
 			if pivot != 0 {
@@ -85,8 +114,13 @@ func TestFilterSound(t *testing.T) {
 			}
 		}
 	}
-	if refused == 0 || work.FilterPrunes == 0 {
-		t.Errorf("the filter refused %d pivot candidates and pruned %d search candidates: the graphs do not exercise it", refused, work.FilterPrunes)
+	for _, name := range append(seeds, "plausible") {
+		if refused[name] == 0 {
+			t.Errorf("the %s filter refused no pivot candidate: the graphs do not exercise it", name)
+		}
+	}
+	if work.FilterPrunes == 0 {
+		t.Error("the filtered searches pruned no candidate: the graphs do not exercise the filter")
 	}
 	if bounded == 0 {
 		t.Error("no bounded evaluation finished on both evaluators")

@@ -13,7 +13,6 @@ package psi
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -165,10 +164,8 @@ type Evaluator struct {
 	// entries can only let more candidates through — at a fraction of
 	// the full check's cost.
 	prune [][]sigEntry
-	// filter is nil, or Filtered's candidate sets: C(v) is the bitset
-	// over data node ids at filter[v*words : (v+1)*words].
-	filter []uint64
-	words  int
+	// filter is the zero Filter, or Filtered's candidate sets.
+	filter Filter
 }
 
 // maxPruneEntries caps the per-node satisfaction check.
@@ -256,98 +253,25 @@ func (e *Evaluator) score(dataRow []uint32, v graph.NodeID) float64 {
 	return sum / float64(len(entries))
 }
 
-// The candidate filter's refinement runs at most maxFilterRounds rounds
-// and stops after the first that removes fewer than one in
-// filterStopShare of the sets' members: later rounds remove little.
-const (
-	maxFilterRounds = 3
-	filterStopShare = 100
-)
-
-// Filtered returns a copy of e that carries a candidate filter: for each
-// query node v, a set C(v) of data nodes holding every node that v maps
-// to in some embedding of the query. C(v) starts as the nodes with v's
-// label that pass v's search-free tests (plausible). A refinement round
-// then drops u from C(v) when some query neighbour w of v has no
-// neighbour of u in C(w) with w's label, joined by an edge with the query
-// edge's label when it carries one. Every removal is of a node no
-// embedding uses, so the sets stay sound however many rounds run. The
-// copy's searches test the sets before the degree, signature and score
-// tests (Stats.FilterPrunes), and its verdicts are e's.
+// Filtered returns a copy of e that carries a candidate filter
+// (NewFilter), seeded with the nodes that pass each query node's
+// search-free tests (plausible). The copy's searches test the sets
+// before the degree, signature and score tests (Stats.FilterPrunes), and
+// its verdicts are e's.
 func (e *Evaluator) Filtered() *Evaluator {
-	g, qg := e.g, e.query.G
 	f := *e
-	f.words = (g.NumNodes() + 63) / 64
-	f.filter = make([]uint64, qg.NumNodes()*f.words)
-	members := 0
-	for v := graph.NodeID(0); int(v) < qg.NumNodes(); v++ {
-		row := f.filterRow(v)
-		for _, u := range g.NodesWithLabel(qg.Label(v)) {
-			if e.plausible(v, u) {
-				row[u>>6] |= 1 << (u & 63)
-				members++
-			}
-		}
-	}
-	for round := 0; round < maxFilterRounds; round++ {
-		removed := 0
-		for v := graph.NodeID(0); int(v) < qg.NumNodes(); v++ {
-			row := f.filterRow(v)
-			for i, word := range row {
-				for ; word != 0; word &= word - 1 {
-					u := graph.NodeID(i<<6 + bits.TrailingZeros64(word))
-					if !f.supported(u, v) {
-						row[i] &^= 1 << (u & 63)
-						removed++
-					}
-				}
-			}
-		}
-		if removed*filterStopShare < members {
-			break
-		}
-		members -= removed
-	}
+	f.filter = *NewFilter(e.g, e.query.G, e.plausible)
 	return &f
-}
-
-// filterRow returns C(v)'s bitset.
-func (e *Evaluator) filterRow(v graph.NodeID) []uint64 {
-	return e.filter[int(v)*e.words : int(v+1)*e.words]
 }
 
 // inFilter reports whether data node u is in C(v); every node is when e
 // carries no filter.
-func (e *Evaluator) inFilter(v, u graph.NodeID) bool {
-	return e.filter == nil || e.filter[int(v)*e.words+int(u>>6)]&(1<<(u&63)) != 0
-}
-
-// supported reports whether data node u has, for every query neighbour w
-// of v, a neighbour in C(w) with w's label, over an edge with the query
-// edge's label when that carries one.
-func (e *Evaluator) supported(u, v graph.NodeID) bool {
-	qg := e.query.G
-	nbrs := e.g.Neighbors(u)
-	for i, w := range qg.Neighbors(v) {
-		el := qg.EdgeLabelAt(v, i)
-		lo, hi := e.g.NeighborRangeWithLabel(u, qg.Label(w))
-		j := lo
-		for ; j < hi; j++ {
-			if (el == graph.NoLabel || e.g.EdgeLabelAt(u, j) == el) && e.inFilter(w, nbrs[j]) {
-				break
-			}
-		}
-		if j == hi {
-			return false
-		}
-	}
-	return true
-}
+func (e *Evaluator) inFilter(v, u graph.NodeID) bool { return e.filter.Has(v, u) }
 
 // FilterBytes is the resident size of e's candidate filter: 0 unless e
 // is Filtered, else one bit per data node for each query node, in whole
 // words.
-func (e *Evaluator) FilterBytes() int64 { return int64(len(e.filter)) * 8 }
+func (e *Evaluator) FilterBytes() int64 { return e.filter.Bytes() }
 
 // Admits reports whether data node u can still bind the query pivot once
 // the search-free tests are done: on a filtered evaluator, whether u is
@@ -356,7 +280,7 @@ func (e *Evaluator) FilterBytes() int64 { return int64(len(e.filter)) * 8 }
 // is invalid in every mode and under every plan.
 func (e *Evaluator) Admits(u graph.NodeID) bool {
 	p := e.query.Pivot
-	if e.filter != nil {
+	if e.filter.sets != nil {
 		return e.inFilter(p, u)
 	}
 	return e.g.Label(u) == e.query.G.Label(p) && e.plausible(p, u)
