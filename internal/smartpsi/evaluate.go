@@ -227,8 +227,10 @@ func (e *Engine) evaluateML(q graph.Query, r *queryRun, deadline time.Time) erro
 		order[i] = int32(i)
 	}
 	art, key, admit := e.prepared.lookup(q)
+	var ev *psi.Evaluator
 	if art != nil {
 		r.res.Warm = true
+		ev, r.res.FilterTime = art.warmEvaluator()
 	} else {
 		rng := rand.New(rand.NewSource(e.opts.Seed))
 		// Without model β only the heuristic plan is compiled.
@@ -245,21 +247,20 @@ func (e *Engine) evaluateML(q graph.Query, r *queryRun, deadline time.Time) erro
 			return err
 		}
 		order = order[trained:]
+		ev = art.ev
 		if admit {
 			// Only a kept artifact is executed again, so only it gets
-			// decision slots and a candidate filter: a cold query
-			// evaluates each node once, and the filter's build would
-			// cost a cheap query more than it saves. Training ran on
-			// the unfiltered evaluator, so the models are a cold run's.
-			filterStart := time.Now()
-			art.ev = art.ev.Filtered()
-			r.res.FilterTime = time.Since(filterStart)
+			// decision slots and, at its first warm hit, a candidate
+			// filter: a cold query evaluates each node once, and the
+			// filter's build would cost a cheap query more than it saves.
+			// Training ran on the unfiltered evaluator, so the models
+			// are a cold run's.
 			art.decisions = make([]atomic.Uint32, r.labelled)
 			e.prepared.store(key, art)
 		}
 	}
 	r.res.PlanClasses = len(art.compiled)
-	return e.execute(art, r, order, deadline)
+	return e.execute(art, ev, r, order, deadline)
 }
 
 // collect projects the verdict slots into the binding list. Candidates

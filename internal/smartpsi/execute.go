@@ -17,12 +17,13 @@ import (
 const minBudgetUnits = 4_000
 
 // execute is prediction + preemptive evaluation (Sections 4.2.3, 4.3)
-// of the candidates at the given positions, split across
-// Options.Threads workers. It only reads art's models and plans; art's
-// planTiming and decision slots are the two concurrent parts, so any
-// number of requests may execute one artifact at once. Every worker is
-// built (and copies art's planTiming) before any starts.
-func (e *Engine) execute(art *artifact, r *queryRun, order []int32, deadline time.Time) error {
+// of the candidates at the given positions on evaluator ev (art's, or
+// its filtered copy), split across Options.Threads workers. It only
+// reads art's models and plans; art's planTiming and decision slots are
+// the two concurrent parts, so any number of requests may execute one
+// artifact at once. Every worker is built (and copies art's planTiming)
+// before any starts.
+func (e *Engine) execute(art *artifact, ev *psi.Evaluator, r *queryRun, order []int32, deadline time.Time) error {
 	evalStart := time.Now()
 	var mu sync.Mutex // guards r.res's Counts and modelNanos
 	var modelNanos int64
@@ -32,7 +33,7 @@ func (e *Engine) execute(art *artifact, r *queryRun, order []int32, deadline tim
 	var ws []*worker
 	var shares [][]int32
 	for lo := 0; lo < len(order); lo += chunk {
-		ws = append(ws, newWorker(art, r, deadline))
+		ws = append(ws, newWorker(art, ev, r, deadline))
 		shares = append(shares, order[lo:min(lo+chunk, len(order))])
 	}
 	var wg sync.WaitGroup
@@ -77,10 +78,11 @@ func (e *Engine) execute(art *artifact, r *queryRun, order []int32, deadline tim
 }
 
 // worker is one candidate-evaluating goroutine's view of a query: the
-// shared artifact it reads, the run whose verdict slots it fills, the
-// query's global budget, and the state only it touches.
+// shared artifact and evaluator it reads, the run whose verdict slots it
+// fills, the query's global budget, and the state only it touches.
 type worker struct {
 	art    *artifact
+	ev     *psi.Evaluator
 	run    *queryRun
 	global time.Time
 	st     *psi.State // primary evaluator state; capture copies its rows into Counts
@@ -107,8 +109,8 @@ type worker struct {
 }
 
 // newWorker builds one of execute's workers.
-func newWorker(art *artifact, r *queryRun, global time.Time) *worker {
-	return &worker{art: art, run: r, global: global, st: psi.NewState(art.q.Size()), now: time.Now(),
+func newWorker(art *artifact, ev *psi.Evaluator, r *queryRun, global time.Time) *worker {
+	return &worker{art: art, ev: ev, run: r, global: global, st: psi.NewState(art.q.Size()), now: time.Now(),
 		timing: art.timing.snapshot(), learned: newPlanTiming(len(art.compiled))}
 }
 
@@ -133,7 +135,7 @@ func (w *worker) votes(n int) []int {
 // features returns node u's signature row, the models' feature vector,
 // in the worker's scratch row: it is valid until the next call.
 func (w *worker) features(u graph.NodeID) []float64 {
-	w.rowScratch = w.art.ev.DataSignatures().RowInto(u, w.rowScratch)
+	w.rowScratch = w.ev.DataSignatures().RowInto(u, w.rowScratch)
 	return w.rowScratch
 }
 
@@ -181,7 +183,7 @@ type rung struct {
 // predicted method on the heuristic plan (recovers from model β
 // errors) — stopping at the first rung that finishes.
 func (e *Engine) evaluateOne(w *worker, u graph.NodeID, slot int32) (bool, error) {
-	if !w.art.ev.Admits(u) {
+	if !w.ev.Admits(u) {
 		w.Filtered++
 		return false, nil
 	}
@@ -247,7 +249,7 @@ func (e *Engine) attempt(w *worker, u graph.NodeID, i int, r rung) (bool, error)
 	if e.evalHook != nil {
 		valid, err = e.evalHook(i+1, r.mode, r.planIdx)
 	} else {
-		valid, err = w.art.ev.Evaluate(w.st, w.art.compiled[r.planIdx], u, r.mode, limits)
+		valid, err = w.ev.Evaluate(w.st, w.art.compiled[r.planIdx], u, r.mode, limits)
 	}
 	units := w.st.Units() - before
 	w.now = time.Now()

@@ -66,7 +66,7 @@ func ladderWorker(ev *psi.Evaluator, compiled []*plan.Compiled, global time.Time
 	art := &artifact{ev: ev, compiled: compiled, timing: newPlanTiming(len(compiled)),
 		decisions: make([]atomic.Uint32, ev.Graph().NumNodes())}
 	r := &queryRun{name: "test", enabled: obs.Enabled(), res: &Result{}} // read once, as Run does
-	return &worker{art: art, run: r, global: global, st: psi.NewState(2), now: time.Now(),
+	return &worker{art: art, ev: ev, run: r, global: global, st: psi.NewState(2), now: time.Now(),
 		timing: newPlanTiming(len(compiled)), learned: newPlanTiming(len(compiled))}
 }
 

@@ -10,10 +10,10 @@ package smartpsi
 // bindings are recomputed by its psi.Evaluator on every request, and the
 // §4.3 recovery ladder keeps each verdict exact whatever a stale
 // planTiming says. A kept artifact's evaluator carries a candidate
-// filter (psi.Evaluator.Filtered), which refuses a pivot candidate
-// before any decision: that is a structural proof from the graph, like
-// Proposition 3.2's, rebuilt from nothing a request answered, not a
-// recalled verdict. What must be right is the query-side half
+// filter (psi.Evaluator.Filtered, built at its first warm hit), which
+// refuses a pivot candidate before any decision: that is a structural
+// proof from the graph, like Proposition 3.2's, rebuilt from nothing a
+// request answered, not a recalled verdict. What must be right is the query-side half
 // (evaluator, compiled plans), which names query node IDs; so a 64-bit
 // key match counts as a hit only after the stored query is verified
 // equal, node for node, with the same pivot.
@@ -22,6 +22,7 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/ml"
@@ -34,12 +35,19 @@ import (
 // prepare fills q, ev and compiled, train fills alpha, beta and timing;
 // after that those fields are read-only. timing and decisions are the
 // two parts execute updates, each safe for concurrent use, so any number
-// of requests may execute one artifact at once.
+// of requests may execute one artifact at once; filtered is written
+// once, through filterOnce.
 type artifact struct {
 	q graph.Query
-	// ev holds the query's signatures; a kept artifact's is Filtered.
+	// ev holds the query's signatures and no candidate filter: training
+	// and the run that stores the artifact execute on it.
 	ev       *psi.Evaluator
 	compiled []*plan.Compiled // model β's classes; [0] is the heuristic plan
+
+	// filtered is ev.Filtered(), built by the first warm hit
+	// (warmEvaluator); every warm run executes on it.
+	filterOnce sync.Once
+	filtered   *psi.Evaluator
 
 	alpha, beta *ml.Forest  // nil when ablated
 	timing      *planTiming // §4.3 MaxTime averages
@@ -110,6 +118,8 @@ const (
 )
 
 // size charges an artifact for its forests, decision slots and filter.
+// The filter is charged when the artifact is stored, before it is built
+// (warmEvaluator), at the size psi.Evaluator.FilterBytes will report.
 func (a *artifact) size() int64 {
 	nodes := 0
 	if a.alpha != nil {
@@ -120,9 +130,23 @@ func (a *artifact) size() int64 {
 	}
 	bytes := artifactBaseBytes + int64(nodes)*forestNodeBytes + int64(len(a.decisions))*decisionSlotBytes
 	if a.ev != nil {
-		bytes += a.ev.FilterBytes()
+		bytes += int64(a.q.Size()) * int64((a.ev.Graph().NumNodes()+63)/64) * 8
 	}
 	return bytes
+}
+
+// warmEvaluator returns the evaluator a warm run executes on: ev with a
+// candidate filter. The first call builds it and reports the build's
+// time; every other call, concurrent ones included, waits for that build
+// and reports 0.
+func (a *artifact) warmEvaluator() (*psi.Evaluator, time.Duration) {
+	var took time.Duration
+	a.filterOnce.Do(func() {
+		start := time.Now()
+		a.filtered = a.ev.Filtered()
+		took = time.Since(start)
+	})
+	return a.filtered, took
 }
 
 // preparedCache is an Engine's bounded LRU of artifacts, keyed by

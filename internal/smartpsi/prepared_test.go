@@ -109,6 +109,58 @@ func TestPreparedAdmitOnSecondSighting(t *testing.T) {
 	}
 }
 
+// TestFilterBuiltAtFirstWarmHit pins when a kept artifact's candidate
+// filter is built: not by the second sighting, which stores the artifact
+// and may be the last, but once, by the first warm hit, which reports
+// the build in FilterTime. Concurrent first warm hits build it exactly
+// once between them, and the bytes charged at store time are the built
+// filter's.
+func TestFilterBuiltAtFirstWarmHit(t *testing.T) {
+	e, qs := preparedFixture(t, Options{Seed: 2}, 1)
+	q := qs[0]
+	want := referenceBindings(t, e, q)
+	for sighting := 1; sighting <= 2; sighting++ {
+		if res := mustEvaluate(t, e, q); res.Warm || res.FilterTime != 0 {
+			t.Fatalf("sighting %d: warm=%v FilterTime=%v, want a cold run that builds no filter", sighting, res.Warm, res.FilterTime)
+		}
+	}
+	art, _, _ := e.prepared.lookup(q)
+	if art == nil || art.filtered != nil {
+		t.Fatalf("after the second sighting: artifact %v, filter built %v; want a kept artifact without one", art != nil, art != nil && art.filtered != nil)
+	}
+	const racers = 4
+	results := make([]*Result, racers)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], _ = e.Run(Request{Query: q})
+		}(i)
+	}
+	wg.Wait()
+	builds := 0
+	for i, res := range results {
+		if res == nil || !res.Warm || !sameNodes(res.Bindings, want) {
+			t.Fatalf("third sighting %d: %+v, want a warm run with %d bindings", i, res, len(want))
+		}
+		if res.FilterTime > 0 {
+			builds++
+		}
+	}
+	if builds != 1 {
+		t.Errorf("%d of %d concurrent third sightings report a filter build, want exactly 1", builds, racers)
+	}
+	if res := mustEvaluate(t, e, q); res.FilterTime != 0 || res.Filtered == 0 {
+		t.Errorf("fourth sighting: FilterTime=%v Filtered=%d, want no build and some candidates filtered", res.FilterTime, res.Filtered)
+	}
+	charged := art.bytes - artifactBaseBytes - int64(len(art.decisions))*decisionSlotBytes -
+		int64(art.alpha.NumNodes()+art.beta.NumNodes())*forestNodeBytes
+	if got := art.filtered.FilterBytes(); got != charged {
+		t.Errorf("filter holds %d bytes, %d charged at store time", got, charged)
+	}
+}
+
 // TestRunOwnedCandidates: Request.Owns restricts an evaluation to the
 // candidates the predicate owns, on the ML path too. Three disjoint
 // predicates over one engine answer exactly their share of the reference
@@ -357,7 +409,7 @@ func TestPrepareTrainExecuteStages(t *testing.T) {
 	if trained == 0 || trained != r.res.TrainedNodes || art.alpha == nil || art.beta == nil || art.timing == nil {
 		t.Fatalf("train: %d nodes, alpha=%v beta=%v", trained, art.alpha, art.beta)
 	}
-	if err := e.execute(art, r, order[trained:], time.Time{}); err != nil {
+	if err := e.execute(art, art.ev, r, order[trained:], time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.collect(q, r); err != nil {

@@ -23,8 +23,8 @@ type Result struct {
 	FitTime   time.Duration
 	ModelTime time.Duration
 	// FilterTime is the candidate filter's build (psi.Evaluator.Filtered),
-	// paid by the run whose artifact the prepared cache keeps; zero on
-	// every other run.
+	// paid by the first warm run of a kept artifact; zero on every other
+	// run.
 	FilterTime time.Duration
 	// EvalTime is the candidate-evaluation wall time (excluding training).
 	EvalTime time.Duration
