@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -21,7 +22,7 @@ import (
 	"repro/internal/workload"
 )
 
-var updateLedger = flag.Bool("update", false, "rewrite testdata/ledger.json, testdata/verdicts.json and testdata/warm.json from this tree's engine")
+var updateLedger = flag.Bool("update", false, "rewrite testdata/ledger.json, verdicts.json, warm.json and methods.json from this tree's engine")
 
 // ledgerPath is the committed work ledger TestWorkLedger compares
 // against.
@@ -333,6 +334,122 @@ func TestWarmSightings(t *testing.T) {
 	for _, pop := range ledgerPopulations {
 		if g, w := got[pop.dataset], want[pop.dataset]; g != w {
 			t.Errorf("%s warm sightings:\n  got  %+v\n  want %+v\n(if the change is meant to move the work, regenerate with -update)", pop.dataset, g, w)
+		}
+	}
+}
+
+// methodsPath is the committed method ledger TestMethodLedger compares
+// against.
+var methodsPath = filepath.Join("testdata", "methods.json")
+
+// methodEntry is what one system did on one population: its summed work
+// units, the pivot candidates it examined, and a hash of every query's
+// bindings. The two-threaded race records its hash only: which racer
+// wins, and so its work, depends on scheduling.
+type methodEntry struct {
+	Units       int64 `json:",omitempty"`
+	Candidates  int   `json:",omitempty"`
+	BindingsFNV string
+}
+
+// methodSystems names the rows of a population's method ledger. The
+// SmartPSI ablations run on engines over the ledger engine's graph and
+// signatures, so no signature is built twice.
+var methodSystems = []struct {
+	name     string
+	strategy psi.Strategy // the single-strategy rows
+	opts     *Options     // the SmartPSI rows
+}{
+	{name: "optimistic", strategy: psi.OptimisticOnly},
+	{name: "pessimistic", strategy: psi.PessimisticOnly},
+	{name: "two-threaded", strategy: psi.TwoThreaded},
+	{name: "smartpsi", opts: &Options{}},
+	{name: "no-plan-model", opts: &Options{DisablePlanModel: true}},
+	{name: "no-type-model", opts: &Options{DisableTypeModel: true}},
+	{name: "no-preemption", opts: &Options{DisablePreemption: true}},
+}
+
+// measureMethod runs pop's queries, one at a time, through one system.
+func measureMethod(t *testing.T, ledger *Engine, qs []graph.Query, name string, strategy psi.Strategy, opts *Options) methodEntry {
+	t.Helper()
+	var e *Engine
+	if opts != nil {
+		o := *opts
+		o.Seed, o.Threads, o.DisablePreparedCache = 1, 1, true
+		e = newEngine(ledger.g, ledger.sigs, o)
+	}
+	h := fnv.New64a()
+	var me methodEntry
+	for qi, q := range qs {
+		if e != nil {
+			res := mustEvaluate(t, e, q)
+			me.Units += res.Work().Units()
+			me.Candidates += res.Candidates
+			hashBindings(h, res.Bindings)
+			continue
+		}
+		ev, err := psi.NewEvaluator(ledger.g, q, ledger.sigs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := psi.EvaluateAll(ev, strategy, 0, time.Time{})
+		if err != nil {
+			t.Fatalf("%s query %d: %v", name, qi, err)
+		}
+		if strategy != psi.TwoThreaded {
+			me.Units += res.Stats.Units()
+			me.Candidates += res.Candidates
+		}
+		hashBindings(h, res.Bindings)
+	}
+	me.BindingsFNV = fmt.Sprintf("%016x", h.Sum64())
+	return me
+}
+
+// TestMethodLedger pins the realist's margin over its own methods
+// (§5.3–5.4, Fig. 10 and the ablations) in exact units: per ledger
+// population, the optimist and the pessimist alone, the two-threaded
+// race, SmartPSI, and SmartPSI without model β, without model α and
+// without preemption. Every system must bind the same nodes, which
+// cross-checks seven answer paths. Time stays out of the file.
+// Regenerate with `go test ./internal/smartpsi/ -run MethodLedger
+// -update`.
+func TestMethodLedger(t *testing.T) {
+	got := make(map[string]map[string]methodEntry, len(ledgerPopulations))
+	for _, pop := range ledgerPopulations {
+		ledger, qs := ledgerQueries(t, pop)
+		rows := make(map[string]methodEntry, len(methodSystems))
+		for _, sys := range methodSystems {
+			rows[sys.name] = measureMethod(t, ledger, qs, sys.name, sys.strategy, sys.opts)
+			if h, want := rows[sys.name].BindingsFNV, rows[methodSystems[0].name].BindingsFNV; h != want {
+				t.Errorf("%s %s: bindings hash %s, %s's %s", pop.dataset, sys.name, h, methodSystems[0].name, want)
+			}
+		}
+		got[pop.dataset] = rows
+	}
+	if *updateLedger {
+		buf, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(methodsPath, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	buf, err := os.ReadFile(methodsPath)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	var want map[string]map[string]methodEntry
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, pop := range ledgerPopulations {
+		for _, sys := range methodSystems {
+			if g, w := got[pop.dataset][sys.name], want[pop.dataset][sys.name]; g != w {
+				t.Errorf("%s %s:\n  got  %+v\n  want %+v\n(if the change is meant to move the work, regenerate with -update)", pop.dataset, sys.name, g, w)
+			}
 		}
 	}
 }
