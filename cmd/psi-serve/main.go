@@ -14,9 +14,8 @@
 //	psi-serve -graph g.lg -sample-interval 1s -slo-availability 0.99
 //
 // Sharded serving (see ARCHITECTURE.md "Sharded serving" and the
-// OPERATIONS.md fleet runbook) comes in three forms:
+// OPERATIONS.md fleet runbook) runs a fleet of processes:
 //
-//	psi-serve -graph g.lg -shards 4              # in-process scatter-gather cluster
 //	psi-serve -graph g.lg -shard-of 2 -shard-index 0   # one fleet shard node
 //	psi-serve -coordinator -shard-addrs host0:8080,host1:8080
 //
@@ -91,7 +90,6 @@ func main() {
 		threads        = flag.Int("threads", 1, "candidate-evaluation workers inside one query")
 		seed           = flag.Int64("seed", 42, "engine sampling seed")
 
-		shards      = flag.Int("shards", 0, "run an in-process scatter-gather cluster of N shards (0: single engine)")
 		shardOf     = flag.Int("shard-of", 0, "serve as one node of an N-shard fleet (requires -shard-index)")
 		shardIndex  = flag.Int("shard-index", -1, "this node's shard index in [0, shard-of)")
 		coordinator = flag.Bool("coordinator", false, "serve as a fleet coordinator scattering to -shard-addrs (no -graph needed)")
@@ -123,7 +121,6 @@ func main() {
 		maxBatch: *maxBatch, maxQueryNodes: *maxQueryNodes,
 		retryAfter: *retryAfter, drainTimeout: *drainTimeout,
 		threads: *threads, seed: *seed,
-		shards:  *shards,
 		shardOf: *shardOf, shardIndex: *shardIndex,
 		coordinator: *coordinator, shardAddrs: *shardAddrs, shardProbe: *shardProbe,
 		sampleInterval:  *sampleInterval,
@@ -155,7 +152,6 @@ type config struct {
 	threads            int
 	seed               int64
 
-	shards      int    // >0: in-process scatter-gather cluster
 	shardOf     int    // >0: fleet shard node of N
 	shardIndex  int    // this node's index in [0, shardOf)
 	coordinator bool   // fleet coordinator mode
@@ -182,18 +178,8 @@ type config struct {
 // validate rejects contradictory serving-mode flag combinations up
 // front, before any graph is loaded.
 func (c config) validate() error {
-	modes := 0
-	if c.shards > 0 {
-		modes++
-	}
-	if c.shardOf > 0 {
-		modes++
-	}
-	if c.coordinator {
-		modes++
-	}
-	if modes > 1 {
-		return fmt.Errorf("-shards, -shard-of and -coordinator are mutually exclusive serving modes")
+	if c.shardOf > 0 && c.coordinator {
+		return fmt.Errorf("-shard-of and -coordinator are mutually exclusive serving modes")
 	}
 	if c.shardOf > 0 && (c.shardIndex < 0 || c.shardIndex >= c.shardOf) {
 		return fmt.Errorf("-shard-of %d needs -shard-index in [0,%d)", c.shardOf, c.shardOf)
@@ -230,9 +216,8 @@ func (c config) objectives() []obs.Objective {
 }
 
 // buildEvaluator constructs the serving-mode evaluator: a plain warm
-// engine by default, an in-process scatter-gather cluster with -shards,
-// one fleet shard node with -shard-of/-shard-index, or a graph-less
-// coordinator with -coordinator. g is nil exactly in coordinator mode.
+// engine by default, one fleet shard node with -shard-of/-shard-index,
+// or a graph-less coordinator with -coordinator. g is nil exactly in coordinator mode.
 func buildEvaluator(cfg config, g *graph.Graph, logger *slog.Logger) (server.Evaluator, error) {
 	engOpts := smartpsi.Options{Threads: cfg.threads, Seed: cfg.seed}
 	switch {
@@ -248,19 +233,6 @@ func buildEvaluator(cfg config, g *graph.Graph, logger *slog.Logger) (server.Eva
 		logger.Info("coordinator armed",
 			"shards", len(addrs), "probe_interval", cfg.shardProbe.String())
 		return coord, nil
-
-	case cfg.shards > 0:
-		cluster, err := shard.NewCluster(g, shard.Options{Shards: cfg.shards, Engine: engOpts})
-		if err != nil {
-			return nil, err
-		}
-		logger.Info("graph loaded",
-			"nodes", g.NumNodes(), "edges", g.NumEdges(), "labels", g.NumLabels())
-		for _, st := range cluster.ShardStatuses() {
-			logger.Info("shard warm", "shard", st.Index, "owned_nodes", st.OwnedNodes)
-		}
-		logger.Info("cluster armed", "shards", cfg.shards)
-		return cluster, nil
 
 	case cfg.shardOf > 0:
 		node, err := shard.NewNode(g, shard.Options{Engine: engOpts}, cfg.shardOf, cfg.shardIndex)

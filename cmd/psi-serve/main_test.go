@@ -185,60 +185,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRunCluster boots the -shards in-process scatter-gather mode and
-// checks a query answers with per-shard outcomes plus shard health in
-// /readyz.
-func TestRunCluster(t *testing.T) {
-	gp := filepath.Join(t.TempDir(), "g.lg")
-	if err := os.WriteFile(gp, []byte(testGraph), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig(gp)
-	cfg.shards = 2
-	addr, cancel, errc := startRun(t, cfg)
-	defer cancel()
-
-	base := "http://" + addr
-	body := `{"query":{"nodes":[0,1,2],"edges":[[0,1],[1,2],[0,2]],"pivot":0},"timeout_ms":2000}`
-	resp, err := http.Post(base+"/v1/psi", "application/json", bytes.NewReader([]byte(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		Bindings []int64 `json:"bindings"`
-		Partial  bool    `json:"partial"`
-		Shards   []struct {
-			Shard int `json:"shard"`
-		} `json:"shards"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&out)
-	_ = resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("psi status = %d, err = %v", resp.StatusCode, err)
-	}
-	if len(out.Bindings) == 0 || out.Partial || len(out.Shards) != 2 {
-		t.Fatalf("cluster answer: %+v", out)
-	}
-
-	resp, err = http.Get(base + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ready struct {
-		ShardsHealthy int `json:"shards_healthy"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&ready)
-	_ = resp.Body.Close()
-	if err != nil || ready.ShardsHealthy != 2 {
-		t.Fatalf("readyz shards_healthy = %d, err = %v", ready.ShardsHealthy, err)
-	}
-
-	cancel()
-	if err := <-errc; err != nil {
-		t.Fatalf("run: %v", err)
-	}
-}
-
 // TestRunFleet boots two -shard-of nodes plus a -coordinator process
 // in-process and runs a query through the whole scatter path.
 func TestRunFleet(t *testing.T) {
@@ -296,7 +242,9 @@ func TestRunShardFlagErrors(t *testing.T) {
 		name string
 		mut  func(*config)
 	}{
-		{"shards+shard-of", func(c *config) { c.shards = 2; c.shardOf = 2; c.shardIndex = 0 }},
+		{"shard-of+coordinator", func(c *config) {
+			c.graphPath, c.coordinator, c.shardAddrs, c.shardOf, c.shardIndex = "", true, "127.0.0.1:1", 2, 0
+		}},
 		{"shard-of without index", func(c *config) { c.shardOf = 2 }},
 		{"index out of range", func(c *config) { c.shardOf = 2; c.shardIndex = 2 }},
 		{"index without shard-of", func(c *config) { c.shardIndex = 0 }},

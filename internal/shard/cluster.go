@@ -55,12 +55,15 @@ type evaluator interface {
 	EvaluateTagged(q graph.Query, deadline time.Time, requestID, fingerprint string) (*smartpsi.Result, error)
 }
 
-// Cluster evaluates queries by scattering them across in-process
-// shards: N goroutines per query over one engine, each evaluating the
-// candidates its shard owns. It implements the server's evaluator
-// interfaces: a scattered evaluation answers with the exact
-// single-engine binding set while all shards are up, and degrades to a
-// flagged partial answer when one fails.
+// Cluster is the in-process twin of a fleet: N shards over one engine in
+// one process, each evaluating the candidates its shard owns, scattered
+// and gathered as a coordinator does over the wire (Scatter). It is not a
+// serving mode; the agreement harness, the server's tests and the
+// benchmark's shard layer use it to check and price the scatter without
+// a network. It implements the server's evaluator interfaces: a
+// scattered evaluation answers with the exact single-engine binding set
+// while all shards are up, and degrades to a flagged partial answer when
+// one fails.
 type Cluster struct {
 	g       *graph.Graph
 	plan    Plan

@@ -68,11 +68,12 @@ PSI_INVARIANTS=1 go test -count=1 ./...
 
 # One iteration each: keeps the forest benchmarks (the fit against its
 # seed-fitter oracle, the flat walk against the per-tree walk), every
-# psi-bench experiment on its tiny config (BenchmarkExperiments) and the
-# psi ablations (super pass, signature pruning) compiling and running.
-step "benchmark smoke (forest fit, psi-bench experiments, psi ablations)"
+# psi-bench experiment on its tiny config (BenchmarkExperiments), the
+# psi ablations (super pass, signature pruning) and the match baselines'
+# benchmarks (TurboIso's region sizes among them) compiling and running.
+step "benchmark smoke (forest fit, psi-bench experiments, psi ablations, match baselines)"
 go test -run '^$' -bench 'TrainForest|ForestPredict' -benchtime 1x ./internal/ml/
-go test -run '^$' -bench . -benchtime 1x ./internal/bench/ ./internal/psi/
+go test -run '^$' -bench . -benchtime 1x ./internal/bench/ ./internal/psi/ ./internal/match/
 
 # benchmark/ is a module of its own (it builds against this one through
 # a replace directive), so ./... above never compiles it.
