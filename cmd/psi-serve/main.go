@@ -217,7 +217,8 @@ func (c config) objectives() []obs.Objective {
 
 // buildEvaluator constructs the serving-mode evaluator: a plain warm
 // engine by default, one fleet shard node with -shard-of/-shard-index,
-// or a graph-less coordinator with -coordinator. g is nil exactly in coordinator mode.
+// or a graph-less coordinator with -coordinator. g is nil exactly in
+// coordinator mode.
 func buildEvaluator(cfg config, g *graph.Graph, logger *slog.Logger) (server.Evaluator, error) {
 	engOpts := smartpsi.Options{Threads: cfg.threads, Seed: cfg.seed}
 	switch {

@@ -152,7 +152,8 @@ func (c *CFL) Enumerate(budget Budget, fn VisitFunc) error {
 	return enumerate(c.g, c.q, order, c.filter.Has, c.filter.Members(order[0]), budget, fn)
 }
 
-// CandidateSetSizes exposes the refined candidate-set sizes (testing).
+// CandidateSetSizes returns the refined candidate-set sizes, |C(v)| per
+// query vertex.
 func (c *CFL) CandidateSetSizes() []int {
 	sizes := make([]int, c.q.NumNodes())
 	for v := range sizes {

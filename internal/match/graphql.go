@@ -14,8 +14,8 @@ import (
 // *neighborhood profiles* — the sorted multiset of neighbor labels; a
 // data node can host a query node only if its profile contains the
 // query node's profile as a sub-multiset — (2) pseudo-isomorphism
-// refinement of the candidate sets (psi.NewFilter's rounds), and (3) a global
-// left-deep join order chosen by estimated candidate cardinality.
+// refinement of the candidate sets (psi.NewFilter's rounds), and (3) a
+// global left-deep join order chosen by estimated candidate cardinality.
 type GraphQL struct {
 	g *graph.Graph
 	q *graph.Graph
@@ -98,7 +98,8 @@ func (e *GraphQL) Enumerate(budget Budget, fn VisitFunc) error {
 	return enumerate(e.g, e.q, order, e.filter.Has, e.filter.Members(order[0]), budget, fn)
 }
 
-// CandidateSetSizes exposes the refined candidate-set sizes (testing).
+// CandidateSetSizes returns the refined candidate-set sizes, |C(v)| per
+// query vertex.
 func (e *GraphQL) CandidateSetSizes() []int {
 	sizes := make([]int, e.q.NumNodes())
 	for v := range sizes {

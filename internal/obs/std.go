@@ -53,7 +53,7 @@ var (
 	SmartMispredicts   = Default.Counter("smartpsi_mode_mispredictions_total", "model α predictions contradicted by ground truth (Figure 11)")
 	SmartQuerySeconds  = Default.Histogram("smartpsi_query_seconds", "end-to-end SmartPSI query latency", LatencyBuckets)
 	SmartTrainSeconds  = Default.Histogram("smartpsi_train_seconds", "per-query model training time (Table 4 overhead)", LatencyBuckets)
-	SmartPlanSeconds   = Default.Histogram("smartpsi_plan_eval_seconds", "single candidate evaluation time per (method, plan)", LatencyBuckets)
+	SmartPlanSeconds   = Default.Histogram("smartpsi_plan_eval_seconds", "time of one finished candidate evaluation, training sweep or execute attempt, over every method and plan", LatencyBuckets)
 	SmartRecursionDist = Default.Histogram("smartpsi_query_recursions", "per-query recursion totals", CountBuckets)
 
 	// --- package smartpsi: the engine's prepared-query cache (updated unconditionally, like the serving-path metrics below) ---

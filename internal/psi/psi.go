@@ -264,10 +264,6 @@ func (e *Evaluator) Filtered() *Evaluator {
 	return &f
 }
 
-// inFilter reports whether data node u is in C(v); every node is when e
-// carries no filter.
-func (e *Evaluator) inFilter(v, u graph.NodeID) bool { return e.filter.Has(v, u) }
-
 // FilterBytes is the resident size of e's candidate filter: 0 unless e
 // is Filtered, else one bit per data node for each query node, in whole
 // words.
@@ -281,7 +277,7 @@ func (e *Evaluator) FilterBytes() int64 { return e.filter.Bytes() }
 func (e *Evaluator) Admits(u graph.NodeID) bool {
 	p := e.query.Pivot
 	if e.filter.sets != nil {
-		return e.inFilter(p, u)
+		return e.filter.Has(p, u)
 	}
 	return e.g.Label(u) == e.query.G.Label(p) && e.plausible(p, u)
 }
@@ -511,7 +507,7 @@ func (e *Evaluator) run(st *State, c *plan.Compiled, u graph.NodeID, mode Mode, 
 	row := &st.depths[0]
 	row.Candidates++
 	st.units++
-	if !e.inFilter(step0.QueryNode, u) {
+	if !e.filter.Has(step0.QueryNode, u) {
 		row.FilterPrunes++
 		return false, nil
 	}
@@ -592,7 +588,7 @@ func (e *Evaluator) extend(st *State, c *plan.Compiled, depth int, mode Mode, su
 			continue
 		}
 		if !last {
-			if !e.inFilter(qn, cand) {
+			if !e.filter.Has(qn, cand) {
 				row.FilterPrunes++
 				continue
 			}
@@ -659,7 +655,7 @@ func (e *Evaluator) checkWitness(st *State, c *plan.Compiled) error {
 		return err
 	}
 	for v, u := range mapping {
-		if !e.inFilter(graph.NodeID(v), u) {
+		if !e.filter.Has(graph.NodeID(v), u) {
 			return &invariant.Violation{Subsystem: "filter", Detail: fmt.Sprintf("query node %d bound to data node %d outside its candidate set", v, u)}
 		}
 	}
